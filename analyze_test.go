@@ -9,6 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bufferdb/internal/exec"
+	"bufferdb/internal/expr"
+	"bufferdb/internal/plan"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -158,6 +162,39 @@ func TestStatsZeroOverheadConsistent(t *testing.T) {
 		})
 	}
 
+	// Zero overhead when off: an operator's name renders its whole text
+	// (the scan's filter, here), so Open may render it only for a stats
+	// collector or a fault injector, never on the plain path.
+	for _, eng := range plan.Engines() {
+		p, err := testDB.plan(analyzeQuery, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		renders := 0
+		plan.Walk(p, func(n *plan.Node) {
+			if n.Filter != nil {
+				n.Filter = renderSpy{n.Filter, &renders}
+			}
+		})
+		run := func(ectx *exec.Context) {
+			t.Helper()
+			op, err := plan.Compile(p, testDB.cm, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			renders = 0
+			if _, err := exec.Run(ectx, op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if run(&exec.Context{Catalog: testDB.cat}); renders != 0 {
+			t.Errorf("%v: plain run rendered the scan filter %d times", eng, renders)
+		}
+		if run(&exec.Context{Catalog: testDB.cat, Stats: exec.NewStatsCollector()}); renders == 0 {
+			t.Errorf("%v: stats run never rendered the scan filter; the spy is not on Open's path", eng)
+		}
+	}
+
 	// Counter identity: an instrumented simulated run (ExplainAnalyze) and
 	// an uninstrumented one (Profile's refined side) execute the same plan
 	// on identical fresh machines.
@@ -175,6 +212,17 @@ func TestStatsZeroOverheadConsistent(t *testing.T) {
 			a.Totals.Cycles, a.Totals.Uops, a.Totals.L1IMisses,
 			prof.Buffered.Cycles, prof.Buffered.Uops, prof.Buffered.L1IMisses)
 	}
+}
+
+// renderSpy counts how often an expression is rendered to text.
+type renderSpy struct {
+	expr.Expr
+	renders *int
+}
+
+func (s renderSpy) String() string {
+	*s.renders++
+	return s.Expr.String()
 }
 
 // TestRowsStats exercises the WithStats streaming path: live counter
@@ -281,5 +329,42 @@ func TestColumnsCachedAndScanErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "column 1") {
 		t.Errorf("Scan error does not name the 0-based column index: %v", err)
+	}
+}
+
+// TestFoldedPredicates pins what constant folding must not change: a
+// subtree that errors (1/0) still plans, explains, and fails only when a row
+// is evaluated, with the evaluator's message, on every engine; and a folded
+// subtree still renders and fingerprints as the tree that was written.
+func TestFoldedPredicates(t *testing.T) {
+	ctx := context.Background()
+	const bad = `SELECT COUNT(*) FROM lineitem WHERE l_quantity > 1/0`
+	if _, _, err := testDB.Explain(bad); err != nil {
+		t.Errorf("EXPLAIN of x > 1/0 failed at plan time: %v", err)
+	}
+	for _, eng := range []Engine{EngineVolcano, EngineVec, EnginePush} {
+		_, err := testDB.Query(ctx, bad, WithEngine(eng))
+		if err == nil || !strings.Contains(err.Error(), "expr: division by zero") {
+			t.Errorf("%v: x > 1/0 = %v, want division by zero at execution", eng, err)
+		}
+	}
+
+	const folded = `SELECT COUNT(*) FROM lineitem WHERE l_discount >= 0.05 - 0.01 AND l_orderkey <> -7`
+	orig, _, err := testDB.Explain(folded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "filter=((lineitem.l_discount >= (0.05 - 0.01)) AND (lineitem.l_orderkey <> -7))"; !strings.Contains(orig, want) {
+		t.Errorf("EXPLAIN lost the written predicate %q:\n%s", want, orig)
+	}
+	p, err := testDB.plan(folded, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _, ok := plan.Fingerprint(p, testDB.epochs)
+	for _, want := range []string{"sub(lit:3:0.05,lit:3:0.01)", "neg(lit:2:7)"} {
+		if !ok || !strings.Contains(key, want) {
+			t.Errorf("fingerprint lost %q: %q (ok=%v)", want, key, ok)
+		}
 	}
 }

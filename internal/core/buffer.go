@@ -65,14 +65,14 @@ func (b *Buffer) SetTraceLabel(l byte) { b.label = l }
 
 // Open implements exec.Operator.
 func (b *Buffer) Open(ctx *exec.Context) error {
-	b.stats = ctx.StatsFor(b, b.Name())
+	b.stats = ctx.StatsFor(b)
 	if b.stats != nil {
 		defer b.stats.EndOpen(ctx, b.stats.Begin(ctx))
 	}
 	if err := b.Child.Open(ctx); err != nil {
 		return err
 	}
-	b.fault = ctx.FaultPoint(b.Name() + ":next")
+	b.fault = ctx.FaultPoint(b, ":next")
 	ctx.ShrinkMem(b.memUsed) // reopen without Close: release stale charge
 	b.memUsed = 0
 	// The pointer array is the buffer's only retained allocation: Size

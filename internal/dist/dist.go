@@ -93,8 +93,8 @@ type Coordinator struct {
 	cat      *storage.Catalog
 	smap     shard.Map
 	mem      *exec.MemTracker
-	rf       int        // effective replication factor
-	breakers []*breaker // one per node, indexed like shards
+	rf       int           // effective replication factor
+	breakers []*breaker    // one per node, indexed like shards
 	rr       atomic.Uint64 // round-robin cursor for single-shard routing
 	queries  atomic.Int64
 }

@@ -281,7 +281,7 @@ func TestDistScan(t *testing.T) {
 	fleet := startFleet(t, 2, dist.Config{})
 
 	for _, q := range []string{
-		`SELECT r_name, COUNT(*) FROM region GROUP BY r_name ORDER BY r_name LIMIT 1`, // passthrough
+		`SELECT r_name, COUNT(*) FROM region GROUP BY r_name ORDER BY r_name LIMIT 1`,                     // passthrough
 		`SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag LIMIT 1`, // scatter
 	} {
 		rows, err := fleet.co.Query(context.Background(), q)

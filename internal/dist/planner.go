@@ -571,11 +571,13 @@ type stubOp struct {
 	schema storage.Schema
 }
 
-func (s stubOp) Open(*exec.Context) error                { return errors.New("dist: stub operator") }
-func (s stubOp) Next(*exec.Context) (storage.Row, error) { return nil, errors.New("dist: stub operator") }
-func (s stubOp) Close(*exec.Context) error               { return nil }
-func (s stubOp) Schema() storage.Schema                  { return s.schema }
-func (s stubOp) Children() []exec.Operator               { return nil }
-func (s stubOp) Name() string                            { return "Stub" }
-func (s stubOp) Module() *codemodel.Module               { return nil }
-func (s stubOp) Blocking() bool                          { return false }
+func (s stubOp) Open(*exec.Context) error { return errors.New("dist: stub operator") }
+func (s stubOp) Next(*exec.Context) (storage.Row, error) {
+	return nil, errors.New("dist: stub operator")
+}
+func (s stubOp) Close(*exec.Context) error { return nil }
+func (s stubOp) Schema() storage.Schema    { return s.schema }
+func (s stubOp) Children() []exec.Operator { return nil }
+func (s stubOp) Name() string              { return "Stub" }
+func (s stubOp) Module() *codemodel.Module { return nil }
+func (s stubOp) Blocking() bool            { return false }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -34,19 +33,13 @@ type Aggregate struct {
 	schema       storage.Schema
 	shared       *SharedAgg
 
-	groups       map[string]*aggGroup
-	order        []string
+	table        *expr.GroupTable
 	memUsed      int64
 	pos          int
 	done         bool
 	opened       bool
 	tableRegion  uint64
 	tableBuckets uint64
-}
-
-type aggGroup struct {
-	keyVals storage.Row
-	accs    []expr.Accumulator
 }
 
 // NewAggregate constructs the operator, deriving the output schema.
@@ -88,17 +81,16 @@ func (a *Aggregate) SetShared(sa *SharedAgg) { a.shared = sa }
 
 // Open implements Operator.
 func (a *Aggregate) Open(ctx *Context) error {
-	a.stats = ctx.StatsFor(a, a.Name())
+	a.stats = ctx.StatsFor(a)
 	if a.stats != nil {
 		defer a.stats.EndOpen(ctx, a.stats.Begin(ctx))
 	}
 	if err := a.Child.Open(ctx); err != nil {
 		return err
 	}
-	a.fault = ctx.FaultPoint(a.Name() + ":next")
-	a.publishFault = ctx.FaultPoint(a.Name() + ":publish")
-	a.groups = make(map[string]*aggGroup)
-	a.order = nil
+	a.fault = ctx.FaultPoint(a, ":next")
+	a.publishFault = ctx.FaultPoint(a, ":publish")
+	a.table = expr.NewGroupTable(a.GroupBy, a.Aggs)
 	ctx.ShrinkMem(a.memUsed) // reopen without Close: release stale charges
 	a.memUsed = 0
 	a.pos, a.done = 0, false
@@ -136,57 +128,30 @@ func (a *Aggregate) consume(ctx *Context) error {
 		if row == nil {
 			break
 		}
-		keyVals := make(storage.Row, len(a.GroupBy))
-		for i, g := range a.GroupBy {
-			v, err := g.Eval(row)
-			if err != nil {
-				return err
-			}
-			keyVals[i] = v
+		grp, isNew, err := a.table.Lookup(row)
+		if err != nil {
+			return err
 		}
-		key := keyVals.String()
-		grp, ok := a.groups[key]
-		if !ok {
+		if isNew {
 			// Each new group retains its key string, key row, and one
 			// accumulator per aggregate for the life of the operator.
-			charge := int64(len(key)) + int64(keyVals.ByteSize()) +
+			charge := int64(len(grp.Key)) + int64(grp.Vals.ByteSize()) +
 				int64(len(a.Aggs))*hashEntryOverhead
 			if err := ctx.GrowMem(charge); err != nil {
 				return err
 			}
 			a.memUsed += charge
-			grp = &aggGroup{keyVals: keyVals, accs: make([]expr.Accumulator, len(a.Aggs))}
-			for i, spec := range a.Aggs {
-				acc, err := expr.NewAccumulator(spec)
-				if err != nil {
-					return err
-				}
-				grp.accs[i] = acc
-			}
-			a.groups[key] = grp
-			a.order = append(a.order, key)
 		}
-		for _, acc := range grp.accs {
-			if err := acc.Add(row); err != nil {
-				return err
-			}
+		if err := grp.Add(row); err != nil {
+			return err
 		}
 		// The transition functions touch the group's accumulator state.
-		addr := a.groupAddr(key)
+		addr := a.groupAddr(grp.Key)
 		ctx.Read(addr, 64)
 		ctx.Write(addr, 64)
-		ctx.ExecModule(a.module, ctx.DataBits(!ok))
+		ctx.ExecModule(a.module, ctx.DataBits(isNew))
 	}
-	// Deterministic output order: sort groups by key values.
-	sort.Slice(a.order, func(i, j int) bool {
-		gi, gj := a.groups[a.order[i]], a.groups[a.order[j]]
-		for k := range gi.keyVals {
-			if c := storage.Compare(gi.keyVals[k], gj.keyVals[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
+	a.table.Sort() // deterministic output order
 	a.done = true
 	if a.shared != nil && a.shared.Publish != nil {
 		// Reuse-cache miss: materialize the complete, sorted output — the
@@ -210,30 +175,12 @@ func (a *Aggregate) consume(ctx *Context) error {
 // cache charges for it. Accumulator Result calls are pure, so emission
 // after materialization produces identical values.
 func (a *Aggregate) materializeRows() ([]storage.Row, int64, error) {
+	rows, err := a.table.Rows()
 	var bytes int64
-	if len(a.GroupBy) == 0 && len(a.order) == 0 {
-		out := make(storage.Row, 0, len(a.Aggs))
-		for _, spec := range a.Aggs {
-			acc, err := expr.NewAccumulator(spec)
-			if err != nil {
-				return nil, 0, err
-			}
-			out = append(out, acc.Result())
-		}
-		return []storage.Row{out}, int64(out.ByteSize()) + hashEntryOverhead, nil
+	for _, r := range rows {
+		bytes += int64(r.ByteSize()) + hashEntryOverhead
 	}
-	rows := make([]storage.Row, 0, len(a.order))
-	for _, key := range a.order {
-		grp := a.groups[key]
-		out := make(storage.Row, 0, len(a.GroupBy)+len(a.Aggs))
-		out = append(out, grp.keyVals...)
-		for _, acc := range grp.accs {
-			out = append(out, acc.Result())
-		}
-		rows = append(rows, out)
-		bytes += int64(out.ByteSize()) + hashEntryOverhead
-	}
-	return rows, bytes, nil
+	return rows, bytes, err
 }
 
 // Next implements Operator.
@@ -257,29 +204,20 @@ func (a *Aggregate) Next(ctx *Context) (res storage.Row, err error) {
 	}
 	// Ungrouped aggregation over zero rows still yields one row
 	// (COUNT(*) = 0, SUM = NULL, …).
-	if len(a.GroupBy) == 0 && len(a.order) == 0 && a.pos == 0 {
+	if a.table.EmptyUngrouped() && a.pos == 0 {
 		a.pos++
-		out := make(storage.Row, 0, len(a.Aggs))
-		for _, spec := range a.Aggs {
-			acc, err := expr.NewAccumulator(spec)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, acc.Result())
+		out, err := a.table.EmptyRow()
+		if err != nil {
+			return nil, err
 		}
 		ctx.ExecModule(a.module, ctx.DataBits(true))
 		return out, nil
 	}
-	if a.pos >= len(a.order) {
+	if a.pos >= a.table.Len() {
 		return nil, nil
 	}
-	grp := a.groups[a.order[a.pos]]
+	out := a.table.Row(a.pos)
 	a.pos++
-	out := make(storage.Row, 0, len(a.GroupBy)+len(a.Aggs))
-	out = append(out, grp.keyVals...)
-	for _, acc := range grp.accs {
-		out = append(out, acc.Result())
-	}
 	ctx.ExecModule(a.module, ctx.DataBits(true))
 	return out, nil
 }
@@ -287,8 +225,7 @@ func (a *Aggregate) Next(ctx *Context) (res storage.Row, err error) {
 // Close implements Operator.
 func (a *Aggregate) Close(ctx *Context) error {
 	a.opened = false
-	a.groups = nil
-	a.order = nil
+	a.table = nil
 	ctx.ShrinkMem(a.memUsed)
 	a.memUsed = 0
 	return a.Child.Close(ctx)

@@ -33,11 +33,11 @@ func NewCachedRows(sch storage.Schema, rows []storage.Row) *CachedRows {
 
 // Open implements Operator.
 func (c *CachedRows) Open(ctx *Context) error {
-	c.stats = ctx.StatsFor(c, c.Name())
+	c.stats = ctx.StatsFor(c)
 	if c.stats != nil {
 		defer c.stats.EndOpen(ctx, c.stats.Begin(ctx))
 	}
-	c.fault = ctx.FaultPoint(c.Name() + ":next")
+	c.fault = ctx.FaultPoint(c, ":next")
 	c.pos = 0
 	c.opened = true
 	return nil

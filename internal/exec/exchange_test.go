@@ -93,12 +93,14 @@ func (f *failingOp) Next(*Context) (storage.Row, error) {
 	f.served++
 	return storage.Row{storage.NewInt(int64(f.served))}, nil
 }
-func (f *failingOp) Close(*Context) error         { f.opened = false; return nil }
-func (f *failingOp) Schema() storage.Schema       { return storage.Schema{{Name: "x", Type: storage.TypeInt64}} }
-func (f *failingOp) Children() []Operator         { return nil }
-func (f *failingOp) Name() string                 { return "failingOp" }
-func (f *failingOp) Module() *codemodel.Module    { return nil }
-func (f *failingOp) Blocking() bool               { return false }
+func (f *failingOp) Close(*Context) error { f.opened = false; return nil }
+func (f *failingOp) Schema() storage.Schema {
+	return storage.Schema{{Name: "x", Type: storage.TypeInt64}}
+}
+func (f *failingOp) Children() []Operator      { return nil }
+func (f *failingOp) Name() string              { return "failingOp" }
+func (f *failingOp) Module() *codemodel.Module { return nil }
+func (f *failingOp) Blocking() bool            { return false }
 
 func TestExchangeSurfacesWorkerError(t *testing.T) {
 	parts := []Operator{

@@ -155,24 +155,31 @@ func (c *Context) ShrinkMem(n int64) {
 	}
 }
 
-// FaultPoint resolves a fault-injection site against the execution's
-// injector; nil when injection is off or nothing matches the site, so
-// operators pay one branch per invocation, exactly like the stats handle.
-func (c *Context) FaultPoint(site string) *faultinject.Point {
+// Named is what FaultPoint and StatsFor need of an operator. Name renders
+// the operator's whole text (a scan's filter, a projection's expressions),
+// so both call it only when an injector or a collector is there to use it:
+// an Open on the plain path renders nothing.
+type Named interface{ Name() string }
+
+// FaultPoint resolves op's fault-injection site — its name plus a suffix
+// such as ":next" — against the execution's injector; nil when injection
+// is off or nothing matches the site, so operators pay one branch per
+// invocation, exactly like the stats handle.
+func (c *Context) FaultPoint(op Named, suffix string) *faultinject.Point {
 	if c.Fault == nil {
 		return nil
 	}
-	return c.Fault.Point(site)
+	return c.Fault.Point(op.Name() + suffix)
 }
 
-// StatsFor registers the operator behind key with this execution's stats
-// collector and returns its handle, or nil when collection is disabled.
-// Operators call it at Open and keep the handle for their hot path.
-func (c *Context) StatsFor(key any, name string) *OpStats {
+// StatsFor registers op with this execution's stats collector and returns
+// its handle, or nil when collection is disabled. Operators call it at Open
+// and keep the handle for their hot path.
+func (c *Context) StatsFor(op Named) *OpStats {
 	if c.Stats == nil {
 		return nil
 	}
-	return c.Stats.Register(key, name)
+	return c.Stats.Register(op, op.Name())
 }
 
 // ExecModule replays one invocation of m on the simulated CPU; no-op when

@@ -70,7 +70,7 @@ func (j *NestLoopJoin) SetTraceLabel(b byte) { j.label = b }
 
 // Open implements Operator.
 func (j *NestLoopJoin) Open(ctx *Context) error {
-	j.stats = ctx.StatsFor(j, j.Name())
+	j.stats = ctx.StatsFor(j)
 	if j.stats != nil {
 		defer j.stats.EndOpen(ctx, j.stats.Begin(ctx))
 	}
@@ -80,7 +80,7 @@ func (j *NestLoopJoin) Open(ctx *Context) error {
 	if err := j.Inner.Open(ctx); err != nil {
 		return err
 	}
-	j.fault = ctx.FaultPoint(j.Name() + ":next")
+	j.fault = ctx.FaultPoint(j, ":next")
 	j.arena = NewArena(ctx.CPU)
 	j.outerRow = nil
 	j.opened = true
@@ -243,7 +243,7 @@ func (j *HashJoin) bucketAddr(key int64) uint64 {
 
 // Open implements Operator: it runs the build phase.
 func (j *HashJoin) Open(ctx *Context) error {
-	j.stats = ctx.StatsFor(j, j.Name())
+	j.stats = ctx.StatsFor(j)
 	if j.stats != nil {
 		defer j.stats.EndOpen(ctx, j.stats.Begin(ctx))
 	}
@@ -253,9 +253,9 @@ func (j *HashJoin) Open(ctx *Context) error {
 	if err := j.Inner.Open(ctx); err != nil {
 		return err
 	}
-	j.fault = ctx.FaultPoint(j.Name() + ":next")
-	j.buildFault = ctx.FaultPoint(j.Name() + ":build")
-	j.publishFault = ctx.FaultPoint(j.Name() + ":publish")
+	j.fault = ctx.FaultPoint(j, ":next")
+	j.buildFault = ctx.FaultPoint(j, ":build")
+	j.publishFault = ctx.FaultPoint(j, ":publish")
 	j.arena = NewArena(ctx.CPU)
 	j.table = make(map[int64][]storage.Row)
 	ctx.ShrinkMem(j.memUsed) // reopen without Close: release stale charges
@@ -455,7 +455,7 @@ func (j *MergeJoin) SetTraceLabel(b byte) { j.label = b }
 
 // Open implements Operator.
 func (j *MergeJoin) Open(ctx *Context) error {
-	j.stats = ctx.StatsFor(j, j.Name())
+	j.stats = ctx.StatsFor(j)
 	if j.stats != nil {
 		defer j.stats.EndOpen(ctx, j.stats.Begin(ctx))
 	}
@@ -465,7 +465,7 @@ func (j *MergeJoin) Open(ctx *Context) error {
 	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
-	j.fault = ctx.FaultPoint(j.Name() + ":next")
+	j.fault = ctx.FaultPoint(j, ":next")
 	j.arena = NewArena(ctx.CPU)
 	j.leftRow, j.rightRow, j.group = nil, nil, nil
 	j.groupPos, j.rightDone = 0, false

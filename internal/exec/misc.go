@@ -38,14 +38,14 @@ func (m *Material) SetTraceLabel(b byte) { m.label = b }
 
 // Open implements Operator.
 func (m *Material) Open(ctx *Context) error {
-	m.stats = ctx.StatsFor(m, m.Name())
+	m.stats = ctx.StatsFor(m)
 	if m.stats != nil {
 		defer m.stats.EndOpen(ctx, m.stats.Begin(ctx))
 	}
 	if err := m.Child.Open(ctx); err != nil {
 		return err
 	}
-	m.fault = ctx.FaultPoint(m.Name() + ":next")
+	m.fault = ctx.FaultPoint(m, ":next")
 	m.rows, m.addrs = nil, nil
 	ctx.ShrinkMem(m.memUsed) // reopen without Close: release stale charges
 	m.memUsed = 0
@@ -144,7 +144,7 @@ func NewLimit(child Operator, n int) *Limit {
 
 // Open implements Operator.
 func (l *Limit) Open(ctx *Context) error {
-	l.stats = ctx.StatsFor(l, l.Name())
+	l.stats = ctx.StatsFor(l)
 	if l.stats != nil {
 		defer l.stats.EndOpen(ctx, l.stats.Begin(ctx))
 	}
@@ -219,7 +219,7 @@ func (v *Values) SetTraceLabel(b byte) { v.label = b }
 
 // Open implements Operator.
 func (v *Values) Open(ctx *Context) error {
-	v.stats = ctx.StatsFor(v, v.Name())
+	v.stats = ctx.StatsFor(v)
 	if v.stats != nil {
 		defer v.stats.EndOpen(ctx, v.stats.Begin(ctx))
 	}

@@ -33,7 +33,7 @@ func (f *Filter) SetTraceLabel(b byte) { f.label = b }
 
 // Open implements Operator.
 func (f *Filter) Open(ctx *Context) error {
-	f.stats = ctx.StatsFor(f, f.Name())
+	f.stats = ctx.StatsFor(f)
 	if f.stats != nil {
 		defer f.stats.EndOpen(ctx, f.stats.Begin(ctx))
 	}
@@ -124,7 +124,7 @@ func (p *Project) SetTraceLabel(b byte) { p.label = b }
 
 // Open implements Operator.
 func (p *Project) Open(ctx *Context) error {
-	p.stats = ctx.StatsFor(p, p.Name())
+	p.stats = ctx.StatsFor(p)
 	if p.stats != nil {
 		defer p.stats.EndOpen(ctx, p.stats.Begin(ctx))
 	}

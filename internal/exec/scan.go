@@ -56,11 +56,11 @@ func (s *SeqScan) SetTraceLabel(b byte) { s.label = b }
 
 // Open implements Operator.
 func (s *SeqScan) Open(ctx *Context) error {
-	s.stats = ctx.StatsFor(s, s.Name())
+	s.stats = ctx.StatsFor(s)
 	if s.stats != nil {
 		defer s.stats.EndOpen(ctx, s.stats.Begin(ctx))
 	}
-	s.fault = ctx.FaultPoint(s.Name() + ":next")
+	s.fault = ctx.FaultPoint(s, ":next")
 	s.pos, s.end = 0, s.Table.NumRows()
 	if s.Span != nil {
 		s.pos, s.end = s.Span.Start, s.Span.End
@@ -251,11 +251,11 @@ func (s *IndexLookup) SetTraceLabel(b byte) { s.label = b }
 
 // Open implements Operator.
 func (s *IndexLookup) Open(ctx *Context) error {
-	s.stats = ctx.StatsFor(s, s.Name())
+	s.stats = ctx.StatsFor(s)
 	if s.stats != nil {
 		defer s.stats.EndOpen(ctx, s.stats.Begin(ctx))
 	}
-	s.fault = ctx.FaultPoint(s.Name() + ":next")
+	s.fault = ctx.FaultPoint(s, ":next")
 	s.ia.place(ctx)
 	s.rids = nil
 	s.pos = 0
@@ -366,11 +366,11 @@ func (s *IndexFullScan) SetTraceLabel(b byte) { s.label = b }
 
 // Open implements Operator.
 func (s *IndexFullScan) Open(ctx *Context) error {
-	s.stats = ctx.StatsFor(s, s.Name())
+	s.stats = ctx.StatsFor(s)
 	if s.stats != nil {
 		defer s.stats.EndOpen(ctx, s.stats.Begin(ctx))
 	}
-	s.fault = ctx.FaultPoint(s.Name() + ":next")
+	s.fault = ctx.FaultPoint(s, ":next")
 	s.ia.place(ctx)
 	s.cursor = s.ia.tree.Min()
 	s.opened = true

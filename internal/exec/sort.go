@@ -50,14 +50,14 @@ func (s *Sort) SetTraceLabel(b byte) { s.label = b }
 
 // Open implements Operator.
 func (s *Sort) Open(ctx *Context) error {
-	s.stats = ctx.StatsFor(s, s.Name())
+	s.stats = ctx.StatsFor(s)
 	if s.stats != nil {
 		defer s.stats.EndOpen(ctx, s.stats.Begin(ctx))
 	}
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
-	s.fault = ctx.FaultPoint(s.Name() + ":next")
+	s.fault = ctx.FaultPoint(s, ":next")
 	s.rows, s.keys, s.addrs = nil, nil, nil
 	ctx.ShrinkMem(s.memUsed) // reopen without Close: release stale charges
 	s.memUsed = 0

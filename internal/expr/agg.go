@@ -116,9 +116,9 @@ func NewAccumulator(spec AggSpec) (Accumulator, error) {
 	case AggCount:
 		return &countAcc{arg: spec.Arg}, nil
 	case AggSum:
-		return &sumAcc{arg: spec.Arg, isInt: rt == storage.TypeInt64}, nil
+		return &sumAcc{arg: spec.Arg, farg: floatOperandFor(spec.Arg), isInt: rt == storage.TypeInt64}, nil
 	case AggAvg:
-		return &avgAcc{arg: spec.Arg}, nil
+		return &avgAcc{arg: spec.Arg, farg: floatOperandFor(spec.Arg)}, nil
 	case AggMin:
 		return &minMaxAcc{arg: spec.Arg, wantLess: true}, nil
 	case AggMax:
@@ -152,8 +152,12 @@ func (a *countAcc) Add(row storage.Row) error {
 func (a *countAcc) Result() storage.Value { return storage.NewInt(a.n) }
 func (a *countAcc) Reset()                { a.n = 0 }
 
+// sumAcc and avgAcc read a DOUBLE argument straight from its float kernel
+// (farg) and evaluate it to a Value only when that declines; integer SUM
+// always takes the Value path.
 type sumAcc struct {
 	arg   Expr
+	farg  floatOperand
 	isInt bool
 	any   bool
 	sumI  int64
@@ -161,6 +165,16 @@ type sumAcc struct {
 }
 
 func (a *sumAcc) Add(row storage.Row) error {
+	if !a.isInt {
+		f, null, err := a.farg.load(row)
+		if err != errFallback {
+			if err == nil && !null {
+				a.any = true
+				a.sumF += f
+			}
+			return err
+		}
+	}
 	v, err := a.arg.Eval(row)
 	if err != nil {
 		return err
@@ -190,12 +204,21 @@ func (a *sumAcc) Result() storage.Value {
 func (a *sumAcc) Reset() { a.any, a.sumI, a.sumF = false, 0, 0 }
 
 type avgAcc struct {
-	arg Expr
-	n   int64
-	sum float64
+	arg  Expr
+	farg floatOperand
+	n    int64
+	sum  float64
 }
 
 func (a *avgAcc) Add(row storage.Row) error {
+	f, null, err := a.farg.load(row)
+	if err != errFallback {
+		if err == nil && !null {
+			a.n++
+			a.sum += f
+		}
+		return err
+	}
 	v, err := a.arg.Eval(row)
 	if err != nil {
 		return err

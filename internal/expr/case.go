@@ -23,6 +23,7 @@ type Case struct {
 	Whens []When
 	Else  Expr
 	typ   storage.Type
+	conds []triKernel // Whens[i].Cond's kernel
 }
 
 // NewCase builds a type-checked CASE expression.
@@ -37,6 +38,7 @@ func NewCase(whens []When, elseExpr Expr) (*Case, error) {
 			return nil, fmt.Errorf("expr: CASE condition must be BOOLEAN, got %v", t)
 		}
 		resultTypes = append(resultTypes, w.Then.Type())
+		c.conds = append(c.conds, triKernelFor(w.Cond))
 	}
 	if elseExpr != nil {
 		resultTypes = append(resultTypes, elseExpr.Type())
@@ -62,13 +64,13 @@ func NewCase(whens []When, elseExpr Expr) (*Case, error) {
 // Eval implements Expr: the first true condition selects the result; a
 // NULL or false condition falls through; no match yields ELSE (or NULL).
 func (c *Case) Eval(row storage.Row) (storage.Value, error) {
-	for _, w := range c.Whens {
-		ok, err := EvalBool(w.Cond, row)
+	for i, cond := range c.conds {
+		t, err := cond(row)
 		if err != nil {
 			return storage.Null, err
 		}
-		if ok {
-			return c.widen(w.Then.Eval(row))
+		if t == triTrue {
+			return c.widen(c.Whens[i].Then.Eval(row))
 		}
 	}
 	if c.Else == nil {

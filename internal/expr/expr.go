@@ -183,6 +183,13 @@ type Binary struct {
 	Op   BinOp
 	L, R Expr
 	typ  storage.Type
+
+	// The kernel chosen at construction (see kernel.go): tri for
+	// comparisons and AND/OR, flt for DOUBLE arithmetic over numeric
+	// operands, neither for the remaining arithmetic (arithGeneric).
+	fold folded
+	tri  triKernel
+	flt  floatKernel
 }
 
 // NewBinary builds a type-checked binary expression.
@@ -195,6 +202,9 @@ func NewBinary(op BinOp, l, r Expr) (*Binary, error) {
 			return nil, err
 		}
 		b.typ = t
+		if t == storage.TypeFloat64 && l.Type().Numeric() && r.Type().Numeric() {
+			b.flt = b.arithKernel()
+		}
 	case op.IsComparison():
 		lt, rt := l.Type(), r.Type()
 		compatible := lt == rt ||
@@ -204,6 +214,7 @@ func NewBinary(op BinOp, l, r Expr) (*Binary, error) {
 			return nil, fmt.Errorf("expr: cannot compare %v with %v", lt, rt)
 		}
 		b.typ = storage.TypeBool
+		b.tri = b.compareKernel()
 	case op.IsLogic():
 		for _, e := range []Expr{l, r} {
 			if t := e.Type(); t != storage.TypeBool && t != storage.TypeNull {
@@ -211,9 +222,11 @@ func NewBinary(op BinOp, l, r Expr) (*Binary, error) {
 			}
 		}
 		b.typ = storage.TypeBool
+		b.tri = logicKernel(op, triKernelFor(l), triKernelFor(r))
 	default:
 		return nil, fmt.Errorf("expr: unknown operator %v", op)
 	}
+	b.fold = foldConst(b.eval, l, r)
 	return b, nil
 }
 
@@ -230,16 +243,37 @@ func MustBinary(op BinOp, l, r Expr) *Binary {
 // Eval implements Expr. SQL three-valued logic applies: any NULL operand
 // yields NULL, except AND/OR which use Kleene semantics.
 func (b *Binary) Eval(row storage.Row) (storage.Value, error) {
+	if b.fold.ok {
+		return b.fold.val, nil
+	}
+	return b.eval(row)
+}
+
+// eval runs the node's kernel and boxes the result.
+func (b *Binary) eval(row storage.Row) (storage.Value, error) {
+	switch {
+	case b.tri != nil:
+		return boxTri(b.tri(row))
+	case b.flt != nil:
+		f, null, err := b.flt(row)
+		switch {
+		case err == errFallback:
+		case err != nil || null:
+			return storage.Null, err
+		default:
+			return storage.NewFloat(f), nil
+		}
+	}
+	return b.arithGeneric(row)
+}
+
+// arithGeneric is the generic arithmetic kernel: integer, date and
+// NULL-literal arithmetic, and DOUBLE arithmetic whose fast path declined.
+func (b *Binary) arithGeneric(row storage.Row) (storage.Value, error) {
 	lv, err := b.L.Eval(row)
 	if err != nil {
 		return storage.Null, err
 	}
-
-	// AND/OR get Kleene short-circuit treatment.
-	if b.Op.IsLogic() {
-		return b.evalLogic(lv, row)
-	}
-
 	rv, err := b.R.Eval(row)
 	if err != nil {
 		return storage.Null, err
@@ -247,52 +281,7 @@ func (b *Binary) Eval(row storage.Row) (storage.Value, error) {
 	if lv.IsNull() || rv.IsNull() {
 		return storage.Null, nil
 	}
-	if b.Op.IsComparison() {
-		c := storage.Compare(lv, rv)
-		switch b.Op {
-		case OpEq:
-			return storage.NewBool(c == 0), nil
-		case OpNe:
-			return storage.NewBool(c != 0), nil
-		case OpLt:
-			return storage.NewBool(c < 0), nil
-		case OpLe:
-			return storage.NewBool(c <= 0), nil
-		case OpGt:
-			return storage.NewBool(c > 0), nil
-		default: // OpGe
-			return storage.NewBool(c >= 0), nil
-		}
-	}
 	return b.evalArith(lv, rv)
-}
-
-func (b *Binary) evalLogic(lv storage.Value, row storage.Row) (storage.Value, error) {
-	// Short circuit: FALSE AND x = FALSE, TRUE OR x = TRUE.
-	if !lv.IsNull() {
-		if b.Op == OpAnd && !lv.Bool() {
-			return storage.NewBool(false), nil
-		}
-		if b.Op == OpOr && lv.Bool() {
-			return storage.NewBool(true), nil
-		}
-	}
-	rv, err := b.R.Eval(row)
-	if err != nil {
-		return storage.Null, err
-	}
-	switch {
-	case !rv.IsNull() && b.Op == OpAnd && !rv.Bool():
-		return storage.NewBool(false), nil
-	case !rv.IsNull() && b.Op == OpOr && rv.Bool():
-		return storage.NewBool(true), nil
-	case lv.IsNull() || rv.IsNull():
-		return storage.Null, nil
-	case b.Op == OpAnd:
-		return storage.NewBool(lv.Bool() && rv.Bool()), nil
-	default:
-		return storage.NewBool(lv.Bool() || rv.Bool()), nil
-	}
 }
 
 func (b *Binary) evalArith(lv, rv storage.Value) (storage.Value, error) {
@@ -332,7 +321,7 @@ func (b *Binary) evalArith(lv, rv storage.Value) (storage.Value, error) {
 		return storage.NewFloat(lf * rf), nil
 	case OpDiv:
 		if rf == 0 {
-			return storage.Null, fmt.Errorf("expr: division by zero")
+			return storage.Null, errDivZero
 		}
 		return storage.NewFloat(lf / rf), nil
 	}
@@ -350,6 +339,9 @@ func (b *Binary) String() string {
 // Not negates a boolean expression with three-valued semantics.
 type Not struct {
 	E Expr
+
+	fold folded
+	tri  triKernel
 }
 
 // NewNot builds a type-checked negation.
@@ -357,17 +349,28 @@ func NewNot(e Expr) (*Not, error) {
 	if t := e.Type(); t != storage.TypeBool && t != storage.TypeNull {
 		return nil, fmt.Errorf("expr: NOT operand must be BOOLEAN, got %v", t)
 	}
-	return &Not{E: e}, nil
+	n := &Not{E: e}
+	inner := triKernelFor(e)
+	n.tri = func(row storage.Row) (tri, error) {
+		t, err := inner(row)
+		if err != nil || t == triNull {
+			return triNull, err
+		}
+		return t ^ 1, nil // triFalse <-> triTrue
+	}
+	n.fold = foldConst(n.eval, e)
+	return n, nil
 }
 
 // Eval implements Expr.
 func (n *Not) Eval(row storage.Row) (storage.Value, error) {
-	v, err := n.E.Eval(row)
-	if err != nil || v.IsNull() {
-		return storage.Null, err
+	if n.fold.ok {
+		return n.fold.val, nil
 	}
-	return storage.NewBool(!v.Bool()), nil
+	return n.eval(row)
 }
+
+func (n *Not) eval(row storage.Row) (storage.Value, error) { return boxTri(n.tri(row)) }
 
 // Type implements Expr.
 func (n *Not) Type() storage.Type { return storage.TypeBool }
@@ -378,6 +381,9 @@ func (n *Not) String() string { return "NOT " + n.E.String() }
 // Neg is unary numeric negation.
 type Neg struct {
 	E Expr
+
+	fold folded
+	flt  floatKernel // set when E is DOUBLE
 }
 
 // NewNeg builds a type-checked numeric negation.
@@ -385,11 +391,46 @@ func NewNeg(e Expr) (*Neg, error) {
 	if !e.Type().Numeric() && e.Type() != storage.TypeNull {
 		return nil, fmt.Errorf("expr: cannot negate %v", e.Type())
 	}
-	return &Neg{E: e}, nil
+	n := &Neg{E: e}
+	if e.Type() == storage.TypeFloat64 {
+		o := floatOperandFor(e)
+		n.flt = func(row storage.Row) (float64, bool, error) {
+			f, null, err := o.load(row)
+			if err == errFallback {
+				return floatResult(n.negGeneric(row))
+			}
+			return -f, null, err
+		}
+	}
+	n.fold = foldConst(n.eval, e)
+	return n, nil
 }
 
 // Eval implements Expr.
 func (n *Neg) Eval(row storage.Row) (storage.Value, error) {
+	if n.fold.ok {
+		return n.fold.val, nil
+	}
+	return n.eval(row)
+}
+
+func (n *Neg) eval(row storage.Row) (storage.Value, error) {
+	if n.flt != nil {
+		f, null, err := n.flt(row)
+		switch {
+		case err == errFallback:
+		case err != nil || null:
+			return storage.Null, err
+		default:
+			return storage.NewFloat(f), nil
+		}
+	}
+	return n.negGeneric(row)
+}
+
+// negGeneric is the generic kernel: it negates whatever numeric Kind the
+// operand produced.
+func (n *Neg) negGeneric(row storage.Row) (storage.Value, error) {
 	v, err := n.E.Eval(row)
 	if err != nil || v.IsNull() {
 		return storage.Null, err
@@ -413,12 +454,19 @@ type IsNull struct {
 }
 
 // Eval implements Expr.
-func (i *IsNull) Eval(row storage.Row) (storage.Value, error) {
+func (i *IsNull) Eval(row storage.Row) (storage.Value, error) { return boxTri(i.evalTri(row)) }
+
+// evalTri is IsNull's kernel. The node has no constructor to choose one
+// in, and needs none: only the operand's Kind is looked at.
+func (i *IsNull) evalTri(row storage.Row) (tri, error) {
 	v, err := i.E.Eval(row)
 	if err != nil {
-		return storage.Null, err
+		return triNull, err
 	}
-	return storage.NewBool(v.IsNull() != i.Negate), nil
+	if v.IsNull() != i.Negate {
+		return triTrue, nil
+	}
+	return triFalse, nil
 }
 
 // Type implements Expr.
@@ -435,6 +483,10 @@ func (i *IsNull) String() string {
 // EvalBool evaluates a predicate and folds NULL to false, which is the
 // WHERE-clause semantics of SQL. Operators use it to filter rows.
 func EvalBool(e Expr, row storage.Row) (bool, error) {
+	if k := nodeKernel(e); k != nil {
+		t, err := k(row)
+		return t == triTrue, err
+	}
 	v, err := e.Eval(row)
 	if err != nil {
 		return false, err

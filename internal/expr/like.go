@@ -18,6 +18,7 @@ type Like struct {
 
 	// matcher is the compiled fast-path matcher.
 	matcher func(string) bool
+	tri     triKernel
 }
 
 // NewLike builds a type-checked LIKE predicate and compiles the pattern.
@@ -27,7 +28,39 @@ func NewLike(e Expr, pattern string, negate bool) (*Like, error) {
 	}
 	l := &Like{E: e, Pattern: pattern, Negate: negate}
 	l.matcher = compileLike(pattern)
+	l.tri = l.matchGeneric
+	if col, ok := e.(*ColRef); ok {
+		// Column operand: match the string in place.
+		idx := col.Idx
+		l.tri = func(row storage.Row) (tri, error) {
+			if idx < len(row) {
+				switch v := &row[idx]; v.Kind {
+				case storage.TypeString:
+					return l.match(v.S), nil
+				case storage.TypeNull:
+					return triNull, nil
+				}
+			}
+			return l.matchGeneric(row)
+		}
+	}
 	return l, nil
+}
+
+func (l *Like) match(s string) tri {
+	if l.matcher(s) != l.Negate {
+		return triTrue
+	}
+	return triFalse
+}
+
+// matchGeneric is the generic kernel: any VARCHAR operand, through Eval.
+func (l *Like) matchGeneric(row storage.Row) (tri, error) {
+	v, err := l.E.Eval(row)
+	if err != nil || v.IsNull() {
+		return triNull, err
+	}
+	return l.match(v.S), nil
 }
 
 // compileLike builds a matcher for the pattern. Patterns without '_' and
@@ -63,13 +96,15 @@ func likeMatch(pattern, s string) bool {
 	star, starSi := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			pi++
-			si++
 		case pi < len(pattern) && pattern[pi] == '%':
+			// Tested first: a '%' in s must not consume the wildcard as a
+			// literal match.
 			star = pi
 			starSi = si
 			pi++
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			pi++
+			si++
 		case star >= 0:
 			pi = star + 1
 			starSi++
@@ -85,16 +120,7 @@ func likeMatch(pattern, s string) bool {
 }
 
 // Eval implements Expr.
-func (l *Like) Eval(row storage.Row) (storage.Value, error) {
-	v, err := l.E.Eval(row)
-	if err != nil {
-		return storage.Null, err
-	}
-	if v.IsNull() {
-		return storage.Null, nil
-	}
-	return storage.NewBool(l.matcher(v.S) != l.Negate), nil
-}
+func (l *Like) Eval(row storage.Row) (storage.Value, error) { return boxTri(l.tri(row)) }
 
 // Type implements Expr.
 func (l *Like) Type() storage.Type { return storage.TypeBool }

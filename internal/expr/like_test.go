@@ -55,6 +55,10 @@ func TestLikeGeneralWildcards(t *testing.T) {
 		{"ab%", "ab", true},
 		{"%%", "x", true},
 		{"a%%b", "ab", true},
+		// A '%' in the input is data, not a match for the pattern's wildcard.
+		{"%_", "%", true},
+		{"%_x", "%%x", true},
+		{"_%", "%", true},
 	}
 	for _, c := range cases {
 		l, err := NewLike(strc(c.input), c.pattern, false)

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -359,6 +360,48 @@ func TestKindStrings(t *testing.T) {
 	for k := KindSeqScan; k <= KindBuffer; k++ {
 		if strings.HasPrefix(k.String(), "Kind(") {
 			t.Errorf("kind %d has no name", k)
+		}
+	}
+}
+
+// TestGroupKeysDoNotCollide is the regression test for the hashed group key:
+// rendered as the key values joined by '|', it merged ('x|y','z') with
+// ('x','y|z') and SQL NULL with the string 'NULL'. Four distinct key rows
+// must come back as four groups from every engine.
+func TestGroupKeysDoNotCollide(t *testing.T) {
+	tb := storage.NewTable("t", storage.Schema{
+		{Table: "t", Name: "a", Type: storage.TypeString},
+		{Table: "t", Name: "b", Type: storage.TypeString},
+	})
+	str := storage.NewString
+	for _, r := range []storage.Row{
+		{str("x|y"), str("z")}, {str("x"), str("y|z")},
+		{storage.Null, str("w")}, {str("NULL"), str("w")},
+	} {
+		tb.MustAppend(r)
+	}
+	for _, engine := range Engines() {
+		scan := SeqScan(tb, nil)
+		agg, err := Aggregate(scan, []expr.Expr{MustCol(scan, "a"), MustCol(scan, "b")},
+			[]expr.AggSpec{{Func: expr.AggCountStar}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := Compile(agg, nil, engine)
+		if err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		rows, err := exec.Run(&exec.Context{}, op)
+		if err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		one := storage.NewInt(1)
+		want := []storage.Row{ // NULL sorts first, then 'NULL' < 'x' < 'x|y'
+			{storage.Null, str("w"), one}, {str("NULL"), str("w"), one},
+			{str("x"), str("y|z"), one}, {str("x|y"), str("z"), one},
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Errorf("%v: groups %v, want %v", engine, rows, want)
 		}
 	}
 }

@@ -143,10 +143,7 @@ func (b *Builder) Probe(inner *Builder, outerKey, innerKey expr.Expr, buildMod, 
 		b.fail("push: probe needs both an outer and a build pipe")
 		return nil, nil
 	}
-	bs := &buildSink{
-		innerKey: innerKey,
-		joinName: fmt.Sprintf("HashJoin(%s = %s)", outerKey.String(), innerKey.String()),
-	}
+	bs := &buildSink{innerKey: innerKey}
 	bs.mod = buildMod
 	bs.repChildren = []any{inner.top}
 	inner.cur.snk = bs
@@ -156,6 +153,7 @@ func (b *Builder) Probe(inner *Builder, outerKey, innerKey expr.Expr, buildMod, 
 	b.fallbacks = append(b.fallbacks, inner.fallbacks...)
 
 	ps := &probeStage{build: bs, outerKey: outerKey}
+	bs.join = ps
 	ps.mod = probeMod
 	outerTop := b.top
 	b.stage(ps, func([]any) {})

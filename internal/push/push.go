@@ -177,7 +177,7 @@ type Pipeline struct {
 // element, and resets the pipeline for a fresh run. Reopen without Close
 // releases any stale memory charges, like the Volcano breakers.
 func (pl *Pipeline) Open(ctx *exec.Context) error {
-	pl.stats = ctx.StatsFor(pl, pl.Name())
+	pl.stats = ctx.StatsFor(pl)
 	if pl.stats != nil {
 		defer pl.stats.EndOpen(ctx, pl.stats.Begin(ctx))
 	}

@@ -2,7 +2,6 @@ package push
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -61,7 +60,7 @@ func (c *collectSink) name() string { return "Collect" }
 // modeling and the "<join>:build" fault site mirror exec.HashJoin's Open.
 type buildSink struct {
 	innerKey expr.Expr
-	joinName string
+	join     *probeStage // names the "<join>:build" and "<join>:publish" fault sites
 	modbuf
 
 	stats        *exec.OpStats
@@ -81,9 +80,9 @@ type buildSink struct {
 }
 
 func (b *buildSink) open(ctx *exec.Context) error {
-	b.stats = ctx.StatsFor(b, b.name())
-	b.fault = ctx.FaultPoint(b.joinName + ":build")
-	b.publishFault = ctx.FaultPoint(b.joinName + ":publish")
+	b.stats = ctx.StatsFor(b)
+	b.fault = ctx.FaultPoint(b.join, ":build")
+	b.publishFault = ctx.FaultPoint(b.join, ":publish")
 	b.table = make(map[int64][]storage.Row)
 	ctx.ShrinkMem(b.memUsed) // reopen without Close: release stale charges
 	b.memUsed = 0
@@ -188,8 +187,7 @@ type aggSink struct {
 	publishFault *faultinject.Point
 	shared       *exec.SharedAgg
 
-	groups       map[string]*aggGroup
-	order        []string
+	table        *expr.GroupTable
 	memUsed      int64
 	consumed     bool
 	start        time.Time
@@ -199,18 +197,12 @@ type aggSink struct {
 	repChildren []any
 }
 
-type aggGroup struct {
-	keyVals storage.Row
-	accs    []expr.Accumulator
-}
-
 func (a *aggSink) open(ctx *exec.Context) error {
-	a.stats = ctx.StatsFor(a, a.name())
-	a.fault = ctx.FaultPoint(a.name() + ":next")
-	a.publishFault = ctx.FaultPoint(a.name() + ":publish")
+	a.stats = ctx.StatsFor(a)
+	a.fault = ctx.FaultPoint(a, ":next")
+	a.publishFault = ctx.FaultPoint(a, ":publish")
 	a.start = time.Now()
-	a.groups = make(map[string]*aggGroup)
-	a.order = nil
+	a.table = expr.NewGroupTable(a.groupBy, a.aggs)
 	ctx.ShrinkMem(a.memUsed) // reopen without Close: release stale charges
 	a.memUsed = 0
 	a.consumed = false
@@ -244,57 +236,31 @@ func (a *aggSink) consume(ctx *exec.Context, row storage.Row) error {
 	if a.stats != nil {
 		a.stats.Calls++
 	}
-	keyVals := make(storage.Row, len(a.groupBy))
-	for i, g := range a.groupBy {
-		v, err := g.Eval(row)
-		if err != nil {
-			return err
-		}
-		keyVals[i] = v
+	grp, isNew, err := a.table.Lookup(row)
+	if err != nil {
+		return err
 	}
-	key := keyVals.String()
-	grp, ok := a.groups[key]
-	if !ok {
-		charge := int64(len(key)) + int64(keyVals.ByteSize()) +
+	if isNew {
+		charge := int64(len(grp.Key)) + int64(grp.Vals.ByteSize()) +
 			int64(len(a.aggs))*hashEntryOverhead
 		if err := ctx.GrowMem(charge); err != nil {
 			return err
 		}
 		a.memUsed += charge
-		grp = &aggGroup{keyVals: keyVals, accs: make([]expr.Accumulator, len(a.aggs))}
-		for i, spec := range a.aggs {
-			acc, err := expr.NewAccumulator(spec)
-			if err != nil {
-				return err
-			}
-			grp.accs[i] = acc
-		}
-		a.groups[key] = grp
-		a.order = append(a.order, key)
 	}
-	for _, acc := range grp.accs {
-		if err := acc.Add(row); err != nil {
-			return err
-		}
+	if err := grp.Add(row); err != nil {
+		return err
 	}
-	addr := a.groupAddr(key)
+	addr := a.groupAddr(grp.Key)
 	ctx.Read(addr, 64)
 	ctx.Write(addr, 64)
-	a.add(ctx, !ok)
+	a.add(ctx, isNew)
 	return nil
 }
 
 // finish sorts groups by key values for deterministic output order.
 func (a *aggSink) finish(ctx *exec.Context) error {
-	sort.Slice(a.order, func(i, j int) bool {
-		gi, gj := a.groups[a.order[i]], a.groups[a.order[j]]
-		for k := range gi.keyVals {
-			if c := storage.Compare(gi.keyVals[k], gj.keyVals[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
+	a.table.Sort()
 	a.consumed = true
 	if a.shared != nil && a.shared.Publish != nil {
 		// Reuse-cache miss: materialize the complete, sorted output — the
@@ -317,30 +283,12 @@ func (a *aggSink) finish(ctx *exec.Context) error {
 // aggregate over zero input rows — plus the retained-bytes estimate the
 // cache charges for it.
 func (a *aggSink) materializeRows() ([]storage.Row, int64, error) {
+	rows, err := a.table.Rows()
 	var bytes int64
-	if len(a.groupBy) == 0 && len(a.order) == 0 {
-		out := make(storage.Row, 0, len(a.aggs))
-		for _, spec := range a.aggs {
-			acc, err := expr.NewAccumulator(spec)
-			if err != nil {
-				return nil, 0, err
-			}
-			out = append(out, acc.Result())
-		}
-		return []storage.Row{out}, int64(out.ByteSize()) + hashEntryOverhead, nil
+	for _, r := range rows {
+		bytes += int64(r.ByteSize()) + hashEntryOverhead
 	}
-	rows := make([]storage.Row, 0, len(a.order))
-	for _, key := range a.order {
-		grp := a.groups[key]
-		out := make(storage.Row, 0, len(a.groupBy)+len(a.aggs))
-		out = append(out, grp.keyVals...)
-		for _, acc := range grp.accs {
-			out = append(out, acc.Result())
-		}
-		rows = append(rows, out)
-		bytes += int64(out.ByteSize()) + hashEntryOverhead
-	}
-	return rows, bytes, nil
+	return rows, bytes, err
 }
 
 // produce implements producer: it streams the grouped results into the
@@ -348,14 +296,10 @@ func (a *aggSink) materializeRows() ([]storage.Row, int64, error) {
 func (a *aggSink) produce(ctx *exec.Context, emit emitFn) error {
 	// Ungrouped aggregation over zero rows still yields one row
 	// (COUNT(*) = 0, SUM = NULL, …).
-	if len(a.groupBy) == 0 && len(a.order) == 0 {
-		out := make(storage.Row, 0, len(a.aggs))
-		for _, spec := range a.aggs {
-			acc, err := expr.NewAccumulator(spec)
-			if err != nil {
-				return err
-			}
-			out = append(out, acc.Result())
+	if a.table.EmptyUngrouped() {
+		out, err := a.table.EmptyRow()
+		if err != nil {
+			return err
 		}
 		a.add(ctx, true)
 		if a.stats != nil {
@@ -363,21 +307,15 @@ func (a *aggSink) produce(ctx *exec.Context, emit emitFn) error {
 		}
 		return emit(ctx, out)
 	}
-	for _, key := range a.order {
+	for i := 0; i < a.table.Len(); i++ {
 		if err := ctx.Canceled(); err != nil {
 			return err
-		}
-		grp := a.groups[key]
-		out := make(storage.Row, 0, len(a.groupBy)+len(a.aggs))
-		out = append(out, grp.keyVals...)
-		for _, acc := range grp.accs {
-			out = append(out, acc.Result())
 		}
 		a.add(ctx, true)
 		if a.stats != nil {
 			a.stats.Rows++
 		}
-		if err := emit(ctx, out); err != nil {
+		if err := emit(ctx, a.table.Row(i)); err != nil {
 			return err
 		}
 	}
@@ -385,8 +323,7 @@ func (a *aggSink) produce(ctx *exec.Context, emit emitFn) error {
 }
 
 func (a *aggSink) close(ctx *exec.Context) {
-	a.groups = nil
-	a.order = nil
+	a.table = nil
 	ctx.ShrinkMem(a.memUsed)
 	a.memUsed = 0
 }

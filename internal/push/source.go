@@ -29,8 +29,8 @@ type scanSource struct {
 }
 
 func (s *scanSource) open(ctx *exec.Context) error {
-	s.stats = ctx.StatsFor(s, s.name())
-	s.fault = ctx.FaultPoint(s.name() + ":next")
+	s.stats = ctx.StatsFor(s)
+	s.fault = ctx.FaultPoint(s, ":next")
 	s.place, s.placed = ctx.Placements[s.table]
 	return nil
 }
@@ -130,7 +130,7 @@ type opSource struct {
 }
 
 func (s *opSource) open(ctx *exec.Context) error {
-	s.stats = ctx.StatsFor(s, s.name())
+	s.stats = ctx.StatsFor(s)
 	return s.op.Open(ctx)
 }
 

@@ -21,7 +21,7 @@ type filterStage struct {
 }
 
 func (f *filterStage) open(ctx *exec.Context) error {
-	f.stats = ctx.StatsFor(f, f.name())
+	f.stats = ctx.StatsFor(f)
 	return nil
 }
 
@@ -65,7 +65,7 @@ type projectStage struct {
 }
 
 func (p *projectStage) open(ctx *exec.Context) error {
-	p.stats = ctx.StatsFor(p, p.name())
+	p.stats = ctx.StatsFor(p)
 	p.arena = exec.NewArena(ctx.CPU)
 	return nil
 }
@@ -116,7 +116,7 @@ type limitStage struct {
 }
 
 func (l *limitStage) open(ctx *exec.Context) error {
-	l.stats = ctx.StatsFor(l, l.name())
+	l.stats = ctx.StatsFor(l)
 	l.emitted = 0
 	return nil
 }
@@ -164,8 +164,8 @@ type probeStage struct {
 }
 
 func (j *probeStage) open(ctx *exec.Context) error {
-	j.stats = ctx.StatsFor(j, j.name())
-	j.fault = ctx.FaultPoint(j.name() + ":next")
+	j.stats = ctx.StatsFor(j)
+	j.fault = ctx.FaultPoint(j, ":next")
 	j.arena = exec.NewArena(ctx.CPU)
 	return nil
 }

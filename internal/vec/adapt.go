@@ -44,7 +44,7 @@ func NewFromVolcano(child exec.Operator, size int, module *codemodel.Module) *Fr
 
 // Open implements Operator.
 func (f *FromVolcano) Open(ctx *exec.Context) error {
-	f.stats = ctx.StatsFor(f, f.Name())
+	f.stats = ctx.StatsFor(f)
 	if f.stats != nil {
 		defer f.stats.EndOpen(ctx, f.stats.Begin(ctx))
 	}
@@ -141,7 +141,7 @@ func NewToVolcano(child Operator) *ToVolcano {
 
 // Open implements exec.Operator.
 func (t *ToVolcano) Open(ctx *exec.Context) error {
-	t.stats = ctx.StatsFor(t, t.Name())
+	t.stats = ctx.StatsFor(t)
 	if t.stats != nil {
 		defer t.stats.EndOpen(ctx, t.stats.Begin(ctx))
 	}

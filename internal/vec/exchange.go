@@ -60,13 +60,13 @@ func NewExchange(parts []Operator) (*Exchange, error) {
 // Open implements Operator.
 func (e *Exchange) Open(ctx *exec.Context) error {
 	e.shutdown()
-	e.stats = ctx.StatsFor(e, e.Name())
+	e.stats = ctx.StatsFor(e)
 	if e.stats != nil {
 		e.stats.Partitions = len(e.parts)
 		defer e.stats.EndOpen(ctx, e.stats.Begin(ctx))
 	}
 	e.cur = 0
-	e.fault = ctx.FaultPoint(e.Name() + ":next")
+	e.fault = ctx.FaultPoint(e, ":next")
 	e.mem = ctx.Mem
 	e.parallel = ctx.CPU == nil && ctx.Trace == nil
 	e.opened = true

@@ -104,7 +104,7 @@ func (j *HashJoin) bucketAddr(key int64) uint64 {
 
 // Open implements Operator: it runs the build phase.
 func (j *HashJoin) Open(ctx *exec.Context) error {
-	j.stats = ctx.StatsFor(j, j.Name())
+	j.stats = ctx.StatsFor(j)
 	if j.stats != nil {
 		defer j.stats.EndOpen(ctx, j.stats.Begin(ctx))
 	}
@@ -114,9 +114,9 @@ func (j *HashJoin) Open(ctx *exec.Context) error {
 	if err := j.Inner.Open(ctx); err != nil {
 		return err
 	}
-	j.fault = ctx.FaultPoint(j.Name() + ":next")
-	j.buildFault = ctx.FaultPoint(j.Name() + ":build")
-	j.publishFault = ctx.FaultPoint(j.Name() + ":publish")
+	j.fault = ctx.FaultPoint(j, ":next")
+	j.buildFault = ctx.FaultPoint(j, ":build")
+	j.publishFault = ctx.FaultPoint(j, ":publish")
 	j.arena = exec.NewArena(ctx.CPU)
 	j.table = make(map[int64][]storage.Row)
 	ctx.ShrinkMem(j.memUsed) // reopen without Close: release stale charges

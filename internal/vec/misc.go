@@ -25,7 +25,7 @@ func NewLimit(child Operator, n int) *Limit {
 
 // Open implements Operator.
 func (l *Limit) Open(ctx *exec.Context) error {
-	l.stats = ctx.StatsFor(l, l.Name())
+	l.stats = ctx.StatsFor(l)
 	if l.stats != nil {
 		defer l.stats.EndOpen(ctx, l.stats.Begin(ctx))
 	}

@@ -46,7 +46,7 @@ func NewProject(child Operator, exprs []expr.Expr, names []string, module *codem
 
 // Open implements Operator.
 func (p *Project) Open(ctx *exec.Context) error {
-	p.stats = ctx.StatsFor(p, p.Name())
+	p.stats = ctx.StatsFor(p)
 	if p.stats != nil {
 		defer p.stats.EndOpen(ctx, p.stats.Begin(ctx))
 	}

@@ -55,11 +55,11 @@ func NewSeqScanSpan(table *storage.Table, filter expr.Expr, module *codemodel.Mo
 
 // Open implements Operator.
 func (s *SeqScan) Open(ctx *exec.Context) error {
-	s.stats = ctx.StatsFor(s, s.Name())
+	s.stats = ctx.StatsFor(s)
 	if s.stats != nil {
 		defer s.stats.EndOpen(ctx, s.stats.Begin(ctx))
 	}
-	s.fault = ctx.FaultPoint(s.Name() + ":next")
+	s.fault = ctx.FaultPoint(s, ":next")
 	s.out.open(ctx, s.size)
 	s.pos, s.end = 0, s.Table.NumRows()
 	if s.Span != nil {
