@@ -606,7 +606,7 @@ func (db *DB) queryMaterialized(ctx context.Context, query string, qo QueryOptio
 		r := rows.row
 		out := make([]any, len(r))
 		for i, v := range r {
-			out[i] = nativeValue(v)
+			out[i] = v.Native()
 		}
 		res.Rows = append(res.Rows, out)
 	}
@@ -617,26 +617,6 @@ func (db *DB) queryMaterialized(ctx context.Context, query string, qo QueryOptio
 		return nil, err
 	}
 	return res, nil
-}
-
-// nativeValue converts an engine value to a plain Go value.
-func nativeValue(v storage.Value) any {
-	switch v.Kind {
-	case storage.TypeNull:
-		return nil
-	case storage.TypeBool:
-		return v.Bool()
-	case storage.TypeInt64:
-		return v.I
-	case storage.TypeFloat64:
-		return v.F
-	case storage.TypeString:
-		return v.S
-	case storage.TypeDate:
-		return time.Unix(v.I*86400, 0).UTC()
-	default:
-		return v.String()
-	}
 }
 
 // Explain returns the conventional and the refined plan for a statement.

@@ -20,7 +20,11 @@
 // scatters queries to the listed shard daemons (which must share one
 // -shard-count and -seed), gathers their partial streams, and serves the
 // same wire protocol — clients and the CLI connect to either tier
-// unchanged.
+// unchanged. The two modes differ only in what the server's sessions run
+// against (a resident database or a coordinator) and in what /readyz
+// reports; listener, sidecar, signal handling and drain are one path. A
+// flag that has no effect in the selected mode (-data-dir on a
+// coordinator, -hedge-delay on a data node) is an error, not a no-op.
 //
 // -replication (default 2) replicates each hash slice across that many
 // nodes: shard daemon j additionally loads the rf-1 slices preceding its
@@ -64,6 +68,54 @@ import (
 	"bufferdb/internal/shard"
 )
 
+// Flags outside these two sets configure the resident database and its
+// caches, so they apply to data nodes only.
+var (
+	// sharedFlags apply in both modes.
+	sharedFlags = map[string]bool{
+		"listen": true, "http": true, "memory-limit": true,
+		"write-timeout": true, "drain": true, "replication": true,
+	}
+	// coordFlags apply to a coordinator only.
+	coordFlags = map[string]bool{
+		"shards": true, "hedge-delay": true,
+		"breaker-threshold": true, "breaker-cooldown": true,
+	}
+)
+
+// checkFlags rejects every explicitly set flag the selected mode would
+// silently ignore.
+func checkFlags(coordinator bool) error {
+	var bad []string
+	flag.Visit(func(f *flag.Flag) {
+		if !sharedFlags[f.Name] && coordFlags[f.Name] != coordinator {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	if len(bad) == 0 {
+		return nil
+	}
+	if coordinator {
+		return fmt.Errorf("%s: data-node only, no effect in coordinator mode (-shards)", strings.Join(bad, ", "))
+	}
+	return fmt.Errorf("%s: coordinator only, no effect without -shards", strings.Join(bad, ", "))
+}
+
+// mode is everything the two modes do differently; serve does the rest.
+type mode struct {
+	// cfg carries what the sessions run against: DB (+Slices and cache
+	// sizes) on a data node, Backend on a coordinator.
+	cfg server.Config
+	// health feeds /readyz once the listener accepts: "pass", "warn"
+	// (serving, detail says what is degraded) or "fail" (503).
+	health func() (status, detail string)
+	// tracked reports the bytes still charged at exit; a clean drain
+	// leaves 0.
+	tracked func() int64
+	// closers run after the drain, in order.
+	closers []func() error
+}
+
 func main() {
 	var (
 		listen    = flag.String("listen", ":7687", "wire-protocol listen address")
@@ -96,42 +148,53 @@ func main() {
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "bufferdbd: ", log.LstdFlags)
+	if err := checkFlags(*shards != ""); err != nil {
+		logger.Fatalf("flags: %v", err)
+	}
 
+	var m mode
 	if *shards != "" {
-		runCoordinator(logger, *listen, *httpAddr, *shards, coordTuning{
-			hedge:            *hedge,
-			memLimit:         *memLimit,
-			writeTO:          *writeTO,
-			drain:            *drain,
-			replication:      *repl,
-			breakerThreshold: *brkThresh,
-			breakerCooldown:  *brkCool,
+		m = coordinatorMode(logger, *shards, dist.Config{
+			MemoryLimit:      *memLimit,
+			HedgeDelay:       *hedge,
+			Replication:      *repl,
+			BreakerThreshold: *brkThresh,
+			BreakerCooldown:  *brkCool,
 		})
-		return
+	} else {
+		m = dataNodeMode(logger, *scale, *engine, *repl, bufferdb.Options{
+			Seed:              *seed,
+			DisableRefinement: *noRefine,
+			Parallelism:       *par,
+			MemoryLimit:       *memLimit,
+			DataDir:           *dataDir,
+			PoolBytes:         *poolBytes,
+			Eviction:          *eviction,
+			ShardIndex:        *shardIdx,
+			ShardCount:        *shardCnt,
+			ReuseCache:        *reuse,
+			ReuseMaxBytes:     *reuseMB,
+			Admission: bufferdb.AdmissionConfig{
+				MaxConcurrent: *maxConc,
+				MaxQueued:     *maxQueued,
+				WaitTimeout:   *admWait,
+			},
+		})
+		m.cfg.StmtCacheEntries = *stmtCache
+		m.cfg.ResultCacheBytes = *resCache
 	}
+	m.cfg.WriteTimeout = *writeTO
+	m.cfg.Logf = logger.Printf
+	serve(logger, *listen, *httpAddr, *drain, m)
+}
 
+// dataNodeMode loads (or generates) this node's data: one database, or on
+// a replicated shard node one per hosted slice.
+func dataNodeMode(logger *log.Logger, scale float64, engine string, replication int, opts bufferdb.Options) mode {
 	start := time.Now()
-	opts := bufferdb.Options{
-		Seed:              *seed,
-		DisableRefinement: *noRefine,
-		Parallelism:       *par,
-		MemoryLimit:       *memLimit,
-		DataDir:           *dataDir,
-		PoolBytes:         *poolBytes,
-		Eviction:          *eviction,
-		ShardIndex:        *shardIdx,
-		ShardCount:        *shardCnt,
-		ReuseCache:        *reuse,
-		ReuseMaxBytes:     *reuseMB,
-		Admission: bufferdb.AdmissionConfig{
-			MaxConcurrent: *maxConc,
-			MaxQueued:     *maxQueued,
-			WaitTimeout:   *admWait,
-		},
-	}
 	rf := 1
-	if *shardCnt > 1 {
-		rf = shard.ClampRF(*repl, *shardCnt)
+	if opts.ShardCount > 1 {
+		rf = shard.ClampRF(replication, opts.ShardCount)
 	}
 	var (
 		db      *bufferdb.DB
@@ -143,184 +206,97 @@ func main() {
 		// Replicated deployment: this node hosts its primary slice plus the
 		// rf-1 preceding ones, each as its own database. The default DB is
 		// the primary, so unaddressed (legacy) requests keep their meaning.
-		hosted = shard.Slices(*shardIdx, *shardCnt, rf)
-		slices, openErr = bufferdb.OpenTPCHReplicas(*scale, opts, hosted)
+		hosted = shard.Slices(opts.ShardIndex, opts.ShardCount, rf)
+		slices, openErr = bufferdb.OpenTPCHReplicas(scale, opts, hosted)
 		if openErr == nil {
-			db = slices[*shardIdx]
+			db = slices[opts.ShardIndex]
 		}
 	} else {
-		db, openErr = bufferdb.OpenTPCH(*scale, opts)
+		db, openErr = bufferdb.OpenTPCH(scale, opts)
 	}
 	if openErr != nil {
 		logger.Fatalf("open: %v", openErr)
 	}
-	if *engine != "" {
-		e, err := bufferdb.ParseEngine(*engine)
+	if engine != "" {
+		e, err := bufferdb.ParseEngine(engine)
 		if err != nil {
 			logger.Fatalf("engine: %v", err)
 		}
 		db = db.WithEngine(e)
 		for idx, sdb := range slices {
-			if idx == *shardIdx {
-				slices[idx] = db
-			} else {
-				slices[idx] = sdb.WithEngine(e)
-			}
+			slices[idx] = sdb.WithEngine(e)
 		}
 		logger.Printf("default execution engine: %s", e)
 	}
-	mode := "in-memory"
-	if *dataDir != "" {
-		mode = "persistent at " + *dataDir
+	desc := "in-memory"
+	if opts.DataDir != "" {
+		desc = "persistent at " + opts.DataDir
 	}
 	if rf > 1 {
-		mode += fmt.Sprintf(", node %d/%d hosting slices %v (rf %d)", *shardIdx, *shardCnt, hosted, rf)
-	} else if *shardCnt > 1 {
-		mode += fmt.Sprintf(", shard %d/%d", *shardIdx, *shardCnt)
+		desc += fmt.Sprintf(", node %d/%d hosting slices %v (rf %d)", opts.ShardIndex, opts.ShardCount, hosted, rf)
+	} else if opts.ShardCount > 1 {
+		desc += fmt.Sprintf(", shard %d/%d", opts.ShardIndex, opts.ShardCount)
 	}
-	logger.Printf("TPC-H SF %g loaded in %v, %s (tables: %v)", *scale, time.Since(start).Round(time.Millisecond), mode, db.Tables())
+	logger.Printf("TPC-H SF %g loaded in %v, %s (tables: %v)", scale, time.Since(start).Round(time.Millisecond), desc, db.Tables())
 
-	srv, err := server.New(server.Config{
-		DB:               db,
-		Slices:           slices,
-		StmtCacheEntries: *stmtCache,
-		ResultCacheBytes: *resCache,
-		WriteTimeout:     *writeTO,
-		Info:             fmt.Sprintf("bufferdbd sf=%g", *scale),
-		Logf:             logger.Printf,
-	})
+	// Checkpoint and close the persistent tier (a no-op for in-memory
+	// databases) so a clean shutdown never needs WAL replay on reboot and
+	// the buffer pool's residency charge drains before the exit gauge.
+	// Closing the primary twice (it is also slices[ShardIndex]) is harmless.
+	closers := []func() error{db.Close}
+	for _, sdb := range slices {
+		closers = append(closers, sdb.Close)
+	}
+	return mode{
+		cfg:     server.Config{DB: db, Slices: slices, Info: fmt.Sprintf("bufferdbd sf=%g", scale)},
+		health:  func() (string, string) { return "pass", "" },
+		tracked: db.TrackedBytes,
+		closers: closers,
+	}
+}
+
+// coordinatorMode loads no data: the sessions run against a
+// dist.Coordinator over the listed shards.
+func coordinatorMode(logger *log.Logger, shards string, cfg dist.Config) mode {
+	for _, a := range strings.Split(shards, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			cfg.Shards = append(cfg.Shards, a)
+		}
+	}
+	co, err := dist.Open(cfg)
+	if err != nil {
+		logger.Fatalf("coordinator: %v", err)
+	}
+	logger.Printf("coordinator over %d shards (rf %d): %s",
+		len(cfg.Shards), shard.ClampRF(cfg.Replication, len(cfg.Shards)), strings.Join(cfg.Shards, ", "))
+	return mode{
+		cfg: server.Config{Backend: co, Info: fmt.Sprintf("bufferdb-coordinator shards=%d", len(cfg.Shards))},
+		// Fleet health, as the breakers see it: a slice with no healthy
+		// replica fails readiness (queries over it fail), lost redundancy
+		// stays ready but says so.
+		health: func() (string, string) {
+			h := co.Health()
+			return h.Status, h.Detail
+		},
+		tracked: co.TrackedBytes,
+		closers: []func() error{co.Close},
+	}
+}
+
+// serve is the one boot path: wire listener, HTTP sidecar, signal wait,
+// drain, close.
+func serve(logger *log.Logger, listen, httpAddr string, drain time.Duration, m mode) {
+	srv, err := server.New(m.cfg)
 	if err != nil {
 		logger.Fatalf("server: %v", err)
 	}
-
-	l, err := net.Listen("tcp", *listen)
+	l, err := net.Listen("tcp", listen)
 	if err != nil {
 		logger.Fatalf("listen: %v", err)
 	}
 
 	// ready flips on once the wire listener accepts and off when the drain
 	// starts, so orchestrators stop routing before connections die.
-	var ready atomic.Bool
-	var httpSrv *http.Server
-	if *httpAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := bufferdb.WriteMetrics(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			fmt.Fprintln(w, "ok")
-		})
-		mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-			if !ready.Load() {
-				http.Error(w, "not ready", http.StatusServiceUnavailable)
-				return
-			}
-			fmt.Fprintln(w, "ready")
-		})
-		httpSrv = &http.Server{Addr: *httpAddr, Handler: mux}
-		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Fatalf("http sidecar: %v", err)
-			}
-		}()
-		logger.Printf("sidecar http on %s (/metrics /healthz /readyz)", *httpAddr)
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(l) }()
-	ready.Store(true)
-	logger.Printf("serving wire protocol on %s", l.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		logger.Printf("received %v, draining (budget %v)", s, *drain)
-	case err := <-serveErr:
-		logger.Fatalf("serve: %v", err)
-	}
-
-	ready.Store(false)
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		logger.Printf("shutdown: %v", err)
-	}
-	if err := <-serveErr; err != nil && err != server.ErrServerClosed {
-		logger.Printf("serve: %v", err)
-	}
-	if httpSrv != nil {
-		_ = httpSrv.Shutdown(context.Background())
-	}
-	// Checkpoint and close the persistent tier (a no-op for in-memory
-	// databases) so a clean shutdown never needs WAL replay on reboot and
-	// the buffer pool's residency charge drains before the exit gauge.
-	if err := db.Close(); err != nil {
-		logger.Printf("close: %v", err)
-	}
-	for idx, sdb := range slices {
-		if idx == *shardIdx {
-			continue
-		}
-		if err := sdb.Close(); err != nil {
-			logger.Printf("close slice %d: %v", idx, err)
-		}
-	}
-	logger.Printf("bye (tracked bytes at exit: %d)", db.TrackedBytes())
-}
-
-// coordTuning bundles the coordinator-mode knobs main forwards.
-type coordTuning struct {
-	hedge            time.Duration
-	memLimit         int64
-	writeTO          time.Duration
-	drain            time.Duration
-	replication      int
-	breakerThreshold int
-	breakerCooldown  time.Duration
-}
-
-// runCoordinator serves coordinator mode: no local data, a dist.Coordinator
-// over the listed shards fronted by the same wire protocol.
-func runCoordinator(logger *log.Logger, listen, httpAddr, shards string, tune coordTuning) {
-	var addrs []string
-	for _, a := range strings.Split(shards, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	co, err := dist.Open(dist.Config{
-		Shards:           addrs,
-		MemoryLimit:      tune.memLimit,
-		HedgeDelay:       tune.hedge,
-		Replication:      tune.replication,
-		BreakerThreshold: tune.breakerThreshold,
-		BreakerCooldown:  tune.breakerCooldown,
-	})
-	if err != nil {
-		logger.Fatalf("coordinator: %v", err)
-	}
-	logger.Printf("coordinator over %d shards (rf %d): %s",
-		len(addrs), shard.ClampRF(tune.replication, len(addrs)), strings.Join(addrs, ", "))
-
-	srv, err := dist.NewServer(dist.ServerConfig{
-		Coordinator:  co,
-		Info:         fmt.Sprintf("bufferdb-coordinator shards=%d", len(addrs)),
-		WriteTimeout: tune.writeTO,
-		Logf:         logger.Printf,
-	})
-	if err != nil {
-		logger.Fatalf("coordinator server: %v", err)
-	}
-
-	l, err := net.Listen("tcp", listen)
-	if err != nil {
-		logger.Fatalf("listen: %v", err)
-	}
-
 	var ready atomic.Bool
 	var httpSrv *http.Server
 	if httpAddr != "" {
@@ -339,14 +315,11 @@ func runCoordinator(logger *log.Logger, listen, httpAddr, shards string, tune co
 				http.Error(w, "not ready", http.StatusServiceUnavailable)
 				return
 			}
-			// Fleet health, as the breakers see it: a slice with no healthy
-			// replica fails readiness (queries over it fail), lost redundancy
-			// stays ready but says so.
-			switch h := co.Health(); h.Status {
+			switch status, detail := m.health(); status {
 			case "fail":
-				http.Error(w, "fail: "+h.Detail, http.StatusServiceUnavailable)
+				http.Error(w, "fail: "+detail, http.StatusServiceUnavailable)
 			case "warn":
-				fmt.Fprintf(w, "warn: %s\n", h.Detail)
+				fmt.Fprintf(w, "warn: %s\n", detail)
 			default:
 				fmt.Fprintln(w, "ready")
 			}
@@ -363,31 +336,33 @@ func runCoordinator(logger *log.Logger, listen, httpAddr, shards string, tune co
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()
 	ready.Store(true)
-	logger.Printf("serving wire protocol on %s (coordinator)", l.Addr())
+	logger.Printf("serving wire protocol on %s (%s)", l.Addr(), m.cfg.Info)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
-		logger.Printf("received %v, draining (budget %v)", s, tune.drain)
+		logger.Printf("received %v, draining (budget %v)", s, drain)
 	case err := <-serveErr:
 		logger.Fatalf("serve: %v", err)
 	}
 
 	ready.Store(false)
-	ctx, cancel := context.WithTimeout(context.Background(), tune.drain)
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Printf("shutdown: %v", err)
 	}
-	if err := <-serveErr; err != nil && err != dist.ErrServerClosed {
+	if err := <-serveErr; err != nil && err != server.ErrServerClosed {
 		logger.Printf("serve: %v", err)
 	}
 	if httpSrv != nil {
 		_ = httpSrv.Shutdown(context.Background())
 	}
-	if err := co.Close(); err != nil {
-		logger.Printf("close: %v", err)
+	for _, closeFn := range m.closers {
+		if err := closeFn(); err != nil {
+			logger.Printf("close: %v", err)
+		}
 	}
-	logger.Printf("bye (tracked bytes at exit: %d)", co.TrackedBytes())
+	logger.Printf("bye (tracked bytes at exit: %d)", m.tracked())
 }

@@ -85,6 +85,10 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("client: server error (%s): %s", e.Code, e.Msg)
 }
 
+// WireCode reports the code the server sent, so a server relaying this
+// error onward (the coordinator) can forward it unchanged.
+func (e *ServerError) WireCode() wire.Code { return e.Code }
+
 // Unwrap maps the stable code back to engine sentinels.
 func (e *ServerError) Unwrap() []error {
 	switch e.Code {
@@ -482,10 +486,7 @@ func IsTransport(err error) bool {
 }
 
 // TableInfo is one catalog table, as reported by the daemon.
-type TableInfo struct {
-	Name string
-	Rows uint64
-}
+type TableInfo = wire.TableInfo
 
 // Tables lists the daemon's default catalog.
 func (c *Client) Tables(ctx context.Context) ([]TableInfo, error) {

@@ -96,7 +96,6 @@ type Coordinator struct {
 	rf       int           // effective replication factor
 	breakers []*breaker    // one per node, indexed like shards
 	rr       atomic.Uint64 // round-robin cursor for single-shard routing
-	queries  atomic.Int64
 }
 
 // Open connects to every shard. The dial is lazy per the client's pool —
@@ -150,15 +149,11 @@ func (c *Coordinator) Close() error {
 // merging queries. Idle coordinators report 0 — anything else is a leak.
 func (c *Coordinator) TrackedBytes() int64 { return c.mem.Bytes() }
 
-// NumShards returns the shard count.
-func (c *Coordinator) NumShards() int { return len(c.shards) }
-
 // Query plans and starts a distributed query. Options forward to the
 // shards unchanged — engine selection, per-shard deadline, memory budget,
 // force-join, buffer size — while the coordinator's merge always runs on
 // the local Volcano pipeline.
 func (c *Coordinator) Query(ctx context.Context, sqlText string, opts ...client.Option) (*Rows, error) {
-	c.queries.Add(1)
 	p, err := c.plan(sqlText)
 	if err != nil {
 		metricPlanRejected().Inc()
@@ -301,15 +296,7 @@ func (c *Coordinator) Health() Health {
 // bufferdb.ErrShardUnavailable; a ServerError keeps its own sentinel chain
 // (busy, deadline, budget) so engine errors pass through untranslated.
 func (c *Coordinator) shardErr(idx int, err error) error {
-	if err == nil {
-		return nil
-	}
-	var se *ShardError
-	if errors.As(err, &se) {
-		return err
-	}
-	metricShardErrors(c.cfg.Shards[idx]).Inc()
-	return &ShardError{Shard: idx, Addr: c.cfg.Shards[idx], Err: err}
+	return c.nodeErr(idx, idx, err)
 }
 
 // nodeErr attributes a failure to one (slice, node) pair: ShardError.Shard

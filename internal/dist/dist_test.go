@@ -16,6 +16,7 @@ import (
 	"bufferdb"
 	"bufferdb/internal/client"
 	"bufferdb/internal/dist"
+	"bufferdb/internal/obsv"
 	"bufferdb/internal/server"
 )
 
@@ -44,7 +45,14 @@ func startShard(t testing.TB, idx, n int, sf float64, hook func(string) *bufferd
 	if err != nil {
 		t.Fatalf("OpenTPCH shard %d/%d: %v", idx, n, err)
 	}
-	srv, err := server.New(server.Config{DB: db, FaultHook: hook})
+	return serveBackend(t, server.Config{DB: db, FaultHook: hook})
+}
+
+// serveBackend serves cfg — a shard's database or a coordinator — on a
+// loopback listener until the test ends.
+func serveBackend(t testing.TB, cfg server.Config) (*server.Server, string) {
+	t.Helper()
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
@@ -516,24 +524,26 @@ func TestDistServe(t *testing.T) {
 	fleet := startFleet(t, 3, dist.Config{})
 	ref := singleNode(t)
 
-	srv, err := dist.NewServer(dist.ServerConfig{Coordinator: fleet.co, Info: "test-coordinator"})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+	// The coordinator is served by the one session loop, so it exports the
+	// serving metrics. The in-process shard servers feed the same registry:
+	// the prepared counter is the coordinator's alone (its legs reach the
+	// shards as ad hoc queries) and so is the connection (the shard pools
+	// dialed at Open); the ad hoc count is a lower bound the shards' own
+	// traffic (3 legs per scatter, 3 scatters) would not meet.
+	metric := func(name string) func() uint64 {
+		c := obsv.Default.Counter(name)
+		before := c.Value()
+		return func() uint64 { return c.Value() - before }
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		<-done
-	})
+	conns := metric("bufferdbd_connections_total")
+	adhoc := metric(`bufferdbd_queries_total{source="adhoc"}`)
+	prepared := metric(`bufferdbd_queries_total{source="prepared"}`)
+	bytesSent := metric("bufferdbd_bytes_sent_total")
+	inFlight := obsv.Default.Gauge("bufferdbd_queries_in_flight")
+	inFlightBefore := inFlight.Value()
 
-	cl, err := client.Dial(l.Addr().String(), client.Config{})
+	_, addr := serveBackend(t, server.Config{Backend: fleet.co, Info: "test-coordinator"})
+	cl, err := client.Dial(addr, client.Config{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -602,15 +612,61 @@ func TestDistServe(t *testing.T) {
 	if n := fleet.co.TrackedBytes(); n != 0 {
 		t.Fatalf("tracked bytes after cancel = %d, want 0", n)
 	}
+
+	if got := prepared(); got != 1 {
+		t.Errorf("prepared queries delta = %d, want 1", got)
+	}
+	if got := adhoc(); got < 2+9 {
+		t.Errorf("adhoc queries delta = %d, want the coordinator's 2 on top of 9 shard legs", got)
+	}
+	if got := conns(); got < 1 {
+		t.Errorf("connections delta = %d, want the client's", got)
+	}
+	if bytesSent() == 0 {
+		t.Error("bytes sent did not move")
+	}
+	// The canceled legs unwind on the shards in their own time.
+	for deadline = time.Now().Add(5 * time.Second); time.Now().Before(deadline) && inFlight.Value() != inFlightBefore; {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := inFlight.Value(); got != inFlightBefore {
+		t.Errorf("queries in flight = %v after the last stream ended, want %v", got, inFlightBefore)
+	}
+
+	// A listener whose Accept fails is closed on the way out of Serve, not
+	// left to its caller.
+	srv, err := server.New(server.Config{Backend: fleet.co})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	broken := &brokenListener{}
+	if err := srv.Serve(broken); !errors.Is(err, errBrokenAccept) {
+		t.Fatalf("Serve over a broken listener returned %v", err)
+	}
+	if !broken.closed {
+		t.Fatal("Serve left the listener open after Accept failed")
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
 }
+
+var errBrokenAccept = errors.New("accept: too many open files")
+
+// brokenListener fails every Accept and records being closed.
+type brokenListener struct{ closed bool }
+
+func (l *brokenListener) Accept() (net.Conn, error) { return nil, errBrokenAccept }
+func (l *brokenListener) Close() error              { l.closed = true; return nil }
+func (l *brokenListener) Addr() net.Addr            { return &net.TCPAddr{} }
 
 // TestDistConfigValidation covers constructor errors.
 func TestDistConfigValidation(t *testing.T) {
 	if _, err := dist.Open(dist.Config{}); err == nil {
 		t.Fatal("Open with no shards succeeded")
 	}
-	if _, err := dist.NewServer(dist.ServerConfig{}); err == nil {
-		t.Fatal("NewServer with no coordinator succeeded")
+	if _, err := server.New(server.Config{}); err == nil {
+		t.Fatal("server.New with neither a coordinator nor a database succeeded")
 	}
 	if _, err := bufferdb.OpenTPCH(testSF, bufferdb.Options{
 		ShardCount: 2, DataDir: t.TempDir(),

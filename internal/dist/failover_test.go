@@ -105,17 +105,7 @@ func slowLineitem(sql string) *bufferdb.FaultInjector {
 // goroutines return to baseline.
 func waitSettled(t *testing.T, co *dist.Coordinator, baseline int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) &&
-		(co.TrackedBytes() != 0 || runtime.NumGoroutine() > baseline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := co.TrackedBytes(); n != 0 {
-		t.Fatalf("coordinator tracked bytes after chaos = %d, want 0", n)
-	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Fatalf("goroutine leak after chaos: %d running, baseline %d", n, baseline)
-	}
+	settled(t, co.TrackedBytes, baseline)
 }
 
 // TestChaosFailoverMidStreamScan is the replication acceptance gate: losing
@@ -334,24 +324,8 @@ func TestReplicaTables(t *testing.T) {
 	fleet := startReplicaFleet(t, 3, 2, dist.Config{}, nil)
 	ref := singleNode(t)
 
-	srv, err := dist.NewServer(dist.ServerConfig{Coordinator: fleet.co})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		<-done
-	})
-
-	cl, err := client.Dial(l.Addr().String(), client.Config{})
+	_, addr := serveBackend(t, server.Config{Backend: fleet.co})
+	cl, err := client.Dial(addr, client.Config{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

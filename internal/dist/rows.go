@@ -8,7 +8,6 @@ import (
 
 	"bufferdb/internal/client"
 	"bufferdb/internal/exec"
-	"bufferdb/internal/storage"
 )
 
 // maxScatterRestarts bounds how many times one query may rebuild its whole
@@ -148,7 +147,7 @@ func (r *Rows) Next() bool {
 			r.cur = make([]any, len(row))
 		}
 		for i, v := range row {
-			r.cur[i] = nativeValue(v)
+			r.cur[i] = v.Native()
 		}
 		r.surfaced++
 		return true
@@ -239,25 +238,4 @@ func (r *Rows) shutdown() {
 	}
 	r.mem.ReleaseAll()
 	metricMergeClose().Observe(time.Since(start).Seconds())
-}
-
-// nativeValue converts an engine value to the client cursor's native Go
-// representation, so both cursor modes hand back identical dynamic types.
-func nativeValue(v storage.Value) any {
-	switch v.Kind {
-	case storage.TypeNull:
-		return nil
-	case storage.TypeBool:
-		return v.Bool()
-	case storage.TypeInt64:
-		return v.I
-	case storage.TypeFloat64:
-		return v.F
-	case storage.TypeString:
-		return v.S
-	case storage.TypeDate:
-		return time.Unix(v.I*86400, 0).UTC()
-	default:
-		return nil
-	}
 }

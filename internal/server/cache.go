@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 
 	"bufferdb"
@@ -115,7 +116,6 @@ type cachedResult struct {
 	batches [][]byte
 	rows    uint64
 	size    int64
-	done    bool // stream reached its TDone frame; only then is it cacheable
 	release func()
 	// tables is the sorted base-table set the query read — the invalidation
 	// tag: a committed INSERT into one of them drops this entry, while
@@ -124,6 +124,15 @@ type cachedResult struct {
 	// depends on everything.
 	tables []string
 }
+
+// A cache hit crosses the Backend seam as the entry itself. The session
+// recognizes it and replays the stored frames, so as a Cursor it is an
+// already-drained stream: nothing to pull, nothing to release.
+func (r *cachedResult) Columns() []string { return r.cols }
+func (r *cachedResult) Next() bool        { return false }
+func (r *cachedResult) Scan(...any) error { return errors.New("server: Scan on a cached result") }
+func (r *cachedResult) Err() error        { return nil }
+func (r *cachedResult) Close() error      { return nil }
 
 // dependsOn reports whether the entry must be dropped when table is written.
 func (r *cachedResult) dependsOn(table string) bool {
@@ -162,17 +171,12 @@ type resultCache struct {
 	epoch uint64
 }
 
-func newResultCache(db *bufferdb.DB, budget, maxEntry int64) *resultCache {
-	if maxEntry <= 0 {
-		maxEntry = budget / 8
-	}
-	if maxEntry > budget {
-		// An entry larger than the whole budget could never be evicted down
-		// to budget (put keeps at least one entry resident).
-		maxEntry = budget
-	}
+// newResultCache builds a cache of budget encoded bytes; one result may
+// take at most an eighth of it, so a single large answer cannot wash the
+// cache.
+func newResultCache(db *bufferdb.DB, budget int64) *resultCache {
 	return &resultCache{
-		db: db, budget: budget, maxEntry: maxEntry,
+		db: db, budget: budget, maxEntry: budget / 8,
 		entries: map[string]*list.Element{}, order: list.New(),
 	}
 }
@@ -271,11 +275,24 @@ func (c *resultCache) put(key string, res *cachedResult, epoch uint64, snapshot 
 }
 
 // invalidateTable drops every entry that read table (plus entries whose
-// table set is unknown); entries over untouched tables survive. The
-// cache-wide epoch still advances so in-flight unknown-table results are
-// refused by put — known-table results in flight are judged precisely
-// against the database's per-table epochs instead.
+// table set is unknown); entries over untouched tables survive.
 func (c *resultCache) invalidateTable(table string) {
+	c.invalidate(func(r *cachedResult) bool { return r.dependsOn(table) })
+}
+
+// invalidateAll drops every entry — called after a write commits whose
+// target could not be determined, because any cached result may now be
+// stale. Coarse, but the fallback path; targeted writes go through
+// invalidateTable.
+func (c *resultCache) invalidateAll() {
+	c.invalidate(func(*cachedResult) bool { return true })
+}
+
+// invalidate drops the entries stale selects. The cache-wide epoch always
+// advances so in-flight unknown-table results are refused by put —
+// known-table results in flight are judged precisely against the
+// database's per-table epochs instead.
+func (c *resultCache) invalidate(stale func(*cachedResult) bool) {
 	if !c.enabled() {
 		return
 	}
@@ -286,7 +303,7 @@ func (c *resultCache) invalidateTable(table string) {
 	for el := c.order.Front(); el != nil; el = next {
 		next = el.Next()
 		e, ok := el.Value.(*resultKeyed)
-		if !ok || !e.res.dependsOn(table) {
+		if !ok || !stale(e.res) {
 			continue
 		}
 		c.order.Remove(el)
@@ -294,34 +311,6 @@ func (c *resultCache) invalidateTable(table string) {
 		c.total -= e.res.size
 		dropped = append(dropped, e.res)
 	}
-	c.mu.Unlock()
-	for _, r := range dropped {
-		if r.release != nil {
-			r.release()
-		}
-		metricCache("result", "invalidations").Inc()
-	}
-}
-
-// invalidateAll drops every entry — called after a write commits whose
-// target could not be determined, because any cached result may now be
-// stale. Coarse, but the fallback path; targeted writes go through
-// invalidateTable.
-func (c *resultCache) invalidateAll() {
-	if !c.enabled() {
-		return
-	}
-	c.mu.Lock()
-	c.epoch++
-	var dropped []*cachedResult
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		if e, ok := el.Value.(*resultKeyed); ok {
-			dropped = append(dropped, e.res)
-		}
-	}
-	c.entries = map[string]*list.Element{}
-	c.order.Init()
-	c.total = 0
 	c.mu.Unlock()
 	for _, r := range dropped {
 		if r.release != nil {

@@ -1,0 +1,277 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"bufferdb"
+	sqlfe "bufferdb/internal/sql"
+	"bufferdb/internal/wire"
+)
+
+// dbBackend is the Backend over a resident database (plus the replica
+// slices this node hosts). The statement LRU, the result cache and the
+// fault hook live here and not in the session loop because all three lean
+// on things only a local database has: Stmt handles to share, per-table
+// write epochs to invalidate on, a MemoryLimit to charge, an operator tree
+// to inject faults into.
+type dbBackend struct {
+	db        *bufferdb.DB
+	slices    map[int]*bufferdb.DB
+	stmts     *stmtCache
+	results   *resultCache
+	faultHook func(sql string) *bufferdb.FaultInjector
+}
+
+func newDBBackend(cfg Config) (*dbBackend, error) {
+	if cfg.DB == nil {
+		return nil, errors.New("server: Config.DB (or Config.Backend) is required")
+	}
+	stmtEntries := cfg.StmtCacheEntries
+	if stmtEntries == 0 {
+		stmtEntries = 64
+	}
+	return &dbBackend{
+		db:        cfg.DB,
+		slices:    cfg.Slices,
+		stmts:     newStmtCache(cfg.DB, stmtEntries),
+		results:   newResultCache(cfg.DB, cfg.ResultCacheBytes),
+		faultHook: cfg.FaultHook,
+	}, nil
+}
+
+// close returns the cache reservations so an idle post-shutdown process
+// charges nothing against the memory limit.
+func (b *dbBackend) close() {
+	b.stmts.close()
+	b.results.close()
+}
+
+// dbFor routes a request to its slice database: 0 is the default DB,
+// k > 0 addresses slice k-1 from Config.Slices.
+func (b *dbBackend) dbFor(slice int32) (*bufferdb.DB, error) {
+	if slice == 0 {
+		return b.db, nil
+	}
+	idx := int(slice - 1)
+	if db, ok := b.slices[idx]; ok {
+		return db, nil
+	}
+	return nil, fmt.Errorf("server: this node does not host slice %d", idx)
+}
+
+func (b *dbBackend) fault(sql string) *bufferdb.FaultInjector {
+	if b.faultHook == nil {
+		return nil
+	}
+	return b.faultHook(sql)
+}
+
+// Prepare plans a statement with the wire options applied, going through
+// the shared LRU when the options are cache-compatible. Statements carrying
+// a timeout or a fault injector stay private to their session: the timeout
+// is baked into the prepared options (it must not leak to other clients),
+// and injectors are test instruments. The cache key includes the slice, so
+// the same SQL prepared against two hosted slices yields two entries.
+func (b *dbBackend) Prepare(sql string, o wire.QueryOpts) (Prepared, error) {
+	db, err := b.dbFor(o.Slice)
+	if err != nil {
+		return nil, err
+	}
+	fi := b.fault(sql)
+	build := func() (*bufferdb.Stmt, error) {
+		opts, err := queryOptions(o, fi)
+		if err != nil {
+			return nil, err
+		}
+		return db.Prepare(sql, opts...)
+	}
+	var st *bufferdb.Stmt
+	if o.TimeoutMS != 0 || o.MemoryBudget != 0 || o.AdmissionWaitMS != 0 || fi != nil {
+		st, err = build()
+	} else {
+		st, err = b.stmts.get(o.CacheKey(sql), build)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return dbStmt{st}, nil
+}
+
+// dbStmt adapts *bufferdb.Stmt's concrete cursor type to Prepared.
+type dbStmt struct{ stmt *bufferdb.Stmt }
+
+func (p dbStmt) QueryStream(ctx context.Context) (Cursor, error) {
+	rows, err := p.stmt.QueryStream(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// QueryStream serves a Query frame: from the result cache when it is
+// enabled and the statement qualifies (the returned cursor is then the
+// *cachedResult itself, which the session replays), else by planning and
+// executing — under a fillCursor when the result may be stored afterwards.
+func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpts) (Cursor, error) {
+	fi := b.fault(sql)
+
+	// A write must execute every time (replaying a cached INSERT would skip
+	// the insert) and, once committed, makes cached reads of its target
+	// table stale.
+	isWrite := sqlfe.IsInsert(sql)
+	cacheable := b.results.enabled() && !o.NoResultCache && fi == nil && !isWrite
+	db, err := b.dbFor(o.Slice)
+	if err != nil {
+		return nil, err
+	}
+	var fill *fillCursor
+	if cacheable {
+		key := o.CacheKey(sql)
+		if res, ok := b.results.get(key); ok {
+			return res, nil
+		}
+		fill = &fillCursor{cache: b.results, db: db, key: key, res: &cachedResult{}}
+		// Tag the result with the tables it reads and snapshot their write
+		// epochs before the query executes: if an INSERT into one of them
+		// commits while this query streams, put refuses the stale result —
+		// results over untouched tables are unaffected. An unparseable
+		// statement keeps a nil tag (depends on everything) and falls back to
+		// the cache-wide epoch.
+		if tabs, ok := sqlfe.Tables(sql); ok {
+			fill.res.tables = tabs
+			fill.snapshot = db.TableEpochs(tabs)
+		}
+		fill.epoch = b.results.writeEpoch()
+	}
+
+	qopts, err := queryOptions(o, fi)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := db.QueryStream(ctx, sql, qopts...)
+	if err != nil {
+		return nil, err
+	}
+	if isWrite {
+		// The insert committed inside QueryStream; cached reads of its
+		// target are stale. (The facade already bumped the table's write
+		// epoch and invalidated the semantic reuse cache.)
+		if target, ok := sqlfe.InsertTarget(sql); ok {
+			b.results.invalidateTable(target)
+		} else {
+			b.results.invalidateAll()
+		}
+	}
+	if fill == nil {
+		return rows, nil
+	}
+	fill.Rows = rows
+	return fill, nil
+}
+
+// fillCursor is a cacheable execution: the rows cursor plus everything put
+// needs to judge and store the encoded stream the session records into it.
+type fillCursor struct {
+	*bufferdb.Rows
+	cache    *resultCache
+	db       *bufferdb.DB
+	key      string
+	res      *cachedResult // nil once the stream outgrew the per-entry cap
+	epoch    uint64
+	snapshot map[string]uint64
+}
+
+func (c *fillCursor) recordBatch(payload []byte, rows uint32) {
+	if c.res == nil {
+		return
+	}
+	if c.res.size += int64(len(payload)); c.res.size > c.cache.maxEntry {
+		c.res = nil // too big to cache; stop collecting
+		return
+	}
+	c.res.batches = append(c.res.batches, append([]byte(nil), payload...))
+	c.res.rows += uint64(rows)
+}
+
+func (c *fillCursor) recordDone() {
+	if c.res != nil {
+		c.res.cols = append([]string(nil), c.Columns()...)
+		c.cache.put(c.key, c.res, c.epoch, c.snapshot, c.db)
+	}
+}
+
+// Tables lists one hosted catalog with its row counts.
+func (b *dbBackend) Tables(_ context.Context, slice int32) ([]wire.TableInfo, error) {
+	db, err := b.dbFor(slice)
+	if err != nil {
+		return nil, err
+	}
+	names := db.Tables()
+	infos := make([]wire.TableInfo, len(names))
+	for i, n := range names {
+		rows, err := db.RowCount(n)
+		if err != nil {
+			rows = 0
+		}
+		infos[i] = wire.TableInfo{Name: n, Rows: uint64(rows)}
+	}
+	return infos, nil
+}
+
+// queryOptions translates wire options into engine options. The engine
+// name a client sent goes through the canonical parser, so a bad name is
+// rejected at the protocol boundary with the valid set in the message
+// instead of surfacing later from the planner.
+func queryOptions(o wire.QueryOpts, fi *bufferdb.FaultInjector) ([]bufferdb.QueryOption, error) {
+	var opts []bufferdb.QueryOption
+	if o.Engine != "" {
+		e, err := bufferdb.ParseEngine(o.Engine)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, bufferdb.WithEngine(e))
+	}
+	if o.Parallelism != 0 {
+		opts = append(opts, bufferdb.WithParallelism(int(o.Parallelism)))
+	}
+	if o.TimeoutMS > 0 {
+		opts = append(opts, bufferdb.WithTimeout(time.Duration(o.TimeoutMS)*time.Millisecond))
+	}
+	if o.DisableRefinement {
+		opts = append(opts, bufferdb.WithoutRefinement())
+	}
+	if o.ForceJoin != "" {
+		switch o.ForceJoin {
+		case "hash", "nestloop", "merge":
+			opts = append(opts, bufferdb.WithForceJoin(o.ForceJoin))
+		default:
+			return nil, fmt.Errorf("server: %w %q (valid: hash, nestloop, merge)",
+				bufferdb.ErrBadJoinMethod, o.ForceJoin)
+		}
+	}
+	if o.BufferSize < 0 {
+		return nil, fmt.Errorf("server: negative buffer size %d", o.BufferSize)
+	}
+	if o.BufferSize > 0 {
+		opts = append(opts, bufferdb.WithBufferSize(int(o.BufferSize)))
+	}
+	if o.MemoryBudget < 0 {
+		return nil, fmt.Errorf("server: negative memory budget %d", o.MemoryBudget)
+	}
+	if o.MemoryBudget > 0 {
+		opts = append(opts, bufferdb.WithMemoryBudget(o.MemoryBudget))
+	}
+	if o.AdmissionWaitMS < 0 {
+		return nil, fmt.Errorf("server: negative admission wait %dms", o.AdmissionWaitMS)
+	}
+	if o.AdmissionWaitMS > 0 {
+		opts = append(opts, bufferdb.WithAdmissionWait(time.Duration(o.AdmissionWaitMS)*time.Millisecond))
+	}
+	if fi != nil {
+		opts = append(opts, bufferdb.WithFaultInjector(fi))
+	}
+	return opts, nil
+}

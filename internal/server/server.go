@@ -1,9 +1,11 @@
 // Package server is bufferdb's network serving layer: a TCP server
-// speaking the internal/wire protocol over a resident *bufferdb.DB. Every
-// session's statements run through the engine's existing resource governor
-// — admission control, deadlines, memory budgets, panic containment — and
+// speaking the internal/wire protocol over a Backend — a resident
+// *bufferdb.DB on a data node, a *dist.Coordinator in front of a fleet.
+// The session loop is the same for both. On a data node every session's
+// statements run through the engine's existing resource governor —
+// admission control, deadlines, memory budgets, panic containment — and
 // the sentinel errors those layers produce cross the connection as stable
-// typed error codes. The server adds the two reuse layers a long-lived
+// typed error codes. The DB backend adds the two reuse layers a long-lived
 // daemon makes worthwhile: a shared LRU of prepared statements keyed by
 // SQL text, and an opt-in bounded cache replaying encoded result streams
 // for repeated identical read-only queries, both charged against the
@@ -13,7 +15,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -22,10 +23,15 @@ import (
 	"bufferdb/internal/wire"
 )
 
-// Config configures a Server. DB is the only required field.
+// Config configures a Server. One of DB and Backend is required.
 type Config struct {
 	// DB is the resident database every session queries.
 	DB *bufferdb.DB
+
+	// Backend, when set, is served in place of a resident database. The
+	// fields that tune the DB backend — DB, Slices, StmtCacheEntries,
+	// ResultCacheBytes, FaultHook — must then be unset.
+	Backend Backend
 
 	// Slices maps hash-slice indices to their databases when this node
 	// hosts replicas of several slices. DB stays the default target
@@ -44,9 +50,6 @@ type Config struct {
 	// of encoded result bytes; 0 (the default) disables it — reuse of
 	// whole results is opt-in.
 	ResultCacheBytes int64
-	// ResultCacheMaxEntry caps one cached result's encoded size
-	// (0 = ResultCacheBytes/8).
-	ResultCacheMaxEntry int64
 
 	// BatchRows bounds the rows packed into one RowBatch frame
 	// (0 = 256); frames also flush early at ~64 KiB of payload.
@@ -75,9 +78,10 @@ type Config struct {
 // Server accepts connections and serves sessions until Shutdown.
 type Server struct {
 	cfg     Config
-	db      *bufferdb.DB
-	stmts   *stmtCache
-	results *resultCache
+	backend Backend
+	// release returns what a backend New built itself still holds (the DB
+	// backend's cache reservations) once the sessions are gone.
+	release func()
 
 	// ctx is canceled by Shutdown; every session context and in-flight
 	// query context descends from it.
@@ -92,14 +96,19 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// New builds a Server over a resident database.
+// New builds a Server over cfg.Backend, or over the resident database
+// cfg.DB when no backend is given.
 func New(cfg Config) (*Server, error) {
-	if cfg.DB == nil {
-		return nil, errors.New("server: Config.DB is required")
-	}
-	stmtEntries := cfg.StmtCacheEntries
-	if stmtEntries == 0 {
-		stmtEntries = 64
+	backend, release := cfg.Backend, func() {}
+	if backend == nil {
+		b, err := newDBBackend(cfg)
+		if err != nil {
+			return nil, err
+		}
+		backend, release = b, b.close
+	} else if cfg.DB != nil || cfg.Slices != nil || cfg.StmtCacheEntries != 0 ||
+		cfg.ResultCacheBytes != 0 || cfg.FaultHook != nil {
+		return nil, errors.New("server: Config.Backend excludes DB, Slices, StmtCacheEntries, ResultCacheBytes and FaultHook")
 	}
 	if cfg.BatchRows <= 0 {
 		cfg.BatchRows = 256
@@ -110,9 +119,8 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		cfg:       cfg,
-		db:        cfg.DB,
-		stmts:     newStmtCache(cfg.DB, stmtEntries),
-		results:   newResultCache(cfg.DB, cfg.ResultCacheBytes, cfg.ResultCacheMaxEntry),
+		backend:   backend,
+		release:   release,
 		ctx:       ctx,
 		cancel:    cancel,
 		listeners: map[net.Listener]struct{}{},
@@ -129,15 +137,6 @@ func (s *Server) logf(format string, args ...any) {
 // ErrServerClosed is returned by Serve after Shutdown, mirroring
 // net/http.ErrServerClosed.
 var ErrServerClosed = errors.New("server: closed")
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
 
 // Serve accepts sessions on l until Shutdown closes it. Like
 // net/http.Server.Serve it blocks, returning ErrServerClosed on a clean
@@ -232,110 +231,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	// Sessions are gone; return the cache reservations so an idle
-	// post-shutdown process charges nothing against the memory limit.
-	s.stmts.close()
-	s.results.close()
+	s.release()
 	return err
 }
 
-// dbFor routes a request to its slice database: 0 is the default DB,
-// k > 0 addresses slice k-1 from Config.Slices.
-func (s *Server) dbFor(slice int32) (*bufferdb.DB, error) {
-	if slice == 0 {
-		return s.db, nil
-	}
-	idx := int(slice - 1)
-	if db, ok := s.cfg.Slices[idx]; ok {
-		return db, nil
-	}
-	return nil, fmt.Errorf("server: this node does not host slice %d", idx)
-}
-
-// buildStmt plans a statement with the wire options applied, going through
-// the shared LRU when the options are cache-compatible. Statements carrying
-// a timeout or a fault injector stay private to their session: the timeout
-// is baked into the prepared options (it must not leak to other clients),
-// and injectors are test instruments. The cache key includes the slice, so
-// the same SQL prepared against two hosted slices yields two entries.
-func (s *Server) buildStmt(sql string, o wire.QueryOpts, fi *bufferdb.FaultInjector) (*bufferdb.Stmt, error) {
-	db, err := s.dbFor(o.Slice)
-	if err != nil {
-		return nil, err
-	}
-	build := func() (*bufferdb.Stmt, error) {
-		opts, err := queryOptions(o, fi)
-		if err != nil {
-			return nil, err
-		}
-		return db.Prepare(sql, opts...)
-	}
-	if o.TimeoutMS != 0 || o.MemoryBudget != 0 || o.AdmissionWaitMS != 0 || fi != nil {
-		return build()
-	}
-	return s.stmts.get(o.CacheKey(sql), build)
-}
-
-// queryOptions translates wire options into engine options. The engine
-// name a client sent goes through the canonical parser, so a bad name is
-// rejected at the protocol boundary with the valid set in the message
-// instead of surfacing later from the planner.
-func queryOptions(o wire.QueryOpts, fi *bufferdb.FaultInjector) ([]bufferdb.QueryOption, error) {
-	var opts []bufferdb.QueryOption
-	if o.Engine != "" {
-		e, err := bufferdb.ParseEngine(o.Engine)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, bufferdb.WithEngine(e))
-	}
-	if o.Parallelism != 0 {
-		opts = append(opts, bufferdb.WithParallelism(int(o.Parallelism)))
-	}
-	if o.TimeoutMS > 0 {
-		opts = append(opts, bufferdb.WithTimeout(time.Duration(o.TimeoutMS)*time.Millisecond))
-	}
-	if o.DisableRefinement {
-		opts = append(opts, bufferdb.WithoutRefinement())
-	}
-	if o.ForceJoin != "" {
-		switch o.ForceJoin {
-		case "hash", "nestloop", "merge":
-			opts = append(opts, bufferdb.WithForceJoin(o.ForceJoin))
-		default:
-			return nil, fmt.Errorf("server: %w %q (valid: hash, nestloop, merge)",
-				bufferdb.ErrBadJoinMethod, o.ForceJoin)
-		}
-	}
-	if o.BufferSize < 0 {
-		return nil, fmt.Errorf("server: negative buffer size %d", o.BufferSize)
-	}
-	if o.BufferSize > 0 {
-		opts = append(opts, bufferdb.WithBufferSize(int(o.BufferSize)))
-	}
-	if o.MemoryBudget < 0 {
-		return nil, fmt.Errorf("server: negative memory budget %d", o.MemoryBudget)
-	}
-	if o.MemoryBudget > 0 {
-		opts = append(opts, bufferdb.WithMemoryBudget(o.MemoryBudget))
-	}
-	if o.AdmissionWaitMS < 0 {
-		return nil, fmt.Errorf("server: negative admission wait %dms", o.AdmissionWaitMS)
-	}
-	if o.AdmissionWaitMS > 0 {
-		opts = append(opts, bufferdb.WithAdmissionWait(time.Duration(o.AdmissionWaitMS)*time.Millisecond))
-	}
-	if fi != nil {
-		opts = append(opts, bufferdb.WithFaultInjector(fi))
-	}
-	return opts, nil
-}
-
-// errorCode classifies a query error into its stable wire code. The order
-// matters: a deadline expiry also satisfies context cancellation, and a
-// shutdown cancellation must not masquerade as a client cancel.
+// errorCode classifies a query error into its stable wire code, for every
+// backend. The order matters: losing a shard outranks whatever the dying
+// stream reported last; an error a live shard sent keeps the shard's own
+// code, so busy/deadline/budget/panic classification survives the second
+// hop (coded is how *client.ServerError is recognized without this package
+// knowing the coordinator's internals); a deadline expiry also satisfies
+// context cancellation, and a shutdown cancellation must not masquerade as
+// a client cancel.
 func (s *Server) errorCode(err error) wire.Code {
+	var coded interface{ WireCode() wire.Code }
 	switch {
+	case errors.Is(err, bufferdb.ErrShardUnavailable):
+		return wire.CodeUnavailable
+	case errors.As(err, &coded):
+		return coded.WireCode()
 	case errors.Is(err, bufferdb.ErrServerBusy):
 		return wire.CodeBusy
 	case errors.Is(err, bufferdb.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
@@ -352,20 +266,4 @@ func (s *Server) errorCode(err error) wire.Code {
 	default:
 		return wire.CodeQuery
 	}
-}
-
-// Addr is a convenience for tests: the first listener's address.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for l := range s.listeners {
-		return l.Addr()
-	}
-	return nil
-}
-
-// String identifies the server in logs.
-func (s *Server) String() string {
-	return fmt.Sprintf("bufferdbd(stmt-cache=%d, result-cache=%dB)",
-		s.stmts.max, s.results.budget)
 }

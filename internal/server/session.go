@@ -8,8 +8,6 @@ import (
 	"net"
 	"time"
 
-	"bufferdb"
-	sqlfe "bufferdb/internal/sql"
 	"bufferdb/internal/wire"
 )
 
@@ -41,16 +39,9 @@ type session struct {
 	frames chan frame
 
 	// stmts maps session-local statement ids to their prepared handles.
-	// The handles themselves may be shared through the server's LRU.
-	stmts  map[uint64]*prepared
+	// The handles themselves may be shared through the backend's LRU.
+	stmts  map[uint64]Prepared
 	nextID uint64
-}
-
-// prepared is a session's handle on a prepared statement.
-type prepared struct {
-	sql  string
-	opts wire.QueryOpts
-	stmt *bufferdb.Stmt
 }
 
 func newSession(s *Server, conn net.Conn) *session {
@@ -59,7 +50,7 @@ func newSession(s *Server, conn net.Conn) *session {
 		conn:   conn,
 		bw:     bufio.NewWriterSize(conn, 32<<10),
 		frames: make(chan frame, 1),
-		stmts:  map[uint64]*prepared{},
+		stmts:  map[uint64]Prepared{},
 	}
 }
 
@@ -152,44 +143,31 @@ func (ss *session) handshake() error {
 // sockets).
 func (ss *session) dispatch(f frame) error {
 	switch f.t {
-	case wire.TQuery:
+	case wire.TQuery, wire.TPrepare:
 		r := wire.NewReader(f.payload)
 		opts := r.Opts()
 		sql := r.String()
 		if err := r.Err(); err != nil {
-			_ = ss.sendError(wire.CodeProtocol, "malformed Query")
+			_ = ss.sendError(wire.CodeProtocol, "malformed "+f.t.String())
 			return err
+		}
+		if f.t == wire.TPrepare {
+			return ss.prepare(sql, opts)
 		}
 		return ss.runAdhoc(sql, opts)
 
-	case wire.TPrepare:
-		r := wire.NewReader(f.payload)
-		opts := r.Opts()
-		sql := r.String()
-		if err := r.Err(); err != nil {
-			_ = ss.sendError(wire.CodeProtocol, "malformed Prepare")
-			return err
-		}
-		return ss.prepare(sql, opts)
-
-	case wire.TExecute:
+	case wire.TExecute, wire.TCloseStmt:
 		r := wire.NewReader(f.payload)
 		id := r.U64()
 		if err := r.Err(); err != nil {
-			_ = ss.sendError(wire.CodeProtocol, "malformed Execute")
+			_ = ss.sendError(wire.CodeProtocol, "malformed "+f.t.String())
 			return err
+		}
+		if f.t == wire.TCloseStmt {
+			delete(ss.stmts, id)
+			return nil
 		}
 		return ss.execute(id)
-
-	case wire.TCloseStmt:
-		r := wire.NewReader(f.payload)
-		id := r.U64()
-		if err := r.Err(); err != nil {
-			_ = ss.sendError(wire.CodeProtocol, "malformed CloseStmt")
-			return err
-		}
-		delete(ss.stmts, id)
-		return nil
 
 	case wire.TTables:
 		return ss.tables(f.payload)
@@ -206,17 +184,13 @@ func (ss *session) dispatch(f frame) error {
 
 // prepare plans a statement and hands back its session-local id.
 func (ss *session) prepare(sql string, opts wire.QueryOpts) error {
-	var fi *bufferdb.FaultInjector
-	if ss.srv.cfg.FaultHook != nil {
-		fi = ss.srv.cfg.FaultHook(sql)
-	}
-	st, err := ss.srv.buildStmt(sql, opts, fi)
+	st, err := ss.srv.backend.Prepare(sql, opts)
 	if err != nil {
 		return ss.sendQueryError(err)
 	}
 	ss.nextID++
 	id := ss.nextID
-	ss.stmts[id] = &prepared{sql: sql, opts: opts, stmt: st}
+	ss.stmts[id] = st
 	var b wire.Builder
 	b.U64(id)
 	return ss.send(wire.TPrepared, b.Bytes())
@@ -228,108 +202,48 @@ func (ss *session) execute(id uint64) error {
 	if !ok {
 		return ss.sendError(wire.CodeUnknownStmt, fmt.Sprintf("unknown statement id %d", id))
 	}
-	metricQueries("prepared").Inc()
-	metricInFlight().Add(1)
-	defer metricInFlight().Add(-1)
-
-	qctx, qcancel := context.WithCancel(ss.srv.ctx)
-	defer qcancel()
-	rows, err := ps.stmt.QueryStream(qctx)
-	if err != nil {
-		return ss.sendQueryError(err)
-	}
-	return ss.stream(qcancel, rows, nil)
+	return ss.serve("prepared", ps.QueryStream)
 }
 
-// runAdhoc serves a Query frame: through the result cache when it is
-// enabled and the statement qualifies, else by planning and executing.
+// runAdhoc serves a Query frame.
 func (ss *session) runAdhoc(sql string, opts wire.QueryOpts) error {
-	var fi *bufferdb.FaultInjector
-	if ss.srv.cfg.FaultHook != nil {
-		fi = ss.srv.cfg.FaultHook(sql)
-	}
+	return ss.serve("adhoc", func(ctx context.Context) (Cursor, error) {
+		return ss.srv.backend.QueryStream(ctx, sql, opts)
+	})
+}
 
-	// A write must execute every time (replaying a cached INSERT would skip
-	// the insert) and, once committed, makes cached reads of its target
-	// table stale.
-	isWrite := sqlfe.IsInsert(sql)
-	cacheable := ss.srv.results.enabled() && !opts.NoResultCache && fi == nil && !isWrite
-	key := opts.CacheKey(sql)
-	db, err := ss.srv.dbFor(opts.Slice)
-	if err != nil {
-		return ss.sendQueryError(err)
-	}
-	// Tag the result with the tables it reads and snapshot their write
-	// epochs before the query executes: if an INSERT into one of them
-	// commits while this query streams, put refuses the stale result —
-	// results over untouched tables are unaffected. An unparseable
-	// statement keeps a nil tag (depends on everything) and falls back to
-	// the cache-wide epoch.
-	var tables []string
-	var snapshot map[string]uint64
-	if cacheable {
-		if tabs, ok := sqlfe.Tables(sql); ok {
-			tables = tabs
-			snapshot = db.TableEpochs(tabs)
-		}
-	}
-	epoch := ss.srv.results.writeEpoch()
-	if cacheable {
-		if res, ok := ss.srv.results.get(key); ok {
-			metricQueries("cached").Inc()
-			return ss.replay(res)
-		}
-	}
-
-	metricQueries("adhoc").Inc()
+// serve starts one statement under a cancelable query context and puts its
+// result on the wire. A backend that answers from its result cache returns
+// the entry itself, which is replayed frame for frame; every other cursor
+// is pulled and encoded by stream.
+func (ss *session) serve(source string, start func(context.Context) (Cursor, error)) error {
 	metricInFlight().Add(1)
 	defer metricInFlight().Add(-1)
 
 	qctx, qcancel := context.WithCancel(ss.srv.ctx)
 	defer qcancel()
-	qopts, err := queryOptions(opts, fi)
+	cur, err := start(qctx)
+	if res, ok := cur.(*cachedResult); ok {
+		metricQueries("cached").Inc()
+		return ss.replay(res)
+	}
+	metricQueries(source).Inc()
 	if err != nil {
 		return ss.sendQueryError(err)
 	}
-	rows, err := db.QueryStream(qctx, sql, qopts...)
-	if err != nil {
-		return ss.sendQueryError(err)
-	}
-	if isWrite {
-		// The insert committed inside QueryStream; cached reads of its
-		// target are stale. (The facade already bumped the table's write
-		// epoch and invalidated the semantic reuse cache.)
-		if target, ok := sqlfe.InsertTarget(sql); ok {
-			ss.srv.results.invalidateTable(target)
-		} else {
-			ss.srv.results.invalidateAll()
-		}
-	}
-	var collect *cachedResult
-	if cacheable {
-		collect = &cachedResult{tables: tables}
-	}
-	err = ss.stream(qcancel, rows, collect)
-	if err == nil && collect != nil && collect.complete() {
-		ss.srv.results.put(key, collect, epoch, snapshot, db)
-	}
-	return err
+	return ss.stream(qcancel, cur)
 }
 
-// complete reports whether a collected result streamed all the way to its
-// TDone frame. Checking the done flag — set only on the success path —
-// keeps canceled, mid-stream-errored and disconnected streams (whose
-// column header was already collected) out of the result cache.
-func (r *cachedResult) complete() bool { return r != nil && r.done }
-
-// stream drives a Rows cursor onto the wire: Columns, RowBatch*, then Done
-// or a terminal Error frame. While streaming, a watcher goroutine owns the
+// stream drives a cursor onto the wire: Columns, RowBatch*, then Done or a
+// terminal Error frame. While streaming, a watcher goroutine owns the
 // incoming frame channel so a Cancel frame — or the channel closing on
 // disconnect — cancels the query context, which frees its admission slot
-// and returns its tracked memory. The returned error is session-fatal;
-// query failures are reported to the client and return nil.
-func (ss *session) stream(qcancel context.CancelFunc, rows *bufferdb.Rows, collect *cachedResult) error {
+// and returns its tracked memory (on a coordinator: tears down every shard
+// stream). The returned error is session-fatal; query failures are
+// reported to the client and return nil.
+func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 	defer rows.Close()
+	rec, _ := rows.(recorder)
 
 	// Watch for Cancel / disconnect / stray frames while we stream.
 	stop := make(chan struct{})
@@ -355,17 +269,9 @@ func (ss *session) stream(qcancel context.CancelFunc, rows *bufferdb.Rows, colle
 	}
 
 	cols := rows.Columns()
-	var b wire.Builder
-	b.U32(uint32(len(cols)))
-	for _, c := range cols {
-		b.String(c)
-	}
-	if err := ss.send(wire.TColumns, b.Bytes()); err != nil {
+	if err := ss.sendColumns(cols); err != nil {
 		settle()
 		return err
-	}
-	if collect != nil {
-		collect.cols = append([]string(nil), cols...)
 	}
 
 	dest := make([]any, len(cols))
@@ -383,15 +289,8 @@ func (ss *session) stream(qcancel context.CancelFunc, rows *bufferdb.Rows, colle
 		}
 		payload := batch.Bytes()
 		binary.BigEndian.PutUint32(payload[:4], inBatch)
-		if collect != nil {
-			if collect.size += int64(len(payload)); collect.size > ss.srv.results.maxEntry {
-				collect.cols = nil // too big to cache; stop collecting
-				collect.batches = nil
-				collect = nil
-			} else {
-				collect.batches = append(collect.batches, append([]byte(nil), payload...))
-				collect.rows += uint64(inBatch)
-			}
+		if rec != nil {
+			rec.recordBatch(payload, inBatch)
 		}
 		err := ss.send(wire.TRowBatch, payload)
 		batch.Reset()
@@ -448,12 +347,13 @@ func (ss *session) stream(qcancel context.CancelFunc, rows *bufferdb.Rows, colle
 	if err := rows.Close(); err != nil {
 		return ss.sendQueryError(err)
 	}
-	if collect != nil {
-		collect.done = true
+	if err := ss.sendDone(total); err != nil {
+		return err
 	}
-	var done wire.Builder
-	done.U64(total)
-	return ss.send(wire.TDone, done.Bytes())
+	if rec != nil {
+		rec.recordDone()
+	}
+	return nil
 }
 
 // watchEvent is what the stream watcher observed.
@@ -468,12 +368,7 @@ const (
 
 // replay streams a cached result: header, stored batches, done.
 func (ss *session) replay(res *cachedResult) error {
-	var b wire.Builder
-	b.U32(uint32(len(res.cols)))
-	for _, c := range res.cols {
-		b.String(c)
-	}
-	if err := ss.send(wire.TColumns, b.Bytes()); err != nil {
+	if err := ss.sendColumns(res.cols); err != nil {
 		return err
 	}
 	for _, batch := range res.batches {
@@ -481,14 +376,30 @@ func (ss *session) replay(res *cachedResult) error {
 			return err
 		}
 	}
-	var done wire.Builder
-	done.U64(res.rows)
-	return ss.send(wire.TDone, done.Bytes())
+	return ss.sendDone(res.rows)
 }
 
-// tables answers a Tables frame from the catalog. An empty payload (the
-// original protocol) targets the default database; a payload carries the
-// same slice selector QueryOpts uses (0 = default, k = slice k-1).
+// sendColumns opens a result stream with its column header.
+func (ss *session) sendColumns(cols []string) error {
+	var b wire.Builder
+	b.U32(uint32(len(cols)))
+	for _, c := range cols {
+		b.String(c)
+	}
+	return ss.send(wire.TColumns, b.Bytes())
+}
+
+// sendDone ends a result stream with its row count.
+func (ss *session) sendDone(rows uint64) error {
+	var b wire.Builder
+	b.U64(rows)
+	return ss.send(wire.TDone, b.Bytes())
+}
+
+// tables answers a Tables frame from the backend's catalog. An empty
+// payload (the original protocol) targets the default catalog; a payload
+// carries the same slice selector QueryOpts uses (0 = default, k = slice
+// k-1).
 func (ss *session) tables(payload []byte) error {
 	var slice int32
 	if len(payload) > 0 {
@@ -499,20 +410,15 @@ func (ss *session) tables(payload []byte) error {
 			return err
 		}
 	}
-	db, err := ss.srv.dbFor(slice)
+	infos, err := ss.srv.backend.Tables(ss.srv.ctx, slice)
 	if err != nil {
 		return ss.sendQueryError(err)
 	}
-	names := db.Tables()
 	var b wire.Builder
-	b.U32(uint32(len(names)))
-	for _, n := range names {
-		rows, err := db.RowCount(n)
-		if err != nil {
-			rows = 0
-		}
-		b.String(n)
-		b.U64(uint64(rows))
+	b.U32(uint32(len(infos)))
+	for _, ti := range infos {
+		b.String(ti.Name)
+		b.U64(ti.Rows)
 	}
 	return ss.send(wire.TTablesOK, b.Bytes())
 }

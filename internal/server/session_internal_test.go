@@ -141,30 +141,13 @@ func TestAbandonedStreamNotCached(t *testing.T) {
 	}
 }
 
-// TestResultCacheMaxEntryClamp asserts a per-entry cap larger than the
-// whole budget is clamped, so no single entry can pin the cache
-// permanently over budget (put never evicts the last resident entry).
-func TestResultCacheMaxEntryClamp(t *testing.T) {
-	c := newResultCache(nil, 512, 1<<30)
-	if c.maxEntry != 512 {
-		t.Fatalf("maxEntry = %d, want clamped to budget 512", c.maxEntry)
-	}
-	c.put("k", &cachedResult{cols: []string{"a"}, size: 600, done: true}, c.writeEpoch(), nil, nil)
-	if len(c.entries) != 0 {
-		t.Fatal("entry larger than the whole budget was cached")
-	}
-	if c := newResultCache(nil, 1024, 0); c.maxEntry != 128 {
-		t.Fatalf("default maxEntry = %d, want budget/8", c.maxEntry)
-	}
-}
-
 // TestResultCacheStaleEpochDropped pins the invalidation race: a query
 // that snapshots its epoch, then sees a write invalidate the cache while
 // it streams, must not park its pre-write result afterwards.
 func TestResultCacheStaleEpochDropped(t *testing.T) {
-	c := newResultCache(new(bufferdb.DB), 1024, 0)
+	c := newResultCache(new(bufferdb.DB), 1024)
 	res := func() *cachedResult {
-		return &cachedResult{cols: []string{"a"}, size: 16, done: true}
+		return &cachedResult{cols: []string{"a"}, size: 16}
 	}
 
 	epoch := c.writeEpoch()

@@ -130,6 +130,29 @@ func (v Value) AsFloat() float64 {
 	return float64(v.I)
 }
 
+// Native converts the value to the plain Go value every cursor hands its
+// caller: nil, bool, int64, float64, string, or a midnight-UTC time.Time
+// for a date. The embedded, served and coordinator cursors all go through
+// it, so the three tiers agree on dynamic types.
+func (v Value) Native() any {
+	switch v.Kind {
+	case TypeNull:
+		return nil
+	case TypeBool:
+		return v.Bool()
+	case TypeInt64:
+		return v.I
+	case TypeFloat64:
+		return v.F
+	case TypeString:
+		return v.S
+	case TypeDate:
+		return time.Unix(v.I*86400, 0).UTC()
+	default:
+		return v.String()
+	}
+}
+
 // String renders the value for display and for deterministic test output.
 func (v Value) String() string {
 	switch v.Kind {

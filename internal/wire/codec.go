@@ -199,6 +199,12 @@ func (r *Reader) Value() any {
 	}
 }
 
+// TableInfo is one catalog table as a TablesOK frame reports it.
+type TableInfo struct {
+	Name string
+	Rows uint64
+}
+
 // QueryOpts is the per-statement tuning a client may ship with TQuery and
 // TPrepare. The zero value means "server defaults".
 type QueryOpts struct {

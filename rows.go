@@ -283,7 +283,7 @@ func (r *Rows) Scan(dest ...any) error {
 // name the column by 0-based index and name.
 func scanValue(dest any, v storage.Value, idx int, col string) error {
 	if p, ok := dest.(*any); ok {
-		*p = nativeValue(v)
+		*p = v.Native()
 		return nil
 	}
 	if v.Kind == storage.TypeNull {

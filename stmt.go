@@ -62,7 +62,7 @@ func (s *Stmt) Query(ctx context.Context) (*Result, error) {
 		r := rows.row
 		out := make([]any, len(r))
 		for i, v := range r {
-			out[i] = nativeValue(v)
+			out[i] = v.Native()
 		}
 		res.Rows = append(res.Rows, out)
 	}
