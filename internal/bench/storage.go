@@ -55,9 +55,7 @@ func ExperimentStorage(r *Runner) (*Report, error) {
 	}
 
 	// Baseline: the memory-resident scan every other experiment runs on.
-	memSec := scanSeconds(func() (storage.RowIterator, error) {
-		return mem.Iterate(storage.Span{Start: 0, End: nRows})
-	})
+	memSec := scanSeconds(mem)
 	rep.Printf("lineitem: %d rows, %d pages of %d bytes on disk", nRows, pages, pager.DefaultPageSize)
 	rep.Printf("%-28s %12s %14s", "configuration", "scan sec", "Mrows/sec")
 	rep.Printf("%-28s %12.4f %14.2f", "in-memory slice", memSec, float64(nRows)/memSec/1e6)
@@ -75,14 +73,11 @@ func ExperimentStorage(r *Runner) (*Report, error) {
 		}
 		// One warm scan populates the pool, then the measured scan shows
 		// the steady state (full reuse at 100%, full wash-through at 10%).
-		iter := func() (storage.RowIterator, error) {
-			return tbl.Iterate(storage.Span{Start: 0, End: tbl.NumRows()})
-		}
-		if sec := scanSeconds(iter); sec < 0 {
+		if sec := scanSeconds(tbl); sec < 0 {
 			ps.Close()
 			return nil, fmt.Errorf("warm scan failed")
 		}
-		sec := scanSeconds(iter)
+		sec := scanSeconds(tbl)
 		st := ps.PoolStats()
 		rep.Printf("%-28s %12.4f %14.2f   (hits %d, misses %d, evictions %d)",
 			fmt.Sprintf("paged, pool %d%% of table", pct), sec, float64(nRows)/sec/1e6,
@@ -131,26 +126,26 @@ func ExperimentStorage(r *Runner) (*Report, error) {
 	return rep, nil
 }
 
-// scanSeconds drains one full iterator pass and returns the wall seconds,
-// or -1 on error. The column count accumulator keeps the loop from being
+// scanSeconds drains one full cursor pass over the table, keeping every
+// row as a scan without a filter does, and returns the wall seconds, or -1
+// on error. The column count accumulator keeps the loop from being
 // optimized away.
-func scanSeconds(open func() (storage.RowIterator, error)) float64 {
-	it, err := open()
+func scanSeconds(tbl *storage.Table) float64 {
+	cur, err := tbl.Scan(nil, nil)
 	if err != nil {
 		return -1
 	}
-	defer it.Close()
 	cells := 0
 	start := time.Now()
 	for {
-		_, row, ok, err := it.Next()
+		row, err := cur.Next()
 		if err != nil {
 			return -1
 		}
-		if !ok {
+		if row == nil {
 			break
 		}
-		cells += len(row)
+		cells += len(cur.Keep())
 	}
 	sec := time.Since(start).Seconds()
 	if cells < 0 || sec <= 0 {

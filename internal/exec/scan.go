@@ -21,21 +21,19 @@ type SeqScan struct {
 	Table  *storage.Table
 	Filter expr.Expr     // optional
 	Span   *storage.Span // optional: scan only [Start, End)
+	// Cols is the column mask of a paged scan: Cols[i] reports whether the
+	// filter or any ancestor reads column i; nil means every column.
+	Cols []bool
 
 	module *codemodel.Module
 	label  byte
 	stats  *OpStats
 	fault  *faultinject.Point
 
-	pos    int
-	end    int
+	cur    storage.Cursor
 	place  TablePlacement
 	placed bool
 	opened bool
-
-	// it streams rows when the table is disk-backed (paged); memory tables
-	// keep the zero-overhead direct slice access path.
-	it storage.RowIterator
 }
 
 // NewSeqScan constructs a sequential scan. module may be nil (uninstrumented).
@@ -61,17 +59,11 @@ func (s *SeqScan) Open(ctx *Context) error {
 		defer s.stats.EndOpen(ctx, s.stats.Begin(ctx))
 	}
 	s.fault = ctx.FaultPoint(s, ":next")
-	s.pos, s.end = 0, s.Table.NumRows()
-	if s.Span != nil {
-		s.pos, s.end = s.Span.Start, s.Span.End
+	cur, err := s.Table.Scan(s.Span, s.Cols)
+	if err != nil {
+		return err
 	}
-	if s.Table.Paged() {
-		it, err := s.Table.Iterate(storage.Span{Start: s.pos, End: s.end})
-		if err != nil {
-			return err
-		}
-		s.it = it
-	}
+	s.cur = cur
 	s.place, s.placed = ctx.Placements[s.Table]
 	s.opened = true
 	return nil
@@ -91,37 +83,25 @@ func (s *SeqScan) Next(ctx *Context) (out storage.Row, err error) {
 	if err := s.fault.Fire(); err != nil {
 		return nil, err
 	}
-	for s.pos < s.end {
+	for {
+		row, err := s.cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if row == nil {
+			return nil, nil
+		}
 		// A selective filter can reject long stretches without returning;
-		// poll cancellation here so such scans abort promptly.
+		// poll cancellation per input row so such scans abort promptly.
 		if err := ctx.Canceled(); err != nil {
 			return nil, err
 		}
-		var (
-			rid int
-			row storage.Row
-		)
-		if s.it != nil {
-			var ok bool
-			rid, row, ok, err = s.it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			s.pos = rid + 1
-		} else {
-			rid = s.pos
-			s.pos++
-			row = s.Table.Row(rid)
-		}
 		if s.placed {
-			ctx.Read(s.place.Base+uint64(rid)*uint64(s.place.RowBytes), s.place.RowBytes)
+			ctx.Read(s.place.Base+uint64(s.cur.Rid())*uint64(s.place.RowBytes), s.place.RowBytes)
 		}
 		if s.Filter == nil {
 			ctx.ExecModule(s.module, ctx.DataBits(true))
-			return row, nil
+			return s.cur.Keep(), nil
 		}
 		match, err := expr.EvalBool(s.Filter, row)
 		if err != nil {
@@ -129,20 +109,15 @@ func (s *SeqScan) Next(ctx *Context) (out storage.Row, err error) {
 		}
 		ctx.ExecModule(s.module, ctx.DataBits(match))
 		if match {
-			return row, nil
+			return s.cur.Keep(), nil
 		}
 	}
-	return nil, nil
 }
 
 // Close implements Operator.
 func (s *SeqScan) Close(*Context) error {
 	s.opened = false
-	if s.it != nil {
-		err := s.it.Close()
-		s.it = nil
-		return err
-	}
+	s.cur = storage.Cursor{}
 	return nil
 }
 

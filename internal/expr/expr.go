@@ -480,6 +480,38 @@ func (i *IsNull) String() string {
 	return i.E.String() + " IS NULL"
 }
 
+// Columns calls visit with the position of every column e reads. It
+// reports false when e holds a node it does not know, and the caller must
+// then assume e reads every column.
+func Columns(e Expr, visit func(idx int)) bool {
+	switch v := e.(type) {
+	case *ColRef:
+		visit(v.Idx)
+		return true
+	case *Const:
+		return true
+	case *Binary:
+		return Columns(v.L, visit) && Columns(v.R, visit)
+	case *Not:
+		return Columns(v.E, visit)
+	case *Neg:
+		return Columns(v.E, visit)
+	case *IsNull:
+		return Columns(v.E, visit)
+	case *Like:
+		return Columns(v.E, visit)
+	case *Case:
+		for _, w := range v.Whens {
+			if !Columns(w.Cond, visit) || !Columns(w.Then, visit) {
+				return false
+			}
+		}
+		return v.Else == nil || Columns(v.Else, visit)
+	default:
+		return false
+	}
+}
+
 // EvalBool evaluates a predicate and folds NULL to false, which is the
 // WHERE-clause semantics of SQL. Operators use it to filter rows.
 func EvalBool(e Expr, row storage.Row) (bool, error) {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"bufferdb/internal/storage"
+	"bufferdb/internal/tpch"
 )
 
 // BenchmarkBufferPoolHitRatio compares the eviction policies on a skewed
@@ -88,4 +91,140 @@ func BenchmarkBufferPoolHitRatio(b *testing.B) {
 			})
 		}
 	}
+}
+
+// lineitemStore bulk-loads TPC-H lineitem at SF 0.02 into a fresh store and
+// reopens it with a 2 MiB pool — the paged_mixed daemon's configuration, a
+// pool a seventh of the heap.
+func lineitemStore(tb testing.TB) (*Store, *storage.Table) {
+	tb.Helper()
+	cat, err := tpch.Generate(tpch.Config{ScaleFactor: 0.02})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mem, err := cat.Table("lineitem")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := s.CreateTable("lineitem", mem.Schema()); err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.BulkLoad("lineitem", mem.Rows()); err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	if s, err = Open(dir, Options{PoolBytes: 2 << 20}); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Close() })
+	tbl, err := s.Table("lineitem")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, tbl
+}
+
+// lineitem column positions the scan shapes below read.
+const (
+	lQuantity, lExtendedPrice, lDiscount, lTax = 4, 5, 6, 7
+	lReturnFlag, lLineStatus, lShipDate        = 8, 9, 10
+)
+
+// columnMask builds the mask of the given columns over lineitem's 16.
+func columnMask(cols ...int) []bool {
+	need := make([]bool, 16)
+	for _, c := range cols {
+		need[c] = true
+	}
+	return need
+}
+
+// scanShapes are the three scans the benchmark of record's paged workload
+// is made of: every column of every row (a scan nobody pruned), TPC-H Q6
+// (four numeric columns, 2 % of rows kept) and TPC-H Q1 (seven columns, two
+// of them one-byte strings, every row kept: the specification's cut-off
+// date passes 98 %, and this generator ships nothing in the last 2 %).
+var scanShapes = []struct {
+	name string
+	need []bool
+	keep func(storage.Row) bool
+}{
+	{"all_columns", nil, func(storage.Row) bool { return true }},
+	{"q6_columns", columnMask(lQuantity, lExtendedPrice, lDiscount, lShipDate), func(r storage.Row) bool {
+		// 1994, discount 0.05..0.07, quantity < 24.
+		return r[lShipDate].I >= 8766 && r[lShipDate].I < 9131 &&
+			r[lDiscount].F >= 0.05 && r[lDiscount].F <= 0.07 && r[lQuantity].F < 24
+	}},
+	{"q1_columns", columnMask(lQuantity, lExtendedPrice, lDiscount, lTax, lReturnFlag, lLineStatus, lShipDate),
+		func(r storage.Row) bool { return r[lShipDate].I <= 10471 }}, // 1998-09-02
+}
+
+// scanOnce drains one cursor over the whole table, keeping the rows the
+// shape's predicate passes, as the engines' scan loops do.
+func scanOnce(tb testing.TB, tbl *storage.Table, need []bool, keep func(storage.Row) bool) (kept int) {
+	cur, err := tbl.Scan(nil, need)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for {
+		row, err := cur.Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if row == nil {
+			return kept
+		}
+		if keep(row) {
+			keptRow = cur.Keep()
+			kept++
+		}
+	}
+}
+
+var keptRow storage.Row
+
+// BenchmarkPagedScan is the instrument for the paged scan path: one full
+// pass over SF 0.02 lineitem through a pool a seventh its size, per shape.
+func BenchmarkPagedScan(b *testing.B) {
+	_, tbl := lineitemStore(b)
+	for _, shape := range scanShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var kept int
+			for i := 0; i < b.N; i++ {
+				kept = scanOnce(b, tbl, shape.need, shape.keep)
+			}
+			b.ReportMetric(float64(kept)/float64(tbl.NumRows()), "kept-ratio")
+		})
+	}
+}
+
+// TestPagedScanAllocs is the allocation ceiling of the paged scan path: a
+// scan whose mask holds no string column and whose filter rejects every row
+// allocates per page at most, never per row — no row is materialised until
+// Keep, a pool miss recycles its victim, and the cursor reuses one page
+// image and one scratch row.
+func TestPagedScanAllocs(t *testing.T) {
+	s, tbl := lineitemStore(t)
+	need := columnMask(lQuantity, lExtendedPrice, lDiscount, lShipDate)
+	reject := func(storage.Row) bool { return false }
+	scanOnce(t, tbl, need, reject) // fill the pool: the first misses allocate their frames
+	before := s.PoolStats()
+	allocs := testing.AllocsPerRun(3, func() { scanOnce(t, tbl, need, reject) })
+	after := s.PoolStats()
+	pages := float64(after.Hits+after.Misses-before.Hits-before.Misses) / 4 // AllocsPerRun warms up once
+	if rows := float64(tbl.NumRows()); pages < 1000 || rows < 50*pages {
+		t.Fatalf("table too small to tell pages from rows: %v pages, %v rows", pages, rows)
+	}
+	if allocs > pages {
+		t.Fatalf("a rejecting scan of %v pages allocated %v times", pages, allocs)
+	}
+	t.Logf("%v allocations over %v pages", allocs, pages)
 }

@@ -2,12 +2,15 @@ package pager
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"bufferdb/internal/exec"
 	"bufferdb/internal/faultinject"
+	"bufferdb/internal/plan"
+	"bufferdb/internal/sql"
 	"bufferdb/internal/storage"
 )
 
@@ -77,13 +80,16 @@ func TestChaosPagerRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := tbl.Iterate(storage.Span{Start: 0, End: 120})
+	cur, err := tbl.Scan(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err = it.Next()
+	_, err = cur.Next()
 	wantInjected(t, err, SiteRead)
-	it.Close()
+	// A failed cursor stays failed and ended.
+	if row, again := cur.Next(); row != nil || !errors.Is(again, faultinject.ErrInjected) {
+		t.Fatalf("Next after a failed Next: row=%v err=%v", row, again)
+	}
 	// The fault fired exactly once; the store must still serve everything.
 	verifyTable(t, s, "t", 120)
 	if err := s.Close(); err != nil {
@@ -129,8 +135,12 @@ func TestChaosPagerWrite(t *testing.T) {
 	if _, err := tbl.FetchRow(0); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("wedged store served FetchRow: %v", err)
 	}
-	if _, err := tbl.Iterate(storage.Span{Start: 0, End: 60}); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("wedged store served Iterate: %v", err)
+	cur, err := tbl.Scan(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cur.Next(); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("wedged store served a scan: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -268,6 +278,68 @@ func TestChaosPagerBulkLoadWrite(t *testing.T) {
 	}
 	verifyTable(t, s2, "t", 50)
 	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChaosPagedScanEngines injects read faults under every engine's scan
+// loop, sequential and fanned out over exchange workers: the cursor the
+// three engines share surfaces the typed error from mid-scan, each failed
+// query returns all the memory it tracked, and the store closes clean.
+func TestChaosPagedScanEngines(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, smallStoreOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTable("t", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BulkLoad("t", testRows(0, 400)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mem := exec.NewMemTracker("chaos", 0, nil)
+	defer chaosCheck(t, mem)()
+	opts := smallStoreOpts(mem)
+	opts.PoolBytes = 8 * MinPageSize // a frame per exchange worker and to spare
+	// Every fifth page read fails: each scan of the 50-page heap through the
+	// 8-frame pool meets a fault a few pages in.
+	opts.Fault = faultinject.New(1, faultinject.Fault{Match: SiteRead, Kind: faultinject.KindError, After: 3, Every: 5})
+	if s, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	cat := storage.NewCatalog()
+	for _, tbl := range s.Tables() {
+		cat.MustAdd(tbl)
+	}
+	p, err := sql.PlanQuery(`SELECT COUNT(*), SUM(id) FROM t WHERE id >= 0`, cat, sql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Walk(p, func(n *plan.Node) {
+		if n.Kind == plan.KindSeqScan && n.ScanCols == nil {
+			t.Fatalf("the scan under test carries no column mask:\n%s", plan.Explain(p))
+		}
+	})
+	for _, engine := range plan.Engines() {
+		for _, workers := range []int{1, 4} {
+			op, err := plan.Compile(plan.Parallelize(p, workers), nil, engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			query := exec.NewMemTracker("query", 0, mem)
+			_, err = exec.Run(&exec.Context{Catalog: cat, Mem: query}, op)
+			wantInjected(t, err, fmt.Sprintf("%s workers=%d", engine, workers))
+			if got := query.Bytes(); got != 0 {
+				t.Errorf("%s workers=%d: failed query still tracks %d bytes", engine, workers, got)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

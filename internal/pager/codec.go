@@ -69,57 +69,72 @@ func appendRow(buf []byte, r storage.Row) []byte {
 	return buf
 }
 
-// decodeRow decodes one encoded row. Every length and count is bounded
-// against the remaining input before any allocation, so corrupt input
-// errors instead of panicking or over-allocating.
-func decodeRow(b []byte) (storage.Row, error) {
+// decodeRow decodes one encoded row of the schema's arity into dst, storing
+// only the columns with need[i] set (nil stores all) — a column nobody reads
+// costs no allocation. Skipped columns pass every check stored ones do:
+// each length and count is bounded against the remaining input before it is
+// believed, so corrupt input errors instead of panicking or over-
+// allocating, and a row whose declared column count is not len(dst) is
+// corrupt rather than a row of some other shape.
+func decodeRow(b []byte, dst storage.Row, need []bool) error {
 	ncols, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("pager: %w: bad column count", ErrCorrupt)
+		return fmt.Errorf("pager: %w: bad column count", ErrCorrupt)
 	}
 	b = b[n:]
 	// Each column needs at least its tag byte; a declared count beyond the
 	// payload (or the hard cap) is corruption, not a big row.
 	if ncols > uint64(len(b)) || ncols > maxColumns {
-		return nil, fmt.Errorf("pager: %w: declared %d columns in %d bytes", ErrCorrupt, ncols, len(b))
+		return fmt.Errorf("pager: %w: declared %d columns in %d bytes", ErrCorrupt, ncols, len(b))
 	}
-	row := make(storage.Row, ncols)
-	for i := range row {
+	if ncols != uint64(len(dst)) {
+		return fmt.Errorf("pager: %w: row of %d columns in a table of %d", ErrCorrupt, ncols, len(dst))
+	}
+	for i := range dst {
 		if len(b) == 0 {
-			return nil, fmt.Errorf("pager: %w: truncated row at column %d", ErrCorrupt, i)
+			return fmt.Errorf("pager: %w: truncated row at column %d", ErrCorrupt, i)
 		}
 		kind := storage.Type(b[0])
 		b = b[1:]
+		keep := need == nil || need[i]
 		switch kind {
 		case storage.TypeNull:
-			row[i] = storage.Null
+			if keep {
+				dst[i] = storage.Null
+			}
 		case storage.TypeBool, storage.TypeInt64, storage.TypeDate:
 			v, n := binary.Varint(b)
 			if n <= 0 {
-				return nil, fmt.Errorf("pager: %w: bad integer at column %d", ErrCorrupt, i)
+				return fmt.Errorf("pager: %w: bad integer at column %d", ErrCorrupt, i)
 			}
 			b = b[n:]
-			row[i] = storage.Value{Kind: kind, I: v}
+			if keep {
+				dst[i] = storage.Value{Kind: kind, I: v}
+			}
 		case storage.TypeFloat64:
 			if len(b) < 8 {
-				return nil, fmt.Errorf("pager: %w: truncated float at column %d", ErrCorrupt, i)
+				return fmt.Errorf("pager: %w: truncated float at column %d", ErrCorrupt, i)
 			}
-			row[i] = storage.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			if keep {
+				dst[i] = storage.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			}
 			b = b[8:]
 		case storage.TypeString:
 			sz, n := binary.Uvarint(b)
 			if n <= 0 || sz > uint64(len(b)-n) {
-				return nil, fmt.Errorf("pager: %w: bad string length at column %d", ErrCorrupt, i)
+				return fmt.Errorf("pager: %w: bad string length at column %d", ErrCorrupt, i)
 			}
 			b = b[n:]
-			row[i] = storage.NewString(string(b[:sz]))
+			if keep {
+				dst[i] = storage.NewString(string(b[:sz]))
+			}
 			b = b[sz:]
 		default:
-			return nil, fmt.Errorf("pager: %w: unknown value kind %d at column %d", ErrCorrupt, kind, i)
+			return fmt.Errorf("pager: %w: unknown value kind %d at column %d", ErrCorrupt, kind, i)
 		}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("pager: %w: %d trailing bytes after row", ErrCorrupt, len(b))
+		return fmt.Errorf("pager: %w: %d trailing bytes after row", ErrCorrupt, len(b))
 	}
-	return row, nil
+	return nil
 }

@@ -46,6 +46,9 @@ type lruPolicy struct {
 	nodes map[uint64]*lruNode
 	head  *lruNode // most recent
 	tail  *lruNode // least recent
+	// free is the last removed node: an eviction is a Remove followed by an
+	// Admit, which takes it back.
+	free *lruNode
 }
 
 type lruNode struct {
@@ -62,7 +65,12 @@ func (p *lruPolicy) Name() string { return "lru" }
 
 // Admit implements EvictionPolicy.
 func (p *lruPolicy) Admit(key uint64) {
-	n := &lruNode{key: key}
+	n := p.free
+	if n == nil {
+		n = &lruNode{}
+	}
+	p.free = nil
+	n.key = key
 	p.nodes[key] = n
 	p.pushFront(n)
 }
@@ -82,6 +90,7 @@ func (p *lruPolicy) Remove(key uint64) {
 	if n, ok := p.nodes[key]; ok {
 		p.unlink(n)
 		delete(p.nodes, key)
+		p.free = n
 	}
 }
 
@@ -132,7 +141,7 @@ func (p *lruPolicy) unlink(n *lruNode) {
 // sequential scan floods the pool — the scan's pages are touched once and
 // evict each other instead.
 type gdsfPolicy struct {
-	scores map[uint64]*gdsfEntry
+	scores map[uint64]gdsfEntry
 	h      float64
 }
 
@@ -142,7 +151,7 @@ type gdsfEntry struct {
 }
 
 func newGDSFPolicy() *gdsfPolicy {
-	return &gdsfPolicy{scores: make(map[uint64]*gdsfEntry)}
+	return &gdsfPolicy{scores: make(map[uint64]gdsfEntry)}
 }
 
 // Name implements EvictionPolicy.
@@ -150,7 +159,7 @@ func (p *gdsfPolicy) Name() string { return "gdsf" }
 
 // Admit implements EvictionPolicy.
 func (p *gdsfPolicy) Admit(key uint64) {
-	p.scores[key] = &gdsfEntry{freq: 1, score: p.h + 1}
+	p.scores[key] = gdsfEntry{freq: 1, score: p.h + 1}
 }
 
 // Touch implements EvictionPolicy.
@@ -158,6 +167,7 @@ func (p *gdsfPolicy) Touch(key uint64) {
 	if e, ok := p.scores[key]; ok {
 		e.freq++
 		e.score = p.h + float64(e.freq)
+		p.scores[key] = e
 	}
 }
 

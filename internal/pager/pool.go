@@ -69,6 +69,10 @@ type Pool struct {
 	frames map[uint64]*frame
 	policy EvictionPolicy
 	closed bool
+	// evictable is the predicate handed to policy.Victim: resident and
+	// unpinned. Built once — a closure passed through the interface escapes,
+	// and a miss should allocate nothing.
+	evictable func(key uint64) bool
 
 	hits       atomic.Uint64
 	misses     atomic.Uint64
@@ -84,7 +88,7 @@ type PoolStats struct {
 
 // newPool sizes a pool at capFrames frames of pageSize bytes.
 func newPool(pageSize, capFrames int, policy EvictionPolicy, mem *exec.MemTracker, read, write faultPoint) *Pool {
-	return &Pool{
+	p := &Pool{
 		pageSize:   pageSize,
 		capFrames:  capFrames,
 		mem:        mem,
@@ -93,6 +97,11 @@ func newPool(pageSize, capFrames int, policy EvictionPolicy, mem *exec.MemTracke
 		frames:     make(map[uint64]*frame),
 		policy:     policy,
 	}
+	p.evictable = func(key uint64) bool {
+		fr, ok := p.frames[key]
+		return ok && fr.pins == 0
+	}
+	return p
 }
 
 // frameKey composes the policy/residency key for a page.
@@ -144,7 +153,7 @@ func (p *Pool) fetch(h *heapFile, id uint32) (*frame, error) {
 	}
 	p.misses.Add(1)
 	metricMisses().Inc()
-	buf, err := p.allocFrameLocked()
+	fr, err := p.allocFrameLocked()
 	if err != nil {
 		p.mu.Unlock()
 		return nil, err
@@ -152,37 +161,38 @@ func (p *Pool) fetch(h *heapFile, id uint32) (*frame, error) {
 	// allocFrameLocked may have released the mutex for a writeback; the pool
 	// may have closed, or a concurrent fetch may have loaded the page.
 	if p.closed {
-		p.releaseBufLocked(buf)
+		p.releaseFrameLocked()
 		p.mu.Unlock()
 		return nil, fmt.Errorf("pager: pool is closed")
 	}
-	if fr, ok := p.frames[key]; ok {
-		fr.pins++
+	if cur, ok := p.frames[key]; ok {
+		cur.pins++
 		p.policy.Touch(key)
-		p.releaseBufLocked(buf)
+		p.releaseFrameLocked()
 		p.mu.Unlock()
-		return p.settleLoad(fr)
+		return p.settleLoad(cur)
 	}
-	fr := &frame{file: h, id: id, key: key, data: buf, pins: 1}
+	fr.file, fr.id, fr.key, fr.pins = h, id, key, 1
 	fr.mu.Lock() // I/O latch: held until the read below settles
 	p.frames[key] = fr
 	p.policy.Admit(key)
 	p.mu.Unlock()
 
-	err = h.readPage(id, buf, p.readFault)
+	err = h.readPage(id, fr.data, p.readFault)
 	fr.loadErr = err
 	fr.mu.Unlock()
 	if err != nil {
 		// Unpublish the stillborn frame and return its memory charge.
 		// Concurrent fetchers that pinned it meanwhile observe loadErr and
 		// unpin their orphan (unpin never consults the residency map). The
-		// map is re-checked because an eviction may already have recycled
-		// this frame's buffer — and with it, its charge — into another.
+		// loader's pin kept the frame from being evicted, but close and
+		// dropFile empty the map regardless of pins and return every charge
+		// themselves — hence the re-check.
 		p.mu.Lock()
 		if cur, ok := p.frames[key]; ok && cur == fr {
 			p.policy.Remove(key)
 			delete(p.frames, key)
-			p.releaseBufLocked(buf)
+			p.releaseFrameLocked()
 		}
 		p.mu.Unlock()
 		return nil, err
@@ -216,7 +226,7 @@ func (p *Pool) newPage(h *heapFile, id uint32) (*frame, error) {
 	if _, ok := p.frames[key]; ok {
 		return nil, fmt.Errorf("pager: page %s/%d already resident", h.table, id)
 	}
-	buf, err := p.allocFrameLocked()
+	fr, err := p.allocFrameLocked()
 	if err != nil {
 		return nil, err
 	}
@@ -224,11 +234,11 @@ func (p *Pool) newPage(h *heapFile, id uint32) (*frame, error) {
 	// store serializes appenders, so no one else can have created this page,
 	// but the pool may have closed under us.
 	if p.closed {
-		p.releaseBufLocked(buf)
+		p.releaseFrameLocked()
 		return nil, fmt.Errorf("pager: pool is closed")
 	}
-	initPage(buf)
-	fr := &frame{file: h, id: id, key: key, data: buf, pins: 1, dirty: true}
+	initPage(fr.data)
+	fr.file, fr.id, fr.key, fr.pins, fr.dirty = h, id, key, 1, true
 	p.frames[key] = fr
 	p.policy.Admit(key)
 	return fr, nil
@@ -245,15 +255,16 @@ func (p *Pool) unpin(fr *frame, dirty bool) {
 	}
 }
 
-// allocFrameLocked returns a pageSize buffer for a new frame: a fresh
-// charged allocation below capacity, the victim's recycled buffer at
-// capacity. Dirty victims are written back first — WITHOUT the pool mutex,
-// which this releases and re-acquires around the I/O (the victim stays
-// pinned and resident meanwhile, so no concurrent fetch can evict it or
-// miss its dirty bytes). A failed writeback aborts the allocation with the
-// victim still resident and intact. Callers must re-validate any map state
-// examined before the call.
-func (p *Pool) allocFrameLocked() ([]byte, error) {
+// allocFrameLocked returns an unpublished, unpinned, clean frame for a new
+// page: a fresh charged allocation below capacity; at capacity the victim
+// itself, buffer and all — nobody holds an unpinned frame, so a miss in a
+// full pool allocates nothing. Dirty victims are written back first —
+// WITHOUT the pool mutex, which this releases and re-acquires around the
+// I/O (the victim stays pinned and resident meanwhile, so no concurrent
+// fetch can evict it or miss its dirty bytes). A failed writeback aborts
+// the allocation with the victim still resident and intact. Callers must
+// re-validate any map state examined before the call.
+func (p *Pool) allocFrameLocked() (*frame, error) {
 	for {
 		if p.closed {
 			return nil, fmt.Errorf("pager: pool is closed")
@@ -262,12 +273,9 @@ func (p *Pool) allocFrameLocked() ([]byte, error) {
 			if err := p.mem.Grow(int64(p.pageSize)); err != nil {
 				return nil, err
 			}
-			return make([]byte, p.pageSize), nil
+			return &frame{data: make([]byte, p.pageSize)}, nil
 		}
-		key, ok := p.policy.Victim(func(k uint64) bool {
-			fr, ok := p.frames[k]
-			return ok && fr.pins == 0
-		})
+		key, ok := p.policy.Victim(p.evictable)
 		if !ok {
 			return nil, fmt.Errorf("pager: %w: %d frames", ErrPoolExhausted, p.capFrames)
 		}
@@ -293,15 +301,15 @@ func (p *Pool) allocFrameLocked() ([]byte, error) {
 		delete(p.frames, key)
 		p.evictions.Add(1)
 		metricEvictions().Inc()
-		// The victim's buffer carries its memory charge to the new frame.
-		return victim.data, nil
+		// The victim's buffer carries its memory charge to the new page.
+		victim.loadErr = nil
+		return victim, nil
 	}
 }
 
-// releaseBufLocked returns a buffer whose frame never materialized (failed
-// read) and its memory charge.
-func (p *Pool) releaseBufLocked(buf []byte) {
-	_ = buf
+// releaseFrameLocked returns the memory charge of a frame that never
+// materialized (lost race, failed read); the frame itself is dropped.
+func (p *Pool) releaseFrameLocked() {
 	p.mem.Shrink(int64(p.pageSize))
 }
 

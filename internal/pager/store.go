@@ -79,8 +79,8 @@ type tableState struct {
 }
 
 // Store is one persistent database directory: a catalog, per-table heap
-// files, a shared buffer pool and a write-ahead log. Reads (FetchRow,
-// Iterate through the storage.Heap adapters) are safe for any number of
+// files, a shared buffer pool and a write-ahead log. Reads (FetchRow and
+// cursors, through the storage.Heap adapters) are safe for any number of
 // concurrent callers; writes are serialized by the store mutex.
 type Store struct {
 	dir      string
@@ -251,9 +251,9 @@ func (s *Store) replayInsert(r walRecord) error {
 	if !ok {
 		return fmt.Errorf("pager: %w: wal insert into unknown table %q", ErrCorrupt, table)
 	}
-	row, err := decodeRow(rowBytes)
-	if err != nil {
-		return err
+	row := make(storage.Row, len(ts.schema))
+	if err := decodeRow(rowBytes, row, nil); err != nil {
+		return fmt.Errorf("pager: wal insert into %s: %w", table, err)
 	}
 	var fr *frame
 	switch {
@@ -686,6 +686,7 @@ func (s *Store) closeFiles() error {
 		if err := ts.file.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		ts.tbl.DropSamples()
 	}
 	s.tables = make(map[string]*tableState)
 	return firstErr
@@ -720,16 +721,7 @@ func (h *tableHeap) AvgRowBytes() int {
 // returned row owns its memory (decode copies), so it stays valid after the
 // page is unpinned or even evicted.
 func (h *tableHeap) FetchRow(rid int) (storage.Row, error) {
-	h.s.mu.Lock()
-	if err := h.s.wedged; err != nil {
-		// A wedged store stopped mid-apply: some pages of a committed batch
-		// carry its rows, others don't. Refuse reads too, or callers would
-		// observe the torn batch until the process reopens the store.
-		h.s.mu.Unlock()
-		return nil, err
-	}
-	pageID, slot, err := h.ts.file.pageOf(rid)
-	h.s.mu.Unlock()
+	pageID, slot, err := h.locate(rid)
 	if err != nil {
 		return nil, err
 	}
@@ -737,92 +729,49 @@ func (h *tableHeap) FetchRow(rid int) (storage.Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	row := make(storage.Row, len(h.ts.schema))
 	fr.mu.RLock()
-	tup, err := page{fr.data}.tuple(slot)
-	var row storage.Row
-	if err == nil {
-		row, err = decodeRow(tup)
-	}
+	err = h.decodeSlot(page{fr.data}, int(pageID), slot, nil, row)
 	fr.mu.RUnlock()
 	h.s.pool.unpin(fr, false)
 	if err != nil {
-		return nil, fmt.Errorf("pager: %s row %d: %w", h.ts.name, rid, err)
+		return nil, err
 	}
 	return row, nil
 }
 
-// Iterate implements storage.Heap: a rid-ordered stream that pins one page
-// at a time and decodes it wholesale, so a pool holding a fraction of the
-// table still scans it correctly — pages wash through the pool as the scan
-// advances.
-func (h *tableHeap) Iterate(span storage.Span) (storage.RowIterator, error) {
-	if span.Start < 0 || span.Start > span.End {
-		return nil, fmt.Errorf("pager: %s: bad span [%d,%d)", h.ts.name, span.Start, span.End)
-	}
+// locate maps a rid to its page and slot, refusing on a wedged store: it
+// stopped mid-apply, so some pages of a committed batch carry its rows and
+// others don't, and readers would observe the torn batch until the process
+// reopens the store.
+func (h *tableHeap) locate(rid int) (pageID uint32, slot int, err error) {
 	h.s.mu.Lock()
-	err := h.s.wedged
-	h.s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return &pagedIterator{h: h, next: span.Start, end: span.End}, nil
-}
-
-// pagedIterator streams one span of a paged table. It holds no pin between
-// Next calls: each page is pinned once, decoded into rows that own their
-// memory, and unpinned before the first of its rows is returned.
-type pagedIterator struct {
-	h    *tableHeap
-	next int // rid of the next row to return
-	end  int
-
-	rows    []storage.Row // decoded rows of the current page
-	rowBase int           // rid of rows[0]
-	err     error
-	done    bool
-}
-
-// Next implements storage.RowIterator.
-func (it *pagedIterator) Next() (int, storage.Row, bool, error) {
-	if it.done || it.err != nil {
-		return 0, nil, false, it.err
-	}
-	for {
-		if idx := it.next - it.rowBase; len(it.rows) > 0 && idx >= 0 && idx < len(it.rows) {
-			rid := it.next
-			it.next++
-			if rid >= it.end {
-				it.done = true
-				return 0, nil, false, nil
-			}
-			return rid, it.rows[idx], true, nil
-		}
-		if it.next >= it.end {
-			it.done = true
-			return 0, nil, false, nil
-		}
-		if err := it.loadPage(); err != nil {
-			it.err = err
-			return 0, nil, false, err
-		}
-	}
-}
-
-// loadPage decodes the page holding rid it.next.
-func (it *pagedIterator) loadPage() error {
-	h := it.h
-	h.s.mu.Lock()
+	defer h.s.mu.Unlock()
 	if err := h.s.wedged; err != nil {
-		// See FetchRow: a wedged store may hold a half-applied batch.
-		h.s.mu.Unlock()
-		return err
+		return 0, 0, err
 	}
-	pageID, _, err := h.ts.file.pageOf(it.next)
-	var base int
+	return h.ts.file.pageOf(rid)
+}
+
+// decodeSlot decodes one slot of a page of this table; every failure names
+// where the bytes are.
+func (h *tableHeap) decodeSlot(p page, pageID, slot int, need []bool, dst storage.Row) error {
+	tup, err := p.tuple(slot)
 	if err == nil {
-		base = h.ts.file.pageStarts[pageID]
+		err = decodeRow(tup, dst, need)
 	}
-	h.s.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("pager: %s page %d slot %d: %w", h.ts.name, pageID, slot, err)
+	}
+	return nil
+}
+
+// ReadPage implements storage.Heap: the page is pinned only for the copy,
+// so a pool holding a fraction of the table still serves any number of
+// cursors — pages wash through the pool as the scans advance, and a cursor
+// that is never drained strands nothing.
+func (h *tableHeap) ReadPage(rid int, img *storage.PageImage) error {
+	pageID, slot, err := h.locate(rid)
 	if err != nil {
 		return err
 	}
@@ -831,30 +780,18 @@ func (it *pagedIterator) loadPage() error {
 		return err
 	}
 	fr.mu.RLock()
-	p := page{fr.data}
-	n := p.slotCount()
-	rows := make([]storage.Row, 0, n)
-	for i := 0; i < n && err == nil; i++ {
-		var tup []byte
-		if tup, err = p.tuple(i); err == nil {
-			var row storage.Row
-			if row, err = decodeRow(tup); err == nil {
-				rows = append(rows, row)
-			}
-		}
-	}
+	img.Data = append(img.Data[:0], fr.data...)
 	fr.mu.RUnlock()
 	h.s.pool.unpin(fr, false)
-	if err != nil {
-		return fmt.Errorf("pager: %s page %d: %w", h.ts.name, pageID, err)
+	img.ID, img.First, img.Rows = int(pageID), rid-slot, page{img.Data}.slotCount()
+	if slot >= img.Rows {
+		return fmt.Errorf("pager: %w: %s page %d holds %d rows, index expects row %d at slot %d",
+			ErrCorrupt, h.ts.name, pageID, img.Rows, rid, slot)
 	}
-	it.rows, it.rowBase = rows, base
 	return nil
 }
 
-// Close implements storage.RowIterator.
-func (it *pagedIterator) Close() error {
-	it.done = true
-	it.rows = nil
-	return it.err
+// DecodeSlot implements storage.Heap.
+func (h *tableHeap) DecodeSlot(img *storage.PageImage, slot int, need []bool, dst storage.Row) error {
+	return h.decodeSlot(page{img.Data}, img.ID, slot, need, dst)
 }

@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -45,7 +46,7 @@ func smallStoreOpts(mem *exec.MemTracker) Options {
 }
 
 // verifyTable asserts the table holds exactly rows [0, want) in rid order,
-// via both the iterator and point fetches.
+// via both a cursor and point fetches.
 func verifyTable(t *testing.T, s *Store, name string, want int) {
 	t.Helper()
 	tbl, err := s.Table(name)
@@ -55,25 +56,24 @@ func verifyTable(t *testing.T, s *Store, name string, want int) {
 	if got := tbl.NumRows(); got != want {
 		t.Fatalf("NumRows = %d, want %d", got, want)
 	}
-	it, err := tbl.Iterate(storage.Span{Start: 0, End: want})
+	cur, err := tbl.Scan(&storage.Span{End: want}, nil)
 	if err != nil {
-		t.Fatalf("Iterate: %v", err)
+		t.Fatalf("Scan: %v", err)
 	}
-	defer it.Close()
 	for i := 0; i < want; i++ {
-		rid, row, ok, err := it.Next()
-		if err != nil || !ok {
-			t.Fatalf("Next at %d: ok=%v err=%v", i, ok, err)
+		row, err := cur.Next()
+		if err != nil || row == nil {
+			t.Fatalf("Next at %d: row=%v err=%v", i, row, err)
 		}
-		if rid != i {
+		if rid := cur.Rid(); rid != i {
 			t.Fatalf("rid = %d, want %d", rid, i)
 		}
-		if row[0].I != int64(i) {
-			t.Fatalf("row %d has id %d", i, row[0].I)
+		if row[0].I != int64(i) || row[1].S != testRow(i)[1].S {
+			t.Fatalf("row %d is %v", i, row)
 		}
 	}
-	if _, _, ok, err := it.Next(); ok || err != nil {
-		t.Fatalf("iterator past end: ok=%v err=%v", ok, err)
+	if row, err := cur.Next(); row != nil || err != nil {
+		t.Fatalf("cursor past end: row=%v err=%v", row, err)
 	}
 	// Spot-check point fetches, including both ends.
 	for _, rid := range []int{0, want / 2, want - 1} {
@@ -433,15 +433,20 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// TestConcurrentScansAndInserts hammers a 4-frame pool with parallel
-// scanners while a writer appends batches — the regime the pool's I/O
-// latch exists for: misses, evictions and dirty writebacks all overlapping.
+// TestConcurrentScansAndInserts hammers an 8-frame pool under a 15-page
+// table with parallel scanners while a writer appends batches — the regime
+// the pool's I/O latch exists for: misses, evictions and dirty writebacks
+// all overlapping. Seven goroutines hold at most one pin each, so eight
+// frames always leave a victim: with fewer frames than goroutines the test
+// was a coin toss on ErrPoolExhausted whenever it had both CPUs to itself.
 // Run under -race this also proves the latch protocol publishes frames
 // safely; afterwards the tracker must drain to zero.
 func TestConcurrentScansAndInserts(t *testing.T) {
 	dir := t.TempDir()
 	mem := exec.NewMemTracker("concurrent", 0, nil)
-	s, err := Open(dir, smallStoreOpts(mem))
+	opts := smallStoreOpts(mem)
+	opts.PoolBytes = 8 * MinPageSize
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,30 +468,27 @@ func TestConcurrentScansAndInserts(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
-				it, err := tbl.Iterate(storage.Span{Start: 0, End: 80})
+				cur, err := tbl.Scan(&storage.Span{End: 80}, nil)
 				if err != nil {
 					errs <- err
 					return
 				}
 				prev := -1
 				for {
-					rid, row, ok, err := it.Next()
+					row, err := cur.Next()
 					if err != nil {
 						errs <- err
-						it.Close()
 						return
 					}
-					if !ok {
+					if row == nil {
 						break
 					}
-					if rid != prev+1 || row[0].I != int64(rid) {
+					if rid := cur.Rid(); rid != prev+1 || row[0].I != int64(rid) {
 						errs <- fmt.Errorf("scan %d: rid %d after %d, id %d", seed, rid, prev, row[0].I)
-						it.Close()
 						return
 					}
-					prev = rid
+					prev++
 				}
-				it.Close()
 				if _, err := tbl.FetchRow((seed*7 + iter) % 80); err != nil {
 					errs <- err
 					return
@@ -517,5 +519,109 @@ func TestConcurrentScansAndInserts(t *testing.T) {
 	}
 	if got := mem.Bytes(); got != 0 {
 		t.Fatalf("tracked bytes after close: %d", got)
+	}
+}
+
+// TestMaskedScanDecodesOnlyNeededColumns: through real pages, a masked
+// cursor yields the needed columns, leaves the others NULL, and its kept
+// rows survive the scan moving on to later pages.
+func TestMaskedScanDecodesOnlyNeededColumns(t *testing.T) {
+	s, err := Open(t.TempDir(), smallStoreOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tbl, err := s.CreateTable("t", testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert("t", testRows(0, 100)); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := tbl.Scan(&storage.Span{Start: 3, End: 97}, []bool{true, false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []storage.Row
+	for {
+		row, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row == nil {
+			break
+		}
+		if row[1].Kind != storage.TypeNull {
+			t.Fatalf("rid %d: column outside the mask decoded as %v", cur.Rid(), row[1])
+		}
+		if cur.Rid()%3 == 0 {
+			kept = append(kept, cur.Keep())
+		}
+	}
+	if len(kept) != 32 {
+		t.Fatalf("kept %d rows", len(kept))
+	}
+	for i, row := range kept {
+		if want := int64(3 + 3*i); row[0].I != want || row[0].Kind != storage.TypeInt64 {
+			t.Fatalf("kept row %d is %v, want id %d", i, row, want)
+		}
+	}
+}
+
+// TestArityMismatchIsCorruption: a slot whose declared column count is not
+// the table's is corrupt where it is decoded, and the error says where the
+// bytes are — it used to decode "successfully" and fail in an expression as
+// a column out of range.
+func TestArityMismatchIsCorruption(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, smallStoreOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CreateTable("t", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BulkLoad("t", testRows(0, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The catalog now claims a third column the stored rows do not have.
+	path := filepath.Join(dir, catalogName)
+	cat, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	widened := strings.Replace(string(cat), `"columns": [`, `"columns": [{"table": "t", "name": "extra", "type": 2},`, 1)
+	if widened == string(cat) {
+		t.Fatalf("catalog has no column list to widen:\n%s", cat)
+	}
+	if err := os.WriteFile(path, []byte(widened), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, smallStoreOpts(nil)); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	tbl, err := s.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error, where string) {
+		t.Helper()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), where) {
+			t.Errorf("%s over a 2-column row in a 3-column table: %v, want ErrCorrupt naming %q", what, err, where)
+		}
+	}
+	_, err = tbl.FetchRow(12)
+	check("FetchRow", err, "t page 1 slot 3")
+	for _, need := range [][]bool{nil, {false, true, false}} {
+		cur, err := tbl.Scan(&storage.Span{Start: 9, End: 20}, need)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cur.Next()
+		check("a scan", err, "t page 1 slot 0")
 	}
 }

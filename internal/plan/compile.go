@@ -85,7 +85,9 @@ func buildNode(n *Node, cm *codemodel.Catalog, child func(*Node) (exec.Operator,
 	}
 	switch n.Kind {
 	case KindSeqScan:
-		return exec.NewSeqScanSpan(n.Table, n.Filter, mod, n.ScanSpan), nil
+		scan := exec.NewSeqScanSpan(n.Table, n.Filter, mod, n.ScanSpan)
+		scan.Cols = n.ScanCols
+		return scan, nil
 
 	case KindIndexLookup:
 		return exec.NewIndexLookup(n.Table, n.Index, mod)

@@ -174,6 +174,7 @@ func (vc *vecCompiler) vec(n *Node) (vec.Operator, error) {
 
 	case KindSeqScan:
 		op := vec.NewSeqScanSpan(n.Table, n.Filter, mod, 0, n.ScanSpan)
+		op.Cols = n.ScanCols
 		vc.rec(op, n)
 		return op, nil
 

@@ -27,21 +27,23 @@ func selectivity(table *storage.Table, filter expr.Expr) float64 {
 		step = 1
 	}
 	sampled, matched := 0, 0
-	for i := 0; i < n; i += step {
+	var evalErr error
+	err := table.Sample(step, none(len(table.Schema())).with(filter), func(row storage.Row) bool {
 		sampled++
-		row, err := table.FetchRow(i)
-		if err != nil {
-			// A paged table that cannot be read is the executor's error to
-			// surface; the estimator just stays pessimistic.
-			return 1
-		}
 		ok, err := expr.EvalBool(filter, row)
 		if err != nil {
-			return 1
+			evalErr = err
+			return false
 		}
 		if ok {
 			matched++
 		}
+		return true
+	})
+	// A paged table that cannot be read is the executor's error to surface;
+	// the estimator just stays pessimistic.
+	if err != nil || evalErr != nil {
+		return 1
 	}
 	if sampled == 0 {
 		return 1

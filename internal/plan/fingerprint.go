@@ -63,7 +63,10 @@ func (c *canonicalizer) node(n *Node) (string, bool) {
 			// their results are not whole-relation results.
 			return "", false
 		}
-		t := c.table(n.Table.Name())
+		// A masked scan's rows are NULL outside the mask, and a published
+		// build's rows are adopted by any query with the same key: the mask
+		// is part of what the subtree computes.
+		t := c.table(n.Table.Name()) + scanCols(n.ScanCols)
 		if n.Filter == nil {
 			return "scan(" + t + ")", true
 		}
@@ -254,6 +257,22 @@ func (c *canonicalizer) node(n *Node) (string, bool) {
 		// anything unknown: refuse rather than risk a wrong equality.
 		return "", false
 	}
+}
+
+// scanCols renders a scan's column mask; a scan of every column renders
+// nothing.
+func scanCols(mask []bool) string {
+	if mask == nil {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteString(",c=")
+	for i, need := range mask {
+		if need {
+			fmt.Fprintf(&b, "%d.", i)
+		}
+	}
+	return b.String()
 }
 
 // conjuncts flattens an AND-chain into its canonicalized operand set.

@@ -123,6 +123,11 @@ type Node struct {
 	// table). Set by PartitionSubtrees when compiling an Exchange.
 	ScanSpan *storage.Span
 
+	// ScanCols is a paged SeqScan's column mask: ScanCols[i] reports
+	// whether the scan's filter or any ancestor reads column i. nil means
+	// every column — what a hand-built plan gets. Set by PruneColumns.
+	ScanCols []bool
+
 	// Projections/ProjNames configure a Project node.
 	Projections []expr.Expr
 	ProjNames   []string

@@ -106,7 +106,7 @@ func (pc *pushCompiler) chain(b *push.Builder, n *Node) error {
 		return pc.chain(b, n.Children[0])
 
 	case KindSeqScan:
-		pc.rec(b.Scan(n.Table, n.Filter, n.ScanSpan, mod), n)
+		pc.rec(b.Scan(n.Table, n.Filter, n.ScanSpan, n.ScanCols, mod), n)
 
 	case KindFilter:
 		if err := pc.chainChild(b, n.Children[0]); err != nil {

@@ -18,6 +18,7 @@ type scanSource struct {
 	table  *storage.Table
 	filter expr.Expr
 	span   *storage.Span
+	cols   []bool // column mask of a paged scan (see exec.SeqScan)
 	modbuf
 
 	stats  *exec.OpStats
@@ -36,48 +37,26 @@ func (s *scanSource) open(ctx *exec.Context) error {
 }
 
 func (s *scanSource) run(ctx *exec.Context, emit emitFn) error {
-	pos, end := 0, s.table.NumRows()
-	if s.span != nil {
-		pos, end = s.span.Start, s.span.End
+	cur, err := s.table.Scan(s.span, s.cols)
+	if err != nil {
+		return err
 	}
-	var it storage.RowIterator
-	if s.table.Paged() {
-		var err error
-		it, err = s.table.Iterate(storage.Span{Start: pos, End: end})
+	for {
+		row, err := cur.Next()
 		if err != nil {
 			return err
 		}
-		defer it.Close()
-	}
-	for pos < end {
+		if row == nil {
+			return nil
+		}
 		if err := ctx.Canceled(); err != nil {
 			return err
 		}
 		if err := s.fault.Fire(); err != nil {
 			return err
 		}
-		var (
-			rid int
-			row storage.Row
-			err error
-		)
-		if it != nil {
-			var ok bool
-			rid, row, ok, err = it.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			pos = rid + 1
-		} else {
-			rid = pos
-			pos++
-			row = s.table.Row(rid)
-		}
 		if s.placed {
-			ctx.Read(s.place.Base+uint64(rid)*uint64(s.place.RowBytes), s.place.RowBytes)
+			ctx.Read(s.place.Base+uint64(cur.Rid())*uint64(s.place.RowBytes), s.place.RowBytes)
 		}
 		match := true
 		if s.filter != nil {
@@ -94,11 +73,10 @@ func (s *scanSource) run(ctx *exec.Context, emit emitFn) error {
 			s.stats.Calls++
 			s.stats.Rows++
 		}
-		if err := emit(ctx, row); err != nil {
+		if err := emit(ctx, cur.Keep()); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 func (s *scanSource) close(*exec.Context) error { return nil }

@@ -53,13 +53,21 @@ func PlanQuery(query string, cat *storage.Catalog, opt Options) (*plan.Node, err
 	return Analyze(stmt, cat, opt)
 }
 
-// Analyze turns a parsed statement into a physical plan.
+// Analyze turns a parsed statement into a physical plan. Its last step
+// gives every scan of a paged table its column mask (plan.PruneColumns):
+// every planning entry point comes through here, so none has to remember
+// to.
 func Analyze(stmt *SelectStmt, cat *storage.Catalog, opt Options) (*plan.Node, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	a := &analyzer{cat: cat, opt: opt}
-	return a.plan(stmt)
+	root, err := a.plan(stmt)
+	if err != nil {
+		return nil, err
+	}
+	plan.PruneColumns(root)
+	return root, nil
 }
 
 // scopeCol is one visible column during analysis.

@@ -28,13 +28,20 @@ type Table struct {
 
 	// heap, when non-nil, backs the table with an external (disk-resident)
 	// heap instead of the rows slice; see NewPagedTable. Row access then
-	// goes through FetchRow/Iterate, which can surface I/O errors.
+	// goes through FetchRow/Scan, which can surface I/O errors.
 	heap Heap
 
 	// rowOnce guards the lazily computed average row width so concurrent
 	// readers (planner cost model, placement) agree on one value.
 	rowOnce  sync.Once
 	rowBytes int
+
+	// samples holds what plan-time estimation reads of a paged table (see
+	// Sample): samples[c][k] is column c of row k*sampleStride, for the
+	// columns asked for so far.
+	sampleMu     sync.Mutex
+	sampleStride int
+	samples      [][]Value
 
 	indexes map[string]*IndexMeta
 }
@@ -118,12 +125,100 @@ func (t *Table) Row(id int) Row {
 
 // Rows returns the backing row slice for sequential scans.
 // Callers must treat it as read-only. It panics for disk-backed tables,
-// whose rows may not fit in memory — stream them with Iterate.
+// whose rows may not fit in memory — stream them with Scan.
 func (t *Table) Rows() []Row {
 	if t.heap != nil {
-		panic(fmt.Sprintf("storage: table %s is disk-backed; stream rows with Iterate", t.name))
+		panic(fmt.Sprintf("storage: table %s is disk-backed; stream rows with Scan", t.name))
 	}
 	return t.rows
+}
+
+// Sample calls visit with rows 0, stride, 2·stride, … of the table, in rid
+// order, until visit returns false: the evenly spaced sample the planner's
+// estimators evaluate predicates over. need says which columns visit reads
+// (nil means all). The rows are borrowed: valid during the call only, and
+// for a paged table meaningful in the needed columns only.
+//
+// A paged table keeps the sampled values, column by column as estimators
+// ask for them, so that an ad hoc plan costs the buffer pool nothing once
+// the first one has paid: rows are never updated in place, so a held value
+// stays the value at its rid, and a later call fetches only the rids an
+// INSERT has added since. A different stride drops what is held. Safe for
+// concurrent use.
+func (t *Table) Sample(stride int, need []bool, visit func(Row) bool) error {
+	if stride < 1 {
+		stride = 1
+	}
+	if t.heap == nil {
+		for rid := 0; rid < len(t.rows); rid += stride {
+			if !visit(t.rows[rid]) {
+				break
+			}
+		}
+		return nil
+	}
+	want := (t.NumRows() + stride - 1) / stride
+	cols, err := t.sampledColumns(stride, need, want)
+	if err != nil {
+		return err
+	}
+	row := make(Row, len(t.schema))
+	for k := 0; k < want; k++ {
+		for c, vals := range cols {
+			if vals != nil {
+				row[c] = vals[k]
+			}
+		}
+		if !visit(row) {
+			break
+		}
+	}
+	return nil
+}
+
+// sampledColumns returns, for each needed column, its values at the first
+// want sampled rids (nil for the others), fetching what is not held yet.
+// Held values are never rewritten, so the returned prefixes are safe to read
+// while a later call appends.
+func (t *Table) sampledColumns(stride int, need []bool, want int) ([][]Value, error) {
+	t.sampleMu.Lock()
+	defer t.sampleMu.Unlock()
+	if t.sampleStride != stride || t.samples == nil {
+		t.sampleStride, t.samples = stride, make([][]Value, len(t.schema))
+	}
+	needed := func(c int) bool { return need == nil || need[c] }
+	held := want // the shortest needed column
+	for c, vals := range t.samples {
+		if needed(c) && len(vals) < held {
+			held = len(vals)
+		}
+	}
+	for k := held; k < want; k++ {
+		row, err := t.heap.FetchRow(k * stride)
+		if err != nil {
+			return nil, err
+		}
+		for c, vals := range t.samples {
+			if needed(c) && len(vals) == k {
+				t.samples[c] = append(vals, row[c])
+			}
+		}
+	}
+	cols := make([][]Value, len(t.samples))
+	for c, vals := range t.samples {
+		if needed(c) {
+			cols[c] = vals[:want:want]
+		}
+	}
+	return cols, nil
+}
+
+// DropSamples releases the values Sample holds; the owning store calls it
+// at close.
+func (t *Table) DropSamples() {
+	t.sampleMu.Lock()
+	t.sampleStride, t.samples = 0, nil
+	t.sampleMu.Unlock()
 }
 
 // AvgRowBytes returns the mean in-memory row width, computed once over a

@@ -20,6 +20,7 @@ type SeqScan struct {
 	Table  *storage.Table
 	Filter expr.Expr     // optional
 	Span   *storage.Span // optional: scan only [Start, End)
+	Cols   []bool        // optional: column mask of a paged scan (see exec.SeqScan)
 
 	module *codemodel.Module
 	stats  *exec.OpStats
@@ -28,15 +29,10 @@ type SeqScan struct {
 	out    batchBuf
 	bits   []uint64
 	size   int
-	pos    int
-	end    int
+	cur    storage.Cursor
 	place  exec.TablePlacement
 	placed bool
 	opened bool
-
-	// it streams rows when the table is disk-backed (paged); memory tables
-	// keep the zero-overhead direct slice access path.
-	it storage.RowIterator
 }
 
 // NewSeqScan constructs the scan. module may be nil (uninstrumented);
@@ -61,17 +57,11 @@ func (s *SeqScan) Open(ctx *exec.Context) error {
 	}
 	s.fault = ctx.FaultPoint(s, ":next")
 	s.out.open(ctx, s.size)
-	s.pos, s.end = 0, s.Table.NumRows()
-	if s.Span != nil {
-		s.pos, s.end = s.Span.Start, s.Span.End
+	cur, err := s.Table.Scan(s.Span, s.Cols)
+	if err != nil {
+		return err
 	}
-	if s.Table.Paged() {
-		it, err := s.Table.Iterate(storage.Span{Start: s.pos, End: s.end})
-		if err != nil {
-			return err
-		}
-		s.it = it
-	}
+	s.cur = cur
 	s.place, s.placed = ctx.Placements[s.Table]
 	s.opened = true
 	return nil
@@ -93,32 +83,19 @@ func (s *SeqScan) NextBatch(ctx *exec.Context) (out Batch, err error) {
 	}
 	s.out.reset()
 	s.bits = s.bits[:0]
-	for s.pos < s.end && !s.out.full() {
-		var (
-			rid int
-			row storage.Row
-		)
-		if s.it != nil {
-			var ok bool
-			rid, row, ok, err = s.it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			s.pos = rid + 1
-		} else {
-			rid = s.pos
-			s.pos++
-			row = s.Table.Row(rid)
+	for !s.out.full() {
+		row, err := s.cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if row == nil {
+			break
 		}
 		if s.placed {
-			ctx.Read(s.place.Base+uint64(rid)*uint64(s.place.RowBytes), s.place.RowBytes)
+			ctx.Read(s.place.Base+uint64(s.cur.Rid())*uint64(s.place.RowBytes), s.place.RowBytes)
 		}
 		match := true
 		if s.Filter != nil {
-			var err error
 			match, err = expr.EvalBool(s.Filter, row)
 			if err != nil {
 				return nil, err
@@ -126,7 +103,7 @@ func (s *SeqScan) NextBatch(ctx *exec.Context) (out Batch, err error) {
 		}
 		s.bits = append(s.bits, ctx.DataBits(match))
 		if match {
-			s.out.append(ctx, row)
+			s.out.append(ctx, s.cur.Keep())
 		}
 	}
 	ctx.ExecModuleBatch(s.module, s.bits)
@@ -136,11 +113,7 @@ func (s *SeqScan) NextBatch(ctx *exec.Context) (out Batch, err error) {
 // Close implements Operator.
 func (s *SeqScan) Close(*exec.Context) error {
 	s.opened = false
-	if s.it != nil {
-		err := s.it.Close()
-		s.it = nil
-		return err
-	}
+	s.cur = storage.Cursor{}
 	return nil
 }
 
