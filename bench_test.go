@@ -318,13 +318,15 @@ func BenchmarkAblationNaiveFootprint(b *testing.B) {
 // --- Real wall-clock benchmarks: batching in plain Go ---
 
 // BenchmarkWallClockQuery1 measures actual (not simulated) execution of
-// Query 1, original vs refined. Expect the buffered plan to be a few
-// percent SLOWER here: the Go engine's hot code is a few kilobytes, far
+// Query 1: original vs refined on the row operators, and the block operator
+// the facade runs the same plan on. Expect the buffered plan to be a few
+// percent SLOWER than the original here: the Go engine's hot code is a few kilobytes, far
 // below any real L1I capacity, so there is no thrashing to remove and the
 // buffer is pure overhead — a live rendition of the paper's Figure 9
 // ("don't buffer what already fits"), and the reason the paper's headline
 // experiments run on the simulated machine whose operator footprints match
-// PostgreSQL's. See EXPERIMENTS.md.
+// PostgreSQL's. What does pay natively is the alternative the paper's §2
+// sets buffering against, block-at-a-time kernels. See EXPERIMENTS.md.
 func BenchmarkWallClockQuery1(b *testing.B) {
 	r := benchRunner(b)
 	p, err := r.Plan(bench.Query1, sql.Options{})
@@ -347,6 +349,14 @@ func BenchmarkWallClockQuery1(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := r.MeasureWall(refined); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("block", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := r.MeasureWallBlock(refined); err != nil {
 				b.Fatal(err)
 			}
 		}

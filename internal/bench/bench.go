@@ -163,9 +163,23 @@ func (r *Runner) MeasureWall(p *plan.Node) (time.Duration, int, error) {
 	return r.MeasureWallEngine(p, plan.EngineVolcano)
 }
 
-// MeasureWallEngine is MeasureWall with an explicit execution engine.
+// MeasureWallEngine is MeasureWall with an explicit execution engine. The
+// plan is compiled against the code model, which keeps every node on the
+// engine's own row operators — what the native head-to-heads compare — and
+// run with no CPU attached, so nothing is simulated.
 func (r *Runner) MeasureWallEngine(p *plan.Node, engine plan.Engine) (time.Duration, int, error) {
-	op, err := plan.Compile(p, nil, engine)
+	return r.measureWall(p, r.CM, engine)
+}
+
+// MeasureWallBlock executes a plan as the facade compiles it, without a
+// code model: an aggregate straight over an in-memory scan is then the
+// block operator (DESIGN.md §19), whatever the engine.
+func (r *Runner) MeasureWallBlock(p *plan.Node) (time.Duration, int, error) {
+	return r.measureWall(p, nil, plan.EngineVolcano)
+}
+
+func (r *Runner) measureWall(p *plan.Node, cm *codemodel.Catalog, engine plan.Engine) (time.Duration, int, error) {
+	op, err := plan.Compile(p, cm, engine)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"bufferdb/internal/codemodel"
 	"bufferdb/internal/exec"
 	"bufferdb/internal/plan"
 	"bufferdb/internal/sql"
@@ -22,9 +23,23 @@ var vecRunner = func() *Runner {
 }()
 
 // runEngine compiles a plan uninstrumented for an engine and executes it.
+// Compiled like that, an aggregate straight over a scan is the block
+// operator whatever the engine.
 func runEngine(t *testing.T, r *Runner, p *plan.Node, engine plan.Engine) ([]string, exec.Operator) {
 	t.Helper()
-	op, err := plan.Compile(p, nil, engine)
+	return runCompiled(t, r, p, engine, nil)
+}
+
+// runRowEngine compiles against the code model, which keeps every node on
+// the engine's own row operators, and executes without a simulated CPU.
+func runRowEngine(t *testing.T, r *Runner, p *plan.Node, engine plan.Engine) ([]string, exec.Operator) {
+	t.Helper()
+	return runCompiled(t, r, p, engine, r.CM)
+}
+
+func runCompiled(t *testing.T, r *Runner, p *plan.Node, engine plan.Engine, cm *codemodel.Catalog) ([]string, exec.Operator) {
+	t.Helper()
+	op, err := plan.Compile(p, cm, engine)
 	if err != nil {
 		t.Fatalf("Compile(%v): %v", engine, err)
 	}
@@ -70,13 +85,15 @@ func TestEngineSelectionMatchesVolcano(t *testing.T) {
 					t.Fatal(err)
 				}
 				want, _ := runEngine(t, vecRunner, p, plan.EngineVolcano)
-				got, _ := runEngine(t, vecRunner, p, engine)
-				if len(got) != len(want) {
-					t.Fatalf("%s engine returned %d rows, want %d", engine, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("row %d differs:\n %s: %s\n volcano: %s", i, engine, got[i], want[i])
+				for _, run := range []func(*testing.T, *Runner, *plan.Node, plan.Engine) ([]string, exec.Operator){runEngine, runRowEngine} {
+					got, _ := run(t, vecRunner, p, engine)
+					if len(got) != len(want) {
+						t.Fatalf("%s engine returned %d rows, want %d", engine, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("row %d differs:\n %s: %s\n volcano: %s", i, engine, got[i], want[i])
+						}
 					}
 				}
 			})
@@ -124,13 +141,14 @@ func hasOperator(names []string, prefix string) bool {
 // TestMixedPlanUsesAdapters asserts the vec compilation of TPC-H Q1 — a
 // Volcano sort over an aggregation with a batch variant — actually splices
 // a batch subtree in behind a ToVolcano adapter rather than silently
-// compiling pure Volcano.
+// compiling pure Volcano. It compiles the row operators: uninstrumented,
+// Q1's aggregation is the block operator, which has no engine.
 func TestMixedPlanUsesAdapters(t *testing.T) {
 	p, err := vecRunner.Plan(TPCHQ1, sql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, op := runEngine(t, vecRunner, p, plan.EngineVec)
+	_, op := runRowEngine(t, vecRunner, p, plan.EngineVec)
 	names := operatorNames(op)
 	if !hasOperator(names, "Sort(") {
 		t.Errorf("vec compilation lost the Volcano sort: %q", names)
@@ -148,7 +166,7 @@ func TestMixedPlanUsesAdapters(t *testing.T) {
 	if plan.CountKind(refined, plan.KindBuffer) == 0 {
 		t.Fatal("refinement inserted no buffers — test shape changed")
 	}
-	_, op = runEngine(t, vecRunner, refined, plan.EngineVec)
+	_, op = runRowEngine(t, vecRunner, refined, plan.EngineVec)
 	if names := operatorNames(op); hasOperator(names, "Buffer(") {
 		t.Errorf("vec compilation kept a Buffer operator: %q", names)
 	}

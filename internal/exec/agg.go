@@ -32,6 +32,9 @@ type Aggregate struct {
 	publishFault *faultinject.Point
 	schema       storage.Schema
 	shared       *SharedAgg
+	// drain, when set, replaces pullRows as the way consume drains the
+	// input (see BlockAggregate).
+	drain func(ctx *Context) error
 
 	table        *expr.GroupTable
 	memUsed      int64
@@ -114,42 +117,15 @@ func (a *Aggregate) groupAddr(key string) uint64 {
 	return a.tableRegion + (h%a.tableBuckets)*64
 }
 
-// consume drains the child, folding every row into its group.
+// consume drains the input into the group table, then sorts and publishes.
 func (a *Aggregate) consume(ctx *Context) error {
 	start := time.Now()
-	for {
-		if err := ctx.Canceled(); err != nil {
-			return err
-		}
-		row, err := a.Child.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		grp, isNew, err := a.table.Lookup(row)
-		if err != nil {
-			return err
-		}
-		if isNew {
-			// Each new group retains its key string, key row, and one
-			// accumulator per aggregate for the life of the operator.
-			charge := int64(len(grp.Key)) + int64(grp.Vals.ByteSize()) +
-				int64(len(a.Aggs))*hashEntryOverhead
-			if err := ctx.GrowMem(charge); err != nil {
-				return err
-			}
-			a.memUsed += charge
-		}
-		if err := grp.Add(row); err != nil {
-			return err
-		}
-		// The transition functions touch the group's accumulator state.
-		addr := a.groupAddr(grp.Key)
-		ctx.Read(addr, 64)
-		ctx.Write(addr, 64)
-		ctx.ExecModule(a.module, ctx.DataBits(isNew))
+	drain := a.pullRows
+	if a.drain != nil {
+		drain = a.drain
+	}
+	if err := drain(ctx); err != nil {
+		return err
 	}
 	a.table.Sort() // deterministic output order
 	a.done = true
@@ -166,6 +142,56 @@ func (a *Aggregate) consume(ctx *Context) error {
 		}
 		a.shared.Publish(rows, bytes, time.Since(start))
 	}
+	return nil
+}
+
+// pullRows drains the child row by row.
+func (a *Aggregate) pullRows(ctx *Context) error {
+	for {
+		if err := ctx.Canceled(); err != nil {
+			return err
+		}
+		row, err := a.Child.Next(ctx)
+		if err != nil || row == nil {
+			return err
+		}
+		if err := a.addRow(ctx, row); err != nil {
+			return err
+		}
+	}
+}
+
+// addRow folds one input row into its group.
+func (a *Aggregate) addRow(ctx *Context, row storage.Row) error {
+	grp, isNew, err := a.table.Lookup(row)
+	if err != nil {
+		return err
+	}
+	if isNew {
+		if err := a.chargeGroup(ctx, grp); err != nil {
+			return err
+		}
+	}
+	if err := grp.Add(row); err != nil {
+		return err
+	}
+	// The transition functions touch the group's accumulator state.
+	addr := a.groupAddr(grp.Key)
+	ctx.Read(addr, 64)
+	ctx.Write(addr, 64)
+	ctx.ExecModule(a.module, ctx.DataBits(isNew))
+	return nil
+}
+
+// chargeGroup charges what a new group retains for the life of the
+// operator: its key string, key row, and one accumulator per aggregate.
+func (a *Aggregate) chargeGroup(ctx *Context, grp *expr.Group) error {
+	charge := int64(len(grp.Key)) + int64(grp.Vals.ByteSize()) +
+		int64(len(a.Aggs))*hashEntryOverhead
+	if err := ctx.GrowMem(charge); err != nil {
+		return err
+	}
+	a.memUsed += charge
 	return nil
 }
 

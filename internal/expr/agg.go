@@ -100,8 +100,6 @@ type Accumulator interface {
 	Add(row storage.Row) error
 	// Result returns the final aggregate value.
 	Result() storage.Value
-	// Reset clears the state for reuse on the next group.
-	Reset()
 }
 
 // NewAccumulator builds the accumulator for a spec.
@@ -150,7 +148,6 @@ func (a *countAcc) Add(row storage.Row) error {
 }
 
 func (a *countAcc) Result() storage.Value { return storage.NewInt(a.n) }
-func (a *countAcc) Reset()                { a.n = 0 }
 
 // sumAcc and avgAcc read a DOUBLE argument straight from its float kernel
 // (farg) and evaluate it to a Value only when that declines; integer SUM
@@ -201,8 +198,6 @@ func (a *sumAcc) Result() storage.Value {
 	return storage.NewFloat(a.sumF)
 }
 
-func (a *sumAcc) Reset() { a.any, a.sumI, a.sumF = false, 0, 0 }
-
 type avgAcc struct {
 	arg  Expr
 	farg floatOperand
@@ -238,8 +233,6 @@ func (a *avgAcc) Result() storage.Value {
 	return storage.NewFloat(a.sum / float64(a.n))
 }
 
-func (a *avgAcc) Reset() { a.n, a.sum = 0, 0 }
-
 type minMaxAcc struct {
 	arg      Expr
 	wantLess bool
@@ -272,5 +265,3 @@ func (a *minMaxAcc) Result() storage.Value {
 	}
 	return a.best
 }
-
-func (a *minMaxAcc) Reset() { a.any = false; a.best = storage.Null }

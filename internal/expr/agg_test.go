@@ -102,37 +102,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestAccumulatorReset(t *testing.T) {
-	for _, spec := range []AggSpec{
-		{Func: AggCountStar},
-		{Func: AggCount, Arg: col0Int()},
-		{Func: AggSum, Arg: col0Int()},
-		{Func: AggAvg, Arg: col0Int()},
-		{Func: AggMin, Arg: col0Int()},
-		{Func: AggMax, Arg: col0Int()},
-	} {
-		acc, err := NewAccumulator(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range intRows(10, 20) {
-			if err := acc.Add(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		first := acc.Result()
-		acc.Reset()
-		for _, r := range intRows(10, 20) {
-			if err := acc.Add(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if second := acc.Result(); second != first {
-			t.Errorf("%v: after Reset, result %v != first run %v", spec, second, first)
-		}
-	}
-}
-
 func TestAggMetadata(t *testing.T) {
 	s := AggSpec{Func: AggSum, Arg: col0Int()}
 	if ty, err := s.ResultType(); err != nil || ty != storage.TypeInt64 {

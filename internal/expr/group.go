@@ -16,6 +16,7 @@ type Group struct {
 	// Vals are the group's GROUP BY values.
 	Vals storage.Row
 	accs []Accumulator // one per aggregate
+	ord  int32         // creation ordinal: the group id the block front hands out
 }
 
 // Add folds one input row into every aggregate of the group.
@@ -71,7 +72,7 @@ func (t *GroupTable) Lookup(row storage.Row) (g *Group, isNew bool, err error) {
 	if g, ok := t.groups[string(t.buf)]; ok {
 		return g, false, nil
 	}
-	g = &Group{Key: string(t.buf), Vals: t.vals.Clone(), accs: make([]Accumulator, len(t.aggs))}
+	g = &Group{Key: string(t.buf), Vals: t.vals.Clone(), accs: make([]Accumulator, len(t.aggs)), ord: int32(len(t.order))}
 	for i, spec := range t.aggs {
 		if g.accs[i], err = NewAccumulator(spec); err != nil {
 			return nil, false, err
@@ -103,6 +104,10 @@ func appendKey(buf []byte, v storage.Value) []byte {
 	case storage.TypeInt64:
 		return strconv.AppendInt(buf, v.I, 10)
 	case storage.TypeFloat64:
+		// 0 and -0 are equal to `=` and to storage.Compare: one group.
+		if v.F == 0 {
+			return append(buf, '0')
+		}
 		return strconv.AppendFloat(buf, v.F, 'f', -1, 64)
 	case storage.TypeDate:
 		return time.Unix(v.I*86400, 0).UTC().AppendFormat(buf, "2006-01-02")
@@ -127,6 +132,10 @@ func (t *GroupTable) Sort() {
 
 // Len returns the number of groups.
 func (t *GroupTable) Len() int { return len(t.order) }
+
+// Group returns the i-th group: in creation order until Sort, in key order
+// after it.
+func (t *GroupTable) Group(i int) *Group { return t.order[i] }
 
 // Row builds the output row of the i-th group: key values, then aggregate
 // results.

@@ -18,18 +18,22 @@ func keyOf(vals ...storage.Value) string {
 	return string(buf)
 }
 
-// TestGroupKeyEncoding pins the two halves of the key contract: values
-// without '|', '\' or NULL render exactly as Row.String always rendered them
-// (the simulated group-table addresses hash this string), and the rest are
-// escaped so that distinct key rows never render alike.
+// TestGroupKeyEncoding pins the key contract: values without '|', '\' or
+// NULL render exactly as Row.String always rendered them (the simulated
+// group-table addresses hash this string), the rest are escaped so that
+// distinct key rows never render alike, and -0 — equal to 0 — renders as 0.
 func TestGroupKeyEncoding(t *testing.T) {
 	plain := storage.Row{
 		storage.NewInt(-42), storage.NewInt(math.MinInt64), storage.NewFloat(0.06), storage.NewFloat(1e21),
-		storage.NewFloat(-0.0), storage.NewString("A"), storage.NewString(""), storage.NewString("PROMO BRUSHED"),
+		storage.NewFloat(0), storage.NewString("A"), storage.NewString(""), storage.NewString("PROMO BRUSHED"),
 		storage.DateFromYMD(1998, 9, 2), storage.NewDate(-1), storage.NewBool(true), storage.NewBool(false),
 	}
 	if got, want := keyOf(plain...), plain.String(); got != want {
 		t.Errorf("plain key = %q, Row.String = %q", got, want)
+	}
+
+	if got := keyOf(storage.NewFloat(math.Copysign(0, -1))); got != "0" {
+		t.Errorf("-0 has the key %q, 0 has the key \"0\": equal values in two groups", got)
 	}
 
 	str := storage.NewString

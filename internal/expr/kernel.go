@@ -211,59 +211,93 @@ func flipCmp(op BinOp) BinOp {
 	}
 }
 
-// compareKernel picks the comparison kernel for b. The specialised shapes
-// are column <cmp> constant (either way round) per value class, and any
-// numeric comparison with a DOUBLE side; everything else runs
-// b.compareGeneric.
-func (b *Binary) compareKernel() triKernel {
+// colCmp is a `column <cmp> constant` comparison in one of the value
+// classes the kernels specialise: BIGINT/DATE/BOOLEAN against a constant of
+// the same type, DOUBLE against a numeric constant, VARCHAR against a
+// string. The row kernel (compareKernel) and the block predicate (block.go)
+// are both built from it, so they cover exactly the same shapes.
+type colCmp struct {
+	idx  int
+	kind storage.Type // the column's static type: the only non-NULL Kind the fast path accepts
+	out  [3]tri       // outcome by order3(column, constant)
+	ci   int64        // the constant, in the field kind selects
+	cf   float64
+	cs   string
+}
+
+// colCmp classifies b, constant on either side.
+func (b *Binary) colCmp() (colCmp, bool) {
 	op, l, r := b.Op, b.L, b.R
 	if _, ok := constOf(l); ok {
 		op, l, r = flipCmp(op), r, l
 	}
-	out := cmpOutcomes(op)
-	if col, ok := l.(*ColRef); ok {
-		if c, ok := constOf(r); ok && !c.IsNull() {
-			idx, kind := col.Idx, col.Typ
-			switch {
-			case kind == c.Kind && (kind == storage.TypeInt64 || kind == storage.TypeDate || kind == storage.TypeBool):
-				ci := c.I
-				return func(row storage.Row) (tri, error) {
-					if idx < len(row) {
-						switch v := &row[idx]; v.Kind {
-						case kind:
-							return out[order3(v.I, ci)], nil
-						case storage.TypeNull:
-							return triNull, nil
-						}
+	col, ok := l.(*ColRef)
+	if !ok {
+		return colCmp{}, false
+	}
+	c, ok := constOf(r)
+	if !ok || c.IsNull() {
+		return colCmp{}, false
+	}
+	cc := colCmp{idx: col.Idx, kind: col.Typ, out: cmpOutcomes(op)}
+	switch {
+	case cc.kind == c.Kind && (cc.kind == storage.TypeInt64 || cc.kind == storage.TypeDate || cc.kind == storage.TypeBool):
+		cc.ci = c.I
+	case cc.kind == storage.TypeFloat64 && c.Kind.Numeric():
+		cc.cf = c.AsFloat()
+	case cc.kind == storage.TypeString && c.Kind == storage.TypeString:
+		cc.cs = c.S
+	default:
+		return colCmp{}, false
+	}
+	return cc, true
+}
+
+// compareKernel picks the comparison kernel for b. The specialised shapes
+// are column <cmp> constant (colCmp) per value class, and any numeric
+// comparison with a DOUBLE side; everything else runs b.compareGeneric.
+func (b *Binary) compareKernel() triKernel {
+	if cc, ok := b.colCmp(); ok {
+		idx, kind, out := cc.idx, cc.kind, cc.out
+		switch kind {
+		case storage.TypeFloat64:
+			cf := cc.cf
+			return func(row storage.Row) (tri, error) {
+				if idx < len(row) {
+					switch v := &row[idx]; v.Kind {
+					case storage.TypeFloat64:
+						return out[order3(v.F, cf)], nil
+					case storage.TypeNull:
+						return triNull, nil
 					}
-					return b.compareGeneric(row)
 				}
-			case kind == storage.TypeFloat64 && c.Kind.Numeric():
-				cf := c.AsFloat()
-				return func(row storage.Row) (tri, error) {
-					if idx < len(row) {
-						switch v := &row[idx]; v.Kind {
-						case storage.TypeFloat64:
-							return out[order3(v.F, cf)], nil
-						case storage.TypeNull:
-							return triNull, nil
-						}
+				return b.compareGeneric(row)
+			}
+		case storage.TypeString:
+			cs := cc.cs
+			return func(row storage.Row) (tri, error) {
+				if idx < len(row) {
+					switch v := &row[idx]; v.Kind {
+					case storage.TypeString:
+						return out[order3(v.S, cs)], nil
+					case storage.TypeNull:
+						return triNull, nil
 					}
-					return b.compareGeneric(row)
 				}
-			case kind == storage.TypeString && c.Kind == storage.TypeString:
-				cs := c.S
-				return func(row storage.Row) (tri, error) {
-					if idx < len(row) {
-						switch v := &row[idx]; v.Kind {
-						case storage.TypeString:
-							return out[order3(v.S, cs)], nil
-						case storage.TypeNull:
-							return triNull, nil
-						}
+				return b.compareGeneric(row)
+			}
+		default:
+			ci := cc.ci
+			return func(row storage.Row) (tri, error) {
+				if idx < len(row) {
+					switch v := &row[idx]; v.Kind {
+					case kind:
+						return out[order3(v.I, ci)], nil
+					case storage.TypeNull:
+						return triNull, nil
 					}
-					return b.compareGeneric(row)
 				}
+				return b.compareGeneric(row)
 			}
 		}
 	}

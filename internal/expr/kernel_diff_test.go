@@ -273,19 +273,23 @@ func genValue(c *choices, t storage.Type) storage.Value {
 
 // genRow draws a row over the generated schema: typed values, NULLs, ints
 // stored in DOUBLE columns, and now and then a row cut short.
-func genRow(c *choices) storage.Row {
+func genRow(c *choices) storage.Row { return genRowOf(c, true) }
+
+// genRowOf is genRow with the guard-missing rows — an int in a DOUBLE
+// column, a short row — left out unless odd.
+func genRowOf(c *choices, odd bool) storage.Row {
 	row := make(storage.Row, genWidth)
 	for i, t := range genTypes {
 		switch k := c.next(8); {
 		case k == 0:
 			row[i] = storage.Null
-		case k == 1 && t == storage.TypeFloat64:
+		case k == 1 && t == storage.TypeFloat64 && odd:
 			row[i] = genValue(c, storage.TypeInt64)
 		default:
 			row[i] = genValue(c, t)
 		}
 	}
-	if c.next(8) == 0 {
+	if odd && c.next(8) == 0 {
 		row = row[:c.next(genWidth+1)]
 	}
 	return row
@@ -410,20 +414,161 @@ func tpchPredicates() []Expr {
 	}
 }
 
+// genBlockPred draws a WHERE clause of the shape the block predicate
+// covers — an AND-chain of column-constant comparisons, the constant on
+// either side — with now and then a conjunct from the general generator.
+func genBlockPred(c *choices) Expr {
+	var out Expr
+	for n := 1 + c.next(4); n > 0; n-- {
+		var e Expr
+		if c.next(8) == 0 {
+			e = genExpr(c, storage.TypeBool, 2)
+		} else {
+			t := []storage.Type{storage.TypeInt64, storage.TypeFloat64, storage.TypeString, storage.TypeDate,
+				storage.TypeBool}[c.next(5)]
+			col, ct := genCol(c, t), t
+			if t == storage.TypeFloat64 && c.next(2) == 0 {
+				ct = storage.TypeInt64
+			}
+			l, r := col, Expr(NewConst(genValue(c, ct)))
+			if c.next(4) == 0 {
+				l, r = r, l
+			}
+			e = MustBinary(OpEq+BinOp(c.next(6)), l, r)
+		}
+		if out == nil {
+			out = e
+		} else {
+			out = MustBinary(OpAnd, out, e)
+		}
+	}
+	return out
+}
+
+// genBlockFloat draws a numeric expression of the shape the block float
+// kernel covers — + - * over numeric columns and constants — with now and
+// then a division or a subtree from the general generator.
+func genBlockFloat(c *choices, depth int) Expr {
+	t := numericTypes[min(c.next(4), 1)] // DOUBLE three times in four
+	if depth <= 0 || c.next(3) == 0 {
+		if c.next(4) == 0 {
+			return NewConst(genValue(c, t))
+		}
+		return genCol(c, t)
+	}
+	if c.next(8) == 0 {
+		return genExpr(c, t, 2)
+	}
+	op := OpAdd + BinOp(c.next(3))
+	if c.next(12) == 0 {
+		op = OpDiv
+	}
+	return MustBinary(op, genBlockFloat(c, depth-1), genBlockFloat(c, depth-1))
+}
+
 // genCase decodes one fuzz input into an expression and a row: the first
-// byte picks a TPC-H predicate or a generated tree of some type.
+// byte picks a TPC-H predicate, a generated tree of some type, or one of
+// the block kernels' shapes.
 func genCase(data []byte) (Expr, storage.Row) {
+	e, c := genCaseExpr(data)
+	return e, genRow(c)
+}
+
+func genCaseExpr(data []byte) (Expr, *choices) {
 	c := &choices{b: data}
 	preds := tpchPredicates()
 	types := []storage.Type{storage.TypeBool, storage.TypeBool, storage.TypeFloat64, storage.TypeInt64,
 		storage.TypeString, storage.TypeDate}
 	var e Expr
-	if k := c.next(len(preds) + len(types)); k < len(preds) {
+	switch k := c.next(len(preds) + len(types) + 2); {
+	case k < len(preds):
 		e = preds[k]
-	} else {
+	case k < len(preds)+len(types):
 		e = genExpr(c, types[k-len(preds)], 1+c.next(4))
+	case k == len(preds)+len(types):
+		e = genBlockPred(c)
+	default:
+		e = genBlockFloat(c, 1+c.next(3))
 	}
-	return e, genRow(c)
+	return e, c
+}
+
+// genBlock draws a block: a few rows — every other block free of the rows
+// that miss a guard — and an ascending selection of them.
+func genBlock(c *choices) (rows []storage.Row, sel []int32) {
+	odd := c.next(2) == 1
+	rows = make([]storage.Row, c.next(10))
+	for i := range rows {
+		rows[i] = genRowOf(c, odd)
+		if c.next(4) != 0 {
+			sel = append(sel, int32(i))
+		}
+	}
+	return rows, sel
+}
+
+// checkBlock asserts block kernel ≡ reference on e over the selected rows
+// of a block: when e has a block kernel and it reports no guard miss, the
+// reference raises nothing on any selected row and agrees on every one —
+// which rows a predicate keeps; the value, or NULL, of a float expression
+// to the bit. It reports whether such a comparison took place.
+func checkBlock(t *testing.T, e Expr, rows []storage.Row, sel []int32) bool {
+	t.Helper()
+	ref := make([]outcome, len(sel))
+	for j, i := range sel {
+		ref[j] = evalOutcome(refEval, e, rows[i])
+	}
+	fail := func(j int, got any) {
+		t.Helper()
+		t.Fatalf("block kernel diverges from the reference\nexpr: %s\nrows: %v\nsel:  %v\nat selected row %d: kernel %v, reference %v",
+			e, rows, sel, j, got, ref[j])
+	}
+	if p := NewBlockPred(e); p != nil {
+		kept, ok := p.Select(rows, append([]int32(nil), sel...))
+		if !ok {
+			return false
+		}
+		for j, i := range sel {
+			got := len(kept) > 0 && kept[0] == i
+			if got {
+				kept = kept[1:]
+			}
+			if o := ref[j]; o.err != "" || o.panic != "" || got != (!o.v.IsNull() && o.v.Bool()) {
+				fail(j, got)
+			}
+		}
+		if len(kept) > 0 {
+			t.Fatalf("block predicate %s kept rows outside its selection %v: %v", e, sel, kept)
+		}
+		return true
+	}
+	if k := newBlockFloat(e); k != nil {
+		var m nullMask
+		vals := k.eval(rows, sel, &m)
+		if vals == nil {
+			return false
+		}
+		if len(vals) != len(sel) {
+			t.Fatalf("block float kernel %s: %d values for %d selected rows", e, len(vals), len(sel))
+		}
+		for j := range sel {
+			got := outcome{v: storage.Null}
+			if !m.null(j) {
+				got = evalOutcome(func(Expr, storage.Row) (storage.Value, error) { return storage.NewFloat(vals[j]), nil }, nil, nil)
+			}
+			// A BIGINT column is the one non-DOUBLE node with a block float
+			// kernel: the kernel widens it, as its consumers would.
+			want := ref[j]
+			if want.v.Kind == storage.TypeInt64 {
+				want.v = storage.Value{Kind: storage.TypeFloat64, I: int64(math.Float64bits(float64(want.v.I)))}
+			}
+			if got != want {
+				fail(j, got)
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // checkKernel asserts kernel ≡ reference on e over row: Eval on value and
@@ -465,6 +610,7 @@ func TestKernelMatchesReference(t *testing.T) {
 		trees = 500
 	}
 	kinds := map[string]int{}
+	var preds, floats int
 	for i := 0; i < trees; i++ {
 		data := randomBytes(rng, 96)
 		e, _ := genCase(data)
@@ -472,6 +618,19 @@ func TestKernelMatchesReference(t *testing.T) {
 		for j := 0; j < 12; j++ {
 			checkKernel(t, e, genRow(&choices{b: randomBytes(rng, 3*genWidth)}))
 		}
+		for j := 0; j < 4; j++ {
+			rows, sel := genBlock(&choices{b: randomBytes(rng, 40*genWidth)})
+			if checkBlock(t, e, rows, sel) {
+				if e.Type() == storage.TypeBool {
+					preds++
+				} else {
+					floats++
+				}
+			}
+		}
+	}
+	if preds < trees/20 || floats < trees/20 {
+		t.Errorf("block kernels compared on %d predicates and %d float expressions of %d trees", preds, floats, trees)
 	}
 	for _, k := range []string{"*expr.Binary", "*expr.Not", "*expr.Neg", "*expr.IsNull", "*expr.Like", "*expr.Case", "*expr.ColRef", "*expr.Const"} {
 		if kinds[k] == 0 {
@@ -492,8 +651,10 @@ func FuzzExprKernel(f *testing.F) {
 		f.Add(randomBytes(rng, 64))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, row := genCase(data)
-		checkKernel(t, e, row)
+		e, c := genCaseExpr(data)
+		checkKernel(t, e, genRow(c))
+		rows, sel := genBlock(c)
+		checkBlock(t, e, rows, sel)
 	})
 }
 

@@ -63,6 +63,9 @@ func Build(n *Node, cm *codemodel.Catalog) (exec.Operator, error) {
 func buildRecorded(n *Node, cm *codemodel.Catalog, record func(op any, n *Node)) (exec.Operator, error) {
 	var rec func(*Node) (exec.Operator, error)
 	rec = func(c *Node) (exec.Operator, error) {
+		if op, err := blockAggregate(c, cm, record != nil); op != nil || err != nil {
+			return op, err
+		}
 		op, err := buildNode(c, cm, rec)
 		if err != nil {
 			return nil, err
@@ -73,6 +76,39 @@ func buildRecorded(n *Node, cm *codemodel.Catalog, record func(op any, n *Node))
 		return op, nil
 	}
 	return rec(n)
+}
+
+// blockAggregate is where a plan takes the block path: it compiles n to the
+// fused exec.BlockAggregate, and returns it, when n is an Aggregate whose
+// input is a SeqScan of a memory-resident table — reached through any
+// number of Buffer nodes, which a block loop subsumes as the push and vec
+// compilers' loops already do — and the scan's filter, the group list and
+// every aggregate have a block kernel. All three compilers ask it first at
+// every node, so the operator is the same one behind each engine. It
+// answers nil for everything else, and always when the plan is compiled
+// against a code model or for EXPLAIN ANALYZE (analyzed): simulated
+// counters and per-operator statistics describe the row operators.
+func blockAggregate(n *Node, cm *codemodel.Catalog, analyzed bool) (exec.Operator, error) {
+	if n.Kind != KindAggregate || cm != nil || analyzed {
+		return nil, nil
+	}
+	in := n.Children[0]
+	for in.Kind == KindBuffer {
+		in = in.Children[0]
+	}
+	if in.Kind != KindSeqScan || in.Table.Paged() {
+		return nil, nil
+	}
+	scan := exec.NewSeqScanSpan(in.Table, in.Filter, nil, in.ScanSpan)
+	scan.Cols = in.ScanCols
+	agg, err := exec.NewBlockAggregate(scan, n.GroupBy, n.Aggs)
+	if agg == nil || err != nil {
+		return nil, err
+	}
+	if n.SharedAgg != nil {
+		agg.SetShared(n.SharedAgg)
+	}
+	return agg, nil
 }
 
 // buildNode compiles a single node into its Volcano operator, resolving

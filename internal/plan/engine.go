@@ -170,7 +170,9 @@ func (vc *vecCompiler) vec(n *Node) (vec.Operator, error) {
 	}
 	switch n.Kind {
 	case KindBuffer:
-		return vc.vec(n.Children[0])
+		// Through child, not vec: what the buffer batched may be an
+		// aggregate that compiles to the block operator.
+		return vc.child(n.Children[0])
 
 	case KindSeqScan:
 		op := vec.NewSeqScanSpan(n.Table, n.Filter, mod, 0, n.ScanSpan)
@@ -264,10 +266,13 @@ func (vc *vecCompiler) vec(n *Node) (vec.Operator, error) {
 // otherwise the Volcano subtree behind a FromVolcano adapter (modeled with
 // the buffer module — the adapter is a buffer refill loop).
 func (vc *vecCompiler) child(n *Node) (vec.Operator, error) {
-	if vecCapable(n) {
-		return vc.vec(n)
+	op, err := blockAggregate(n, vc.cm, vc.record != nil)
+	if op == nil && err == nil {
+		if vecCapable(n) {
+			return vc.vec(n)
+		}
+		op, err = vc.mixed(n)
 	}
-	op, err := vc.mixed(n)
 	if err != nil {
 		return nil, err
 	}
@@ -284,6 +289,9 @@ func (vc *vecCompiler) child(n *Node) (vec.Operator, error) {
 // subtrees become batch operators behind a ToVolcano adapter, everything
 // else builds its Volcano operator with children compiled the same way.
 func (vc *vecCompiler) mixed(n *Node) (exec.Operator, error) {
+	if op, err := blockAggregate(n, vc.cm, vc.record != nil); op != nil || err != nil {
+		return op, err
+	}
 	if vecCapable(n) {
 		op, err := vc.vec(n)
 		if err != nil {

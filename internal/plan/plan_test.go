@@ -367,7 +367,8 @@ func TestKindStrings(t *testing.T) {
 // TestGroupKeysDoNotCollide is the regression test for the hashed group key:
 // rendered as the key values joined by '|', it merged ('x|y','z') with
 // ('x','y|z') and SQL NULL with the string 'NULL'. Four distinct key rows
-// must come back as four groups from every engine.
+// must come back as four groups from every engine, from the block operator
+// (no code model) and from the engine's own aggregate alike.
 func TestGroupKeysDoNotCollide(t *testing.T) {
 	tb := storage.NewTable("t", storage.Schema{
 		{Table: "t", Name: "a", Type: storage.TypeString},
@@ -380,16 +381,23 @@ func TestGroupKeysDoNotCollide(t *testing.T) {
 	} {
 		tb.MustAppend(r)
 	}
-	for _, engine := range Engines() {
+	for i, engine := range append(Engines(), Engines()...) {
 		scan := SeqScan(tb, nil)
 		agg, err := Aggregate(scan, []expr.Expr{MustCol(scan, "a"), MustCol(scan, "b")},
 			[]expr.AggSpec{{Func: expr.AggCountStar}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := Compile(agg, nil, engine)
+		var cm *codemodel.Catalog
+		if i >= len(Engines()) {
+			cm = codemodel.NewCatalog()
+		}
+		op, err := Compile(agg, cm, engine)
 		if err != nil {
 			t.Fatalf("%v: %v", engine, err)
+		}
+		if compilesToBlock(op) != (cm == nil) {
+			t.Fatalf("%v: code model %v, block operator %v", engine, cm != nil, cm == nil)
 		}
 		rows, err := exec.Run(&exec.Context{}, op)
 		if err != nil {

@@ -48,6 +48,9 @@ func (pc *pushCompiler) rec(op any, n *Node) {
 // everything else builds its Volcano operator around recursively compiled
 // children.
 func (pc *pushCompiler) mixed(n *Node) (exec.Operator, error) {
+	if op, err := blockAggregate(n, pc.cm, pc.record != nil); op != nil || err != nil {
+		return op, err
+	}
 	if pushCapable(n) {
 		return pc.fuse(n)
 	}
@@ -102,8 +105,9 @@ func (pc *pushCompiler) chain(b *push.Builder, n *Node) error {
 	}
 	switch n.Kind {
 	case KindBuffer:
-		// The fused loop subsumes buffering: dissolve.
-		return pc.chain(b, n.Children[0])
+		// The fused loop subsumes buffering: dissolve. (Through chainChild:
+		// what the buffer batched may compile to the block operator.)
+		return pc.chainChild(b, n.Children[0])
 
 	case KindSeqScan:
 		pc.rec(b.Scan(n.Table, n.Filter, n.ScanSpan, n.ScanCols, mod), n)
@@ -170,20 +174,32 @@ func (pc *pushCompiler) chain(b *push.Builder, n *Node) error {
 // it is compiled natively (fused partitions under the gather) and feeds
 // the pipe as a source.
 func (pc *pushCompiler) chainChild(b *push.Builder, n *Node) error {
-	if pushCapable(n) && n.Kind != KindExchange {
-		return pc.chain(b, n)
+	op, err := blockAggregate(n, pc.cm, pc.record != nil)
+	if op == nil && err == nil {
+		if pushCapable(n) && n.Kind != KindExchange {
+			return pc.chain(b, n)
+		}
+		op, err = pc.mixed(n)
 	}
-	return pc.source(b, n)
+	if err != nil {
+		return err
+	}
+	return pc.feed(b, op, n)
 }
 
-// source compiles n for the host engines and feeds the pipe through a
-// pull-adapter source modeled with the buffer module (the adapter is a
-// refill loop, like vec.FromVolcano).
+// source compiles n for the host engines and feeds the pipe from it.
 func (pc *pushCompiler) source(b *push.Builder, n *Node) error {
 	op, err := pc.mixed(n)
 	if err != nil {
 		return err
 	}
+	return pc.feed(b, op, n)
+}
+
+// feed makes op, compiled from n, a source of the pipe: a pull adapter
+// modeled with the buffer module (the adapter is a refill loop, like
+// vec.FromVolcano).
+func (pc *pushCompiler) feed(b *push.Builder, op exec.Operator, n *Node) error {
 	bufMod, err := moduleFor(&Node{Kind: KindBuffer}, pc.cm)
 	if err != nil {
 		return err

@@ -89,7 +89,8 @@ const slabValues = 256
 // the cursor reuses (columns outside the mask stay NULL and cost no
 // allocation), and Keep copies that scratch row into a slab carved a few
 // rows at a time — so a scan pays for materialisation only for the rows its
-// filter lets through.
+// filter lets through. NextRows, for memory-resident tables only, hands out
+// the stored rows a window at a time instead of one by one.
 //
 // A cursor holds no buffer-pool pin between calls: it decodes from its own
 // copy of the current page. It is single-use and not safe for concurrent
@@ -147,6 +148,21 @@ func (c *Cursor) Next() (Row, error) {
 	}
 	c.pos++
 	return c.rows[c.pos-1], nil
+}
+
+// NextRows returns the next rows of the span, at most max of them, as a
+// window onto the stored rows of a memory-resident table: no row is copied
+// or touched. The window is borrowed like Next's row — valid until the next
+// call, read-only — and empty at the end of the span. A paged table has no
+// stored rows to window; its cursor always answers nil, so callers select
+// this path only for tables that are not Paged.
+func (c *Cursor) NextRows(max int) []Row {
+	if c.heap != nil || c.pos >= c.end {
+		return nil
+	}
+	start := c.pos
+	c.pos = min(start+max, c.end)
+	return c.rows[start:c.pos:c.pos]
 }
 
 // nextPaged decodes the next slot into the scratch row, reading the next

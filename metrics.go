@@ -23,6 +23,12 @@ import (
 //	bufferdb_admitted_queries                      queries holding a slot now
 //	bufferdb_mem_tracked_bytes                     bytes charged to MemoryLimit
 //
+// The block operator (internal/exec.BlockAggregate) counts its input rows by
+// how their block was folded; redone/(folded+redone) is the guard-miss ratio:
+//
+//	bufferdb_block_rows_folded_total   rows of blocks the block kernels folded
+//	bufferdb_block_rows_redone_total   rows of blocks redone by the row loop
+//
 // Metrics cover Query, QueryStream, prepared statements and the deprecated
 // wrappers alike — they all share the same execution path.
 
