@@ -229,3 +229,88 @@ func TestChaosReuseFaultedQueriesPublishOnlyCompleteState(t *testing.T) {
 		t.Fatalf("faulted queries leaked %d tracked bytes", got)
 	}
 }
+
+// cancelWhen is a context that reports cancellation from the moment when
+// first holds; nothing waits on it.
+type cancelWhen struct {
+	context.Context
+	when func() bool
+}
+
+func (c cancelWhen) Err() error {
+	if c.when() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestChaosBreakerFailuresIdenticalAcrossEngines fails the join build and
+// the aggregate at each point the shared breaker state owns — the budget at
+// a build row and at a new group, cancellation mid-build, the build fault
+// site on its second turn (a row, or for vec a batch) and both publish
+// sites — and requires of all three engines the same
+// typed error, nothing published, tracked memory and goroutines back at
+// baseline. A budget failure names the bytes in use, so equal messages mean
+// the engines failed at the same row.
+func TestChaosBreakerFailuresIdenticalAcrossEngines(t *testing.T) {
+	db := newReuseDB(t, Options{})
+	clean, err := runBreakers(context.Background(), db, EngineVolcano, QueryOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	midBuild := func() bool { return db.TrackedBytes() > clean.joinBytes/2 }
+	fault := func(match string, after uint64) *FaultInjector {
+		return NewFaultInjector(1, Fault{Match: match, Kind: FaultError, After: after})
+	}
+	for _, tc := range []struct {
+		name      string
+		ctx       context.Context
+		qo        func() QueryOptions // fresh per run: injectors count hits
+		want      error
+		sameText  bool
+		published int // tables that completed before the failure
+	}{
+		{name: "budget at a build row", want: ErrMemoryBudgetExceeded, sameText: true,
+			qo: func() QueryOptions { return QueryOptions{MemoryBudget: clean.joinBytes / 2} }},
+		{name: "budget at a new group", want: ErrMemoryBudgetExceeded, sameText: true, published: 1,
+			qo: func() QueryOptions { return QueryOptions{MemoryBudget: clean.joinBytes + 1} }},
+		{name: "cancel mid-build", want: context.Canceled,
+			ctx: cancelWhen{context.Background(), midBuild}},
+		{name: "fault at join:build", want: ErrInjected,
+			qo: func() QueryOptions { return QueryOptions{FaultInjector: fault("o_orderkey):build", 1)} }},
+		{name: "fault at join:publish", want: ErrInjected,
+			qo: func() QueryOptions { return QueryOptions{FaultInjector: fault("o_orderkey):publish", 0)} }},
+		{name: "fault at agg:publish", want: ErrInjected, published: 1,
+			qo: func() QueryOptions { return QueryOptions{FaultInjector: fault("COUNT(*)):publish", 0)} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var text string
+			for i, e := range chaosEngines {
+				base := runtime.NumGoroutine()
+				ctx, qo := tc.ctx, QueryOptions{}
+				if ctx == nil {
+					ctx = context.Background()
+				}
+				if tc.qo != nil {
+					qo = tc.qo()
+				}
+				run, err := runBreakers(ctx, db, e, qo, nil)
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("%s: want %v, got %v", e, tc.want, err)
+				}
+				if run.published != tc.published {
+					t.Errorf("%s published %d tables, want %d", e, run.published, tc.published)
+				}
+				if i == 0 {
+					text = err.Error()
+				} else if tc.sameText && err.Error() != text {
+					t.Errorf("%s failed elsewhere than %s:\n got %v\nwant %s", e, chaosEngines[0], err, text)
+				}
+				waitGoroutines(t, base)
+				if got := db.TrackedBytes(); got != 0 {
+					t.Fatalf("%s leaked %d tracked bytes", e, got)
+				}
+			}
+		})
+	}
+}

@@ -144,42 +144,75 @@ func TestRowsCloseErrorReporting(t *testing.T) {
 	})
 }
 
+// simulate compiles a clone of p for e against the code model and runs it
+// runs times under one fresh simulated CPU.
+func simulate(t *testing.T, db *DB, p *plan.Node, e plan.Engine, runs int, arm func(*exec.Context)) *cpusim.CPU {
+	t.Helper()
+	cpu, err := cpusim.New(cpusim.DefaultConfig(), db.cm.TextSegmentBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := plan.Compile(plan.Clone(p), db.cm, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ectx := &exec.Context{
+		Catalog:    db.cat,
+		CPU:        cpu,
+		Placements: exec.PlaceCatalog(cpu, db.cat),
+	}
+	if arm != nil {
+		arm(ectx)
+	}
+	for i := 0; i < runs; i++ {
+		if _, err := exec.Run(ectx, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cpu
+}
+
 // TestGovernorCountersBitIdentical runs the same plan on fresh simulated
 // CPUs with the governor disarmed and armed-but-idle (unlimited tracker, an
-// injector matching no site) and requires bit-identical hardware counters:
-// the governor must never touch the simulation.
+// injector matching no site) and requires bit-identical hardware counters
+// on every engine: the governor must never touch the simulation.
 func TestGovernorCountersBitIdentical(t *testing.T) {
 	db := testDB
 	p, err := db.plan(chaosQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(armed bool) cpusim.Counters {
-		cpu, err := cpusim.New(cpusim.DefaultConfig(), db.cm.TextSegmentBytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		op, err := plan.Build(plan.Clone(p), db.cm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ectx := &exec.Context{
-			Catalog:    db.cat,
-			CPU:        cpu,
-			Placements: exec.PlaceCatalog(cpu, db.cat),
-		}
-		if armed {
+	for _, e := range plan.Engines() {
+		plain := simulate(t, db, p, e, 1, nil).Counters()
+		armed := simulate(t, db, p, e, 1, func(ectx *exec.Context) {
 			ectx.Mem = exec.NewMemTracker("q", 0, nil)
 			ectx.Fault = NewFaultInjector(99, Fault{Match: "NoSuchOperator", Kind: FaultError})
+		}).Counters()
+		if plain != armed {
+			t.Fatalf("%s: governor perturbed the simulated counters:\nplain %+v\narmed %+v", e, plain, armed)
 		}
-		if _, err := exec.Run(ectx, op); err != nil {
-			t.Fatal(err)
-		}
-		return cpu.Counters()
 	}
-	plain, armed := run(false), run(true)
-	if plain != armed {
-		t.Fatalf("governor perturbed the simulated counters:\nplain %+v\narmed %+v", plain, armed)
+}
+
+// TestBreakerRegionsSurviveReopen pins the region rule of exec.JoinTable
+// and exec.AggState on every engine: the simulated bucket array and
+// accumulator slots are placed on an operator's first Open under a CPU and
+// kept, so a second run of the same operators places nothing but fresh
+// tuple arenas.
+func TestBreakerRegionsSurviveReopen(t *testing.T) {
+	db := testDB
+	p, err := db.plan(chaosQuery, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range plan.Engines() {
+		once, twice := simulate(t, db, p, e, 1, nil), simulate(t, db, p, e, 2, nil)
+		mark := twice.AllocData(0)
+		exec.NewArena(twice)
+		arena := twice.AllocData(0) - mark
+		if grew := mark - once.AllocData(0); grew == 0 || grew%arena != 0 {
+			t.Errorf("%s: a second run placed %d bytes, not a whole number of %d-byte arenas", e, grew, arena)
+		}
 	}
 }
 

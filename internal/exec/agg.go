@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"bufferdb/internal/codemodel"
@@ -21,66 +19,34 @@ import (
 // per-function increments — so the planner requests the module from
 // codemodel.AggModule with the query's function list.
 type Aggregate struct {
-	Child   Operator
-	GroupBy []expr.Expr
-	Aggs    []expr.AggSpec
+	Child Operator
+	AggState
 
-	module       *codemodel.Module
-	label        byte
-	stats        *OpStats
-	fault        *faultinject.Point
-	publishFault *faultinject.Point
-	schema       storage.Schema
-	shared       *SharedAgg
+	module *codemodel.Module
+	label  byte
+	stats  *OpStats
+	fault  *faultinject.Point
 	// drain, when set, replaces pullRows as the way consume drains the
 	// input (see BlockAggregate).
 	drain func(ctx *Context) error
 
-	table        *expr.GroupTable
-	memUsed      int64
-	pos          int
-	done         bool
-	opened       bool
-	tableRegion  uint64
-	tableBuckets uint64
+	pos    int
+	done   bool
+	opened bool
 }
 
 // NewAggregate constructs the operator, deriving the output schema.
 // module may be nil.
 func NewAggregate(child Operator, groupBy []expr.Expr, aggs []expr.AggSpec, module *codemodel.Module) (*Aggregate, error) {
-	a := &Aggregate{
-		Child:   child,
-		GroupBy: groupBy,
-		Aggs:    aggs,
-		module:  module,
-		label:   'A',
+	state, err := NewAggState(groupBy, aggs)
+	if err != nil {
+		return nil, err
 	}
-	for i, g := range groupBy {
-		name := fmt.Sprintf("group%d", i)
-		if cr, ok := g.(*expr.ColRef); ok {
-			name = cr.Name
-		}
-		a.schema = append(a.schema, storage.Column{Name: name, Type: g.Type()})
-	}
-	for _, spec := range aggs {
-		ty, err := spec.ResultType()
-		if err != nil {
-			return nil, err
-		}
-		a.schema = append(a.schema, storage.Column{Name: spec.OutputName(), Type: ty})
-	}
-	if len(aggs) == 0 {
-		return nil, fmt.Errorf("exec: Aggregate needs at least one aggregate")
-	}
-	return a, nil
+	return &Aggregate{Child: child, AggState: state, module: module, label: 'A'}, nil
 }
 
 // SetTraceLabel sets the trace label.
 func (a *Aggregate) SetTraceLabel(b byte) { a.label = b }
-
-// SetShared wires the finished aggregate table to the semantic reuse
-// cache; see SharedAgg. Must be set before Open.
-func (a *Aggregate) SetShared(sa *SharedAgg) { a.shared = sa }
 
 // Open implements Operator.
 func (a *Aggregate) Open(ctx *Context) error {
@@ -92,29 +58,10 @@ func (a *Aggregate) Open(ctx *Context) error {
 		return err
 	}
 	a.fault = ctx.FaultPoint(a, ":next")
-	a.publishFault = ctx.FaultPoint(a, ":publish")
-	a.table = expr.NewGroupTable(a.GroupBy, a.Aggs)
-	ctx.ShrinkMem(a.memUsed) // reopen without Close: release stale charges
-	a.memUsed = 0
+	a.AggState.Open(ctx, a)
 	a.pos, a.done = 0, false
-	if ctx.CPU != nil && a.tableRegion == 0 {
-		a.tableBuckets = 1 << 12
-		a.tableRegion = ctx.CPU.AllocData(int(a.tableBuckets) * 64)
-	}
 	a.opened = true
 	return nil
-}
-
-// groupAddr maps a group key to its simulated accumulator address.
-func (a *Aggregate) groupAddr(key string) uint64 {
-	if a.tableRegion == 0 {
-		return 0
-	}
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	return a.tableRegion + (h%a.tableBuckets)*64
 }
 
 // consume drains the input into the group table, then sorts and publishes.
@@ -127,22 +74,8 @@ func (a *Aggregate) consume(ctx *Context) error {
 	if err := drain(ctx); err != nil {
 		return err
 	}
-	a.table.Sort() // deterministic output order
 	a.done = true
-	if a.shared != nil && a.shared.Publish != nil {
-		// Reuse-cache miss: materialize the complete, sorted output — the
-		// same rows Next will emit — and hand it to the cache. The publish
-		// fault fires first, so a poisoned table can never be inserted.
-		if err := a.publishFault.Fire(); err != nil {
-			return err
-		}
-		rows, bytes, err := a.materializeRows()
-		if err != nil {
-			return err
-		}
-		a.shared.Publish(rows, bytes, time.Since(start))
-	}
-	return nil
+	return a.Finish(start)
 }
 
 // pullRows drains the child row by row.
@@ -163,50 +96,12 @@ func (a *Aggregate) pullRows(ctx *Context) error {
 
 // addRow folds one input row into its group.
 func (a *Aggregate) addRow(ctx *Context, row storage.Row) error {
-	grp, isNew, err := a.table.Lookup(row)
+	isNew, err := a.Fold(ctx, row)
 	if err != nil {
 		return err
 	}
-	if isNew {
-		if err := a.chargeGroup(ctx, grp); err != nil {
-			return err
-		}
-	}
-	if err := grp.Add(row); err != nil {
-		return err
-	}
-	// The transition functions touch the group's accumulator state.
-	addr := a.groupAddr(grp.Key)
-	ctx.Read(addr, 64)
-	ctx.Write(addr, 64)
 	ctx.ExecModule(a.module, ctx.DataBits(isNew))
 	return nil
-}
-
-// chargeGroup charges what a new group retains for the life of the
-// operator: its key string, key row, and one accumulator per aggregate.
-func (a *Aggregate) chargeGroup(ctx *Context, grp *expr.Group) error {
-	charge := int64(len(grp.Key)) + int64(grp.Vals.ByteSize()) +
-		int64(len(a.Aggs))*hashEntryOverhead
-	if err := ctx.GrowMem(charge); err != nil {
-		return err
-	}
-	a.memUsed += charge
-	return nil
-}
-
-// materializeRows builds the operator's full output — mirroring Next's
-// emission exactly, including the one synthetic row of an ungrouped
-// aggregate over zero input rows — plus the retained-bytes estimate the
-// cache charges for it. Accumulator Result calls are pure, so emission
-// after materialization produces identical values.
-func (a *Aggregate) materializeRows() ([]storage.Row, int64, error) {
-	rows, err := a.table.Rows()
-	var bytes int64
-	for _, r := range rows {
-		bytes += int64(r.ByteSize()) + hashEntryOverhead
-	}
-	return rows, bytes, err
 }
 
 // Next implements Operator.
@@ -228,21 +123,13 @@ func (a *Aggregate) Next(ctx *Context) (res storage.Row, err error) {
 			return nil, err
 		}
 	}
-	// Ungrouped aggregation over zero rows still yields one row
-	// (COUNT(*) = 0, SUM = NULL, …).
-	if a.table.EmptyUngrouped() && a.pos == 0 {
-		a.pos++
-		out, err := a.table.EmptyRow()
-		if err != nil {
-			return nil, err
-		}
-		ctx.ExecModule(a.module, ctx.DataBits(true))
-		return out, nil
-	}
-	if a.pos >= a.table.Len() {
+	if a.pos >= a.Outputs() {
 		return nil, nil
 	}
-	out := a.table.Row(a.pos)
+	out, err := a.Output(a.pos)
+	if err != nil {
+		return nil, err
+	}
 	a.pos++
 	ctx.ExecModule(a.module, ctx.DataBits(true))
 	return out, nil
@@ -251,33 +138,15 @@ func (a *Aggregate) Next(ctx *Context) (res storage.Row, err error) {
 // Close implements Operator.
 func (a *Aggregate) Close(ctx *Context) error {
 	a.opened = false
-	a.table = nil
-	ctx.ShrinkMem(a.memUsed)
-	a.memUsed = 0
+	a.AggState.Close(ctx)
 	return a.Child.Close(ctx)
 }
-
-// Schema implements Operator.
-func (a *Aggregate) Schema() storage.Schema { return a.schema }
 
 // Children implements Operator.
 func (a *Aggregate) Children() []Operator { return []Operator{a.Child} }
 
 // Name implements Operator.
-func (a *Aggregate) Name() string {
-	aggs := make([]string, len(a.Aggs))
-	for i, s := range a.Aggs {
-		aggs[i] = s.String()
-	}
-	if len(a.GroupBy) == 0 {
-		return fmt.Sprintf("Aggregate(%s)", strings.Join(aggs, ", "))
-	}
-	groups := make([]string, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		groups[i] = g.String()
-	}
-	return fmt.Sprintf("Aggregate(%s GROUP BY %s)", strings.Join(aggs, ", "), strings.Join(groups, ", "))
-}
+func (a *Aggregate) Name() string { return a.AggState.Name("Aggregate") }
 
 // Module implements Operator.
 func (a *Aggregate) Module() *codemodel.Module { return a.module }

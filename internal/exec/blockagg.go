@@ -128,7 +128,7 @@ func (b *BlockAggregate) foldBlock(ctx *Context, rows []storage.Row) (ok bool, e
 	// creation order — also those of a block that missed afterwards, which
 	// the row loop will then find existing.
 	for ; groups < b.table.Len(); groups++ {
-		if err := b.chargeGroup(ctx, b.table.Group(groups)); err != nil {
+		if err := b.charge(ctx, b.table.Group(groups)); err != nil {
 			return false, err
 		}
 	}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"bufferdb/internal/codemodel"
 	"bufferdb/internal/faultinject"
@@ -37,17 +36,12 @@ type Exchange struct {
 
 	// parallel-mode state, rebuilt on every Open.
 	parallel bool
-	workers  []*exchangeWorker
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	chunk []storage.Row // chunk being served
-	pos   int           // next row within chunk
+	gather   Gather
+	chunk    []storage.Row // chunk being served
+	pos      int           // next row within chunk
 
 	stats  *OpStats
 	fault  *faultinject.Point
-	mem    *MemTracker // gather-side handle for releasing queued chunks
 	opened bool
 }
 
@@ -55,16 +49,6 @@ type Exchange struct {
 // them to the gather; chunking amortizes channel synchronization the same
 // way buffers amortize instruction fetch.
 const exchangeChunk = 256
-
-// exchangeDepth is the per-worker channel capacity in chunks: enough that
-// workers rarely stall on the consumer, small enough to bound memory.
-const exchangeDepth = 8
-
-// exchangeWorker drains one partition subtree into its channel.
-type exchangeWorker struct {
-	out chan []storage.Row
-	err error // read by the gather only after out is closed
-}
 
 // NewExchange constructs a gather over per-partition subtrees. At least one
 // partition is required; all partitions must produce the same schema.
@@ -77,7 +61,7 @@ func NewExchange(parts []Operator) (*Exchange, error) {
 
 // Open implements Operator.
 func (e *Exchange) Open(ctx *Context) error {
-	e.shutdown()
+	e.gather.Stop()
 	e.stats = ctx.StatsFor(e)
 	if e.stats != nil {
 		e.stats.Partitions = len(e.parts)
@@ -85,75 +69,25 @@ func (e *Exchange) Open(ctx *Context) error {
 	}
 	e.cur, e.chunk, e.pos = 0, nil, 0
 	e.fault = ctx.FaultPoint(e, ":next")
-	e.mem = ctx.Mem
 	e.parallel = ctx.CPU == nil && ctx.Trace == nil
 	e.opened = true
 	if !e.parallel {
 		// Serial mode: partitions run inline, opened lazily in Next.
-		if len(e.parts) > 0 {
-			return e.parts[0].Open(ctx)
-		}
-		return nil
+		return e.parts[0].Open(ctx)
 	}
-	e.stop = make(chan struct{})
-	e.stopOnce = sync.Once{}
-	e.workers = make([]*exchangeWorker, len(e.parts))
-	for i, part := range e.parts {
-		w := &exchangeWorker{out: make(chan []storage.Row, exchangeDepth)}
-		e.workers[i] = w
-		e.wg.Add(1)
-		// Each worker owns a private Context: its own branch-outcome
-		// stream and cancellation tick, sharing only the read-only
-		// catalog, the caller's cancellation context, the (mutex-guarded)
-		// memory tracker and fault injector, and (if enabled) the stats
-		// collector, whose registration path is mutex-guarded and whose
-		// per-operator slots are each written by one worker only.
-		wctx := &Context{Catalog: ctx.Catalog, Ctx: ctx.Ctx, Stats: ctx.Stats, Mem: ctx.Mem, Fault: ctx.Fault}
-		go func(part Operator, w *exchangeWorker) {
-			defer e.wg.Done()
-			defer close(w.out)
-			// Contain worker panics: the recover runs before close(w.out)
-			// (defers are LIFO), so the gather always observes w.err after
-			// the channel closes.
-			defer func() {
-				if r := recover(); r != nil {
-					w.err = PanicError(part.Name(), r)
-				}
-			}()
-			w.err = e.drainPartition(wctx, part, w.out)
-		}(part, w)
-	}
+	e.gather.Start(ctx, len(e.parts), func(i int) string { return e.parts[i].Name() }, e.drainPartition)
 	return nil
 }
 
 // drainPartition runs one partition subtree to completion, sending chunks
 // until EOF, error, or shutdown.
-func (e *Exchange) drainPartition(ctx *Context, part Operator, out chan<- []storage.Row) error {
+func (e *Exchange) drainPartition(ctx *Context, i int, send func([]storage.Row) (bool, error)) error {
+	part := e.parts[i]
 	if err := CallOpen(ctx, part); err != nil {
 		return err
 	}
 	defer CallClose(ctx, part)
 	chunk := make([]storage.Row, 0, exchangeChunk)
-	// Each queued chunk is charged against the query's budget before the
-	// send and released by the gather (or the shutdown drain) on receive, so
-	// tracked bytes bound the bytes actually parked in channels.
-	flush := func() (stopped bool, err error) {
-		if len(chunk) == 0 {
-			return false, nil
-		}
-		bytes := RowsBytes(chunk)
-		if err := ctx.GrowMem(bytes); err != nil {
-			return false, err
-		}
-		select {
-		case out <- chunk:
-			chunk = make([]storage.Row, 0, exchangeChunk)
-			return false, nil
-		case <-e.stop:
-			ctx.ShrinkMem(bytes) // never handed off; return the charge
-			return true, nil
-		}
-	}
 	for {
 		if err := ctx.Canceled(); err != nil {
 			return err
@@ -163,14 +97,17 @@ func (e *Exchange) drainPartition(ctx *Context, part Operator, out chan<- []stor
 			return err
 		}
 		if row == nil {
-			_, err := flush()
+			if len(chunk) > 0 {
+				_, err = send(chunk)
+			}
 			return err
 		}
 		chunk = append(chunk, row)
 		if len(chunk) == exchangeChunk {
-			if stopped, err := flush(); stopped || err != nil {
+			if stopped, err := send(chunk); stopped || err != nil {
 				return err
 			}
+			chunk = make([]storage.Row, 0, exchangeChunk)
 		}
 	}
 }
@@ -221,30 +158,18 @@ func (e *Exchange) nextSerial(ctx *Context) (storage.Row, error) {
 	return nil, nil
 }
 
-// nextParallel serves chunks from the workers in partition order.
+// nextParallel serves the gathered chunks row by row.
 func (e *Exchange) nextParallel() (storage.Row, error) {
-	for {
-		if e.pos < len(e.chunk) {
-			row := e.chunk[e.pos]
-			e.pos++
-			return row, nil
+	if e.pos >= len(e.chunk) {
+		chunk, err := e.gather.Next()
+		if len(chunk) == 0 {
+			return nil, err
 		}
-		if e.cur >= len(e.workers) {
-			return nil, nil
-		}
-		w := e.workers[e.cur]
-		chunk, ok := <-w.out
-		if ok {
-			e.mem.Shrink(RowsBytes(chunk))
-			e.chunk, e.pos = chunk, 0
-			continue
-		}
-		// Partition drained; surface its error, if any, before advancing.
-		if w.err != nil {
-			return nil, w.err
-		}
-		e.cur++
+		e.chunk, e.pos = chunk, 0
 	}
+	row := e.chunk[e.pos]
+	e.pos++
+	return row, nil
 }
 
 // serveUops is the simulated execution cost of handing one gathered tuple
@@ -252,27 +177,10 @@ func (e *Exchange) nextParallel() (storage.Row, error) {
 // buffer operator's serve path.
 const serveUops = 12
 
-// shutdown stops any running workers and waits for them to exit.
-func (e *Exchange) shutdown() {
-	if e.workers == nil {
-		return
-	}
-	e.stopOnce.Do(func() { close(e.stop) })
-	// Drain so workers blocked on a full channel observe the stop,
-	// releasing the budget charge of every chunk still queued.
-	for _, w := range e.workers {
-		for chunk := range w.out {
-			e.mem.Shrink(RowsBytes(chunk))
-		}
-	}
-	e.wg.Wait()
-	e.workers = nil
-}
-
 // Close implements Operator.
 func (e *Exchange) Close(ctx *Context) error {
 	if e.parallel {
-		e.shutdown()
+		e.gather.Stop()
 	} else if e.opened && e.cur < len(e.parts) {
 		// Serial mode: the current partition is still open.
 		if err := e.parts[e.cur].Close(ctx); err != nil {

@@ -2,34 +2,12 @@ package exec
 
 import (
 	"fmt"
-	"time"
 
 	"bufferdb/internal/codemodel"
 	"bufferdb/internal/expr"
 	"bufferdb/internal/faultinject"
 	"bufferdb/internal/storage"
 )
-
-// hashEntryOverhead approximates the per-row bookkeeping of the Go map
-// bucket and row-slice header a hash join or aggregate retains alongside
-// the tuple bytes it charges to the memory tracker.
-const hashEntryOverhead = 48
-
-// keyEval evaluates a join key expression, enforcing the engine's rule that
-// equi-join keys are BIGINT-typed (all TPC-H keys are).
-func keyEval(e expr.Expr, row storage.Row) (int64, bool, error) {
-	v, err := e.Eval(row)
-	if err != nil {
-		return 0, false, err
-	}
-	if v.IsNull() {
-		return 0, false, nil
-	}
-	if v.Kind != storage.TypeInt64 {
-		return 0, false, fmt.Errorf("exec: join key must be BIGINT, got %v", v.Kind)
-	}
-	return v.I, true, nil
-}
 
 // NestLoopJoin is an (index) nested-loop join: for each outer tuple it
 // rescans the inner operator with the outer key and emits the
@@ -111,7 +89,7 @@ func (j *NestLoopJoin) Next(ctx *Context) (res storage.Row, err error) {
 				return nil, nil
 			}
 			j.outerRow = row
-			key, ok, err := keyEval(j.OuterKey, row)
+			key, ok, err := JoinKey(j.OuterKey, row)
 			if err != nil {
 				return nil, err
 			}
@@ -187,21 +165,14 @@ type HashJoin struct {
 	OuterKey expr.Expr
 	InnerKey expr.Expr
 
-	buildModule  *codemodel.Module
-	probeModule  *codemodel.Module
-	label        byte
-	stats        *OpStats
-	fault        *faultinject.Point
-	buildFault   *faultinject.Point
-	publishFault *faultinject.Point
-	arena        *Arena
-	schema       storage.Schema
-	shared       *SharedBuild
-
-	table        map[int64][]storage.Row
-	memUsed      int64
-	bucketRegion uint64
-	bucketCount  uint64
+	buildModule *codemodel.Module
+	probeModule *codemodel.Module
+	label       byte
+	stats       *OpStats
+	fault       *faultinject.Point
+	arena       *Arena
+	schema      storage.Schema
+	table       JoinTable
 
 	current    []storage.Row
 	currentPos int
@@ -228,18 +199,7 @@ func (j *HashJoin) SetTraceLabel(b byte) { j.label = b }
 
 // SetShared wires the build side to the semantic reuse cache; see
 // SharedBuild. Must be set before Open.
-func (j *HashJoin) SetShared(sb *SharedBuild) { j.shared = sb }
-
-// bucketAddr maps a key to its simulated bucket address — a random-access
-// pattern the prefetcher cannot cover, as with a real hash table.
-func (j *HashJoin) bucketAddr(key int64) uint64 {
-	if j.bucketRegion == 0 {
-		return 0
-	}
-	x := uint64(key) * 0x9e3779b97f4a7c15
-	x ^= x >> 32
-	return j.bucketRegion + (x%j.bucketCount)*16
-}
+func (j *HashJoin) SetShared(sb *SharedBuild) { j.table.SetShared(sb) }
 
 // Open implements Operator: it runs the build phase.
 func (j *HashJoin) Open(ctx *Context) error {
@@ -254,39 +214,21 @@ func (j *HashJoin) Open(ctx *Context) error {
 		return err
 	}
 	j.fault = ctx.FaultPoint(j, ":next")
-	j.buildFault = ctx.FaultPoint(j, ":build")
-	j.publishFault = ctx.FaultPoint(j, ":publish")
 	j.arena = NewArena(ctx.CPU)
-	j.table = make(map[int64][]storage.Row)
-	ctx.ShrinkMem(j.memUsed) // reopen without Close: release stale charges
-	j.memUsed = 0
 	j.current, j.outerRow = nil, nil
 	j.currentPos = 0
-
-	// Size the simulated bucket array lazily from the first build; use a
-	// fixed generous region.
-	if ctx.CPU != nil {
-		j.bucketCount = 1 << 16
-		j.bucketRegion = ctx.CPU.AllocData(int(j.bucketCount) * 16)
-	}
-	if j.shared != nil && j.shared.Table != nil {
-		// Reuse-cache hit: adopt the published build side instead of
-		// draining the (already emptied) build input. The adopted table is
-		// read-only and its bytes live under the cache's reservation, so
-		// nothing is charged to this query.
-		j.table = j.shared.Table
+	if j.table.Open(ctx, j); j.table.Adopted() {
+		// Reuse-cache hit: the build input is never touched.
 		j.opened = true
 		return nil
 	}
-	buildStart := time.Now()
-	buildArena := NewArena(ctx.CPU)
 	for {
 		// The build is a blocking loop: poll cancellation and deadlines so
 		// a large build aborts promptly instead of outliving its query.
 		if err := ctx.Canceled(); err != nil {
 			return err
 		}
-		if err := j.buildFault.Fire(); err != nil {
+		if err := j.table.BuildFault(); err != nil {
 			return err
 		}
 		row, err := j.Inner.Next(ctx)
@@ -296,7 +238,7 @@ func (j *HashJoin) Open(ctx *Context) error {
 		if row == nil {
 			break
 		}
-		key, ok, err := keyEval(j.InnerKey, row)
+		key, ok, err := JoinKey(j.InnerKey, row)
 		if err != nil {
 			return err
 		}
@@ -304,24 +246,12 @@ func (j *HashJoin) Open(ctx *Context) error {
 		if !ok {
 			continue
 		}
-		charge := int64(row.ByteSize()) + hashEntryOverhead
-		if err := ctx.GrowMem(charge); err != nil {
+		if err := j.table.Insert(ctx, key, row); err != nil {
 			return err
 		}
-		j.memUsed += charge
-		j.table[key] = append(j.table[key], row)
-		// Copy the tuple into hash-table memory and link the bucket.
-		ctx.Write(buildArena.Alloc(row.ByteSize()), row.ByteSize())
-		ctx.Write(j.bucketAddr(key), 16)
 	}
-	if j.shared != nil && j.shared.Publish != nil {
-		// Reuse-cache miss: hand the finished build to the cache. The
-		// publish fault fires first, so a poisoned build can never be
-		// inserted and later served.
-		if err := j.publishFault.Fire(); err != nil {
-			return err
-		}
-		j.shared.Publish(j.table, j.memUsed, time.Since(buildStart))
+	if err := j.table.Finish(); err != nil {
+		return err
 	}
 	j.opened = true
 	return nil
@@ -347,7 +277,7 @@ func (j *HashJoin) Next(ctx *Context) (res storage.Row, err error) {
 			j.currentPos++
 			out := j.outerRow.Concat(inner)
 			ctx.ExecModule(j.probeModule, ctx.DataBits(true))
-			ctx.Read(j.bucketAddr(0), 16) // bucket chain advance
+			j.table.Advance(ctx)
 			ctx.Write(j.arena.Alloc(out.ByteSize()), out.ByteSize())
 			return out, nil
 		}
@@ -358,7 +288,7 @@ func (j *HashJoin) Next(ctx *Context) (res storage.Row, err error) {
 		if row == nil {
 			return nil, nil
 		}
-		key, ok, err := keyEval(j.OuterKey, row)
+		key, ok, err := JoinKey(j.OuterKey, row)
 		if err != nil {
 			return nil, err
 		}
@@ -366,8 +296,7 @@ func (j *HashJoin) Next(ctx *Context) (res storage.Row, err error) {
 			ctx.ExecModule(j.probeModule, ctx.DataBits(false))
 			continue
 		}
-		ctx.Read(j.bucketAddr(key), 16)
-		matches := j.table[key]
+		matches := j.table.Probe(ctx, key)
 		ctx.ExecModule(j.probeModule, ctx.DataBits(len(matches) > 0))
 		j.outerRow = row
 		j.current = matches
@@ -378,9 +307,7 @@ func (j *HashJoin) Next(ctx *Context) (res storage.Row, err error) {
 // Close implements Operator.
 func (j *HashJoin) Close(ctx *Context) error {
 	j.opened = false
-	j.table = nil
-	ctx.ShrinkMem(j.memUsed)
-	j.memUsed = 0
+	j.table.Close(ctx)
 	err1 := j.Outer.Close(ctx)
 	err2 := j.Inner.Close(ctx)
 	if err1 != nil {
@@ -484,7 +411,7 @@ func (j *MergeJoin) advanceLeft(ctx *Context) error {
 			j.leftRow = nil
 			return nil
 		}
-		key, ok, err := keyEval(j.LeftKey, row)
+		key, ok, err := JoinKey(j.LeftKey, row)
 		if err != nil {
 			return err
 		}
@@ -509,7 +436,7 @@ func (j *MergeJoin) advanceRight(ctx *Context) error {
 			j.rightDone = true
 			return nil
 		}
-		key, ok, err := keyEval(j.RightKey, row)
+		key, ok, err := JoinKey(j.RightKey, row)
 		if err != nil {
 			return err
 		}

@@ -11,24 +11,22 @@ import (
 // HashBuild node; all three engines' join operators consult it the same
 // way:
 //
-//   - On a cache hit, Table is the adopted, read-only build table and the
-//     build child has been replaced with an empty source — the operator
-//     skips its build drain entirely and probes Table. The entry stays
-//     pinned for the cursor's lifetime (the facade releases it), so
-//     eviction never un-accounts memory mid-probe.
+//   - On a cache hit, Table is the published, read-only build table and
+//     the build child has been replaced with an empty source — the
+//     operator's own JoinTable adopts it, the build drain is skipped
+//     entirely. The entry stays pinned for the cursor's lifetime (the
+//     facade releases it), so eviction never un-accounts memory mid-probe.
 //   - On a miss, Publish is set: after a complete, successful build drain
-//     the operator hands its finished table to the cache with the bytes it
-//     charged and the wall-clock cost of building. Publish must only be
-//     called with a fully built table — never after a canceled or failed
-//     drain.
+//     JoinTable.Finish hands the finished table to the cache with the bytes
+//     charged for it and the wall-clock cost of building.
 //
 // A nil SharedBuild (the default everywhere outside the facade's reuse
 // path) costs one branch at Open.
 type SharedBuild struct {
-	// Table is the adopted build side on a hit; nil on a miss.
-	Table map[int64][]storage.Row
+	// Table is the published build side on a hit; nil on a miss.
+	Table *JoinTable
 	// Publish hands a finished build to the cache on a miss; nil on a hit.
-	Publish func(table map[int64][]storage.Row, bytes int64, cost time.Duration)
+	Publish func(table *JoinTable, bytes int64, cost time.Duration)
 }
 
 // SharedAgg wires one hash aggregate to the reuse cache on a miss. (On a

@@ -94,9 +94,9 @@ func (r *reuser) build(b *Node) {
 		return
 	}
 	if payload, release, hit := r.cache.Lookup(key); hit {
-		if jb, isBuild := payload.(*reuse.JoinBuild); isBuild {
+		if jt, isBuild := payload.(*exec.JoinTable); isBuild {
 			r.releases = append(r.releases, release)
-			b.Shared = &exec.SharedBuild{Table: jb.Table}
+			b.Shared = &exec.SharedBuild{Table: jt}
 			b.Reused = true
 			inner := b.Children[0]
 			b.Children[0] = r.cachedNode(inner.Schema(), nil, 0, inner.Group)
@@ -106,8 +106,8 @@ func (r *reuser) build(b *Node) {
 	}
 	snap := r.ep.Snapshot(tables)
 	cache := r.cache
-	b.Shared = &exec.SharedBuild{Publish: func(table map[int64][]storage.Row, bytes int64, cost time.Duration) {
-		cache.Publish(key, tables, snap, &reuse.JoinBuild{Table: table}, bytes, cost)
+	b.Shared = &exec.SharedBuild{Publish: func(table *exec.JoinTable, bytes int64, cost time.Duration) {
+		cache.Publish(key, tables, snap, table, bytes, cost)
 	}}
 }
 

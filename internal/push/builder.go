@@ -172,19 +172,19 @@ func (b *Builder) Aggregate(groupBy []expr.Expr, aggs []expr.AggSpec, mod *codem
 		b.fail("push: aggregate before source")
 		return nil
 	}
-	sch, err := aggSchema(groupBy, aggs)
+	state, err := exec.NewAggState(groupBy, aggs)
 	if err != nil {
 		b.err = err
 		return nil
 	}
-	a := &aggSink{groupBy: groupBy, aggs: aggs}
+	a := &aggSink{AggState: state}
 	a.mod = mod
 	a.repChildren = []any{b.top}
 	b.cur.snk = a
 	b.pipes = append(b.pipes, b.cur)
 	b.cur = &pipe{src: &pipeSource{up: a}}
 	b.top = a
-	b.sch = sch
+	b.sch = a.Schema()
 	return a
 }
 
@@ -195,7 +195,7 @@ func SetSharedBuild(h any, sb *exec.SharedBuild) bool {
 	if !ok {
 		return false
 	}
-	bs.shared = sb
+	bs.table.SetShared(sb)
 	return true
 }
 
@@ -206,7 +206,7 @@ func SetSharedAgg(h any, sa *exec.SharedAgg) bool {
 	if !ok {
 		return false
 	}
-	as.shared = sa
+	as.SetShared(sa)
 	return true
 }
 

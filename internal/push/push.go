@@ -20,10 +20,11 @@
 // instruction-footprint module through exec.Context.ExecModuleBatch — one
 // instruction-fetch replay per ~flushTuples tuples — so a fused group's
 // simulated L1-I miss count is the amortized one its single tight loop
-// would earn on real hardware. Data-cache traffic, memory-tracker charges,
-// cancellation polls and fault-injection sites mirror the Volcano operators
-// one-for-one, which is what keeps the chaos suite's containment contract
-// engine-independent.
+// would earn on real hardware. The breakers' state is the Volcano engine's
+// own (exec.JoinTable, exec.AggState), so their data-cache traffic,
+// memory-tracker charges and fault sites are shared code; the scan, filter
+// and project elements mirror their Volcano operators one-for-one. That is
+// what keeps the chaos suite's containment contract engine-independent.
 package push
 
 import (

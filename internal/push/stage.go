@@ -147,10 +147,10 @@ func (l *limitStage) Name() string { return l.name() }
 // ReportChildren implements Reportable.
 func (l *limitStage) ReportChildren() []any { return l.repChildren }
 
-// probeStage probes an upstream buildSink's hash table with each outer
-// row, emitting outer⨝inner concatenations in build-insertion order —
-// bit-identical to exec.HashJoin's probe phase, including the NULL-key,
-// bucket-read and arena-write modeling and the "<name>:next" fault site.
+// probeStage probes an upstream buildSink's exec.JoinTable with each outer
+// row, emitting outer⨝inner concatenations in build-insertion order, with
+// exec.HashJoin's NULL-key rule, arena-write modeling and "<name>:next"
+// fault site.
 type probeStage struct {
 	build    *buildSink
 	outerKey expr.Expr
@@ -177,7 +177,7 @@ func (j *probeStage) process(ctx *exec.Context, row storage.Row, next emitFn) er
 	if err := j.fault.Fire(); err != nil {
 		return err
 	}
-	key, ok, err := keyEval(j.outerKey, row)
+	key, ok, err := exec.JoinKey(j.outerKey, row)
 	if err != nil {
 		return err
 	}
@@ -186,13 +186,12 @@ func (j *probeStage) process(ctx *exec.Context, row storage.Row, next emitFn) er
 		j.add(ctx, false)
 		return nil
 	}
-	ctx.Read(j.build.bucketAddr(key), 16)
-	matches := j.build.table[key]
+	matches := j.build.table.Probe(ctx, key)
 	j.add(ctx, len(matches) > 0)
 	for _, inner := range matches {
 		out := row.Concat(inner)
 		j.add(ctx, true)
-		ctx.Read(j.build.bucketAddr(0), 16) // bucket chain advance
+		j.build.table.Advance(ctx)
 		ctx.Write(j.arena.Alloc(out.ByteSize()), out.ByteSize())
 		if j.stats != nil {
 			j.stats.Rows++
@@ -214,19 +213,3 @@ func (j *probeStage) Name() string { return j.name() }
 // ReportChildren implements Reportable: the outer chain below the probe,
 // plus the build sink's subtree.
 func (j *probeStage) ReportChildren() []any { return j.repChildren }
-
-// keyEval mirrors exec's join-key evaluation: BIGINT keys only, NULL keys
-// join nothing.
-func keyEval(e expr.Expr, row storage.Row) (int64, bool, error) {
-	v, err := e.Eval(row)
-	if err != nil {
-		return 0, false, err
-	}
-	if v.IsNull() {
-		return 0, false, nil
-	}
-	if v.Kind != storage.TypeInt64 {
-		return 0, false, fmt.Errorf("push: join key must be BIGINT, got %v", v.Kind)
-	}
-	return v.I, true, nil
-}

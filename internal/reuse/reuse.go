@@ -8,14 +8,6 @@ import (
 	"bufferdb/internal/storage"
 )
 
-// JoinBuild is a published hash-join build side: the key→rows table every
-// engine's hash join builds (the map layout is identical across the
-// Volcano, vectorized and push engines, which is what makes cross-engine
-// reuse possible). The map is read-only once published.
-type JoinBuild struct {
-	Table map[int64][]storage.Row
-}
-
 // AggTable is a published hash-aggregate result: the operator's finished,
 // sorted output rows. Rows are read-only once published; consumers that
 // reorder or project build new rows.
@@ -34,7 +26,10 @@ type Stats struct {
 	MaxBytes      int64
 }
 
-// entry is one cached intermediate.
+// entry is one cached intermediate: a hash-join build side, stored as the
+// *exec.JoinTable every engine's hash join builds and probes (one type is
+// what makes cross-engine reuse possible; read-only once published), or an
+// *AggTable.
 type entry struct {
 	key     string
 	tables  []string

@@ -108,13 +108,13 @@ func TestPinnedEvictionDefersRelease(t *testing.T) {
 	var outstanding int64
 	ep := NewEpochs()
 	c := New(100, ep, trackingReserve(&outstanding))
-	c.Publish("pinned", nil, nil, &JoinBuild{}, 100, time.Millisecond)
+	c.Publish("pinned", nil, nil, &AggTable{}, 100, time.Millisecond)
 	_, release, ok := c.Lookup("pinned")
 	if !ok {
 		t.Fatal("lookup missed")
 	}
 	// Displace the pinned entry; its reservation must survive the eviction.
-	if !c.Publish("next", nil, nil, &JoinBuild{}, 100, time.Hour) {
+	if !c.Publish("next", nil, nil, &AggTable{}, 100, time.Hour) {
 		t.Fatal("publish refused")
 	}
 	if outstanding != 200 {
@@ -135,7 +135,7 @@ func TestInvalidatePerTable(t *testing.T) {
 	c := New(1<<20, ep, trackingReserve(&outstanding))
 	c.Publish("li", []string{"lineitem"}, ep.Snapshot([]string{"lineitem"}), &AggTable{}, 10, time.Second)
 	c.Publish("ord", []string{"orders"}, ep.Snapshot([]string{"orders"}), &AggTable{}, 10, time.Second)
-	c.Publish("join", []string{"lineitem", "orders"}, ep.Snapshot([]string{"lineitem", "orders"}), &JoinBuild{}, 10, time.Second)
+	c.Publish("join", []string{"lineitem", "orders"}, ep.Snapshot([]string{"lineitem", "orders"}), &AggTable{}, 10, time.Second)
 	ep.Bump("lineitem")
 	c.Invalidate("lineitem")
 	if _, _, ok := c.Lookup("li"); ok {

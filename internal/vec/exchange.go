@@ -2,7 +2,6 @@ package vec
 
 import (
 	"fmt"
-	"sync"
 
 	"bufferdb/internal/exec"
 	"bufferdb/internal/faultinject"
@@ -16,10 +15,10 @@ import (
 //
 // Like exec.Exchange the execution mode depends on the Context: on a
 // simulated CPU (or with a tracer attached) the single-core machine runs
-// the partitions inline one after another; uninstrumented, Open spawns one
-// goroutine per partition draining into a bounded channel. Batch slices are
-// reused by their producer across NextBatch calls, so workers copy each
-// batch before handing it across the channel.
+// the partitions inline one after another; uninstrumented, the partitions
+// run on exec.Gather's workers. Batch slices are reused by their producer
+// across NextBatch calls, so workers copy each batch before handing it
+// across the channel.
 type Exchange struct {
 	parts []Operator
 
@@ -28,24 +27,11 @@ type Exchange struct {
 
 	// parallel-mode state, rebuilt on every Open.
 	parallel bool
-	workers  []*exchangeWorker
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	gather   exec.Gather
 
 	stats  *exec.OpStats
 	fault  *faultinject.Point
-	mem    *exec.MemTracker // gather-side handle for releasing queued batches
 	opened bool
-}
-
-// exchangeDepth is the per-worker channel capacity in batches.
-const exchangeDepth = 8
-
-// exchangeWorker drains one partition subtree into its channel.
-type exchangeWorker struct {
-	out chan Batch
-	err error // read by the gather only after out is closed
 }
 
 // NewExchange constructs a gather over per-partition batch subtrees. At
@@ -59,7 +45,7 @@ func NewExchange(parts []Operator) (*Exchange, error) {
 
 // Open implements Operator.
 func (e *Exchange) Open(ctx *exec.Context) error {
-	e.shutdown()
+	e.gather.Stop()
 	e.stats = ctx.StatsFor(e)
 	if e.stats != nil {
 		e.stats.Partitions = len(e.parts)
@@ -67,43 +53,19 @@ func (e *Exchange) Open(ctx *exec.Context) error {
 	}
 	e.cur = 0
 	e.fault = ctx.FaultPoint(e, ":next")
-	e.mem = ctx.Mem
 	e.parallel = ctx.CPU == nil && ctx.Trace == nil
 	e.opened = true
 	if !e.parallel {
 		return e.parts[0].Open(ctx)
 	}
-	e.stop = make(chan struct{})
-	e.stopOnce = sync.Once{}
-	e.workers = make([]*exchangeWorker, len(e.parts))
-	for i, part := range e.parts {
-		w := &exchangeWorker{out: make(chan Batch, exchangeDepth)}
-		e.workers[i] = w
-		e.wg.Add(1)
-		// Workers share the stats collector: registration is mutex-guarded
-		// and each partition operator's slot is written by its worker only.
-		// The memory tracker and fault injector are likewise safe to share.
-		wctx := &exec.Context{Catalog: ctx.Catalog, Ctx: ctx.Ctx, Stats: ctx.Stats, Mem: ctx.Mem, Fault: ctx.Fault}
-		go func(part Operator, w *exchangeWorker) {
-			defer e.wg.Done()
-			defer close(w.out)
-			// Contain worker panics: the recover runs before close(w.out)
-			// (defers are LIFO), so the gather always observes w.err after
-			// the channel closes.
-			defer func() {
-				if r := recover(); r != nil {
-					w.err = exec.PanicError(part.Name(), r)
-				}
-			}()
-			w.err = e.drainPartition(wctx, part, w.out)
-		}(part, w)
-	}
+	e.gather.Start(ctx, len(e.parts), func(i int) string { return e.parts[i].Name() }, e.drainPartition)
 	return nil
 }
 
 // drainPartition runs one partition subtree to completion, copying and
 // sending each batch until EOF, error, or shutdown.
-func (e *Exchange) drainPartition(ctx *exec.Context, part Operator, out chan<- Batch) error {
+func (e *Exchange) drainPartition(ctx *exec.Context, i int, send func([]storage.Row) (bool, error)) error {
+	part := e.parts[i]
 	if err := CallOpen(ctx, part); err != nil {
 		return err
 	}
@@ -120,20 +82,11 @@ func (e *Exchange) drainPartition(ctx *exec.Context, part Operator, out chan<- B
 			return nil
 		}
 		// The producer reuses the batch slice; copy before crossing the
-		// channel (row references are stable, the slice is not). Each
-		// queued batch is charged against the query's budget before the
-		// send and released by the gather (or the shutdown drain).
-		owned := make(Batch, len(batch))
+		// channel (row references are stable, the slice is not).
+		owned := make([]storage.Row, len(batch))
 		copy(owned, batch)
-		bytes := exec.RowsBytes(owned)
-		if err := ctx.GrowMem(bytes); err != nil {
+		if stopped, err := send(owned); stopped || err != nil {
 			return err
-		}
-		select {
-		case out <- owned:
-		case <-e.stop:
-			ctx.ShrinkMem(bytes) // never handed off; return the charge
-			return nil
 		}
 	}
 }
@@ -150,7 +103,7 @@ func (e *Exchange) NextBatch(ctx *exec.Context) (out Batch, err error) {
 		return nil, err
 	}
 	if e.parallel {
-		return e.nextParallel()
+		return e.gather.Next()
 	}
 	return e.nextSerial(ctx)
 }
@@ -184,44 +137,10 @@ func (e *Exchange) nextSerial(ctx *exec.Context) (Batch, error) {
 	return nil, nil
 }
 
-// nextParallel serves batches from the workers in partition order.
-func (e *Exchange) nextParallel() (Batch, error) {
-	for e.cur < len(e.workers) {
-		w := e.workers[e.cur]
-		batch, ok := <-w.out
-		if ok {
-			e.mem.Shrink(exec.RowsBytes(batch))
-			return batch, nil
-		}
-		if w.err != nil {
-			return nil, w.err
-		}
-		e.cur++
-	}
-	return nil, nil
-}
-
-// shutdown stops any running workers and waits for them to exit.
-func (e *Exchange) shutdown() {
-	if e.workers == nil {
-		return
-	}
-	e.stopOnce.Do(func() { close(e.stop) })
-	// Drain so workers blocked on a full channel observe the stop,
-	// releasing the budget charge of every batch still queued.
-	for _, w := range e.workers {
-		for batch := range w.out {
-			e.mem.Shrink(exec.RowsBytes(batch))
-		}
-	}
-	e.wg.Wait()
-	e.workers = nil
-}
-
 // Close implements Operator.
 func (e *Exchange) Close(ctx *exec.Context) error {
 	if e.parallel {
-		e.shutdown()
+		e.gather.Stop()
 	} else if e.opened && e.cur < len(e.parts) {
 		if err := e.parts[e.cur].Close(ctx); err != nil {
 			e.opened = false

@@ -1,4 +1,4 @@
-package exec
+package vec
 
 import (
 	"context"
@@ -10,48 +10,47 @@ import (
 	"time"
 
 	"bufferdb/internal/codemodel"
+	"bufferdb/internal/exec"
 	"bufferdb/internal/storage"
 )
 
-// spanScans builds one span-bounded SeqScan per partition of a table.
-func spanScans(t *testing.T, table *storage.Table, workers int) []Operator {
-	t.Helper()
+// The cases of exec's exchange_test.go against the batch wrapper of the
+// same exec.Gather core, driven through ToVolcano.
+
+// spanScans builds one span-bounded batch scan per partition of a table.
+func spanScans(table *storage.Table, workers, batchSize int) []Operator {
 	spans := table.Partitions(workers)
 	parts := make([]Operator, len(spans))
 	for i := range spans {
-		parts[i] = NewSeqScanSpan(table, nil, nil, &spans[i])
+		parts[i] = NewSeqScanSpan(table, nil, nil, batchSize, &spans[i])
 	}
 	return parts
 }
 
+func gather(t *testing.T, parts []Operator) exec.Operator {
+	t.Helper()
+	ex, err := NewExchange(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewToVolcano(ex)
+}
+
 func TestExchangeGathersInPartitionOrder(t *testing.T) {
 	li := tbl(t, "lineitem")
-	want := runPlan(t, NewSeqScan(li, nil, nil))
+	want := runVec(t, NewSeqScan(li, nil, nil, 0))
 	for _, workers := range []int{1, 2, 3, 7, 16} {
-		ex, err := NewExchange(spanScans(t, li, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := runPlan(t, ex)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, len(got), len(want))
-		}
-		if HashRows(got) != HashRows(want) {
-			t.Fatalf("workers=%d: gathered rows differ from sequential scan", workers)
-		}
+		got := runVolcano(t, gather(t, spanScans(li, workers, 0)))
+		assertSameRows(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }
 
 func TestExchangeSerialWhenInstrumented(t *testing.T) {
 	li := tbl(t, "lineitem")
-	ex, err := NewExchange(spanScans(t, li, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A tracer forces serial inline execution (the simulated machine is
 	// single-core); results must still match.
-	ctx := &Context{Catalog: testDB, Trace: NewTracer(16)}
-	rows, err := Run(ctx, ex)
+	ctx := &exec.Context{Catalog: testDB, Trace: exec.NewTracer(16)}
+	rows, err := exec.Run(ctx, gather(t, spanScans(li, 4, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +61,7 @@ func TestExchangeSerialWhenInstrumented(t *testing.T) {
 
 func TestExchangeConformance(t *testing.T) {
 	li := tbl(t, "lineitem")
-	Conformance(t, "Exchange", func() Operator {
-		ex, err := NewExchange(spanScans(t, li, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ex
-	})
+	exec.Conformance(t, "VecExchange", func() exec.Operator { return gather(t, spanScans(li, 3, 0)) })
 }
 
 func TestExchangeEmptyPartitions(t *testing.T) {
@@ -79,44 +72,34 @@ func TestExchangeEmptyPartitions(t *testing.T) {
 
 // failingOp errors after serving a few rows, to test worker error surfacing.
 type failingOp struct {
-	n      int
-	served int
-	opened bool
+	n, served int
 }
 
-func (f *failingOp) Open(*Context) error { f.served = 0; f.opened = true; return nil }
-func (f *failingOp) Next(*Context) (storage.Row, error) {
-	if !f.opened {
-		return nil, errNotOpen(f.Name())
-	}
+func (f *failingOp) Open(*exec.Context) error { f.served = 0; return nil }
+func (f *failingOp) Next(*exec.Context) (storage.Row, error) {
 	if f.served >= f.n {
 		return nil, fmt.Errorf("failingOp: deliberate failure")
 	}
 	f.served++
 	return storage.Row{storage.NewInt(int64(f.served))}, nil
 }
-func (f *failingOp) Close(*Context) error { f.opened = false; return nil }
+func (f *failingOp) Close(*exec.Context) error { return nil }
 func (f *failingOp) Schema() storage.Schema {
 	return storage.Schema{{Name: "x", Type: storage.TypeInt64}}
 }
-func (f *failingOp) Children() []Operator      { return nil }
+func (f *failingOp) Children() []exec.Operator { return nil }
 func (f *failingOp) Name() string              { return "failingOp" }
 func (f *failingOp) Module() *codemodel.Module { return nil }
 func (f *failingOp) Blocking() bool            { return false }
 
 func TestExchangeSurfacesWorkerError(t *testing.T) {
-	parts := []Operator{
-		&failingOp{n: 1 << 30}, // never fails within the test's pulls
-		&failingOp{n: 5},
-	}
-	parts[0].(*failingOp).n = 5_000 // finite so the healthy partition drains
-	ex, err := NewExchange(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(&Context{Catalog: testDB}, ex)
+	op := gather(t, []Operator{
+		NewFromVolcano(&failingOp{n: 5_000}, 0, nil),
+		NewFromVolcano(&failingOp{n: 5}, 0, nil),
+	})
+	rows, err := exec.Run(&exec.Context{Catalog: testDB}, op)
 	if err == nil || !strings.Contains(err.Error(), "deliberate failure") {
-		t.Fatalf("Run = %v, want the worker's error", err)
+		t.Fatalf("Run = %d rows, %v, want the worker's error", len(rows), err)
 	}
 }
 
@@ -124,37 +107,34 @@ func TestExchangeCancellation(t *testing.T) {
 	li := tbl(t, "lineitem")
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ex, err := NewExchange(spanScans(t, li, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(&Context{Catalog: testDB, Ctx: cctx}, ex)
+	_, err := exec.Run(&exec.Context{Catalog: testDB, Ctx: cctx}, gather(t, spanScans(li, 4, 0)))
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run on canceled ctx = %v, want nil or context.Canceled", err)
 	}
 }
 
-// TestExchangeEarlyCloseReleasesQueuedChunks closes the gather after one
-// row, with the workers parked on full channels: every queued chunk's
+// TestExchangeEarlyCloseReleasesQueuedBatches closes the gather after one
+// batch, with the workers parked on full channels: every queued batch's
 // charge comes back and every worker exits.
-func TestExchangeEarlyCloseReleasesQueuedChunks(t *testing.T) {
+func TestExchangeEarlyCloseReleasesQueuedBatches(t *testing.T) {
 	li := tbl(t, "lineitem")
 	base := runtime.NumGoroutine()
-	ex, err := NewExchange(spanScans(t, li, 4))
+	// 64-row batches: a partition outruns its channel.
+	ex, err := NewExchange(spanScans(li, 4, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &Context{Catalog: testDB, Mem: NewMemTracker("q", 0, nil)}
+	ctx := &exec.Context{Catalog: testDB, Mem: exec.NewMemTracker("q", 0, nil)}
 	for round := 0; round < 3; round++ { // re-Open after an early Close, too
 		if err := ex.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if row, err := ex.Next(ctx); err != nil || row == nil {
-			t.Fatalf("first row: %v, %v", row, err)
+		if batch, err := ex.NextBatch(ctx); err != nil || len(batch) == 0 {
+			t.Fatalf("first batch: %d rows, %v", len(batch), err)
 		}
 		for i := 0; ctx.Mem.Bytes() == 0; i++ {
 			if i == 1000 {
-				t.Fatal("no chunk was ever queued")
+				t.Fatal("no batch was ever queued")
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -2,9 +2,14 @@ package bufferdb
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"bufferdb/internal/exec"
+	"bufferdb/internal/plan"
+	"bufferdb/internal/storage"
 )
 
 // The reuse suite pins the semantic reuse cache's contract: bit-identical
@@ -261,5 +266,154 @@ func TestReuseCloseReleasesMemory(t *testing.T) {
 	}
 	if st := db.ReuseStats(); st.Entries != 0 {
 		t.Fatalf("entries survived Close: %+v", st)
+	}
+}
+
+// breakerRun is one execution of reuseChaosQuery's unrefined plan — a hash
+// join under an aggregate, the two breakers whose state lives in
+// exec.JoinTable and exec.AggState — with what the breakers handed their
+// publish hooks.
+type breakerRun struct {
+	rows      []storage.Row
+	peak      int64
+	join      *exec.JoinTable
+	joinBytes int64
+	agg       []storage.Row
+	aggBytes  int64
+	published int
+}
+
+// runBreakers plans reuseChaosQuery without buffers, wires both breakers to
+// capturing hooks — or, with adopt set, the hash build to that published
+// table, its build child left in place — and runs it through the facade's
+// governor on e.
+func runBreakers(ctx context.Context, db *DB, e Engine, qo QueryOptions, adopt *exec.JoinTable) (breakerRun, error) {
+	var run breakerRun
+	p, err := db.plan(reuseChaosQuery, QueryOptions{DisableRefinement: true})
+	if err != nil {
+		return run, err
+	}
+	plan.Walk(p, func(n *plan.Node) {
+		switch n.Kind {
+		case plan.KindHashBuild:
+			n.Shared = &exec.SharedBuild{Table: adopt}
+			if adopt == nil {
+				n.Shared.Publish = func(t *exec.JoinTable, bytes int64, _ time.Duration) {
+					run.join, run.joinBytes = t, bytes
+					run.published++
+				}
+			}
+		case plan.KindAggregate:
+			n.SharedAgg = &exec.SharedAgg{Publish: func(rows []storage.Row, bytes int64, _ time.Duration) {
+				run.agg, run.aggBytes = rows, bytes
+				run.published++
+			}}
+		}
+	})
+	qo.Engine = e
+	rows, err := db.execPlan(ctx, p, qo)
+	if err != nil {
+		return run, err
+	}
+	defer rows.Close()
+	for rows.Next() {
+		run.rows = append(run.rows, rows.row)
+	}
+	run.peak = rows.mem.Peak()
+	return run, rows.Err()
+}
+
+// rootBytes is what an engine charges for the result beyond the breakers:
+// the push engine materializes its root pipe's output, the pull engines
+// stream it.
+func (r breakerRun) rootBytes(e Engine) int64 {
+	if e == EnginePush {
+		return exec.RowsBytes(r.rows)
+	}
+	return 0
+}
+
+// probeAll reads a join table through the keys of the orders table, its
+// build side.
+func probeAll(t *testing.T, db *DB, jt *exec.JoinTable) map[int64][]storage.Row {
+	t.Helper()
+	orders, err := db.cat.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[int64][]storage.Row)
+	for _, row := range orders.Rows() {
+		out[row[0].I] = jt.Probe(&exec.Context{}, row[0].I)
+	}
+	return out
+}
+
+// TestReuseBreakersIdenticalAcrossEngines: the three engines are drivers
+// over one join table and one aggregate state, so the same plan charges the
+// same peak, and publishes the same tables for the same bytes, on each.
+func TestReuseBreakersIdenticalAcrossEngines(t *testing.T) {
+	db := newReuseDB(t, Options{})
+	var first breakerRun
+	for i, e := range chaosEngines {
+		run, err := runBreakers(context.Background(), db, e, QueryOptions{}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		if run.published != 2 || run.join.Len() == 0 || len(run.agg) == 0 {
+			t.Fatalf("%s: published %d tables (join %d rows, aggregate %d)", e, run.published, run.join.Len(), len(run.agg))
+		}
+		if got := db.TrackedBytes(); got != 0 {
+			t.Fatalf("%s: %d bytes tracked after Close", e, got)
+		}
+		if i == 0 {
+			first = run
+			continue
+		}
+		if got, want := run.peak-run.rootBytes(e), first.peak; got != want {
+			t.Errorf("%s: breaker peak %d bytes, %s %d", e, got, chaosEngines[0], want)
+		}
+		if run.joinBytes != first.joinBytes || run.aggBytes != first.aggBytes {
+			t.Errorf("%s published join/aggregate for %d/%d bytes, %s for %d/%d",
+				e, run.joinBytes, run.aggBytes, chaosEngines[0], first.joinBytes, first.aggBytes)
+		}
+		if run.join.Len() != first.join.Len() || !reflect.DeepEqual(probeAll(t, db, run.join), probeAll(t, db, first.join)) {
+			t.Errorf("%s published a different join table than %s", e, chaosEngines[0])
+		}
+		if !reflect.DeepEqual(run.agg, first.agg) || !reflect.DeepEqual(run.rows, first.rows) {
+			t.Errorf("%s: aggregate table %v, result %v; %s: %v, %v", e, run.agg, run.rows, chaosEngines[0], first.agg, first.rows)
+		}
+	}
+}
+
+// TestReuseAdoptedBuildIsNeverWritten: an adopted build is read-only on
+// every engine even when the build child still yields rows (ApplyReuse
+// splices an empty source, a hand-built plan need not) — same answer, the
+// cached table untouched, none of its bytes charged to the adopting query.
+func TestReuseAdoptedBuildIsNeverWritten(t *testing.T) {
+	db := newReuseDB(t, Options{})
+	cold, err := runBreakers(context.Background(), db, EngineVolcano, QueryOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := probeAll(t, db, cold.join)
+	for _, e := range chaosEngines {
+		warm, err := runBreakers(context.Background(), db, e, QueryOptions{}, cold.join)
+		if err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		if !reflect.DeepEqual(warm.rows, cold.rows) {
+			t.Errorf("%s over the adopted build answered %v, want %v", e, warm.rows, cold.rows)
+		}
+		if got, want := warm.peak-warm.rootBytes(e), cold.peak-cold.joinBytes; got != want {
+			t.Errorf("%s charged %d bytes over the adopted build, want %d (no build rows)", e, got, want)
+		}
+		if cold.join.Len() != len(before) {
+			t.Fatalf("%s grew the adopted table to %d rows, had %d", e, cold.join.Len(), len(before))
+		}
+		for key, rows := range probeAll(t, db, cold.join) {
+			if len(rows) != 1 || &rows[0][0] != &before[key][0][0] {
+				t.Fatalf("%s rewrote the adopted table under key %d", e, key)
+			}
+		}
 	}
 }
