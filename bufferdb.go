@@ -603,12 +603,7 @@ func (db *DB) queryMaterialized(ctx context.Context, query string, qo QueryOptio
 	defer rows.Close()
 	res := &Result{Columns: rows.Columns()}
 	for rows.Next() {
-		r := rows.row
-		out := make([]any, len(r))
-		for i, v := range r {
-			out[i] = v.Native()
-		}
-		res.Rows = append(res.Rows, out)
+		res.Rows = append(res.Rows, rows.row.Natives(nil))
 	}
 	if err := rows.Err(); err != nil {
 		return nil, err

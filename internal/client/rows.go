@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"bufferdb/internal/storage"
 	"bufferdb/internal/wire"
 )
 
@@ -32,10 +33,21 @@ type Rows struct {
 	cn  *conn
 	ctx context.Context
 
-	cols  []string
-	batch [][]any
-	next  int
-	cur   []any
+	cols []string
+
+	// batch is the current RowBatch frame decoded once into one arena of
+	// rows × len(cols) values; row i is the sub-slice at i*len(cols). Every
+	// batch gets a fresh arena, so a typed row stays valid for as long as a
+	// consumer holds it (and pins the whole arena while it does).
+	batch []storage.Value
+	rows  int // rows in batch
+	next  int // next row of batch to surface
+	cur   storage.Row
+
+	// native is Row's reused slice; boxed says it already holds cur's
+	// values, so a row nobody asks for in native form is never boxed.
+	native []any
+	boxed  bool
 
 	total    uint64
 	err      error
@@ -71,9 +83,22 @@ func (r *Rows) stopWatch() {
 // read-only.
 func (r *Rows) Columns() []string { return r.cols }
 
+// Values returns the current row in the engine's representation, one value
+// per column: nil without a current row. Unlike Row's slice it is never
+// overwritten, so it may be kept past Next.
+func (r *Rows) Values() storage.Row { return r.cur }
+
 // Row returns the current row's native Go values (int64, float64, string,
 // bool, time.Time, nil). The slice is reused by Next; copy it to retain.
-func (r *Rows) Row() []any { return r.cur }
+func (r *Rows) Row() []any {
+	if r.cur == nil {
+		return nil
+	}
+	if !r.boxed {
+		r.native, r.boxed = r.cur.Natives(r.native), true
+	}
+	return r.native
+}
 
 // Err reports the error that terminated iteration, if any.
 func (r *Rows) Err() error { return r.err }
@@ -85,28 +110,28 @@ func (r *Rows) Err() error { return r.err }
 // value, including nil for SQL NULL). The typed pointers reject NULL, and
 // errors name the column by 0-based index and name.
 func (r *Rows) Scan(dest ...any) error {
-	if r.cur == nil {
-		if r.closed {
+	return ScanRow(dest, r.Row(), r.cols, r.closed)
+}
+
+// ScanRow is Scan over a native row (nil: no current row). Exported so the
+// dist coordinator's cursor applies the exact conversions and error
+// contract of the direct client cursor.
+func ScanRow(dest []any, row []any, cols []string, closed bool) error {
+	if row == nil {
+		if closed {
 			return fmt.Errorf("client: Scan: rows are closed")
 		}
 		return fmt.Errorf("client: Scan called without a successful Next")
 	}
-	if len(dest) != len(r.cur) {
-		return fmt.Errorf("client: Scan got %d destinations for %d columns", len(dest), len(r.cur))
+	if len(dest) != len(row) {
+		return fmt.Errorf("client: Scan got %d destinations for %d columns", len(dest), len(row))
 	}
 	for i, d := range dest {
-		if err := scanValue(d, r.cur[i], i, r.cols[i]); err != nil {
+		if err := scanValue(d, row[i], i, cols[i]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// ScanValue assigns one decoded native value to one destination pointer.
-// Exported so the dist coordinator's cursor applies the exact conversion
-// and error contract of the direct client cursor.
-func ScanValue(dest any, v any, idx int, col string) error {
-	return scanValue(dest, v, idx, col)
 }
 
 // scanValue assigns one decoded wire value to one destination pointer.
@@ -183,8 +208,10 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	for {
-		if r.next < len(r.batch) {
-			r.cur = r.batch[r.next]
+		if r.next < r.rows {
+			w := len(r.cols)
+			r.cur = r.batch[r.next*w : (r.next+1)*w : (r.next+1)*w]
+			r.boxed = false
 			r.next++
 			return true
 		}
@@ -220,35 +247,15 @@ func (r *Rows) Next() bool {
 	}
 }
 
-// decodeBatch unpacks a RowBatch frame into the cursor's buffer. The
-// declared row count is bounded against the payload before any per-row
-// allocation — every row costs at least one kind-tag byte per column — so
-// a malformed frame claiming billions of rows is rejected for the price of
-// a division, and the loop stops at the first sticky decode error.
+// decodeBatch replaces the cursor's arena with the rows of one RowBatch
+// frame; a malformed frame poisons the connection.
 func (r *Rows) decodeBatch(p []byte) bool {
-	rd := wire.NewReader(p)
-	n := int(rd.U32())
-	minRow := len(r.cols)
-	if minRow < 1 {
-		minRow = 1
-	}
-	if n > rd.Remaining()/minRow {
-		r.fail(fmt.Errorf("client: malformed row batch: %d rows declared in %d payload bytes", n, len(p)), true)
-		return false
-	}
-	r.batch = r.batch[:0]
-	r.next = 0
-	for i := 0; i < n && rd.Err() == nil; i++ {
-		row := make([]any, len(r.cols))
-		for j := range row {
-			row[j] = rd.Value()
-		}
-		r.batch = append(r.batch, row)
-	}
-	if err := rd.Err(); err != nil {
+	arena, n, err := wire.DecodeRowBatch(p, len(r.cols))
+	if err != nil {
 		r.fail(fmt.Errorf("client: malformed row batch: %w", err), true)
 		return false
 	}
+	r.batch, r.rows, r.next = arena, n, 0
 	return true
 }
 

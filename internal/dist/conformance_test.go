@@ -386,11 +386,11 @@ func (b failingBackend) Tables(context.Context, int32) ([]wire.TableInfo, error)
 
 type failedCursor struct{ err error }
 
-func (failedCursor) Columns() []string { return []string{"c"} }
-func (failedCursor) Next() bool        { return false }
-func (failedCursor) Scan(...any) error { return errors.New("no row") }
-func (c failedCursor) Err() error      { return c.err }
-func (failedCursor) Close() error      { return nil }
+func (failedCursor) Columns() []string   { return []string{"c"} }
+func (failedCursor) Next() bool          { return false }
+func (failedCursor) Values() storage.Row { return nil }
+func (c failedCursor) Err() error        { return c.err }
+func (failedCursor) Close() error        { return nil }
 
 // TestErrorCodesOverWire pins the one error table for both backends'
 // failures: every sentinel, bare and attributed to a shard, must cross a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -283,41 +284,168 @@ func TestDistColumns(t *testing.T) {
 	}
 }
 
-// TestDistScan checks the coordinator cursor's Scan mirrors the client
-// contract in both passthrough and scatter modes.
+// TestDistScan checks one projection of every kind — BIGINT, DOUBLE, DATE,
+// VARCHAR and a column of NULLs — reads the same at every hop count, and
+// that the coordinator cursor's Row/Scan mirror the client contract, in
+// passthrough and in scatter mode: embedded, through one server, off the
+// coordinator, and through the coordinator's own server, the [][]any are
+// identical, dynamic types included.
 func TestDistScan(t *testing.T) {
-	fleet := startFleet(t, 2, dist.Config{})
-
-	for _, q := range []string{
-		`SELECT r_name, COUNT(*) FROM region GROUP BY r_name ORDER BY r_name LIMIT 1`,                     // passthrough
-		`SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag LIMIT 1`, // scatter
-	} {
-		rows, err := fleet.co.Query(context.Background(), q)
+	fleet := startFleet(t, 3, dist.Config{})
+	ref := singleNode(t)
+	_, oneAddr := serveBackend(t, server.Config{DB: ref})
+	_, coAddr := serveBackend(t, server.Config{Backend: fleet.co})
+	served := func(addr string, q string) [][]any {
+		t.Helper()
+		cl, err := client.Dial(addr, client.Config{})
 		if err != nil {
-			t.Fatalf("Query: %v", err)
+			t.Fatalf("Dial: %v", err)
 		}
-		if err := rows.Scan(new(string), new(int64)); err == nil ||
-			!strings.Contains(err.Error(), "without a successful Next") {
-			t.Fatalf("Scan before Next: %v", err)
+		defer cl.Close()
+		res, err := cl.QueryAll(context.Background(), q)
+		if err != nil {
+			t.Fatalf("QueryAll over %s: %v", addr, err)
 		}
-		if !rows.Next() {
-			t.Fatalf("Next: no rows (err %v)", rows.Err())
+		return res.Rows
+	}
+
+	for mode, q := range map[string]string{
+		"passthrough": `SELECT s_suppkey, s_acctbal, DATE '1995-03-15' AS d, s_name, NULL AS nothing
+			FROM supplier ORDER BY s_suppkey`,
+		"scatter": `SELECT l_orderkey, l_extendedprice, l_shipdate, l_comment, NULL AS nothing
+			FROM lineitem WHERE l_orderkey < 200 ORDER BY l_orderkey, l_extendedprice, l_comment`,
+	} {
+		t.Run(mode, func(t *testing.T) {
+			embedded, err := ref.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("embedded: %v", err)
+			}
+			want := embedded.Rows
+			if len(want) < 20 {
+				t.Fatalf("only %d rows", len(want))
+			}
+			direct, err := fleet.co.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("coordinator: %v", err)
+			}
+			for hop, got := range map[string][][]any{
+				"one server":           served(oneAddr, q),
+				"coordinator":          drainCoord(t, direct),
+				"coordinator's server": served(coAddr, q),
+			} {
+				if !reflect.DeepEqual(got, want) {
+					compareRows(t, got, want, true)
+					t.Fatalf("%s: rows differ from the embedded answer in dynamic type or float bits", hop)
+				}
+			}
+
+			rows, err := fleet.co.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("Query: %v", err)
+			}
+			defer rows.Close()
+			var (
+				key   int64
+				num   float64
+				day   time.Time
+				text  string
+				null  any
+				boxed [5]any
+			)
+			if err := rows.Scan(&key, &num, &day, &text, &null); err == nil ||
+				!strings.Contains(err.Error(), "without a successful Next") {
+				t.Fatalf("Scan before Next: %v", err)
+			}
+			if rows.Row() != nil || rows.Values() != nil {
+				t.Fatal("a row before Next")
+			}
+			if !rows.Next() {
+				t.Fatalf("Next: no rows (err %v)", rows.Err())
+			}
+			if err := rows.Scan(&key, &num, &day, &text, &null); err != nil {
+				t.Fatalf("Scan: %v", err)
+			}
+			if got := []any{key, num, day, text, null}; !reflect.DeepEqual(got, want[0]) {
+				t.Fatalf("typed Scan produced %v, want %v", got, want[0])
+			}
+			if err := rows.Scan(&boxed[0], &boxed[1], &boxed[2], &boxed[3], &boxed[4]); err != nil ||
+				!reflect.DeepEqual(boxed[:], want[0]) {
+				t.Fatalf("Scan into *any produced %v (err %v), want %v", boxed, err, want[0])
+			}
+			if err := rows.Scan(&key, &num, &day, &text, &text); err == nil || !strings.Contains(err.Error(), "is NULL") {
+				t.Fatalf("typed pointer took a NULL: %v", err)
+			}
+			if err := rows.Scan(&text); err == nil || !strings.Contains(err.Error(), "destinations") {
+				t.Fatalf("arity error: %v", err)
+			}
+			if got := rows.Values(); len(got) != 5 || got[0].I != key || !got[4].IsNull() {
+				t.Fatalf("Values() = %v beside Row() = %v", got, rows.Row())
+			}
+
+			// Row's slice is reused by Next: a copy keeps the row, the slice
+			// itself moves on to the next one.
+			first := rows.Row()
+			kept := append([]any(nil), first...)
+			if !rows.Next() {
+				t.Fatalf("second Next: %v", rows.Err())
+			}
+			second := rows.Row()
+			if !reflect.DeepEqual(kept, want[0]) || !reflect.DeepEqual(second, want[1]) {
+				t.Fatalf("rows 0 and 1 read %v and %v, want %v and %v", kept, second, want[0], want[1])
+			}
+			if &first[0] != &second[0] {
+				t.Fatal("Row allocated a fresh slice for the second row; its contract says the slice is reused")
+			}
+
+			rows.Close()
+			if err := rows.Scan(&key, &num, &day, &text, &null); err == nil || !strings.Contains(err.Error(), "closed") {
+				t.Fatalf("Scan after Close: %v", err)
+			}
+			if rows.Row() != nil || rows.Values() != nil || rows.Next() {
+				t.Fatal("a row after Close")
+			}
+		})
+	}
+}
+
+// TestDistLegShape: a replica that answers a leg with another column count
+// than the coordinator planned is refused when the leg's stream opens — so
+// also when it has no rows to check — as a *ShardError naming slice and
+// node. The node answered, so its breaker stays closed.
+func TestDistLegShape(t *testing.T) {
+	// failingBackend answers every statement with zero rows of one column.
+	_, addr := serveBackend(t, server.Config{Backend: failingBackend{}})
+	co, err := dist.Open(dist.Config{Shards: []string{addr}})
+	if err != nil {
+		t.Fatalf("dist.Open: %v", err)
+	}
+	defer co.Close()
+
+	drain := func(q string) error {
+		rows, err := co.Query(context.Background(), q)
+		if err != nil {
+			return err
 		}
-		var name string
-		var n int64
-		if err := rows.Scan(&name, &n); err != nil {
-			t.Fatalf("Scan: %v", err)
+		defer rows.Close()
+		for rows.Next() {
+			t.Fatalf("a row out of an empty shard: %v", rows.Row())
 		}
-		if name == "" || n <= 0 {
-			t.Fatalf("Scan produced (%q, %d)", name, n)
-		}
-		if err := rows.Scan(&name); err == nil || !strings.Contains(err.Error(), "destinations") {
-			t.Fatalf("arity error: %v", err)
-		}
-		rows.Close()
-		if err := rows.Scan(&name, &n); err == nil || !strings.Contains(err.Error(), "closed") {
-			t.Fatalf("Scan after Close: %v", err)
-		}
+		return rows.Err()
+	}
+	err = drain(`SELECT l_orderkey, l_quantity FROM lineitem`)
+	var se *dist.ShardError
+	if !errors.As(err, &se) || se.Shard != 0 || se.Addr != addr ||
+		!strings.Contains(err.Error(), "has 1 columns, coordinator expected 2") {
+		t.Fatalf("two planned columns, one answered: %v; want a ShardError for slice 0 on %s", err, addr)
+	}
+	if err := drain(`SELECT l_orderkey FROM lineitem`); err != nil {
+		t.Fatalf("one planned column, one answered: %v", err)
+	}
+	if h := co.Health(); h.Status != "pass" {
+		t.Fatalf("a wrong answer opened a breaker: %s (%s)", h.Status, h.Detail)
+	}
+	if n := co.TrackedBytes(); n != 0 {
+		t.Fatalf("tracked bytes = %d, want 0", n)
 	}
 }
 

@@ -95,6 +95,13 @@ func (r *remoteScan) connect(ctx *exec.Context, exclude int) error {
 		rows, err := r.startNode(ctx, node)
 		if err == nil {
 			r.co.breakerSuccess(node, probe)
+			// The leg's rows go to the merge exactly as decoded, so its shape
+			// is settled here, once, against the header — which also catches
+			// a replica that answers zero rows of the wrong arity.
+			if got := len(rows.Columns()); got != len(r.schema) {
+				_ = rows.Close()
+				return r.co.nodeErr(r.slice, node, fmt.Errorf("dist: shard stream has %d columns, coordinator expected %d", got, len(r.schema)))
+			}
 			r.rows, r.node, r.probe = rows, node, probe
 			return nil
 		}
@@ -221,9 +228,11 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// Next implements Operator, converting the wire row back into the engine's
-// value representation and failing the leg over on mid-stream transport
-// loss.
+// Next implements Operator: the leg's row is the client cursor's typed row,
+// a sub-slice of its batch arena, handed to the merge as is. The arena is
+// never rewritten, so the merge may hold the row as long as it likes (a row
+// it retains pins its whole batch, at most BatchRows × columns values,
+// uncharged). A mid-stream transport loss fails the leg over.
 func (r *remoteScan) Next(ctx *exec.Context) (storage.Row, error) {
 	for {
 		if err := ctx.Canceled(); err != nil {
@@ -248,16 +257,8 @@ func (r *remoteScan) Next(ctx *exec.Context) (storage.Row, error) {
 			r.first = false
 			metricShardFirstRow(r.co.cfg.Shards[r.node]).Observe(time.Since(r.opened).Seconds())
 		}
-		native := r.rows.Row()
-		if len(native) != len(r.schema) {
-			return nil, r.co.nodeErr(r.slice, r.node, errShape(len(native), len(r.schema)))
-		}
-		out := make(storage.Row, len(native))
-		for i, v := range native {
-			out[i] = toValue(v)
-		}
 		r.emitted++
-		return out, nil
+		return r.rows.Values(), nil
 	}
 }
 
@@ -329,29 +330,3 @@ func (r *remoteScan) Children() []exec.Operator { return nil }
 func (r *remoteScan) Name() string              { return "RemoteScan" }
 func (r *remoteScan) Module() *codemodel.Module { return nil }
 func (r *remoteScan) Blocking() bool            { return false }
-
-func errShape(got, want int) error {
-	return fmt.Errorf("dist: shard row has %d columns, coordinator expected %d", got, want)
-}
-
-// toValue converts a decoded wire value back into the engine
-// representation. Dates cross the wire as midnight-UTC instants and return
-// to day numbers.
-func toValue(v any) storage.Value {
-	switch x := v.(type) {
-	case nil:
-		return storage.Null
-	case bool:
-		return storage.NewBool(x)
-	case int64:
-		return storage.NewInt(x)
-	case float64:
-		return storage.NewFloat(x)
-	case string:
-		return storage.NewString(x)
-	case time.Time:
-		return storage.NewDate(x.Unix() / 86400)
-	default:
-		return storage.Null
-	}
-}

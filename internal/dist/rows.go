@@ -3,11 +3,11 @@ package dist
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"bufferdb/internal/client"
 	"bufferdb/internal/exec"
+	"bufferdb/internal/storage"
 )
 
 // maxScatterRestarts bounds how many times one query may rebuild its whole
@@ -86,8 +86,10 @@ type Rows struct {
 	cancel   context.CancelFunc
 	mem      *exec.MemTracker
 	cols     []string
-	cur      []any
-	surfaced int64 // rows handed to the caller (restart barrier)
+	cur      storage.Row // the merged row, borrowed from the pipeline until Next
+	native   []any       // Row's reused slice
+	boxed    bool        // native already holds cur's values
+	surfaced int64       // rows handed to the caller (restart barrier)
 	restarts int
 	err      error
 	done     bool
@@ -143,15 +145,20 @@ func (r *Rows) Next() bool {
 			r.shutdown()
 			return false
 		}
-		if r.cur == nil {
-			r.cur = make([]any, len(row))
-		}
-		for i, v := range row {
-			r.cur[i] = v.Native()
-		}
+		r.cur, r.boxed = row, false
 		r.surfaced++
 		return true
 	}
+}
+
+// Values lends the current row in the engine's representation — what the
+// serving tier encodes from — valid until the next call to Next; nil
+// without a current row.
+func (r *Rows) Values() storage.Row {
+	if r.passthrough != nil {
+		return r.passthrough.Values()
+	}
+	return r.cur
 }
 
 // Row returns the current row's native Go values (int64, float64, string,
@@ -160,10 +167,13 @@ func (r *Rows) Row() []any {
 	if r.passthrough != nil {
 		return r.passthrough.Row()
 	}
-	if r.closed || r.done || r.err != nil {
+	if r.cur == nil {
 		return nil
 	}
-	return r.cur
+	if !r.boxed {
+		r.native, r.boxed = r.cur.Natives(r.native), true
+	}
+	return r.native
 }
 
 // Scan copies the current row into dest, one pointer per column, with the
@@ -172,21 +182,7 @@ func (r *Rows) Scan(dest ...any) error {
 	if r.passthrough != nil {
 		return r.passthrough.Scan(dest...)
 	}
-	if r.closed || r.done || r.err != nil || r.cur == nil {
-		if r.closed {
-			return fmt.Errorf("client: Scan: rows are closed")
-		}
-		return fmt.Errorf("client: Scan called without a successful Next")
-	}
-	if len(dest) != len(r.cur) {
-		return fmt.Errorf("client: Scan got %d destinations for %d columns", len(dest), len(r.cur))
-	}
-	for i, d := range dest {
-		if err := client.ScanValue(d, r.cur[i], i, r.cols[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return client.ScanRow(dest, r.Row(), r.cols, r.closed)
 }
 
 // Err reports the error that terminated iteration, if any. Shard failures

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 
+	"bufferdb/internal/storage"
 	"bufferdb/internal/wire"
 )
 
@@ -34,13 +35,14 @@ type Prepared interface {
 }
 
 // Cursor is a streaming result as the session drives it onto the wire —
-// the method set *bufferdb.Rows, *client.Rows and *dist.Rows share. Scan
-// is only ever called with one *any per column, which receives nil, bool,
-// int64, float64, string or time.Time.
+// the method set *bufferdb.Rows and *dist.Rows share. Values lends the
+// current row in the engine's representation, one value per column, valid
+// until the next call to Next: the session encodes it straight into the
+// batch, so no cell is boxed between an operator and the socket.
 type Cursor interface {
 	Columns() []string
 	Next() bool
-	Scan(dest ...any) error
+	Values() storage.Row
 	Err() error
 	Close() error
 }

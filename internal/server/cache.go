@@ -2,10 +2,10 @@ package server
 
 import (
 	"container/list"
-	"errors"
 	"sync"
 
 	"bufferdb"
+	"bufferdb/internal/storage"
 )
 
 // stmtOverheadBytes is the flat cost charged per cached prepared statement
@@ -128,11 +128,11 @@ type cachedResult struct {
 // A cache hit crosses the Backend seam as the entry itself. The session
 // recognizes it and replays the stored frames, so as a Cursor it is an
 // already-drained stream: nothing to pull, nothing to release.
-func (r *cachedResult) Columns() []string { return r.cols }
-func (r *cachedResult) Next() bool        { return false }
-func (r *cachedResult) Scan(...any) error { return errors.New("server: Scan on a cached result") }
-func (r *cachedResult) Err() error        { return nil }
-func (r *cachedResult) Close() error      { return nil }
+func (r *cachedResult) Columns() []string   { return r.cols }
+func (r *cachedResult) Next() bool          { return false }
+func (r *cachedResult) Values() storage.Row { return nil }
+func (r *cachedResult) Err() error          { return nil }
+func (r *cachedResult) Close() error        { return nil }
 
 // dependsOn reports whether the entry must be dropped when table is written.
 func (r *cachedResult) dependsOn(table string) bool {

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -608,6 +609,63 @@ func TestResultCacheReuse(t *testing.T) {
 	}
 	if hits.Value()-h0 != 1 {
 		t.Fatal("vec-engine query hit the volcano entry")
+	}
+
+	// Frame for frame: the batches the session encodes from the cursor's
+	// typed rows are what the cache stores, so a replay is byte-equal to the
+	// stream that filled it — dates, strings and floats included.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(30 * time.Second))
+	var hello wire.Builder
+	hello.U32(wire.Magic)
+	hello.U8(wire.Version)
+	if err := wire.WriteFrame(nc, wire.THello, hello.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if ft, _, err := wire.ReadFrame(nc); err != nil || ft != wire.THelloOK {
+		t.Fatalf("handshake: %v %v", ft, err)
+	}
+	exchange := func() (frames [][]byte) {
+		t.Helper()
+		var q wire.Builder
+		q.Opts(wire.QueryOpts{})
+		q.String(`SELECT l_orderkey, l_shipdate, l_comment, l_discount FROM lineitem WHERE l_orderkey < 400`)
+		if err := wire.WriteFrame(nc, wire.TQuery, q.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			ft, p, err := wire.ReadFrame(nc)
+			if err != nil {
+				t.Fatalf("reading the stream: %v", err)
+			}
+			frames = append(frames, append([]byte{byte(ft)}, p...))
+			if ft == wire.TDone {
+				return frames
+			}
+			if ft != wire.TColumns && ft != wire.TRowBatch {
+				t.Fatalf("unexpected %s frame: %q", ft, p)
+			}
+		}
+	}
+	fresh := exchange()
+	replay := exchange()
+	if hits.Value()-h0 != 2 {
+		t.Fatalf("second raw exchange was not a cache hit (hits %d)", hits.Value()-h0)
+	}
+	if len(fresh) < 4 {
+		t.Fatalf("stream of %d frames; want several row batches", len(fresh))
+	}
+	if len(replay) != len(fresh) {
+		t.Fatalf("replay has %d frames, fresh stream %d", len(replay), len(fresh))
+	}
+	for i := range fresh {
+		if !bytes.Equal(fresh[i], replay[i]) {
+			t.Fatalf("frame %d of the replay differs from the fresh stream", i)
+		}
 	}
 }
 

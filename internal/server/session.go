@@ -274,12 +274,6 @@ func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 		return err
 	}
 
-	dest := make([]any, len(cols))
-	ptrs := make([]any, len(cols))
-	for i := range dest {
-		ptrs[i] = &dest[i]
-	}
-
 	var total uint64
 	var batch wire.Builder
 	var inBatch uint32
@@ -300,18 +294,14 @@ func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 	batch.U32(0) // row-count placeholder, patched in flush
 
 	for rows.Next() {
-		if err := rows.Scan(ptrs...); err != nil {
-			// Scan of *any never fails on engine-produced rows; treat a
-			// failure as a query error.
+		row := rows.Values()
+		if len(row) != len(cols) {
+			// The client decodes a batch by its column count; a row of
+			// another width would shift every cell after it.
 			settle()
-			return ss.sendQueryError(err)
+			return ss.sendQueryError(fmt.Errorf("server: cursor produced a row of %d values for %d columns", len(row), len(cols)))
 		}
-		for _, v := range dest {
-			if err := batch.Value(v); err != nil {
-				settle()
-				return ss.sendQueryError(err)
-			}
-		}
+		batch.Row(row)
 		inBatch++
 		total++
 		if int(inBatch) >= ss.srv.cfg.BatchRows || batch.Len() >= batchBytes {

@@ -101,6 +101,20 @@ func (r Row) Concat(other Row) Row {
 	return out
 }
 
+// Natives renders the row into dst as the plain Go values cursors hand
+// their callers (Value.Native) and returns it, never nil; dst is replaced
+// only when it is too short, so a cursor reuses one slice for every row.
+func (r Row) Natives(dst []any) []any {
+	if dst == nil || cap(dst) < len(r) {
+		dst = make([]any, len(r))
+	}
+	dst = dst[:len(r)]
+	for i := range r {
+		dst[i] = r[i].Native()
+	}
+	return dst
+}
+
 // String renders the row as a pipe-separated line, used in tests and by the
 // CLI result printer.
 func (r Row) String() string {

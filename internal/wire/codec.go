@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"bufferdb/internal/storage"
 )
 
 // Builder appends protocol primitives to a growing payload. The zero value
@@ -133,8 +135,7 @@ func (r *Reader) String() string {
 	return s
 }
 
-// Value kind tags for the row codec. The set mirrors the native Go values
-// the engine's Result rows carry.
+// Value kind tags for the row codec, one per storage kind.
 const (
 	valNull  byte = 0
 	valBool  byte = 1
@@ -144,59 +145,162 @@ const (
 	valTime  byte = 5 // unix seconds, rendered UTC
 )
 
-// Value appends one row cell: a kind tag plus its encoding. Supported types
-// are exactly the engine's native result values (nil, bool, int64, float64,
-// string, time.Time).
-func (b *Builder) Value(v any) error {
-	switch x := v.(type) {
-	case nil:
+// secondsPerDay converts between the engine's DATE (days since the epoch)
+// and the wire's valTime (seconds since the epoch).
+const secondsPerDay = 86400
+
+// A cell is one row value in wire units: a storage.Value whose DATE payload
+// counts seconds, not days. put and cell are the only two functions that
+// know which tag byte means which kind and what follows it. The typed entry
+// points (Val, Row, DecodeRowBatch — what the session loop and the client
+// cursor call) and the any entry points (Value — for holders of native Go
+// values: the benchmark's layer spans, tests, tools) both go through them.
+
+// put appends one cell: its kind tag, then the kind's encoding.
+func (b *Builder) put(c storage.Value) {
+	switch c.Kind {
+	case storage.TypeNull:
 		b.U8(valNull)
-	case bool:
+	case storage.TypeBool:
 		b.U8(valBool)
-		if x {
+		if c.I != 0 {
 			b.U8(1)
 		} else {
 			b.U8(0)
 		}
-	case int64:
+	case storage.TypeInt64:
 		b.U8(valInt)
-		b.I64(x)
-	case float64:
+		b.I64(c.I)
+	case storage.TypeFloat64:
 		b.U8(valFloat)
-		b.F64(x)
-	case string:
-		b.U8(valStr)
-		b.String(x)
-	case time.Time:
+		b.F64(c.F)
+	case storage.TypeDate:
 		b.U8(valTime)
-		b.I64(x.Unix())
+		b.I64(c.I)
+	case storage.TypeString:
+		b.U8(valStr)
+		b.String(c.S)
+	default:
+		// A kind the protocol has no tag for travels as its rendering.
+		b.U8(valStr)
+		b.String(c.String())
+	}
+}
+
+// cell reads one cell. A malformed cell sets the sticky error and reads as
+// NULL.
+func (r *Reader) cell() storage.Value {
+	switch k := r.U8(); k {
+	case valNull:
+		return storage.Null
+	case valBool:
+		return storage.NewBool(r.U8() != 0)
+	case valInt:
+		return storage.NewInt(r.I64())
+	case valFloat:
+		return storage.NewFloat(r.F64())
+	case valStr:
+		return storage.NewString(r.String())
+	case valTime:
+		return storage.NewDate(r.I64())
+	default:
+		if r.err == nil {
+			r.err = fmt.Errorf("wire: unknown value kind 0x%02x at offset %d", k, r.off-1)
+		}
+		return storage.Null
+	}
+}
+
+// Val appends one row cell from the engine's representation; a DATE
+// travels as the seconds of its midnight.
+func (b *Builder) Val(v storage.Value) {
+	if v.Kind == storage.TypeDate {
+		v.I *= secondsPerDay
+	}
+	b.put(v)
+}
+
+// Row appends every cell of one row.
+func (b *Builder) Row(row storage.Row) {
+	for _, v := range row {
+		b.Val(v)
+	}
+}
+
+// Val reads one row cell into the engine's representation.
+func (r *Reader) Val() storage.Value {
+	c := r.cell()
+	if c.Kind == storage.TypeDate {
+		c.I /= secondsPerDay
+	}
+	return c
+}
+
+// Value appends one row cell from a native Go value. Supported types are
+// exactly the ones storage.Value.Native produces (nil, bool, int64,
+// float64, string, time.Time).
+func (b *Builder) Value(v any) error {
+	var c storage.Value
+	switch x := v.(type) {
+	case nil:
+	case bool:
+		c = storage.NewBool(x)
+	case int64:
+		c = storage.NewInt(x)
+	case float64:
+		c = storage.NewFloat(x)
+	case string:
+		c = storage.NewString(x)
+	case time.Time:
+		c = storage.NewDate(x.Unix())
 	default:
 		return fmt.Errorf("wire: cannot encode value of type %T", v)
 	}
+	b.put(c)
 	return nil
 }
 
 // Value reads one row cell back into its native Go type.
 func (r *Reader) Value() any {
-	switch k := r.U8(); k {
-	case valNull:
-		return nil
-	case valBool:
-		return r.U8() != 0
-	case valInt:
-		return r.I64()
-	case valFloat:
-		return r.F64()
-	case valStr:
-		return r.String()
-	case valTime:
-		return time.Unix(r.I64(), 0).UTC()
-	default:
-		if r.err == nil {
-			r.err = fmt.Errorf("wire: unknown value kind 0x%02x at offset %d", k, r.off-1)
-		}
-		return nil
+	c := r.cell()
+	if c.Kind == storage.TypeDate {
+		return time.Unix(c.I, 0).UTC()
 	}
+	return c.Native()
+}
+
+// arenaChunk is the most cells DecodeRowBatch sizes its arena for before any
+// of them has decoded. A cell is at least one byte on the wire and 40 in
+// memory, so sizing the arena from the declared count alone would let one
+// MaxFrame payload of NULL tags ask for 640 MiB in a single make; past the
+// chunk the arena grows by append, in proportion to cells actually decoded.
+// Batches the server builds (BatchRows × columns, about 64 KiB of payload)
+// fit the chunk, so they cost one allocation.
+const arenaChunk = 16 << 10
+
+// DecodeRowBatch decodes a RowBatch payload — a uint32 row count, then that
+// many rows of cols cells — into one fresh arena: row i is
+// arena[i*cols:(i+1)*cols], and since nothing ever rewrites the arena a row
+// stays valid for as long as its holder keeps it. The declared count is
+// bounded against the payload before anything is allocated — every row
+// costs at least one kind-tag byte per column — so a frame claiming
+// billions of rows is rejected for the price of a division, and decoding
+// stops at the first malformed cell.
+func DecodeRowBatch(p []byte, cols int) (arena []storage.Value, rows int, err error) {
+	r := Reader{buf: p}
+	rows = int(r.U32())
+	if rows > r.Remaining()/max(cols, 1) {
+		return nil, 0, fmt.Errorf("%d rows declared in %d payload bytes", rows, len(p))
+	}
+	cells := rows * cols
+	arena = make([]storage.Value, 0, min(cells, arenaChunk))
+	for len(arena) < cells && r.err == nil {
+		arena = append(arena, r.Val())
+	}
+	if r.err != nil {
+		return nil, 0, r.err
+	}
+	return arena, rows, nil
 }
 
 // TableInfo is one catalog table as a TablesOK frame reports it.

@@ -279,6 +279,12 @@ func (r *Rows) Scan(dest ...any) error {
 	return nil
 }
 
+// Values lends the current row in the engine's own representation, one
+// value per column: nil before a successful Next and after Close, and
+// valid only until the next call to Next. It is what the serving tier
+// encodes from; Scan is the copying accessor.
+func (r *Rows) Values() storage.Row { return r.row }
+
 // scanValue assigns one column value to one destination pointer. Errors
 // name the column by 0-based index and name.
 func scanValue(dest any, v storage.Value, idx int, col string) error {

@@ -59,12 +59,7 @@ func (s *Stmt) Query(ctx context.Context) (*Result, error) {
 	defer rows.Close()
 	res := &Result{Columns: rows.Columns()}
 	for rows.Next() {
-		r := rows.row
-		out := make([]any, len(r))
-		for i, v := range r {
-			out[i] = v.Native()
-		}
-		res.Rows = append(res.Rows, out)
+		res.Rows = append(res.Rows, rows.row.Natives(nil))
 	}
 	if err := rows.Err(); err != nil {
 		return nil, err
