@@ -77,9 +77,6 @@ type Options struct {
 	// MemoryLimit set, pool residency is charged against it, so the page
 	// cache and executing queries compete under one budget.
 	PoolBytes int64
-	// Eviction names the buffer-pool eviction policy: "lru" (default) or
-	// "gdsf".
-	Eviction string
 	// ShardCount, when > 1, loads this database as one shard of a
 	// hash-partitioned deployment: OpenTPCH generates the full dataset
 	// (deterministically, from Seed) and keeps only the rows the default
@@ -549,28 +546,38 @@ func (db *DB) parallelism(qo QueryOptions) int {
 // sequential pipeline's instruction footprint — and parallelization then
 // wraps eligible pipelines, buffers included, below the gather.
 func (db *DB) plan(query string, qo QueryOptions) (*plan.Node, error) {
-	p, err := sql.PlanQuery(query, db.cat, sql.Options{ForceJoin: sql.JoinMethod(qo.ForceJoin)})
+	_, p, err := db.planPair(query, qo, !db.opts.DisableRefinement && !qo.DisableRefinement)
 	if err != nil {
 		return nil, err
 	}
-	if !db.opts.DisableRefinement && !qo.DisableRefinement {
-		threshold, err := db.Threshold()
-		if err != nil {
-			return nil, err
-		}
-		size := qo.BufferSize
-		if size == 0 {
-			size = db.opts.BufferSize
-		}
-		p, _, err = plan.Refine(p, db.cm, plan.RefineOptions{
-			CardinalityThreshold: threshold,
-			BufferSize:           size,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 	return plan.Parallelize(p, db.parallelism(qo)), nil
+}
+
+// planPair plans a statement and, when refine is set, refines it with the
+// statement's buffer size (WithBufferSize, else Options.BufferSize); without
+// refine both results are the conventional plan. It is the one refinement
+// step Query, Explain and Profile share.
+func (db *DB) planPair(query string, qo QueryOptions, refine bool) (conventional, refined *plan.Node, err error) {
+	p, err := sql.PlanQuery(query, db.cat, sql.Options{ForceJoin: sql.JoinMethod(qo.ForceJoin)})
+	if err != nil || !refine {
+		return p, p, err
+	}
+	threshold, err := db.Threshold()
+	if err != nil {
+		return nil, nil, err
+	}
+	size := qo.BufferSize
+	if size == 0 {
+		size = db.opts.BufferSize
+	}
+	r, _, err := plan.Refine(p, db.cm, plan.RefineOptions{
+		CardinalityThreshold: threshold,
+		BufferSize:           size,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, r, nil
 }
 
 // Result is a query result with native Go values.
@@ -620,18 +627,7 @@ func (db *DB) queryMaterialized(ctx context.Context, query string, qo QueryOptio
 // are the same variadic set Query takes.
 func (db *DB) Explain(query string, opts ...QueryOption) (original, refined string, err error) {
 	qo := applyOptions(opts)
-	p, err := sql.PlanQuery(query, db.cat, sql.Options{ForceJoin: sql.JoinMethod(qo.ForceJoin)})
-	if err != nil {
-		return "", "", err
-	}
-	threshold, err := db.Threshold()
-	if err != nil {
-		return "", "", err
-	}
-	r, _, err := plan.Refine(p, db.cm, plan.RefineOptions{
-		CardinalityThreshold: threshold,
-		BufferSize:           db.opts.BufferSize,
-	})
+	p, r, err := db.planPair(query, qo, true)
 	if err != nil {
 		return "", "", err
 	}
@@ -669,22 +665,7 @@ type Profile struct {
 // Options are the same variadic set Query takes.
 func (db *DB) Profile(query string, opts ...QueryOption) (*Profile, error) {
 	qo := applyOptions(opts)
-	p, err := sql.PlanQuery(query, db.cat, sql.Options{ForceJoin: sql.JoinMethod(qo.ForceJoin)})
-	if err != nil {
-		return nil, err
-	}
-	threshold, err := db.Threshold()
-	if err != nil {
-		return nil, err
-	}
-	size := qo.BufferSize
-	if size == 0 {
-		size = db.opts.BufferSize
-	}
-	refined, _, err := plan.Refine(p, db.cm, plan.RefineOptions{
-		CardinalityThreshold: threshold,
-		BufferSize:           size,
-	})
+	p, refined, err := db.planPair(query, qo, true)
 	if err != nil {
 		return nil, err
 	}

@@ -133,6 +133,20 @@ func TestExplainShowsBuffer(t *testing.T) {
 	}
 }
 
+// TestExplainHonorsBufferSize: Explain refines with the statement's buffer
+// size, as Query and Profile do — it used to show the database default.
+func TestExplainHonorsBufferSize(t *testing.T) {
+	_, refined, err := testDB.Explain(
+		`SELECT SUM(l_extendedprice), AVG(l_quantity), COUNT(*) FROM lineitem WHERE l_shipdate <= DATE '1998-09-02'`,
+		WithBufferSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(refined, "Buffer(size=64)") || strings.Contains(refined, "Buffer(size=1024)") {
+		t.Errorf("refined plan under WithBufferSize(64):\n%s", refined)
+	}
+}
+
 func TestThresholdCalibration(t *testing.T) {
 	th, err := testDB.Threshold()
 	if err != nil {

@@ -137,7 +137,6 @@ func main() {
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown budget before force-closing connections")
 		dataDir   = flag.String("data-dir", "", "persistent data directory: load it if populated, else generate TPC-H there; enables INSERT (empty = in-memory)")
 		poolBytes = flag.Int64("pool-bytes", 0, "buffer-pool residency cap in bytes (0 = default 4 MiB; needs -data-dir)")
-		eviction  = flag.String("eviction", "", `buffer-pool eviction policy: "lru" (default) or "gdsf" (needs -data-dir)`)
 		shards    = flag.String("shards", "", "comma-separated shard addresses; non-empty switches to coordinator mode (no local data)")
 		shardIdx  = flag.Int("shard-index", 0, "this shard's index in a hash-partitioned deployment (needs -shard-count)")
 		shardCnt  = flag.Int("shard-count", 0, "total shard count; >1 loads only this node's hash slice of the sharded tables")
@@ -169,7 +168,6 @@ func main() {
 			MemoryLimit:       *memLimit,
 			DataDir:           *dataDir,
 			PoolBytes:         *poolBytes,
-			Eviction:          *eviction,
 			ShardIndex:        *shardIdx,
 			ShardCount:        *shardCnt,
 			ReuseCache:        *reuse,

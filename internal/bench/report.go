@@ -70,7 +70,7 @@ func Experiments() []Experiment {
 		{ID: "ext3", Title: "Extension: block-oriented processing vs buffering", Run: ExperimentExt3},
 		{ID: "push", Title: "Push-fused pipelines vs buffering and vectorization", Run: ExperimentPush},
 		{ID: "par", Title: "Parallel partitioned scans: equivalence and speedup", Run: ExperimentPar},
-		{ID: "storage", Title: "Persistent tier: in-memory vs paged scans, eviction policies", Run: ExperimentStorage},
+		{ID: "storage", Title: "Persistent tier: in-memory vs paged scans", Run: ExperimentStorage},
 		{ID: "reuse", Title: "Semantic reuse cache: cold vs warm vs result-replay ladder", Run: ExperimentReuse},
 	}
 }

@@ -1,14 +1,12 @@
 // Package obsv is a small, dependency-free metrics registry: monotonic
 // counters, gauges and fixed-bucket histograms, safe for concurrent use,
-// exportable in Prometheus text exposition format and publishable through
-// the standard library's expvar. Metric names follow the Prometheus
-// convention and may carry inline labels, e.g.
+// exportable in Prometheus text exposition format. Metric names follow the
+// Prometheus convention and may carry inline labels, e.g.
 // `queries_total{engine="volcano"}` — the registry treats the full string
 // as the identity, which keeps lookup a single map read.
 package obsv
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -240,21 +238,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// expvarOnce guards the one-time expvar publication (expvar panics on
-// duplicate names).
-var expvarOnce sync.Once
-
-// PublishExpvar publishes the registry under the expvar name "bufferdb",
-// rendering the Prometheus text exposition as the variable's value. Safe to
-// call more than once; only the first call registers.
-func (r *Registry) PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("bufferdb", expvar.Func(func() any {
-			var b strings.Builder
-			_ = r.WritePrometheus(&b)
-			return b.String()
-		}))
-	})
 }

@@ -1,7 +1,7 @@
 // Package pager is bufferdb's persistent storage tier: fixed-size slotted
-// pages in per-table heap files, a buffer pool with pluggable eviction
-// (LRU and GDSF), and a write-ahead log with LSN-stamped records,
-// fsync-on-commit and replay-on-open crash recovery.
+// pages in per-table heap files, an LRU buffer pool, and a write-ahead log
+// with LSN-stamped records, fsync-on-commit and replay-on-open crash
+// recovery.
 //
 // The design mirrors the paper's central idea one level down the memory
 // hierarchy: the buffer operator keeps *instructions* cache-resident by

@@ -31,9 +31,10 @@ func metricCheckpoints() *obsv.Counter {
 	return obsv.Default.Counter("bufferdb_pager_checkpoints_total")
 }
 
-// frame is one resident page. The pool mutex guards pins, dirty and
-// residency; mu guards the page bytes. Lock order is pool.mu → frame.mu;
-// readers must release mu before calling Unpin (which takes pool.mu).
+// frame is one resident page. The pool mutex guards pins, dirty, residency
+// and the recency links; mu guards the page bytes. Lock order is pool.mu →
+// frame.mu; readers must release mu before calling Unpin (which takes
+// pool.mu).
 //
 // mu doubles as the I/O latch: a loader publishes the frame with mu held
 // exclusively, fills it from disk without the pool mutex, and releases mu
@@ -50,14 +51,17 @@ type frame struct {
 
 	pins  int
 	dirty bool
+	// prev and next thread the pool's recency list: prev toward the most
+	// recently used frame, next toward the least.
+	prev, next *frame
 }
 
-// Pool is the buffer pool: a bounded set of page frames shared by every
-// table of a store, with the eviction policy deciding residency. Resident
-// bytes are charged against the attached MemTracker, so when the tracker
-// descends from the database's process tracker, page cache and query
-// execution compete under one memory budget.
-type Pool struct {
+// pool is the buffer pool: a bounded set of page frames shared by every
+// table of a store. A miss in a full pool evicts the least recently used
+// unpinned frame. Resident bytes are charged against the attached
+// MemTracker, so when the tracker descends from the database's process
+// tracker, page cache and query execution compete under one memory budget.
+type pool struct {
 	pageSize  int
 	capFrames int
 	mem       *exec.MemTracker
@@ -67,12 +71,9 @@ type Pool struct {
 
 	mu     sync.Mutex
 	frames map[uint64]*frame
-	policy EvictionPolicy
-	closed bool
-	// evictable is the predicate handed to policy.Victim: resident and
-	// unpinned. Built once — a closure passed through the interface escapes,
-	// and a miss should allocate nothing.
-	evictable func(key uint64) bool
+	// head is the most recently used resident frame, tail the least.
+	head, tail *frame
+	closed     bool
 
 	hits       atomic.Uint64
 	misses     atomic.Uint64
@@ -87,30 +88,24 @@ type PoolStats struct {
 }
 
 // newPool sizes a pool at capFrames frames of pageSize bytes.
-func newPool(pageSize, capFrames int, policy EvictionPolicy, mem *exec.MemTracker, read, write faultPoint) *Pool {
-	p := &Pool{
+func newPool(pageSize, capFrames int, mem *exec.MemTracker, read, write faultPoint) *pool {
+	return &pool{
 		pageSize:   pageSize,
 		capFrames:  capFrames,
 		mem:        mem,
 		readFault:  read,
 		writeFault: write,
 		frames:     make(map[uint64]*frame),
-		policy:     policy,
 	}
-	p.evictable = func(key uint64) bool {
-		fr, ok := p.frames[key]
-		return ok && fr.pins == 0
-	}
-	return p
 }
 
-// frameKey composes the policy/residency key for a page.
+// frameKey composes the residency key for a page.
 func frameKey(h *heapFile, id uint32) uint64 {
 	return uint64(h.ord)<<32 | uint64(id)
 }
 
 // Stats returns the pool's counters.
-func (p *Pool) Stats() PoolStats {
+func (p *pool) Stats() PoolStats {
 	p.mu.Lock()
 	resident := len(p.frames)
 	p.mu.Unlock()
@@ -123,20 +118,12 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// ResidentBytes reports the bytes currently held in frames (== what is
-// charged against the memory tracker).
-func (p *Pool) ResidentBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int64(len(p.frames)) * int64(p.pageSize)
-}
-
 // fetch pins the page, reading it from disk on a miss (possibly evicting a
 // victim first). The caller must Unpin exactly once. Disk I/O — the miss
 // read and any dirty-victim writeback — happens outside the pool mutex, so
 // concurrent scans overlap their I/O and hits on resident pages never wait
 // behind another scan's miss.
-func (p *Pool) fetch(h *heapFile, id uint32) (*frame, error) {
+func (p *pool) fetch(h *heapFile, id uint32) (*frame, error) {
 	key := frameKey(h, id)
 	p.mu.Lock()
 	if p.closed {
@@ -145,7 +132,7 @@ func (p *Pool) fetch(h *heapFile, id uint32) (*frame, error) {
 	}
 	if fr, ok := p.frames[key]; ok {
 		fr.pins++
-		p.policy.Touch(key)
+		p.touchLocked(fr)
 		p.mu.Unlock()
 		p.hits.Add(1)
 		metricHits().Inc()
@@ -167,7 +154,7 @@ func (p *Pool) fetch(h *heapFile, id uint32) (*frame, error) {
 	}
 	if cur, ok := p.frames[key]; ok {
 		cur.pins++
-		p.policy.Touch(key)
+		p.touchLocked(cur)
 		p.releaseFrameLocked()
 		p.mu.Unlock()
 		return p.settleLoad(cur)
@@ -175,7 +162,7 @@ func (p *Pool) fetch(h *heapFile, id uint32) (*frame, error) {
 	fr.file, fr.id, fr.key, fr.pins = h, id, key, 1
 	fr.mu.Lock() // I/O latch: held until the read below settles
 	p.frames[key] = fr
-	p.policy.Admit(key)
+	p.touchLocked(fr)
 	p.mu.Unlock()
 
 	err = h.readPage(id, fr.data, p.readFault)
@@ -185,12 +172,12 @@ func (p *Pool) fetch(h *heapFile, id uint32) (*frame, error) {
 		// Unpublish the stillborn frame and return its memory charge.
 		// Concurrent fetchers that pinned it meanwhile observe loadErr and
 		// unpin their orphan (unpin never consults the residency map). The
-		// loader's pin kept the frame from being evicted, but close and
-		// dropFile empty the map regardless of pins and return every charge
-		// themselves — hence the re-check.
+		// loader's pin kept the frame from being evicted, but close empties
+		// the map regardless of pins and returns every charge itself —
+		// hence the re-check.
 		p.mu.Lock()
 		if cur, ok := p.frames[key]; ok && cur == fr {
-			p.policy.Remove(key)
+			p.unlinkLocked(fr)
 			delete(p.frames, key)
 			p.releaseFrameLocked()
 		}
@@ -203,7 +190,7 @@ func (p *Pool) fetch(h *heapFile, id uint32) (*frame, error) {
 // settleLoad waits out any in-flight load of a frame the caller just
 // pinned: acquiring the read latch blocks until the loader releases it. On
 // a failed load the pin is released and the loader's error returned.
-func (p *Pool) settleLoad(fr *frame) (*frame, error) {
+func (p *pool) settleLoad(fr *frame) (*frame, error) {
 	fr.mu.RLock()
 	err := fr.loadErr
 	fr.mu.RUnlock()
@@ -216,7 +203,7 @@ func (p *Pool) settleLoad(fr *frame) (*frame, error) {
 
 // newPage pins a freshly formatted page for h at page id, which must be
 // h.numPages at the time of the call (the store serializes appenders).
-func (p *Pool) newPage(h *heapFile, id uint32) (*frame, error) {
+func (p *pool) newPage(h *heapFile, id uint32) (*frame, error) {
 	key := frameKey(h, id)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -240,13 +227,13 @@ func (p *Pool) newPage(h *heapFile, id uint32) (*frame, error) {
 	initPage(fr.data)
 	fr.file, fr.id, fr.key, fr.pins, fr.dirty = h, id, key, 1, true
 	p.frames[key] = fr
-	p.policy.Admit(key)
+	p.touchLocked(fr)
 	return fr, nil
 }
 
 // unpin releases one pin; dirty marks the page modified since its last
 // write to disk.
-func (p *Pool) unpin(fr *frame, dirty bool) {
+func (p *pool) unpin(fr *frame, dirty bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	fr.pins--
@@ -264,7 +251,7 @@ func (p *Pool) unpin(fr *frame, dirty bool) {
 // fetch can evict it or miss its dirty bytes). A failed writeback aborts
 // the allocation with the victim still resident and intact. Callers must
 // re-validate any map state examined before the call.
-func (p *Pool) allocFrameLocked() (*frame, error) {
+func (p *pool) allocFrameLocked() (*frame, error) {
 	for {
 		if p.closed {
 			return nil, fmt.Errorf("pager: pool is closed")
@@ -275,11 +262,13 @@ func (p *Pool) allocFrameLocked() (*frame, error) {
 			}
 			return &frame{data: make([]byte, p.pageSize)}, nil
 		}
-		key, ok := p.policy.Victim(p.evictable)
-		if !ok {
+		victim := p.tail
+		for victim != nil && victim.pins > 0 {
+			victim = victim.prev
+		}
+		if victim == nil {
 			return nil, fmt.Errorf("pager: %w: %d frames", ErrPoolExhausted, p.capFrames)
 		}
-		victim := p.frames[key]
 		if victim.dirty {
 			victim.pins++
 			victim.dirty = false // a write during our writeback re-marks it
@@ -291,14 +280,14 @@ func (p *Pool) allocFrameLocked() (*frame, error) {
 				victim.dirty = true
 				return nil, err
 			}
-			if victim.pins > 0 || victim.dirty {
-				// Re-pinned or re-dirtied while we wrote: no longer a valid
-				// victim, pick another.
+			if p.closed || victim.pins > 0 || victim.dirty {
+				// Closed (which returned the victim's charge), re-pinned or
+				// re-dirtied while we wrote: start over.
 				continue
 			}
 		}
-		p.policy.Remove(key)
-		delete(p.frames, key)
+		p.unlinkLocked(victim)
+		delete(p.frames, victim.key)
 		p.evictions.Add(1)
 		metricEvictions().Inc()
 		// The victim's buffer carries its memory charge to the new page.
@@ -307,9 +296,43 @@ func (p *Pool) allocFrameLocked() (*frame, error) {
 	}
 }
 
+// touchLocked makes fr the most recently used frame, linking it into the
+// recency list if it is being published.
+func (p *pool) touchLocked(fr *frame) {
+	if p.head == fr {
+		return
+	}
+	if fr.prev != nil {
+		p.unlinkLocked(fr)
+	}
+	fr.next = p.head
+	if p.head != nil {
+		p.head.prev = fr
+	}
+	p.head = fr
+	if p.tail == nil {
+		p.tail = fr
+	}
+}
+
+// unlinkLocked takes a published frame off the recency list.
+func (p *pool) unlinkLocked(fr *frame) {
+	if fr.prev != nil {
+		fr.prev.next = fr.next
+	} else {
+		p.head = fr.next
+	}
+	if fr.next != nil {
+		fr.next.prev = fr.prev
+	} else {
+		p.tail = fr.prev
+	}
+	fr.prev, fr.next = nil, nil
+}
+
 // releaseFrameLocked returns the memory charge of a frame that never
 // materialized (lost race, failed read); the frame itself is dropped.
-func (p *Pool) releaseFrameLocked() {
+func (p *pool) releaseFrameLocked() {
 	p.mem.Shrink(int64(p.pageSize))
 }
 
@@ -318,7 +341,7 @@ func (p *Pool) releaseFrameLocked() {
 // NOT clear the dirty flag — that belongs to the pool mutex, which callers
 // manage (eviction clears it optimistically before the write; flushFile
 // clears it after).
-func (p *Pool) writeback(fr *frame) error {
+func (p *pool) writeback(fr *frame) error {
 	fr.mu.Lock()
 	err := fr.file.writePage(fr.id, fr.data, p.writeFault)
 	fr.mu.Unlock()
@@ -332,7 +355,7 @@ func (p *Pool) writeback(fr *frame) error {
 
 // flushFile writes back every dirty resident page of h, in page order for
 // deterministic I/O patterns.
-func (p *Pool) flushFile(h *heapFile) error {
+func (p *pool) flushFile(h *heapFile) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var dirty []*frame
@@ -351,24 +374,10 @@ func (p *Pool) flushFile(h *heapFile) error {
 	return nil
 }
 
-// dropFile evicts every resident page of h without writing anything —
-// used when abandoning a failed bulk load.
-func (p *Pool) dropFile(h *heapFile) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for key, fr := range p.frames {
-		if fr.file == h {
-			p.policy.Remove(key)
-			delete(p.frames, key)
-			p.mem.Shrink(int64(p.pageSize))
-		}
-	}
-}
-
 // close releases every frame and its memory charge. Dirty pages are NOT
 // written — Close-with-durability is the store's checkpoint; close alone
 // models a crash (which is exactly what the recovery tests exploit).
-func (p *Pool) close() {
+func (p *pool) close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -376,8 +385,8 @@ func (p *Pool) close() {
 	}
 	p.closed = true
 	n := len(p.frames)
-	for key := range p.frames {
-		p.policy.Remove(key)
+	for key, fr := range p.frames {
+		p.unlinkLocked(fr)
 		delete(p.frames, key)
 	}
 	p.mem.Shrink(int64(n) * int64(p.pageSize))

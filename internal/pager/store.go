@@ -23,8 +23,6 @@ type Options struct {
 	// is 4 frames (a pool that cannot hold a handful of pages cannot make
 	// progress).
 	PoolBytes int64
-	// Eviction names the pool's eviction policy: "lru" (default) or "gdsf".
-	Eviction string
 	// Mem, when non-nil, is charged with every resident frame, putting the
 	// page cache under the same budget as query execution.
 	Mem *exec.MemTracker
@@ -85,7 +83,7 @@ type tableState struct {
 type Store struct {
 	dir      string
 	pageSize int
-	pool     *Pool
+	pool     *pool
 	wal      *wal
 
 	fsyncFault faultPoint
@@ -113,10 +111,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if opts.PoolBytes == 0 {
 		opts.PoolBytes = 4 << 20
-	}
-	policy, err := NewPolicy(opts.Eviction)
-	if err != nil {
-		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pager: create data dir: %w", err)
@@ -148,7 +142,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:        dir,
 		pageSize:   opts.PageSize,
-		pool:       newPool(opts.PageSize, capFrames, policy, opts.Mem, readF, writeF),
+		pool:       newPool(opts.PageSize, capFrames, opts.Mem, readF, writeF),
 		fsyncFault: fsyncF,
 		tables:     make(map[string]*tableState),
 	}

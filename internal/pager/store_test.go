@@ -377,33 +377,139 @@ func TestLSNMonotonicAcrossCheckpoint(t *testing.T) {
 	}
 }
 
+// TestEvictionPolicies drives the pool's one policy, LRU, end to end: a bulk
+// load and a full scan of 200 rows through 4 frames must evict and still
+// return every row. TestPoolRecency pins the exact victim order.
 func TestEvictionPolicies(t *testing.T) {
-	for _, policy := range []string{"lru", "gdsf"} {
-		t.Run(policy, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := smallStoreOpts(nil)
-			opts.Eviction = policy
-			s, err := Open(dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.CreateTable("t", testSchema()); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.BulkLoad("t", testRows(0, 200)); err != nil {
-				t.Fatal(err)
-			}
-			verifyTable(t, s, "t", 200)
-			if st := s.PoolStats(); st.Evictions == 0 {
-				t.Errorf("%s: no evictions scanning 200 rows through 4 frames: %+v", policy, st)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
+	t.Run("lru", func(t *testing.T) {
+		s, err := Open(t.TempDir(), smallStoreOpts(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CreateTable("t", testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.BulkLoad("t", testRows(0, 200)); err != nil {
+			t.Fatal(err)
+		}
+		verifyTable(t, s, "t", 200)
+		if st := s.PoolStats(); st.Evictions == 0 {
+			t.Errorf("no evictions scanning 200 rows through 4 frames: %+v", st)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestPoolRecency pins the pool's one policy on a fixed trace through four
+// frames: least recently used goes first, a hit refreshes recency, a pinned
+// frame is skipped however old, a dirty victim reaches disk before its frame
+// is reused, and a pool with every frame pinned refuses with a typed error
+// until one pin is released. The golden victim sequence was recorded through
+// the LRU plug-in the pool chose victims with before it threaded its own
+// list through its frames; it must not move.
+func TestPoolRecency(t *testing.T) {
+	mem := exec.NewMemTracker("recency", 0, nil)
+	s, err := Open(t.TempDir(), smallStoreOpts(mem))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Open(t.TempDir(), Options{Eviction: "clock"}); err == nil {
-		t.Error("unknown eviction policy accepted")
+	if _, err := s.CreateTable("t", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BulkLoad("t", testRows(0, 120)); err != nil {
+		t.Fatal(err)
+	}
+	h, p := s.tables["t"].file, s.pool
+	if h.numPages < 12 {
+		t.Fatalf("table has %d pages, the trace needs 12", h.numPages)
+	}
+
+	resident := func() map[uint32]bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		ids := make(map[uint32]bool, len(p.frames))
+		for _, fr := range p.frames {
+			ids[fr.id] = true
+		}
+		return ids
+	}
+	var victims []uint32
+	pin := func(id uint32) *frame {
+		t.Helper()
+		before := resident()
+		fr, err := p.fetch(h, id)
+		if err != nil {
+			t.Fatalf("fetch page %d: %v", id, err)
+		}
+		after := resident()
+		for old := range before {
+			if !after[old] {
+				victims = append(victims, old)
+			}
+		}
+		return fr
+	}
+	get := func(ids ...uint32) {
+		t.Helper()
+		for _, id := range ids {
+			p.unpin(pin(id), false)
+		}
+	}
+
+	get(0, 1, 2, 3) // four misses fill the pool
+	get(1)          // a hit: 1 is now more recent than 3 and 2
+	get(4)          // evicts 0
+	held := pin(3)  // 3 stays pinned while it ages to least recent
+	get(5, 6, 7, 8) // evict 2, 1, 4, then skip pinned 3 for 5
+
+	// Dirty 6, then age it out: it must be written back before its frame
+	// takes another page.
+	fr := pin(6)
+	fr.mu.Lock()
+	page{fr.data}.setLSN(42)
+	fr.mu.Unlock()
+	p.unpin(fr, true)
+	p.unpin(held, false)
+	writebacks := p.Stats().Writebacks
+	get(9, 10, 11, 0) // evict 3, 7, 8, then dirty 6
+	if got := p.Stats().Writebacks - writebacks; got != 1 {
+		t.Fatalf("evicting dirty page 6 wrote back %d pages, want 1", got)
+	}
+	fr = pin(6) // a miss: the page comes back from disk with its change
+	fr.mu.RLock()
+	lsn := page{fr.data}.lsn()
+	fr.mu.RUnlock()
+	p.unpin(fr, false)
+	if lsn != 42 {
+		t.Fatalf("page 6 reread with LSN %d, want the 42 written before eviction", lsn)
+	}
+
+	// Every frame pinned: a miss is refused, typed, until one pin goes.
+	var pins []*frame
+	for _, id := range []uint32{0, 11, 10, 6} {
+		pins = append(pins, pin(id))
+	}
+	if _, err := p.fetch(h, 1); !errors.Is(err, ErrPoolExhausted) {
+		t.Fatalf("fetch with every frame pinned: %v, want ErrPoolExhausted", err)
+	}
+	p.unpin(pins[1], false) // page 11
+	get(1)                  // evicts 11, the only unpinned frame
+	for _, fr := range []*frame{pins[0], pins[2], pins[3]} {
+		p.unpin(fr, false)
+	}
+
+	want := []uint32{0, 2, 1, 4, 5, 3, 7, 8, 6, 9, 11}
+	if fmt.Sprint(victims) != fmt.Sprint(want) {
+		t.Fatalf("victims %v, want %v", victims, want)
+	}
+	verifyTable(t, s, "t", 120)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.Bytes(); got != 0 {
+		t.Fatalf("tracked bytes after close: %d", got)
 	}
 }
 

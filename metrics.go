@@ -100,9 +100,3 @@ func engineLabel(e Engine) string {
 func WriteMetrics(w io.Writer) error {
 	return obsv.Default.WritePrometheus(w)
 }
-
-// PublishExpvar publishes the metrics registry through the standard
-// library's expvar under the name "bufferdb". Safe to call more than once.
-func PublishExpvar() {
-	obsv.Default.PublishExpvar()
-}

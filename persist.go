@@ -81,7 +81,6 @@ func (db *DB) attachStore() error {
 	}
 	store, err := pager.Open(db.opts.DataDir, pager.Options{
 		PoolBytes: db.opts.PoolBytes,
-		Eviction:  db.opts.Eviction,
 		Mem:       db.poolMem,
 	})
 	if err != nil {
@@ -116,21 +115,14 @@ func (db *DB) Close() error {
 
 // PagerStats is a snapshot of the buffer pool's traffic counters; zero for
 // in-memory databases.
-type PagerStats struct {
-	Hits, Misses, Evictions, Writebacks uint64
-	ResidentPages                       int
-}
+type PagerStats = pager.PoolStats
 
 // PagerStats reports the persistent tier's buffer-pool counters.
 func (db *DB) PagerStats() PagerStats {
 	if db.store == nil {
 		return PagerStats{}
 	}
-	s := db.store.PoolStats()
-	return PagerStats{
-		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
-		Writebacks: s.Writebacks, ResidentPages: s.ResidentPages,
-	}
+	return db.store.PoolStats()
 }
 
 // execInsert is the write path: parse, type-check against the catalog,
