@@ -47,9 +47,15 @@ func benchRunner(b *testing.B) *bench.Runner {
 	return runner
 }
 
-// runExperiment drives one experiment per iteration.
+// runExperiment drives one experiment per iteration, on a runner of its
+// own: a runner measures each plan once and hands the measurement to every
+// driver that prints it, so only the first iteration simulates — run with
+// -benchtime 1x to time a driver.
 func runExperiment(b *testing.B, id string) {
-	r := benchRunner(b)
+	r, err := bench.NewRunner(bench.Config{ScaleFactor: benchSF})
+	if err != nil {
+		b.Fatal(err)
+	}
 	e, ok := bench.FindExperiment(id)
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
@@ -340,7 +346,7 @@ func BenchmarkWallClockQuery1(b *testing.B) {
 	b.Run("original", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := r.MeasureWall(p); err != nil {
+			if _, _, err := r.MeasureWall(p, r.CM); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -348,7 +354,7 @@ func BenchmarkWallClockQuery1(b *testing.B) {
 	b.Run("buffered", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := r.MeasureWall(refined); err != nil {
+			if _, _, err := r.MeasureWall(refined, r.CM); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -356,7 +362,7 @@ func BenchmarkWallClockQuery1(b *testing.B) {
 	b.Run("block", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := r.MeasureWallBlock(refined); err != nil {
+			if _, _, err := r.MeasureWall(refined, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,22 +5,23 @@
 //	benchrunner -list
 //	benchrunner -exp fig10 -sf 0.02
 //	benchrunner -exp all -sf 0.02 -buffersize 1024
-//	benchrunner -exp all -short        # CI-grade: tiny SF, skip slow sweeps
+//	benchrunner -exp all -short        # CI-grade: tiny SF, skip Slow experiments
 //
 // Each experiment prints the rows/series of the corresponding artifact of
-// Zhou & Ross (SIGMOD 2004); see EXPERIMENTS.md for paper-vs-measured notes.
+// Zhou & Ross (SIGMOD 2004) from the simulated machine. The output is
+// deterministic and does not depend on which experiments ran before:
+// `-sf 0.005 -exp <id>` prints internal/bench/testdata/<id>.golden. See
+// EXPERIMENTS.md for paper-vs-measured notes. The per-operator EXPLAIN
+// ANALYZE view of one statement is `bufferdb -analyze [-no-refine] -q`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"bufferdb/internal/bench"
-	"bufferdb/internal/plan"
-	"bufferdb/internal/sql"
 )
 
 func main() {
@@ -32,8 +33,6 @@ func main() {
 		threshold  = flag.Float64("threshold", 0, "cardinality threshold (0 = calibrate)")
 		seed       = flag.Uint64("seed", 0, "data generation seed (0 = default)")
 		short      = flag.Bool("short", false, "CI-grade run: clamp the scale factor and skip slow experiments with -exp all")
-		analyze    = flag.String("analyze", "", "run this SQL instrumented (conventional vs refined plan) and print per-operator stats tables instead of experiments")
-		engine     = flag.String("engine", plan.EngineVolcano.String(), fmt.Sprintf("execution engine for -analyze (%s)", strings.Join(plan.EngineNames(), ", ")))
 	)
 	flag.Parse()
 
@@ -57,13 +56,6 @@ func main() {
 	}
 	fmt.Printf("database: TPC-H SF %g, refinement threshold %.0f rows (setup %.1fs)\n\n",
 		runner.Cfg.ScaleFactor, runner.Threshold, time.Since(start).Seconds())
-
-	if *analyze != "" {
-		if err := runAnalyze(runner, *analyze, *engine); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	var toRun []bench.Experiment
 	if *exp == "all" {
@@ -89,37 +81,6 @@ func main() {
 		fmt.Print(rep.String())
 		fmt.Printf("(%.1fs)\n\n", time.Since(t0).Seconds())
 	}
-}
-
-// runAnalyze prints per-operator stats tables for the conventional and the
-// refined compilation of one statement — the per-query view of what the
-// aggregate experiments measure.
-func runAnalyze(runner *bench.Runner, query, engineName string) error {
-	engine, err := plan.ParseEngine(engineName)
-	if err != nil {
-		return err
-	}
-	p, err := runner.Plan(query, sql.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Println("-- conventional plan:")
-	tbl, err := runner.Analyze(p, engine)
-	if err != nil {
-		return err
-	}
-	fmt.Print(tbl)
-	refined, err := runner.Refine(p)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\n-- refined plan:")
-	tbl, err = runner.Analyze(refined, engine)
-	if err != nil {
-		return err
-	}
-	fmt.Print(tbl)
-	return nil
 }
 
 func fatal(err error) {

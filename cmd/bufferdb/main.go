@@ -7,6 +7,8 @@
 //
 //	bufferdb -sf 0.01                  # interactive shell, embedded engine
 //	bufferdb -q "SELECT COUNT(*) FROM lineitem"
+//	bufferdb -analyze -q "<sql>"             # per-operator table, refined plan
+//	bufferdb -analyze -no-refine -q "<sql>"  # the same, conventional plan
 //	bufferdb -connect localhost:7687   # shell against a bufferdbd daemon
 //
 // Ctrl-C cancels the statement in flight — locally through its context,
@@ -46,27 +48,27 @@ import (
 
 func main() {
 	var (
-		sf      = flag.Float64("sf", 0.01, "TPC-H scale factor")
-		query   = flag.String("q", "", "run one query and exit")
-		noParse = flag.Bool("no-refine", false, "disable buffering plan refinement")
-		engine  = flag.String("engine", "", fmt.Sprintf("execution engine (%s; default: the database's)", strings.Join(bufferdb.EngineNames(), ", ")))
-		analyze = flag.Bool("analyze", false, "with -q: EXPLAIN ANALYZE — print the per-operator stats table instead of rows")
-		metrics = flag.Bool("metrics", false, "after -q: dump the process metrics registry (Prometheus text format)")
-		connect = flag.String("connect", "", "address of a bufferdbd daemon; queries run remotely instead of in-process")
-		reuse   = flag.Bool("reuse-cache", true, "recycle hash-join builds and aggregate tables across queries (\\cache shows stats)")
-		reuseMB = flag.Int64("reuse-max-bytes", 0, "semantic reuse-cache budget in bytes (0 = default)")
+		sf       = flag.Float64("sf", 0.01, "TPC-H scale factor")
+		query    = flag.String("q", "", "run one query and exit")
+		noRefine = flag.Bool("no-refine", false, "disable buffering plan refinement")
+		engine   = flag.String("engine", "", fmt.Sprintf("execution engine (%s; default: the database's)", strings.Join(bufferdb.EngineNames(), ", ")))
+		analyze  = flag.Bool("analyze", false, "with -q: EXPLAIN ANALYZE — print the per-operator stats table on the simulated CPU instead of rows (with -no-refine: the conventional plan)")
+		metrics  = flag.Bool("metrics", false, "after -q: dump the process metrics registry (Prometheus text format)")
+		connect  = flag.String("connect", "", "address of a bufferdbd daemon; queries run remotely instead of in-process")
+		reuse    = flag.Bool("reuse-cache", true, "recycle hash-join builds and aggregate tables across queries (\\cache shows stats)")
+		reuseMB  = flag.Int64("reuse-max-bytes", 0, "semantic reuse-cache budget in bytes (0 = default)")
 	)
 	flag.Parse()
 
 	ints := newInterrupts()
 
 	if *connect != "" {
-		remoteMain(ints, *connect, *query, *engine, *noParse, *analyze, *metrics)
+		remoteMain(ints, *connect, *query, *engine, *noRefine, *analyze, *metrics)
 		return
 	}
 
 	db, err := bufferdb.OpenTPCH(*sf, bufferdb.Options{
-		DisableRefinement: *noParse,
+		DisableRefinement: *noRefine,
 		ReuseCache:        *reuse,
 		ReuseMaxBytes:     *reuseMB,
 	})

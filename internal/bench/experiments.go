@@ -166,30 +166,22 @@ func ExperimentTable2(r *Runner) (*Report, error) {
 
 // pairedRun measures a query's original plan and a variant (refined or
 // explicitly buffered) and reports the paper's standard comparison block.
-func (r *Runner) pairedRun(rep *Report, query string, opt sql.Options, explicitBuffer bool) (orig, buf *Measurement, err error) {
-	p, err := r.Plan(query, opt)
+func (r *Runner) pairedRun(rep *Report, query string, explicitBuffer bool) error {
+	orig, err := r.run(query, sql.Options{}, false, plan.EngineVolcano)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	var variant *plan.Node
+	var buf *Measurement
 	if explicitBuffer {
-		variant = explicitScanBuffer(p, r.Cfg.BufferSize)
+		buf, err = r.Measure("buffered", explicitScanBuffer(mustPlan(r, query), r.Cfg.BufferSize))
 	} else {
-		variant, err = r.Refine(p)
-		if err != nil {
-			return nil, nil, err
-		}
+		buf, err = r.run(query, sql.Options{}, true, plan.EngineVolcano)
 	}
-	orig, err = r.Measure("original", p)
 	if err != nil {
-		return nil, nil, err
-	}
-	buf, err = r.Measure("buffered", variant)
-	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if orig.FirstRow != buf.FirstRow || orig.Rows != buf.Rows {
-		return nil, nil, fmt.Errorf("bench: buffered plan changed the result: %q vs %q", buf.FirstRow, orig.FirstRow)
+		return fmt.Errorf("bench: buffered plan changed the result: %q vs %q", buf.FirstRow, orig.FirstRow)
 	}
 	clock := r.CPUCfg.ClockHz
 	rep.Lines = append(rep.Lines, fmtBreakdownRow("original plan", orig, clock))
@@ -198,7 +190,7 @@ func (r *Runner) pairedRun(rep *Report, query string, opt sql.Options, explicitB
 	rep.Printf("ITLB miss reduction:   %6.1f%%  (%d → %d)", reduction(orig.Counters.ITLBMisses, buf.Counters.ITLBMisses), orig.Counters.ITLBMisses, buf.Counters.ITLBMisses)
 	rep.Printf("Mispredict reduction:  %6.1f%%  (%d → %d)", reduction(orig.Counters.Mispredicts, buf.Counters.Mispredicts), orig.Counters.Mispredicts, buf.Counters.Mispredicts)
 	rep.Printf("Overall improvement:   %6.1f%%", improvement(orig.ElapsedSec, buf.ElapsedSec))
-	return orig, buf, nil
+	return nil
 }
 
 // explicitScanBuffer clones a plan, wrapping its (single) scan in a buffer —
@@ -232,11 +224,7 @@ func clonePlan(n *plan.Node) *plan.Node {
 // ExperimentFig4 regenerates the unbuffered Query 1 breakdown.
 func ExperimentFig4(r *Runner) (*Report, error) {
 	rep := &Report{ID: "fig4", Title: "Instruction cache thrashing impact (Query 1, original plan)"}
-	p, err := r.Plan(Query1, sql.Options{})
-	if err != nil {
-		return nil, err
-	}
-	m, err := r.Measure("original", p)
+	m, err := r.run(Query1, sql.Options{}, false, plan.EngineVolcano)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +240,7 @@ func ExperimentFig4(r *Runner) (*Report, error) {
 // fits the L1I, so buffering is (slightly) counterproductive.
 func ExperimentFig9(r *Runner) (*Report, error) {
 	rep := &Report{ID: "fig9", Title: "Query 2: original vs (hand-)buffered"}
-	if _, _, err := r.pairedRun(rep, Query2, sql.Options{}, true); err != nil {
+	if err := r.pairedRun(rep, Query2, true); err != nil {
 		return nil, err
 	}
 	refined, err := r.Refine(mustPlan(r, Query2))
@@ -266,7 +254,7 @@ func ExperimentFig9(r *Runner) (*Report, error) {
 // ExperimentFig10 regenerates the headline Query 1 comparison.
 func ExperimentFig10(r *Runner) (*Report, error) {
 	rep := &Report{ID: "fig10", Title: "Query 1: original vs buffered"}
-	if _, _, err := r.pairedRun(rep, Query1, sql.Options{}, false); err != nil {
+	if err := r.pairedRun(rep, Query1, false); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -297,21 +285,25 @@ func ExperimentFig11(r *Runner) (*Report, error) {
 	return rep, nil
 }
 
-// fig12Sweep runs Query 1 with explicit scan buffers across sizes.
-func fig12Sweep(r *Runner, sizes []int) (orig *Measurement, bybuf []*Measurement, err error) {
-	p := mustPlan(r, Query1)
-	orig, err = r.Measure("original", p)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, size := range sizes {
-		m, err := r.Measure(fmt.Sprintf("buffer=%d", size), explicitScanBuffer(p, size))
+// bufferSweep measures Query 1 unbuffered and then with explicit scan
+// buffers of each of fig12Sizes: fig12 and fig13 print two views of it.
+func bufferSweep(r *Runner) ([]*Measurement, error) {
+	return shared(r, "buffer sweep", func() ([]*Measurement, error) {
+		orig, err := r.run(Query1, sql.Options{}, false, plan.EngineVolcano)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		bybuf = append(bybuf, m)
-	}
-	return orig, bybuf, nil
+		p := mustPlan(r, Query1)
+		runs := []*Measurement{orig}
+		for _, size := range fig12Sizes {
+			m, err := r.Measure(fmt.Sprintf("buffer=%d", size), explicitScanBuffer(p, size))
+			if err != nil {
+				return nil, err
+			}
+			runs = append(runs, m)
+		}
+		return runs, nil
+	})
 }
 
 var fig12Sizes = []int{1, 4, 16, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
@@ -319,10 +311,11 @@ var fig12Sizes = []int{1, 4, 16, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
 // ExperimentFig12 regenerates the buffer-size sweep elapsed-time curve.
 func ExperimentFig12(r *Runner) (*Report, error) {
 	rep := &Report{ID: "fig12", Title: "Varied buffer sizes (Query 1)"}
-	orig, runs, err := fig12Sweep(r, fig12Sizes)
+	sweep, err := bufferSweep(r)
 	if err != nil {
 		return nil, err
 	}
+	orig, runs := sweep[0], sweep[1:]
 	rep.Printf("%12s %14s", "buffer size", "elapsed (s)")
 	rep.Printf("%12s %14.6f", "original", orig.ElapsedSec)
 	for i, m := range runs {
@@ -335,19 +328,17 @@ func ExperimentFig12(r *Runner) (*Report, error) {
 // ExperimentFig13 regenerates the per-size breakdown.
 func ExperimentFig13(r *Runner) (*Report, error) {
 	rep := &Report{ID: "fig13", Title: "Breakdown across buffer sizes (Query 1)"}
-	orig, runs, err := fig12Sweep(r, fig12Sizes)
+	sweep, err := bufferSweep(r)
 	if err != nil {
 		return nil, err
 	}
-	clock := r.CPUCfg.ClockHz
-	rep.Lines = append(rep.Lines, fmtBreakdownRow("original", orig, clock))
-	for i, m := range runs {
-		rep.Lines = append(rep.Lines, fmtBreakdownRow(fmt.Sprintf("buffer=%d", fig12Sizes[i]), m, clock))
+	for _, m := range sweep {
+		rep.Lines = append(rep.Lines, fmtBreakdownRow(m.Label, m, r.CPUCfg.ClockHz))
 	}
 	return rep, nil
 }
 
-// joinExperiment runs one forced-join variant of Query 3.
+// joinExperiment reports one forced-join variant of Query 3.
 func joinExperiment(r *Runner, id, title string, method sql.JoinMethod) (*Report, error) {
 	rep := &Report{ID: id, Title: title}
 	p, err := r.Plan(Query3, sql.Options{ForceJoin: method})
@@ -364,16 +355,9 @@ func joinExperiment(r *Runner, id, title string, method sql.JoinMethod) (*Report
 	rep.Printf("Original plan:\n%s", strings.TrimRight(plan.Explain(p), "\n"))
 	rep.Printf("Refined plan:\n%s", strings.TrimRight(plan.Explain(refined), "\n"))
 	rep.Printf("Execution groups:\n%s", strings.TrimRight(res.String(), "\n"))
-	orig, err := r.Measure("original", p)
+	orig, buf, err := r.joinRuns(method)
 	if err != nil {
 		return nil, err
-	}
-	buf, err := r.Measure("buffered", refined)
-	if err != nil {
-		return nil, err
-	}
-	if orig.FirstRow != buf.FirstRow {
-		return nil, fmt.Errorf("bench: %s refined result differs", id)
 	}
 	clock := r.CPUCfg.ClockHz
 	rep.Lines = append(rep.Lines, fmtBreakdownRow("original plan", orig, clock))
@@ -400,50 +384,43 @@ func ExperimentFig17(r *Runner) (*Report, error) {
 	return joinExperiment(r, "fig17", "Query 3 with merge join", sql.JoinMerge)
 }
 
-// table34Rows measures all three join methods for Tables 3 and 4.
-func table34Rows(r *Runner) (map[string][2]*Measurement, error) {
-	out := make(map[string][2]*Measurement)
-	for _, jm := range []struct {
-		name   string
-		method sql.JoinMethod
-	}{
-		{"NestLoop", sql.JoinNestLoop},
-		{"Hash Join", sql.JoinHash},
-		{"Merge Join", sql.JoinMerge},
-	} {
-		p, err := r.Plan(Query3, sql.Options{ForceJoin: jm.method})
-		if err != nil {
-			return nil, err
-		}
-		refined, err := r.Refine(p)
-		if err != nil {
-			return nil, err
-		}
-		orig, err := r.Measure("original", p)
-		if err != nil {
-			return nil, err
-		}
-		buf, err := r.Measure("buffered", refined)
-		if err != nil {
-			return nil, err
-		}
-		out[jm.name] = [2]*Measurement{orig, buf}
+// joinRuns measures Query 3's original and refined plans under one join
+// method and checks they agree.
+func (r *Runner) joinRuns(method sql.JoinMethod) (orig, buf *Measurement, err error) {
+	opt := sql.Options{ForceJoin: method}
+	if orig, err = r.run(Query3, opt, false, plan.EngineVolcano); err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	if buf, err = r.run(Query3, opt, true, plan.EngineVolcano); err != nil {
+		return nil, nil, err
+	}
+	if orig.FirstRow != buf.FirstRow {
+		return nil, nil, fmt.Errorf("bench: Query 3 (%s) refined result differs", method)
+	}
+	return orig, buf, nil
+}
+
+// joinMethods are the rows of tables 3 and 4.
+var joinMethods = []struct {
+	name   string
+	method sql.JoinMethod
+}{
+	{"NestLoop", sql.JoinNestLoop},
+	{"Hash Join", sql.JoinHash},
+	{"Merge Join", sql.JoinMerge},
 }
 
 // ExperimentTable3 regenerates the overall improvement table.
 func ExperimentTable3(r *Runner) (*Report, error) {
 	rep := &Report{ID: "table3", Title: "Overall improvement"}
-	rows, err := table34Rows(r)
-	if err != nil {
-		return nil, err
-	}
 	rep.Printf("%-12s %14s %14s %12s", "join method", "original (s)", "buffered (s)", "improvement")
-	for _, name := range []string{"NestLoop", "Hash Join", "Merge Join"} {
-		m := rows[name]
-		rep.Printf("%-12s %14.4f %14.4f %11.1f%%", name, m[0].ElapsedSec, m[1].ElapsedSec,
-			improvement(m[0].ElapsedSec, m[1].ElapsedSec))
+	for _, jm := range joinMethods {
+		orig, buf, err := r.joinRuns(jm.method)
+		if err != nil {
+			return nil, err
+		}
+		rep.Printf("%-12s %14.4f %14.4f %11.1f%%", jm.name, orig.ElapsedSec, buf.ElapsedSec,
+			improvement(orig.ElapsedSec, buf.ElapsedSec))
 	}
 	return rep, nil
 }
@@ -453,15 +430,14 @@ func ExperimentTable3(r *Runner) (*Report, error) {
 // light-weight).
 func ExperimentTable4(r *Runner) (*Report, error) {
 	rep := &Report{ID: "table4", Title: "CPI improvement"}
-	rows, err := table34Rows(r)
-	if err != nil {
-		return nil, err
-	}
 	rep.Printf("%-12s %10s %10s %18s", "join method", "orig CPI", "buf CPI", "instruction delta")
-	for _, name := range []string{"NestLoop", "Hash Join", "Merge Join"} {
-		m := rows[name]
-		delta := 100 * (float64(m[1].Counters.Uops) - float64(m[0].Counters.Uops)) / float64(m[0].Counters.Uops)
-		rep.Printf("%-12s %10.3f %10.3f %17.2f%%", name, m[0].CPI, m[1].CPI, delta)
+	for _, jm := range joinMethods {
+		orig, buf, err := r.joinRuns(jm.method)
+		if err != nil {
+			return nil, err
+		}
+		delta := 100 * (float64(buf.Counters.Uops) - float64(orig.Counters.Uops)) / float64(orig.Counters.Uops)
+		rep.Printf("%-12s %10.3f %10.3f %17.2f%%", jm.name, orig.CPI, buf.CPI, delta)
 	}
 	return rep, nil
 }
@@ -469,39 +445,30 @@ func ExperimentTable4(r *Runner) (*Report, error) {
 // ExperimentTable5 regenerates the TPC-H query table.
 func ExperimentTable5(r *Runner) (*Report, error) {
 	rep := &Report{ID: "table5", Title: "TPC-H queries: original vs refined"}
-	queries := []struct {
-		name  string
-		query string
-		opt   sql.Options
-	}{
-		{"Q1", TPCHQ1, sql.Options{}},
-		{"Q3", TPCHQ3, sql.Options{}},
-		{"Q5", TPCHQ5, sql.Options{}},
-		{"Q6", TPCHQ6, sql.Options{}},
-		{"Q10", TPCHQ10, sql.Options{}},
-		{"Q12", TPCHQ12, sql.Options{}},
-		{"Q14", TPCHQ14, sql.Options{}},
+	queries := []struct{ name, query string }{
+		{"Q1", TPCHQ1}, {"Q3", TPCHQ3}, {"Q5", TPCHQ5}, {"Q6", TPCHQ6},
+		{"Q10", TPCHQ10}, {"Q12", TPCHQ12}, {"Q14", TPCHQ14},
 	}
 	rep.Printf("%-6s %14s %14s %12s %9s", "query", "original (s)", "refined (s)", "improvement", "buffers")
 	for _, q := range queries {
-		p, err := r.Plan(q.query, q.opt)
-		if err != nil {
-			return nil, err
-		}
+		p := mustPlan(r, q.query)
 		refined, err := r.Refine(p)
 		if err != nil {
 			return nil, err
 		}
-		orig, err := r.Measure("original", p)
+		orig, err := r.run(q.query, sql.Options{}, false, plan.EngineVolcano)
 		if err != nil {
 			return nil, err
 		}
-		buf, err := r.Measure("refined", refined)
+		buf, err := r.run(q.query, sql.Options{}, true, plan.EngineVolcano)
 		if err != nil {
 			return nil, err
 		}
 		if orig.FirstRow != buf.FirstRow || orig.Rows != buf.Rows {
 			return nil, fmt.Errorf("bench: %s refined result differs", q.name)
+		}
+		if err := r.verifyAgainstReference(p, orig); err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", q.name, err)
 		}
 		rep.Printf("%-6s %14.4f %14.4f %11.1f%% %9d", q.name, orig.ElapsedSec, buf.ElapsedSec,
 			improvement(orig.ElapsedSec, buf.ElapsedSec), plan.CountKind(refined, plan.KindBuffer))

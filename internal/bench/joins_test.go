@@ -9,47 +9,18 @@ import (
 )
 
 func TestJoinExperimentsShapes(t *testing.T) {
-	skipIfShort(t)
-	cases := []struct {
-		id     string
-		method sql.JoinMethod
-		run    func(*Runner) (*Report, error)
-	}{
-		{"fig15", sql.JoinNestLoop, ExperimentFig15},
-		{"fig16", sql.JoinHash, ExperimentFig16},
-		{"fig17", sql.JoinMerge, ExperimentFig17},
-	}
-	for _, c := range cases {
-		rep, err := c.run(testRunner)
-		if err != nil {
-			t.Fatalf("%s: %v", c.id, err)
-		}
+	for _, id := range []string{"fig15", "fig16", "fig17"} {
+		rep := report(t, id)
 		out := rep.String()
 		if !strings.Contains(out, "Overall improvement") || !strings.Contains(out, "Execution groups") {
-			t.Errorf("%s report incomplete:\n%s", c.id, out)
+			t.Errorf("%s report incomplete:\n%s", id, out)
 		}
 		// Every join variant improves on the simulated machine.
-		p, err := testRunner.Plan(Query3, sql.Options{ForceJoin: c.method})
-		if err != nil {
-			t.Fatal(err)
+		if impr := values(t, rep.Lines, "Overall improvement:")[0]; impr <= 0 {
+			t.Errorf("%s: refined plan slower (improvement %.1f%%)", id, impr)
 		}
-		refined, err := testRunner.Refine(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig, err := testRunner.Measure("o", p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, err := testRunner.Measure("b", refined)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if buf.ElapsedSec >= orig.ElapsedSec {
-			t.Errorf("%s: refined plan slower (%.4f vs %.4f)", c.id, buf.ElapsedSec, orig.ElapsedSec)
-		}
-		if red := reduction(orig.Counters.L1IMisses, buf.Counters.L1IMisses); red < 50 {
-			t.Errorf("%s: L1I reduction %.1f%%, want ≥ 50%% (paper: 53–79%%)", c.id, red)
+		if red := values(t, rep.Lines, "L1I miss reduction:")[0]; red < 50 {
+			t.Errorf("%s: L1I reduction %.1f%%, want ≥ 50%% (paper: 53–79%%)", id, red)
 		}
 	}
 }
@@ -102,44 +73,32 @@ func TestFig17NoBufferAboveSort(t *testing.T) {
 }
 
 func TestTable3AllPositive(t *testing.T) {
-	skipIfShort(t)
-	rows, err := table34Rows(testRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, m := range rows {
-		impr := improvement(m[0].ElapsedSec, m[1].ElapsedSec)
-		if impr < 3 || impr > 40 {
-			t.Errorf("%s improvement = %.1f%%, want a Table-3-like gain (paper: 12–15%%)", name, impr)
+	lines := report(t, "table3").Lines
+	for _, jm := range joinMethods {
+		// original (s), buffered (s), improvement
+		if impr := values(t, lines, jm.name)[2]; impr < 3 || impr > 40 {
+			t.Errorf("%s improvement = %.1f%%, want a Table-3-like gain (paper: 12–15%%)", jm.name, impr)
 		}
 	}
 }
 
 func TestTable4CPIAndInstructionCounts(t *testing.T) {
-	skipIfShort(t)
-	rows, err := table34Rows(testRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, m := range rows {
-		if m[1].CPI >= m[0].CPI {
-			t.Errorf("%s: buffered CPI %.3f not below original %.3f", name, m[1].CPI, m[0].CPI)
+	lines := report(t, "table4").Lines
+	for _, jm := range joinMethods {
+		row := values(t, lines, jm.name) // orig CPI, buf CPI, instruction delta %
+		if row[1] >= row[0] {
+			t.Errorf("%s: buffered CPI %.3f not below original %.3f", jm.name, row[1], row[0])
 		}
 		// Buffer operators are light-weight: instruction counts within a
 		// few percent (paper: < 1%; our buffers also charge setup work).
-		delta := float64(m[1].Counters.Uops)/float64(m[0].Counters.Uops) - 1
-		if delta < -0.01 || delta > 0.06 {
-			t.Errorf("%s: instruction count delta %.2f%%, want small", name, delta*100)
+		if delta := row[2]; delta < -1 || delta > 6 {
+			t.Errorf("%s: instruction count delta %.2f%%, want small", jm.name, delta)
 		}
 	}
 }
 
 func TestTable5RunsAndQ1Improves(t *testing.T) {
-	skipIfShort(t)
-	rep, err := ExperimentTable5(testRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := report(t, "table5")
 	out := rep.String()
 	for _, q := range []string{"Q1", "Q3", "Q6", "Q14"} {
 		if !strings.Contains(out, q) {
@@ -147,36 +106,15 @@ func TestTable5RunsAndQ1Improves(t *testing.T) {
 		}
 	}
 	// TPC-H Q1 (unselective, big footprint) is the paper's clearest win.
-	p, err := testRunner.Plan(TPCHQ1, sql.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined, err := testRunner.Refine(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, err := testRunner.Measure("o", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := testRunner.Measure("b", refined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if impr := improvement(orig.ElapsedSec, buf.ElapsedSec); impr < 5 {
+	// The driver itself checks each original run against an uninstrumented
+	// reference execution.
+	if impr := values(t, rep.Lines, "Q1 ")[2]; impr < 5 {
 		t.Errorf("TPC-H Q1 improvement = %.1f%%, want ≥ 5%%", impr)
-	}
-	if err := testRunner.verifyAgainstReference(p, orig); err != nil {
-		t.Error(err)
 	}
 }
 
 func TestTable2Report(t *testing.T) {
-	rep, err := ExperimentTable2(testRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.String()
+	out := report(t, "table2").String()
 	for _, want := range []string{"SeqScan (with predicates)", "13.0KB", "Hash join: probe", "Buffer"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table2 missing %q:\n%s", want, out)
@@ -185,22 +123,13 @@ func TestTable2Report(t *testing.T) {
 }
 
 func TestTable1Report(t *testing.T) {
-	rep, err := ExperimentTable1(testRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.String(), "2.4 GHz") {
+	if rep := report(t, "table1"); !strings.Contains(rep.String(), "2.4 GHz") {
 		t.Errorf("table1:\n%s", rep)
 	}
 }
 
 func TestFig13Report(t *testing.T) {
-	skipIfShort(t)
-	rep, err := ExperimentFig13(testRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Lines) != len(fig12Sizes)+1 {
+	if rep := report(t, "fig13"); len(rep.Lines) != len(fig12Sizes)+1 {
 		t.Errorf("fig13 rows = %d, want %d", len(rep.Lines), len(fig12Sizes)+1)
 	}
 }

@@ -25,27 +25,42 @@ func pushOperatorNames(op exec.Operator) []string {
 	return names
 }
 
-// TestPushParallelEquivalence asserts the push compilation of partitioned
-// (Parallelism > 1) plans returns exactly the sequential Volcano rows: the
-// exchange gather compiles to fused partition pipelines and the ordered
-// merge keeps row order engine-independent.
+// TestPushParallelEquivalence asserts that every engine, on the
+// conventional and on the refined plan, returns exactly the sequential
+// Volcano rows at 1, 2, 4 and 8 workers: the exchange gather compiles to
+// partition pipelines on every engine, buffers stay below it, and the
+// ordered merge keeps row order engine-independent. It runs on testRunner's
+// SF 0.005 database — 24 executions a case, and still several 1024-row
+// batches per partition at eight workers.
 func TestPushParallelEquivalence(t *testing.T) {
+	t.Parallel()
 	for _, c := range engineEquivalenceCases {
 		t.Run(c.name, func(t *testing.T) {
-			p, err := vecRunner.Plan(c.query, c.opt)
+			p, err := testRunner.Plan(c.query, c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ := runEngine(t, vecRunner, p, plan.EngineVolcano)
-			for _, workers := range []int{2, 4} {
-				par := plan.Parallelize(p, workers)
-				got, _ := runEngine(t, vecRunner, par, plan.EnginePush)
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d: push returned %d rows, want %d", workers, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d row %d differs:\n push:    %s\n volcano: %s", workers, i, got[i], want[i])
+			refined, err := testRunner.Refine(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := runEngine(t, testRunner, p, plan.EngineVolcano)
+			for _, engine := range plan.Engines() {
+				for _, variant := range []struct {
+					name string
+					plan *plan.Node
+				}{{"conventional", p}, {"refined", refined}} {
+					for _, workers := range []int{1, 2, 4, 8} {
+						got, _ := runEngine(t, testRunner, plan.Parallelize(variant.plan, workers), engine)
+						if len(got) != len(want) {
+							t.Fatalf("%s %s workers=%d: %d rows, want %d", engine, variant.name, workers, len(got), len(want))
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("%s %s workers=%d row %d differs:\n got:     %s\n volcano: %s",
+									engine, variant.name, workers, i, got[i], want[i])
+							}
+						}
 					}
 				}
 			}
@@ -168,15 +183,16 @@ func TestPushAnalyzeReportsFusedElements(t *testing.T) {
 	}
 }
 
-// TestExperimentPush runs the three-way showdown end to end; the driver
-// itself enforces result equivalence and the lower-L1I invariant.
+// TestExperimentPush checks the push-fused rows of the ext3 showdown (the
+// driver itself errors if any engine changes the result): the push-fused
+// loop stays below the original plan wherever the push compiler fuses a
+// footprint that overflows the cache.
 func TestExperimentPush(t *testing.T) {
-	skipIfShort(t)
-	rep, err := ExperimentPush(testRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Lines) == 0 {
-		t.Fatal("push experiment produced no output")
+	rep := report(t, "ext3")
+	for _, c := range []string{"Query 1", "Query 3 (hash)"} {
+		lines := section(t, rep, c)
+		if psh, orig := counters(t, lines, "push-fused")[0], counters(t, lines, "original")[0]; psh >= orig {
+			t.Errorf("%s: push-fused L1I misses %v not below original %v", c, psh, orig)
+		}
 	}
 }

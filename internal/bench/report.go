@@ -39,7 +39,8 @@ func (r *Report) String() string {
 }
 
 // Experiment is a named, runnable paper artifact. Slow marks the sweeps and
-// full-suite drivers that `benchrunner -exp all -short` skips.
+// multi-plan drivers that `benchrunner -exp all -short` and `go test
+// -short` skip.
 type Experiment struct {
 	ID    string
 	Title string
@@ -59,19 +60,15 @@ func Experiments() []Experiment {
 		{ID: "fig11", Title: "Cardinality effects (calibration sweep)", Run: ExperimentFig11, Slow: true},
 		{ID: "fig12", Title: "Buffer size sweep: elapsed time", Run: ExperimentFig12, Slow: true},
 		{ID: "fig13", Title: "Buffer size sweep: breakdown", Run: ExperimentFig13, Slow: true},
-		{ID: "fig15", Title: "Query 3 nested-loop join: plans and breakdown", Run: ExperimentFig15},
-		{ID: "fig16", Title: "Query 3 hash join: plans and breakdown", Run: ExperimentFig16},
-		{ID: "fig17", Title: "Query 3 merge join: plans and breakdown", Run: ExperimentFig17},
+		{ID: "fig15", Title: "Query 3 nested-loop join: plans and breakdown", Run: ExperimentFig15, Slow: true},
+		{ID: "fig16", Title: "Query 3 hash join: plans and breakdown", Run: ExperimentFig16, Slow: true},
+		{ID: "fig17", Title: "Query 3 merge join: plans and breakdown", Run: ExperimentFig17, Slow: true},
 		{ID: "table3", Title: "Overall improvement per join method", Run: ExperimentTable3, Slow: true},
 		{ID: "table4", Title: "CPI: original vs buffered plans", Run: ExperimentTable4, Slow: true},
 		{ID: "table5", Title: "TPC-H queries: original vs refined", Run: ExperimentTable5, Slow: true},
 		{ID: "ext1", Title: "Extension: instruction prefetching vs buffering", Run: ExperimentExtPrefetch},
 		{ID: "ext2", Title: "Extension: code layout vs buffering", Run: ExperimentExtLayout},
-		{ID: "ext3", Title: "Extension: block-oriented processing vs buffering", Run: ExperimentExt3},
-		{ID: "push", Title: "Push-fused pipelines vs buffering and vectorization", Run: ExperimentPush},
-		{ID: "par", Title: "Parallel partitioned scans: equivalence and speedup", Run: ExperimentPar},
-		{ID: "storage", Title: "Persistent tier: in-memory vs paged scans", Run: ExperimentStorage},
-		{ID: "reuse", Title: "Semantic reuse cache: cold vs warm vs result-replay ladder", Run: ExperimentReuse},
+		{ID: "ext3", Title: "Extension: block-oriented and push-fused processing vs buffering", Run: ExperimentExt3, Slow: true},
 	}
 }
 

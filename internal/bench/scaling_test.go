@@ -11,6 +11,7 @@ import (
 // time grows linearly with scale factor, so shapes measured at laptop scale
 // transfer.
 func TestSimulatedTimeScalesLinearly(t *testing.T) {
+	t.Parallel()
 	run := func(sf float64) (orig, buf float64) {
 		r, err := NewRunner(Config{ScaleFactor: sf, CardinalityThreshold: 16})
 		if err != nil {

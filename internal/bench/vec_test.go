@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 )
 
 // vecRunner is a separate SF 0.01 database for the engine-equivalence
-// suite (the ISSUE's acceptance scale). The explicit threshold skips the
-// calibration sweep — these tests never refine plans.
+// suite. The explicit threshold skips the calibration sweep; the plans these
+// tests refine only need some buffers, not the calibrated ones.
 var vecRunner = func() *Runner {
 	r, err := NewRunner(Config{ScaleFactor: 0.01, CardinalityThreshold: 16})
 	if err != nil {
@@ -54,6 +55,14 @@ func runCompiled(t *testing.T, r *Runner, p *plan.Node, engine plan.Engine, cm *
 	return out, op
 }
 
+// scanProject is a streaming scan-filter-project pipeline with no blocking
+// operator: the whole query is one partitionable chain under the gather.
+const scanProject = `
+SELECT l_orderkey,
+       l_extendedprice * (1 - l_discount) * (1 + l_tax) AS charge
+FROM lineitem
+WHERE l_shipdate <= DATE '1998-09-02'`
+
 // engineEquivalenceCases is the TPC-H workload every non-Volcano engine
 // must reproduce bit-identically.
 var engineEquivalenceCases = []struct {
@@ -61,6 +70,7 @@ var engineEquivalenceCases = []struct {
 	query string
 	opt   sql.Options
 }{
+	{"ScanProject", scanProject, sql.Options{}},
 	{"Query1", Query1, sql.Options{}},
 	{"Query2", Query2, sql.Options{}},
 	{"Query3-nestloop", Query3, sql.Options{ForceJoin: sql.JoinNestLoop}},
@@ -77,6 +87,7 @@ var engineEquivalenceCases = []struct {
 // on the TPC-H workload, including mixed plans that round-trip through the
 // adapters (vec or fused subtrees under Volcano sorts and joins).
 func TestEngineSelectionMatchesVolcano(t *testing.T) {
+	t.Parallel()
 	for _, engine := range []plan.Engine{plan.EngineVec, plan.EnginePush} {
 		for _, c := range engineEquivalenceCases {
 			t.Run(engine.String()+"/"+c.name, func(t *testing.T) {
@@ -172,50 +183,48 @@ func TestMixedPlanUsesAdapters(t *testing.T) {
 	}
 }
 
-// TestExt3 runs the block-oriented-vs-buffering experiment end to end and
-// checks its acceptance criteria: identical results across engines (the
-// driver errors otherwise) and vectorized L1I misses at or below the
-// buffered plan's on Query 1, both far below the original plan's.
-func TestExt3(t *testing.T) {
-	skipIfShort(t)
-	rep, err := ExperimentExt3(testRunner)
-	if err != nil {
-		t.Fatal(err)
+// section returns the lines of one case of a multi-case report, between
+// its "--- label ---" header and the next one.
+func section(t *testing.T, rep *Report, label string) []string {
+	t.Helper()
+	for i, l := range rep.Lines {
+		if l != "--- "+label+" ---" {
+			continue
+		}
+		end := i + 1
+		for end < len(rep.Lines) && !strings.HasPrefix(rep.Lines[end], "--- ") {
+			end++
+		}
+		return rep.Lines[i+1 : end]
 	}
-	if len(rep.Lines) == 0 {
-		t.Fatal("ext3 produced no output")
-	}
+	t.Fatalf("%s has no case %q", rep.ID, label)
+	return nil
+}
 
-	p, err := testRunner.Plan(Query1, sql.Options{})
-	if err != nil {
-		t.Fatal(err)
+// counters reads one variant's counter line of an ext3 case: L1I misses,
+// mispredicts, uops and cycles.
+func counters(t *testing.T, lines []string, label string) []float64 {
+	t.Helper()
+	return values(t, lines, fmt.Sprintf("%-12s L1I misses=", label))
+}
+
+// TestExt3 checks the shape of the ext3 showdown (the driver itself errors
+// if any engine changes the result): vectorized L1I misses at or below the
+// buffered plan's on Query 1 and both far below the original plan's. The
+// push-fused rows of the same report are checked by TestExperimentPush.
+func TestExt3(t *testing.T) {
+	rep := report(t, "ext3")
+	lines := section(t, rep, "Query 1")
+	orig := counters(t, lines, "original")[0]
+	buf := counters(t, lines, "buffered")[0]
+	vec := counters(t, lines, "vectorized")[0]
+	if vec > buf {
+		t.Errorf("vectorized L1I misses %v exceed buffered %v", vec, buf)
 	}
-	refined, err := testRunner.Refine(p)
-	if err != nil {
-		t.Fatal(err)
+	if vec*10 > orig {
+		t.Errorf("vectorized L1I misses %v not far below original %v", vec, orig)
 	}
-	orig, err := testRunner.Measure("original", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := testRunner.Measure("buffered", refined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec, err := testRunner.MeasureEngine("vectorized", p, plan.EngineVec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vec.Counters.L1IMisses > buf.Counters.L1IMisses {
-		t.Errorf("vectorized L1I misses %d exceed buffered %d",
-			vec.Counters.L1IMisses, buf.Counters.L1IMisses)
-	}
-	if vec.Counters.L1IMisses*10 > orig.Counters.L1IMisses {
-		t.Errorf("vectorized L1I misses %d not far below original %d",
-			vec.Counters.L1IMisses, orig.Counters.L1IMisses)
-	}
-	if buf.Counters.L1IMisses*10 > orig.Counters.L1IMisses {
-		t.Errorf("buffered L1I misses %d not far below original %d",
-			buf.Counters.L1IMisses, orig.Counters.L1IMisses)
+	if buf*10 > orig {
+		t.Errorf("buffered L1I misses %v not far below original %v", buf, orig)
 	}
 }

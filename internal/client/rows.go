@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"bufferdb/internal/storage"
@@ -103,99 +102,28 @@ func (r *Rows) Row() []any {
 // Err reports the error that terminated iteration, if any.
 func (r *Rows) Err() error { return r.err }
 
-// Scan copies the current row into dest, one pointer per column, mirroring
-// the local bufferdb.Rows.Scan contract so remote and local cursors are
-// drop-in interchangeable. Supported destinations: *int64, *float64,
-// *string, *bool, *time.Time, and *any (which receives the native decoded
-// value, including nil for SQL NULL). The typed pointers reject NULL, and
-// errors name the column by 0-based index and name.
+// Scan copies the current row into dest, one pointer per column, with the
+// conversions and error contract of the local bufferdb.Rows.Scan
+// (storage.Row.Scan), so remote and local cursors are drop-in
+// interchangeable.
 func (r *Rows) Scan(dest ...any) error {
-	return ScanRow(dest, r.Row(), r.cols, r.closed)
+	return ScanRow(dest, r.cur, r.cols, r.closed)
 }
 
-// ScanRow is Scan over a native row (nil: no current row). Exported so the
-// dist coordinator's cursor applies the exact conversions and error
-// contract of the direct client cursor.
-func ScanRow(dest []any, row []any, cols []string, closed bool) error {
+// ScanRow is Scan over a typed row (nil: no current row). Exported so the
+// dist coordinator's cursor reports the same errors as the direct client
+// cursor.
+func ScanRow(dest []any, row storage.Row, cols []string, closed bool) error {
 	if row == nil {
 		if closed {
 			return fmt.Errorf("client: Scan: rows are closed")
 		}
 		return fmt.Errorf("client: Scan called without a successful Next")
 	}
-	if len(dest) != len(row) {
-		return fmt.Errorf("client: Scan got %d destinations for %d columns", len(dest), len(row))
-	}
-	for i, d := range dest {
-		if err := scanValue(d, row[i], i, cols[i]); err != nil {
-			return err
-		}
+	if err := row.Scan(cols, dest); err != nil {
+		return fmt.Errorf("client: Scan: %w", err)
 	}
 	return nil
-}
-
-// scanValue assigns one decoded wire value to one destination pointer.
-func scanValue(dest any, v any, idx int, col string) error {
-	if p, ok := dest.(*any); ok {
-		*p = v
-		return nil
-	}
-	if v == nil {
-		return fmt.Errorf("client: Scan: column %d (%s) is NULL; use *any to receive NULLs", idx, col)
-	}
-	switch p := dest.(type) {
-	case *int64:
-		x, ok := v.(int64)
-		if !ok {
-			return scanMismatch(idx, col, v, "int64")
-		}
-		*p = x
-	case *float64:
-		switch x := v.(type) {
-		case float64:
-			*p = x
-		case int64:
-			*p = float64(x)
-		default:
-			return scanMismatch(idx, col, v, "float64")
-		}
-	case *string:
-		switch x := v.(type) {
-		case string:
-			*p = x
-		case int64:
-			*p = strconv.FormatInt(x, 10)
-		case float64:
-			*p = strconv.FormatFloat(x, 'f', -1, 64)
-		case bool:
-			*p = strconv.FormatBool(x)
-		case time.Time:
-			// Dates cross the wire as midnight-UTC instants; render them the
-			// way the local engine renders TypeDate.
-			*p = x.UTC().Format("2006-01-02")
-		default:
-			return scanMismatch(idx, col, v, "string")
-		}
-	case *bool:
-		x, ok := v.(bool)
-		if !ok {
-			return scanMismatch(idx, col, v, "bool")
-		}
-		*p = x
-	case *time.Time:
-		x, ok := v.(time.Time)
-		if !ok {
-			return scanMismatch(idx, col, v, "time.Time")
-		}
-		*p = x
-	default:
-		return fmt.Errorf("client: Scan: unsupported destination type %T for column %d (%s)", dest, idx, col)
-	}
-	return nil
-}
-
-func scanMismatch(idx int, col string, v any, want string) error {
-	return fmt.Errorf("client: Scan: column %d (%s) has type %T, destination wants %s", idx, col, v, want)
 }
 
 // Total returns the server-reported row count after a complete drain.

@@ -310,9 +310,9 @@ func TestDistScan(t *testing.T) {
 	}
 
 	for mode, q := range map[string]string{
-		"passthrough": `SELECT s_suppkey, s_acctbal, DATE '1995-03-15' AS d, s_name, NULL AS nothing
+		"passthrough": `SELECT s_suppkey, s_acctbal, DATE '1995-03-15' AS d, s_name, NULL AS nothing, s_suppkey < 5 AS small
 			FROM supplier ORDER BY s_suppkey`,
-		"scatter": `SELECT l_orderkey, l_extendedprice, l_shipdate, l_comment, NULL AS nothing
+		"scatter": `SELECT l_orderkey, l_extendedprice, l_shipdate, l_comment, NULL AS nothing, l_orderkey < 100 AS small
 			FROM lineitem WHERE l_orderkey < 200 ORDER BY l_orderkey, l_extendedprice, l_comment`,
 	} {
 		t.Run(mode, func(t *testing.T) {
@@ -339,6 +339,37 @@ func TestDistScan(t *testing.T) {
 				}
 			}
 
+			// Every cursor converts through one Scan: each column into every
+			// destination type, NULL included, yields the same value or the
+			// same error on the embedded, one-server and coordinator cursors.
+			embeddedRows, err := ref.QueryStream(context.Background(), q)
+			if err != nil {
+				t.Fatalf("embedded stream: %v", err)
+			}
+			wantScans := scanMatrix(t, embeddedRows)
+			for _, addr := range []string{oneAddr, coAddr} {
+				cl, err := client.Dial(addr, client.Config{})
+				if err != nil {
+					t.Fatalf("Dial: %v", err)
+				}
+				remote, err := cl.Query(context.Background(), q)
+				if err != nil {
+					t.Fatalf("Query over %s: %v", addr, err)
+				}
+				got := scanMatrix(t, remote)
+				cl.Close()
+				if !reflect.DeepEqual(got, wantScans) {
+					t.Fatalf("Scan over %s differs from embedded:\n got %q\nwant %q", addr, got, wantScans)
+				}
+			}
+			coRows, err := fleet.co.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("coordinator: %v", err)
+			}
+			if got := scanMatrix(t, coRows); !reflect.DeepEqual(got, wantScans) {
+				t.Fatalf("coordinator Scan differs from embedded:\n got %q\nwant %q", got, wantScans)
+			}
+
 			rows, err := fleet.co.Query(context.Background(), q)
 			if err != nil {
 				t.Fatalf("Query: %v", err)
@@ -350,9 +381,10 @@ func TestDistScan(t *testing.T) {
 				day   time.Time
 				text  string
 				null  any
-				boxed [5]any
+				small bool
+				boxed [6]any
 			)
-			if err := rows.Scan(&key, &num, &day, &text, &null); err == nil ||
+			if err := rows.Scan(&key, &num, &day, &text, &null, &small); err == nil ||
 				!strings.Contains(err.Error(), "without a successful Next") {
 				t.Fatalf("Scan before Next: %v", err)
 			}
@@ -362,23 +394,23 @@ func TestDistScan(t *testing.T) {
 			if !rows.Next() {
 				t.Fatalf("Next: no rows (err %v)", rows.Err())
 			}
-			if err := rows.Scan(&key, &num, &day, &text, &null); err != nil {
+			if err := rows.Scan(&key, &num, &day, &text, &null, &small); err != nil {
 				t.Fatalf("Scan: %v", err)
 			}
-			if got := []any{key, num, day, text, null}; !reflect.DeepEqual(got, want[0]) {
+			if got := []any{key, num, day, text, null, small}; !reflect.DeepEqual(got, want[0]) {
 				t.Fatalf("typed Scan produced %v, want %v", got, want[0])
 			}
-			if err := rows.Scan(&boxed[0], &boxed[1], &boxed[2], &boxed[3], &boxed[4]); err != nil ||
+			if err := rows.Scan(&boxed[0], &boxed[1], &boxed[2], &boxed[3], &boxed[4], &boxed[5]); err != nil ||
 				!reflect.DeepEqual(boxed[:], want[0]) {
 				t.Fatalf("Scan into *any produced %v (err %v), want %v", boxed, err, want[0])
 			}
-			if err := rows.Scan(&key, &num, &day, &text, &text); err == nil || !strings.Contains(err.Error(), "is NULL") {
+			if err := rows.Scan(&key, &num, &day, &text, &text, &small); err == nil || !strings.Contains(err.Error(), "is NULL") {
 				t.Fatalf("typed pointer took a NULL: %v", err)
 			}
 			if err := rows.Scan(&text); err == nil || !strings.Contains(err.Error(), "destinations") {
 				t.Fatalf("arity error: %v", err)
 			}
-			if got := rows.Values(); len(got) != 5 || got[0].I != key || !got[4].IsNull() {
+			if got := rows.Values(); len(got) != 6 || got[0].I != key || !got[4].IsNull() {
 				t.Fatalf("Values() = %v beside Row() = %v", got, rows.Row())
 			}
 
@@ -398,7 +430,7 @@ func TestDistScan(t *testing.T) {
 			}
 
 			rows.Close()
-			if err := rows.Scan(&key, &num, &day, &text, &null); err == nil || !strings.Contains(err.Error(), "closed") {
+			if err := rows.Scan(&key, &num, &day, &text, &null, &small); err == nil || !strings.Contains(err.Error(), "closed") {
 				t.Fatalf("Scan after Close: %v", err)
 			}
 			if rows.Row() != nil || rows.Values() != nil || rows.Next() {
@@ -406,6 +438,48 @@ func TestDistScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// scanCursor is the Scan surface the embedded, client and coordinator
+// cursors share.
+type scanCursor interface {
+	Columns() []string
+	Next() bool
+	Scan(dest ...any) error
+	Close() error
+}
+
+// scanMatrix scans every column of a cursor's first rows into each
+// destination type Scan supports, the other columns into *any, and records
+// each outcome: the value with its dynamic type, or the error text after
+// the cursor's package prefix. It closes the cursor.
+func scanMatrix(t *testing.T, rows scanCursor) []string {
+	t.Helper()
+	defer rows.Close()
+	var out []string
+	for n := 0; n < 3 && rows.Next(); n++ {
+		cols := len(rows.Columns())
+		for c := 0; c < cols; c++ {
+			for _, d := range []any{new(int64), new(float64), new(string), new(bool), new(time.Time), new(any)} {
+				dest := make([]any, cols)
+				for i := range dest {
+					dest[i] = new(any)
+				}
+				dest[c] = d
+				if err := rows.Scan(dest...); err != nil {
+					_, msg, _ := strings.Cut(err.Error(), "Scan: ")
+					out = append(out, msg)
+					continue
+				}
+				v := reflect.ValueOf(d).Elem().Interface()
+				out = append(out, fmt.Sprintf("%T %T %v", d, v, v))
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no rows to scan")
+	}
+	return out
 }
 
 // TestDistLegShape: a replica that answers a leg with another column count

@@ -182,7 +182,7 @@ func (r *Rows) Scan(dest ...any) error {
 	if r.passthrough != nil {
 		return r.passthrough.Scan(dest...)
 	}
-	return client.ScanRow(dest, r.Row(), r.cols, r.closed)
+	return client.ScanRow(dest, r.cur, r.cols, r.closed)
 }
 
 // Err reports the error that terminated iteration, if any. Shard failures

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"time"
 )
 
 // Column describes one attribute of a relation or of an intermediate result.
@@ -113,6 +115,65 @@ func (r Row) Natives(dst []any) []any {
 		dst[i] = r[i].Native()
 	}
 	return dst
+}
+
+// Scan copies the row into dest, one pointer per column: *int64, *float64
+// (which also takes an integer), *string (Value.String), *bool, *time.Time
+// for a date, and *any, which receives Native — nil for NULL. The typed
+// pointers reject NULL. Errors name the column by 0-based index and its
+// name in cols. It is the one conversion behind every cursor's Scan — the
+// embedded, the client's and the coordinator's — so the tiers agree.
+func (r Row) Scan(cols []string, dest []any) error {
+	if len(dest) != len(r) {
+		return fmt.Errorf("got %d destinations for %d columns", len(dest), len(r))
+	}
+	for i, d := range dest {
+		if err := r[i].scan(d); err != nil {
+			return fmt.Errorf("column %d (%s) %w", i, cols[i], err)
+		}
+	}
+	return nil
+}
+
+// scan assigns the value to one Scan destination.
+func (v Value) scan(dest any) error {
+	if p, ok := dest.(*any); ok {
+		*p = v.Native()
+		return nil
+	}
+	if v.Kind == TypeNull {
+		return errors.New("is NULL; use *any to receive NULLs")
+	}
+	mismatch := func(want string) error {
+		return fmt.Errorf("has kind %v, destination wants %s", v.Kind, want)
+	}
+	switch p := dest.(type) {
+	case *int64:
+		if v.Kind != TypeInt64 {
+			return mismatch("int64")
+		}
+		*p = v.I
+	case *float64:
+		if v.Kind != TypeFloat64 && v.Kind != TypeInt64 {
+			return mismatch("float64")
+		}
+		*p = v.AsFloat()
+	case *string:
+		*p = v.String()
+	case *bool:
+		if v.Kind != TypeBool {
+			return mismatch("bool")
+		}
+		*p = v.Bool()
+	case *time.Time:
+		if v.Kind != TypeDate {
+			return mismatch("time.Time")
+		}
+		*p = time.Unix(v.I*86400, 0).UTC()
+	default:
+		return fmt.Errorf("has unsupported destination type %T", dest)
+	}
+	return nil
 }
 
 // String renders the row as a pipe-separated line, used in tests and by the

@@ -268,13 +268,8 @@ func (r *Rows) Scan(dest ...any) error {
 		}
 		return fmt.Errorf("bufferdb: Scan called without a successful Next")
 	}
-	if len(dest) != len(r.row) {
-		return fmt.Errorf("bufferdb: Scan got %d destinations for %d columns", len(dest), len(r.row))
-	}
-	for i, d := range dest {
-		if err := scanValue(d, r.row[i], i, r.cols[i]); err != nil {
-			return err
-		}
+	if err := r.row.Scan(r.cols, dest); err != nil {
+		return fmt.Errorf("bufferdb: Scan: %w", err)
 	}
 	return nil
 }
@@ -284,53 +279,6 @@ func (r *Rows) Scan(dest ...any) error {
 // valid only until the next call to Next. It is what the serving tier
 // encodes from; Scan is the copying accessor.
 func (r *Rows) Values() storage.Row { return r.row }
-
-// scanValue assigns one column value to one destination pointer. Errors
-// name the column by 0-based index and name.
-func scanValue(dest any, v storage.Value, idx int, col string) error {
-	if p, ok := dest.(*any); ok {
-		*p = v.Native()
-		return nil
-	}
-	if v.Kind == storage.TypeNull {
-		return fmt.Errorf("bufferdb: Scan: column %d (%s) is NULL; use *any to receive NULLs", idx, col)
-	}
-	switch p := dest.(type) {
-	case *int64:
-		if v.Kind != storage.TypeInt64 {
-			return scanMismatch(idx, col, v, "int64")
-		}
-		*p = v.I
-	case *float64:
-		switch v.Kind {
-		case storage.TypeFloat64:
-			*p = v.F
-		case storage.TypeInt64:
-			*p = float64(v.I)
-		default:
-			return scanMismatch(idx, col, v, "float64")
-		}
-	case *string:
-		*p = v.String()
-	case *bool:
-		if v.Kind != storage.TypeBool {
-			return scanMismatch(idx, col, v, "bool")
-		}
-		*p = v.Bool()
-	case *time.Time:
-		if v.Kind != storage.TypeDate {
-			return scanMismatch(idx, col, v, "time.Time")
-		}
-		*p = time.Unix(v.I*86400, 0).UTC()
-	default:
-		return fmt.Errorf("bufferdb: Scan: unsupported destination type %T for column %d (%s)", dest, idx, col)
-	}
-	return nil
-}
-
-func scanMismatch(idx int, col string, v storage.Value, want string) error {
-	return fmt.Errorf("bufferdb: Scan: column %d (%s) has kind %v, destination wants %s", idx, col, v.Kind, want)
-}
 
 // Err returns the error, if any, that ended iteration. A query that ran to
 // completion (or was closed early by the consumer) reports nil; a canceled
