@@ -46,9 +46,6 @@ type OpStat struct {
 	// input in one drain).
 	Amortized bool
 
-	// Partitions is an exchange operator's fan-out (0 elsewhere).
-	Partitions int
-
 	// Cycles/Uops/L1IMisses are inclusive simulated-CPU attribution
 	// (operator plus subtree); the Self* fields subtract the children.
 	// All zero when the execution ran without the simulated CPU.
@@ -87,7 +84,6 @@ func publicStat(r *plan.OpReport) *OpStat {
 		FillTuples: r.Stats.FillTuples,
 		AvgFill:    r.Stats.AvgFill(),
 		Amortized:  r.BufferAmortized(),
-		Partitions: r.Stats.Partitions,
 		Cycles:     r.Stats.Cycles,
 		Uops:       r.Stats.Uops,
 		L1IMisses:  r.Stats.L1IMisses,
@@ -132,17 +128,15 @@ func (a *Analysis) String() string {
 }
 
 // Table renders only the deterministic per-operator columns (calls, rows,
-// drains, fan-out) without simulated attribution — stable across runs and
+// drains) without simulated attribution — stable across runs and
 // platforms, which is what the golden-file tests pin down.
 func (a *Analysis) Table() string {
 	return plan.FormatReport(a.report, false)
 }
 
-// ExplainAnalyze plans the statement (with refinement and parallelization
-// per the options), executes it on a fresh simulated CPU with per-operator
-// stats collection, and returns the annotated plan tree. The simulated
-// machine is single-core, so parallel plans run their partitions serially
-// inline — deterministic, and directly comparable with sequential plans.
+// ExplainAnalyze plans the statement (with refinement per the options),
+// executes it on a fresh simulated CPU with per-operator stats collection,
+// and returns the annotated plan tree.
 func (db *DB) ExplainAnalyze(ctx context.Context, query string, opts ...QueryOption) (*Analysis, error) {
 	qo := applyOptions(opts)
 	label, engine, err := db.planEngine(qo)

@@ -48,24 +48,18 @@ const analyzeQuery = `
 	ORDER BY l_returnflag`
 
 // TestGoldenExplain pins the Explain rendering (conventional and refined)
-// for a refined TPC-H aggregation and for a parallel plan.
+// for a refined TPC-H aggregation.
 func TestGoldenExplain(t *testing.T) {
 	orig, refined, err := testDB.Explain(analyzeQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "explain_agg", "-- conventional:\n"+orig+"-- refined:\n"+refined)
-
-	_, par, err := testDB.Explain(analyzeQuery, WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenCompare(t, "explain_agg_parallel", par)
 }
 
 // TestGoldenExplainAnalyze pins the deterministic columns of the
 // EXPLAIN ANALYZE table (operator, engine, group, calls, rows, drains,
-// avgfill, fan-out) across both engines and a parallel plan.
+// avgfill) across both engines.
 func TestGoldenExplainAnalyze(t *testing.T) {
 	cases := []struct {
 		name string
@@ -73,7 +67,6 @@ func TestGoldenExplainAnalyze(t *testing.T) {
 	}{
 		{"analyze_volcano", nil},
 		{"analyze_vec", []QueryOption{WithEngine(EngineVec)}},
-		{"analyze_volcano_parallel", []QueryOption{WithParallelism(4)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -275,7 +268,7 @@ func TestQueryFunctionalOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := testDB.Query(ctx, q, WithParallelism(4), WithBufferSize(256))
+	small, err := testDB.Query(ctx, q, WithBufferSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +281,7 @@ func TestQueryFunctionalOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprint(base.Rows)
-	for name, res := range map[string]*Result{"vec": vec, "parallel": par, "norefine": noref, "push": psh} {
+	for name, res := range map[string]*Result{"vec": vec, "buffer256": small, "norefine": noref, "push": psh} {
 		if fmt.Sprint(res.Rows) != want {
 			t.Errorf("%s result %v differs from base %v", name, res.Rows, base.Rows)
 		}

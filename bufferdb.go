@@ -54,14 +54,9 @@ type Options struct {
 	// DisableRefinement turns the post-optimizer buffer pass off, so
 	// Query always runs the conventional plan.
 	DisableRefinement bool
-	// Parallelism is the default worker fan-out for partitioned scan
-	// pipelines (values < 2 run sequentially). Eligible scan subtrees are
-	// wrapped in a gather (exchange) operator after plan refinement;
-	// results are byte-identical to the sequential plan for any value.
-	Parallelism int
 	// MemoryLimit caps the bytes all concurrently executing queries may
 	// hold in tracked allocations (hash tables, sort buffers, buffer
-	// arrays, exchange queues). 0 disables process-wide tracking; queries
+	// arrays). 0 disables process-wide tracking; queries
 	// then only track when they carry a WithMemoryBudget of their own.
 	MemoryLimit int64
 	// Admission bounds concurrent query execution; the zero value disables
@@ -140,7 +135,7 @@ func ParseEngine(name string) (Engine, error) {
 }
 
 // QueryOptions tune a single statement. Callers set them through the
-// functional QueryOption values (WithEngine, WithParallelism, …) passed to
+// functional QueryOption values (WithEngine, WithBufferSize, …) passed to
 // Query, QueryStream, ExplainAnalyze and Prepare; the struct remains
 // exported for bulk entry points like Profile that take a whole bundle.
 type QueryOptions struct {
@@ -150,9 +145,6 @@ type QueryOptions struct {
 	DisableRefinement bool
 	// BufferSize overrides the per-database buffer capacity.
 	BufferSize int
-	// Parallelism overrides the per-database scan fan-out for this
-	// statement (0 keeps the database default, 1 forces sequential).
-	Parallelism int
 	// Engine overrides the database's execution engine for this statement
 	// ("" keeps the database default).
 	Engine Engine
@@ -199,12 +191,6 @@ func WithForceJoin(method string) QueryOption {
 // inserts for this statement.
 func WithBufferSize(n int) QueryOption {
 	return func(o *QueryOptions) { o.BufferSize = n }
-}
-
-// WithParallelism overrides the scan fan-out for this statement
-// (1 forces sequential execution).
-func WithParallelism(workers int) QueryOption {
-	return func(o *QueryOptions) { o.Parallelism = workers }
 }
 
 // WithoutRefinement runs the conventional (unbuffered) plan.
@@ -533,24 +519,10 @@ func (db *DB) Threshold() (float64, error) {
 	return db.cal.threshold, db.cal.err
 }
 
-// parallelism resolves the effective scan fan-out for a statement.
-func (db *DB) parallelism(qo QueryOptions) int {
-	if qo.Parallelism != 0 {
-		return qo.Parallelism
-	}
-	return db.opts.Parallelism
-}
-
-// plan builds the (optionally refined, optionally parallelized) physical
-// plan for a statement. Refinement runs first — it reasons about the
-// sequential pipeline's instruction footprint — and parallelization then
-// wraps eligible pipelines, buffers included, below the gather.
+// plan builds the (optionally refined) physical plan for a statement.
 func (db *DB) plan(query string, qo QueryOptions) (*plan.Node, error) {
 	_, p, err := db.planPair(query, qo, !db.opts.DisableRefinement && !qo.DisableRefinement)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Parallelize(p, db.parallelism(qo)), nil
+	return p, err
 }
 
 // planPair plans a statement and, when refine is set, refines it with the
@@ -593,7 +565,7 @@ type Result struct {
 // materialized result. Per-statement tuning rides on functional options:
 //
 //	res, err := db.Query(ctx, sql, bufferdb.WithEngine(bufferdb.EngineVec),
-//	    bufferdb.WithParallelism(4))
+//	    bufferdb.WithBufferSize(256))
 //
 // The context cancels the query mid-execution. Use QueryStream to consume
 // large results incrementally.
@@ -622,16 +594,12 @@ func (db *DB) queryMaterialized(ctx context.Context, query string, qo QueryOptio
 }
 
 // Explain returns the conventional and the refined plan for a statement.
-// With Parallelism in effect, the refined side additionally shows the
-// gather (exchange) operators the parallelization pass inserted. Options
-// are the same variadic set Query takes.
+// Options are the same variadic set Query takes.
 func (db *DB) Explain(query string, opts ...QueryOption) (original, refined string, err error) {
-	qo := applyOptions(opts)
-	p, r, err := db.planPair(query, qo, true)
+	p, r, err := db.planPair(query, applyOptions(opts), true)
 	if err != nil {
 		return "", "", err
 	}
-	r = plan.Parallelize(r, db.parallelism(qo))
 	return plan.Explain(p), plan.Explain(r), nil
 }
 

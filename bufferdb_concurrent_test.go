@@ -32,7 +32,7 @@ func resultKey(res *Result) string {
 }
 
 // TestConcurrentQueries runs ≥8 goroutines of mixed statements against one
-// DB (including engine views and per-query parallelism) and checks every
+// DB (including engine views) and checks every
 // answer against the sequential baseline. Run under -race this is the
 // thread-safety acceptance test.
 func TestConcurrentQueries(t *testing.T) {
@@ -57,20 +57,11 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// A third of the goroutines run the vec engine view; another
-			// third adds intra-query parallelism on top of inter-query
-			// concurrency.
-			view := db
-			var opts []QueryOption
-			switch g % 3 {
-			case 1:
-				view = db.WithEngine(EngineVec)
-			case 2:
-				opts = append(opts, WithParallelism(4))
-			}
+			// The goroutines split evenly over the three engine views.
+			view := db.WithEngine([]Engine{EngineVolcano, EngineVec, EnginePush}[g%3])
 			for i := 0; i < iters; i++ {
 				qi := (g + i) % len(concurrentQueries)
-				res, err := view.Query(context.Background(), concurrentQueries[qi], opts...)
+				res, err := view.Query(context.Background(), concurrentQueries[qi])
 				if err != nil {
 					errc <- fmt.Errorf("goroutine %d query %d: %w", g, qi, err)
 					return
@@ -258,42 +249,6 @@ func TestQueryStreamPreCanceled(t *testing.T) {
 	}
 	if err := rows.Err(); !errors.Is(err, context.Canceled) {
 		t.Errorf("Err = %v, want context.Canceled in its chain", err)
-	}
-}
-
-// TestParallelEquivalence checks the facade-level guarantee: any
-// Parallelism value, on either engine, returns exactly the sequential rows.
-func TestParallelEquivalence(t *testing.T) {
-	q := `SELECT l_orderkey, l_extendedprice * (1 - l_discount) AS rev
-	      FROM lineitem WHERE l_shipdate <= DATE '1995-06-17'`
-	want, err := testDB.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKey := resultKey(want)
-	for _, engine := range []Engine{EngineVolcano, EngineVec, EnginePush} {
-		view := testDB.WithEngine(engine)
-		for _, workers := range []int{1, 2, 3, 4, 8} {
-			res, err := view.Query(context.Background(), q, WithParallelism(workers))
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", engine, workers, err)
-			}
-			if resultKey(res) != wantKey {
-				t.Errorf("%s workers=%d: result differs from sequential", engine, workers)
-			}
-		}
-	}
-}
-
-func TestExplainShowsGather(t *testing.T) {
-	_, refined, err := testDB.Explain(
-		`SELECT COUNT(*) FROM lineitem WHERE l_shipdate <= DATE '1995-06-17'`,
-		WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(refined, "Gather(workers=4)") {
-		t.Errorf("refined plan does not show the gather:\n%s", refined)
 	}
 }
 

@@ -31,7 +31,7 @@ var chaosDB = func() *DB {
 
 // chaosQuery joins, filters and aggregates, so its plan crosses every
 // operator family the governor instruments: scans, a hash join build and
-// probe, aggregation, and (with parallelism) exchange workers.
+// probe, and aggregation.
 const chaosQuery = `SELECT SUM(o_totalprice), COUNT(*) FROM lineitem, orders
  WHERE l_orderkey = o_orderkey AND l_shipdate <= DATE '1995-06-17'`
 
@@ -39,7 +39,7 @@ const chaosQuery = `SELECT SUM(o_totalprice), COUNT(*) FROM lineitem, orders
 var chaosEngines = []Engine{EngineVolcano, EngineVec, EnginePush}
 
 // waitGoroutines retries until the goroutine count settles back to (or
-// below) the baseline; exchange workers need a moment to observe stop.
+// below) the baseline; a torn-down plan's goroutines need a moment to exit.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	var n int
@@ -110,26 +110,24 @@ func TestChaosErrorInjection(t *testing.T) {
 
 func TestChaosPanicInjection(t *testing.T) {
 	for _, e := range chaosEngines {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/parallelism=%d", e, workers), func(t *testing.T) {
-				want := chaosWant(t, e)
-				base := runtime.NumGoroutine()
-				before := metricPanic(e).Value()
-				fi := NewFaultInjector(7, Fault{Match: "Scan", Kind: FaultPanic, After: 5})
-				_, err := chaosDB.Query(context.Background(), chaosQuery,
-					WithEngine(e), WithFaultInjector(fi), WithParallelism(workers))
-				if !errors.Is(err, ErrQueryPanic) {
-					t.Fatalf("want ErrQueryPanic, got %v", err)
-				}
-				if !errors.Is(err, ErrInjected) {
-					t.Fatalf("panic error lost the injected sentinel: %v", err)
-				}
-				if after := metricPanic(e).Value(); after != before+1 {
-					t.Fatalf("panic counter moved %d -> %d, want +1", before, after)
-				}
-				assertChaosClean(t, e, base, want)
-			})
-		}
+		t.Run(string(e), func(t *testing.T) {
+			want := chaosWant(t, e)
+			base := runtime.NumGoroutine()
+			before := metricPanic(e).Value()
+			fi := NewFaultInjector(7, Fault{Match: "Scan", Kind: FaultPanic, After: 5})
+			_, err := chaosDB.Query(context.Background(), chaosQuery,
+				WithEngine(e), WithFaultInjector(fi))
+			if !errors.Is(err, ErrQueryPanic) {
+				t.Fatalf("want ErrQueryPanic, got %v", err)
+			}
+			if !errors.Is(err, ErrInjected) {
+				t.Fatalf("panic error lost the injected sentinel: %v", err)
+			}
+			if after := metricPanic(e).Value(); after != before+1 {
+				t.Fatalf("panic counter moved %d -> %d, want +1", before, after)
+			}
+			assertChaosClean(t, e, base, want)
+		})
 	}
 }
 
@@ -181,34 +179,6 @@ func TestChaosDeadline(t *testing.T) {
 			}
 			assertChaosClean(t, e, base, want)
 		})
-	}
-}
-
-func TestChaosParallelWorkerFaults(t *testing.T) {
-	// Faults inside exchange worker goroutines must tear down the whole
-	// gather without leaking workers or queued-chunk memory.
-	for _, e := range chaosEngines {
-		for _, kind := range []struct {
-			name string
-			f    Fault
-		}{
-			// After: 2 lands mid-stream for every granularity: the third
-			// row on Volcano workers, the third batch on vec workers.
-			{"error", Fault{Match: "Scan", Kind: FaultError, After: 2}},
-			{"panic", Fault{Match: "Scan", Kind: FaultPanic, After: 2}},
-		} {
-			t.Run(fmt.Sprintf("%s/%s", e, kind.name), func(t *testing.T) {
-				want := chaosWant(t, e)
-				base := runtime.NumGoroutine()
-				fi := NewFaultInjector(11, kind.f)
-				_, err := chaosDB.Query(context.Background(), chaosQuery,
-					WithEngine(e), WithFaultInjector(fi), WithParallelism(4))
-				if !errors.Is(err, ErrInjected) {
-					t.Fatalf("want ErrInjected, got %v", err)
-				}
-				assertChaosClean(t, e, base, want)
-			})
-		}
 	}
 }
 

@@ -124,7 +124,6 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "TPC-H generation seed (0 = default)")
 		noRefine  = flag.Bool("no-refine", false, "disable buffering plan refinement")
 		engine    = flag.String("engine", "", fmt.Sprintf("default execution engine (%s); per-query wire options still override", strings.Join(bufferdb.EngineNames(), ", ")))
-		par       = flag.Int("parallelism", 0, "default partitioned-scan fan-out (<2 = sequential)")
 		memLimit  = flag.Int64("memory-limit", 0, "process-wide tracked-memory cap in bytes (0 = unlimited)")
 		maxConc   = flag.Int("max-concurrent", 0, "admission: max concurrently executing queries (0 = unlimited)")
 		maxQueued = flag.Int("max-queued", 0, "admission: max queries queued for a slot")
@@ -164,7 +163,6 @@ func main() {
 		m = dataNodeMode(logger, *scale, *engine, *repl, bufferdb.Options{
 			Seed:              *seed,
 			DisableRefinement: *noRefine,
-			Parallelism:       *par,
 			MemoryLimit:       *memLimit,
 			DataDir:           *dataDir,
 			PoolBytes:         *poolBytes,

@@ -14,18 +14,16 @@ import (
 )
 
 // streamQuery emits thousands of rows, so a cursor can be abandoned or
-// canceled genuinely mid-stream with exchange workers still producing.
+// canceled genuinely mid-stream with the scan still producing.
 const streamQuery = `SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_quantity > 10`
 
-// TestGoroutineLeakEarlyClose abandons a parallel cursor after a few rows
-// and asserts every exchange worker exits and every queued chunk's memory
-// charge is returned.
+// TestGoroutineLeakEarlyClose abandons a cursor after a few rows and
+// asserts no goroutine outlives it and every memory charge is returned.
 func TestGoroutineLeakEarlyClose(t *testing.T) {
 	for _, e := range chaosEngines {
 		t.Run(string(e), func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			rows, err := chaosDB.QueryStream(context.Background(), streamQuery,
-				WithEngine(e), WithParallelism(4))
+			rows, err := chaosDB.QueryStream(context.Background(), streamQuery, WithEngine(e))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,15 +44,15 @@ func TestGoroutineLeakEarlyClose(t *testing.T) {
 }
 
 // TestGoroutineLeakCancellation cancels the caller's context mid-drain and
-// asserts the error surfaces through Err, workers exit, and memory settles.
+// asserts the error surfaces through Err, goroutines exit, and memory
+// settles.
 func TestGoroutineLeakCancellation(t *testing.T) {
 	for _, e := range chaosEngines {
 		t.Run(string(e), func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			rows, err := chaosDB.QueryStream(ctx, streamQuery,
-				WithEngine(e), WithParallelism(4))
+			rows, err := chaosDB.QueryStream(ctx, streamQuery, WithEngine(e))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,7 +56,7 @@ func runCompiled(t *testing.T, r *Runner, p *plan.Node, engine plan.Engine, cm *
 }
 
 // scanProject is a streaming scan-filter-project pipeline with no blocking
-// operator: the whole query is one partitionable chain under the gather.
+// operator: the whole query is one fusable chain on every engine.
 const scanProject = `
 SELECT l_orderkey,
        l_extendedprice * (1 - l_discount) * (1 + l_tax) AS charge

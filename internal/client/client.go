@@ -118,11 +118,6 @@ func WithEngine(name string) Option {
 	return func(o *wire.QueryOpts) { o.Engine = name }
 }
 
-// WithParallelism overrides the scan fan-out server-side.
-func WithParallelism(workers int) Option {
-	return func(o *wire.QueryOpts) { o.Parallelism = int32(workers) }
-}
-
 // WithTimeout bounds the query's wall clock server-side; expiry surfaces
 // an error wrapping bufferdb.ErrDeadlineExceeded.
 func WithTimeout(d time.Duration) Option {

@@ -251,6 +251,7 @@ var conformanceCases = []conformanceCase{
 	protocolViolation("first frame not Hello", false, func(c *rawConn) { c.query(smallQuery) }),
 	protocolViolation("bad magic", false, func(c *rawConn) { c.hello(wire.Magic^1, wire.Version) }),
 	protocolViolation("wrong version", false, func(c *rawConn) { c.hello(wire.Magic, wire.Version+1) }),
+	protocolViolation("old client version", false, func(c *rawConn) { c.hello(wire.Magic, wire.Version-1) }),
 	protocolViolation("truncated Query", true, func(c *rawConn) { c.send(wire.TQuery, []byte{0, 0}) }),
 	protocolViolation("truncated Prepare", true, func(c *rawConn) { c.send(wire.TPrepare, []byte{0, 0}) }),
 	protocolViolation("truncated Execute", true, func(c *rawConn) { c.send(wire.TExecute, []byte{0, 0, 1}) }),

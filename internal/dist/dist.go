@@ -2,9 +2,8 @@
 // distributed queries over hash-sharded bufferdbd nodes and merges their
 // partial streams locally. It is the paper's buffering discipline applied
 // one level up — shards produce long runs of partial results, the
-// coordinator gathers partition-ordered streams through the same Exchange
-// operator the single-node engine uses for parallel scans, and the final
-// aggregate/sort/limit runs locally on the merged stream.
+// coordinator gathers partition-ordered streams through exec.Exchange, and
+// the final aggregate/sort/limit runs locally on the merged stream.
 //
 // Planning is source-to-source: the coordinator parses the query with the
 // engine's own parser, decides distributability against the shard map,

@@ -77,7 +77,7 @@ func (b *BlockAggregate) Open(ctx *Context) error {
 	return nil
 }
 
-// drainBlocks is the Aggregate's drain: the scan's span, a window at a time.
+// drainBlocks is the Aggregate's drain: the scan's table, a window at a time.
 func (b *BlockAggregate) drainBlocks(ctx *Context) error {
 	var folded, redone int
 	defer func() {

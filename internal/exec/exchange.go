@@ -2,53 +2,59 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 
 	"bufferdb/internal/codemodel"
 	"bufferdb/internal/faultinject"
 	"bufferdb/internal/storage"
 )
 
-// Exchange is the gather side of Volcano-style encapsulated parallelism
-// (Graefe's exchange operator): it owns one compiled subtree per partition
-// of the input and merges their outputs into the parent's demand-pull
-// stream. Partition subtrees are typically span-bounded scan pipelines
-// produced by plan.Parallelize — including any buffer operators the
-// refinement pass inserted, which stay below the gather so every worker
-// keeps its own instruction-cache-friendly run.
+// Exchange is the coordinator's gather (Graefe's exchange operator): it owns
+// one subtree per partition of the input — one scatter leg per shard — and
+// merges their outputs into the parent's demand-pull stream.
 //
 // Rows are emitted in partition order: all of partition 0, then partition
-// 1, and so on. Because partitions are contiguous row ranges and the
-// per-partition pipelines preserve order, the merged stream is
-// byte-identical to the sequential plan for any worker count.
+// 1, and so on. Open spawns one worker goroutine per partition; each drains
+// its subtree through a private Context into a bounded channel of row
+// chunks, so later partitions compute ahead under backpressure while the
+// parent consumes earlier ones. A partition's error surfaces after the
+// chunks it sent before failing; a worker's panic is contained and becomes
+// that error.
 //
-// Execution mode depends on the Context. Uninstrumented (no CPU, no
-// tracer), Open spawns one goroutine per partition; each drains its subtree
-// through a private child Context into a bounded channel of row chunks, so
-// later partitions compute ahead under backpressure while the parent
-// consumes earlier ones. On a simulated CPU the machine is single-core, so
-// the partitions run inline one after another on the shared Context —
-// deterministic, and directly comparable with the sequential plan.
+// Every queued chunk is charged against the query's budget before the send
+// and released on receive (or by Close's drain), so tracked bytes bound the
+// bytes actually parked in channels.
 type Exchange struct {
 	parts []Operator
 
-	// serial-mode cursor.
-	cur int
-
-	// parallel-mode state, rebuilt on every Open.
-	parallel bool
-	gather   Gather
-	chunk    []storage.Row // chunk being served
-	pos      int           // next row within chunk
+	// Rebuilt on every Open.
+	workers []*exchangeWorker
+	cur     int // partition being served
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	mem     *MemTracker   // consumer-side handle for releasing queued chunks
+	chunk   []storage.Row // chunk being served
+	pos     int           // next row within chunk
 
 	stats  *OpStats
 	fault  *faultinject.Point
 	opened bool
 }
 
+// exchangeWorker is one partition's channel and outcome.
+type exchangeWorker struct {
+	out chan []storage.Row
+	err error // read by the consumer only after out is closed
+}
+
 // exchangeChunk is the number of rows a worker accumulates before handing
 // them to the gather; chunking amortizes channel synchronization the same
 // way buffers amortize instruction fetch.
 const exchangeChunk = 256
+
+// exchangeDepth is the per-worker channel capacity in chunks: enough that
+// workers rarely stall on the consumer, small enough to bound memory.
+const exchangeDepth = 8
 
 // NewExchange constructs a gather over per-partition subtrees. At least one
 // partition is required; all partitions must produce the same schema.
@@ -59,34 +65,69 @@ func NewExchange(parts []Operator) (*Exchange, error) {
 	return &Exchange{parts: parts}, nil
 }
 
-// Open implements Operator.
+// Open implements Operator: it starts one worker per partition.
 func (e *Exchange) Open(ctx *Context) error {
-	e.gather.Stop()
+	e.stopWorkers()
 	e.stats = ctx.StatsFor(e)
 	if e.stats != nil {
-		e.stats.Partitions = len(e.parts)
 		defer e.stats.EndOpen(ctx, e.stats.Begin(ctx))
 	}
 	e.cur, e.chunk, e.pos = 0, nil, 0
 	e.fault = ctx.FaultPoint(e, ":next")
-	e.parallel = ctx.CPU == nil && ctx.Trace == nil
-	e.opened = true
-	if !e.parallel {
-		// Serial mode: partitions run inline, opened lazily in Next.
-		return e.parts[0].Open(ctx)
+	e.mem = ctx.Mem
+	e.stop = make(chan struct{})
+	e.workers = make([]*exchangeWorker, len(e.parts))
+	for i := range e.workers {
+		w := &exchangeWorker{out: make(chan []storage.Row, exchangeDepth)}
+		e.workers[i] = w
+		// Each worker owns a private Context: its own cancellation tick,
+		// sharing only the read-only catalog, the caller's cancellation
+		// context, the (mutex-guarded) memory tracker and fault injector,
+		// and (if enabled) the stats collector, whose registration path is
+		// mutex-guarded and whose per-operator slots are each written by
+		// one worker only.
+		wctx := &Context{Catalog: ctx.Catalog, Ctx: ctx.Ctx, Stats: ctx.Stats, Mem: ctx.Mem, Fault: ctx.Fault}
+		e.wg.Add(1)
+		go func(part Operator, stop <-chan struct{}) {
+			defer e.wg.Done()
+			defer close(w.out)
+			// Contain worker panics: the recover runs before close(w.out)
+			// (defers are LIFO), so the consumer always observes w.err
+			// after the channel closes.
+			defer func() {
+				if r := recover(); r != nil {
+					w.err = PanicError(part.Name(), r)
+				}
+			}()
+			w.err = drainPartition(wctx, part, w.out, stop)
+		}(e.parts[i], e.stop)
 	}
-	e.gather.Start(ctx, len(e.parts), func(i int) string { return e.parts[i].Name() }, e.drainPartition)
+	e.opened = true
 	return nil
 }
 
 // drainPartition runs one partition subtree to completion, sending chunks
-// until EOF, error, or shutdown.
-func (e *Exchange) drainPartition(ctx *Context, i int, send func([]storage.Row) (bool, error)) error {
-	part := e.parts[i]
+// until EOF, error, or stop.
+func drainPartition(ctx *Context, part Operator, out chan<- []storage.Row, stop <-chan struct{}) error {
 	if err := CallOpen(ctx, part); err != nil {
 		return err
 	}
 	defer CallClose(ctx, part)
+	// send hands over a chunk the worker will not touch again, charging it
+	// first; stopped reports that the gather is shutting down.
+	send := func(chunk []storage.Row) (stopped bool, err error) {
+		bytes := RowsBytes(chunk)
+		if err := ctx.GrowMem(bytes); err != nil {
+			return false, err
+		}
+		select {
+		case out <- chunk:
+			return false, nil
+		case <-stop:
+			ctx.ShrinkMem(bytes) // never handed off; return the charge
+			return true, nil
+		}
+	}
 	chunk := make([]storage.Row, 0, exchangeChunk)
 	for {
 		if err := ctx.Canceled(); err != nil {
@@ -112,7 +153,8 @@ func (e *Exchange) drainPartition(ctx *Context, i int, send func([]storage.Row) 
 	}
 }
 
-// Next implements Operator.
+// Next implements Operator: it serves the gathered chunks row by row, in
+// partition order.
 func (e *Exchange) Next(ctx *Context) (out storage.Row, err error) {
 	if !e.opened {
 		return nil, errNotOpen(e.Name())
@@ -123,48 +165,20 @@ func (e *Exchange) Next(ctx *Context) (out storage.Row, err error) {
 	if err := e.fault.Fire(); err != nil {
 		return nil, err
 	}
-	if e.parallel {
-		return e.nextParallel()
-	}
-	return e.nextSerial(ctx)
-}
-
-// nextSerial serves the partitions one after another on the caller's
-// (instrumented) context.
-func (e *Exchange) nextSerial(ctx *Context) (storage.Row, error) {
-	for e.cur < len(e.parts) {
-		row, err := e.parts[e.cur].Next(ctx)
-		if err != nil {
-			return nil, err
+	for e.pos >= len(e.chunk) {
+		if e.cur == len(e.workers) {
+			return nil, nil
 		}
-		if row != nil {
-			if ctx.CPU != nil {
-				// The gather's serve path costs the same handful of
-				// µops as a buffer's.
-				ctx.CPU.AddUops(serveUops)
+		w := e.workers[e.cur]
+		chunk, ok := <-w.out
+		if !ok {
+			if w.err != nil {
+				return nil, w.err
 			}
-			return row, nil
+			e.cur++
+			continue
 		}
-		if err := e.parts[e.cur].Close(ctx); err != nil {
-			return nil, err
-		}
-		e.cur++
-		if e.cur < len(e.parts) {
-			if err := e.parts[e.cur].Open(ctx); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return nil, nil
-}
-
-// nextParallel serves the gathered chunks row by row.
-func (e *Exchange) nextParallel() (storage.Row, error) {
-	if e.pos >= len(e.chunk) {
-		chunk, err := e.gather.Next()
-		if len(chunk) == 0 {
-			return nil, err
-		}
+		e.mem.Shrink(RowsBytes(chunk))
 		e.chunk, e.pos = chunk, 0
 	}
 	row := e.chunk[e.pos]
@@ -172,25 +186,29 @@ func (e *Exchange) nextParallel() (storage.Row, error) {
 	return row, nil
 }
 
-// serveUops is the simulated execution cost of handing one gathered tuple
-// to the parent — bounds check, array load, pointer return — matching the
-// buffer operator's serve path.
-const serveUops = 12
-
 // Close implements Operator.
-func (e *Exchange) Close(ctx *Context) error {
-	if e.parallel {
-		e.gather.Stop()
-	} else if e.opened && e.cur < len(e.parts) {
-		// Serial mode: the current partition is still open.
-		if err := e.parts[e.cur].Close(ctx); err != nil {
-			e.opened = false
-			return err
-		}
-		e.cur = len(e.parts)
-	}
+func (e *Exchange) Close(*Context) error {
+	e.stopWorkers()
 	e.opened = false
 	return nil
+}
+
+// stopWorkers stops any running workers and waits for them to exit; an
+// Exchange that was never opened, or is already closed, is left alone.
+func (e *Exchange) stopWorkers() {
+	if e.workers == nil {
+		return
+	}
+	close(e.stop)
+	// Drain so workers blocked on a full channel observe the stop,
+	// releasing the budget charge of every chunk still queued.
+	for _, w := range e.workers {
+		for chunk := range w.out {
+			e.mem.Shrink(RowsBytes(chunk))
+		}
+	}
+	e.wg.Wait()
+	e.workers = nil
 }
 
 // Schema implements Operator.
@@ -202,8 +220,8 @@ func (e *Exchange) Children() []Operator { return e.parts }
 // Name implements Operator.
 func (e *Exchange) Name() string { return fmt.Sprintf("Gather(%d)", len(e.parts)) }
 
-// Module implements Operator: the gather's serve path is too small to model
-// as a module (its µops are charged directly in serial mode).
+// Module implements Operator: the gather is coordinator plumbing, never
+// part of a simulated plan.
 func (e *Exchange) Module() *codemodel.Module { return nil }
 
 // Blocking implements Operator: the gather streams; it never materializes a

@@ -14,13 +14,10 @@ import (
 // predicate per heap tuple and returns only satisfying rows; the scan and
 // qualification code runs once per *input* tuple, exactly like PostgreSQL's
 // ExecScan loop — which is why a selective predicate amortizes instruction
-// work per output tuple (paper §7.3). A Span restricts the scan to a
-// contiguous row range, which is how an Exchange fans one table out over
-// partition workers.
+// work per output tuple (paper §7.3).
 type SeqScan struct {
 	Table  *storage.Table
-	Filter expr.Expr     // optional
-	Span   *storage.Span // optional: scan only [Start, End)
+	Filter expr.Expr // optional
 	// Cols is the column mask of a paged scan: Cols[i] reports whether the
 	// filter or any ancestor reads column i; nil means every column.
 	Cols []bool
@@ -41,14 +38,6 @@ func NewSeqScan(table *storage.Table, filter expr.Expr, module *codemodel.Module
 	return &SeqScan{Table: table, Filter: filter, module: module, label: 'C'}
 }
 
-// NewSeqScanSpan constructs a scan over one heap partition. A nil span
-// scans the whole table.
-func NewSeqScanSpan(table *storage.Table, filter expr.Expr, module *codemodel.Module, span *storage.Span) *SeqScan {
-	s := NewSeqScan(table, filter, module)
-	s.Span = span
-	return s
-}
-
 // SetTraceLabel sets the single-letter label used in invocation traces.
 func (s *SeqScan) SetTraceLabel(b byte) { s.label = b }
 
@@ -59,7 +48,7 @@ func (s *SeqScan) Open(ctx *Context) error {
 		defer s.stats.EndOpen(ctx, s.stats.Begin(ctx))
 	}
 	s.fault = ctx.FaultPoint(s, ":next")
-	cur, err := s.Table.Scan(s.Span, s.Cols)
+	cur, err := s.Table.Scan(s.Cols)
 	if err != nil {
 		return err
 	}

@@ -37,8 +37,6 @@ type OpStats struct {
 	// is the achieved batch length, the quantity that decides whether a
 	// buffer amortized its instruction reloads.
 	FillTuples uint64
-	// Partitions is an exchange operator's fan-out (0 elsewhere).
-	Partitions int
 
 	// Inclusive simulated-CPU attribution. All zero when the execution ran
 	// without a simulated CPU.

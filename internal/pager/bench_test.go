@@ -162,7 +162,7 @@ var scanShapes = []struct {
 // scanOnce drains one cursor over the whole table, keeping the rows the
 // shape's predicate passes, as the engines' scan loops do.
 func scanOnce(tb testing.TB, tbl *storage.Table, need []bool, keep func(storage.Row) bool) (kept int) {
-	cur, err := tbl.Scan(nil, need)
+	cur, err := tbl.Scan(need)
 	if err != nil {
 		tb.Fatal(err)
 	}

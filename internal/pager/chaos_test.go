@@ -2,7 +2,6 @@ package pager
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -80,7 +79,7 @@ func TestChaosPagerRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := tbl.Scan(nil, nil)
+	cur, err := tbl.Scan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +134,7 @@ func TestChaosPagerWrite(t *testing.T) {
 	if _, err := tbl.FetchRow(0); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("wedged store served FetchRow: %v", err)
 	}
-	cur, err := tbl.Scan(nil, nil)
+	cur, err := tbl.Scan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +282,7 @@ func TestChaosPagerBulkLoadWrite(t *testing.T) {
 }
 
 // TestChaosPagedScanEngines injects read faults under every engine's scan
-// loop, sequential and fanned out over exchange workers: the cursor the
-// three engines share surfaces the typed error from mid-scan, each failed
+// loop: the cursor the three engines share surfaces the typed error from mid-scan, each failed
 // query returns all the memory it tracked, and the store closes clean.
 func TestChaosPagedScanEngines(t *testing.T) {
 	dir := t.TempDir()
@@ -305,7 +303,7 @@ func TestChaosPagedScanEngines(t *testing.T) {
 	mem := exec.NewMemTracker("chaos", 0, nil)
 	defer chaosCheck(t, mem)()
 	opts := smallStoreOpts(mem)
-	opts.PoolBytes = 8 * MinPageSize // a frame per exchange worker and to spare
+	opts.PoolBytes = 8 * MinPageSize
 	// Every fifth page read fails: each scan of the 50-page heap through the
 	// 8-frame pool meets a fault a few pages in.
 	opts.Fault = faultinject.New(1, faultinject.Fault{Match: SiteRead, Kind: faultinject.KindError, After: 3, Every: 5})
@@ -326,17 +324,15 @@ func TestChaosPagedScanEngines(t *testing.T) {
 		}
 	})
 	for _, engine := range plan.Engines() {
-		for _, workers := range []int{1, 4} {
-			op, err := plan.Compile(plan.Parallelize(p, workers), nil, engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			query := exec.NewMemTracker("query", 0, mem)
-			_, err = exec.Run(&exec.Context{Catalog: cat, Mem: query}, op)
-			wantInjected(t, err, fmt.Sprintf("%s workers=%d", engine, workers))
-			if got := query.Bytes(); got != 0 {
-				t.Errorf("%s workers=%d: failed query still tracks %d bytes", engine, workers, got)
-			}
+		op, err := plan.Compile(p, nil, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		query := exec.NewMemTracker("query", 0, mem)
+		_, err = exec.Run(&exec.Context{Catalog: cat, Mem: query}, op)
+		wantInjected(t, err, engine.String())
+		if got := query.Bytes(); got != 0 {
+			t.Errorf("%s: failed query still tracks %d bytes", engine, got)
 		}
 	}
 	if err := s.Close(); err != nil {

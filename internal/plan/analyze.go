@@ -123,8 +123,7 @@ func opName(op any) string {
 
 // BuildReport joins a compiled plan's operator tree with the counters a
 // StatsCollector gathered while executing it. Operators that never
-// registered (never opened — e.g. pruned exchange partitions) appear with
-// zero stats.
+// registered (never opened) appear with zero stats.
 func BuildReport(cp *CompiledPlan, coll *exec.StatsCollector) *OpReport {
 	var rec func(op any) *OpReport
 	rec = func(op any) *OpReport {
@@ -220,7 +219,7 @@ func FormatReport(root *OpReport, sim bool) string {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-*s  %-7s  %5s  %8s  %10s  %7s  %8s  %7s", labelW, "operator", "engine", "group", "calls", "rows", "drains", "avgfill", "fanout")
+	fmt.Fprintf(&b, "%-*s  %-7s  %5s  %8s  %10s  %7s  %8s", labelW, "operator", "engine", "group", "calls", "rows", "drains", "avgfill")
 	if sim {
 		fmt.Fprintf(&b, "  %14s  %12s", "self cycles", "self L1I")
 	}
@@ -236,12 +235,8 @@ func FormatReport(root *OpReport, sim bool) string {
 			drains = fmt.Sprintf("%d", r.Stats.Drains)
 			avgfill = fmt.Sprintf("%.1f", r.Stats.AvgFill())
 		}
-		fanout := "-"
-		if r.Stats.Partitions > 0 {
-			fanout = fmt.Sprintf("%d", r.Stats.Partitions)
-		}
-		fmt.Fprintf(&b, "%-*s  %-7s  %5s  %8d  %10d  %7s  %8s  %7s",
-			labelW, l.label, r.Engine, group, r.Stats.Calls, r.Stats.Rows, drains, avgfill, fanout)
+		fmt.Fprintf(&b, "%-*s  %-7s  %5s  %8d  %10d  %7s  %8s",
+			labelW, l.label, r.Engine, group, r.Stats.Calls, r.Stats.Rows, drains, avgfill)
 		if sim {
 			fmt.Fprintf(&b, "  %14.0f  %12d", r.SelfCycles, r.SelfL1I)
 		}

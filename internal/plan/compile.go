@@ -42,9 +42,8 @@ func moduleFor(n *Node, cm *codemodel.Catalog) (*codemodel.Module, error) {
 		return cm.Module("Filter")
 	case KindProject:
 		return cm.Module("Project")
-	case KindLimit, KindExchange, KindCachedSource:
-		// Limit is too small to model; the gather's serve path is charged
-		// directly by the operator; replaying cached rows executes almost
+	case KindLimit, KindCachedSource:
+		// Limit is too small to model; replaying cached rows executes almost
 		// no code, which is the point of the reuse cache.
 		return nil, nil
 	default:
@@ -99,7 +98,7 @@ func blockAggregate(n *Node, cm *codemodel.Catalog, analyzed bool) (exec.Operato
 	if in.Kind != KindSeqScan || in.Table.Paged() {
 		return nil, nil
 	}
-	scan := exec.NewSeqScanSpan(in.Table, in.Filter, nil, in.ScanSpan)
+	scan := exec.NewSeqScan(in.Table, in.Filter, nil)
 	scan.Cols = in.ScanCols
 	agg, err := exec.NewBlockAggregate(scan, n.GroupBy, n.Aggs)
 	if agg == nil || err != nil {
@@ -121,7 +120,7 @@ func buildNode(n *Node, cm *codemodel.Catalog, child func(*Node) (exec.Operator,
 	}
 	switch n.Kind {
 	case KindSeqScan:
-		scan := exec.NewSeqScanSpan(n.Table, n.Filter, mod, n.ScanSpan)
+		scan := exec.NewSeqScan(n.Table, n.Filter, mod)
 		scan.Cols = n.ScanCols
 		return scan, nil
 
@@ -238,18 +237,6 @@ func buildNode(n *Node, cm *codemodel.Catalog, child func(*Node) (exec.Operator,
 			return nil, err
 		}
 		return exec.NewProject(c, n.Projections, n.ProjNames, mod)
-
-	case KindExchange:
-		subtrees := PartitionSubtrees(n)
-		parts := make([]exec.Operator, len(subtrees))
-		for i, p := range subtrees {
-			op, err := child(p)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = op
-		}
-		return exec.NewExchange(parts)
 
 	case KindCachedSource:
 		return exec.NewCachedRows(n.Schema(), n.CachedRows), nil

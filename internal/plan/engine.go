@@ -103,8 +103,7 @@ func Compile(n *Node, cm *codemodel.Catalog, engine Engine) (exec.Operator, erro
 type CompiledPlan struct {
 	Root exec.Operator
 	// Nodes maps operator instances (exec.Operator, vec.Operator or an
-	// adapter) to their plan node. Exchange partitions map to the cloned
-	// partition subtree nodes, which carry the same kinds and groups.
+	// adapter) to their plan node.
 	Nodes map[any]*Node
 }
 
@@ -139,7 +138,7 @@ func vecCapable(n *Node) bool {
 		return true
 	case KindHashJoin:
 		return len(n.Children) == 2 && n.Children[1].Kind == KindHashBuild
-	case KindBuffer, KindExchange:
+	case KindBuffer:
 		return vecCapable(n.Children[0])
 	default:
 		return false
@@ -175,7 +174,7 @@ func (vc *vecCompiler) vec(n *Node) (vec.Operator, error) {
 		return vc.child(n.Children[0])
 
 	case KindSeqScan:
-		op := vec.NewSeqScanSpan(n.Table, n.Filter, mod, 0, n.ScanSpan)
+		op := vec.NewSeqScan(n.Table, n.Filter, mod, 0)
 		op.Cols = n.ScanCols
 		vc.rec(op, n)
 		return op, nil
@@ -236,23 +235,6 @@ func (vc *vecCompiler) vec(n *Node) (vec.Operator, error) {
 		op := vec.NewHashJoin(outer, inner, n.OuterKey, build.InnerKey, buildMod, mod, 0)
 		if build.Shared != nil {
 			op.SetShared(build.Shared)
-		}
-		vc.rec(op, n)
-		return op, nil
-
-	case KindExchange:
-		subtrees := PartitionSubtrees(n)
-		parts := make([]vec.Operator, len(subtrees))
-		for i, p := range subtrees {
-			op, err := vc.vec(p)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = op
-		}
-		op, err := vec.NewExchange(parts)
-		if err != nil {
-			return nil, err
 		}
 		vc.rec(op, n)
 		return op, nil

@@ -21,8 +21,7 @@ import (
 //
 // tables is the sorted set of base tables the subtree reads. ok is false
 // when the subtree contains a node the canonicalizer does not understand
-// (Exchange partitions, already-spliced sources, …) — such subtrees are
-// simply not cached.
+// (already-spliced sources, …) — such subtrees are simply not cached.
 func Fingerprint(n *Node, ep *reuse.Epochs) (key string, tables []string, ok bool) {
 	c := &canonicalizer{ep: ep, tables: map[string]bool{}}
 	s, ok := c.node(n)
@@ -58,11 +57,6 @@ func (c *canonicalizer) node(n *Node) (string, bool) {
 		return c.node(n.Children[0])
 
 	case KindSeqScan:
-		if n.ScanSpan != nil {
-			// Partition-restricted scans live inside Exchange subtrees;
-			// their results are not whole-relation results.
-			return "", false
-		}
 		// A masked scan's rows are NULL outside the mask, and a published
 		// build's rows are adopted by any query with the same key: the mask
 		// is part of what the subtree computes.
@@ -253,8 +247,8 @@ func (c *canonicalizer) node(n *Node) (string, bool) {
 		return c.node(n.Children[0])
 
 	default:
-		// Exchange (partitioned clones), CachedSource (already spliced) and
-		// anything unknown: refuse rather than risk a wrong equality.
+		// CachedSource (already spliced) and anything unknown: refuse
+		// rather than risk a wrong equality.
 		return "", false
 	}
 }

@@ -40,7 +40,6 @@ const (
 	KindBuffer
 	KindFilter
 	KindProject
-	KindExchange
 	KindCachedSource
 )
 
@@ -75,8 +74,6 @@ func (k Kind) String() string {
 		return "Filter"
 	case KindProject:
 		return "Project"
-	case KindExchange:
-		return "Exchange"
 	case KindCachedSource:
 		return "CachedSource"
 	default:
@@ -116,13 +113,6 @@ type Node struct {
 	// BufferSize sets a Buffer node's capacity (0 = default).
 	BufferSize int
 
-	// Workers is an Exchange node's partition fan-out.
-	Workers int
-
-	// ScanSpan restricts a SeqScan to one heap partition (nil = whole
-	// table). Set by PartitionSubtrees when compiling an Exchange.
-	ScanSpan *storage.Span
-
 	// ScanCols is a paged SeqScan's column mask: ScanCols[i] reports
 	// whether the scan's filter or any ancestor reads column i. nil means
 	// every column — what a hand-built plan gets. Set by PruneColumns.
@@ -138,8 +128,7 @@ type Node struct {
 
 	// Group is the 1-based execution-group id the refinement pass assigned
 	// (0 = not refined or not a group member). Inserted Buffer nodes carry
-	// the group of the subtree they batch. Clone-based passes (Parallelize,
-	// PartitionSubtrees) propagate it into partition subtrees.
+	// the group of the subtree they batch.
 	Group int
 
 	// Semantic reuse-cache splice state (see ApplyReuse). Shared on a
@@ -231,8 +220,6 @@ func (n *Node) label() string {
 	case KindProject:
 		names := strings.Join(n.ProjNames, ", ")
 		return fmt.Sprintf("Project(%s)", names)
-	case KindExchange:
-		return fmt.Sprintf("Gather(workers=%d)", n.Workers)
 	case KindCachedSource:
 		return fmt.Sprintf("CachedSource(%d rows)", len(n.CachedRows))
 	default:

@@ -13,8 +13,8 @@ import "bufferdb/internal/expr"
 // fingerprints stay what they were.
 //
 // sql.Analyze runs it last, in place, on the tree it just built; every
-// later pass (Refine, Clone, Parallelize, PartitionSubtrees) copies nodes
-// whole and so carries the masks along.
+// later pass (Refine, Clone) copies nodes whole and so carries the masks
+// along.
 func PruneColumns(root *Node) { prune(root, nil) }
 
 // colSet is the set of a node's output columns somebody reads; nil means
@@ -81,7 +81,7 @@ func prune(n *Node, need colSet) {
 	case KindHashBuild:
 		prune(n.Children[0], need.with(n.InnerKey))
 
-	case KindLimit, KindBuffer, KindMaterial, KindExchange:
+	case KindLimit, KindBuffer, KindMaterial:
 		prune(n.Children[0], need)
 
 	case KindProject:

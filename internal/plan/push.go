@@ -11,16 +11,14 @@ import (
 // pushCapable reports whether a node has a fused (push) variant. Buffer
 // nodes are transparent: a fused pipe already batches instruction work, so
 // the refinement pass's buffers dissolve into the loop, exactly as they
-// dissolve into the vec engine's batches. Exchange is capable when its
-// partition shape is — partitions compile to independent fused pipelines
-// under the gather (the exchange is a breaker either way).
+// dissolve into the vec engine's batches.
 func pushCapable(n *Node) bool {
 	switch n.Kind {
 	case KindSeqScan, KindFilter, KindProject, KindAggregate, KindLimit:
 		return true
 	case KindHashJoin:
 		return len(n.Children) == 2 && n.Children[1].Kind == KindHashBuild
-	case KindBuffer, KindExchange:
+	case KindBuffer:
 		return pushCapable(n.Children[0])
 	default:
 		return false
@@ -64,26 +62,8 @@ func (pc *pushCompiler) mixed(n *Node) (exec.Operator, error) {
 	return op, nil
 }
 
-// fuse compiles a capable subtree. An Exchange fuses each partition
-// subtree separately under the gather; anything else becomes one Pipeline.
+// fuse compiles a capable subtree into one Pipeline.
 func (pc *pushCompiler) fuse(n *Node) (exec.Operator, error) {
-	if n.Kind == KindExchange {
-		subtrees := PartitionSubtrees(n)
-		parts := make([]exec.Operator, len(subtrees))
-		for i, p := range subtrees {
-			op, err := pc.mixed(p)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = op
-		}
-		op, err := exec.NewExchange(parts)
-		if err != nil {
-			return nil, err
-		}
-		pc.rec(op, n)
-		return op, nil
-	}
 	b := push.NewBuilder()
 	if err := pc.chain(b, n); err != nil {
 		return nil, err
@@ -110,7 +90,7 @@ func (pc *pushCompiler) chain(b *push.Builder, n *Node) error {
 		return pc.chainChild(b, n.Children[0])
 
 	case KindSeqScan:
-		pc.rec(b.Scan(n.Table, n.Filter, n.ScanSpan, n.ScanCols, mod), n)
+		pc.rec(b.Scan(n.Table, n.Filter, n.ScanCols, mod), n)
 
 	case KindFilter:
 		if err := pc.chainChild(b, n.Children[0]); err != nil {
@@ -170,13 +150,11 @@ func (pc *pushCompiler) chain(b *push.Builder, n *Node) error {
 }
 
 // chainChild extends b with a child node: fused inline when possible,
-// otherwise through an adapter source. An Exchange never extends a pipe —
-// it is compiled natively (fused partitions under the gather) and feeds
-// the pipe as a source.
+// otherwise through an adapter source.
 func (pc *pushCompiler) chainChild(b *push.Builder, n *Node) error {
 	op, err := blockAggregate(n, pc.cm, pc.record != nil)
 	if op == nil && err == nil {
-		if pushCapable(n) && n.Kind != KindExchange {
+		if pushCapable(n) {
 			return pc.chain(b, n)
 		}
 		op, err = pc.mixed(n)

@@ -21,9 +21,6 @@ import (
 // entries' memory reservations survive eviction and invalidation, so a
 // probe never walks un-accounted memory. The returned node is the plan
 // root, which itself may have been replaced.
-//
-// Exchange subtrees are left untouched: partitioned clones build per-worker
-// partial state that must not be published as whole-relation results.
 func ApplyReuse(root *Node, cache *reuse.Cache) (*Node, []func()) {
 	if cache == nil || root == nil {
 		return root, nil
@@ -42,8 +39,6 @@ type reuser struct {
 // descendant is spliced, so keys always describe the original subtree.
 func (r *reuser) visit(n *Node) *Node {
 	switch n.Kind {
-	case KindExchange:
-		return n
 	case KindAggregate:
 		if rep := r.aggregate(n); rep != nil {
 			return rep

@@ -59,13 +59,13 @@ func (b *Builder) stage(st stage, repChildren func([]any)) {
 	b.top = st
 }
 
-// Scan starts the current pipe with a fused heap scan. filter, span, cols
-// (the column mask of a paged scan) and mod may be nil.
-func (b *Builder) Scan(table *storage.Table, filter expr.Expr, span *storage.Span, cols []bool, mod *codemodel.Module) any {
+// Scan starts the current pipe with a fused heap scan. filter, cols (the
+// column mask of a paged scan) and mod may be nil.
+func (b *Builder) Scan(table *storage.Table, filter expr.Expr, cols []bool, mod *codemodel.Module) any {
 	if b.err != nil {
 		return nil
 	}
-	s := &scanSource{table: table, filter: filter, span: span, cols: cols}
+	s := &scanSource{table: table, filter: filter, cols: cols}
 	s.mod = mod
 	b.start(s, table.Schema())
 	b.top = s

@@ -46,9 +46,9 @@ func joinCount(t *testing.T) (pl *Pipeline, build, agg any) {
 	t.Helper()
 	li, orders := tbl(t, "lineitem"), tbl(t, "orders")
 	b := NewBuilder()
-	b.Scan(li, nil, nil, nil, nil)
+	b.Scan(li, nil, nil, nil)
 	inner := NewBuilder()
-	inner.Scan(orders, nil, nil, nil, nil)
+	inner.Scan(orders, nil, nil, nil)
 	_, build = b.Probe(inner, colRef(t, li.Schema(), "l_orderkey"), colRef(t, orders.Schema(), "o_orderkey"), nil, nil)
 	joined := li.Schema().Concat(orders.Schema())
 	agg = b.Aggregate([]expr.Expr{colRef(t, joined, "o_orderpriority")}, countStar, nil)
@@ -64,7 +64,7 @@ func TestBuilderMisuse(t *testing.T) {
 	key := colRef(t, li.Schema(), "l_orderkey")
 	scanned := func() *Builder {
 		b := NewBuilder()
-		b.Scan(li, nil, nil, nil, nil)
+		b.Scan(li, nil, nil, nil)
 		return b
 	}
 	for _, tc := range []struct {
@@ -78,30 +78,30 @@ func TestBuilderMisuse(t *testing.T) {
 		{"aggregate before a source", func(b *Builder) { b.Aggregate(nil, countStar, nil) }, "aggregate before source"},
 		{"probe before a source", func(b *Builder) { b.Probe(scanned(), key, key, nil, nil) }, "needs both"},
 		{"probe with a sourceless build side", func(b *Builder) {
-			b.Scan(li, nil, nil, nil, nil)
+			b.Scan(li, nil, nil, nil)
 			b.Probe(NewBuilder(), key, key, nil, nil)
 		}, "needs both"},
 		{"probe with a failed build side", func(b *Builder) {
-			b.Scan(li, nil, nil, nil, nil)
+			b.Scan(li, nil, nil, nil)
 			inner := scanned()
 			inner.Project(nil, nil, nil)
 			b.Probe(inner, key, key, nil, nil)
 		}, "needs a target list"},
 		{"two sources", func(b *Builder) {
-			b.Scan(li, nil, nil, nil, nil)
-			b.Scan(li, nil, nil, nil, nil)
+			b.Scan(li, nil, nil, nil)
+			b.Scan(li, nil, nil, nil)
 		}, "already has a source"},
 		{"project names/exprs mismatch", func(b *Builder) {
-			b.Scan(li, nil, nil, nil, nil)
+			b.Scan(li, nil, nil, nil)
 			b.Project([]expr.Expr{key}, []string{"a", "b"}, nil)
 		}, "names/exprs mismatch"},
 		{"aggregate without aggregates", func(b *Builder) {
-			b.Scan(li, nil, nil, nil, nil)
+			b.Scan(li, nil, nil, nil)
 			b.Aggregate([]expr.Expr{key}, nil, nil)
 		}, "at least one aggregate"},
 		{"the first error sticks", func(b *Builder) {
 			b.Filter(key, nil)
-			b.Scan(li, nil, nil, nil, nil)
+			b.Scan(li, nil, nil, nil)
 			b.Limit(1)
 		}, "stage before source"},
 	} {

@@ -9,15 +9,14 @@ import (
 	"bufferdb/internal/storage"
 )
 
-// scanSource is the fused heap scan: one loop over the table (or one heap
-// partition) with the filter folded in, mirroring exec.SeqScan's per-row
+// scanSource is the fused heap scan: one loop over the table with the
+// filter folded in, mirroring exec.SeqScan's per-row
 // behavior — data-cache read per placed tuple, cancellation poll per input
 // row, fault site "<name>:next" — with the instruction footprint amortized
 // through the module-bit batch instead of replayed per tuple.
 type scanSource struct {
 	table  *storage.Table
 	filter expr.Expr
-	span   *storage.Span
 	cols   []bool // column mask of a paged scan (see exec.SeqScan)
 	modbuf
 
@@ -37,7 +36,7 @@ func (s *scanSource) open(ctx *exec.Context) error {
 }
 
 func (s *scanSource) run(ctx *exec.Context, emit emitFn) error {
-	cur, err := s.table.Scan(s.span, s.cols)
+	cur, err := s.table.Scan(s.cols)
 	if err != nil {
 		return err
 	}

@@ -234,8 +234,8 @@ func queryOptions(o wire.QueryOpts, fi *bufferdb.FaultInjector) ([]bufferdb.Quer
 		}
 		opts = append(opts, bufferdb.WithEngine(e))
 	}
-	if o.Parallelism != 0 {
-		opts = append(opts, bufferdb.WithParallelism(int(o.Parallelism)))
+	if o.TimeoutMS < 0 {
+		return nil, fmt.Errorf("server: negative timeout %dms", o.TimeoutMS)
 	}
 	if o.TimeoutMS > 0 {
 		opts = append(opts, bufferdb.WithTimeout(time.Duration(o.TimeoutMS)*time.Millisecond))

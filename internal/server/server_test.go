@@ -238,8 +238,7 @@ func TestTables(t *testing.T) {
 // correctly — the issue's end-to-end concurrency bar.
 func TestConcurrentClients(t *testing.T) {
 	db := newDB(t, bufferdb.Options{
-		Parallelism: 2,
-		Admission:   bufferdb.AdmissionConfig{MaxConcurrent: 8, MaxQueued: 64},
+		Admission: bufferdb.AdmissionConfig{MaxConcurrent: 8, MaxQueued: 64},
 	})
 	_, addr := startServer(t, server.Config{DB: db})
 
@@ -796,7 +795,7 @@ func TestOptionConformanceOverWire(t *testing.T) {
 		}
 	}
 
-	// Server-side validation: bogus join method and negative sizes are
+	// Server-side validation: bogus join method and negative values are
 	// rejected before execution, as CodeQuery with the server's message.
 	rejections := []struct {
 		name string
@@ -807,6 +806,7 @@ func TestOptionConformanceOverWire(t *testing.T) {
 		{"negative buffer", client.WithBufferSize(-1), "negative buffer size"},
 		{"negative budget", client.WithMemoryBudget(-1), "negative memory budget"},
 		{"negative wait", client.WithAdmissionWait(-time.Millisecond), "negative admission wait"},
+		{"negative timeout", client.WithTimeout(-time.Millisecond), "negative timeout"},
 	}
 	for _, rj := range rejections {
 		_, err := c.QueryAll(context.Background(), join, rj.o)

@@ -5,9 +5,9 @@ import "fmt"
 // Heap abstracts where a paged table's rows physically live: internal/pager
 // implements it with slotted pages behind a buffer pool, which is how a
 // table larger than RAM still serves sequential scans and point fetches.
-// The interface is deliberately tiny: the executor only ever streams a span
-// (through a Cursor, which drives ReadPage and DecodeSlot) or fetches one
-// row by identifier.
+// The interface is deliberately tiny: the executor only ever streams a
+// table (through a Cursor, which drives ReadPage and DecodeSlot) or fetches
+// one row by identifier.
 //
 // All methods must be safe for concurrent use; FetchRow and ReadPage may
 // perform I/O and therefore can fail, unlike the in-memory accessors.
@@ -77,7 +77,7 @@ func (t *Table) FetchRow(rid int) (Row, error) {
 // scanned no faster and raised the resident-set tail by a tenth.
 const slabValues = 256
 
-// Cursor streams one span of a table in rid order. It is the one scan loop
+// Cursor streams a table in rid order. It is the one scan loop
 // all three engines share, and the only place that knows whether a table is
 // paged.
 //
@@ -99,7 +99,7 @@ type Cursor struct {
 	rows []Row // memory-resident backing; nil when paged
 	heap Heap  // paged backing; nil when memory-resident
 	pos  int   // rid of the next row
-	end  int   // rid past the last row of the span
+	end  int   // rid past the last row
 	err  error // sticky: a failed cursor stays failed
 
 	// Paged state.
@@ -110,23 +110,15 @@ type Cursor struct {
 	slab    []Value
 }
 
-// Scan opens a cursor over the span; a nil span is the whole table. need is
-// the column mask of a paged scan — need[i] reports whether anyone reads
-// column i, nil means all — and is ignored for memory-resident tables,
-// whose rows are never decoded.
-func (t *Table) Scan(part *Span, need []bool) (Cursor, error) {
-	n := t.NumRows()
-	span := Span{End: n}
-	if part != nil {
-		span = *part
-	}
-	if span.Start < 0 || span.End > n || span.Start > span.End {
-		return Cursor{}, fmt.Errorf("storage: table %s: span [%d,%d) out of range [0,%d)", t.name, span.Start, span.End, n)
-	}
+// Scan opens a cursor over the whole table. need is the column mask of a
+// paged scan — need[i] reports whether anyone reads column i, nil means
+// all — and is ignored for memory-resident tables, whose rows are never
+// decoded.
+func (t *Table) Scan(need []bool) (Cursor, error) {
 	if need != nil && len(need) != len(t.schema) {
 		return Cursor{}, fmt.Errorf("storage: table %s: column mask of %d entries for %d columns", t.name, len(need), len(t.schema))
 	}
-	c := Cursor{rows: t.rows, heap: t.heap, pos: span.Start, end: span.End}
+	c := Cursor{rows: t.rows, heap: t.heap, end: t.NumRows()}
 	if t.heap != nil {
 		c.need, c.bare = need, need != nil
 		for _, b := range need {
@@ -137,7 +129,7 @@ func (t *Table) Scan(part *Span, need []bool) (Cursor, error) {
 	return c, nil
 }
 
-// Next returns the next row of the span, borrowed (see Cursor), or nil at
+// Next returns the next row, borrowed (see Cursor), or nil at
 // the end. An I/O or corruption error ends the stream.
 func (c *Cursor) Next() (Row, error) {
 	if c.pos >= c.end {
@@ -150,10 +142,10 @@ func (c *Cursor) Next() (Row, error) {
 	return c.rows[c.pos-1], nil
 }
 
-// NextRows returns the next rows of the span, at most max of them, as a
+// NextRows returns the next rows, at most max of them, as a
 // window onto the stored rows of a memory-resident table: no row is copied
 // or touched. The window is borrowed like Next's row — valid until the next
-// call, read-only — and empty at the end of the span. A paged table has no
+// call, read-only — and empty at the end of the table. A paged table has no
 // stored rows to window; its cursor always answers nil, so callers select
 // this path only for tables that are not Paged.
 func (c *Cursor) NextRows(max int) []Row {

@@ -73,11 +73,11 @@ func TestCursorMemoryResident(t *testing.T) {
 	for _, r := range fakeRows(10) {
 		tbl.MustAppend(r)
 	}
-	cur, err := tbl.Scan(&Span{Start: 3, End: 7}, []bool{true, false, false})
+	cur, err := tbl.Scan([]bool{true, false, false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rid := 3; rid < 7; rid++ {
+	for rid := 0; rid < 10; rid++ {
 		row, err := cur.Next()
 		if err != nil || row == nil {
 			t.Fatalf("Next at %d: %v, %v", rid, row, err)
@@ -87,30 +87,26 @@ func TestCursorMemoryResident(t *testing.T) {
 		}
 	}
 	if row, err := cur.Next(); row != nil || err != nil {
-		t.Fatalf("past the span: %v, %v", row, err)
+		t.Fatalf("past the end: %v, %v", row, err)
 	}
-	if _, err := tbl.Scan(&Span{Start: 0, End: 11}, nil); err == nil {
-		t.Error("span past the table accepted")
-	}
-	if _, err := tbl.Scan(&Span{End: 1}, []bool{true}); err == nil {
+	if _, err := tbl.Scan([]bool{true}); err == nil {
 		t.Error("mask of the wrong arity accepted")
 	}
 }
 
 // TestCursorPaged: a borrowed row is overwritten by the next Next, a kept
 // row is not — across slab and page boundaries — columns outside the mask
-// stay NULL, a span may start and end mid-page, and a failed cursor stays
-// failed.
+// stay NULL, a scan may end mid-page, and a failed cursor stays failed.
 func TestCursorPaged(t *testing.T) {
 	h := &fakeHeap{rows: fakeRows(500), pageRows: 7, failPage: -1}
 	tbl := NewPagedTable("t", testSchema(), h)
-	cur, err := tbl.Scan(&Span{Start: 5, End: 495}, []bool{true, false, true})
+	cur, err := tbl.Scan([]bool{true, false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var kept []Row
 	var borrowed Row
-	for rid := 5; rid < 495; rid++ {
+	for rid := 0; rid < 500; rid++ {
 		row, err := cur.Next()
 		if err != nil || row == nil {
 			t.Fatalf("Next at %d: %v, %v", rid, row, err)
@@ -125,19 +121,19 @@ func TestCursorPaged(t *testing.T) {
 		kept = append(kept, cur.Keep())
 	}
 	if row, err := cur.Next(); row != nil || err != nil {
-		t.Fatalf("past the span: %v, %v", row, err)
+		t.Fatalf("past the end: %v, %v", row, err)
 	}
 	for i, row := range kept {
-		if row[0].I != int64(5+i) || len(row) != 3 || cap(row) != 3 {
-			t.Fatalf("kept row %d is %v (cap %d) after the scan moved on", 5+i, row, cap(row))
+		if row[0].I != int64(i) || len(row) != 3 || cap(row) != 3 {
+			t.Fatalf("kept row %d is %v (cap %d) after the scan moved on", i, row, cap(row))
 		}
 	}
-	if want := 495/7 - 5/7 + 1; h.reads != want {
-		t.Errorf("%d page reads for a span over %d pages", h.reads, want)
+	if want := 499/7 + 1; h.reads != want {
+		t.Errorf("%d page reads for a scan over %d pages", h.reads, want)
 	}
 
 	// An empty mask decodes nothing, so one all-NULL row stands for them all.
-	cur, _ = tbl.Scan(nil, []bool{false, false, false})
+	cur, _ = tbl.Scan([]bool{false, false, false})
 	for i := 0; i < 500; i++ {
 		row, err := cur.Next()
 		if err != nil || len(row) != 3 || row[0].Kind != TypeNull || &cur.Keep()[0] != &row[0] {
@@ -146,7 +142,7 @@ func TestCursorPaged(t *testing.T) {
 	}
 
 	h.failPage = 2
-	cur, _ = tbl.Scan(nil, nil)
+	cur, _ = tbl.Scan(nil)
 	n := 0
 	for {
 		row, err := cur.Next()

@@ -253,47 +253,6 @@ func (t *Table) AvgRowBytes() int {
 	return t.rowBytes
 }
 
-// Span is a half-open row-identifier range [Start, End) of a table's heap:
-// the unit of work one parallel scan worker owns.
-type Span struct {
-	Start, End int
-}
-
-// Len returns the number of rows the span covers.
-func (s Span) Len() int { return s.End - s.Start }
-
-// Partitions divides the heap into at most n contiguous, non-overlapping
-// spans that cover every row in order. Concatenating the spans' rows
-// reproduces the heap exactly, which is what makes a partition-ordered
-// gather byte-identical to a single sequential scan. Fewer than n spans are
-// returned when the table has fewer than n rows; an empty table yields one
-// empty span.
-func (t *Table) Partitions(n int) []Span {
-	total := t.NumRows()
-	if n < 1 {
-		n = 1
-	}
-	if n > total {
-		n = total
-	}
-	if n <= 1 {
-		return []Span{{0, total}}
-	}
-	spans := make([]Span, 0, n)
-	start := 0
-	for i := 0; i < n; i++ {
-		// Distribute the remainder one row at a time so sizes differ by
-		// at most one.
-		size := total / n
-		if i < total%n {
-			size++
-		}
-		spans = append(spans, Span{start, start + size})
-		start += size
-	}
-	return spans
-}
-
 // AddIndex registers an index access path on the table.
 func (t *Table) AddIndex(meta *IndexMeta) error {
 	if meta.Name == "" {

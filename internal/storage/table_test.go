@@ -95,47 +95,6 @@ func TestTableAppendAndRead(t *testing.T) {
 	}
 }
 
-func TestPartitions(t *testing.T) {
-	tbl := NewTable("t", testSchema())
-	for i := 0; i < 10; i++ {
-		tbl.MustAppend(Row{NewInt(int64(i)), NewString("a"), NewFloat(0.5)})
-	}
-	for _, n := range []int{1, 2, 3, 4, 7, 10, 25} {
-		spans := tbl.Partitions(n)
-		if len(spans) > n || len(spans) > tbl.NumRows() {
-			t.Fatalf("Partitions(%d) = %d spans", n, len(spans))
-		}
-		pos := 0
-		for _, s := range spans {
-			if s.Start != pos || s.End < s.Start {
-				t.Fatalf("Partitions(%d): span %+v does not continue at %d", n, s, pos)
-			}
-			pos = s.End
-		}
-		if pos != tbl.NumRows() {
-			t.Fatalf("Partitions(%d) covers %d rows, want %d", n, pos, tbl.NumRows())
-		}
-		// Balanced: sizes differ by at most one.
-		min, max := tbl.NumRows(), 0
-		for _, s := range spans {
-			if s.Len() < min {
-				min = s.Len()
-			}
-			if s.Len() > max {
-				max = s.Len()
-			}
-		}
-		if max-min > 1 {
-			t.Errorf("Partitions(%d): unbalanced spans %v", n, spans)
-		}
-	}
-	empty := NewTable("e", testSchema())
-	spans := empty.Partitions(4)
-	if len(spans) != 1 || spans[0].Len() != 0 {
-		t.Errorf("empty Partitions = %v", spans)
-	}
-}
-
 func TestUnknownTableSentinel(t *testing.T) {
 	cat := NewCatalog()
 	_, err := cat.Table("nope")

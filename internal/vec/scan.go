@@ -18,9 +18,8 @@ import (
 // once per batch.
 type SeqScan struct {
 	Table  *storage.Table
-	Filter expr.Expr     // optional
-	Span   *storage.Span // optional: scan only [Start, End)
-	Cols   []bool        // optional: column mask of a paged scan (see exec.SeqScan)
+	Filter expr.Expr // optional
+	Cols   []bool    // optional: column mask of a paged scan (see exec.SeqScan)
 
 	module *codemodel.Module
 	stats  *exec.OpStats
@@ -41,14 +40,6 @@ func NewSeqScan(table *storage.Table, filter expr.Expr, module *codemodel.Module
 	return &SeqScan{Table: table, Filter: filter, module: module, size: size}
 }
 
-// NewSeqScanSpan constructs a scan over one heap partition. A nil span
-// scans the whole table.
-func NewSeqScanSpan(table *storage.Table, filter expr.Expr, module *codemodel.Module, size int, span *storage.Span) *SeqScan {
-	s := NewSeqScan(table, filter, module, size)
-	s.Span = span
-	return s
-}
-
 // Open implements Operator.
 func (s *SeqScan) Open(ctx *exec.Context) error {
 	s.stats = ctx.StatsFor(s)
@@ -57,7 +48,7 @@ func (s *SeqScan) Open(ctx *exec.Context) error {
 	}
 	s.fault = ctx.FaultPoint(s, ":next")
 	s.out.open(ctx, s.size)
-	cur, err := s.Table.Scan(s.Span, s.Cols)
+	cur, err := s.Table.Scan(s.Cols)
 	if err != nil {
 		return err
 	}

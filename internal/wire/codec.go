@@ -314,8 +314,6 @@ type TableInfo struct {
 type QueryOpts struct {
 	// Engine selects the execution engine ("" = server default).
 	Engine string
-	// Parallelism overrides the scan fan-out (0 = server default).
-	Parallelism int32
 	// TimeoutMS bounds the query's wall clock in milliseconds (0 = none).
 	TimeoutMS int64
 	// DisableRefinement runs the conventional (unbuffered) plan.
@@ -360,7 +358,6 @@ func (b *Builder) Opts(o QueryOpts) {
 	}
 	b.U8(flags)
 	b.String(o.Engine)
-	b.U32(uint32(o.Parallelism))
 	b.I64(o.TimeoutMS)
 	b.String(o.ForceJoin)
 	b.U32(uint32(o.BufferSize))
@@ -374,7 +371,6 @@ func (r *Reader) Opts() QueryOpts {
 	flags := r.U8()
 	return QueryOpts{
 		Engine:            r.String(),
-		Parallelism:       int32(r.U32()),
 		TimeoutMS:         r.I64(),
 		ForceJoin:         r.String(),
 		BufferSize:        int32(r.U32()),
@@ -396,5 +392,5 @@ func (o QueryOpts) CacheKey(sql string) string {
 	if o.DisableRefinement {
 		ref = 'c'
 	}
-	return fmt.Sprintf("%s|%d|%c|%s|%d|%d|%s", o.Engine, o.Parallelism, ref, o.ForceJoin, o.BufferSize, o.Slice, sql)
+	return fmt.Sprintf("%s|%c|%s|%d|%d|%s", o.Engine, ref, o.ForceJoin, o.BufferSize, o.Slice, sql)
 }

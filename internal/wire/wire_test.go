@@ -125,8 +125,8 @@ func TestReaderStickyError(t *testing.T) {
 func TestOptsRoundTrip(t *testing.T) {
 	cases := []QueryOpts{
 		{},
-		{Engine: "vec", Parallelism: 4, TimeoutMS: 1500, DisableRefinement: true, NoResultCache: true},
-		{Engine: "volcano", Parallelism: -1},
+		{Engine: "vec", TimeoutMS: 1500, DisableRefinement: true, NoResultCache: true},
+		{Engine: "volcano", TimeoutMS: -1},
 		{ForceJoin: "nestloop", BufferSize: 512, MemoryBudget: 64 << 20, AdmissionWaitMS: 250},
 		{Engine: "push", TimeoutMS: 1, ForceJoin: "hash", BufferSize: -3,
 			MemoryBudget: -1, AdmissionWaitMS: 9999999},
@@ -152,7 +152,6 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 	for _, o := range []QueryOpts{
 		{},
 		{Engine: "vec"},
-		{Parallelism: 4},
 		{DisableRefinement: true},
 		{ForceJoin: "hash"},
 		{ForceJoin: "merge"},
@@ -161,7 +160,7 @@ func TestCacheKeySeparatesOptions(t *testing.T) {
 	} {
 		keys[o.CacheKey(sql)] = true
 	}
-	if len(keys) != 8 {
+	if len(keys) != 7 {
 		t.Fatalf("cache keys collide: %v", keys)
 	}
 	// Execution-time knobs must NOT split the key.

@@ -16,7 +16,7 @@ import (
 
 // The paged-scan suite pins what column-pruned, borrow-then-keep scans must
 // not change: a paged database answers exactly like the memory-resident one
-// on every engine and fan-out, whatever the query reads of each table; rows
+// on every engine, whatever the query reads of each table; rows
 // an operator retains own their memory; a build pruned for one parent is
 // never served to another; and storage faults still surface typed, leaking
 // nothing.
@@ -65,7 +65,7 @@ var pagedScanQueries = []struct {
 	{"star-join", `SELECT * FROM nation, region WHERE n_regionkey = r_regionkey`, ""},
 }
 
-// TestPagedScanColumns: every query × engine × fan-out on the paged database
+// TestPagedScanColumns: every query × engine on the paged database
 // returns the memory-resident database's rows, byte for byte.
 func TestPagedScanColumns(t *testing.T) {
 	mem, paged := pagedScanDBs(t, Options{})
@@ -78,16 +78,13 @@ func TestPagedScanColumns(t *testing.T) {
 			t.Fatalf("%s returns no rows at SF %v: the comparison would be vacuous", q.name, pagedScanSF)
 		}
 		for _, e := range chaosEngines {
-			for _, workers := range []int{1, 4} {
-				got, err := paged.Query(context.Background(), q.query,
-					WithForceJoin(q.join), WithEngine(e), WithParallelism(workers))
-				if err != nil {
-					t.Fatalf("%s %s workers=%d: %v", q.name, e, workers, err)
-				}
-				if resultKey(got) != resultKey(want) {
-					t.Errorf("%s %s workers=%d: paged rows differ from memory-resident: %s",
-						q.name, e, workers, firstDifference(got, want))
-				}
+			got, err := paged.Query(context.Background(), q.query, WithForceJoin(q.join), WithEngine(e))
+			if err != nil {
+				t.Fatalf("%s %s: %v", q.name, e, err)
+			}
+			if resultKey(got) != resultKey(want) {
+				t.Errorf("%s %s: paged rows differ from memory-resident: %s",
+					q.name, e, firstDifference(got, want))
 			}
 		}
 	}
@@ -104,40 +101,29 @@ func firstDifference(got, want *Result) string {
 }
 
 // TestPagedScanMasksSurvivePlanning: the masks sql.Analyze assigns reach the
-// scans of the plan that is executed — through refinement, a prepared
-// statement's clone and the per-partition clones under a gather — and a
-// scan that feeds the client whole rows gets none.
+// scans of the plan that is executed — through refinement and a prepared
+// statement's clone — and a scan that feeds the client whole rows gets
+// none.
 func TestPagedScanMasksSurvivePlanning(t *testing.T) {
 	_, paged := pagedScanDBs(t, Options{})
 	masks := func(p *plan.Node) (masked, scans int) {
-		var visit func(n *plan.Node)
-		visit = func(n *plan.Node) {
-			if n.Kind == plan.KindExchange {
-				for _, part := range plan.PartitionSubtrees(n) {
-					visit(part)
-				}
-				return
-			}
+		plan.Walk(p, func(n *plan.Node) {
 			if n.Kind == plan.KindSeqScan {
 				scans++
 				if n.ScanCols != nil {
 					masked++
 				}
 			}
-			for _, c := range n.Children {
-				visit(c)
-			}
-		}
-		visit(p)
+		})
 		return masked, scans
 	}
 
-	p, err := paged.plan(bench.TPCHQ6, QueryOptions{Parallelism: 4})
+	p, err := paged.plan(bench.TPCHQ6, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if masked, scans := masks(p); scans != 4 || masked != 4 {
-		t.Fatalf("refined, parallelized Q6: %d of %d partition scans carry a mask, want 4 of 4\n%s", masked, scans, plan.Explain(p))
+	if masked, scans := masks(p); scans != 1 || masked != 1 {
+		t.Fatalf("refined Q6: %d of %d scans carry a mask, want 1 of 1\n%s", masked, scans, plan.Explain(p))
 	}
 	if n := plan.CountKind(p, plan.KindBuffer); n == 0 {
 		t.Fatalf("Q6 was not buffered; the suite's Keep coverage depends on it\n%s", plan.Explain(p))
@@ -243,15 +229,13 @@ func TestChaosPagedChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range chaosEngines {
-		for _, workers := range []int{1, 4} {
-			_, err := db.Query(context.Background(), bench.TPCHQ6, WithEngine(e), WithParallelism(workers))
-			if !errors.Is(err, ErrCorruptData) {
-				t.Fatalf("%s workers=%d over a flipped page: err = %v, want ErrCorruptData", e, workers, err)
-			}
-			res, err := db.Query(context.Background(), `SELECT COUNT(*) FROM orders`, WithEngine(e), WithParallelism(workers))
-			if err != nil || len(res.Rows) != 1 {
-				t.Fatalf("%s workers=%d after the failure: %v", e, workers, err)
-			}
+		_, err := db.Query(context.Background(), bench.TPCHQ6, WithEngine(e))
+		if !errors.Is(err, ErrCorruptData) {
+			t.Fatalf("%s over a flipped page: err = %v, want ErrCorruptData", e, err)
+		}
+		res, err := db.Query(context.Background(), `SELECT COUNT(*) FROM orders`, WithEngine(e))
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("%s after the failure: %v", e, err)
 		}
 	}
 	if err := db.Close(); err != nil {

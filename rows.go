@@ -67,7 +67,7 @@ type Rows struct {
 	metricsDone bool
 }
 
-// QueryStream plans (with refinement and parallelization per the options),
+// QueryStream plans (with refinement per the options),
 // starts executing, and returns a streaming cursor. The context cancels the
 // query: once ctx is done, Next stops and Err reports an error wrapping the
 // context's.

@@ -7,8 +7,8 @@ import (
 	"bufferdb/internal/plan"
 )
 
-// Stmt is a prepared statement: the statement is parsed, planned, refined
-// and parallelized once, and the resulting physical plan is cached. Each
+// Stmt is a prepared statement: the statement is parsed, planned and
+// refined once, and the resulting physical plan is cached. Each
 // execution clones the cached tree (compiled operators hold per-execution
 // state, so plans cannot be shared between concurrent runs) — skipping
 // parsing, optimization, refinement and the threshold calibration that ad
@@ -26,7 +26,7 @@ type Stmt struct {
 
 // Prepare plans the statement with the given options and caches the refined
 // plan for repeated execution. Options fixed at Prepare time (engine,
-// parallelism, buffer size, …) apply to every execution.
+// buffer size, …) apply to every execution.
 func (db *DB) Prepare(query string, opts ...QueryOption) (*Stmt, error) {
 	qo := applyOptions(opts)
 	if _, _, err := db.planEngine(qo); err != nil {
@@ -76,7 +76,7 @@ func (s *Stmt) QueryStream(ctx context.Context) (*Rows, error) {
 	return s.db.execPlan(ctx, s.clonePlan(), s.qo)
 }
 
-// Explain renders the prepared (refined, parallelized) plan.
+// Explain renders the prepared (refined) plan.
 func (s *Stmt) Explain() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
