@@ -24,7 +24,7 @@
 // against (a resident database or a coordinator) and in what /readyz
 // reports; listener, sidecar, signal handling and drain are one path. A
 // flag that has no effect in the selected mode (-data-dir on a
-// coordinator, -hedge-delay on a data node) is an error, not a no-op.
+// coordinator, -breaker-cooldown on a data node) is an error, not a no-op.
 //
 // -replication (default 2) replicates each hash slice across that many
 // nodes: shard daemon j additionally loads the rf-1 slices preceding its
@@ -78,8 +78,7 @@ var (
 	}
 	// coordFlags apply to a coordinator only.
 	coordFlags = map[string]bool{
-		"shards": true, "hedge-delay": true,
-		"breaker-threshold": true, "breaker-cooldown": true,
+		"shards": true, "breaker-threshold": true, "breaker-cooldown": true,
 	}
 )
 
@@ -128,7 +127,6 @@ func main() {
 		maxConc   = flag.Int("max-concurrent", 0, "admission: max concurrently executing queries (0 = unlimited)")
 		maxQueued = flag.Int("max-queued", 0, "admission: max queries queued for a slot")
 		admWait   = flag.Duration("admission-wait", 0, "admission: max time a query queues before shedding (0 = caller's context)")
-		stmtCache = flag.Int("stmt-cache", 0, "prepared-statement LRU entries (0 = default 64, negative disables)")
 		resCache  = flag.Int64("result-cache", 0, "result-reuse cache budget in encoded bytes (0 disables)")
 		reuse     = flag.Bool("reuse-cache", false, "semantic reuse cache: recycle hash-join builds and aggregate tables across queries (bufferdb_reuse_* metrics)")
 		reuseMB   = flag.Int64("reuse-max-bytes", 0, "semantic reuse-cache budget in bytes (0 = default 64 MiB; needs -reuse-cache)")
@@ -139,7 +137,6 @@ func main() {
 		shards    = flag.String("shards", "", "comma-separated shard addresses; non-empty switches to coordinator mode (no local data)")
 		shardIdx  = flag.Int("shard-index", 0, "this shard's index in a hash-partitioned deployment (needs -shard-count)")
 		shardCnt  = flag.Int("shard-count", 0, "total shard count; >1 loads only this node's hash slice of the sharded tables")
-		hedge     = flag.Duration("hedge-delay", 0, "coordinator: hedge a shard scan that has not answered within this delay (0 disables)")
 		repl      = flag.Int("replication", 2, "replication factor for sharded deployments: each slice lives on this many nodes (clamped to the node count; 1 disables replication; ignored unless sharded)")
 		brkThresh = flag.Int("breaker-threshold", 0, "coordinator: consecutive transport failures that open a node's circuit breaker (0 = default 3)")
 		brkCool   = flag.Duration("breaker-cooldown", 0, "coordinator: how long an open breaker rejects a node before probing it again (0 = default 5s)")
@@ -154,7 +151,6 @@ func main() {
 	if *shards != "" {
 		m = coordinatorMode(logger, *shards, dist.Config{
 			MemoryLimit:      *memLimit,
-			HedgeDelay:       *hedge,
 			Replication:      *repl,
 			BreakerThreshold: *brkThresh,
 			BreakerCooldown:  *brkCool,
@@ -176,7 +172,6 @@ func main() {
 				WaitTimeout:   *admWait,
 			},
 		})
-		m.cfg.StmtCacheEntries = *stmtCache
 		m.cfg.ResultCacheBytes = *resCache
 	}
 	m.cfg.WriteTimeout = *writeTO

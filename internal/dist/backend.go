@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"bufferdb/internal/client"
@@ -62,8 +61,8 @@ func (c *Coordinator) Tables(ctx context.Context, _ int32) ([]wire.TableInfo, er
 
 	var out []wire.TableInfo
 	index := map[string]int{}
-	for slice := range c.shards {
-		infos, err := c.sliceTables(ctx, slice)
+	for slice, l := range c.slices {
+		infos, err := c.sliceTables(ctx, l)
 		if err != nil {
 			return nil, err
 		}
@@ -84,42 +83,12 @@ func (c *Coordinator) Tables(ctx context.Context, _ int32) ([]wire.TableInfo, er
 	return out, nil
 }
 
-// sliceTables reads one slice's catalog from any healthy replica. An
-// unreplicated fleet keeps the legacy path (default-DB Tables on the
-// slice's own node, so pre-slice servers still answer); a replicated one
-// addresses the slice explicitly and fails over across replicas, feeding
-// the same breakers queries do.
-func (c *Coordinator) sliceTables(ctx context.Context, slice int) ([]wire.TableInfo, error) {
-	if c.rf <= 1 {
-		infos, err := c.shards[slice].Tables(ctx)
-		if err != nil {
-			return nil, c.shardErr(slice, err)
-		}
-		return infos, nil
-	}
-	tried := map[int]bool{}
-	var lastErr error
-	lastNode := slice
-	for {
-		node, probe, ok := c.route(slice, tried)
-		if !ok {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("dist: every replica of slice %d has an open circuit breaker", slice)
-			}
-			return nil, c.nodeErr(slice, lastNode, lastErr)
-		}
-		infos, err := c.shards[node].TablesOf(ctx, slice)
-		if err == nil {
-			c.breakerSuccess(node, probe)
-			return infos, nil
-		}
-		if !client.IsTransport(err) || ctx.Err() != nil {
-			c.breakerSuccess(node, probe)
-			return nil, c.nodeErr(slice, node, err)
-		}
-		c.breakerFailure(node, probe)
-		metricFailovers(c.cfg.Shards[node]).Inc()
-		tried[node] = true
-		lastErr, lastNode = err, node
-	}
+// sliceTables reads one slice's catalog from any healthy replica, through
+// the same failover loop and breakers query legs use.
+func (c *Coordinator) sliceTables(ctx context.Context, l leg) (infos []wire.TableInfo, err error) {
+	_, _, err = c.reach(ctx, l, -1, func(node int) (err error) {
+		infos, err = c.shards[node].TablesOf(ctx, c.address(l.slice))
+		return err
+	})
+	return infos, err
 }

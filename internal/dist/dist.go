@@ -10,8 +10,9 @@
 // rewrites aggregates into shard-local partials (COUNT→SUM, AVG→SUM+COUNT),
 // renders the rewritten AST back to SQL, and ships it to every shard over
 // the wire protocol with the caller's engine selection, deadline, and
-// memory budget forwarded intact. Queries touching only replicated tables
-// skip the scatter entirely and route, round-robin, to a single shard.
+// memory budget forwarded intact. A query touching only replicated tables
+// is a one-leg scatter: its original text runs on one node, picked
+// round-robin, with the same failover every leg has.
 //
 // Failure semantics: a shard that cannot be reached or dies mid-stream
 // surfaces as a *ShardError wrapping bufferdb.ErrShardUnavailable; closing
@@ -62,11 +63,6 @@ type Config struct {
 	// audits to zero when idle.
 	MemoryLimit int64
 
-	// HedgeDelay, when > 0, arms hedged scans: if a shard has not started
-	// streaming within HedgeDelay, the coordinator issues a second attempt
-	// and takes whichever responds first. 0 disables hedging.
-	HedgeDelay time.Duration
-
 	// Replication is the replication factor the fleet was loaded with:
 	// slice s lives on nodes (s+r) mod N for r in [0,Replication), so every
 	// node hosts Replication slices and every slice survives Replication-1
@@ -93,8 +89,9 @@ type Coordinator struct {
 	smap     shard.Map
 	mem      *exec.MemTracker
 	rf       int           // effective replication factor
+	slices   []leg         // the scatter's legs: slice s on its replicas
 	breakers []*breaker    // one per node, indexed like shards
-	rr       atomic.Uint64 // round-robin cursor for single-shard routing
+	rr       atomic.Uint64 // round-robin cursor for replicated-only legs
 }
 
 // Open connects to every shard. The dial is lazy per the client's pool —
@@ -129,6 +126,7 @@ func Open(cfg Config) (*Coordinator, error) {
 		}
 		c.shards = append(c.shards, cl)
 		c.breakers = append(c.breakers, newBreaker(threshold, cfg.BreakerCooldown))
+		c.slices = append(c.slices, leg{slice: i, nodes: shard.Replicas(i, len(cfg.Shards), c.rf)})
 	}
 	return c, nil
 }
@@ -158,54 +156,94 @@ func (c *Coordinator) Query(ctx context.Context, sqlText string, opts ...client.
 		metricPlanRejected().Inc()
 		return nil, err
 	}
-	if p.single {
-		// Replicated-only query: route the original text to one healthy
-		// node (every node holds the replicated tables in full), failing
-		// over on transport loss at stream start. Mid-stream loss of a
-		// passthrough stream stays an error — the coordinator does not
-		// buffer the rows already surfaced to the caller.
+	if p.legs[0].slice < 0 {
 		metricSingleShard().Inc()
-		n := len(c.shards)
-		start := int(c.rr.Add(1)-1) % n
-		var lastErr error
-		lastIdx := start
-		for k := 0; k < n; k++ {
-			idx := (start + k) % n
-			ok, probe := c.breakers[idx].allow()
-			if !ok {
-				continue
-			}
-			rows, err := c.shards[idx].Query(ctx, sqlText, opts...)
-			if err == nil {
-				c.breakerSuccess(idx, probe)
-				return &Rows{passthrough: rows, shard: idx, co: c}, nil
-			}
-			if !client.IsTransport(err) || ctx.Err() != nil {
-				c.breakerSuccess(idx, probe)
-				return nil, c.shardErr(idx, err)
-			}
-			c.breakerFailure(idx, probe)
-			metricFailovers(c.cfg.Shards[idx]).Inc()
-			lastErr, lastIdx = err, idx
-		}
-		if lastErr == nil {
-			lastErr = fmt.Errorf("dist: every node's circuit breaker is open")
-		}
-		return nil, c.shardErr(lastIdx, lastErr)
+	} else {
+		metricScatter().Inc()
 	}
-	metricScatter().Inc()
-	return c.scatter(ctx, p, opts)
+	r := &Rows{co: c, plan: p, opts: opts, baseCtx: ctx}
+	if err := r.start(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// route picks the replica to serve one leg of slice s, honoring the
-// breakers: a half-open node with a free probe slot is preferred (recovery
-// needs traffic to happen at all), then the first closed replica in
-// placement order. tried holds nodes this leg already failed on. ok=false
-// means every viable replica is open or already tried — the slice is
-// unavailable.
-func (c *Coordinator) route(slice int, tried map[int]bool) (node int, probe, ok bool) {
+// Failover backoff between successive node attempts of one leg: capped
+// exponential, so a flapping fleet is not hammered but a clean kill -9
+// fails over in milliseconds.
+const (
+	failoverBackoff    = 2 * time.Millisecond
+	failoverMaxBackoff = 250 * time.Millisecond
+)
+
+// reach is the coordinator's one routing loop, shared by query legs and
+// catalog reads. It walks l's candidate nodes through the breakers and
+// calls attempt on each node route admits until one succeeds, backing off
+// between failures. A transport failure fails over to the next candidate;
+// any other error means the node answered and ends the walk. exclude is a
+// node that already failed this leg (-1 for none); one walk visits each
+// candidate at most once.
+func (c *Coordinator) reach(ctx context.Context, l leg, exclude int, attempt func(node int) error) (node int, probe bool, err error) {
+	tried := map[int]bool{}
+	if exclude >= 0 {
+		tried[exclude] = true
+	}
+	backoff := failoverBackoff
+	var lastErr error
+	lastNode := exclude
+	for {
+		node, probe, ok := c.route(l.nodes, tried)
+		if !ok {
+			if lastErr == nil {
+				lastErr = errors.New("dist: every candidate node is already tried or behind an open circuit breaker")
+			}
+			if lastNode < 0 {
+				lastNode = l.nodes[0]
+			}
+			return -1, false, c.nodeErr(l.slice, lastNode, lastErr)
+		}
+		err := attempt(node)
+		if err == nil {
+			c.breakerSuccess(node, probe)
+			return node, probe, nil
+		}
+		if !client.IsTransport(err) || ctx.Err() != nil {
+			// The node answered (or we were canceled): not a node-health
+			// event, and not worth another candidate.
+			c.breakerSuccess(node, probe)
+			return -1, false, c.nodeErr(l.slice, node, err)
+		}
+		c.breakerFailure(node, probe)
+		metricFailovers(c.cfg.Shards[node]).Inc()
+		tried[node] = true
+		lastErr, lastNode = err, node
+		if !sleepCtx(ctx, backoff) {
+			return -1, false, c.nodeErr(l.slice, node, ctx.Err())
+		}
+		backoff = min(2*backoff, failoverMaxBackoff)
+	}
+}
+
+// sleepCtx sleeps d unless ctx is done first; reports whether it slept.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// route picks the candidate node to serve one leg, honoring the breakers:
+// a half-open node with a free probe slot is preferred (recovery needs
+// traffic to happen at all), then the first closed node in candidate
+// order. tried holds nodes this leg already failed on. ok=false means
+// every candidate is open or already tried — the leg is unavailable.
+func (c *Coordinator) route(nodes []int, tried map[int]bool) (node int, probe, ok bool) {
 	closedNode := -1
-	for _, n := range shard.Replicas(slice, len(c.shards), c.rf) {
+	for _, n := range nodes {
 		if tried[n] {
 			continue
 		}
@@ -224,6 +262,18 @@ func (c *Coordinator) route(slice int, tried map[int]bool) (node int, probe, ok 
 		return -1, false, false
 	}
 	return closedNode, false, true
+}
+
+// address is the slice selector a request for slice sends to a node: the
+// slice itself on a replicated fleet, else -1, the node's primary
+// database. An unaddressed leg (slice -1) reads the primary everywhere,
+// and an unreplicated node registers no Slices, so it would refuse any
+// addressed slice — even its own.
+func (c *Coordinator) address(slice int) int {
+	if c.rf <= 1 {
+		return -1
+	}
+	return slice
 }
 
 // breakerSuccess records a request that proved node alive and refreshes
@@ -267,7 +317,7 @@ func (c *Coordinator) Health() Health {
 	var degraded, down []string
 	for s := 0; s < n; s++ {
 		closed := 0
-		reps := shard.Replicas(s, n, c.rf)
+		reps := c.slices[s].nodes
 		for _, node := range reps {
 			if c.breakers[node].snapshot() == breakerClosed {
 				closed++
@@ -290,17 +340,14 @@ func (c *Coordinator) Health() Health {
 	}
 }
 
-// shardErr wraps a per-shard failure in its typed form. Transport-class
-// failures (the shard is gone, the dial failed, the stream broke) wrap
-// bufferdb.ErrShardUnavailable; a ServerError keeps its own sentinel chain
-// (busy, deadline, budget) so engine errors pass through untranslated.
-func (c *Coordinator) shardErr(idx int, err error) error {
-	return c.nodeErr(idx, idx, err)
-}
-
-// nodeErr attributes a failure to one (slice, node) pair: ShardError.Shard
-// names the hash slice (what the query lost), Addr names the node that
-// failed (where it was lost). With replication they differ.
+// nodeErr attributes a failure to one (slice, node) pair in its typed
+// form: ShardError.Shard names the hash slice (what the query lost), Addr
+// names the node that failed (where it was lost); with replication they
+// differ. An unaddressed leg read the node's primary slice, so its slice is
+// the node's. Transport-class failures (the shard is gone, the dial failed,
+// the stream broke) wrap bufferdb.ErrShardUnavailable; a ServerError keeps
+// its own sentinel chain (busy, deadline, budget) so engine errors pass
+// through untranslated.
 func (c *Coordinator) nodeErr(slice, node int, err error) error {
 	if err == nil {
 		return nil
@@ -308,6 +355,9 @@ func (c *Coordinator) nodeErr(slice, node int, err error) error {
 	var se *ShardError
 	if errors.As(err, &se) {
 		return err
+	}
+	if slice < 0 {
+		slice = node
 	}
 	addr := c.cfg.Shards[node]
 	metricShardErrors(addr).Inc()

@@ -286,10 +286,10 @@ func TestDistColumns(t *testing.T) {
 
 // TestDistScan checks one projection of every kind — BIGINT, DOUBLE, DATE,
 // VARCHAR and a column of NULLs — reads the same at every hop count, and
-// that the coordinator cursor's Row/Scan mirror the client contract, in
-// passthrough and in scatter mode: embedded, through one server, off the
-// coordinator, and through the coordinator's own server, the [][]any are
-// identical, dynamic types included.
+// that the coordinator cursor's Row/Scan mirror the client contract, for a
+// one-leg replicated-only plan and for a scatter: embedded, through one
+// server, off the coordinator, and through the coordinator's own server,
+// the [][]any are identical, dynamic types included.
 func TestDistScan(t *testing.T) {
 	fleet := startFleet(t, 3, dist.Config{})
 	ref := singleNode(t)
@@ -310,7 +310,7 @@ func TestDistScan(t *testing.T) {
 	}
 
 	for mode, q := range map[string]string{
-		"passthrough": `SELECT s_suppkey, s_acctbal, DATE '1995-03-15' AS d, s_name, NULL AS nothing, s_suppkey < 5 AS small
+		"replicated": `SELECT s_suppkey, s_acctbal, DATE '1995-03-15' AS d, s_name, NULL AS nothing, s_suppkey < 5 AS small
 			FROM supplier ORDER BY s_suppkey`,
 		"scatter": `SELECT l_orderkey, l_extendedprice, l_shipdate, l_comment, NULL AS nothing, l_orderkey < 100 AS small
 			FROM lineitem WHERE l_orderkey < 200 ORDER BY l_orderkey, l_extendedprice, l_comment`,
@@ -523,10 +523,17 @@ func TestDistLegShape(t *testing.T) {
 	}
 }
 
-// TestDistSingleShardRouting checks replicated-only queries pass through
-// round-robin rather than scattering.
+// TestDistSingleShardRouting checks replicated-only queries run as one leg
+// on one node, round-robin rather than scattering, so every node serves
+// some of them.
 func TestDistSingleShardRouting(t *testing.T) {
 	fleet := startFleet(t, 2, dist.Config{})
+	scans := make([]*obsv.Counter, len(fleet.addrs))
+	before := make([]uint64, len(fleet.addrs))
+	for i, addr := range fleet.addrs {
+		scans[i] = obsv.Default.Counter(fmt.Sprintf("bufferdb_coord_shard_scans_total{shard=%q}", addr))
+		before[i] = scans[i].Value()
+	}
 	for i := 0; i < 4; i++ {
 		rows, err := fleet.co.Query(context.Background(), `SELECT COUNT(*) FROM nation`)
 		if err != nil {
@@ -535,6 +542,11 @@ func TestDistSingleShardRouting(t *testing.T) {
 		got := drainCoord(t, rows)
 		if len(got) != 1 || got[0][0].(int64) != 25 {
 			t.Fatalf("nation count: %v", got)
+		}
+	}
+	for i, c := range scans {
+		if d := c.Value() - before[i]; d < 1 {
+			t.Errorf("node %d (%s) served %d of 4 replicated-only queries, want at least 1", i, fleet.addrs[i], d)
 		}
 	}
 }
@@ -583,30 +595,6 @@ func TestDistOptionForwarding(t *testing.T) {
 	}
 	if n := fleet.co.TrackedBytes(); n != 0 {
 		t.Fatalf("tracked bytes after failed query = %d, want 0", n)
-	}
-}
-
-// TestDistHedging exercises the hedged-scan path against healthy shards:
-// with an aggressive delay every scan may hedge, and the result must still
-// be exact with no leaked streams.
-func TestDistHedging(t *testing.T) {
-	fleet := startFleet(t, 2, dist.Config{HedgeDelay: time.Nanosecond})
-	ref := singleNode(t)
-	q := `SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`
-
-	want, err := ref.Query(context.Background(), q)
-	if err != nil {
-		t.Fatalf("single-node: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		rows, err := fleet.co.Query(context.Background(), q)
-		if err != nil {
-			t.Fatalf("coordinator: %v", err)
-		}
-		compareRows(t, drainCoord(t, rows), want.Rows, true)
-	}
-	if n := fleet.co.TrackedBytes(); n != 0 {
-		t.Fatalf("tracked bytes = %d, want 0", n)
 	}
 }
 

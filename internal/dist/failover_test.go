@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -153,6 +154,65 @@ func TestChaosFailoverMidStreamScan(t *testing.T) {
 
 	if h := fleet.co.Health(); h.Status != "warn" {
 		t.Fatalf("health after single-node loss = %q (%s), want warn", h.Status, h.Detail)
+	}
+	waitSettled(t, fleet.co, baseline)
+}
+
+// TestChaosFailoverReplicatedOnly: a query over replicated tables only is a
+// one-leg plan, and its leg fails over like a scatter leg. Killing the node
+// it runs on mid-stream must replay the leg on the next node and leave the
+// rows byte-identical to the single node's.
+func TestChaosFailoverReplicatedOnly(t *testing.T) {
+	slowPartsupp := func(sql string) *bufferdb.FaultInjector {
+		if !strings.Contains(sql, "partsupp") {
+			return nil
+		}
+		return bufferdb.NewFaultInjector(1, bufferdb.Fault{
+			Match: "Scan", Kind: bufferdb.FaultLatency,
+			After: 100, Every: 10, Latency: 2 * time.Millisecond,
+		})
+	}
+	// The round-robin cursor sends the coordinator's first replicated-only
+	// query to node 0, then fails over in node order.
+	fleet := startReplicaFleet(t, 3, 2, dist.Config{
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	}, map[int]func(string) *bufferdb.FaultInjector{0: slowPartsupp})
+	ref := singleNode(t)
+	q := `SELECT ps_partkey, ps_suppkey, ps_availqty, ps_supplycost, ps_comment FROM partsupp`
+
+	want, err := ref.Query(context.Background(), q)
+	if err != nil {
+		t.Fatalf("single-node: %v", err)
+	}
+	replays := obsv.Default.Counter(`bufferdb_coord_leg_replays_total{shard="` + fleet.addrs[1] + `"}`)
+	replaysBefore := replays.Value()
+	baseline := runtime.NumGoroutine()
+
+	rows, err := fleet.co.Query(context.Background(), q)
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	var got [][]any
+	for i := 0; i < 10 && rows.Next(); i++ {
+		got = append(got, append([]any(nil), rows.Row()...))
+	}
+	kill(fleet.servers[0])
+	for rows.Next() {
+		got = append(got, append([]any(nil), rows.Row()...))
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("replicated-only stream did not survive its node: %v", err)
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if !reflect.DeepEqual(got, want.Rows) {
+		compareRows(t, got, want.Rows, true)
+		t.Fatal("rows differ from the single node's in dynamic type or float bits")
+	}
+	if d := replays.Value() - replaysBefore; d != 1 {
+		t.Fatalf("leg replays on node 1 = %d, want 1", d)
 	}
 	waitSettled(t, fleet.co, baseline)
 }

@@ -10,9 +10,8 @@ import (
 // serving layer do, so one /metrics scrape covers the whole deployment:
 //
 //	bufferdb_coord_queries_total{type="..."}        scatter | single | rejected
-//	bufferdb_coord_shard_scans_total{shard=".."}    remote scans started, per shard
+//	bufferdb_coord_shard_scans_total{shard=".."}    leg streams started, per node
 //	bufferdb_coord_shard_errors_total{shard=".."}   failures attributed to a shard
-//	bufferdb_coord_hedged_total{shard=".."}         hedge attempts fired
 //	bufferdb_coord_failovers_total{shard=".."}      legs failed over away from a node
 //	bufferdb_coord_breaker_trips_total{shard=".."}  circuit-open transitions, per node
 //	bufferdb_coord_breaker_state{shard=".."}        gauge: 0 closed, 1 open, 2 half-open
@@ -45,10 +44,6 @@ func metricShardScans(addr string) *obsv.Counter {
 
 func metricShardErrors(addr string) *obsv.Counter {
 	return obsv.Default.Counter(fmt.Sprintf("bufferdb_coord_shard_errors_total{shard=%q}", addr))
-}
-
-func metricHedged(addr string) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf("bufferdb_coord_hedged_total{shard=%q}", addr))
 }
 
 func metricFailovers(addr string) *obsv.Counter {

@@ -20,30 +20,38 @@ import (
 // single-node answer. The dynamic error names the offending tables.
 var ErrNotDistributable = errors.New("dist: query is not distributable under the shard map")
 
+// leg is one remote stream of a plan: the hash slice it reads and the
+// nodes that may serve it, in routing order. An unaddressed leg (slice -1)
+// reads a node's primary database, which holds every replicated table in
+// full, so any node serves it.
+type leg struct {
+	slice int
+	nodes []int
+}
+
 // distPlan is the coordinator's compiled form of one query.
 type distPlan struct {
-	// single routes the original SQL to one shard (replicated-only query).
-	single bool
-
-	// shardSQL is the rewritten text every shard executes.
+	// legs are the remote streams: one per hash slice for a scatter, one
+	// unaddressed leg for a replicated-only query.
+	legs []leg
+	// shardSQL is the text every leg executes.
 	shardSQL string
-	// shardSchema is the schema of one shard's result stream.
+	// shardSchema is the schema of one leg's result stream.
 	shardSchema storage.Schema
-	// merge builds the coordinator pipeline above the per-shard scans.
+	// merge builds the coordinator pipeline above the legs.
 	merge func(parts []exec.Operator) (exec.Operator, error)
-	// replayable marks legs whose shard streams are deterministic
-	// (sequential scans through a partition-ordered exchange), so a
-	// mid-stream failover can re-issue the leg on a replica and skip the
-	// rows already merged. Aggregate legs are not replayable: the shard's
-	// group stream order is not stable across runs, so a mid-stream loss
-	// after rows flowed forces a full scatter restart instead.
+	// replayable marks legs whose streams are deterministic (no aggregate),
+	// so a mid-stream failover can re-issue the leg on another node and
+	// skip the rows already merged. Aggregate legs are not replayable: the
+	// shard's group stream order is not stable across runs, so a mid-stream
+	// loss after rows flowed forces a full scatter restart instead.
 	replayable bool
 }
 
-// plan analyzes one query against the shard map. Queries touching only
-// replicated tables pass through to a single shard; queries over sharded
-// tables are checked for co-location and rewritten into a scatter phase
-// (shard SQL) plus a gather phase (local merge pipeline).
+// plan analyzes one query against the shard map. A query touching only
+// replicated tables runs whole, as one leg; queries over sharded tables
+// are checked for co-location and rewritten into a scatter phase (shard
+// SQL, one leg per slice) plus a gather phase (local merge pipeline).
 func (c *Coordinator) plan(sqlText string) (*distPlan, error) {
 	if sql.IsInsert(sqlText) {
 		return nil, fmt.Errorf("dist: INSERT is not supported on a sharded deployment: %w", bufferdb.ErrReadOnly)
@@ -53,6 +61,12 @@ func (c *Coordinator) plan(sqlText string) (*distPlan, error) {
 		return nil, err
 	}
 
+	hasAgg := len(stmt.GroupBy) > 0
+	for _, item := range stmt.Items {
+		if !item.Star && sql.ContainsAggregate(item.Expr) {
+			hasAgg = true
+		}
+	}
 	refs := append([]sql.TableRef{}, stmt.From...)
 	for _, j := range stmt.Joins {
 		refs = append(refs, j.Table)
@@ -64,22 +78,48 @@ func (c *Coordinator) plan(sqlText string) (*distPlan, error) {
 		}
 	}
 	if len(shardedRefs) == 0 {
-		return &distPlan{single: true}, nil
+		return c.planReplicated(sqlText, !hasAgg)
 	}
 	if err := c.checkColocated(stmt, refs, shardedRefs); err != nil {
 		return nil, err
 	}
 
-	hasAgg := len(stmt.GroupBy) > 0
-	for _, item := range stmt.Items {
-		if !item.Star && sql.ContainsAggregate(item.Expr) {
-			hasAgg = true
-		}
-	}
+	var p *distPlan
 	if hasAgg {
-		return c.planAggregate(stmt)
+		p, err = c.planAggregate(stmt)
+	} else {
+		p, err = c.planScan(stmt)
 	}
-	return c.planScan(stmt)
+	if err != nil {
+		return nil, err
+	}
+	p.legs = c.slices
+	return p, nil
+}
+
+// planReplicated plans a query over replicated tables only as one
+// unaddressed leg running the original text, with the leg itself as the
+// merge. Its candidates are every node, starting from the next one in
+// round-robin order, so such queries spread across the fleet and fail over
+// like any leg.
+func (c *Coordinator) planReplicated(sqlText string, replayable bool) (*distPlan, error) {
+	schema, err := c.validateShardSQL(sqlText)
+	if err != nil {
+		return nil, err
+	}
+	n := len(c.shards)
+	start := int((c.rr.Add(1) - 1) % uint64(n))
+	nodes := make([]int, n)
+	for k := range nodes {
+		nodes[k] = (start + k) % n
+	}
+	return &distPlan{
+		legs:        []leg{{slice: -1, nodes: nodes}},
+		shardSQL:    sqlText,
+		shardSchema: schema,
+		replayable:  replayable,
+		merge:       func(parts []exec.Operator) (exec.Operator, error) { return parts[0], nil },
+	}, nil
 }
 
 // --- co-location ---------------------------------------------------------

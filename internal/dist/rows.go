@@ -16,26 +16,18 @@ import (
 // fleets that keep dying mid-query.
 const maxScatterRestarts = 3
 
-// scatter builds and opens the gather pipeline for a distributed plan: one
-// remote scan per slice under the plan's merge (exchange, final aggregate,
-// sort, limit), charged to a per-query tracker under the coordinator's.
-// The cursor keeps the plan so it can rebuild the pipeline if a
-// non-replayable leg is lost mid-stream before anything surfaced.
-func (c *Coordinator) scatter(ctx context.Context, p *distPlan, opts []client.Option) (*Rows, error) {
-	r := &Rows{co: c, shard: -1, plan: p, opts: opts, baseCtx: ctx}
-	if err := r.start(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// start builds and opens one incarnation of the scatter pipeline.
+// start builds and opens one incarnation of the plan's pipeline: one
+// remote scan per leg under the plan's merge (exchange, final aggregate,
+// sort, limit — or nothing, for a one-leg plan), charged to a per-query
+// tracker under the coordinator's. The cursor keeps the plan so it can
+// rebuild the pipeline if a non-replayable leg is lost mid-stream before
+// anything surfaced.
 func (r *Rows) start() error {
 	qctx, cancel := context.WithCancel(r.baseCtx)
 	mem := exec.NewMemTracker("dist-query", 0, r.co.mem)
-	parts := make([]exec.Operator, len(r.co.shards))
-	for i := range parts {
-		parts[i] = newRemoteScan(r.co, i, r.plan.shardSQL, r.opts, r.plan.shardSchema, r.plan.replayable)
+	parts := make([]exec.Operator, len(r.plan.legs))
+	for i, l := range r.plan.legs {
+		parts[i] = newRemoteScan(r.co, r.plan, l, r.opts)
 	}
 	root, err := r.plan.merge(parts)
 	if err != nil {
@@ -63,21 +55,15 @@ func (r *Rows) start() error {
 
 // Rows is the coordinator's streaming cursor. It mirrors the client cursor's
 // contract — Columns/Next/Row/Scan/Err/Close — so callers swap a single
-// node for a sharded deployment without touching their drain loop.
-//
-// A replicated-only query runs in passthrough mode: the cursor wraps one
-// shard's client stream directly. A scattered query runs the local gather
-// pipeline; Close cancels the query context first, which tears down every
-// sibling shard stream before the operators drain.
+// node for a sharded deployment without touching their drain loop. It runs
+// the local gather pipeline over the plan's legs; Close cancels the query
+// context first, which tears down every leg's stream before the operators
+// drain.
 type Rows struct {
 	co *Coordinator
 
-	// Passthrough mode: the whole query ran on one shard.
-	passthrough *client.Rows
-	shard       int
-
-	// Scatter mode: merged stream over the local exec pipeline, plus the
-	// compiled plan so the pipeline can be rebuilt for a scatter restart.
+	// The compiled plan, so the pipeline can be rebuilt for a scatter
+	// restart, and the running incarnation.
 	plan     *distPlan
 	opts     []client.Option
 	baseCtx  context.Context
@@ -98,19 +84,11 @@ type Rows struct {
 
 // Columns names the result attributes. The slice is shared; treat it as
 // read-only.
-func (r *Rows) Columns() []string {
-	if r.passthrough != nil {
-		return r.passthrough.Columns()
-	}
-	return r.cols
-}
+func (r *Rows) Columns() []string { return r.cols }
 
 // Next advances the cursor. It returns false at end of stream, on error, or
 // after Close; consult Err to tell completion from failure.
 func (r *Rows) Next() bool {
-	if r.passthrough != nil {
-		return r.passthrough.Next()
-	}
 	if r.closed || r.done || r.err != nil {
 		return false
 	}
@@ -154,19 +132,11 @@ func (r *Rows) Next() bool {
 // Values lends the current row in the engine's representation — what the
 // serving tier encodes from — valid until the next call to Next; nil
 // without a current row.
-func (r *Rows) Values() storage.Row {
-	if r.passthrough != nil {
-		return r.passthrough.Values()
-	}
-	return r.cur
-}
+func (r *Rows) Values() storage.Row { return r.cur }
 
 // Row returns the current row's native Go values (int64, float64, string,
 // bool, time.Time, nil). The slice is reused by Next; copy it to retain.
 func (r *Rows) Row() []any {
-	if r.passthrough != nil {
-		return r.passthrough.Row()
-	}
 	if r.cur == nil {
 		return nil
 	}
@@ -179,33 +149,18 @@ func (r *Rows) Row() []any {
 // Scan copies the current row into dest, one pointer per column, with the
 // same conversions and error contract as the client cursor.
 func (r *Rows) Scan(dest ...any) error {
-	if r.passthrough != nil {
-		return r.passthrough.Scan(dest...)
-	}
 	return client.ScanRow(dest, r.cur, r.cols, r.closed)
 }
 
 // Err reports the error that terminated iteration, if any. Shard failures
 // surface as *ShardError; errors.Is(err, bufferdb.ErrShardUnavailable)
 // classifies transport-class loss.
-func (r *Rows) Err() error {
-	if r.passthrough != nil {
-		return r.co.shardErr(r.shard, r.passthrough.Err())
-	}
-	return r.err
-}
+func (r *Rows) Err() error { return r.err }
 
 // Close releases the cursor: it cancels the query context (tearing down
 // every shard stream), drains the operator tree, and returns all tracked
 // coordinator memory. Idempotent; does not disturb Err.
 func (r *Rows) Close() error {
-	if r.passthrough != nil {
-		if r.closed {
-			return nil
-		}
-		r.closed = true
-		return r.co.shardErr(r.shard, r.passthrough.Close())
-	}
 	r.shutdown()
 	return nil
 }
@@ -220,7 +175,7 @@ func (r *Rows) teardown() {
 	r.mem.ReleaseAll()
 }
 
-// shutdown tears the scatter pipeline down exactly once.
+// shutdown tears the pipeline down exactly once.
 func (r *Rows) shutdown() {
 	if r.closed {
 		return

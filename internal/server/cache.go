@@ -14,6 +14,9 @@ import (
 // cache competes honestly with executing queries for the memory limit.
 const stmtOverheadBytes = 32 << 10
 
+// stmtCacheEntries bounds the prepared-statement LRU.
+const stmtCacheEntries = 64
+
 // stmtCache is a shared LRU of prepared statements keyed by SQL text plus
 // the plan-shaping options (see wire.QueryOpts.CacheKey). Sessions prepare
 // through it so N clients preparing the same hot statement plan it once;
@@ -22,8 +25,7 @@ const stmtOverheadBytes = 32 << 10
 // ReserveMemory; when the reservation is refused the statement is handed
 // out uncached rather than failing the prepare.
 type stmtCache struct {
-	db  *bufferdb.DB
-	max int
+	db *bufferdb.DB
 
 	mu      sync.Mutex
 	entries map[string]*list.Element
@@ -36,10 +38,8 @@ type stmtEntry struct {
 	release func()
 }
 
-// newStmtCache builds a cache bounded to max entries; max <= 0 disables
-// caching (get always builds).
-func newStmtCache(db *bufferdb.DB, max int) *stmtCache {
-	return &stmtCache{db: db, max: max, entries: map[string]*list.Element{}, order: list.New()}
+func newStmtCache(db *bufferdb.DB) *stmtCache {
+	return &stmtCache{db: db, entries: map[string]*list.Element{}, order: list.New()}
 }
 
 // get returns the cached statement for key, building and inserting it on a
@@ -47,9 +47,6 @@ func newStmtCache(db *bufferdb.DB, max int) *stmtCache {
 // wins and the loser's plan is simply garbage (never double-charged,
 // because only the inserted entry holds a reservation).
 func (c *stmtCache) get(key string, build func() (*bufferdb.Stmt, error)) (*bufferdb.Stmt, error) {
-	if c.max <= 0 {
-		return build()
-	}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
@@ -65,7 +62,7 @@ func (c *stmtCache) get(key string, build func() (*bufferdb.Stmt, error)) (*buff
 	if err != nil {
 		return nil, err
 	}
-	release, err := c.db.ReserveMemory("stmt-cache", int64(len(key))+stmtOverheadBytes)
+	release, err := c.db.ReserveMemory("statement-cache", int64(len(key))+stmtOverheadBytes)
 	if err != nil {
 		// The memory limit is saturated: serve the statement uncached.
 		return st, nil
@@ -81,7 +78,7 @@ func (c *stmtCache) get(key string, build func() (*bufferdb.Stmt, error)) (*buff
 	}
 	c.entries[key] = c.order.PushFront(&stmtEntry{key: key, stmt: st, release: release})
 	var evicted []*stmtEntry
-	for c.order.Len() > c.max {
+	for c.order.Len() > stmtCacheEntries {
 		back := c.order.Back()
 		e := back.Value.(*stmtEntry)
 		c.order.Remove(back)

@@ -29,14 +29,10 @@ func newDBBackend(cfg Config) (*dbBackend, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("server: Config.DB (or Config.Backend) is required")
 	}
-	stmtEntries := cfg.StmtCacheEntries
-	if stmtEntries == 0 {
-		stmtEntries = 64
-	}
 	return &dbBackend{
 		db:        cfg.DB,
 		slices:    cfg.Slices,
-		stmts:     newStmtCache(cfg.DB, stmtEntries),
+		stmts:     newStmtCache(cfg.DB),
 		results:   newResultCache(cfg.DB, cfg.ResultCacheBytes),
 		faultHook: cfg.FaultHook,
 	}, nil

@@ -29,8 +29,8 @@ type Config struct {
 	DB *bufferdb.DB
 
 	// Backend, when set, is served in place of a resident database. The
-	// fields that tune the DB backend — DB, Slices, StmtCacheEntries,
-	// ResultCacheBytes, FaultHook — must then be unset.
+	// fields that tune the DB backend — DB, Slices, ResultCacheBytes,
+	// FaultHook — must then be unset.
 	Backend Backend
 
 	// Slices maps hash-slice indices to their databases when this node
@@ -41,10 +41,6 @@ type Config struct {
 	// of silently scanning the wrong rows. Nil means this node serves only
 	// its default database.
 	Slices map[int]*bufferdb.DB
-
-	// StmtCacheEntries bounds the shared prepared-statement LRU. 0 selects
-	// the default (64); negative disables the cache (every prepare plans).
-	StmtCacheEntries int
 
 	// ResultCacheBytes enables the result-reuse cache with a total budget
 	// of encoded result bytes; 0 (the default) disables it — reuse of
@@ -106,9 +102,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		backend, release = b, b.close
-	} else if cfg.DB != nil || cfg.Slices != nil || cfg.StmtCacheEntries != 0 ||
-		cfg.ResultCacheBytes != 0 || cfg.FaultHook != nil {
-		return nil, errors.New("server: Config.Backend excludes DB, Slices, StmtCacheEntries, ResultCacheBytes and FaultHook")
+	} else if cfg.DB != nil || cfg.Slices != nil || cfg.ResultCacheBytes != 0 || cfg.FaultHook != nil {
+		return nil, errors.New("server: Config.Backend excludes DB, Slices, ResultCacheBytes and FaultHook")
 	}
 	if cfg.BatchRows <= 0 {
 		cfg.BatchRows = 256
