@@ -122,7 +122,6 @@ func main() {
 		scale     = flag.Float64("scale", 0.01, "TPC-H scale factor")
 		seed      = flag.Uint64("seed", 0, "TPC-H generation seed (0 = default)")
 		noRefine  = flag.Bool("no-refine", false, "disable buffering plan refinement")
-		engine    = flag.String("engine", "", fmt.Sprintf("default execution engine (%s); per-query wire options still override", strings.Join(bufferdb.EngineNames(), ", ")))
 		memLimit  = flag.Int64("memory-limit", 0, "process-wide tracked-memory cap in bytes (0 = unlimited)")
 		maxConc   = flag.Int("max-concurrent", 0, "admission: max concurrently executing queries (0 = unlimited)")
 		maxQueued = flag.Int("max-queued", 0, "admission: max queries queued for a slot")
@@ -156,7 +155,7 @@ func main() {
 			BreakerCooldown:  *brkCool,
 		})
 	} else {
-		m = dataNodeMode(logger, *scale, *engine, *repl, bufferdb.Options{
+		m = dataNodeMode(logger, *scale, *repl, bufferdb.Options{
 			Seed:              *seed,
 			DisableRefinement: *noRefine,
 			MemoryLimit:       *memLimit,
@@ -181,7 +180,7 @@ func main() {
 
 // dataNodeMode loads (or generates) this node's data: one database, or on
 // a replicated shard node one per hosted slice.
-func dataNodeMode(logger *log.Logger, scale float64, engine string, replication int, opts bufferdb.Options) mode {
+func dataNodeMode(logger *log.Logger, scale float64, replication int, opts bufferdb.Options) mode {
 	start := time.Now()
 	rf := 1
 	if opts.ShardCount > 1 {
@@ -207,17 +206,6 @@ func dataNodeMode(logger *log.Logger, scale float64, engine string, replication 
 	}
 	if openErr != nil {
 		logger.Fatalf("open: %v", openErr)
-	}
-	if engine != "" {
-		e, err := bufferdb.ParseEngine(engine)
-		if err != nil {
-			logger.Fatalf("engine: %v", err)
-		}
-		db = db.WithEngine(e)
-		for idx, sdb := range slices {
-			slices[idx] = sdb.WithEngine(e)
-		}
-		logger.Printf("default execution engine: %s", e)
 	}
 	desc := "in-memory"
 	if opts.DataDir != "" {

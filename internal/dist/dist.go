@@ -5,14 +5,17 @@
 // coordinator gathers partition-ordered streams through exec.Exchange, and
 // the final aggregate/sort/limit runs locally on the merged stream.
 //
-// Planning is source-to-source: the coordinator parses the query with the
-// engine's own parser, decides distributability against the shard map,
-// rewrites aggregates into shard-local partials (COUNT→SUM, AVG→SUM+COUNT),
-// renders the rewritten AST back to SQL, and ships it to every shard over
-// the wire protocol with the caller's engine selection, deadline, and
-// memory budget forwarded intact. A query touching only replicated tables
-// is a one-leg scatter: its original text runs on one node, picked
-// round-robin, with the same failover every leg has.
+// Planning is source-to-source in both phases: the coordinator parses the
+// query with the engine's own parser, decides distributability against the
+// shard map, rewrites aggregates into shard-local partials (COUNT→SUM,
+// AVG→SUM+COUNT), renders the rewritten AST back to SQL, and ships it to
+// every shard over the wire protocol with the caller's engine selection,
+// deadline, and memory budget forwarded intact. The gather is a second
+// SELECT over the legs' stream, read as one table — the original select
+// list over merged partials, with its ORDER BY and LIMIT — planned by the
+// same analyzer that plans a single node's query. A query touching only
+// replicated tables is a one-leg scatter: its original text runs on one
+// node, picked round-robin, with the same failover every leg has.
 //
 // Failure semantics: a shard that cannot be reached or dies mid-stream
 // surfaces as a *ShardError wrapping bufferdb.ErrShardUnavailable; closing

@@ -223,6 +223,8 @@ var equivalenceQueries = []struct {
 	{"scan_topn", `SELECT l_orderkey, l_extendedprice FROM lineitem
 		ORDER BY l_extendedprice DESC, l_orderkey LIMIT 5`, true},
 	{"replicated_only", `SELECT r_name, COUNT(*) FROM region GROUP BY r_name ORDER BY r_name`, true},
+	{"agg_post", `SELECT l_returnflag, MAX(l_shipdate) > '1998-01-01' AS late, COUNT(*) + 1 AS n FROM lineitem
+		GROUP BY l_returnflag ORDER BY n DESC, l_returnflag`, true},
 }
 
 // TestDistEquivalence is the acceptance gate: every scatter shape over a
@@ -565,6 +567,31 @@ func TestDistRejections(t *testing.T) {
 		`INSERT INTO region VALUES (99, 'NOWHERE', 'x')`)
 	if !errors.Is(err, bufferdb.ErrReadOnly) {
 		t.Fatalf("insert: %v, want ErrReadOnly", err)
+	}
+}
+
+// TestDistPlanErrors checks a query the analyzer refuses is refused by the
+// coordinator with the single node's error text, byte for byte: both
+// phases are planned by the same analyzer.
+func TestDistPlanErrors(t *testing.T) {
+	fleet := startFleet(t, 2, dist.Config{})
+	ref := singleNode(t)
+	for _, q := range []string{
+		`SELECT l_quantity, COUNT(*) FROM lineitem GROUP BY l_returnflag`,
+		`SELECT l_returnflag, COUNT(*) FROM lineitem GROUP BY l_returnflag ORDER BY l_linestatus`,
+	} {
+		_, want := ref.Query(context.Background(), q)
+		if want == nil {
+			t.Fatalf("single node accepted %q", q)
+		}
+		rows, err := fleet.co.Query(context.Background(), q)
+		if err == nil {
+			rows.Close()
+			t.Fatalf("coordinator accepted %q", q)
+		}
+		if err.Error() != want.Error() {
+			t.Errorf("%q:\n coordinator %q\n single node %q", q, err, want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"bufferdb/internal/client"
 	"bufferdb/internal/exec"
+	"bufferdb/internal/plan"
 	"bufferdb/internal/storage"
 )
 
@@ -16,12 +17,12 @@ import (
 // fleets that keep dying mid-query.
 const maxScatterRestarts = 3
 
-// start builds and opens one incarnation of the plan's pipeline: one
-// remote scan per leg under the plan's merge (exchange, final aggregate,
-// sort, limit — or nothing, for a one-leg plan), charged to a per-query
-// tracker under the coordinator's. The cursor keeps the plan so it can
-// rebuild the pipeline if a non-replayable leg is lost mid-stream before
-// anything surfaced.
+// start builds and opens one incarnation of the plan's pipeline: the merge
+// plan compiled with its scan replaced by the gathered legs — one remote
+// scan per leg, under an Exchange when there are several — and charged to
+// a per-query tracker under the coordinator's. The cursor keeps the plan
+// so it can rebuild the pipeline if a non-replayable leg is lost
+// mid-stream before anything surfaced.
 func (r *Rows) start() error {
 	qctx, cancel := context.WithCancel(r.baseCtx)
 	mem := exec.NewMemTracker("dist-query", 0, r.co.mem)
@@ -29,7 +30,18 @@ func (r *Rows) start() error {
 	for i, l := range r.plan.legs {
 		parts[i] = newRemoteScan(r.co, r.plan, l, r.opts)
 	}
-	root, err := r.plan.merge(parts)
+	var build func(n *plan.Node) (exec.Operator, error)
+	build = func(n *plan.Node) (exec.Operator, error) {
+		switch {
+		case n.Kind != plan.KindSeqScan:
+			return plan.BuildNode(n, nil, build)
+		case len(parts) == 1:
+			return parts[0], nil
+		default:
+			return exec.NewExchange(parts)
+		}
+	}
+	root, err := build(r.plan.merge)
 	if err != nil {
 		cancel()
 		return err

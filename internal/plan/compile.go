@@ -65,7 +65,7 @@ func buildRecorded(n *Node, cm *codemodel.Catalog, record func(op any, n *Node))
 		if op, err := blockAggregate(c, cm, record != nil); op != nil || err != nil {
 			return op, err
 		}
-		op, err := buildNode(c, cm, rec)
+		op, err := BuildNode(c, cm, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -110,10 +110,11 @@ func blockAggregate(n *Node, cm *codemodel.Catalog, analyzed bool) (exec.Operato
 	return agg, nil
 }
 
-// buildNode compiles a single node into its Volcano operator, resolving
+// BuildNode compiles a single node into its Volcano operator, resolving
 // operand children through child — the hook the engine switch (Compile)
-// uses to splice batch subtrees in behind adapters.
-func buildNode(n *Node, cm *codemodel.Catalog, child func(*Node) (exec.Operator, error)) (exec.Operator, error) {
+// uses to splice batch subtrees in behind adapters, and the coordinator
+// uses to splice its gathered shard streams in for a plan's scan.
+func BuildNode(n *Node, cm *codemodel.Catalog, child func(*Node) (exec.Operator, error)) (exec.Operator, error) {
 	mod, err := moduleFor(n, cm)
 	if err != nil {
 		return nil, err

@@ -283,7 +283,7 @@ func (vc *vecCompiler) mixed(n *Node) (exec.Operator, error) {
 		vc.rec(adapter, n)
 		return adapter, nil
 	}
-	op, err := buildNode(n, vc.cm, func(c *Node) (exec.Operator, error) {
+	op, err := BuildNode(n, vc.cm, func(c *Node) (exec.Operator, error) {
 		return vc.mixed(c)
 	})
 	if err != nil {

@@ -52,7 +52,7 @@ func (pc *pushCompiler) mixed(n *Node) (exec.Operator, error) {
 	if pushCapable(n) {
 		return pc.fuse(n)
 	}
-	op, err := buildNode(n, pc.cm, func(c *Node) (exec.Operator, error) {
+	op, err := BuildNode(n, pc.cm, func(c *Node) (exec.Operator, error) {
 		return pc.mixed(c)
 	})
 	if err != nil {

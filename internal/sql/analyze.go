@@ -167,10 +167,10 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 	// Collect conjuncts from WHERE and JOIN … ON.
 	var conjuncts []Node
 	if stmt.Where != nil {
-		conjuncts = splitConjuncts(stmt.Where)
+		conjuncts = SplitConjuncts(stmt.Where)
 	}
 	for _, j := range stmt.Joins {
-		conjuncts = append(conjuncts, splitConjuncts(j.On)...)
+		conjuncts = append(conjuncts, SplitConjuncts(j.On)...)
 	}
 
 	// Classify each conjunct by the bindings it references.
@@ -709,10 +709,10 @@ func asEquiJoin(n Node) (*Ident, *Ident, bool) {
 	return l, r, true
 }
 
-// splitConjuncts flattens a conjunction into its AND-ed parts.
-func splitConjuncts(n Node) []Node {
+// SplitConjuncts flattens a conjunction into its AND-ed parts.
+func SplitConjuncts(n Node) []Node {
 	if b, ok := n.(*BinaryExpr); ok && b.Op == "AND" {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
+		return append(SplitConjuncts(b.L), SplitConjuncts(b.R)...)
 	}
 	return []Node{n}
 }
