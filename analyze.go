@@ -139,7 +139,7 @@ func (a *Analysis) Table() string {
 // and returns the annotated plan tree.
 func (db *DB) ExplainAnalyze(ctx context.Context, query string, opts ...QueryOption) (*Analysis, error) {
 	qo := applyOptions(opts)
-	label, engine, err := db.planEngine(qo)
+	label, engine, err := planEngine(qo)
 	if err != nil {
 		return nil, err
 	}

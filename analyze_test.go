@@ -145,12 +145,28 @@ func TestStatsZeroOverheadConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			counted, err := testDB.Query(ctx, analyzeQuery, WithEngine(eng), WithStats())
+			p, err := testDB.plan(analyzeQuery, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fmt.Sprint(plain.Rows) != fmt.Sprint(counted.Rows) {
-				t.Errorf("stats collection changed the result:\n%v\nvs\n%v", plain.Rows, counted.Rows)
+			_, pe, err := planEngine(QueryOptions{Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := plan.CompileAnalyzed(p, nil, pe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := exec.Run(&exec.Context{Catalog: testDB.cat, Ctx: ctx, Stats: exec.NewStatsCollector()}, cp.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counted := make([][]any, len(rows))
+			for i, r := range rows {
+				counted[i] = r.Natives(nil)
+			}
+			if fmt.Sprint(plain.Rows) != fmt.Sprint(counted) {
+				t.Errorf("stats collection changed the result:\n%v\nvs\n%v", plain.Rows, counted)
 			}
 		})
 	}
@@ -218,44 +234,8 @@ func (s renderSpy) String() string {
 	return s.Expr.String()
 }
 
-// TestRowsStats exercises the WithStats streaming path: live counter
-// collection without the simulated CPU.
-func TestRowsStats(t *testing.T) {
-	rows, err := testDB.QueryStream(context.Background(), analyzeQuery, WithStats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rows.Close()
-	n := 0
-	for rows.Next() {
-		n++
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	st := rows.Stats()
-	if st == nil {
-		t.Fatal("Stats() = nil after WithStats run")
-	}
-	if st.Rows != uint64(n) {
-		t.Errorf("root stat rows %d, cursor emitted %d", st.Rows, n)
-	}
-	if st.Cycles != 0 {
-		t.Errorf("live run should carry no simulated cycles, got %g", st.Cycles)
-	}
-	// Without WithStats the cursor reports no stats.
-	plain, err := testDB.QueryStream(context.Background(), analyzeQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if plain.Stats() != nil {
-		t.Error("Stats() non-nil without WithStats")
-	}
-}
-
-// TestQueryFunctionalOptions covers the unified Query surface and the
-// deprecated wrappers' equivalence.
+// TestQueryFunctionalOptions covers the per-statement options: none of
+// them changes the answer, and an unknown engine is rejected.
 func TestQueryFunctionalOptions(t *testing.T) {
 	ctx := context.Background()
 	q := `SELECT COUNT(*) FROM lineitem WHERE l_quantity > 30`

@@ -30,7 +30,7 @@ var blockBenchQueries = []struct{ name, sql string }{
 }
 
 var blockBenchDB = sync.OnceValue(func() *DB {
-	db, err := OpenTPCH(0.02, Options{CardinalityThreshold: 100})
+	db, err := OpenTPCH(0.02, Options{})
 	if err != nil {
 		panic(err)
 	}

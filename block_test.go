@@ -48,7 +48,7 @@ func TestBlockAggregateMemoryBudget(t *testing.T) {
 	}
 
 	// And through the facade, on every engine.
-	mdb, err := OpenTPCH(0.002, Options{MemoryLimit: 256 << 20, CardinalityThreshold: 100})
+	mdb, err := OpenTPCH(0.002, Options{MemoryLimit: 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestBlockAggregateCounters(t *testing.T) {
 // TestNegativeZeroIsOneGroup: 0 and -0 are equal to `=` and to the sort, so
 // GROUP BY must not tell them apart.
 func TestNegativeZeroIsOneGroup(t *testing.T) {
-	db, err := OpenTPCH(0.002, Options{DataDir: t.TempDir(), CardinalityThreshold: 100})
+	db, err := OpenTPCH(0.002, Options{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"bufferdb/internal/codemodel"
-	"bufferdb/internal/core"
 	"bufferdb/internal/cpusim"
 	"bufferdb/internal/exec"
 	"bufferdb/internal/pager"
@@ -45,15 +44,6 @@ import (
 type Options struct {
 	// Seed fixes TPC-H data generation (0 = default seed).
 	Seed uint64
-	// BufferSize is the capacity of inserted buffer operators
-	// (0 = the paper's default, 1024 tuples).
-	BufferSize int
-	// CardinalityThreshold is the refinement cutoff; 0 calibrates it on
-	// first use, reproducing the paper's §6 methodology.
-	CardinalityThreshold float64
-	// DisableRefinement turns the post-optimizer buffer pass off, so
-	// Query always runs the conventional plan.
-	DisableRefinement bool
 	// MemoryLimit caps the bytes all concurrently executing queries may
 	// hold in tracked allocations (hash tables, sort buffers, buffer
 	// arrays). 0 disables process-wide tracking; queries
@@ -141,31 +131,23 @@ func ParseEngine(name string) (Engine, error) {
 type QueryOptions struct {
 	// ForceJoin selects the join algorithm: "hash", "nestloop", "merge".
 	ForceJoin string
-	// DisableRefinement runs the conventional plan for this query only.
+	// DisableRefinement runs the conventional plan for this query.
 	DisableRefinement bool
-	// BufferSize overrides the per-database buffer capacity.
+	// BufferSize is the capacity of the buffers refinement inserts
+	// (0 = the paper's default, 1024 tuples).
 	BufferSize int
-	// Engine overrides the database's execution engine for this statement
-	// ("" keeps the database default).
+	// Engine runs this statement on the named engine ("" = EngineVolcano).
 	Engine Engine
-	// CollectStats attaches a per-operator stats collector to the
-	// execution; read the result through Rows.Stats.
-	CollectStats bool
 	// MemoryBudget caps this query's tracked allocations in bytes
 	// (0 = no per-query cap; the database MemoryLimit still applies).
 	MemoryBudget int64
 	// Timeout bounds the query's wall clock from admission through
-	// execution; expiry surfaces a wrapped ErrDeadlineExceeded.
+	// execution; expiry surfaces a wrapped ErrDeadlineExceeded. A deadline
+	// on the caller's context applies as well.
 	Timeout time.Duration
-	// Deadline is the absolute form of Timeout; Timeout wins if both are
-	// set. The zero time means no deadline.
-	Deadline time.Time
 	// AdmissionWait overrides the database's admission WaitTimeout for
 	// this query (0 keeps the database default).
 	AdmissionWait time.Duration
-	// NoAdmission exempts this query from admission control — for
-	// operational queries that must run even on a saturated server.
-	NoAdmission bool
 	// FaultInjector injects deterministic faults at operator boundaries
 	// for testing; nil (the default) costs nothing. See NewFaultInjector.
 	FaultInjector *FaultInjector
@@ -198,13 +180,6 @@ func WithoutRefinement() QueryOption {
 	return func(o *QueryOptions) { o.DisableRefinement = true }
 }
 
-// WithStats collects per-operator runtime counters during execution; read
-// them through Rows.Stats after draining the cursor. Collection never
-// changes results — it only counts what the operators do.
-func WithStats() QueryOption {
-	return func(o *QueryOptions) { o.CollectStats = true }
-}
-
 // WithMemoryBudget caps this query's tracked allocations at n bytes;
 // exceeding it fails the query with a wrapped ErrMemoryBudgetExceeded.
 func WithMemoryBudget(n int64) QueryOption {
@@ -217,20 +192,10 @@ func WithTimeout(d time.Duration) QueryOption {
 	return func(o *QueryOptions) { o.Timeout = d }
 }
 
-// WithDeadline is the absolute form of WithTimeout.
-func WithDeadline(t time.Time) QueryOption {
-	return func(o *QueryOptions) { o.Deadline = t }
-}
-
 // WithAdmissionWait overrides how long this query may queue for an
 // execution slot before being shed with ErrServerBusy.
 func WithAdmissionWait(d time.Duration) QueryOption {
 	return func(o *QueryOptions) { o.AdmissionWait = d }
-}
-
-// WithoutAdmission exempts this query from admission control.
-func WithoutAdmission() QueryOption {
-	return func(o *QueryOptions) { o.NoAdmission = true }
 }
 
 // WithFaultInjector attaches a deterministic fault injector to this
@@ -254,70 +219,61 @@ func applyOptions(opts []QueryOption) QueryOptions {
 	return qo
 }
 
-// DB is one memory-resident database with its code model and refinement
-// calibration. A DB is safe for concurrent use: the catalog and code model
-// are read-only after load (the code model's lazy module assembly is
-// internally synchronized), the refinement threshold is calibrated at most
-// once behind a sync.Once, and every query executes on its own
-// exec.Context with private simulated-CPU state. Views returned by
-// WithEngine share all of that with the receiver.
+// DB is one memory-resident database with its code model. A DB is safe
+// for concurrent use: the catalog and code model are read-only after load
+// (the code model's lazy module assembly is internally synchronized), and
+// every query executes on its own exec.Context with private simulated-CPU
+// state. Engine and refinement are chosen per statement (WithEngine,
+// WithoutRefinement); the refinement threshold is
+// plan.DefaultCardinalityThreshold.
 type DB struct {
-	opts   Options
-	engine Engine
+	opts Options
 
 	cat *storage.Catalog
-	cm  *codemodel.Catalog
 
-	cal *calibration
-
-	// mem is the process-wide memory tracker (nil when Options.MemoryLimit
-	// is 0); every query's tracker is its child. adm is the admission
-	// controller (nil when disabled). Both are shared by WithEngine views.
-	mem *exec.MemTracker
-	adm *admission
+	// governor is the process-level state: the code model, memory tracker
+	// and admission controller. The slices of one replicated node hold
+	// copies of one governor, so they share all three.
+	governor
 
 	// store is the persistent storage tier when Options.DataDir is set;
 	// poolMem is the tracker charged with buffer-pool residency (a child of
-	// mem when a MemoryLimit exists). closed guards double-Close across
-	// engine views sharing the store.
+	// mem when a MemoryLimit exists). closed makes Close idempotent.
 	store   *pager.Store
 	poolMem *exec.MemTracker
-	closed  *sync.Once
+	closed  sync.Once
 
 	// epochs tracks per-table write epochs (always present); reuseCache is
 	// the semantic reuse cache when Options.ReuseCache is set (nil
-	// otherwise). Both are shared by WithEngine views.
+	// otherwise). Fingerprints name tables, so both are per catalog.
 	epochs     *reuse.Epochs
 	reuseCache *reuse.Cache
 }
 
-// calibration is the lazily-computed refinement threshold, shared by every
-// engine view of a DB so concurrent first queries calibrate exactly once.
-type calibration struct {
-	once      sync.Once
-	threshold float64
-	err       error
+// governor is what every query of a process is charged against. mem is the
+// process-wide memory tracker (nil when Options.MemoryLimit is 0); every
+// query's tracker is its child. adm is the admission controller (nil when
+// disabled).
+type governor struct {
+	cm  *codemodel.Catalog
+	mem *exec.MemTracker
+	adm *admission
 }
 
-// WithEngine returns a view of the database that plans and executes queries
-// with the given engine. The view shares the catalog, code model and
-// refinement calibration with the receiver; an empty engine name selects
-// EngineVolcano.
-func (db *DB) WithEngine(e Engine) *DB {
-	cp := *db
-	cp.engine = e
-	return &cp
-}
-
-// planEngine maps the statement's effective engine (the per-query override,
-// else the view's) to the compiler's engine switch through the canonical
-// ParseEngine round-trip. Unknown names are rejected rather than silently
-// running on Volcano.
-func (db *DB) planEngine(qo QueryOptions) (Engine, plan.Engine, error) {
-	e := db.engine
-	if qo.Engine != "" {
-		e = qo.Engine
+// newGovernor builds the process-level state Options asks for.
+func newGovernor(opts Options) governor {
+	g := governor{cm: codemodel.NewCatalog(), adm: newAdmission(opts.Admission)}
+	if opts.MemoryLimit > 0 {
+		g.mem = exec.NewMemTracker("process", opts.MemoryLimit, nil)
 	}
+	return g
+}
+
+// planEngine maps the statement's engine (EngineVolcano when unset) to the
+// compiler's engine switch through the canonical ParseEngine round-trip.
+// Unknown names are rejected rather than silently running on Volcano.
+func planEngine(qo QueryOptions) (Engine, plan.Engine, error) {
+	e := qo.Engine
 	if e == "" {
 		e = EngineVolcano
 	}
@@ -349,7 +305,7 @@ func OpenTPCH(scaleFactor float64, opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	db := newDB(opts)
+	db := newDB(opts, newGovernor(opts))
 	db.cat = cat
 	return db, nil
 }
@@ -360,7 +316,9 @@ func OpenTPCH(scaleFactor float64, opts Options) (*DB, error) {
 // to each requested slice index. opts.ShardCount must name the fleet-wide
 // slice count; opts.ShardIndex is ignored in favor of the explicit slice
 // list. Replicated dimension tables are shared by reference across the
-// returned databases — only the sharded tables cost per-slice memory.
+// returned databases — only the sharded tables cost per-slice memory. The
+// databases share one code model, memory tracker and admission controller,
+// so opts.MemoryLimit and opts.Admission bound the node, not each slice.
 func OpenTPCHReplicas(scaleFactor float64, opts Options, slices []int) (map[int]*DB, error) {
 	if opts.DataDir != "" {
 		return nil, fmt.Errorf("bufferdb: replicated slices are incompatible with DataDir (the persistent tier is single-node)")
@@ -375,6 +333,7 @@ func OpenTPCHReplicas(scaleFactor float64, opts Options, slices []int) (map[int]
 	if err != nil {
 		return nil, err
 	}
+	gov := newGovernor(opts)
 	out := make(map[int]*DB, len(slices))
 	for _, idx := range slices {
 		cat, err := shard.Filter(full, shard.DefaultTPCH(), idx, opts.ShardCount)
@@ -383,27 +342,17 @@ func OpenTPCHReplicas(scaleFactor float64, opts Options, slices []int) (map[int]
 		}
 		sliceOpts := opts
 		sliceOpts.ShardIndex = idx
-		db := newDB(sliceOpts)
+		db := newDB(sliceOpts, gov)
 		db.cat = cat
 		out[idx] = db
 	}
 	return out, nil
 }
 
-// newDB builds the engine-side of a database (code model, calibration,
-// governor) without a catalog; callers attach one.
-func newDB(opts Options) *DB {
-	db := &DB{
-		opts:   opts,
-		cm:     codemodel.NewCatalog(),
-		cal:    &calibration{},
-		adm:    newAdmission(opts.Admission),
-		closed: &sync.Once{},
-		epochs: reuse.NewEpochs(),
-	}
-	if opts.MemoryLimit > 0 {
-		db.mem = exec.NewMemTracker("process", opts.MemoryLimit, nil)
-	}
+// newDB builds the engine side of a database over gov without a catalog;
+// callers attach one.
+func newDB(opts Options, gov governor) *DB {
+	db := &DB{opts: opts, governor: gov, epochs: reuse.NewEpochs()}
 	if opts.ReuseCache {
 		maxBytes := opts.ReuseMaxBytes
 		if maxBytes <= 0 {
@@ -499,34 +448,15 @@ func (db *DB) RowCount(table string) (int, error) {
 	return t.NumRows(), nil
 }
 
-// Threshold returns the refinement cardinality threshold, calibrating it on
-// first use when the options left it at zero. Concurrent callers block on a
-// single calibration run and share its result.
-func (db *DB) Threshold() (float64, error) {
-	db.cal.once.Do(func() {
-		if db.opts.CardinalityThreshold > 0 {
-			db.cal.threshold = db.opts.CardinalityThreshold
-			return
-		}
-		res, err := core.CalibrateThreshold(db.cm, cpusim.DefaultConfig(), 4096,
-			[]int{0, 16, 64, 256, 1024, 4096}, db.opts.BufferSize)
-		if err != nil {
-			db.cal.err = err
-			return
-		}
-		db.cal.threshold = res.Threshold
-	})
-	return db.cal.threshold, db.cal.err
-}
-
-// plan builds the (optionally refined) physical plan for a statement.
+// plan builds the physical plan for a statement, refined unless the
+// statement runs WithoutRefinement.
 func (db *DB) plan(query string, qo QueryOptions) (*plan.Node, error) {
-	_, p, err := db.planPair(query, qo, !db.opts.DisableRefinement && !qo.DisableRefinement)
+	_, p, err := db.planPair(query, qo, !qo.DisableRefinement)
 	return p, err
 }
 
-// planPair plans a statement and, when refine is set, refines it with the
-// statement's buffer size (WithBufferSize, else Options.BufferSize); without
+// planPair plans a statement and, when refine is set, refines it at
+// plan.DefaultCardinalityThreshold with the statement's buffer size; without
 // refine both results are the conventional plan. It is the one refinement
 // step Query, Explain and Profile share.
 func (db *DB) planPair(query string, qo QueryOptions, refine bool) (conventional, refined *plan.Node, err error) {
@@ -534,17 +464,9 @@ func (db *DB) planPair(query string, qo QueryOptions, refine bool) (conventional
 	if err != nil || !refine {
 		return p, p, err
 	}
-	threshold, err := db.Threshold()
-	if err != nil {
-		return nil, nil, err
-	}
-	size := qo.BufferSize
-	if size == 0 {
-		size = db.opts.BufferSize
-	}
 	r, _, err := plan.Refine(p, db.cm, plan.RefineOptions{
-		CardinalityThreshold: threshold,
-		BufferSize:           size,
+		CardinalityThreshold: plan.DefaultCardinalityThreshold,
+		BufferSize:           qo.BufferSize,
 	})
 	if err != nil {
 		return nil, nil, err

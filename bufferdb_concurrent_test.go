@@ -32,11 +32,11 @@ func resultKey(res *Result) string {
 }
 
 // TestConcurrentQueries runs ≥8 goroutines of mixed statements against one
-// DB (including engine views) and checks every
+// DB (on all three engines) and checks every
 // answer against the sequential baseline. Run under -race this is the
 // thread-safety acceptance test.
 func TestConcurrentQueries(t *testing.T) {
-	db, err := OpenTPCH(0.002, Options{CardinalityThreshold: 16})
+	db, err := OpenTPCH(0.002, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// The goroutines split evenly over the three engine views.
-			view := db.WithEngine([]Engine{EngineVolcano, EngineVec, EnginePush}[g%3])
+			// The goroutines split evenly over the three engines.
+			engine := WithEngine([]Engine{EngineVolcano, EngineVec, EnginePush}[g%3])
 			for i := 0; i < iters; i++ {
 				qi := (g + i) % len(concurrentQueries)
-				res, err := view.Query(context.Background(), concurrentQueries[qi])
+				res, err := db.Query(context.Background(), concurrentQueries[qi], engine)
 				if err != nil {
 					errc <- fmt.Errorf("goroutine %d query %d: %w", g, qi, err)
 					return
@@ -84,7 +84,7 @@ func TestConcurrentQueries(t *testing.T) {
 // at once: each Profile builds private CPUs and placements, so they must not
 // interfere.
 func TestConcurrentProfile(t *testing.T) {
-	db, err := OpenTPCH(0.001, Options{CardinalityThreshold: 16})
+	db, err := OpenTPCH(0.001, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,36 +118,6 @@ func TestConcurrentProfile(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
-	}
-}
-
-// TestConcurrentCalibration hammers the lazily-calibrated threshold from
-// many goroutines; sync.Once must yield one value for all of them.
-func TestConcurrentCalibration(t *testing.T) {
-	db, err := OpenTPCH(0.001, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 8
-	got := make([]float64, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			th, err := db.WithEngine(EngineVec).Threshold()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[g] = th
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if got[g] != got[0] {
-			t.Fatalf("goroutine %d calibrated %v, goroutine 0 calibrated %v", g, got[g], got[0])
-		}
 	}
 }
 
@@ -260,7 +230,7 @@ func TestSentinelErrors(t *testing.T) {
 	if !errors.Is(err, ErrBadJoinMethod) {
 		t.Errorf("bad join method error = %v, want ErrBadJoinMethod in its chain", err)
 	}
-	if _, err := testDB.WithEngine("turbo").Query(context.Background(), `SELECT COUNT(*) FROM lineitem`); !errors.Is(err, ErrUnknownEngine) {
+	if _, err := testDB.Query(context.Background(), `SELECT COUNT(*) FROM lineitem`, WithEngine("turbo")); !errors.Is(err, ErrUnknownEngine) {
 		t.Errorf("unknown engine error = %v, want ErrUnknownEngine in its chain", err)
 	}
 }

@@ -8,6 +8,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bufferdb/internal/codemodel"
+	"bufferdb/internal/core"
+	"bufferdb/internal/cpusim"
+	"bufferdb/internal/plan"
 )
 
 var testDB = func() *DB {
@@ -68,18 +73,14 @@ func TestWithEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec, err := testDB.WithEngine(EngineVec).Query(context.Background(), q)
+	vec, err := testDB.Query(context.Background(), q, WithEngine(EngineVec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(vec.Rows) != fmt.Sprint(volcano.Rows) {
 		t.Errorf("engines disagree:\n vec:     %v\n volcano: %v", vec.Rows, volcano.Rows)
 	}
-	// WithEngine returns a handle; the receiver keeps its engine.
-	if testDB.engine == EngineVec {
-		t.Error("WithEngine mutated the receiver")
-	}
-	if _, err := testDB.WithEngine(Engine("gpu")).Query(context.Background(), q); err == nil {
+	if _, err := testDB.Query(context.Background(), q, WithEngine(Engine("gpu"))); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
@@ -147,26 +148,18 @@ func TestExplainHonorsBufferSize(t *testing.T) {
 	}
 }
 
+// TestThresholdCalibration pins the served refinement threshold to the
+// paper's §6 calibration on the default simulated CPU: a 4096-row table,
+// the standard cardinality sweep, the default buffer size.
 func TestThresholdCalibration(t *testing.T) {
-	th, err := testDB.Threshold()
+	res, err := core.CalibrateThreshold(codemodel.NewCatalog(), cpusim.DefaultConfig(), 4096,
+		[]int{0, 16, 64, 256, 1024, 4096}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if th <= 0 {
-		t.Errorf("threshold = %v", th)
-	}
-	// Cached on second call.
-	th2, err := testDB.Threshold()
-	if err != nil || th2 != th {
-		t.Errorf("threshold not cached: %v vs %v", th2, th)
-	}
-	// Explicit threshold respected.
-	db, err := OpenTPCH(0.001, Options{CardinalityThreshold: 777})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if th, _ := db.Threshold(); th != 777 {
-		t.Errorf("explicit threshold = %v", th)
+	if res.Threshold != plan.DefaultCardinalityThreshold {
+		t.Fatalf("calibrated threshold = %v, plan.DefaultCardinalityThreshold = %v",
+			res.Threshold, plan.DefaultCardinalityThreshold)
 	}
 }
 
@@ -243,5 +236,31 @@ func TestForcedJoinMethods(t *testing.T) {
 	}
 	if _, err := testDB.Query(context.Background(), q, WithForceJoin("quantum")); err == nil {
 		t.Error("bogus join method accepted")
+	}
+}
+
+// TestForcedJoinsKeepInnerFilter: a predicate on the joined (inner) table
+// holds under every join method — the nest-loop join applies it to the
+// joined row, the merge join's index scan filters by it.
+func TestForcedJoinsKeepInnerFilter(t *testing.T) {
+	for _, q := range []string{
+		`SELECT COUNT(*) FROM orders, customer WHERE o_custkey = c_custkey AND c_mktsegment = 'BUILDING'`,
+		`SELECT l_orderkey, l_linenumber, o_totalprice FROM lineitem, orders
+		 WHERE l_orderkey = o_orderkey AND o_orderdate < DATE '1993-06-01' AND l_quantity > 40
+		 ORDER BY l_orderkey, l_linenumber`,
+	} {
+		hash, err := testDB.Query(context.Background(), q, WithForceJoin("hash"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, method := range []string{"nestloop", "merge"} {
+			res, err := testDB.Query(context.Background(), q, WithForceJoin(method))
+			if err != nil {
+				t.Fatalf("%s: %v", method, err)
+			}
+			if fmt.Sprint(res.Rows) != fmt.Sprint(hash.Rows) {
+				t.Errorf("%s: %d rows differ from hash's %d rows\n%s", method, len(res.Rows), len(hash.Rows), q)
+			}
+		}
 	}
 }

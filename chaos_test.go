@@ -16,12 +16,10 @@ import (
 // the failure-class metrics move, and the very next query is correct.
 
 // chaosDB is a dedicated database with memory tracking live (so
-// TrackedBytes observes every query) and a fixed refinement threshold (so
-// the suite skips calibration).
+// TrackedBytes observes every query).
 var chaosDB = func() *DB {
 	db, err := OpenTPCH(0.002, Options{
-		MemoryLimit:          256 << 20,
-		CardinalityThreshold: 100,
+		MemoryLimit: 256 << 20,
 	})
 	if err != nil {
 		panic(err)
@@ -184,8 +182,7 @@ func TestChaosDeadline(t *testing.T) {
 
 func TestChaosAdmissionControl(t *testing.T) {
 	db, err := OpenTPCH(0.001, Options{
-		CardinalityThreshold: 100,
-		Admission:            AdmissionConfig{MaxConcurrent: 1, MaxQueued: 0},
+		Admission: AdmissionConfig{MaxConcurrent: 1, MaxQueued: 0},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,14 +202,9 @@ func TestChaosAdmissionControl(t *testing.T) {
 	if after := metricRejected(EngineVolcano).Value(); after != before+1 {
 		t.Fatalf("rejected counter moved %d -> %d, want +1", before, after)
 	}
-	// Operational queries bypass admission entirely.
-	if _, err := db.Query(ctx, q, WithoutAdmission()); err != nil {
-		t.Fatalf("WithoutAdmission should bypass a saturated server: %v", err)
-	}
 	// A bounded wait sheds after its timeout rather than immediately.
 	db2, err := OpenTPCH(0.001, Options{
-		CardinalityThreshold: 100,
-		Admission:            AdmissionConfig{MaxConcurrent: 1, MaxQueued: 4, WaitTimeout: 20 * time.Millisecond},
+		Admission: AdmissionConfig{MaxConcurrent: 1, MaxQueued: 4, WaitTimeout: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func main() {
 		sf       = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		query    = flag.String("q", "", "run one query and exit")
 		noRefine = flag.Bool("no-refine", false, "disable buffering plan refinement")
-		engine   = flag.String("engine", "", fmt.Sprintf("execution engine (%s; default: the database's)", strings.Join(bufferdb.EngineNames(), ", ")))
+		engine   = flag.String("engine", "", fmt.Sprintf("execution engine (%s; default: volcano)", strings.Join(bufferdb.EngineNames(), ", ")))
 		analyze  = flag.Bool("analyze", false, "with -q: EXPLAIN ANALYZE — print the per-operator stats table on the simulated CPU instead of rows (with -no-refine: the conventional plan)")
 		metrics  = flag.Bool("metrics", false, "after -q: dump the process metrics registry (Prometheus text format)")
 		connect  = flag.String("connect", "", "address of a bufferdbd daemon; queries run remotely instead of in-process")
@@ -68,29 +68,26 @@ func main() {
 	}
 
 	db, err := bufferdb.OpenTPCH(*sf, bufferdb.Options{
-		DisableRefinement: *noRefine,
-		ReuseCache:        *reuse,
-		ReuseMaxBytes:     *reuseMB,
+		ReuseCache:    *reuse,
+		ReuseMaxBytes: *reuseMB,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	view := &engineView{root: db, cur: db}
+	sh := &shell{db: db, noRefine: *noRefine}
 	if *engine != "" {
-		e, err := bufferdb.ParseEngine(*engine)
-		if err != nil {
+		if sh.engine, err = bufferdb.ParseEngine(*engine); err != nil {
 			fatal(err)
 		}
-		view.set(e)
 	}
 
 	if *query != "" {
 		q := strings.TrimSuffix(strings.TrimSpace(*query), ";")
 		ctx, stop := ints.queryContext()
 		if *analyze {
-			err = runAnalyze(ctx, view.cur, q)
+			err = runAnalyze(ctx, db, q, sh.opts()...)
 		} else {
-			err = runQuery(ctx, view.cur, q)
+			err = runQuery(ctx, db, q, sh.opts()...)
 		}
 		stop()
 		if err != nil {
@@ -108,30 +105,34 @@ func main() {
 	repl(ints, func(q string) error {
 		ctx, stop := ints.queryContext()
 		defer stop()
-		return runQuery(ctx, view.cur, q)
-	}, func(cmd string) bool { return metaCommand(ints, view, cmd) })
+		return runQuery(ctx, db, q, sh.opts()...)
+	}, func(cmd string) bool { return metaCommand(ints, sh, cmd) })
 }
 
-// engineView is the shell's mutable engine selection: cur is the root
-// database (default engine) or a WithEngine view of it, swapped in place by
-// the \engine meta-command.
-type engineView struct {
-	root *bufferdb.DB
-	cur  *bufferdb.DB
-	name bufferdb.Engine // "" until \engine or -engine selects one
+// shell is the embedded shell's session state: the engine \engine or
+// -engine selected ("" until one does) and -no-refine. Both ride on every
+// statement as per-query options.
+type shell struct {
+	db       *bufferdb.DB
+	engine   bufferdb.Engine
+	noRefine bool
 }
 
-func (v *engineView) set(e bufferdb.Engine) {
-	v.name = e
-	v.cur = v.root.WithEngine(e)
+// opts are the per-statement options the session state selects.
+func (sh *shell) opts() []bufferdb.QueryOption {
+	opts := []bufferdb.QueryOption{bufferdb.WithEngine(sh.engine)}
+	if sh.noRefine {
+		opts = append(opts, bufferdb.WithoutRefinement())
+	}
+	return opts
 }
 
-// current names the view's effective engine for display.
-func (v *engineView) current() bufferdb.Engine {
-	if v.name == "" {
+// current names the session's effective engine for display.
+func (sh *shell) current() bufferdb.Engine {
+	if sh.engine == "" {
 		return bufferdb.EngineVolcano
 	}
-	return v.name
+	return sh.engine
 }
 
 // remoteMain is the -connect entry point: the shell (or -q) drives a
@@ -291,8 +292,8 @@ func (in *interrupts) queryContext() (context.Context, func()) {
 }
 
 // metaCommand handles backslash commands; returns true to quit.
-func metaCommand(ints *interrupts, view *engineView, cmd string) bool {
-	db := view.cur
+func metaCommand(ints *interrupts, sh *shell, cmd string) bool {
+	db := sh.db
 	switch {
 	case cmd == "\\q" || cmd == "\\quit":
 		return true
@@ -302,14 +303,14 @@ func metaCommand(ints *interrupts, view *engineView, cmd string) bool {
 			fmt.Printf("  %-12s %10d rows\n", t, n)
 		}
 	case cmd == "\\engine":
-		fmt.Printf("engine: %s (available: %s)\n", view.current(), strings.Join(bufferdb.EngineNames(), ", "))
+		fmt.Printf("engine: %s (available: %s)\n", sh.current(), strings.Join(bufferdb.EngineNames(), ", "))
 	case strings.HasPrefix(cmd, "\\engine "):
 		e, err := bufferdb.ParseEngine(strings.TrimSpace(strings.TrimPrefix(cmd, "\\engine ")))
 		if err != nil {
 			fmt.Println("error:", err)
 			break
 		}
-		view.set(e)
+		sh.engine = e
 		fmt.Printf("engine set to %s\n", e)
 	case strings.HasPrefix(cmd, "\\explain "):
 		orig, refined, err := db.Explain(strings.TrimPrefix(cmd, "\\explain "))
@@ -323,13 +324,13 @@ func metaCommand(ints *interrupts, view *engineView, cmd string) bool {
 		fmt.Print(refined)
 	case strings.HasPrefix(cmd, "\\analyze "):
 		ctx, stop := ints.queryContext()
-		err := runAnalyze(ctx, db, strings.TrimPrefix(cmd, "\\analyze "))
+		err := runAnalyze(ctx, db, strings.TrimPrefix(cmd, "\\analyze "), sh.opts()...)
 		stop()
 		if err != nil {
 			fmt.Println("error:", err)
 		}
 	case cmd == "\\cache":
-		printReuseStats(view.root)
+		printReuseStats(db)
 	case strings.HasPrefix(cmd, "\\profile "):
 		prof, err := db.Profile(strings.TrimPrefix(cmd, "\\profile "))
 		if err != nil {

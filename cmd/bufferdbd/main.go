@@ -121,7 +121,6 @@ func main() {
 		httpAddr  = flag.String("http", "", "sidecar HTTP listen address for /metrics, /healthz, /readyz (empty = no sidecar)")
 		scale     = flag.Float64("scale", 0.01, "TPC-H scale factor")
 		seed      = flag.Uint64("seed", 0, "TPC-H generation seed (0 = default)")
-		noRefine  = flag.Bool("no-refine", false, "disable buffering plan refinement")
 		memLimit  = flag.Int64("memory-limit", 0, "process-wide tracked-memory cap in bytes (0 = unlimited)")
 		maxConc   = flag.Int("max-concurrent", 0, "admission: max concurrently executing queries (0 = unlimited)")
 		maxQueued = flag.Int("max-queued", 0, "admission: max queries queued for a slot")
@@ -156,15 +155,14 @@ func main() {
 		})
 	} else {
 		m = dataNodeMode(logger, *scale, *repl, bufferdb.Options{
-			Seed:              *seed,
-			DisableRefinement: *noRefine,
-			MemoryLimit:       *memLimit,
-			DataDir:           *dataDir,
-			PoolBytes:         *poolBytes,
-			ShardIndex:        *shardIdx,
-			ShardCount:        *shardCnt,
-			ReuseCache:        *reuse,
-			ReuseMaxBytes:     *reuseMB,
+			Seed:          *seed,
+			MemoryLimit:   *memLimit,
+			DataDir:       *dataDir,
+			PoolBytes:     *poolBytes,
+			ShardIndex:    *shardIdx,
+			ShardCount:    *shardCnt,
+			ReuseCache:    *reuse,
+			ReuseMaxBytes: *reuseMB,
 			Admission: bufferdb.AdmissionConfig{
 				MaxConcurrent: *maxConc,
 				MaxQueued:     *maxQueued,
@@ -227,8 +225,10 @@ func dataNodeMode(logger *log.Logger, scale float64, replication int, opts buffe
 		closers = append(closers, sdb.Close)
 	}
 	return mode{
-		cfg:     server.Config{DB: db, Slices: slices, Info: fmt.Sprintf("bufferdbd sf=%g", scale)},
-		health:  func() (string, string) { return "pass", "" },
+		cfg:    server.Config{DB: db, Slices: slices, Info: fmt.Sprintf("bufferdbd sf=%g", scale)},
+		health: func() (string, string) { return "pass", "" },
+		// The hosted slices share one memory tracker, so the primary's
+		// count is the node's.
 		tracked: db.TrackedBytes,
 		closers: closers,
 	}

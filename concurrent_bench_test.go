@@ -13,7 +13,7 @@ import (
 // concurrency-first redesign. Each op is one full Query (plan, refine,
 // execute, materialize) of a mixed statement.
 func BenchmarkConcurrentThroughput(b *testing.B) {
-	db, err := OpenTPCH(0.002, Options{CardinalityThreshold: 16})
+	db, err := OpenTPCH(0.002, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

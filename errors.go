@@ -16,8 +16,8 @@ var (
 	// ErrUnknownTable is wrapped by catalog lookups for a missing table
 	// (RowCount, or a query referencing one).
 	ErrUnknownTable = storage.ErrUnknownTable
-	// ErrUnknownEngine is wrapped when a WithEngine view names an engine
-	// that does not exist.
+	// ErrUnknownEngine is wrapped when WithEngine (or ParseEngine) names an
+	// engine that does not exist.
 	ErrUnknownEngine = errors.New("unknown engine")
 	// ErrBadJoinMethod is wrapped when QueryOptions.ForceJoin is not one of
 	// "", "hash", "nestloop", "merge". It is detected at plan time, before
@@ -39,9 +39,9 @@ var (
 	// ErrMemoryBudgetExceeded is wrapped when a query's tracked allocations
 	// overrun its WithMemoryBudget value or the database's MemoryLimit.
 	ErrMemoryBudgetExceeded = exec.ErrMemoryBudgetExceeded
-	// ErrDeadlineExceeded is wrapped when a query's WithTimeout/WithDeadline
-	// clock (or the caller's context deadline) expires mid-execution. The
-	// chain also carries context.DeadlineExceeded.
+	// ErrDeadlineExceeded is wrapped when a query's WithTimeout clock (or
+	// the caller's context deadline) expires mid-execution. The chain also
+	// carries context.DeadlineExceeded.
 	ErrDeadlineExceeded = exec.ErrDeadlineExceeded
 	// ErrServerBusy is wrapped when admission control sheds a query: the
 	// wait queue is full, or no execution slot freed within the wait

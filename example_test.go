@@ -36,7 +36,7 @@ func Example() {
 // ExampleDB_Explain shows the refinement pass inserting a buffer operator
 // into the paper's Query 1 plan.
 func ExampleDB_Explain() {
-	db, err := bufferdb.OpenTPCH(0.002, bufferdb.Options{CardinalityThreshold: 100})
+	db, err := bufferdb.OpenTPCH(0.002, bufferdb.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,12 +19,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	threshold, err := db.Threshold()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("calibrated cardinality threshold: %.0f rows\n", threshold)
-	fmt.Println("(buffers are only inserted above groups producing more rows than this)")
+	// Refinement only buffers groups whose output exceeds the calibrated
+	// cardinality threshold (16 rows on the simulated CPU; go run
+	// ./cmd/calibrate reruns the calibration).
 
 	// Selectivity sweep: tighter shipdate cutoffs make the scan's output
 	// smaller, shrinking — then erasing — buffering's benefit (§7.3).

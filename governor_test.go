@@ -243,3 +243,51 @@ func BenchmarkGovernorOverhead(b *testing.B) {
 		})
 	}
 }
+
+// replicaNode opens slices 0 and 2 of a three-slice fleet, as the node
+// hosting slice 0 at replication 2 does.
+func replicaNode(t *testing.T, opts Options) (a, b *DB) {
+	t.Helper()
+	opts.ShardCount = 3
+	dbs, err := OpenTPCHReplicas(0.001, opts, []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dbs[0], dbs[2]
+}
+
+// TestReplicaSlicesShareMemoryLimit: a replicated node's MemoryLimit bounds
+// the process, so what one slice holds is unavailable to the other.
+func TestReplicaSlicesShareMemoryLimit(t *testing.T) {
+	const limit = 1 << 20
+	a, b := replicaNode(t, Options{MemoryLimit: limit})
+	release, err := a.ReserveMemory("test", limit-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if _, err := b.ReserveMemory("test", 2); !errors.Is(err, ErrMemoryBudgetExceeded) {
+		t.Fatalf("second slice reserved past the node's limit: %v", err)
+	}
+	if got := b.TrackedBytes(); got != limit-1 {
+		t.Fatalf("second slice sees %d tracked bytes, want the node's %d", got, limit-1)
+	}
+}
+
+// TestReplicaSlicesShareAdmission: a replicated node's MaxConcurrent bounds
+// the process, so an open stream on one slice sheds a query on the other.
+func TestReplicaSlicesShareAdmission(t *testing.T) {
+	a, b := replicaNode(t, Options{Admission: AdmissionConfig{MaxConcurrent: 1}})
+	rows, err := a.QueryStream(context.Background(), streamQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if _, err := b.Query(context.Background(), `SELECT COUNT(*) FROM nation`); !errors.Is(err, ErrServerBusy) {
+		t.Fatalf("second slice ran past the node's admission bound: %v", err)
+	}
+	rows.Close()
+	if _, err := b.Query(context.Background(), `SELECT COUNT(*) FROM nation`); err != nil {
+		t.Fatalf("query after the stream closed: %v", err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bufferdb/internal/exec"
+	"bufferdb/internal/exec/exectest"
 	"bufferdb/internal/plan"
 	"bufferdb/internal/sql"
 )
@@ -81,7 +82,7 @@ func TestPushPipelineConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exec.Conformance(t, "push/"+c.name, func() exec.Operator {
+			exectest.Conformance(t, "push/"+c.name, func() exec.Operator {
 				op, err := plan.Compile(p, nil, plan.EnginePush)
 				if err != nil {
 					t.Fatalf("Compile: %v", err)

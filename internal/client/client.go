@@ -27,46 +27,18 @@ type Config struct {
 	// MaxConns caps the pooled connections (and therefore the queries this
 	// client runs concurrently). 0 = 4.
 	MaxConns int
-	// DialTimeout bounds each TCP dial + handshake. 0 = 5s.
-	DialTimeout time.Duration
-	// BusyRetries is how many times a query shed with ErrServerBusy is
-	// retried before the error surfaces. 0 = 3; negative disables retry.
-	BusyRetries int
-	// RetryBackoff is the initial backoff before the first busy retry; it
-	// doubles per attempt up to MaxBackoff. 0 = 10ms.
-	RetryBackoff time.Duration
-	// MaxBackoff caps the doubling retry backoff so a generous retry count
-	// cannot grow the sleep without bound. 0 = 2s; negative disables the
-	// cap (legacy unbounded doubling).
-	MaxBackoff time.Duration
-	// MaxRetries is an absolute ceiling on retry attempts per query,
-	// whatever BusyRetries asks for, bounding the worst-case time a caller
-	// can spend inside the retry loop. 0 = 8; negative disables retries
-	// entirely.
-	MaxRetries int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxConns <= 0 {
-		c.MaxConns = 4
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.BusyRetries == 0 {
-		c.BusyRetries = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 10 * time.Millisecond
-	}
-	if c.MaxBackoff == 0 {
-		c.MaxBackoff = 2 * time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 8
-	}
-	return c
-}
+// The connection and retry constants every client uses.
+const (
+	// dialTimeout bounds each TCP dial + handshake.
+	dialTimeout = 5 * time.Second
+	// busyRetries is how many times a query shed with ErrServerBusy is
+	// retried before the error surfaces; the first retry waits
+	// retryBackoff and each later one twice the one before.
+	busyRetries  = 3
+	retryBackoff = 10 * time.Millisecond
+)
 
 // ErrClosed is returned for operations on a closed Client.
 var ErrClosed = errors.New("client: closed")
@@ -191,7 +163,6 @@ func BuildOpts(opts ...Option) wire.QueryOpts {
 // each in-flight query occupies one pooled connection.
 type Client struct {
 	addr string
-	cfg  Config
 
 	// sem bounds total live connections: acquire a token, then reuse an
 	// idle connection or dial.
@@ -209,8 +180,10 @@ type Client struct {
 // Dial connects to a bufferdbd at addr, performing one handshake eagerly
 // so misconfiguration fails fast.
 func Dial(addr string, cfg Config) (*Client, error) {
-	c := &Client{addr: addr, cfg: cfg.withDefaults()}
-	c.sem = make(chan struct{}, c.cfg.MaxConns)
+	if cfg.MaxConns <= 0 {
+		cfg.MaxConns = 4
+	}
+	c := &Client{addr: addr, sem: make(chan struct{}, cfg.MaxConns)}
 	cn, err := c.dial()
 	if err != nil {
 		return nil, err
@@ -248,12 +221,12 @@ func (c *Client) Close() error {
 
 // dial opens and handshakes one connection.
 func (c *Client) dial() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	cn := &conn{c: nc, br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 32<<10), stmts: map[string]uint64{}}
-	_ = nc.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
+	_ = nc.SetDeadline(time.Now().Add(dialTimeout))
 	info, err := cn.handshake()
 	_ = nc.SetDeadline(time.Time{})
 	if err != nil {
@@ -317,8 +290,8 @@ func (c *Client) release(cn *conn) {
 
 // Query sends a statement and returns a streaming cursor. The context
 // cancels the query server-side (a Cancel frame) as well as client-side.
-// Queries shed by admission control retry with exponential backoff up to
-// Config.BusyRetries times before the busy error surfaces.
+// Queries shed by admission control retry with doubling backoff up to
+// three times before the busy error surfaces.
 func (c *Client) Query(ctx context.Context, sql string, opts ...Option) (*Rows, error) {
 	o := BuildOpts(opts...)
 	return c.withBusyRetry(ctx, func() (*Rows, error) {
@@ -361,18 +334,13 @@ func collect(rows *Rows) (*Result, error) {
 	return res, rows.Close()
 }
 
-// withBusyRetry runs attempt, retrying (with doubling backoff, capped at
-// MaxBackoff) while the error wraps ErrServerBusy and the retry budget —
-// the smaller of BusyRetries and MaxRetries — lasts.
+// withBusyRetry runs attempt, retrying with doubling backoff while the
+// error wraps ErrServerBusy, at most busyRetries times.
 func (c *Client) withBusyRetry(ctx context.Context, attempt func() (*Rows, error)) (*Rows, error) {
-	budget := c.cfg.BusyRetries
-	if c.cfg.MaxRetries < budget {
-		budget = c.cfg.MaxRetries
-	}
-	backoff := c.cfg.RetryBackoff
+	backoff := retryBackoff
 	for try := 0; ; try++ {
 		rows, err := attempt()
-		if err == nil || try >= budget || !errors.Is(err, bufferdb.ErrServerBusy) {
+		if err == nil || try >= busyRetries || !errors.Is(err, bufferdb.ErrServerBusy) {
 			return rows, err
 		}
 		t := time.NewTimer(backoff)
@@ -382,9 +350,7 @@ func (c *Client) withBusyRetry(ctx context.Context, attempt func() (*Rows, error
 			t.Stop()
 			return nil, fmt.Errorf("client: canceled during busy backoff: %w", ctx.Err())
 		}
-		if backoff *= 2; c.cfg.MaxBackoff > 0 && backoff > c.cfg.MaxBackoff {
-			backoff = c.cfg.MaxBackoff
-		}
+		backoff *= 2
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"bufferdb/internal/codemodel"
 	"bufferdb/internal/cpusim"
 	"bufferdb/internal/exec"
+	"bufferdb/internal/exec/exectest"
 	"bufferdb/internal/expr"
 	"bufferdb/internal/storage"
 	"bufferdb/internal/tpch"
@@ -323,10 +324,10 @@ func TestBufferCloseReleasesArray(t *testing.T) {
 // both buffer variants.
 func TestBufferConformance(t *testing.T) {
 	li := lineitem(t)
-	exec.Conformance(t, "Buffer", func() exec.Operator {
+	exectest.Conformance(t, "Buffer", func() exec.Operator {
 		return NewBuffer(exec.NewSeqScan(li, nil, nil), 64, nil)
 	})
-	exec.Conformance(t, "CopyBuffer", func() exec.Operator {
+	exectest.Conformance(t, "CopyBuffer", func() exec.Operator {
 		return NewCopyBuffer(exec.NewSeqScan(li, nil, nil), 64, nil)
 	})
 }

@@ -452,7 +452,7 @@ func TestErrorCodesOverWire(t *testing.T) {
 	}
 
 	_, addr := serveBackend(t, server.Config{Backend: backend})
-	cl, err := client.Dial(addr, client.Config{BusyRetries: -1})
+	cl, err := client.Dial(addr, client.Config{})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

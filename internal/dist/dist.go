@@ -46,19 +46,9 @@ import (
 // Config configures a Coordinator. Shards is the only required field.
 type Config struct {
 	// Shards lists the bufferdbd shard addresses, in shard-index order:
-	// Shards[i] must hold slice i-of-len(Shards) under Map.
+	// Shards[i] must hold slice i-of-len(Shards) under shard.DefaultTPCH().
+	// The coordinator plans against tpch.SchemaCatalog().
 	Shards []string
-
-	// Map is the sharding layout; nil selects shard.DefaultTPCH().
-	Map shard.Map
-
-	// Catalog holds the table schemas (no rows needed) the coordinator
-	// plans against; nil selects tpch.SchemaCatalog().
-	Catalog *storage.Catalog
-
-	// Client configures the per-shard connection pools (busy retries,
-	// backoff, dial timeout).
-	Client client.Config
 
 	// MemoryLimit caps the coordinator-side tracked allocations of all
 	// concurrently merging queries (exchange queues, final aggregates and
@@ -104,25 +94,19 @@ func Open(cfg Config) (*Coordinator, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("dist: Config.Shards is required")
 	}
-	if cfg.Map == nil {
-		cfg.Map = shard.DefaultTPCH()
-	}
-	if cfg.Catalog == nil {
-		cfg.Catalog = tpch.SchemaCatalog()
-	}
 	threshold := cfg.BreakerThreshold
 	if threshold == 0 {
 		threshold = 3
 	}
 	c := &Coordinator{
 		cfg:  cfg,
-		cat:  cfg.Catalog,
-		smap: cfg.Map,
+		cat:  tpch.SchemaCatalog(),
+		smap: shard.DefaultTPCH(),
 		mem:  exec.NewMemTracker("coordinator", cfg.MemoryLimit, nil),
 		rf:   shard.ClampRF(cfg.Replication, len(cfg.Shards)),
 	}
 	for i, addr := range cfg.Shards {
-		cl, err := client.Dial(addr, cfg.Client)
+		cl, err := client.Dial(addr, client.Config{})
 		if err != nil {
 			c.Close()
 			return nil, &ShardError{Shard: i, Addr: addr, Err: err}

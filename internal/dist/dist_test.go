@@ -38,10 +38,9 @@ type shardFleet struct {
 func startShard(t testing.TB, idx, n int, sf float64, hook func(string) *bufferdb.FaultInjector) (*server.Server, string) {
 	t.Helper()
 	db, err := bufferdb.OpenTPCH(sf, bufferdb.Options{
-		ShardIndex:           idx,
-		ShardCount:           n,
-		CardinalityThreshold: 100,
-		MemoryLimit:          256 << 20,
+		ShardIndex:  idx,
+		ShardCount:  n,
+		MemoryLimit: 256 << 20,
 	})
 	if err != nil {
 		t.Fatalf("OpenTPCH shard %d/%d: %v", idx, n, err)
@@ -98,10 +97,7 @@ func startFleetSF(t testing.TB, n int, sf float64, cfg dist.Config) *shardFleet 
 // singleNode opens the unsharded reference database over the same seed.
 func singleNode(t testing.TB) *bufferdb.DB {
 	t.Helper()
-	db, err := bufferdb.OpenTPCH(testSF, bufferdb.Options{
-		CardinalityThreshold: 100,
-		MemoryLimit:          256 << 20,
-	})
+	db, err := bufferdb.OpenTPCH(testSF, bufferdb.Options{MemoryLimit: 256 << 20})
 	if err != nil {
 		t.Fatalf("OpenTPCH: %v", err)
 	}
@@ -711,9 +707,7 @@ func TestDistChaosShardKill(t *testing.T) {
 // TestDistDeadShardAtOpen checks a shard that is down before the query
 // starts fails the scatter with the same typed error.
 func TestDistDeadShardAtOpen(t *testing.T) {
-	fleet := startFleet(t, 2, dist.Config{
-		Client: client.Config{DialTimeout: time.Second, BusyRetries: 0},
-	})
+	fleet := startFleet(t, 2, dist.Config{})
 	killed, cancel := context.WithCancel(context.Background())
 	cancel()
 	_ = fleet.servers[0].Shutdown(killed)

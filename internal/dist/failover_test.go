@@ -25,9 +25,8 @@ import (
 func startReplicaNode(t testing.TB, node, n, rf int, listen string, hook func(string) *bufferdb.FaultInjector) (*server.Server, string) {
 	t.Helper()
 	dbs, err := bufferdb.OpenTPCHReplicas(testSF, bufferdb.Options{
-		ShardCount:           n,
-		CardinalityThreshold: 100,
-		MemoryLimit:          256 << 20,
+		ShardCount:  n,
+		MemoryLimit: 256 << 20,
 	}, shard.Slices(node, n, rf))
 	if err != nil {
 		t.Fatalf("OpenTPCHReplicas node %d (%d/%d): %v", node, n, rf, err)
@@ -271,7 +270,6 @@ func TestChaosFailoverAllReplicasDown(t *testing.T) {
 	fleet := startReplicaFleet(t, 3, 2, dist.Config{
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour,
-		Client:           client.Config{DialTimeout: time.Second, BusyRetries: -1},
 	}, nil)
 	baseline := runtime.NumGoroutine()
 
@@ -314,7 +312,6 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	fleet := startReplicaFleet(t, 2, 2, dist.Config{
 		BreakerThreshold: 1,
 		BreakerCooldown:  200 * time.Millisecond,
-		Client:           client.Config{DialTimeout: time.Second, BusyRetries: -1},
 	}, nil)
 	q := `SELECT COUNT(*) FROM lineitem`
 

@@ -1,93 +1,95 @@
-package exec
+package exec_test
 
 import (
 	"testing"
 
+	"bufferdb/internal/exec"
+	"bufferdb/internal/exec/exectest"
 	"bufferdb/internal/expr"
 )
 
 // TestOperatorConformance runs the lifecycle conformance harness over every
 // operator in the package.
 func TestOperatorConformance(t *testing.T) {
-	li := tbl(t, "lineitem")
-	orders := tbl(t, "orders")
+	li := exec.Tbl(t, "lineitem")
+	orders := exec.Tbl(t, "orders")
 	liSch := li.Schema()
 	oSch := orders.Schema()
-	liKey := func() expr.Expr { return colRef(t, liSch, "l_orderkey") }
-	oKey := func() expr.Expr { return colRef(t, oSch, "o_orderkey") }
+	liKey := func() expr.Expr { return exec.ColRefOf(t, liSch, "l_orderkey") }
+	oKey := func() expr.Expr { return exec.ColRefOf(t, oSch, "o_orderkey") }
 	countStar := []expr.AggSpec{{Func: expr.AggCountStar}}
 
-	cases := map[string]func() Operator{
-		"SeqScan": func() Operator { return NewSeqScan(li, nil, nil) },
-		"SeqScanPred": func() Operator {
-			return NewSeqScan(li, shipdateFilter(t, liSch, "1995-06-17"), nil)
+	cases := map[string]func() exec.Operator{
+		"SeqScan": func() exec.Operator { return exec.NewSeqScan(li, nil, nil) },
+		"SeqScanPred": func() exec.Operator {
+			return exec.NewSeqScan(li, exec.ShipdateFilter(t, liSch, "1995-06-17"), nil)
 		},
-		"IndexLookup": func() Operator {
-			lu, err := NewIndexLookup(orders, orders.IndexOn("o_orderkey"), nil)
+		"IndexLookup": func() exec.Operator {
+			lu, err := exec.NewIndexLookup(orders, orders.IndexOn("o_orderkey"), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return lu
 		},
-		"IndexFullScan": func() Operator {
-			s, err := NewIndexFullScan(orders, orders.IndexOn("o_orderkey"), nil, nil)
+		"IndexFullScan": func() exec.Operator {
+			s, err := exec.NewIndexFullScan(orders, orders.IndexOn("o_orderkey"), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
 		},
-		"NestLoopJoin": func() Operator {
-			inner, err := NewIndexLookup(orders, orders.IndexOn("o_orderkey"), nil)
+		"NestLoopJoin": func() exec.Operator {
+			inner, err := exec.NewIndexLookup(orders, orders.IndexOn("o_orderkey"), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewNestLoopJoin(NewSeqScan(li, nil, nil), inner, liKey(), nil, nil)
+			return exec.NewNestLoopJoin(exec.NewSeqScan(li, nil, nil), inner, liKey(), nil, nil)
 		},
-		"HashJoin": func() Operator {
-			return NewHashJoin(NewSeqScan(li, nil, nil), NewSeqScan(orders, nil, nil),
+		"HashJoin": func() exec.Operator {
+			return exec.NewHashJoin(exec.NewSeqScan(li, nil, nil), exec.NewSeqScan(orders, nil, nil),
 				liKey(), oKey(), nil, nil)
 		},
-		"MergeJoin": func() Operator {
-			sorted := NewSort(NewSeqScan(li, nil, nil), []SortKey{{Expr: liKey()}}, nil)
-			oscan, err := NewIndexFullScan(orders, orders.IndexOn("o_orderkey"), nil, nil)
+		"MergeJoin": func() exec.Operator {
+			sorted := exec.NewSort(exec.NewSeqScan(li, nil, nil), []exec.SortKey{{Expr: liKey()}}, nil)
+			oscan, err := exec.NewIndexFullScan(orders, orders.IndexOn("o_orderkey"), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewMergeJoin(sorted, oscan, liKey(), oKey(), nil)
+			return exec.NewMergeJoin(sorted, oscan, liKey(), oKey(), nil)
 		},
-		"Sort": func() Operator {
-			return NewSort(NewSeqScan(li, nil, nil), []SortKey{{Expr: liKey(), Desc: true}}, nil)
+		"Sort": func() exec.Operator {
+			return exec.NewSort(exec.NewSeqScan(li, nil, nil), []exec.SortKey{{Expr: liKey(), Desc: true}}, nil)
 		},
-		"Aggregate": func() Operator {
-			a, err := NewAggregate(NewSeqScan(li, nil, nil), nil, countStar, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
-		},
-		"AggregateGrouped": func() Operator {
-			a, err := NewAggregate(NewSeqScan(li, nil, nil),
-				[]expr.Expr{colRef(t, liSch, "l_returnflag")}, countStar, nil)
+		"Aggregate": func() exec.Operator {
+			a, err := exec.NewAggregate(exec.NewSeqScan(li, nil, nil), nil, countStar, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return a
 		},
-		"Material": func() Operator { return NewMaterial(NewSeqScan(orders, nil, nil), nil) },
-		"Limit":    func() Operator { return NewLimit(NewSeqScan(li, nil, nil), 10) },
-		"Filter": func() Operator {
-			return NewFilter(NewSeqScan(li, nil, nil), shipdateFilter(t, liSch, "1995-06-17"), nil)
+		"AggregateGrouped": func() exec.Operator {
+			a, err := exec.NewAggregate(exec.NewSeqScan(li, nil, nil),
+				[]expr.Expr{exec.ColRefOf(t, liSch, "l_returnflag")}, countStar, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
 		},
-		"Project": func() Operator {
-			p, err := NewProject(NewSeqScan(li, nil, nil),
+		"Material": func() exec.Operator { return exec.NewMaterial(exec.NewSeqScan(orders, nil, nil), nil) },
+		"Limit":    func() exec.Operator { return exec.NewLimit(exec.NewSeqScan(li, nil, nil), 10) },
+		"Filter": func() exec.Operator {
+			return exec.NewFilter(exec.NewSeqScan(li, nil, nil), exec.ShipdateFilter(t, liSch, "1995-06-17"), nil)
+		},
+		"Project": func() exec.Operator {
+			p, err := exec.NewProject(exec.NewSeqScan(li, nil, nil),
 				[]expr.Expr{liKey()}, []string{"l_orderkey"}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p
 		},
-		"Values": func() Operator {
-			vals := NewValues(liSch, nil)
+		"Values": func() exec.Operator {
+			vals := exec.NewValues(liSch, nil)
 			for rid := 0; rid < 5; rid++ {
 				vals.Rows = append(vals.Rows, li.Row(rid))
 			}
@@ -95,6 +97,16 @@ func TestOperatorConformance(t *testing.T) {
 		},
 	}
 	for name, mk := range cases {
-		t.Run(name, func(t *testing.T) { Conformance(t, name, mk) })
+		t.Run(name, func(t *testing.T) { exectest.Conformance(t, name, mk) })
 	}
+}
+
+func TestExchangeConformance(t *testing.T) {
+	exectest.Conformance(t, "Exchange", func() exec.Operator {
+		ex, err := exec.NewExchange(exec.Partitions(t, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex
+	})
 }

@@ -54,16 +54,6 @@ func TestExchangeGathersInPartitionOrder(t *testing.T) {
 	}
 }
 
-func TestExchangeConformance(t *testing.T) {
-	Conformance(t, "Exchange", func() Operator {
-		ex, err := NewExchange(partitions(t, 3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ex
-	})
-}
-
 func TestExchangeEmptyPartitions(t *testing.T) {
 	if _, err := NewExchange(nil); err == nil {
 		t.Error("NewExchange with no partitions succeeded")

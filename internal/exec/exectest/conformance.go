@@ -1,10 +1,14 @@
-package exec
+// Package exectest holds the operator lifecycle checks every engine's
+// tests run. Only tests import it, so no command links "testing".
+package exectest
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"testing"
+
+	"bufferdb/internal/exec"
 )
 
 // Conformance checks an operator against the open-next-close lifecycle
@@ -22,10 +26,10 @@ import (
 //     its row count and never hangs
 //
 // mk must construct a fresh operator tree over the same input each call;
-// the harness drives each instance uninstrumented. It is exported (rather
-// than living in a _test file) so internal/core and internal/vec run the
-// same checks over buffers, batch operators and adapters.
-func Conformance(t testing.TB, name string, mk func() Operator) {
+// the harness drives each instance uninstrumented. internal/exec,
+// internal/core, internal/vec, internal/push and internal/bench run the same
+// checks over operators, buffers, batch operators, adapters and pipelines.
+func Conformance(t testing.TB, name string, mk func() exec.Operator) {
 	t.Helper()
 
 	baseline, err := drain(mk())
@@ -35,7 +39,7 @@ func Conformance(t testing.TB, name string, mk func() Operator) {
 
 	// Open-twice: a second Open must reset, not corrupt, state.
 	op := mk()
-	ctx := &Context{}
+	ctx := &exec.Context{}
 	if err := op.Open(ctx); err != nil {
 		t.Fatalf("%s: first Open: %v", name, err)
 	}
@@ -52,7 +56,7 @@ func Conformance(t testing.TB, name string, mk func() Operator) {
 
 	// Next-after-Close must error.
 	op = mk()
-	ctx = &Context{}
+	ctx = &exec.Context{}
 	if err := op.Open(ctx); err != nil {
 		t.Fatalf("%s: Open: %v", name, err)
 	}
@@ -81,7 +85,7 @@ func Conformance(t testing.TB, name string, mk func() Operator) {
 	// operator reopenable with the full result intact — the contract the
 	// facade's Rows.Close relies on.
 	op = mk()
-	ctx = &Context{}
+	ctx = &exec.Context{}
 	if err := op.Open(ctx); err != nil {
 		t.Fatalf("%s: Open before early Close: %v", name, err)
 	}
@@ -107,7 +111,7 @@ func Conformance(t testing.TB, name string, mk func() Operator) {
 	// within its row count and an error, if any, must wrap the context's.
 	op = mk()
 	cctx, cancel := context.WithCancel(context.Background())
-	ctx = &Context{Ctx: cctx}
+	ctx = &exec.Context{Ctx: cctx}
 	if err := op.Open(ctx); err != nil {
 		t.Fatalf("%s: Open with context: %v", name, err)
 	}
@@ -141,16 +145,16 @@ func Conformance(t testing.TB, name string, mk func() Operator) {
 }
 
 // openFresh opens op, panicking on error (callers just checked Close).
-func openFresh(ctx *Context, op Operator) Operator {
+func openFresh(ctx *exec.Context, op exec.Operator) exec.Operator {
 	if err := op.Open(ctx); err != nil {
-		panic(fmt.Sprintf("exec: conformance reopen: %v", err))
+		panic(fmt.Sprintf("exectest: conformance reopen: %v", err))
 	}
 	return op
 }
 
 // drain runs a fresh operator to completion and returns its row count.
-func drain(op Operator) (int, error) {
-	ctx := &Context{}
+func drain(op exec.Operator) (int, error) {
+	ctx := &exec.Context{}
 	if err := op.Open(ctx); err != nil {
 		return 0, err
 	}
@@ -158,7 +162,7 @@ func drain(op Operator) (int, error) {
 }
 
 // drainOpened pulls an already-open operator dry and closes it.
-func drainOpened(ctx *Context, op Operator) (int, error) {
+func drainOpened(ctx *exec.Context, op exec.Operator) (int, error) {
 	n := 0
 	for {
 		row, err := op.Next(ctx)

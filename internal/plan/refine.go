@@ -27,6 +27,13 @@ type RefineOptions struct {
 // DefaultL1IBytes matches the simulated machine and the paper's estimate.
 const DefaultL1IBytes = 16 * 1024
 
+// DefaultCardinalityThreshold is the refinement cutoff every served query
+// uses: the paper's §6 calibration (core.CalibrateThreshold) run once for
+// the default simulated CPU over cardinalities 0, 16, 64, 256, 1024 and
+// 4096 with 4096-row inputs and the default buffer size. The calibration
+// is deterministic, so its answer is a constant; a facade test pins it.
+const DefaultCardinalityThreshold = 16
+
 // Refine runs the paper's plan refinement algorithm over a physical plan
 // and returns an equivalent plan with buffer operators inserted where they
 // pay off, plus the grouping decisions for EXPLAIN-style reporting.

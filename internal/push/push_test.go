@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bufferdb/internal/exec"
+	"bufferdb/internal/exec/exectest"
 	"bufferdb/internal/expr"
 	"bufferdb/internal/storage"
 	"bufferdb/internal/tpch"
@@ -114,7 +115,7 @@ func TestBuilderMisuse(t *testing.T) {
 }
 
 func TestPipelineConformance(t *testing.T) {
-	exec.Conformance(t, "Push(scan→probe→aggregate)", func() exec.Operator {
+	exectest.Conformance(t, "Push(scan→probe→aggregate)", func() exec.Operator {
 		pl, _, _ := joinCount(t)
 		return pl
 	})

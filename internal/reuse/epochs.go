@@ -20,8 +20,7 @@ import "sync"
 
 // Epochs tracks one monotonically increasing write epoch per table. The
 // zero epoch is "never written". A DB owns exactly one Epochs instance,
-// shared by every engine view, the reuse cache and the server result
-// cache.
+// shared by its reuse cache and the server result cache.
 type Epochs struct {
 	mu sync.Mutex
 	m  map[string]uint64

@@ -157,7 +157,7 @@ func TestChaosOverWireBusyAndOOM(t *testing.T) {
 		Admission: bufferdb.AdmissionConfig{MaxConcurrent: 1, MaxQueued: 0},
 	})
 	_, addr2 := startServer(t, server.Config{DB: db2, FaultHook: slowHook, BatchRows: 32})
-	c2 := dial(t, addr2, client.Config{MaxConns: 2, BusyRetries: -1})
+	c2 := dial(t, addr2, client.Config{MaxConns: 2})
 	rows, err := c2.Query(context.Background(), slowQuery)
 	if err != nil {
 		t.Fatal(err)

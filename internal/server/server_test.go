@@ -23,13 +23,9 @@ import (
 // a full lineitem scan streams dozens of row batches.
 const testSF = 0.002
 
-// newDB builds a test database with memory tracking live and a fixed
-// refinement threshold so tests skip calibration.
+// newDB builds a test database with memory tracking live.
 func newDB(t testing.TB, opts bufferdb.Options) *bufferdb.DB {
 	t.Helper()
-	if opts.CardinalityThreshold == 0 {
-		opts.CardinalityThreshold = 100
-	}
 	if opts.MemoryLimit == 0 {
 		opts.MemoryLimit = 256 << 20
 	}
@@ -286,15 +282,26 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 // TestBusyTypedAndRetry asserts admission shedding surfaces as
-// bufferdb.ErrServerBusy through the wire, and that the client's
-// backoff-retry path rides out transient saturation.
+// bufferdb.ErrServerBusy through the wire once the client's retries run
+// out, and that its backoff-retry path rides out transient saturation.
 func TestBusyTypedAndRetry(t *testing.T) {
 	db := newDB(t, bufferdb.Options{
 		Admission: bufferdb.AdmissionConfig{MaxConcurrent: 1, MaxQueued: 0},
 	})
-	_, addr := startServer(t, server.Config{DB: db, FaultHook: slowHook, BatchRows: 32})
+	// shortQuery scans nation's 25 rows at 1ms each: it holds the slot for
+	// about 25 ms and then frees it by itself.
+	const shortQuery = `SELECT n_name FROM nation WHERE n_nationkey >= 0`
+	hook := func(sql string) *bufferdb.FaultInjector {
+		if sql == shortQuery {
+			return bufferdb.NewFaultInjector(1, bufferdb.Fault{
+				Match: "Scan", Kind: bufferdb.FaultLatency, Latency: time.Millisecond, Every: 1,
+			})
+		}
+		return slowHook(sql)
+	}
+	_, addr := startServer(t, server.Config{DB: db, FaultHook: hook, BatchRows: 32})
 
-	holder := dial(t, addr, client.Config{MaxConns: 2, BusyRetries: -1})
+	holder := dial(t, addr, client.Config{MaxConns: 2})
 	// Hold the only slot: stream without draining (the slot is released at
 	// the last row frame or Close).
 	rows, err := holder.Query(context.Background(), slowQuery)
@@ -305,20 +312,32 @@ func TestBusyTypedAndRetry(t *testing.T) {
 		t.Fatalf("holder stream empty: %v", rows.Err())
 	}
 
-	// No retries: the busy error surfaces, typed.
+	// The slot stays held through every retry: the busy error surfaces,
+	// typed.
 	_, err = holder.QueryAll(context.Background(), "SELECT COUNT(*) FROM nation")
 	if !errors.Is(err, bufferdb.ErrServerBusy) {
 		t.Fatalf("got %v, want ErrServerBusy", err)
 	}
+	rows.Close()
+	waitFor(t, "admission slot release", func() bool {
+		_, err := holder.QueryAll(context.Background(), "SELECT COUNT(*) FROM nation")
+		return err == nil
+	})
 
-	// With retries: free the slot mid-backoff and the query succeeds.
-	retrier := dial(t, addr, client.Config{MaxConns: 1, BusyRetries: 20, RetryBackoff: 20 * time.Millisecond})
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		rows.Close()
-	}()
+	// The slot frees while the client backs off (its retries come 10, 30
+	// and 70 ms after the first attempt), and the query succeeds.
+	short, err := holder.Query(context.Background(), shortQuery)
+	if err != nil {
+		t.Fatalf("short holder query: %v", err)
+	}
+	defer short.Close()
+	retrier := dial(t, addr, client.Config{MaxConns: 1})
+	start := time.Now()
 	if _, err := retrier.QueryAll(context.Background(), "SELECT COUNT(*) FROM nation"); err != nil {
 		t.Fatalf("retried query failed: %v", err)
+	}
+	if waited := time.Since(start); waited < 10*time.Millisecond {
+		t.Fatalf("query ran after %v: it was never shed, so no retry was exercised", waited)
 	}
 }
 
@@ -346,7 +365,7 @@ func TestCancelMidStream(t *testing.T) {
 		Admission: bufferdb.AdmissionConfig{MaxConcurrent: 1, MaxQueued: 0},
 	})
 	_, addr := startServer(t, server.Config{DB: db, FaultHook: slowHook, BatchRows: 32})
-	c := dial(t, addr, client.Config{MaxConns: 2, BusyRetries: -1})
+	c := dial(t, addr, client.Config{MaxConns: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	rows, err := c.Query(ctx, slowQuery)
@@ -413,7 +432,7 @@ func TestGoroutineLeakClientDisconnect(t *testing.T) {
 
 	waitFor(t, "tracked bytes drain after disconnect", func() bool { return db.TrackedBytes() == 0 })
 	// The slot must be free for the next client.
-	c := dial(t, addr, client.Config{BusyRetries: -1})
+	c := dial(t, addr, client.Config{})
 	waitFor(t, "admission slot release after disconnect", func() bool {
 		_, err := c.QueryAll(context.Background(), "SELECT COUNT(*) FROM nation")
 		return err == nil

@@ -73,7 +73,7 @@ func readFrame(t *testing.T, c net.Conn) (wire.Type, []byte) {
 // complete result, or later identical queries replay truncated data with a
 // successful Done frame.
 func TestAbandonedStreamNotCached(t *testing.T) {
-	db, err := bufferdb.OpenTPCH(0.002, bufferdb.Options{CardinalityThreshold: 100, MemoryLimit: 256 << 20})
+	db, err := bufferdb.OpenTPCH(0.002, bufferdb.Options{MemoryLimit: 256 << 20})
 	if err != nil {
 		t.Fatalf("OpenTPCH: %v", err)
 	}

@@ -205,11 +205,13 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 		}
 	}
 
-	// Base access paths with pushed-down predicates.
-	baseFor := func(bt boundTable) (*plan.Node, error) {
+	// filterFor is the conjunction of a table's single-table predicates,
+	// resolved in sc: the table's own scope for a scan, the joined row's
+	// for a nest-loop residual. nil when the table has none.
+	filterFor := func(bt boundTable, sc *scope) (expr.Expr, error) {
 		var filter expr.Expr
 		for _, c := range pushdown[strings.ToLower(bt.ref.Binding())] {
-			e, err := a.toExpr(c, bt.scope)
+			e, err := a.toExpr(c, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -219,14 +221,15 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 				filter = expr.MustBinary(expr.OpAnd, filter, e)
 			}
 		}
-		return plan.SeqScan(bt.table, filter), nil
+		return filter, nil
 	}
 
 	// Left-deep join in FROM order.
-	cur, err := baseFor(tables[0])
+	filter, err := filterFor(tables[0], tables[0].scope)
 	if err != nil {
 		return nil, err
 	}
+	cur := plan.SeqScan(tables[0].table, filter)
 	curScope := tables[0].scope
 	joined := map[string]bool{strings.ToLower(tables[0].ref.Binding()): true}
 
@@ -266,11 +269,12 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 		accKey := expr.NewColRef(accCol.pos, accCol.binding+"."+accCol.name, accCol.typ)
 		newKey := expr.NewColRef(newCol.pos, newCol.binding+"."+newCol.name, newCol.typ)
 
-		cur, err = a.join(cur, bt, accKey, newKey, baseFor)
+		joinedScope := curScope.concat(bt.scope)
+		cur, err = a.join(cur, bt, accKey, newKey, joinedScope, filterFor)
 		if err != nil {
 			return nil, err
 		}
-		curScope = curScope.concat(bt.scope)
+		curScope = joinedScope
 		joined[b] = true
 	}
 
@@ -338,9 +342,12 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 	return finalNode, nil
 }
 
-// join builds one join step with the configured method.
+// join builds one join step with the configured method. filterFor gives
+// bt's single-table predicate in a scope: bt's own for its scan, or joined
+// (the joined row's) for an index nest-loop, whose inner is a bare lookup
+// and so applies it after the join.
 func (a *analyzer) join(outer *plan.Node, bt boundTable, outerKey, innerKey *expr.ColRef,
-	baseFor func(boundTable) (*plan.Node, error)) (*plan.Node, error) {
+	joined *scope, filterFor func(boundTable, *scope) (expr.Expr, error)) (*plan.Node, error) {
 
 	method := a.opt.ForceJoin
 	if method == JoinDefault {
@@ -348,11 +355,11 @@ func (a *analyzer) join(outer *plan.Node, bt boundTable, outerKey, innerKey *exp
 	}
 	switch method {
 	case JoinHash:
-		inner, err := baseFor(bt)
+		filter, err := filterFor(bt, bt.scope)
 		if err != nil {
 			return nil, err
 		}
-		return plan.HashJoin(outer, inner, outerKey, innerKey), nil
+		return plan.HashJoin(outer, plan.SeqScan(bt.table, filter), outerKey, innerKey), nil
 
 	case JoinNestLoop:
 		idx := bt.table.IndexOn(bt.scope.cols[innerKey.Idx].name)
@@ -360,30 +367,30 @@ func (a *analyzer) join(outer *plan.Node, bt boundTable, outerKey, innerKey *exp
 			return nil, fmt.Errorf("sql: nestloop join needs an index on %s.%s",
 				bt.table.Name(), bt.scope.cols[innerKey.Idx].name)
 		}
-		if len(a.pushdownFor(bt)) > 0 {
-			return nil, fmt.Errorf("sql: nestloop inner with pushed-down predicates unsupported")
+		residual, err := filterFor(bt, joined)
+		if err != nil {
+			return nil, err
 		}
 		lookup, err := plan.IndexLookup(bt.table, idx)
 		if err != nil {
 			return nil, err
 		}
-		return plan.NestLoopJoin(outer, lookup, outerKey, nil)
+		return plan.NestLoopJoin(outer, lookup, outerKey, residual)
 
 	case JoinMerge:
+		filter, err := filterFor(bt, bt.scope)
+		if err != nil {
+			return nil, err
+		}
 		sortedOuter := plan.Sort(outer, []exec.SortKey{{Expr: outerKey}})
-		var right *plan.Node
-		if idx := bt.table.IndexOn(bt.scope.cols[innerKey.Idx].name); idx != nil && len(a.pushdownFor(bt)) == 0 {
-			var err error
-			right, err = plan.IndexFullScan(bt.table, idx, nil)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			base, err := baseFor(bt)
-			if err != nil {
-				return nil, err
-			}
-			right = plan.Sort(base, []exec.SortKey{{Expr: innerKey}})
+		idx := bt.table.IndexOn(bt.scope.cols[innerKey.Idx].name)
+		if idx == nil {
+			right := plan.Sort(plan.SeqScan(bt.table, filter), []exec.SortKey{{Expr: innerKey}})
+			return plan.MergeJoin(sortedOuter, right, outerKey, innerKey), nil
+		}
+		right, err := plan.IndexFullScan(bt.table, idx, filter)
+		if err != nil {
+			return nil, err
 		}
 		return plan.MergeJoin(sortedOuter, right, outerKey, innerKey), nil
 
@@ -391,10 +398,6 @@ func (a *analyzer) join(outer *plan.Node, bt boundTable, outerKey, innerKey *exp
 		return nil, fmt.Errorf("sql: %w %q", ErrBadJoinMethod, method)
 	}
 }
-
-// pushdownFor is a placeholder hook: the current planner refuses nest-loop
-// inners with pushed-down predicates rather than losing them silently.
-func (a *analyzer) pushdownFor(boundTable) []Node { return nil }
 
 // planAggregate builds Aggregate (+ Project for the select-list shape).
 func (a *analyzer) planAggregate(stmt *SelectStmt, child *plan.Node, sc *scope) (*plan.Node, error) {

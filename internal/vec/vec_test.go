@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bufferdb/internal/exec"
+	"bufferdb/internal/exec/exectest"
 	"bufferdb/internal/expr"
 	"bufferdb/internal/storage"
 	"bufferdb/internal/tpch"
@@ -250,7 +251,7 @@ func TestVecOperatorConformance(t *testing.T) {
 		},
 	}
 	for name, mk := range cases {
-		t.Run(name, func(t *testing.T) { exec.Conformance(t, name, mk) })
+		t.Run(name, func(t *testing.T) { exectest.Conformance(t, name, mk) })
 	}
 }
 

@@ -29,8 +29,8 @@ import (
 //	bufferdb_block_rows_folded_total   rows of blocks the block kernels folded
 //	bufferdb_block_rows_redone_total   rows of blocks redone by the row loop
 //
-// Metrics cover Query, QueryStream, prepared statements and the deprecated
-// wrappers alike — they all share the same execution path.
+// Metrics cover Query, QueryStream and prepared statements alike — they all
+// share the same execution path.
 
 // metricQueries returns the started-queries counter for an engine.
 func metricQueries(e Engine) *obsv.Counter {

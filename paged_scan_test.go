@@ -29,7 +29,6 @@ const pagedScanSF = 0.005
 // refinement buffers these scans.
 func pagedScanDBs(t testing.TB, opts Options) (mem, paged *DB) {
 	t.Helper()
-	opts.CardinalityThreshold = 100
 	mem, err := OpenTPCH(pagedScanSF, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +206,7 @@ func TestReuseDoesNotServePrunedBuild(t *testing.T) {
 func TestChaosPagedChecksum(t *testing.T) {
 	base := runtime.NumGoroutine()
 	dir := t.TempDir()
-	db, err := OpenTPCH(pagedScanSF, Options{DataDir: dir, PoolBytes: 256 << 10, MemoryLimit: 256 << 20, CardinalityThreshold: 100})
+	db, err := OpenTPCH(pagedScanSF, Options{DataDir: dir, PoolBytes: 256 << 10, MemoryLimit: 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,7 @@ func TestChaosPagedChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err = Open(Options{DataDir: dir, PoolBytes: 256 << 10, MemoryLimit: 256 << 20, CardinalityThreshold: 100})
+	db, err = Open(Options{DataDir: dir, PoolBytes: 256 << 10, MemoryLimit: 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

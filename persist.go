@@ -23,7 +23,7 @@ func Open(opts Options) (*DB, error) {
 	if !pager.HasCatalog(opts.DataDir) {
 		return nil, fmt.Errorf("bufferdb: no database in %s: %w", opts.DataDir, ErrUnknownTable)
 	}
-	db := newDB(opts)
+	db := newDB(opts, newGovernor(opts))
 	if err := db.attachStore(); err != nil {
 		return nil, err
 	}
@@ -35,7 +35,7 @@ func Open(opts Options) (*DB, error) {
 // it into heap files and checkpoint. Either way the catalog's tables are
 // paged — scans stream through the buffer pool, and INSERT works.
 func openTPCHPersistent(scaleFactor float64, opts Options) (*DB, error) {
-	db := newDB(opts)
+	db := newDB(opts, newGovernor(opts))
 	if pager.HasCatalog(opts.DataDir) {
 		if err := db.attachStore(); err != nil {
 			return nil, err
@@ -97,10 +97,9 @@ func (db *DB) attachStore() error {
 // Close checkpoints and releases the persistent storage tier, draining the
 // buffer pool's memory charge; afterwards TrackedBytes reports only
 // executing queries (0 when idle). Close is idempotent, safe on a nil DB
-// and on purely in-memory databases (where it does nothing), and shared by
-// WithEngine views — the first Close wins.
+// and on purely in-memory databases (where it does nothing).
 func (db *DB) Close() error {
-	if db == nil || db.closed == nil {
+	if db == nil {
 		return nil
 	}
 	var err error
@@ -130,7 +129,7 @@ func (db *DB) PagerStats() PagerStats {
 // cursor carrying the inserted count. Writes bypass plan refinement and
 // admission control — they touch no operator pipeline at all.
 func (db *DB) execInsert(ctx context.Context, query string, qo QueryOptions) (*Rows, error) {
-	label, _, err := db.planEngine(qo)
+	label, _, err := planEngine(qo)
 	if err != nil {
 		return nil, err
 	}

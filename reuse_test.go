@@ -34,9 +34,6 @@ func newReuseDB(t testing.TB, opts Options) *DB {
 	if opts.MemoryLimit == 0 {
 		opts.MemoryLimit = 256 << 20
 	}
-	if opts.CardinalityThreshold == 0 {
-		opts.CardinalityThreshold = 100
-	}
 	db, err := OpenTPCH(0.002, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -55,10 +55,6 @@ type Rows struct {
 	// close() so eviction can never free a build mid-probe.
 	releases []func()
 
-	// cp is the analyzed compilation (operator→node map) when the
-	// statement ran with WithStats; Stats reads it back.
-	cp *plan.CompiledPlan
-
 	// engineLabel, started and emitted feed the process-wide metrics
 	// registry when the cursor finishes.
 	engineLabel string
@@ -94,7 +90,7 @@ func (db *DB) queryStream(ctx context.Context, query string, qo QueryOptions) (*
 // under its deadline and memory budget, and contains operator panics.
 // Prepared statements enter here with a cloned cached plan.
 func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Rows, error) {
-	label, engine, err := db.planEngine(qo)
+	label, engine, err := planEngine(qo)
 	if err != nil {
 		return nil, err
 	}
@@ -105,14 +101,9 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 	cancel := context.CancelFunc(func() {})
 	if qo.Timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, qo.Timeout)
-	} else if !qo.Deadline.IsZero() {
-		ctx, cancel = context.WithDeadline(ctx, qo.Deadline)
 	}
 
 	adm := db.adm
-	if qo.NoAdmission {
-		adm = nil
-	}
 	if err := adm.acquire(ctx, qo.AdmissionWait); err != nil {
 		cancel()
 		classifyError(label, err)
@@ -149,16 +140,7 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 		p, reuseReleases = plan.ApplyReuse(p, db.reuseCache)
 	}
 
-	var op exec.Operator
-	var cp *plan.CompiledPlan
-	if qo.CollectStats {
-		cp, err = plan.CompileAnalyzed(p, nil, engine)
-		if err == nil {
-			op = cp.Root
-		}
-	} else {
-		op, err = plan.Compile(p, nil, engine)
-	}
+	op, err := plan.Compile(p, nil, engine)
 	if err != nil {
 		return bail(nil, err)
 	}
@@ -171,9 +153,6 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 		mem = exec.NewMemTracker("query", qo.MemoryBudget, db.mem)
 	}
 	ectx := &exec.Context{Catalog: db.cat, Ctx: ctx, Mem: mem, Fault: qo.FaultInjector}
-	if qo.CollectStats {
-		ectx.Stats = exec.NewStatsCollector()
-	}
 	if err := exec.CallOpen(ectx, op); err != nil {
 		// Tear down whatever Open built before failing; a partially opened
 		// tree may already hold goroutines and tracked memory.
@@ -195,7 +174,6 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 		adm:         adm,
 		db:          db,
 		releases:    reuseReleases,
-		cp:          cp,
 		engineLabel: string(label),
 		started:     time.Now(),
 	}, nil
@@ -218,16 +196,6 @@ func classifyError(e Engine, err error) {
 // Columns names the result attributes, in Scan order. The returned slice is
 // cached and shared across calls; treat it as read-only.
 func (r *Rows) Columns() []string { return r.cols }
-
-// Stats returns the per-operator runtime counters of this execution, or nil
-// unless the statement ran with WithStats. The tree is a snapshot; read it
-// after draining (or closing) the cursor for final numbers.
-func (r *Rows) Stats() *OpStat {
-	if r.cp == nil || r.ectx.Stats == nil {
-		return nil
-	}
-	return publicStat(plan.BuildReport(r.cp, r.ectx.Stats))
-}
 
 // Next advances to the next row. It returns false at end of stream, on
 // error, on cancellation, or after Close; consult Err afterwards to tell

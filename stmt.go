@@ -11,8 +11,8 @@ import (
 // refined once, and the resulting physical plan is cached. Each
 // execution clones the cached tree (compiled operators hold per-execution
 // state, so plans cannot be shared between concurrent runs) — skipping
-// parsing, optimization, refinement and the threshold calibration that ad
-// hoc queries repeat on every call.
+// the parsing, optimization and refinement that ad hoc queries repeat on
+// every call.
 //
 // A Stmt is safe for concurrent use.
 type Stmt struct {
@@ -29,7 +29,7 @@ type Stmt struct {
 // buffer size, …) apply to every execution.
 func (db *DB) Prepare(query string, opts ...QueryOption) (*Stmt, error) {
 	qo := applyOptions(opts)
-	if _, _, err := db.planEngine(qo); err != nil {
+	if _, _, err := planEngine(qo); err != nil {
 		return nil, err
 	}
 	p, err := db.plan(query, qo)

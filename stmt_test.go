@@ -106,7 +106,7 @@ func TestPrepareConcurrent(t *testing.T) {
 // skips parsing, optimization and refinement on every execution.
 func BenchmarkPreparedVsAdHoc(b *testing.B) {
 	ctx := context.Background()
-	db, err := OpenTPCH(0.002, Options{CardinalityThreshold: 16})
+	db, err := OpenTPCH(0.002, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
