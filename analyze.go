@@ -139,15 +139,11 @@ func (a *Analysis) Table() string {
 // and returns the annotated plan tree.
 func (db *DB) ExplainAnalyze(ctx context.Context, query string, opts ...QueryOption) (*Analysis, error) {
 	qo := applyOptions(opts)
-	label, engine, err := planEngine(qo)
-	if err != nil {
-		return nil, err
-	}
 	p, err := db.plan(query, qo)
 	if err != nil {
 		return nil, err
 	}
-	cp, err := plan.CompileAnalyzed(p, db.cm, engine)
+	root, report, err := plan.CompileAnalyzed(p, db.cm, qo.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -162,14 +158,14 @@ func (db *DB) ExplainAnalyze(ctx context.Context, query string, opts ...QueryOpt
 		Stats:      exec.NewStatsCollector(),
 		Ctx:        ctx,
 	}
-	if _, err := exec.Run(ectx, cp.Root); err != nil {
+	if _, err := exec.Run(ectx, root); err != nil {
 		return nil, err
 	}
-	report := plan.BuildReport(cp, ectx.Stats)
+	plan.BuildReport(report, ectx.Stats)
 	ctr := cpu.Counters()
 	return &Analysis{
 		Query:  query,
-		Engine: label,
+		Engine: qo.Engine,
 		Plan:   plan.Explain(p),
 		Root:   publicStat(report),
 		Totals: RunStats{

@@ -2,6 +2,7 @@ package bufferdb
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -47,6 +48,10 @@ const analyzeQuery = `
 	GROUP BY l_returnflag
 	ORDER BY l_returnflag`
 
+// analyzeJoinQuery reaches a hash join, both adapter directions and a
+// pipeline nested under a Volcano sort.
+const analyzeJoinQuery = `SELECT o_orderkey, c_name FROM orders, customer WHERE o_custkey = c_custkey AND c_custkey < 3 ORDER BY o_orderkey LIMIT 5`
+
 // TestGoldenExplain pins the Explain rendering (conventional and refined)
 // for a refined TPC-H aggregation.
 func TestGoldenExplain(t *testing.T) {
@@ -59,18 +64,23 @@ func TestGoldenExplain(t *testing.T) {
 
 // TestGoldenExplainAnalyze pins the deterministic columns of the
 // EXPLAIN ANALYZE table (operator, engine, group, calls, rows, drains,
-// avgfill) across both engines.
+// avgfill) across every engine, on an aggregation and on a join.
 func TestGoldenExplainAnalyze(t *testing.T) {
 	cases := []struct {
-		name string
-		opts []QueryOption
+		name  string
+		query string
+		opts  []QueryOption
 	}{
-		{"analyze_volcano", nil},
-		{"analyze_vec", []QueryOption{WithEngine(EngineVec)}},
+		{"analyze_volcano", analyzeQuery, nil},
+		{"analyze_vec", analyzeQuery, []QueryOption{WithEngine(EngineVec)}},
+		{"analyze_push", analyzeQuery, []QueryOption{WithEngine(EnginePush)}},
+		{"analyze_join_volcano", analyzeJoinQuery, nil},
+		{"analyze_join_vec", analyzeJoinQuery, []QueryOption{WithEngine(EngineVec)}},
+		{"analyze_join_push", analyzeJoinQuery, []QueryOption{WithEngine(EnginePush)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := testDB.ExplainAnalyze(context.Background(), analyzeQuery, tc.opts...)
+			a, err := testDB.ExplainAnalyze(context.Background(), tc.query, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,56 +90,62 @@ func TestGoldenExplainAnalyze(t *testing.T) {
 }
 
 // TestAnalyzeAttributionSums is the acceptance check: on a refined TPC-H
-// aggregation the per-operator self attributions (cycles, instruction-cache
-// misses) must sum, within slack, to the run's whole-query totals — on both
-// engines.
+// aggregation and on a join the per-operator self attributions (cycles,
+// instruction-cache misses) must sum, within slack, to the run's
+// whole-query totals — on every engine.
 func TestAnalyzeAttributionSums(t *testing.T) {
-	for _, eng := range []Engine{EngineVolcano, EngineVec} {
-		t.Run(string(eng), func(t *testing.T) {
-			a, err := testDB.ExplainAnalyze(context.Background(), analyzeQuery, WithEngine(eng))
-			if err != nil {
-				t.Fatal(err)
+	for _, eng := range plan.Engines() {
+		t.Run(eng.String(), func(t *testing.T) { checkAttributionSums(t, analyzeQuery, eng) })
+		t.Run("join_"+eng.String(), func(t *testing.T) { checkAttributionSums(t, analyzeJoinQuery, eng) })
+	}
+}
+
+// checkAttributionSums runs one statement under EXPLAIN ANALYZE and holds
+// its self attributions to the run's totals.
+func checkAttributionSums(t *testing.T, query string, eng Engine) {
+	t.Helper()
+	a, err := testDB.ExplainAnalyze(context.Background(), query, WithEngine(eng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var selfCycles float64
+	var selfL1I uint64
+	var sawBuffer, sawDrains bool
+	a.Root.Walk(func(s *OpStat) {
+		selfCycles += s.SelfCycles
+		selfL1I += s.SelfL1I
+		if s.Calls == 0 && s.Opens == 0 {
+			t.Errorf("operator %s never invoked", s.Name)
+		}
+		if s.Buffer {
+			sawBuffer = true
+			if s.Drains > 0 {
+				sawDrains = true
 			}
-			var selfCycles float64
-			var selfL1I uint64
-			var sawBuffer, sawDrains bool
-			a.Root.Walk(func(s *OpStat) {
-				selfCycles += s.SelfCycles
-				selfL1I += s.SelfL1I
-				if s.Calls == 0 && s.Opens == 0 {
-					t.Errorf("operator %s never invoked", s.Name)
-				}
-				if s.Buffer {
-					sawBuffer = true
-					if s.Drains > 0 {
-						sawDrains = true
-					}
-				}
-			})
-			// The block engine batches natively, so explicit buffer
-			// operators with drain counts only appear on the Volcano side.
-			if eng == EngineVolcano && (!sawBuffer || !sawDrains) {
-				t.Fatalf("refined plan shows no draining buffer (buffer=%v drains=%v):\n%s", sawBuffer, sawDrains, a.String())
-			}
-			if a.Totals.Cycles <= 0 {
-				t.Fatalf("no simulated cycles recorded")
-			}
-			if rel := math.Abs(selfCycles-a.Totals.Cycles) / a.Totals.Cycles; rel > 0.05 {
-				t.Errorf("self cycles sum %.0f vs totals %.0f (off by %.1f%%)", selfCycles, a.Totals.Cycles, rel*100)
-			}
-			diff := math.Abs(float64(selfL1I) - float64(a.Totals.L1IMisses))
-			if diff > 8 && diff > 0.1*float64(a.Totals.L1IMisses) {
-				t.Errorf("self L1I sum %d vs totals %d", selfL1I, a.Totals.L1IMisses)
-			}
-			// Rows at the root of the stat tree match the statement's result.
-			res, err := testDB.Query(context.Background(), analyzeQuery, WithEngine(eng))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Root.Rows != uint64(len(res.Rows)) {
-				t.Errorf("root stat rows %d, query returned %d", a.Root.Rows, len(res.Rows))
-			}
-		})
+		}
+	})
+	// The block engine batches natively, so explicit buffer
+	// operators with drain counts only appear on the Volcano side.
+	if eng == EngineVolcano && (!sawBuffer || !sawDrains) {
+		t.Fatalf("refined plan shows no draining buffer (buffer=%v drains=%v):\n%s", sawBuffer, sawDrains, a.String())
+	}
+	if a.Totals.Cycles <= 0 {
+		t.Fatalf("no simulated cycles recorded")
+	}
+	if rel := math.Abs(selfCycles-a.Totals.Cycles) / a.Totals.Cycles; rel > 0.05 {
+		t.Errorf("self cycles sum %.0f vs totals %.0f (off by %.1f%%)", selfCycles, a.Totals.Cycles, rel*100)
+	}
+	diff := math.Abs(float64(selfL1I) - float64(a.Totals.L1IMisses))
+	if diff > 8 && diff > 0.1*float64(a.Totals.L1IMisses) {
+		t.Errorf("self L1I sum %d vs totals %d", selfL1I, a.Totals.L1IMisses)
+	}
+	// Rows at the root of the stat tree match the statement's result.
+	res, err := testDB.Query(context.Background(), query, WithEngine(eng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Root.Rows != uint64(len(res.Rows)) {
+		t.Errorf("root stat rows %d, query returned %d", a.Root.Rows, len(res.Rows))
 	}
 }
 
@@ -140,7 +156,7 @@ func TestAnalyzeAttributionSums(t *testing.T) {
 func TestStatsZeroOverheadConsistent(t *testing.T) {
 	ctx := context.Background()
 	for _, eng := range []Engine{EngineVolcano, EngineVec} {
-		t.Run(string(eng), func(t *testing.T) {
+		t.Run(eng.String(), func(t *testing.T) {
 			plain, err := testDB.Query(ctx, analyzeQuery, WithEngine(eng))
 			if err != nil {
 				t.Fatal(err)
@@ -149,15 +165,11 @@ func TestStatsZeroOverheadConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, pe, err := planEngine(QueryOptions{Engine: eng})
+			root, _, err := plan.CompileAnalyzed(p, nil, eng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cp, err := plan.CompileAnalyzed(p, nil, pe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, err := exec.Run(&exec.Context{Catalog: testDB.cat, Ctx: ctx, Stats: exec.NewStatsCollector()}, cp.Root)
+			rows, err := exec.Run(&exec.Context{Catalog: testDB.cat, Ctx: ctx, Stats: exec.NewStatsCollector()}, root)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,23 +215,30 @@ func TestStatsZeroOverheadConsistent(t *testing.T) {
 			t.Errorf("%v: stats run never rendered the scan filter; the spy is not on Open's path", eng)
 		}
 	}
+}
 
-	// Counter identity: an instrumented simulated run (ExplainAnalyze) and
-	// an uninstrumented one (Profile's refined side) execute the same plan
-	// on identical fresh machines.
-	prof, err := testDB.Profile(analyzeQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := testDB.ExplainAnalyze(ctx, analyzeQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Totals.Cycles != prof.Buffered.Cycles || a.Totals.Uops != prof.Buffered.Uops ||
-		a.Totals.L1IMisses != prof.Buffered.L1IMisses {
-		t.Errorf("instrumented run perturbed the simulation:\nanalyze: cycles=%.0f uops=%d l1i=%d\nprofile: cycles=%.0f uops=%d l1i=%d",
-			a.Totals.Cycles, a.Totals.Uops, a.Totals.L1IMisses,
-			prof.Buffered.Cycles, prof.Buffered.Uops, prof.Buffered.L1IMisses)
+// TestProfileHonorsEngine is the counter identity: an instrumented
+// simulated run (ExplainAnalyze) and an uninstrumented one (Profile's
+// refined side) execute the same plan on the same engine on identical fresh
+// machines, both on the row operators the code model selects.
+func TestProfileHonorsEngine(t *testing.T) {
+	for _, eng := range plan.Engines() {
+		t.Run(eng.String(), func(t *testing.T) {
+			prof, err := testDB.Profile(analyzeQuery, WithEngine(eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := testDB.ExplainAnalyze(context.Background(), analyzeQuery, WithEngine(eng))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Totals.Cycles != prof.Buffered.Cycles || a.Totals.Uops != prof.Buffered.Uops ||
+				a.Totals.L1IMisses != prof.Buffered.L1IMisses {
+				t.Errorf("profile and analysis disagree:\nanalyze: cycles=%.0f uops=%d l1i=%d\nprofile: cycles=%.0f uops=%d l1i=%d",
+					a.Totals.Cycles, a.Totals.Uops, a.Totals.L1IMisses,
+					prof.Buffered.Cycles, prof.Buffered.Uops, prof.Buffered.L1IMisses)
+			}
+		})
 	}
 }
 
@@ -267,8 +286,8 @@ func TestQueryFunctionalOptions(t *testing.T) {
 		}
 	}
 
-	if _, err := testDB.Query(ctx, q, WithEngine(Engine("gpu"))); err == nil {
-		t.Error("unknown engine option not rejected")
+	if _, err := testDB.Query(ctx, q, WithEngine(EnginePush+1)); !errors.Is(err, ErrUnknownEngine) {
+		t.Errorf("out-of-range engine = %v, want ErrUnknownEngine", err)
 	}
 }
 

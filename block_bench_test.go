@@ -52,8 +52,12 @@ func compileBothWays(tb testing.TB, db *DB, query string, qo QueryOptions) (bloc
 		}
 	}
 	if !hasBlockAggregate(block) || hasBlockAggregate(rows) {
-		tb.Fatalf("%s: the block operator is not on exactly the code-model-free side:\n%s\n%s",
-			query, exec.FormatPlan(block), exec.FormatPlan(rows))
+		names := func(op exec.Operator) (s []string) {
+			exec.Walk(op, func(o exec.Operator) { s = append(s, o.Name()) })
+			return s
+		}
+		tb.Fatalf("%s: the block operator is not on exactly the code-model-free side:\n%q\n%q",
+			query, names(block), names(rows))
 	}
 	return block, rows
 }

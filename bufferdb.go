@@ -24,7 +24,6 @@ package bufferdb
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -83,29 +82,26 @@ type Options struct {
 	ReuseMaxBytes int64
 }
 
-// Engine names an execution model for WithEngine. The name round-trips
-// through ParseEngine and Engine.String; those two are the only places in
-// the tree that may compare or produce engine-name strings.
-type Engine string
+// Engine names an execution model for WithEngine. It is the planner's
+// engine type: the zero value is EngineVolcano, and the name round-trips
+// through ParseEngine and Engine.String.
+type Engine = plan.Engine
 
 // Available engines.
 const (
 	// EngineVolcano is the default tuple-at-a-time iterator engine, with
 	// buffer operators inserted by plan refinement.
-	EngineVolcano Engine = "volcano"
+	EngineVolcano = plan.EngineVolcano
 	// EngineVec is the block-oriented (vectorized) engine: operators with
 	// batch variants exchange 1024-tuple batches; the rest run as Volcano
 	// islands behind adapters.
-	EngineVec Engine = "vec"
+	EngineVec = plan.EngineVec
 	// EnginePush is the push-fused compiled engine: each execution group
 	// runs as a single producer-driven loop, materializing only at
 	// pipeline breakers; uncovered plan nodes run as Volcano islands
 	// behind adapter sources.
-	EnginePush Engine = "push"
+	EnginePush = plan.EnginePush
 )
-
-// String returns the engine's display name.
-func (e Engine) String() string { return string(e) }
 
 // EngineNames lists every selectable engine name, in display order.
 func EngineNames() []string { return plan.EngineNames() }
@@ -117,11 +113,7 @@ func EngineNames() []string { return plan.EngineNames() }
 // wrapped ErrUnknownEngine carrying the offending name and the valid set,
 // and adding an engine to plan.Engines makes it selectable everywhere.
 func ParseEngine(name string) (Engine, error) {
-	pe, err := plan.ParseEngine(name)
-	if err != nil {
-		return "", fmt.Errorf("bufferdb: %w %q (valid: %s)", ErrUnknownEngine, name, strings.Join(EngineNames(), ", "))
-	}
-	return Engine(pe.String()), nil
+	return plan.ParseEngine(name)
 }
 
 // QueryOptions tune a single statement. Callers set them through the
@@ -136,7 +128,8 @@ type QueryOptions struct {
 	// BufferSize is the capacity of the buffers refinement inserts
 	// (0 = the paper's default, 1024 tuples).
 	BufferSize int
-	// Engine runs this statement on the named engine ("" = EngineVolcano).
+	// Engine runs this statement on the given engine (zero value:
+	// EngineVolcano).
 	Engine Engine
 	// MemoryBudget caps this query's tracked allocations in bytes
 	// (0 = no per-query cap; the database MemoryLimit still applies).
@@ -151,15 +144,13 @@ type QueryOptions struct {
 	// FaultInjector injects deterministic faults at operator boundaries
 	// for testing; nil (the default) costs nothing. See NewFaultInjector.
 	FaultInjector *FaultInjector
-	// NoReuse opts this statement out of the semantic reuse cache: it
-	// neither adopts published intermediates nor publishes its own.
-	NoReuse bool
 }
 
 // QueryOption is a functional per-statement option.
 type QueryOption func(*QueryOptions)
 
-// WithEngine runs the statement on the given execution engine.
+// WithEngine runs the statement on the given execution engine; a value
+// that names no engine fails the statement with a wrapped ErrUnknownEngine.
 func WithEngine(e Engine) QueryOption {
 	return func(o *QueryOptions) { o.Engine = e }
 }
@@ -202,12 +193,6 @@ func WithAdmissionWait(d time.Duration) QueryOption {
 // query's execution — a testing hook; see NewFaultInjector.
 func WithFaultInjector(fi *FaultInjector) QueryOption {
 	return func(o *QueryOptions) { o.FaultInjector = fi }
-}
-
-// WithoutReuse opts this statement out of the semantic reuse cache: it
-// neither adopts published intermediates nor publishes its own.
-func WithoutReuse() QueryOption {
-	return func(o *QueryOptions) { o.NoReuse = true }
 }
 
 // applyOptions folds functional options into a QueryOptions value.
@@ -267,21 +252,6 @@ func newGovernor(opts Options) governor {
 		g.mem = exec.NewMemTracker("process", opts.MemoryLimit, nil)
 	}
 	return g
-}
-
-// planEngine maps the statement's engine (EngineVolcano when unset) to the
-// compiler's engine switch through the canonical ParseEngine round-trip.
-// Unknown names are rejected rather than silently running on Volcano.
-func planEngine(qo QueryOptions) (Engine, plan.Engine, error) {
-	e := qo.Engine
-	if e == "" {
-		e = EngineVolcano
-	}
-	pe, err := plan.ParseEngine(e.String())
-	if err != nil {
-		return e, 0, fmt.Errorf("bufferdb: %w %q (valid: %s)", ErrUnknownEngine, e, strings.Join(EngineNames(), ", "))
-	}
-	return e, pe, nil
 }
 
 // OpenTPCH generates a TPC-H database at the given scale factor (the paper
@@ -458,8 +428,12 @@ func (db *DB) plan(query string, qo QueryOptions) (*plan.Node, error) {
 // planPair plans a statement and, when refine is set, refines it at
 // plan.DefaultCardinalityThreshold with the statement's buffer size; without
 // refine both results are the conventional plan. It is the one refinement
-// step Query, Explain and Profile share.
+// step Query, Explain and Profile share, and it rejects an engine value
+// that names no engine before any work starts.
 func (db *DB) planPair(query string, qo QueryOptions, refine bool) (conventional, refined *plan.Node, err error) {
+	if err := qo.Engine.Check(); err != nil {
+		return nil, nil, err
+	}
 	p, err := sql.PlanQuery(query, db.cat, sql.Options{ForceJoin: sql.JoinMethod(qo.ForceJoin)})
 	if err != nil || !refine {
 		return p, p, err
@@ -551,8 +525,9 @@ type Profile struct {
 }
 
 // Profile executes a statement twice on fresh simulated CPUs — once as
-// planned, once refined — and reports the paper's comparison metrics.
-// Options are the same variadic set Query takes.
+// planned, once refined — on the statement's engine, and reports the
+// paper's comparison metrics. Options are the same variadic set Query
+// takes.
 func (db *DB) Profile(query string, opts ...QueryOption) (*Profile, error) {
 	qo := applyOptions(opts)
 	p, refined, err := db.planPair(query, qo, true)
@@ -566,7 +541,7 @@ func (db *DB) Profile(query string, opts ...QueryOption) (*Profile, error) {
 			return RunStats{}, 0, err
 		}
 		placements := exec.PlaceCatalog(cpu, db.cat)
-		op, err := plan.Build(node, db.cm)
+		op, err := plan.Compile(node, db.cm, qo.Engine)
 		if err != nil {
 			return RunStats{}, 0, err
 		}

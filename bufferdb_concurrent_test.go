@@ -230,7 +230,7 @@ func TestSentinelErrors(t *testing.T) {
 	if !errors.Is(err, ErrBadJoinMethod) {
 		t.Errorf("bad join method error = %v, want ErrBadJoinMethod in its chain", err)
 	}
-	if _, err := testDB.Query(context.Background(), `SELECT COUNT(*) FROM lineitem`, WithEngine("turbo")); !errors.Is(err, ErrUnknownEngine) {
+	if _, err := testDB.Query(context.Background(), `SELECT COUNT(*) FROM lineitem`, WithEngine(EnginePush+1)); !errors.Is(err, ErrUnknownEngine) {
 		t.Errorf("unknown engine error = %v, want ErrUnknownEngine in its chain", err)
 	}
 }

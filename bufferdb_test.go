@@ -80,7 +80,7 @@ func TestWithEngine(t *testing.T) {
 	if fmt.Sprint(vec.Rows) != fmt.Sprint(volcano.Rows) {
 		t.Errorf("engines disagree:\n vec:     %v\n volcano: %v", vec.Rows, volcano.Rows)
 	}
-	if _, err := testDB.Query(context.Background(), q, WithEngine(Engine("gpu"))); err == nil {
+	if _, err := testDB.Query(context.Background(), q, WithEngine(EnginePush+1)); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }

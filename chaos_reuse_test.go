@@ -30,7 +30,7 @@ func TestChaosReusePublishFault(t *testing.T) {
 		for _, kind := range []faultinject.Kind{FaultError, FaultPanic} {
 			t.Run(fmt.Sprintf("%s/%v", e, kind), func(t *testing.T) {
 				db := newReuseDB(t, Options{ReuseCache: true})
-				want, err := db.Query(context.Background(), reuseChaosQuery, WithEngine(e), WithoutReuse())
+				want, err := testDB.Query(context.Background(), reuseChaosQuery, WithEngine(e))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +79,7 @@ func TestChaosReusePublishFault(t *testing.T) {
 // cache stays empty, and tracked memory returns to zero.
 func TestChaosReuseOOMDuringBuild(t *testing.T) {
 	for _, e := range []Engine{EngineVolcano, EngineVec, EnginePush} {
-		t.Run(string(e), func(t *testing.T) {
+		t.Run(e.String(), func(t *testing.T) {
 			db := newReuseDB(t, Options{ReuseCache: true})
 			base := runtime.NumGoroutine()
 			_, err := db.Query(context.Background(), reuseChaosQuery,
@@ -125,7 +125,7 @@ func TestChaosReuseOversizePublishRefused(t *testing.T) {
 // returns tracked memory to zero.
 func TestChaosReuseInvalidateDuringProbe(t *testing.T) {
 	db := newReuseDB(t, Options{ReuseCache: true})
-	want, err := db.Query(context.Background(), reuseChaosQuery, WithoutReuse())
+	want, err := testDB.Query(context.Background(), reuseChaosQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,24 +167,22 @@ func TestChaosReuseInvalidateDuringProbe(t *testing.T) {
 	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := fmt.Sprintf("%v\n[%v %v]\n", []string{"SUM(o_totalprice)", "COUNT(*)"}, sum, cnt)
-	_ = got // row equality asserted below via a full re-read
-	res, err := db.Query(context.Background(), reuseChaosQuery, WithoutReuse())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resultKey(res) != resultKey(want) {
-		t.Fatal("data corrupted after invalidate-during-probe")
-	}
-	if fmt.Sprint(sum) != fmt.Sprint(want.Rows[0][0]) || fmt.Sprint(cnt) != fmt.Sprint(want.Rows[0][1]) {
-		t.Fatalf("probe over dead entry returned [%v %v], want %v", sum, cnt, want.Rows[0])
-	}
-
 	// The deferred releases ran at Close: only live cache payload remains,
 	// and the cache is empty.
 	if got := db.TrackedBytes(); got != 0 {
 		t.Fatalf("pinned releases leaked: %d tracked bytes (cache holds %d)",
 			got, db.ReuseStats().Bytes)
+	}
+	if fmt.Sprint(sum) != fmt.Sprint(want.Rows[0][0]) || fmt.Sprint(cnt) != fmt.Sprint(want.Rows[0][1]) {
+		t.Fatalf("probe over dead entry returned [%v %v], want %v", sum, cnt, want.Rows[0])
+	}
+	// A full re-read rebuilds over the emptied cache.
+	res, err := db.Query(context.Background(), reuseChaosQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultKey(res) != resultKey(want) {
+		t.Fatal("data corrupted after invalidate-during-probe")
 	}
 }
 
@@ -194,7 +192,7 @@ func TestChaosReuseInvalidateDuringProbe(t *testing.T) {
 // and whatever landed in the cache must serve correct rows afterwards.
 func TestChaosReuseFaultedQueriesPublishOnlyCompleteState(t *testing.T) {
 	db := newReuseDB(t, Options{ReuseCache: true})
-	want, err := db.Query(context.Background(), reuseChaosQuery, WithoutReuse())
+	want, err := testDB.Query(context.Background(), reuseChaosQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestChaosErrorInjection(t *testing.T) {
 
 func TestChaosPanicInjection(t *testing.T) {
 	for _, e := range chaosEngines {
-		t.Run(string(e), func(t *testing.T) {
+		t.Run(e.String(), func(t *testing.T) {
 			want := chaosWant(t, e)
 			base := runtime.NumGoroutine()
 			before := metricPanic(e).Value()
@@ -131,7 +131,7 @@ func TestChaosPanicInjection(t *testing.T) {
 
 func TestChaosMemoryBudget(t *testing.T) {
 	for _, e := range chaosEngines {
-		t.Run(string(e), func(t *testing.T) {
+		t.Run(e.String(), func(t *testing.T) {
 			want := chaosWant(t, e)
 			base := runtime.NumGoroutine()
 			before := metricOOM(e).Value()
@@ -150,7 +150,7 @@ func TestChaosMemoryBudget(t *testing.T) {
 
 func TestChaosDeadline(t *testing.T) {
 	for _, e := range chaosEngines {
-		t.Run(string(e), func(t *testing.T) {
+		t.Run(e.String(), func(t *testing.T) {
 			want := chaosWant(t, e)
 			base := runtime.NumGoroutine()
 			before := metricTimeout(e).Value()

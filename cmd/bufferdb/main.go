@@ -110,8 +110,8 @@ func main() {
 }
 
 // shell is the embedded shell's session state: the engine \engine or
-// -engine selected ("" until one does) and -no-refine. Both ride on every
-// statement as per-query options.
+// -engine selected (Volcano until one does) and -no-refine. Both ride on
+// every statement as per-query options.
 type shell struct {
 	db       *bufferdb.DB
 	engine   bufferdb.Engine
@@ -125,14 +125,6 @@ func (sh *shell) opts() []bufferdb.QueryOption {
 		opts = append(opts, bufferdb.WithoutRefinement())
 	}
 	return opts
-}
-
-// current names the session's effective engine for display.
-func (sh *shell) current() bufferdb.Engine {
-	if sh.engine == "" {
-		return bufferdb.EngineVolcano
-	}
-	return sh.engine
 }
 
 // remoteMain is the -connect entry point: the shell (or -q) drives a
@@ -152,19 +144,14 @@ func remoteMain(ints *interrupts, addr, query, engine string, noRefine, analyze,
 
 	// The remote engine selection is validated client-side by the same
 	// canonical parser the daemon uses, so typos fail before a round trip.
-	var engineName bufferdb.Engine
+	var eng bufferdb.Engine
 	if engine != "" {
-		e, err := bufferdb.ParseEngine(engine)
-		if err != nil {
+		if eng, err = bufferdb.ParseEngine(engine); err != nil {
 			fatal(err)
 		}
-		engineName = e
 	}
 	run := func(q string) error {
-		var opts []client.Option
-		if engineName != "" {
-			opts = append(opts, client.WithEngine(engineName.String()))
-		}
+		opts := []client.Option{client.WithEngine(eng.String())}
 		if noRefine {
 			opts = append(opts, client.WithoutRefinement())
 		}
@@ -200,18 +187,14 @@ func remoteMain(ints *interrupts, addr, query, engine string, noRefine, analyze,
 				fmt.Printf("  %-12s %10d rows\n", t.Name, t.Rows)
 			}
 		case cmd == "\\engine":
-			cur := engineName
-			if cur == "" {
-				cur = bufferdb.EngineVolcano
-			}
-			fmt.Printf("engine: %s (available: %s)\n", cur, strings.Join(bufferdb.EngineNames(), ", "))
+			fmt.Printf("engine: %s (available: %s)\n", eng, strings.Join(bufferdb.EngineNames(), ", "))
 		case strings.HasPrefix(cmd, "\\engine "):
 			e, err := bufferdb.ParseEngine(strings.TrimSpace(strings.TrimPrefix(cmd, "\\engine ")))
 			if err != nil {
 				fmt.Println("error:", err)
 				break
 			}
-			engineName = e
+			eng = e
 			fmt.Printf("engine set to %s\n", e)
 		case cmd == "\\cache":
 			fmt.Println("reuse-cache stats live in the daemon: scrape its -http sidecar /metrics (bufferdb_reuse_*)")
@@ -303,7 +286,7 @@ func metaCommand(ints *interrupts, sh *shell, cmd string) bool {
 			fmt.Printf("  %-12s %10d rows\n", t, n)
 		}
 	case cmd == "\\engine":
-		fmt.Printf("engine: %s (available: %s)\n", sh.current(), strings.Join(bufferdb.EngineNames(), ", "))
+		fmt.Printf("engine: %s (available: %s)\n", sh.engine, strings.Join(bufferdb.EngineNames(), ", "))
 	case strings.HasPrefix(cmd, "\\engine "):
 		e, err := bufferdb.ParseEngine(strings.TrimSpace(strings.TrimPrefix(cmd, "\\engine ")))
 		if err != nil {
@@ -332,7 +315,7 @@ func metaCommand(ints *interrupts, sh *shell, cmd string) bool {
 	case cmd == "\\cache":
 		printReuseStats(db)
 	case strings.HasPrefix(cmd, "\\profile "):
-		prof, err := db.Profile(strings.TrimPrefix(cmd, "\\profile "))
+		prof, err := db.Profile(strings.TrimPrefix(cmd, "\\profile "), bufferdb.WithEngine(sh.engine))
 		if err != nil {
 			fmt.Println("error:", err)
 			break

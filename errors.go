@@ -5,6 +5,7 @@ import (
 
 	"bufferdb/internal/exec"
 	"bufferdb/internal/pager"
+	"bufferdb/internal/plan"
 	"bufferdb/internal/sql"
 	"bufferdb/internal/storage"
 	"bufferdb/internal/tpch"
@@ -18,7 +19,7 @@ var (
 	ErrUnknownTable = storage.ErrUnknownTable
 	// ErrUnknownEngine is wrapped when WithEngine (or ParseEngine) names an
 	// engine that does not exist.
-	ErrUnknownEngine = errors.New("unknown engine")
+	ErrUnknownEngine = plan.ErrUnknownEngine
 	// ErrBadJoinMethod is wrapped when QueryOptions.ForceJoin is not one of
 	// "", "hash", "nestloop", "merge". It is detected at plan time, before
 	// any execution starts.

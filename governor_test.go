@@ -21,7 +21,7 @@ const streamQuery = `SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_qu
 // asserts no goroutine outlives it and every memory charge is returned.
 func TestGoroutineLeakEarlyClose(t *testing.T) {
 	for _, e := range chaosEngines {
-		t.Run(string(e), func(t *testing.T) {
+		t.Run(e.String(), func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			rows, err := chaosDB.QueryStream(context.Background(), streamQuery, WithEngine(e))
 			if err != nil {
@@ -48,7 +48,7 @@ func TestGoroutineLeakEarlyClose(t *testing.T) {
 // settles.
 func TestGoroutineLeakCancellation(t *testing.T) {
 	for _, e := range chaosEngines {
-		t.Run(string(e), func(t *testing.T) {
+		t.Run(e.String(), func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()

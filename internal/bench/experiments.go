@@ -479,7 +479,7 @@ func ExperimentTable5(r *Runner) (*Report, error) {
 // verifyAgainstReference cross-checks a measurement's result row against an
 // uninstrumented run, guarding the harness itself.
 func (r *Runner) verifyAgainstReference(p *plan.Node, m *Measurement) error {
-	op, err := plan.Build(p, nil)
+	op, err := plan.Compile(p, nil, plan.EngineVolcano)
 	if err != nil {
 		return err
 	}

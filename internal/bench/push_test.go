@@ -153,15 +153,15 @@ func TestPushAnalyzeReportsFusedElements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := plan.CompileAnalyzed(p, nil, plan.EnginePush)
+	root, rep, err := plan.CompileAnalyzed(p, nil, plan.EnginePush)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := &exec.Context{Catalog: vecRunner.DB, Stats: exec.NewStatsCollector()}
-	if _, err := exec.Run(ctx, cp.Root); err != nil {
+	if _, err := exec.Run(ctx, root); err != nil {
 		t.Fatal(err)
 	}
-	rep := plan.BuildReport(cp, ctx.Stats)
+	plan.BuildReport(rep, ctx.Stats)
 	var sawScan, sawAgg bool
 	rep.Walk(func(r *plan.OpReport) {
 		if r.Engine != "push" {

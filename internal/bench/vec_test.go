@@ -121,7 +121,7 @@ func operatorNames(op exec.Operator) []string {
 	volcano = func(o exec.Operator) {
 		names = append(names, o.Name())
 		if tv, ok := o.(*vec.ToVolcano); ok {
-			batch(tv.Vec())
+			batch(tv.Child)
 		}
 		for _, c := range o.Children() {
 			volcano(c)
@@ -130,7 +130,7 @@ func operatorNames(op exec.Operator) []string {
 	batch = func(o vec.Operator) {
 		names = append(names, o.Name())
 		if fv, ok := o.(*vec.FromVolcano); ok {
-			volcano(fv.Volcano())
+			volcano(fv.Child)
 		}
 		for _, c := range o.Children() {
 			batch(c)

@@ -392,24 +392,6 @@ func Walk(op Operator, visit func(Operator)) {
 	}
 }
 
-// FormatPlan renders an operator tree as an indented EXPLAIN-style listing.
-func FormatPlan(op Operator) string {
-	var b []byte
-	var rec func(o Operator, depth int)
-	rec = func(o Operator, depth int) {
-		for i := 0; i < depth; i++ {
-			b = append(b, ' ', ' ')
-		}
-		b = append(b, o.Name()...)
-		b = append(b, '\n')
-		for _, c := range o.Children() {
-			rec(c, depth+1)
-		}
-	}
-	rec(op, 0)
-	return string(b)
-}
-
 // errNotOpen is a shared guard error for operators driven before Open.
 func errNotOpen(name string) error {
 	return fmt.Errorf("exec: %s.Next called before Open", name)

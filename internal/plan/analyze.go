@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"bufferdb/internal/core"
 	"bufferdb/internal/exec"
-	"bufferdb/internal/push"
-	"bufferdb/internal/vec"
 )
 
 // OpReport is one operator's node in an EXPLAIN ANALYZE tree: the plan-side
@@ -26,8 +23,8 @@ type OpReport struct {
 	Buffer bool
 	// BufferSize is the configured capacity for buffer nodes (0 elsewhere).
 	BufferSize int
-	// EstRows is the optimizer's cardinality estimate, when the operator
-	// maps back to a plan node.
+	// EstRows is the optimizer's cardinality estimate of the plan node the
+	// operator was compiled from.
 	EstRows float64
 
 	// Stats are the operator's collected counters. The simulated-CPU fields
@@ -35,14 +32,18 @@ type OpReport struct {
 	Stats exec.OpStats
 
 	// SelfCycles/SelfUops/SelfL1I are the exclusive simulated-CPU
-	// attribution: inclusive minus the children's inclusive, clamped at
-	// zero (interleavings like a nest-loop rescan can make the raw
-	// difference marginally negative).
+	// attribution: inclusive minus the inclusive counters of the nearest
+	// reports below that carry any, clamped at zero (interleavings like a
+	// nest-loop rescan can make the raw difference marginally negative).
 	SelfCycles float64
 	SelfUops   uint64
 	SelfL1I    uint64
 
 	Children []*OpReport
+
+	// key is the element the compiler created, under which it registers
+	// its stats.
+	key exec.Named
 }
 
 // BufferAmortized reports whether a buffer node achieved refills long
@@ -58,129 +59,41 @@ func (r *OpReport) BufferAmortized() bool {
 	return r.BufferSize > 0 && r.Stats.AvgFill() >= float64(r.BufferSize)/2
 }
 
-// reportChildren returns an operator's structural children across both
-// engines, descending through the adapter boundaries that hide their
-// subtree from the host engine's Children().
-func reportChildren(op any) []any {
-	switch o := op.(type) {
-	// push.Reportable must precede exec.Operator: a push.Pipeline is both,
-	// and its structural children are its fused elements, not the Volcano
-	// fallback subtrees Children() exposes.
-	case push.Reportable:
-		return o.ReportChildren()
-	case *vec.ToVolcano:
-		return []any{o.Vec()}
-	case *vec.FromVolcano:
-		return []any{o.Volcano()}
-	case exec.Operator:
-		cs := o.Children()
-		out := make([]any, len(cs))
-		for i, c := range cs {
-			out[i] = c
-		}
-		return out
-	case vec.Operator:
-		cs := o.Children()
-		out := make([]any, len(cs))
-		for i, c := range cs {
-			out[i] = c
-		}
-		return out
-	default:
-		return nil
+// BuildReport fills the report tree CompileAnalyzed recorded with the
+// counters coll gathered while the plan ran, and derives each node's self
+// attribution. Elements that never registered (never opened) keep zero
+// stats.
+func BuildReport(r *OpReport, coll *exec.StatsCollector) {
+	if s := coll.Lookup(r.key); s != nil {
+		r.Stats = *s
 	}
+	if r.Stats.Drains > 0 {
+		r.Buffer = true
+	}
+	r.SelfCycles, r.SelfUops, r.SelfL1I = r.Stats.Cycles, r.Stats.Uops, r.Stats.L1IMisses
+	for _, c := range r.Children {
+		BuildReport(c, coll)
+	}
+	cycles, uops, l1i := r.below()
+	r.SelfCycles = max(r.SelfCycles-cycles, 0)
+	r.SelfUops -= min(uops, r.SelfUops)
+	r.SelfL1I -= min(l1i, r.SelfL1I)
 }
 
-// opEngine classifies an operator for the report's Engine column.
-func opEngine(op any) string {
-	switch op.(type) {
-	case push.Reportable:
-		return EnginePush.String()
-	case *vec.ToVolcano, *vec.FromVolcano:
-		return "adapter"
-	case exec.Operator:
-		return EngineVolcano.String()
-	case vec.Operator:
-		return EngineVec.String()
-	default:
-		return "?"
+// below sums the inclusive counters of the nearest reports under r that
+// carry any. A fused element counts none of its own, so the operators
+// beneath it stand in: a pipeline subtracts the Volcano island under a
+// Pull source rather than nothing.
+func (r *OpReport) below() (cycles float64, uops, l1i uint64) {
+	for _, c := range r.Children {
+		if c.Stats.Cycles == 0 && c.Stats.Uops == 0 {
+			cc, cu, cl := c.below()
+			cycles, uops, l1i = cycles+cc, uops+cu, l1i+cl
+			continue
+		}
+		cycles, uops, l1i = cycles+c.Stats.Cycles, uops+c.Stats.Uops, l1i+c.Stats.L1IMisses
 	}
-}
-
-// opName returns an operator's display name across both engines.
-func opName(op any) string {
-	switch o := op.(type) {
-	case push.Reportable:
-		return o.Name()
-	case exec.Operator:
-		return o.Name()
-	case vec.Operator:
-		return o.Name()
-	default:
-		return fmt.Sprintf("%T", op)
-	}
-}
-
-// BuildReport joins a compiled plan's operator tree with the counters a
-// StatsCollector gathered while executing it. Operators that never
-// registered (never opened) appear with zero stats.
-func BuildReport(cp *CompiledPlan, coll *exec.StatsCollector) *OpReport {
-	var rec func(op any) *OpReport
-	rec = func(op any) *OpReport {
-		r := &OpReport{
-			Name:   opName(op),
-			Engine: opEngine(op),
-		}
-		if n := cp.Nodes[op]; n != nil {
-			r.Group = n.Group
-			r.EstRows = n.EstRows
-			if n.Kind == KindBuffer {
-				r.BufferSize = n.BufferSize
-			}
-		}
-		if s := coll.Lookup(op); s != nil {
-			r.Stats = *s
-			if r.Name == "" {
-				r.Name = s.Name
-			}
-		}
-		switch op.(type) {
-		case *vec.FromVolcano:
-			r.Buffer = true
-			r.BufferSize = vec.DefaultBatchSize
-		default:
-			if r.Stats.Drains > 0 || r.BufferSize > 0 {
-				r.Buffer = true
-			}
-		}
-		if r.Buffer && r.BufferSize == 0 {
-			// A KindBuffer node with the default capacity.
-			if n := cp.Nodes[op]; n != nil && n.Kind == KindBuffer {
-				r.BufferSize = core.DefaultBufferSize
-			}
-		}
-		r.SelfCycles, r.SelfUops, r.SelfL1I = r.Stats.Cycles, r.Stats.Uops, r.Stats.L1IMisses
-		for _, c := range reportChildren(op) {
-			cr := rec(c)
-			r.Children = append(r.Children, cr)
-			r.SelfCycles -= cr.Stats.Cycles
-			if cr.Stats.Uops <= r.SelfUops {
-				r.SelfUops -= cr.Stats.Uops
-			} else {
-				r.SelfUops = 0
-			}
-			if cr.Stats.L1IMisses <= r.SelfL1I {
-				r.SelfL1I -= cr.Stats.L1IMisses
-			} else {
-				r.SelfL1I = 0
-			}
-		}
-		if r.SelfCycles < 0 {
-			r.SelfCycles = 0
-		}
-		return r
-	}
-	return rec(cp.Root)
+	return cycles, uops, l1i
 }
 
 // Walk visits a report tree depth-first, pre-order.

@@ -257,7 +257,7 @@ func compilesToBlock(op exec.Operator) (found bool) {
 		case *exec.BlockAggregate:
 			found = true
 		case *vec.ToVolcano:
-			batch(o.Vec())
+			batch(o.Child)
 		}
 		for _, c := range o.Children() {
 			volcano(c)
@@ -265,7 +265,7 @@ func compilesToBlock(op exec.Operator) (found bool) {
 	}
 	batch = func(o vec.Operator) {
 		if fv, ok := o.(*vec.FromVolcano); ok {
-			volcano(fv.Volcano())
+			volcano(fv.Child)
 		}
 		for _, c := range o.Children() {
 			batch(c)

@@ -6,6 +6,8 @@ import (
 	"bufferdb/internal/codemodel"
 	"bufferdb/internal/core"
 	"bufferdb/internal/exec"
+	"bufferdb/internal/push"
+	"bufferdb/internal/vec"
 )
 
 // moduleFor resolves a plan node to its instruction-footprint module in the
@@ -51,39 +53,156 @@ func moduleFor(n *Node, cm *codemodel.Catalog) (*codemodel.Module, error) {
 	}
 }
 
-// Build compiles a plan into a pure-Volcano operator tree. cm may be nil
-// for uninstrumented execution.
-func Build(n *Node, cm *codemodel.Catalog) (exec.Operator, error) {
-	return buildRecorded(n, cm, nil)
+// Compile compiles a plan into an executable (Volcano-rooted) operator tree
+// for the selected engine. cm may be nil for uninstrumented execution.
+// Under EngineVec a capable subtree runs behind a ToVolcano adapter and
+// under EnginePush as one fused Pipeline, so callers drive every compiled
+// plan through the same exec.Run loop.
+func Compile(n *Node, cm *codemodel.Catalog, engine Engine) (exec.Operator, error) {
+	op, _, err := compile(n, cm, engine, false)
+	return op, err
 }
 
-// buildRecorded compiles like Build, additionally reporting every compiled
-// operator and the plan node it came from through record (nil disables).
-func buildRecorded(n *Node, cm *codemodel.Catalog, record func(op any, n *Node)) (exec.Operator, error) {
-	var rec func(*Node) (exec.Operator, error)
-	rec = func(c *Node) (exec.Operator, error) {
-		if op, err := blockAggregate(c, cm, record != nil); op != nil || err != nil {
-			return op, err
+// CompileAnalyzed compiles like Compile, for EXPLAIN ANALYZE: the block
+// path stays off, and the walk records the report tree of the operators,
+// adapters and fused elements it creates. BuildReport fills the tree in
+// once the plan has run.
+func CompileAnalyzed(n *Node, cm *codemodel.Catalog, engine Engine) (exec.Operator, *OpReport, error) {
+	return compile(n, cm, engine, true)
+}
+
+// compile runs the one walk behind Compile and CompileAnalyzed.
+func compile(n *Node, cm *codemodel.Catalog, engine Engine, analyzed bool) (exec.Operator, *OpReport, error) {
+	if err := engine.Check(); err != nil {
+		return nil, nil, err
+	}
+	c := &compiler{cm: cm, engine: engine, analyzed: analyzed}
+	op, err := c.op(n)
+	if err != nil || !analyzed {
+		return op, nil, err
+	}
+	return op, c.reports[0], nil
+}
+
+// compiler is the one recursion every engine compiles through: a plan node
+// becomes the block aggregate, a batch subtree (vec), a fused pipeline
+// (push) or its Volcano operator, and a child that cannot join its batch
+// or fused parent crosses over through adapt. When analyzed, the walk also
+// builds the EXPLAIN ANALYZE tree: each element it creates pushes its
+// OpReport onto reports, adopting the reports its children pushed.
+type compiler struct {
+	cm       *codemodel.Catalog
+	engine   Engine
+	analyzed bool
+	reports  []*OpReport
+}
+
+// mark is where the reports of the element about to be compiled begin.
+func (c *compiler) mark() int { return len(c.reports) }
+
+// record pushes the report of elem, which the walk made from n on the named
+// engine, adopting every report pushed since mark as its children. It
+// returns the report, or nil when the compile is not analyzed (or the push
+// builder failed and elem is nil; Build then returns the error).
+func (c *compiler) record(mark int, elem exec.Named, engine string, n *Node) *OpReport {
+	if !c.analyzed || elem == nil {
+		return nil
+	}
+	r := &OpReport{Name: elem.Name(), Engine: engine, Group: n.Group, EstRows: n.EstRows, key: elem}
+	r.Children = append(r.Children, c.reports[mark:]...)
+	c.reports = append(c.reports[:mark], r)
+	return r
+}
+
+// capable reports whether n has a batch (vec) or fused (push) variant on
+// the compiler's engine.
+func (c *compiler) capable(n *Node) bool {
+	switch c.engine {
+	case EngineVec:
+		return vecCapable(n)
+	case EnginePush:
+		return pushCapable(n)
+	default:
+		return false
+	}
+}
+
+// op compiles n into a Volcano-side operator. It asks blockAggregate
+// first; on vec or push a capable n becomes a batch subtree behind a
+// ToVolcano adapter or one fused pipeline; anything else builds its
+// Volcano operator with children compiled by this same walk.
+func (c *compiler) op(n *Node) (exec.Operator, error) {
+	if op, err := blockAggregate(n, c.cm, c.analyzed); op != nil || err != nil {
+		return op, err
+	}
+	mark := c.mark()
+	if c.capable(n) {
+		if c.engine == EnginePush {
+			return c.fuse(n)
 		}
-		op, err := BuildNode(c, cm, rec)
+		v, err := c.vec(n)
 		if err != nil {
 			return nil, err
 		}
-		if record != nil {
-			record(op, c)
-		}
+		op := vec.NewToVolcano(v)
+		c.record(mark, op, adapterEngine, n)
 		return op, nil
 	}
-	return rec(n)
+	op, err := BuildNode(n, c.cm, c.op)
+	if err != nil {
+		return nil, err
+	}
+	if r := c.record(mark, op, EngineVolcano.String(), n); r != nil && n.Kind == KindBuffer {
+		r.Buffer, r.BufferSize = true, n.BufferSize
+		if r.BufferSize == 0 {
+			r.BufferSize = core.DefaultBufferSize
+		}
+	}
+	return op, nil
+}
+
+// adapt compiles n, a child of a batch or fused subtree, when it stays on
+// the Volcano side — the block aggregate, or a node without a variant for
+// the engine — and wraps it in the engine's adapter: a vec.FromVolcano, or
+// a pull source starting b's pipe. Both are modeled with the Buffer module,
+// since an adapter is a buffer refill loop. It compiles nothing and
+// returns ok=false when n joins its parent's subtree instead.
+func (c *compiler) adapt(n *Node, b *push.Builder) (from *vec.FromVolcano, ok bool, err error) {
+	mark := c.mark()
+	op, err := blockAggregate(n, c.cm, c.analyzed)
+	if err != nil {
+		return nil, false, err
+	}
+	if op == nil {
+		if c.capable(n) {
+			return nil, false, nil
+		}
+		if op, err = c.op(n); err != nil {
+			return nil, false, err
+		}
+	}
+	bufMod, err := moduleFor(&Node{Kind: KindBuffer}, c.cm)
+	if err != nil {
+		return nil, false, err
+	}
+	if b != nil {
+		c.record(mark, b.Source(op, bufMod), EnginePush.String(), n)
+		return nil, true, nil
+	}
+	from = vec.NewFromVolcano(op, 0, bufMod)
+	if r := c.record(mark, from, adapterEngine, n); r != nil {
+		r.Buffer, r.BufferSize = true, vec.DefaultBatchSize
+	}
+	return from, true, nil
 }
 
 // blockAggregate is where a plan takes the block path: it compiles n to the
 // fused exec.BlockAggregate, and returns it, when n is an Aggregate whose
 // input is a SeqScan of a memory-resident table — reached through any
 // number of Buffer nodes, which a block loop subsumes as the push and vec
-// compilers' loops already do — and the scan's filter, the group list and
-// every aggregate have a block kernel. All three compilers ask it first at
-// every node, so the operator is the same one behind each engine. It
+// loops already do — and the scan's filter, the group list and every
+// aggregate have a block kernel. The compiler asks it first at every node,
+// on every engine, so the operator is the same one behind each engine. It
 // answers nil for everything else, and always when the plan is compiled
 // against a code model or for EXPLAIN ANALYZE (analyzed): simulated
 // counters and per-operator statistics describe the row operators.
@@ -111,9 +230,9 @@ func blockAggregate(n *Node, cm *codemodel.Catalog, analyzed bool) (exec.Operato
 }
 
 // BuildNode compiles a single node into its Volcano operator, resolving
-// operand children through child — the hook the engine switch (Compile)
-// uses to splice batch subtrees in behind adapters, and the coordinator
-// uses to splice its gathered shard streams in for a plan's scan.
+// operand children through child — the hook the compiler uses to compile
+// children with its own walk, and the coordinator uses to splice its
+// gathered shard streams in for a plan's scan.
 func BuildNode(n *Node, cm *codemodel.Catalog, child func(*Node) (exec.Operator, error)) (exec.Operator, error) {
 	mod, err := moduleFor(n, cm)
 	if err != nil {

@@ -1,11 +1,10 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
-	"bufferdb/internal/codemodel"
-	"bufferdb/internal/exec"
 	"bufferdb/internal/vec"
 )
 
@@ -64,6 +63,10 @@ func EngineNames() []string {
 	return names
 }
 
+// ErrUnknownEngine is wrapped when a name (ParseEngine) or a value
+// (Check, and so Compile) names no engine.
+var ErrUnknownEngine = errors.New("unknown engine")
+
 // ParseEngine resolves an engine display name. It is the single
 // engine-name parser in the tree: every consumer (CLI flags, daemon
 // config, wire options, the facade) routes through it, so the valid set
@@ -75,59 +78,20 @@ func ParseEngine(name string) (Engine, error) {
 			return e, nil
 		}
 	}
-	return 0, fmt.Errorf("plan: unknown engine %q (valid: %s)", name, strings.Join(EngineNames(), ", "))
+	return 0, fmt.Errorf("%w %q (valid: %s)", ErrUnknownEngine, name, strings.Join(EngineNames(), ", "))
 }
 
-// Compile compiles a plan into an executable (Volcano-rooted) operator tree
-// for the selected engine. cm may be nil for uninstrumented execution.
-// With EngineVec the root is a ToVolcano adapter whenever the top of the
-// plan has a batch variant, so callers drive every compiled plan through
-// the same exec.Run loop.
-func Compile(n *Node, cm *codemodel.Catalog, engine Engine) (exec.Operator, error) {
-	switch engine {
-	case EngineVolcano:
-		return Build(n, cm)
-	case EngineVec:
-		return (&vecCompiler{cm: cm}).mixed(n)
-	case EnginePush:
-		return (&pushCompiler{cm: cm}).mixed(n)
-	default:
-		return nil, fmt.Errorf("plan: unknown engine %v", engine)
+// Check returns a wrapped ErrUnknownEngine when e is not one of Engines.
+func (e Engine) Check() error {
+	if int(e) >= len(Engines()) {
+		return fmt.Errorf("%w %s (valid: %s)", ErrUnknownEngine, e, strings.Join(EngineNames(), ", "))
 	}
+	return nil
 }
 
-// CompiledPlan couples an executable operator tree with the mapping from
-// each compiled operator instance back to the plan node it implements —
-// the bridge EXPLAIN ANALYZE uses to join runtime stats with plan shape
-// (execution group, buffer size, estimates).
-type CompiledPlan struct {
-	Root exec.Operator
-	// Nodes maps operator instances (exec.Operator, vec.Operator or an
-	// adapter) to their plan node.
-	Nodes map[any]*Node
-}
-
-// CompileAnalyzed compiles like Compile while recording the operator→node
-// mapping needed to annotate runtime stats onto the plan tree.
-func CompileAnalyzed(n *Node, cm *codemodel.Catalog, engine Engine) (*CompiledPlan, error) {
-	cp := &CompiledPlan{Nodes: make(map[any]*Node)}
-	record := func(op any, node *Node) { cp.Nodes[op] = node }
-	var err error
-	switch engine {
-	case EngineVolcano:
-		cp.Root, err = buildRecorded(n, cm, record)
-	case EngineVec:
-		cp.Root, err = (&vecCompiler{cm: cm, record: record}).mixed(n)
-	case EnginePush:
-		cp.Root, err = (&pushCompiler{cm: cm, record: record}).mixed(n)
-	default:
-		return nil, fmt.Errorf("plan: unknown engine %v", engine)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
+// adapterEngine is the report's Engine column for the vec engine's
+// ToVolcano and FromVolcano bridges.
+const adapterEngine = "adapter"
 
 // vecCapable reports whether a node has a block-oriented variant. A Buffer
 // node is transparent: batching is the vec engine's native mode, so the
@@ -145,150 +109,96 @@ func vecCapable(n *Node) bool {
 	}
 }
 
-// vecCompiler compiles plans for the vec engine. The optional record hook
-// reports every compiled operator (batch, Volcano and adapter alike) with
-// the plan node it implements — see CompileAnalyzed.
-type vecCompiler struct {
-	cm     *codemodel.Catalog
-	record func(op any, n *Node)
-}
-
-// rec reports one compiled operator when recording is enabled.
-func (vc *vecCompiler) rec(op any, n *Node) {
-	if vc.record != nil {
-		vc.record(op, n)
-	}
-}
-
-// vec compiles a vec-capable node into its batch operator, adapting
-// non-capable children behind FromVolcano.
-func (vc *vecCompiler) vec(n *Node) (vec.Operator, error) {
-	mod, err := moduleFor(n, vc.cm)
+// vec compiles a vec-capable node into its batch operator.
+func (c *compiler) vec(n *Node) (vec.Operator, error) {
+	mod, err := moduleFor(n, c.cm)
 	if err != nil {
 		return nil, err
 	}
+	mark := c.mark()
+	var op vec.Operator
 	switch n.Kind {
 	case KindBuffer:
-		// Through child, not vec: what the buffer batched may be an
+		// Through batch, not vec: what the buffer batched may be an
 		// aggregate that compiles to the block operator.
-		return vc.child(n.Children[0])
+		return c.batch(n.Children[0])
 
 	case KindSeqScan:
-		op := vec.NewSeqScan(n.Table, n.Filter, mod, 0)
-		op.Cols = n.ScanCols
-		vc.rec(op, n)
-		return op, nil
+		s := vec.NewSeqScan(n.Table, n.Filter, mod, 0)
+		s.Cols = n.ScanCols
+		op = s
 
 	case KindProject:
-		child, err := vc.child(n.Children[0])
+		child, err := c.batch(n.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		op, err := vec.NewProject(child, n.Projections, n.ProjNames, mod)
+		p, err := vec.NewProject(child, n.Projections, n.ProjNames, mod)
 		if err != nil {
 			return nil, err
 		}
-		vc.rec(op, n)
-		return op, nil
+		op = p
 
 	case KindAggregate:
-		child, err := vc.child(n.Children[0])
+		child, err := c.batch(n.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		op, err := vec.NewHashAggregate(child, n.GroupBy, n.Aggs, mod, 0)
+		a, err := vec.NewHashAggregate(child, n.GroupBy, n.Aggs, mod, 0)
 		if err != nil {
 			return nil, err
 		}
 		if n.SharedAgg != nil {
-			op.SetShared(n.SharedAgg)
+			a.SetShared(n.SharedAgg)
 		}
-		vc.rec(op, n)
-		return op, nil
+		op = a
 
 	case KindLimit:
-		child, err := vc.child(n.Children[0])
+		child, err := c.batch(n.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		op := vec.NewLimit(child, n.LimitN)
-		vc.rec(op, n)
-		return op, nil
+		op = vec.NewLimit(child, n.LimitN)
 
 	case KindHashJoin:
 		build := n.Children[1]
 		if build.Kind != KindHashBuild {
 			return nil, fmt.Errorf("plan: hash join inner must be a HashBuild node, got %v", build.Kind)
 		}
-		buildMod, err := moduleFor(build, vc.cm)
+		buildMod, err := moduleFor(build, c.cm)
 		if err != nil {
 			return nil, err
 		}
-		outer, err := vc.child(n.Children[0])
+		outer, err := c.batch(n.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		inner, err := vc.child(build.Children[0])
+		inner, err := c.batch(build.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		op := vec.NewHashJoin(outer, inner, n.OuterKey, build.InnerKey, buildMod, mod, 0)
+		j := vec.NewHashJoin(outer, inner, n.OuterKey, build.InnerKey, buildMod, mod, 0)
 		if build.Shared != nil {
-			op.SetShared(build.Shared)
+			j.SetShared(build.Shared)
 		}
-		vc.rec(op, n)
-		return op, nil
+		op = j
 
 	default:
 		return nil, fmt.Errorf("plan: %v has no batch variant", n.Kind)
 	}
-}
-
-// child compiles a child for a batch operator: natively when capable,
-// otherwise the Volcano subtree behind a FromVolcano adapter (modeled with
-// the buffer module — the adapter is a buffer refill loop).
-func (vc *vecCompiler) child(n *Node) (vec.Operator, error) {
-	op, err := blockAggregate(n, vc.cm, vc.record != nil)
-	if op == nil && err == nil {
-		if vecCapable(n) {
-			return vc.vec(n)
-		}
-		op, err = vc.mixed(n)
-	}
-	if err != nil {
-		return nil, err
-	}
-	bufMod, err := moduleFor(&Node{Kind: KindBuffer}, vc.cm)
-	if err != nil {
-		return nil, err
-	}
-	adapter := vec.NewFromVolcano(op, 0, bufMod)
-	vc.rec(adapter, n)
-	return adapter, nil
-}
-
-// mixed compiles a node for the vec engine from the Volcano side: capable
-// subtrees become batch operators behind a ToVolcano adapter, everything
-// else builds its Volcano operator with children compiled the same way.
-func (vc *vecCompiler) mixed(n *Node) (exec.Operator, error) {
-	if op, err := blockAggregate(n, vc.cm, vc.record != nil); op != nil || err != nil {
-		return op, err
-	}
-	if vecCapable(n) {
-		op, err := vc.vec(n)
-		if err != nil {
-			return nil, err
-		}
-		adapter := vec.NewToVolcano(op)
-		vc.rec(adapter, n)
-		return adapter, nil
-	}
-	op, err := BuildNode(n, vc.cm, func(c *Node) (exec.Operator, error) {
-		return vc.mixed(c)
-	})
-	if err != nil {
-		return nil, err
-	}
-	vc.rec(op, n)
+	c.record(mark, op, EngineVec.String(), n)
 	return op, nil
+}
+
+// batch compiles a child of a batch operator: natively when capable,
+// otherwise behind a FromVolcano adapter.
+func (c *compiler) batch(n *Node) (vec.Operator, error) {
+	from, ok, err := c.adapt(n, nil)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return from, nil
+	}
+	return c.vec(n)
 }

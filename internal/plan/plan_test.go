@@ -126,7 +126,7 @@ func TestExplain(t *testing.T) {
 }
 
 func TestBuildAndRunQ1(t *testing.T) {
-	op, err := Build(q1Plan(t), nil)
+	op, err := Compile(q1Plan(t), nil, EngineVolcano)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestJoinPlansAgree(t *testing.T) {
 	plans := buildJoinPlans(t)
 	var want string
 	for name, p := range plans {
-		op, err := Build(p, nil)
+		op, err := Compile(p, nil, EngineVolcano)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -294,7 +294,7 @@ func TestRefineJoinPlans(t *testing.T) {
 
 	// Refined plans still compute the same answers.
 	for name, p := range map[string]*Node{"nl": nl, "hj": hj, "mj": mj} {
-		op, err := Build(p, nil)
+		op, err := Compile(p, nil, EngineVolcano)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -315,7 +315,7 @@ func TestBuildErrors(t *testing.T) {
 	}
 	// A bare HashBuild cannot compile.
 	hb := &Node{Kind: KindHashBuild, Children: []*Node{SeqScan(orders, nil)}}
-	if _, err := Build(hb, nil); err == nil {
+	if _, err := Compile(hb, nil, EngineVolcano); err == nil {
 		t.Error("bare HashBuild compiled")
 	}
 	// Refine requires a code model.
@@ -327,7 +327,7 @@ func TestBuildErrors(t *testing.T) {
 func TestBufferAndLimitNodes(t *testing.T) {
 	li := tbl(t, "lineitem")
 	b := Buffer(SeqScan(li, nil), 64)
-	op, err := Build(b, nil)
+	op, err := Compile(b, nil, EngineVolcano)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestBufferAndLimitNodes(t *testing.T) {
 		t.Fatalf("buffer node run: %d rows, %v", len(rows), err)
 	}
 	l := Limit(SeqScan(li, nil), 5)
-	op, err = Build(l, nil)
+	op, err = Compile(l, nil, EngineVolcano)
 	if err != nil {
 		t.Fatal(err)
 	}

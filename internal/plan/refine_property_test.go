@@ -139,11 +139,11 @@ func TestRefinementTransparencyProperty(t *testing.T) {
 		}
 
 		// Transparency: identical results.
-		origOp, err := Build(p, nil)
+		origOp, err := Compile(p, nil, EngineVolcano)
 		if err != nil {
 			t.Fatalf("seed %d build: %v", seed, err)
 		}
-		refOp, err := Build(refined, nil)
+		refOp, err := Compile(refined, nil, EngineVolcano)
 		if err != nil {
 			t.Fatalf("seed %d build refined: %v", seed, err)
 		}

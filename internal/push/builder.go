@@ -12,14 +12,13 @@ import (
 // Builder assembles a Pipeline bottom-up, mirroring how a plan compiler
 // walks a fused subtree: start a pipe with Scan or Source, stack stages
 // with Filter/Project/Limit/Probe, break it with Aggregate, and seal the
-// whole thing with Build. Each method returns the element it created so an
-// analyzing compiler can map elements back to plan nodes; the first error
-// sticks and surfaces from Build.
+// whole thing with Build. Each method returns the element it created — the
+// key its runtime stats register under — or nil if it created none; the
+// first error sticks and surfaces from Build.
 type Builder struct {
 	pipes     []*pipe
 	fallbacks []exec.Operator
 	cur       *pipe
-	top       any
 	sch       storage.Schema
 	err       error
 }
@@ -43,8 +42,8 @@ func (b *Builder) start(src source, sch storage.Schema) {
 	b.sch = sch
 }
 
-// stage appends a stage to the current pipe and makes it the report top.
-func (b *Builder) stage(st stage, repChildren func([]any)) {
+// stage appends a stage to the current pipe.
+func (b *Builder) stage(st stage) {
 	if b.err != nil {
 		return
 	}
@@ -53,50 +52,44 @@ func (b *Builder) stage(st stage, repChildren func([]any)) {
 		return
 	}
 	b.cur.stages = append(b.cur.stages, st)
-	if b.top != nil {
-		repChildren([]any{b.top})
-	}
-	b.top = st
 }
 
 // Scan starts the current pipe with a fused heap scan. filter, cols (the
 // column mask of a paged scan) and mod may be nil.
-func (b *Builder) Scan(table *storage.Table, filter expr.Expr, cols []bool, mod *codemodel.Module) any {
+func (b *Builder) Scan(table *storage.Table, filter expr.Expr, cols []bool, mod *codemodel.Module) exec.Named {
 	if b.err != nil {
 		return nil
 	}
 	s := &scanSource{table: table, filter: filter, cols: cols}
 	s.mod = mod
 	b.start(s, table.Schema())
-	b.top = s
 	return s
 }
 
 // Source starts the current pipe from a Volcano operator subtree — the
 // adapter fallback for plan nodes without a fused variant. mod is the
 // buffer module (the adapter is a refill loop); it may be nil.
-func (b *Builder) Source(op exec.Operator, mod *codemodel.Module) any {
+func (b *Builder) Source(op exec.Operator, mod *codemodel.Module) exec.Named {
 	if b.err != nil {
 		return nil
 	}
 	s := &opSource{op: op}
 	s.mod = mod
 	b.start(s, op.Schema())
-	b.top = s
 	b.fallbacks = append(b.fallbacks, op)
 	return s
 }
 
 // Filter appends a residual-predicate stage.
-func (b *Builder) Filter(pred expr.Expr, mod *codemodel.Module) any {
+func (b *Builder) Filter(pred expr.Expr, mod *codemodel.Module) exec.Named {
 	f := &filterStage{pred: pred}
 	f.mod = mod
-	b.stage(f, func(c []any) { f.repChildren = c })
+	b.stage(f)
 	return f
 }
 
 // Project appends a target-list stage.
-func (b *Builder) Project(exprs []expr.Expr, names []string, mod *codemodel.Module) any {
+func (b *Builder) Project(exprs []expr.Expr, names []string, mod *codemodel.Module) exec.Named {
 	if b.err != nil {
 		return nil
 	}
@@ -110,7 +103,7 @@ func (b *Builder) Project(exprs []expr.Expr, names []string, mod *codemodel.Modu
 	}
 	p := &projectStage{exprs: exprs, names: names}
 	p.mod = mod
-	b.stage(p, func(c []any) { p.repChildren = c })
+	b.stage(p)
 	if b.err == nil {
 		var sch storage.Schema
 		for i, e := range exprs {
@@ -122,9 +115,9 @@ func (b *Builder) Project(exprs []expr.Expr, names []string, mod *codemodel.Modu
 }
 
 // Limit appends a first-n stage that stops the pipe once satisfied.
-func (b *Builder) Limit(n int) any {
+func (b *Builder) Limit(n int) exec.Named {
 	l := &limitStage{n: n}
-	b.stage(l, func(c []any) { l.repChildren = c })
+	b.stage(l)
 	return l
 }
 
@@ -132,7 +125,7 @@ func (b *Builder) Limit(n int) any {
 // inner's pipe is sealed with a hash-build breaker (scheduled before this
 // pipe runs) and a probe stage is appended here. Returns the probe and
 // build elements.
-func (b *Builder) Probe(inner *Builder, outerKey, innerKey expr.Expr, buildMod, probeMod *codemodel.Module) (probe, build any) {
+func (b *Builder) Probe(inner *Builder, outerKey, innerKey expr.Expr, buildMod, probeMod *codemodel.Module) (probe, build exec.Named) {
 	if b.err == nil && inner.err != nil {
 		b.err = inner.err
 	}
@@ -145,7 +138,6 @@ func (b *Builder) Probe(inner *Builder, outerKey, innerKey expr.Expr, buildMod, 
 	}
 	bs := &buildSink{innerKey: innerKey}
 	bs.mod = buildMod
-	bs.repChildren = []any{inner.top}
 	inner.cur.snk = bs
 	// Build pipes run before this (probe) pipe: upstream breakers first.
 	b.pipes = append(b.pipes, inner.pipes...)
@@ -155,16 +147,14 @@ func (b *Builder) Probe(inner *Builder, outerKey, innerKey expr.Expr, buildMod, 
 	ps := &probeStage{build: bs, outerKey: outerKey}
 	bs.join = ps
 	ps.mod = probeMod
-	outerTop := b.top
-	b.stage(ps, func([]any) {})
-	ps.repChildren = []any{outerTop, bs}
+	b.stage(ps)
 	b.sch = b.sch.Concat(inner.sch)
 	return ps, bs
 }
 
 // Aggregate seals the current pipe with a hashed-grouping breaker and
 // starts a new pipe streaming the grouped results.
-func (b *Builder) Aggregate(groupBy []expr.Expr, aggs []expr.AggSpec, mod *codemodel.Module) any {
+func (b *Builder) Aggregate(groupBy []expr.Expr, aggs []expr.AggSpec, mod *codemodel.Module) exec.Named {
 	if b.err != nil {
 		return nil
 	}
@@ -179,18 +169,16 @@ func (b *Builder) Aggregate(groupBy []expr.Expr, aggs []expr.AggSpec, mod *codem
 	}
 	a := &aggSink{AggState: state}
 	a.mod = mod
-	a.repChildren = []any{b.top}
 	b.cur.snk = a
 	b.pipes = append(b.pipes, b.cur)
 	b.cur = &pipe{src: &pipeSource{up: a}}
-	b.top = a
 	b.sch = a.Schema()
 	return a
 }
 
 // SetSharedBuild wires a hash-build breaker to the semantic reuse cache.
 // h must be the build handle Probe returned; reports whether it was.
-func SetSharedBuild(h any, sb *exec.SharedBuild) bool {
+func SetSharedBuild(h exec.Named, sb *exec.SharedBuild) bool {
 	bs, ok := h.(*buildSink)
 	if !ok {
 		return false
@@ -201,7 +189,7 @@ func SetSharedBuild(h any, sb *exec.SharedBuild) bool {
 
 // SetSharedAgg wires an aggregation breaker to the semantic reuse cache.
 // h must be the handle Aggregate returned; reports whether it was.
-func SetSharedAgg(h any, sa *exec.SharedAgg) bool {
+func SetSharedAgg(h exec.Named, sa *exec.SharedAgg) bool {
 	as, ok := h.(*aggSink)
 	if !ok {
 		return false
@@ -226,7 +214,6 @@ func (b *Builder) Build() (*Pipeline, error) {
 		out:       out,
 		sch:       b.sch,
 		fallbacks: b.fallbacks,
-		repRoot:   b.top,
 	}
 	b.cur = nil
 	return pl, nil

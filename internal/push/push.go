@@ -55,14 +55,12 @@ type source interface {
 	open(ctx *exec.Context) error
 	run(ctx *exec.Context, emit emitFn) error
 	close(ctx *exec.Context) error
-	name() string
 }
 
 // stage transforms rows mid-pipe, forwarding zero or more rows per input.
 type stage interface {
 	open(ctx *exec.Context) error
 	process(ctx *exec.Context, row storage.Row, next emitFn) error
-	name() string
 }
 
 // sink terminates a pipe at a breaker (hash build, aggregation) or at the
@@ -73,20 +71,11 @@ type sink interface {
 	consume(ctx *exec.Context, row storage.Row) error
 	finish(ctx *exec.Context) error
 	close(ctx *exec.Context)
-	name() string
 }
 
 // flusher is implemented by elements that batch module bits.
 type flusher interface {
 	flushBits(ctx *exec.Context)
-}
-
-// Reportable lets EXPLAIN ANALYZE descend into a fused pipeline: elements
-// expose their display name and structural children (mirroring the plan
-// subtree they fused) without being Volcano or vec operators themselves.
-type Reportable interface {
-	Name() string
-	ReportChildren() []any
 }
 
 // modbuf batches one element's per-tuple branch-outcome bits and replays
@@ -165,8 +154,6 @@ type Pipeline struct {
 	// fallbacks are the Volcano subtrees feeding adapter sources, exposed
 	// through Children so generic tree walks still see them.
 	fallbacks []exec.Operator
-	// repRoot is the report-tree top element (the fused plan root).
-	repRoot any
 
 	stats  *exec.OpStats
 	pos    int
@@ -266,11 +253,3 @@ func (pl *Pipeline) Module() *codemodel.Module { return nil }
 // Blocking implements exec.Operator: the pipeline materializes its result
 // on the first Next, so the refinement pass never buffers above it.
 func (pl *Pipeline) Blocking() bool { return true }
-
-// ReportChildren implements Reportable: the fused plan root element.
-func (pl *Pipeline) ReportChildren() []any {
-	if pl.repRoot == nil {
-		return nil
-	}
-	return []any{pl.repRoot}
-}

@@ -43,7 +43,7 @@ var countStar = []expr.AggSpec{{Func: expr.AggCountStar}}
 // joinCount builds scan(lineitem) → probe(orders) → COUNT(*) GROUP BY
 // o_orderpriority, returning the pipeline with its build and aggregate
 // handles.
-func joinCount(t *testing.T) (pl *Pipeline, build, agg any) {
+func joinCount(t *testing.T) (pl *Pipeline, build, agg exec.Named) {
 	t.Helper()
 	li, orders := tbl(t, "lineitem"), tbl(t, "orders")
 	b := NewBuilder()
@@ -200,12 +200,12 @@ func TestSetSharedRejectsForeignHandles(t *testing.T) {
 	if !SetSharedBuild(build, sb) || !SetSharedAgg(agg, sa) {
 		t.Fatal("the handles Probe and Aggregate returned were rejected")
 	}
-	for _, h := range []any{nil, agg, "HashBuild"} {
+	for _, h := range []exec.Named{nil, agg} {
 		if SetSharedBuild(h, sb) {
 			t.Errorf("SetSharedBuild accepted %T", h)
 		}
 	}
-	for _, h := range []any{nil, build, 7} {
+	for _, h := range []exec.Named{nil, build} {
 		if SetSharedAgg(h, sa) {
 			t.Errorf("SetSharedAgg accepted %T", h)
 		}

@@ -48,8 +48,6 @@ func (c *collectSink) close(ctx *exec.Context) {
 	c.memUsed = 0
 }
 
-func (c *collectSink) name() string { return "Collect" }
-
 // buildSink is the hash-join build breaker: it is pushed the build side's
 // rows and inserts them into the exec.JoinTable the probe stage reads.
 type buildSink struct {
@@ -59,8 +57,6 @@ type buildSink struct {
 
 	stats *exec.OpStats
 	table exec.JoinTable
-
-	repChildren []any
 }
 
 func (b *buildSink) open(ctx *exec.Context) error {
@@ -105,13 +101,8 @@ func (b *buildSink) finish(*exec.Context) error { return b.table.Finish() }
 
 func (b *buildSink) close(ctx *exec.Context) { b.table.Close(ctx) }
 
-func (b *buildSink) name() string { return fmt.Sprintf("HashBuild(%s)", b.innerKey.String()) }
-
-// Name implements Reportable.
-func (b *buildSink) Name() string { return b.name() }
-
-// ReportChildren implements Reportable.
-func (b *buildSink) ReportChildren() []any { return b.repChildren }
+// Name implements exec.Named.
+func (b *buildSink) Name() string { return fmt.Sprintf("HashBuild(%s)", b.innerKey.String()) }
 
 // aggSink is the aggregation breaker: it folds the rows it is pushed into
 // an exec.AggState and, as a producer, streams the grouped results into the
@@ -123,8 +114,6 @@ type aggSink struct {
 	stats *exec.OpStats
 	fault *faultinject.Point
 	start time.Time
-
-	repChildren []any
 }
 
 func (a *aggSink) open(ctx *exec.Context) error {
@@ -178,10 +167,5 @@ func (a *aggSink) produce(ctx *exec.Context, emit emitFn) error {
 
 func (a *aggSink) close(ctx *exec.Context) { a.AggState.Close(ctx) }
 
-func (a *aggSink) name() string { return a.AggState.Name("Aggregate") }
-
-// Name implements Reportable.
-func (a *aggSink) Name() string { return a.name() }
-
-// ReportChildren implements Reportable.
-func (a *aggSink) ReportChildren() []any { return a.repChildren }
+// Name implements exec.Named.
+func (a *aggSink) Name() string { return a.AggState.Name("Aggregate") }

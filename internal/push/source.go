@@ -24,8 +24,6 @@ type scanSource struct {
 	fault  *faultinject.Point
 	place  exec.TablePlacement
 	placed bool
-
-	repChildren []any
 }
 
 func (s *scanSource) open(ctx *exec.Context) error {
@@ -80,18 +78,13 @@ func (s *scanSource) run(ctx *exec.Context, emit emitFn) error {
 
 func (s *scanSource) close(*exec.Context) error { return nil }
 
-func (s *scanSource) name() string {
+// Name implements exec.Named.
+func (s *scanSource) Name() string {
 	if s.filter != nil {
 		return fmt.Sprintf("SeqScan(%s, filter=%s)", s.table.Name(), s.filter.String())
 	}
 	return fmt.Sprintf("SeqScan(%s)", s.table.Name())
 }
-
-// Name implements Reportable.
-func (s *scanSource) Name() string { return s.name() }
-
-// ReportChildren implements Reportable.
-func (s *scanSource) ReportChildren() []any { return s.repChildren }
 
 // opSource adapts a Volcano subtree into a pipe: the push engine's
 // equivalent of vec.FromVolcano. The subtree keeps its own per-tuple
@@ -102,8 +95,6 @@ type opSource struct {
 	modbuf
 
 	stats *exec.OpStats
-
-	repChildren []any
 }
 
 func (s *opSource) open(ctx *exec.Context) error {
@@ -136,15 +127,8 @@ func (s *opSource) run(ctx *exec.Context, emit emitFn) error {
 
 func (s *opSource) close(ctx *exec.Context) error { return s.op.Close(ctx) }
 
-func (s *opSource) name() string { return "Pull(" + s.op.Name() + ")" }
-
-// Name implements Reportable.
-func (s *opSource) Name() string { return s.name() }
-
-// ReportChildren implements Reportable: the wrapped Volcano operator, so
-// EXPLAIN ANALYZE descends across the engine boundary like it does for the
-// vec adapters.
-func (s *opSource) ReportChildren() []any { return []any{s.op} }
+// Name implements exec.Named.
+func (s *opSource) Name() string { return "Pull(" + s.op.Name() + ")" }
 
 // producer is a breaker sink whose materialized output feeds a downstream
 // pipe (the aggregation sink).
@@ -154,8 +138,7 @@ type producer interface {
 }
 
 // pipeSource replays an upstream breaker's materialized output into the
-// next pipe. It is transparent in reports: the breaker element itself is
-// the structural child.
+// next pipe.
 type pipeSource struct {
 	up producer
 }
@@ -167,5 +150,3 @@ func (s *pipeSource) run(ctx *exec.Context, emit emitFn) error {
 }
 
 func (s *pipeSource) close(*exec.Context) error { return nil }
-
-func (s *pipeSource) name() string { return "PipeSource(" + s.up.name() + ")" }

@@ -16,8 +16,6 @@ type filterStage struct {
 	modbuf
 
 	stats *exec.OpStats
-
-	repChildren []any
 }
 
 func (f *filterStage) open(ctx *exec.Context) error {
@@ -43,13 +41,8 @@ func (f *filterStage) process(ctx *exec.Context, row storage.Row, next emitFn) e
 	return next(ctx, row)
 }
 
-func (f *filterStage) name() string { return fmt.Sprintf("Filter(%s)", f.pred.String()) }
-
-// Name implements Reportable.
-func (f *filterStage) Name() string { return f.name() }
-
-// ReportChildren implements Reportable.
-func (f *filterStage) ReportChildren() []any { return f.repChildren }
+// Name implements exec.Named.
+func (f *filterStage) Name() string { return fmt.Sprintf("Filter(%s)", f.pred.String()) }
 
 // projectStage evaluates the target list per row, like exec.Project: one
 // fresh output row, one arena write per tuple.
@@ -60,8 +53,6 @@ type projectStage struct {
 
 	stats *exec.OpStats
 	arena *exec.Arena
-
-	repChildren []any
 }
 
 func (p *projectStage) open(ctx *exec.Context) error {
@@ -90,19 +81,14 @@ func (p *projectStage) process(ctx *exec.Context, row storage.Row, next emitFn) 
 	return next(ctx, out)
 }
 
-func (p *projectStage) name() string {
+// Name implements exec.Named.
+func (p *projectStage) Name() string {
 	parts := make([]string, len(p.exprs))
 	for i, e := range p.exprs {
 		parts[i] = e.String()
 	}
 	return fmt.Sprintf("Project(%s)", strings.Join(parts, ", "))
 }
-
-// Name implements Reportable.
-func (p *projectStage) Name() string { return p.name() }
-
-// ReportChildren implements Reportable.
-func (p *projectStage) ReportChildren() []any { return p.repChildren }
 
 // limitStage forwards the first n rows, then stops the whole pipe with
 // errStop — the push-model equivalent of a Limit ceasing to pull.
@@ -111,8 +97,6 @@ type limitStage struct {
 
 	stats   *exec.OpStats
 	emitted int
-
-	repChildren []any
 }
 
 func (l *limitStage) open(ctx *exec.Context) error {
@@ -139,13 +123,8 @@ func (l *limitStage) process(ctx *exec.Context, row storage.Row, next emitFn) er
 	return nil
 }
 
-func (l *limitStage) name() string { return fmt.Sprintf("Limit(%d)", l.n) }
-
-// Name implements Reportable.
-func (l *limitStage) Name() string { return l.name() }
-
-// ReportChildren implements Reportable.
-func (l *limitStage) ReportChildren() []any { return l.repChildren }
+// Name implements exec.Named.
+func (l *limitStage) Name() string { return fmt.Sprintf("Limit(%d)", l.n) }
 
 // probeStage probes an upstream buildSink's exec.JoinTable with each outer
 // row, emitting outer⨝inner concatenations in build-insertion order, with
@@ -159,8 +138,6 @@ type probeStage struct {
 	stats *exec.OpStats
 	fault *faultinject.Point
 	arena *exec.Arena
-
-	repChildren []any
 }
 
 func (j *probeStage) open(ctx *exec.Context) error {
@@ -203,13 +180,7 @@ func (j *probeStage) process(ctx *exec.Context, row storage.Row, next emitFn) er
 	return nil
 }
 
-func (j *probeStage) name() string {
+// Name implements exec.Named.
+func (j *probeStage) Name() string {
 	return fmt.Sprintf("HashJoin(%s = %s)", j.outerKey.String(), j.build.innerKey.String())
 }
-
-// Name implements Reportable.
-func (j *probeStage) Name() string { return j.name() }
-
-// ReportChildren implements Reportable: the outer chain below the probe,
-// plus the build sink's subtree.
-func (j *probeStage) ReportChildren() []any { return j.repChildren }

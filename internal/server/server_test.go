@@ -153,7 +153,11 @@ func TestQueryRoundTrip(t *testing.T) {
 			var localOpts []bufferdb.QueryOption
 			var remoteOpts []client.Option
 			if engine != "" {
-				localOpts = append(localOpts, bufferdb.WithEngine(bufferdb.Engine(engine)))
+				e, err := bufferdb.ParseEngine(engine)
+				if err != nil {
+					t.Fatal(err)
+				}
+				localOpts = append(localOpts, bufferdb.WithEngine(e))
 				remoteOpts = append(remoteOpts, client.WithEngine(engine))
 			}
 			local, err := db.Query(context.Background(), q, localOpts...)

@@ -252,7 +252,7 @@ func TestFingerprintEndToEndReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		p, releases := plan.ApplyReuse(p, cache)
-		op, err := plan.Build(p, nil)
+		op, err := plan.Compile(p, nil, plan.EngineVolcano)
 		if err != nil {
 			t.Fatal(err)
 		}

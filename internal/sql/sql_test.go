@@ -26,7 +26,7 @@ func runSQL(t *testing.T, query string, opt Options) []storage.Row {
 	if err != nil {
 		t.Fatalf("plan %q: %v", query, err)
 	}
-	op, err := plan.Build(p, nil)
+	op, err := plan.Compile(p, nil, plan.EngineVolcano)
 	if err != nil {
 		t.Fatalf("build %q: %v", query, err)
 	}
@@ -384,11 +384,11 @@ func TestRefinedSQLPlanRuns(t *testing.T) {
 	if plan.CountKind(refined, plan.KindBuffer) == 0 {
 		t.Fatalf("refinement added no buffer:\n%s", plan.Explain(refined))
 	}
-	a, err := plan.Build(p, nil)
+	a, err := plan.Compile(p, nil, plan.EngineVolcano)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := plan.Build(refined, nil)
+	b, err := plan.Compile(refined, nil, plan.EngineVolcano)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,12 +108,9 @@ func (f *FromVolcano) Close(ctx *exec.Context) error {
 // Schema implements Operator.
 func (f *FromVolcano) Schema() storage.Schema { return f.Child.Schema() }
 
-// Children implements Operator: the Volcano subtree is not part of the
-// batch operator tree; Volcano() exposes it.
+// Children implements Operator: the Volcano subtree (Child) is not part
+// of the batch operator tree.
 func (f *FromVolcano) Children() []Operator { return nil }
-
-// Volcano returns the wrapped Volcano subtree.
-func (f *FromVolcano) Volcano() exec.Operator { return f.Child }
 
 // Name implements Operator.
 func (f *FromVolcano) Name() string {
@@ -190,12 +187,9 @@ func (t *ToVolcano) Close(ctx *exec.Context) error {
 // Schema implements exec.Operator.
 func (t *ToVolcano) Schema() storage.Schema { return t.Child.Schema() }
 
-// Children implements exec.Operator: the batch subtree is not part of the
-// Volcano operator tree; Vec() exposes it.
+// Children implements exec.Operator: the batch subtree (Child) is not
+// part of the Volcano operator tree.
 func (t *ToVolcano) Children() []exec.Operator { return nil }
-
-// Vec returns the wrapped batch subtree.
-func (t *ToVolcano) Vec() Operator { return t.Child }
 
 // Name implements exec.Operator.
 func (t *ToVolcano) Name() string {

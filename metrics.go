@@ -34,42 +34,42 @@ import (
 
 // metricQueries returns the started-queries counter for an engine.
 func metricQueries(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_total{engine=%q}`, engineLabel(e)))
+	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_total{engine=%q}`, e))
 }
 
 // metricErrors returns the failed-queries counter for an engine.
 func metricErrors(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_query_errors_total{engine=%q}`, engineLabel(e)))
+	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_query_errors_total{engine=%q}`, e))
 }
 
 // metricRows returns the emitted-rows counter for an engine.
 func metricRows(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_rows_emitted_total{engine=%q}`, engineLabel(e)))
+	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_rows_emitted_total{engine=%q}`, e))
 }
 
 // metricLatency returns the query-latency histogram for an engine.
 func metricLatency(e Engine) *obsv.Histogram {
-	return obsv.Default.Histogram(fmt.Sprintf(`bufferdb_query_seconds{engine=%q}`, engineLabel(e)), obsv.DefLatencyBounds)
+	return obsv.Default.Histogram(fmt.Sprintf(`bufferdb_query_seconds{engine=%q}`, e), obsv.DefLatencyBounds)
 }
 
 // metricRejected counts queries shed by admission control.
 func metricRejected(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_rejected_total{engine=%q}`, engineLabel(e)))
+	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_rejected_total{engine=%q}`, e))
 }
 
 // metricTimeout counts queries that hit their deadline.
 func metricTimeout(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_timeout_total{engine=%q}`, engineLabel(e)))
+	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_timeout_total{engine=%q}`, e))
 }
 
 // metricOOM counts queries that overran a memory budget.
 func metricOOM(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_oom_total{engine=%q}`, engineLabel(e)))
+	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_oom_total{engine=%q}`, e))
 }
 
 // metricPanic counts queries that failed on a contained operator panic.
 func metricPanic(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_panic_total{engine=%q}`, engineLabel(e)))
+	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_panic_total{engine=%q}`, e))
 }
 
 // metricAdmitted gauges the queries currently holding an admission slot.
@@ -81,14 +81,6 @@ func metricAdmitted() *obsv.Gauge {
 // MemoryLimit; updated as each query settles.
 func metricTrackedBytes() *obsv.Gauge {
 	return obsv.Default.Gauge(`bufferdb_mem_tracked_bytes`)
-}
-
-// engineLabel normalizes an engine name for metric labels.
-func engineLabel(e Engine) string {
-	if e == "" {
-		return string(EngineVolcano)
-	}
-	return string(e)
 }
 
 // WriteMetrics renders the process-wide metrics registry in the Prometheus

@@ -179,9 +179,14 @@ func TestReuseDoesNotServePrunedBuild(t *testing.T) {
 		t.Fatalf("memory-resident builds hold whole rows and must share a key:\n%s\n%s", a, b)
 	}
 
+	ref, err := OpenTPCH(pagedScanSF, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ref.Close() })
 	for _, e := range chaosEngines {
 		for _, q := range []string{first, second, first, second} {
-			want, err := mem.Query(context.Background(), q, WithEngine(e), WithoutReuse())
+			want, err := ref.Query(context.Background(), q, WithEngine(e))
 			if err != nil {
 				t.Fatal(err)
 			}

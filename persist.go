@@ -129,14 +129,14 @@ func (db *DB) PagerStats() PagerStats {
 // cursor carrying the inserted count. Writes bypass plan refinement and
 // admission control — they touch no operator pipeline at all.
 func (db *DB) execInsert(ctx context.Context, query string, qo QueryOptions) (*Rows, error) {
-	label, _, err := planEngine(qo)
-	if err != nil {
+	engine := qo.Engine
+	if err := engine.Check(); err != nil {
 		return nil, err
 	}
-	metricQueries(label).Inc()
+	metricQueries(engine).Inc()
 	fail := func(err error) (*Rows, error) {
-		classifyError(label, err)
-		metricErrors(label).Inc()
+		classifyError(engine, err)
+		metricErrors(engine).Inc()
 		return nil, err
 	}
 	stmt, err := sql.ParseInsert(query)
@@ -174,12 +174,12 @@ func (db *DB) execInsert(ctx context.Context, query string, qo QueryOptions) (*R
 		return fail(err)
 	}
 	return &Rows{
-		ectx:        ectx,
-		op:          op,
-		cols:        []string{"inserted"},
-		schema:      sch,
-		db:          db,
-		engineLabel: string(label),
-		started:     time.Now(),
+		ectx:    ectx,
+		op:      op,
+		cols:    []string{"inserted"},
+		schema:  sch,
+		db:      db,
+		engine:  engine,
+		started: time.Now(),
 	}, nil
 }

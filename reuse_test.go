@@ -214,33 +214,6 @@ func TestReuseInsertInvalidation(t *testing.T) {
 	}
 }
 
-// TestReuseOptOut: WithoutReuse bypasses the cache entirely for one query.
-func TestReuseOptOut(t *testing.T) {
-	db := newReuseDB(t, Options{ReuseCache: true})
-	const q = `SELECT COUNT(*), SUM(l_quantity) FROM lineitem WHERE l_quantity < 30`
-
-	want, err := db.Query(context.Background(), q, WithoutReuse())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := db.ReuseStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Fatalf("opted-out query touched the cache: %+v", st)
-	}
-	if _, err := db.Query(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	got, err := db.Query(context.Background(), q, WithoutReuse())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.ReuseStats().Hits != 0 {
-		t.Fatal("opted-out query hit the cache")
-	}
-	if resultKey(got) != resultKey(want) {
-		t.Fatal("opt-out changed the result")
-	}
-}
-
 // TestReuseCloseReleasesMemory: published entries charge TrackedBytes while
 // resident and release everything at Close.
 func TestReuseCloseReleasesMemory(t *testing.T) {

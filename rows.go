@@ -55,9 +55,9 @@ type Rows struct {
 	// close() so eviction can never free a build mid-probe.
 	releases []func()
 
-	// engineLabel, started and emitted feed the process-wide metrics
-	// registry when the cursor finishes.
-	engineLabel string
+	// engine, started and emitted feed the process-wide metrics registry
+	// when the cursor finishes.
+	engine      Engine
 	started     time.Time
 	emitted     uint64
 	metricsDone bool
@@ -90,11 +90,8 @@ func (db *DB) queryStream(ctx context.Context, query string, qo QueryOptions) (*
 // under its deadline and memory budget, and contains operator panics.
 // Prepared statements enter here with a cloned cached plan.
 func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Rows, error) {
-	label, engine, err := planEngine(qo)
-	if err != nil {
-		return nil, err
-	}
-	metricQueries(label).Inc()
+	engine := qo.Engine
+	metricQueries(engine).Inc()
 
 	// The deadline clock starts before admission: a query stuck in the
 	// wait queue is still burning its caller's patience.
@@ -106,8 +103,8 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 	adm := db.adm
 	if err := adm.acquire(ctx, qo.AdmissionWait); err != nil {
 		cancel()
-		classifyError(label, err)
-		metricErrors(label).Inc()
+		classifyError(engine, err)
+		metricErrors(engine).Inc()
 		return nil, err
 	}
 	if adm != nil {
@@ -127,8 +124,8 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 			metricAdmitted().Add(-1)
 		}
 		cancel()
-		classifyError(label, err)
-		metricErrors(label).Inc()
+		classifyError(engine, err)
+		metricErrors(engine).Inc()
 		return nil, err
 	}
 
@@ -136,7 +133,7 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 	// (pinning them for the cursor's lifetime) and attach publish hooks to
 	// the rest. The plan is this execution's private copy — ad-hoc plans
 	// are fresh, prepared statements clone per run — so mutation is safe.
-	if db.reuseCache != nil && !qo.NoReuse {
+	if db.reuseCache != nil {
 		p, reuseReleases = plan.ApplyReuse(p, db.reuseCache)
 	}
 
@@ -165,17 +162,17 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 		cols[i] = c.Name
 	}
 	return &Rows{
-		ectx:        ectx,
-		op:          op,
-		cols:        cols,
-		schema:      schema,
-		mem:         mem,
-		cancel:      cancel,
-		adm:         adm,
-		db:          db,
-		releases:    reuseReleases,
-		engineLabel: string(label),
-		started:     time.Now(),
+		ectx:     ectx,
+		op:       op,
+		cols:     cols,
+		schema:   schema,
+		mem:      mem,
+		cancel:   cancel,
+		adm:      adm,
+		db:       db,
+		releases: reuseReleases,
+		engine:   engine,
+		started:  time.Now(),
 	}, nil
 }
 
@@ -271,9 +268,8 @@ func (r *Rows) Close() error {
 func (r *Rows) fail(err error) {
 	r.err = err
 	r.row = nil
-	e := Engine(r.engineLabel)
-	classifyError(e, err)
-	metricErrors(e).Inc()
+	classifyError(r.engine, err)
+	metricErrors(r.engine).Inc()
 	_ = r.close()
 }
 
@@ -308,9 +304,8 @@ func (r *Rows) close() error {
 	}
 	if !r.metricsDone {
 		r.metricsDone = true
-		e := Engine(r.engineLabel)
-		metricRows(e).Add(r.emitted)
-		metricLatency(e).Observe(time.Since(r.started).Seconds())
+		metricRows(r.engine).Add(r.emitted)
+		metricLatency(r.engine).Observe(time.Since(r.started).Seconds())
 	}
 	return err
 }

@@ -29,9 +29,6 @@ type Stmt struct {
 // buffer size, …) apply to every execution.
 func (db *DB) Prepare(query string, opts ...QueryOption) (*Stmt, error) {
 	qo := applyOptions(opts)
-	if _, _, err := planEngine(qo); err != nil {
-		return nil, err
-	}
 	p, err := db.plan(query, qo)
 	if err != nil {
 		return nil, err

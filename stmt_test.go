@@ -61,7 +61,7 @@ func TestPrepareOptions(t *testing.T) {
 	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 		t.Fatalf("vec prepared result %v, volcano ad hoc %v", got.Rows, want.Rows)
 	}
-	if _, err := testDB.Prepare(stmtQuery, WithEngine(Engine("gpu"))); err == nil {
+	if _, err := testDB.Prepare(stmtQuery, WithEngine(EnginePush+1)); err == nil {
 		t.Error("unknown engine not rejected at Prepare time")
 	}
 	if _, err := testDB.Prepare("SELEKT"); err == nil {
