@@ -134,16 +134,16 @@ func (a *Analysis) Table() string {
 	return plan.FormatReport(a.report, false)
 }
 
-// ExplainAnalyze plans the statement (with refinement per the options),
-// executes it on a fresh simulated CPU with per-operator stats collection,
-// and returns the annotated plan tree.
-func (db *DB) ExplainAnalyze(ctx context.Context, query string, opts ...QueryOption) (*Analysis, error) {
-	qo := applyOptions(opts)
-	p, err := db.plan(query, qo)
+// ExplainAnalyze plans the statement (refined unless WithoutRefinement),
+// executes it on the statement's engine on a fresh simulated CPU with
+// per-operator stats collection, and returns the annotated plan tree.
+func (db *DB) ExplainAnalyze(ctx context.Context, query string, opts ...PlanOption) (*Analysis, error) {
+	po := applyOptions(opts)
+	_, p, err := db.planPair(query, po, !po.DisableRefinement)
 	if err != nil {
 		return nil, err
 	}
-	root, report, err := plan.CompileAnalyzed(p, db.cm, qo.Engine)
+	root, report, err := plan.CompileAnalyzed(p, db.cm, po.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -162,24 +162,12 @@ func (db *DB) ExplainAnalyze(ctx context.Context, query string, opts ...QueryOpt
 		return nil, err
 	}
 	plan.BuildReport(report, ectx.Stats)
-	ctr := cpu.Counters()
 	return &Analysis{
 		Query:  query,
-		Engine: qo.Engine,
+		Engine: po.Engine,
 		Plan:   plan.Explain(p),
 		Root:   publicStat(report),
-		Totals: RunStats{
-			ElapsedSec:  cpu.ElapsedSeconds(),
-			CPI:         cpu.CPI(),
-			Cycles:      cpu.TotalCycles(),
-			Uops:        ctr.Uops,
-			L1IMisses:   ctr.L1IMisses,
-			L1DMisses:   ctr.L1DMisses,
-			L2Misses:    ctr.L2Misses + ctr.L2MissesPrefetched,
-			ITLBMisses:  ctr.ITLBMisses,
-			Branches:    ctr.Branches,
-			Mispredicts: ctr.Mispredicts,
-		},
+		Totals: runStats(cpu),
 		report: report,
 	}, nil
 }

@@ -37,17 +37,17 @@ var blockBenchDB = sync.OnceValue(func() *DB {
 	return db
 })
 
-// compileBothWays plans query on db and compiles the plan for the block
-// path (no code model) and for the row path (code model).
-func compileBothWays(tb testing.TB, db *DB, query string, qo QueryOptions) (block, rows exec.Operator) {
+// compileBothWays plans query on db (refined unless refine is false) and
+// compiles the plan for the block path (no code model) and for the row path
+// (code model).
+func compileBothWays(tb testing.TB, db *DB, query string, refine bool) (block, rows exec.Operator) {
 	tb.Helper()
-	engine := plan.EngineVolcano
-	p, err := db.plan(query, qo)
+	_, p, err := db.planPair(query, PlanOptions{}, refine)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for cm, op := range map[*codemodel.Catalog]*exec.Operator{nil: &block, db.cm: &rows} {
-		if *op, err = plan.Compile(plan.Clone(p), cm, engine); err != nil {
+		if *op, err = plan.Compile(plan.Clone(p), cm, plan.EngineVolcano); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func hasBlockAggregate(root exec.Operator) (found bool) {
 func BenchmarkBlockAggregate(b *testing.B) {
 	db := blockBenchDB()
 	for _, q := range blockBenchQueries {
-		block, rows := compileBothWays(b, db, q.sql, QueryOptions{})
+		block, rows := compileBothWays(b, db, q.sql, true)
 		for _, side := range []struct {
 			name string
 			op   exec.Operator
@@ -102,7 +102,7 @@ func TestBlockAggregateAllocs(t *testing.T) {
 	}
 	rowsIn := lineitem.NumRows()
 	for _, q := range blockBenchQueries {
-		block, _ := compileBothWays(t, db, q.sql, QueryOptions{})
+		block, _ := compileBothWays(t, db, q.sql, true)
 		var groups int
 		allocs := testing.AllocsPerRun(3, func() {
 			out, err := exec.Run(&exec.Context{Catalog: db.cat}, block)

@@ -30,7 +30,7 @@ func TestBlockAggregateMemoryBudget(t *testing.T) {
 	db := blockBenchDB()
 	// Unrefined: a Buffer under the aggregate charges its pointer array on
 	// the row path only, and would move the group the budget runs out at.
-	block, rows := compileBothWays(t, db, blockGroupsQuery, QueryOptions{DisableRefinement: true})
+	block, rows := compileBothWays(t, db, blockGroupsQuery, false)
 	var texts [2]string
 	for i, op := range []exec.Operator{rows, block} {
 		mem := exec.NewMemTracker("query", 64<<10, nil)
@@ -47,22 +47,20 @@ func TestBlockAggregateMemoryBudget(t *testing.T) {
 		t.Fatalf("the block path ran out of budget elsewhere than the row path:\n rows: %s\nblock: %s", texts[0], texts[1])
 	}
 
-	// And through the facade, on every engine.
+	// And through the facade.
 	mdb, err := OpenTPCH(0.002, Options{MemoryLimit: 256 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mdb.Close()
-	for _, e := range chaosEngines {
-		base := runtime.NumGoroutine()
-		_, err := mdb.Query(context.Background(), blockGroupsQuery, WithEngine(e), WithMemoryBudget(16<<10))
-		if !errors.Is(err, ErrMemoryBudgetExceeded) {
-			t.Fatalf("%s: want ErrMemoryBudgetExceeded, got %v", e, err)
-		}
-		waitGoroutines(t, base)
-		if got := mdb.TrackedBytes(); got != 0 {
-			t.Fatalf("%s: %d tracked bytes after the failed query", e, got)
-		}
+	base := runtime.NumGoroutine()
+	_, err = mdb.Query(context.Background(), blockGroupsQuery, WithMemoryBudget(16<<10))
+	if !errors.Is(err, ErrMemoryBudgetExceeded) {
+		t.Fatalf("want ErrMemoryBudgetExceeded, got %v", err)
+	}
+	waitGoroutines(t, base)
+	if got := mdb.TrackedBytes(); got != 0 {
+		t.Fatalf("%d tracked bytes after the failed query", got)
 	}
 }
 
@@ -70,7 +68,7 @@ func TestBlockAggregateMemoryBudget(t *testing.T) {
 // block.
 func TestBlockAggregateCancellation(t *testing.T) {
 	db := blockBenchDB()
-	block, _ := compileBothWays(t, db, blockGroupsQuery, QueryOptions{})
+	block, _ := compileBothWays(t, db, blockGroupsQuery, true)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// The tracker is the test's window on progress: every new group is
@@ -112,20 +110,18 @@ func TestBlockAggregateCancellation(t *testing.T) {
 func TestBlockAggregateFaultSites(t *testing.T) {
 	db := newReuseDB(t, Options{ReuseCache: true})
 	const q = `SELECT l_returnflag, COUNT(*) FROM lineitem WHERE l_quantity < 24 GROUP BY l_returnflag`
-	for _, e := range chaosEngines {
-		for _, site := range []string{
-			"Aggregate(COUNT(*) GROUP BY lineitem.l_returnflag):next",
-			"Aggregate(COUNT(*) GROUP BY lineitem.l_returnflag):publish",
-			"SeqScan(lineitem, filter=(lineitem.l_quantity < 24)):next",
-		} {
-			fi := NewFaultInjector(1, Fault{Match: site, Kind: FaultError, After: 0})
-			_, err := db.Query(context.Background(), q, WithEngine(e), WithFaultInjector(fi))
-			if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), site) {
-				t.Fatalf("%s: site %s did not fire: %v", e, site, err)
-			}
-			if st := db.ReuseStats(); st.Entries != 0 {
-				t.Fatalf("%s: the faulted query published %d entries", e, st.Entries)
-			}
+	for _, site := range []string{
+		"Aggregate(COUNT(*) GROUP BY lineitem.l_returnflag):next",
+		"Aggregate(COUNT(*) GROUP BY lineitem.l_returnflag):publish",
+		"SeqScan(lineitem, filter=(lineitem.l_quantity < 24)):next",
+	} {
+		fi := NewFaultInjector(1, Fault{Match: site, Kind: FaultError, After: 0})
+		_, err := db.Query(context.Background(), q, WithFaultInjector(fi))
+		if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), site) {
+			t.Fatalf("site %s did not fire: %v", site, err)
+		}
+		if st := db.ReuseStats(); st.Entries != 0 {
+			t.Fatalf("the faulted query published %d entries", st.Entries)
 		}
 	}
 	if got := db.TrackedBytes(); got != 0 {
@@ -156,7 +152,7 @@ func TestBlockAggregatePublishesRowPathTable(t *testing.T) {
 	var published [2][]storage.Row
 	var bytes [2]int64
 	for i, cm := range []bool{false, true} {
-		p, err := db.plan(q, QueryOptions{})
+		p, err := db.plan(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,13 +265,11 @@ func TestNegativeZeroIsOneGroup(t *testing.T) {
 	if f, ok := res.Rows[0][0].(float64); !ok || f != 0 || !math.Signbit(f) {
 		t.Fatalf("the INSERT did not store -0.0: %v", res.Rows[0][0])
 	}
-	for _, e := range chaosEngines {
-		res, err := db.Query(ctx, `SELECT c_acctbal, COUNT(*) FROM customer WHERE c_custkey > 9000000 GROUP BY c_acctbal`, WithEngine(e))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 1 || res.Rows[0][1] != int64(3) {
-			t.Fatalf("%s: GROUP BY split 0 and -0: %v", e, res.Rows)
-		}
+	res, err = db.Query(ctx, `SELECT c_acctbal, COUNT(*) FROM customer WHERE c_custkey > 9000000 GROUP BY c_acctbal`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][1] != int64(3) {
+		t.Fatalf("GROUP BY split 0 and -0: %v", res.Rows)
 	}
 }

@@ -32,8 +32,7 @@ func resultKey(res *Result) string {
 }
 
 // TestConcurrentQueries runs ≥8 goroutines of mixed statements against one
-// DB (on all three engines) and checks every
-// answer against the sequential baseline. Run under -race this is the
+// DB and checks every answer against the sequential baseline. Run under -race this is the
 // thread-safety acceptance test.
 func TestConcurrentQueries(t *testing.T) {
 	db, err := OpenTPCH(0.002, Options{})
@@ -57,11 +56,9 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// The goroutines split evenly over the three engines.
-			engine := WithEngine([]Engine{EngineVolcano, EngineVec, EnginePush}[g%3])
 			for i := 0; i < iters; i++ {
 				qi := (g + i) % len(concurrentQueries)
-				res, err := db.Query(context.Background(), concurrentQueries[qi], engine)
+				res, err := db.Query(context.Background(), concurrentQueries[qi])
 				if err != nil {
 					errc <- fmt.Errorf("goroutine %d query %d: %w", g, qi, err)
 					return
@@ -226,11 +223,11 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := testDB.Query(context.Background(), `SELECT 1 FROM ghost`); !errors.Is(err, ErrUnknownTable) {
 		t.Errorf("missing table error = %v, want ErrUnknownTable in its chain", err)
 	}
-	_, err := testDB.Query(context.Background(), `SELECT COUNT(*) FROM lineitem`, WithForceJoin("bogus"))
+	_, err := testDB.ExplainAnalyze(context.Background(), `SELECT COUNT(*) FROM lineitem`, WithForceJoin("bogus"))
 	if !errors.Is(err, ErrBadJoinMethod) {
 		t.Errorf("bad join method error = %v, want ErrBadJoinMethod in its chain", err)
 	}
-	if _, err := testDB.Query(context.Background(), `SELECT COUNT(*) FROM lineitem`, WithEngine(EnginePush+1)); !errors.Is(err, ErrUnknownEngine) {
+	if _, err := testDB.ExplainAnalyze(context.Background(), `SELECT COUNT(*) FROM lineitem`, WithEngine(EnginePush+1)); !errors.Is(err, ErrUnknownEngine) {
 		t.Errorf("unknown engine error = %v, want ErrUnknownEngine in its chain", err)
 	}
 }

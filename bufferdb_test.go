@@ -65,22 +65,32 @@ func TestQuery(t *testing.T) {
 	}
 }
 
+// TestWithEngine: WithEngine moves a reproduction entry point to another
+// engine, whose answer is the served plan's; a value naming no engine fails.
 func TestWithEngine(t *testing.T) {
+	ctx := context.Background()
 	q := `SELECT l_returnflag, COUNT(*) FROM lineitem
 	      WHERE l_shipdate <= DATE '1995-06-17'
 	      GROUP BY l_returnflag ORDER BY l_returnflag`
-	volcano, err := testDB.Query(context.Background(), q)
+	volcano, err := testDB.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec, err := testDB.Query(context.Background(), q, WithEngine(EngineVec))
+	a, err := testDB.ExplainAnalyze(ctx, q, WithEngine(EngineVec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Engine != EngineVec || a.Root.Rows != uint64(len(volcano.Rows)) {
+		t.Errorf("analysis ran on %s and returned %d rows, want vec and %d", a.Engine, a.Root.Rows, len(volcano.Rows))
+	}
+	vec, err := testDB.queryWith(ctx, q, PlanOptions{Engine: EngineVec}, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(vec.Rows) != fmt.Sprint(volcano.Rows) {
 		t.Errorf("engines disagree:\n vec:     %v\n volcano: %v", vec.Rows, volcano.Rows)
 	}
-	if _, err := testDB.Query(context.Background(), q, WithEngine(EnginePush+1)); err == nil {
+	if _, err := testDB.ExplainAnalyze(ctx, q, WithEngine(EnginePush+1)); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
@@ -111,7 +121,7 @@ func TestRefinementTransparency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := testDB.Query(context.Background(), q, WithoutRefinement())
+	raw, err := testDB.queryWith(context.Background(), q, PlanOptions{DisableRefinement: true}, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +234,7 @@ func TestForcedJoinMethods(t *testing.T) {
 	const q = `SELECT COUNT(*) FROM lineitem, orders WHERE l_orderkey = o_orderkey`
 	var want any
 	for _, m := range []string{"hash", "nestloop", "merge"} {
-		res, err := testDB.Query(context.Background(), q, WithForceJoin(m))
+		res, err := testDB.queryWith(context.Background(), q, PlanOptions{ForceJoin: m}, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -234,7 +244,7 @@ func TestForcedJoinMethods(t *testing.T) {
 			t.Errorf("%s join result %v != %v", m, res.Rows[0][0], want)
 		}
 	}
-	if _, err := testDB.Query(context.Background(), q, WithForceJoin("quantum")); err == nil {
+	if _, _, err := testDB.Explain(q, WithForceJoin("quantum")); err == nil {
 		t.Error("bogus join method accepted")
 	}
 }
@@ -249,12 +259,12 @@ func TestForcedJoinsKeepInnerFilter(t *testing.T) {
 		 WHERE l_orderkey = o_orderkey AND o_orderdate < DATE '1993-06-01' AND l_quantity > 40
 		 ORDER BY l_orderkey, l_linenumber`,
 	} {
-		hash, err := testDB.Query(context.Background(), q, WithForceJoin("hash"))
+		hash, err := testDB.queryWith(context.Background(), q, PlanOptions{ForceJoin: "hash"}, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, method := range []string{"nestloop", "merge"} {
-			res, err := testDB.Query(context.Background(), q, WithForceJoin(method))
+			res, err := testDB.queryWith(context.Background(), q, PlanOptions{ForceJoin: method}, QueryOptions{})
 			if err != nil {
 				t.Fatalf("%s: %v", method, err)
 			}

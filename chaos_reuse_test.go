@@ -26,19 +26,19 @@ const reuseChaosQuery = `SELECT SUM(o_totalprice), COUNT(*) FROM lineitem, order
 // (a poisoned entry must never be served), and the follow-up query
 // rebuilds, repopulates the cache and returns correct rows.
 func TestChaosReusePublishFault(t *testing.T) {
-	for _, e := range []Engine{EngineVolcano, EngineVec, EnginePush} {
+	want, err := testDB.Query(context.Background(), reuseChaosQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range chaosEngines {
 		for _, kind := range []faultinject.Kind{FaultError, FaultPanic} {
 			t.Run(fmt.Sprintf("%s/%v", e, kind), func(t *testing.T) {
 				db := newReuseDB(t, Options{ReuseCache: true})
-				want, err := testDB.Query(context.Background(), reuseChaosQuery, WithEngine(e))
-				if err != nil {
-					t.Fatal(err)
-				}
 				base := runtime.NumGoroutine()
 
 				fi := NewFaultInjector(1, Fault{Match: ":publish", Kind: kind})
-				_, err = db.Query(context.Background(), reuseChaosQuery,
-					WithEngine(e), WithFaultInjector(fi))
+				_, err := db.queryWith(context.Background(), reuseChaosQuery,
+					PlanOptions{Engine: e}, QueryOptions{FaultInjector: fi})
 				if !errors.Is(err, ErrInjected) {
 					t.Fatalf("want ErrInjected, got %v", err)
 				}
@@ -58,7 +58,7 @@ func TestChaosReusePublishFault(t *testing.T) {
 				if got := db.TrackedBytes(); got != 0 {
 					t.Fatalf("tracked memory leak after failed publish: %d bytes", got)
 				}
-				res, err := db.Query(context.Background(), reuseChaosQuery, WithEngine(e))
+				res, err := db.queryWith(context.Background(), reuseChaosQuery, PlanOptions{Engine: e}, QueryOptions{})
 				if err != nil {
 					t.Fatalf("follow-up query failed: %v", err)
 				}
@@ -78,12 +78,12 @@ func TestChaosReusePublishFault(t *testing.T) {
 // build the cache wants is under construction: the query fails typed, the
 // cache stays empty, and tracked memory returns to zero.
 func TestChaosReuseOOMDuringBuild(t *testing.T) {
-	for _, e := range []Engine{EngineVolcano, EngineVec, EnginePush} {
+	for _, e := range chaosEngines {
 		t.Run(e.String(), func(t *testing.T) {
 			db := newReuseDB(t, Options{ReuseCache: true})
 			base := runtime.NumGoroutine()
-			_, err := db.Query(context.Background(), reuseChaosQuery,
-				WithEngine(e), WithMemoryBudget(4<<10))
+			_, err := db.queryWith(context.Background(), reuseChaosQuery,
+				PlanOptions{Engine: e}, QueryOptions{MemoryBudget: 4 << 10})
 			if !errors.Is(err, ErrMemoryBudgetExceeded) {
 				t.Fatalf("want ErrMemoryBudgetExceeded, got %v", err)
 			}
@@ -94,7 +94,7 @@ func TestChaosReuseOOMDuringBuild(t *testing.T) {
 			if got := db.TrackedBytes(); got != 0 {
 				t.Fatalf("tracked memory leak after OOM: %d bytes", got)
 			}
-			if _, err := db.Query(context.Background(), reuseChaosQuery, WithEngine(e)); err != nil {
+			if _, err := db.queryWith(context.Background(), reuseChaosQuery, PlanOptions{Engine: e}, QueryOptions{}); err != nil {
 				t.Fatalf("follow-up query failed: %v", err)
 			}
 		})

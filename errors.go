@@ -20,7 +20,7 @@ var (
 	// ErrUnknownEngine is wrapped when WithEngine (or ParseEngine) names an
 	// engine that does not exist.
 	ErrUnknownEngine = plan.ErrUnknownEngine
-	// ErrBadJoinMethod is wrapped when QueryOptions.ForceJoin is not one of
+	// ErrBadJoinMethod is wrapped when WithForceJoin names none of
 	// "", "hash", "nestloop", "merge". It is detected at plan time, before
 	// any execution starts.
 	ErrBadJoinMethod = sql.ErrBadJoinMethod

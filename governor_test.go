@@ -23,7 +23,7 @@ func TestGoroutineLeakEarlyClose(t *testing.T) {
 	for _, e := range chaosEngines {
 		t.Run(e.String(), func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			rows, err := chaosDB.QueryStream(context.Background(), streamQuery, WithEngine(e))
+			rows, err := chaosDB.streamWith(context.Background(), streamQuery, PlanOptions{Engine: e}, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestGoroutineLeakCancellation(t *testing.T) {
 			base := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			rows, err := chaosDB.QueryStream(ctx, streamQuery, WithEngine(e))
+			rows, err := chaosDB.streamWith(ctx, streamQuery, PlanOptions{Engine: e}, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +176,7 @@ func simulate(t *testing.T, db *DB, p *plan.Node, e plan.Engine, runs int, arm f
 // on every engine: the governor must never touch the simulation.
 func TestGovernorCountersBitIdentical(t *testing.T) {
 	db := testDB
-	p, err := db.plan(chaosQuery, QueryOptions{})
+	p, err := db.plan(chaosQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestGovernorCountersBitIdentical(t *testing.T) {
 // tuple arenas.
 func TestBreakerRegionsSurviveReopen(t *testing.T) {
 	db := testDB
-	p, err := db.plan(chaosQuery, QueryOptions{})
+	p, err := db.plan(chaosQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

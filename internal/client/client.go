@@ -83,22 +83,10 @@ func (e *ServerError) Unwrap() []error {
 // Option tunes one statement.
 type Option func(*wire.QueryOpts)
 
-// WithEngine selects the execution engine by name — "volcano", "vec" or
-// "push". The daemon validates the name against bufferdb.ParseEngine's
-// canonical set and rejects unknown names at the protocol boundary.
-func WithEngine(name string) Option {
-	return func(o *wire.QueryOpts) { o.Engine = name }
-}
-
 // WithTimeout bounds the query's wall clock server-side; expiry surfaces
 // an error wrapping bufferdb.ErrDeadlineExceeded.
 func WithTimeout(d time.Duration) Option {
 	return func(o *wire.QueryOpts) { o.TimeoutMS = d.Milliseconds() }
-}
-
-// WithoutRefinement runs the conventional (unbuffered) plan.
-func WithoutRefinement() Option {
-	return func(o *wire.QueryOpts) { o.DisableRefinement = true }
 }
 
 // WithoutResultCache opts this statement out of the server's result-reuse
@@ -112,25 +100,6 @@ func WithoutResultCache() Option {
 // bufferdb.ErrMemoryBudgetExceeded.
 func WithMemoryBudget(n int64) Option {
 	return func(o *wire.QueryOpts) { o.MemoryBudget = n }
-}
-
-// WithAdmissionWait overrides how long the query may queue for an execution
-// slot server-side before being shed with bufferdb.ErrServerBusy.
-func WithAdmissionWait(d time.Duration) Option {
-	return func(o *wire.QueryOpts) { o.AdmissionWaitMS = d.Milliseconds() }
-}
-
-// WithForceJoin forces the join algorithm server-side: "hash", "nestloop",
-// "merge". The daemon validates the name at the protocol boundary and
-// rejects unknown methods with an error wrapping bufferdb.ErrBadJoinMethod.
-func WithForceJoin(method string) Option {
-	return func(o *wire.QueryOpts) { o.ForceJoin = method }
-}
-
-// WithBufferSize overrides the capacity of buffer operators the refinement
-// pass inserts server-side.
-func WithBufferSize(n int) Option {
-	return func(o *wire.QueryOpts) { o.BufferSize = int32(n) }
 }
 
 // WithSlice addresses hash slice idx on a daemon hosting several replica

@@ -9,8 +9,8 @@
 // query with the engine's own parser, decides distributability against the
 // shard map, rewrites aggregates into shard-local partials (COUNT→SUM,
 // AVG→SUM+COUNT), renders the rewritten AST back to SQL, and ships it to
-// every shard over the wire protocol with the caller's engine selection,
-// deadline, and memory budget forwarded intact. The gather is a second
+// every shard over the wire protocol with the caller's deadline and memory
+// budget forwarded intact. The gather is a second
 // SELECT over the legs' stream, read as one table — the original select
 // list over merged partials, with its ORDER BY and LIMIT — planned by the
 // same analyzer that plans a single node's query. A query touching only
@@ -134,9 +134,9 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) TrackedBytes() int64 { return c.mem.Bytes() }
 
 // Query plans and starts a distributed query. Options forward to the
-// shards unchanged — engine selection, per-shard deadline, memory budget,
-// force-join, buffer size — while the coordinator's merge always runs on
-// the local Volcano pipeline.
+// shards unchanged — per-shard deadline, memory budget, result-cache
+// opt-out — while the coordinator's merge runs on the local Volcano
+// pipeline.
 func (c *Coordinator) Query(ctx context.Context, sqlText string, opts ...client.Option) (*Rows, error) {
 	p, err := c.plan(sqlText)
 	if err != nil {

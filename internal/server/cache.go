@@ -17,13 +17,13 @@ const stmtOverheadBytes = 32 << 10
 // stmtCacheEntries bounds the prepared-statement LRU.
 const stmtCacheEntries = 64
 
-// stmtCache is a shared LRU of prepared statements keyed by SQL text plus
-// the plan-shaping options (see wire.QueryOpts.CacheKey). Sessions prepare
-// through it so N clients preparing the same hot statement plan it once;
-// bufferdb.Stmt is safe for concurrent use, so one entry serves concurrent
-// executions. Every entry charges the database's MemoryLimit through
-// ReserveMemory; when the reservation is refused the statement is handed
-// out uncached rather than failing the prepare.
+// stmtCache is a shared LRU of prepared statements keyed by slice and SQL
+// text (see wire.QueryOpts.CacheKey). Sessions prepare through it so N
+// clients preparing the same hot statement plan it once; bufferdb.Stmt is
+// safe for concurrent use, so one entry serves concurrent executions. Every
+// entry charges the database's MemoryLimit through ReserveMemory; when the
+// reservation is refused the statement is handed out uncached rather than
+// failing the prepare.
 type stmtCache struct {
 	db *bufferdb.DB
 

@@ -67,10 +67,11 @@ func (b *dbBackend) fault(sql string) *bufferdb.FaultInjector {
 
 // Prepare plans a statement with the wire options applied, going through
 // the shared LRU when the options are cache-compatible. Statements carrying
-// a timeout or a fault injector stay private to their session: the timeout
-// is baked into the prepared options (it must not leak to other clients),
-// and injectors are test instruments. The cache key includes the slice, so
-// the same SQL prepared against two hosted slices yields two entries.
+// a timeout, a memory budget or a fault injector stay private to their
+// session: limits are baked into the prepared options (they must not leak
+// to other clients), and injectors are test instruments. The cache key
+// includes the slice, so the same SQL prepared against two hosted slices
+// yields two entries.
 func (b *dbBackend) Prepare(sql string, o wire.QueryOpts) (Prepared, error) {
 	db, err := b.dbFor(o.Slice)
 	if err != nil {
@@ -85,7 +86,7 @@ func (b *dbBackend) Prepare(sql string, o wire.QueryOpts) (Prepared, error) {
 		return db.Prepare(sql, opts...)
 	}
 	var st *bufferdb.Stmt
-	if o.TimeoutMS != 0 || o.MemoryBudget != 0 || o.AdmissionWaitMS != 0 || fi != nil {
+	if o.TimeoutMS != 0 || o.MemoryBudget != 0 || fi != nil {
 		st, err = build()
 	} else {
 		st, err = b.stmts.get(o.CacheKey(sql), build)
@@ -217,54 +218,20 @@ func (b *dbBackend) Tables(_ context.Context, slice int32) ([]wire.TableInfo, er
 	return infos, nil
 }
 
-// queryOptions translates wire options into engine options. The engine
-// name a client sent goes through the canonical parser, so a bad name is
-// rejected at the protocol boundary with the valid set in the message
-// instead of surfacing later from the planner.
+// queryOptions translates wire options into the facade's served options.
 func queryOptions(o wire.QueryOpts, fi *bufferdb.FaultInjector) ([]bufferdb.QueryOption, error) {
 	var opts []bufferdb.QueryOption
-	if o.Engine != "" {
-		e, err := bufferdb.ParseEngine(o.Engine)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, bufferdb.WithEngine(e))
-	}
 	if o.TimeoutMS < 0 {
 		return nil, fmt.Errorf("server: negative timeout %dms", o.TimeoutMS)
 	}
 	if o.TimeoutMS > 0 {
 		opts = append(opts, bufferdb.WithTimeout(time.Duration(o.TimeoutMS)*time.Millisecond))
 	}
-	if o.DisableRefinement {
-		opts = append(opts, bufferdb.WithoutRefinement())
-	}
-	if o.ForceJoin != "" {
-		switch o.ForceJoin {
-		case "hash", "nestloop", "merge":
-			opts = append(opts, bufferdb.WithForceJoin(o.ForceJoin))
-		default:
-			return nil, fmt.Errorf("server: %w %q (valid: hash, nestloop, merge)",
-				bufferdb.ErrBadJoinMethod, o.ForceJoin)
-		}
-	}
-	if o.BufferSize < 0 {
-		return nil, fmt.Errorf("server: negative buffer size %d", o.BufferSize)
-	}
-	if o.BufferSize > 0 {
-		opts = append(opts, bufferdb.WithBufferSize(int(o.BufferSize)))
-	}
 	if o.MemoryBudget < 0 {
 		return nil, fmt.Errorf("server: negative memory budget %d", o.MemoryBudget)
 	}
 	if o.MemoryBudget > 0 {
 		opts = append(opts, bufferdb.WithMemoryBudget(o.MemoryBudget))
-	}
-	if o.AdmissionWaitMS < 0 {
-		return nil, fmt.Errorf("server: negative admission wait %dms", o.AdmissionWaitMS)
-	}
-	if o.AdmissionWaitMS > 0 {
-		opts = append(opts, bufferdb.WithAdmissionWait(time.Duration(o.AdmissionWaitMS)*time.Millisecond))
 	}
 	if fi != nil {
 		opts = append(opts, bufferdb.WithFaultInjector(fi))

@@ -134,7 +134,7 @@ func slowHook(sql string) *bufferdb.FaultInjector {
 }
 
 // TestQueryRoundTrip asserts a remote query returns exactly what the
-// embedded engine returns, across engines and value types.
+// embedded engine returns, across value types.
 func TestQueryRoundTrip(t *testing.T) {
 	db := newDB(t, bufferdb.Options{})
 	_, addr := startServer(t, server.Config{DB: db})
@@ -148,31 +148,19 @@ func TestQueryRoundTrip(t *testing.T) {
 		 WHERE l_orderkey < 100 ORDER BY l_orderkey, l_linenumber LIMIT 20`,
 		`SELECT COUNT(*) FROM lineitem, orders WHERE l_orderkey = o_orderkey AND o_totalprice > 1000`,
 	}
-	for _, engine := range []string{"", "vec"} {
-		for _, q := range queries {
-			var localOpts []bufferdb.QueryOption
-			var remoteOpts []client.Option
-			if engine != "" {
-				e, err := bufferdb.ParseEngine(engine)
-				if err != nil {
-					t.Fatal(err)
-				}
-				localOpts = append(localOpts, bufferdb.WithEngine(e))
-				remoteOpts = append(remoteOpts, client.WithEngine(engine))
-			}
-			local, err := db.Query(context.Background(), q, localOpts...)
-			if err != nil {
-				t.Fatalf("local %q: %v", q, err)
-			}
-			remote, err := c.QueryAll(context.Background(), q, remoteOpts...)
-			if err != nil {
-				t.Fatalf("remote %q: %v", q, err)
-			}
-			want := resultString(local.Columns, local.Rows)
-			got := resultString(remote.Columns, remote.Rows)
-			if got != want {
-				t.Fatalf("engine %q query %q:\nremote %s\nlocal %s", engine, q, got, want)
-			}
+	for _, q := range queries {
+		local, err := db.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("local %q: %v", q, err)
+		}
+		remote, err := c.QueryAll(context.Background(), q)
+		if err != nil {
+			t.Fatalf("remote %q: %v", q, err)
+		}
+		want := resultString(local.Columns, local.Rows)
+		got := resultString(remote.Columns, remote.Rows)
+		if got != want {
+			t.Fatalf("query %q:\nremote %s\nlocal %s", q, got, want)
 		}
 	}
 }
@@ -198,17 +186,6 @@ func TestQueryErrors(t *testing.T) {
 	// The session survives failed statements.
 	if _, err := c.QueryAll(context.Background(), "SELECT COUNT(*) FROM nation"); err != nil {
 		t.Fatalf("query after errors: %v", err)
-	}
-}
-
-// TestUnknownEngineOverWire asserts the engine check crosses the wire.
-func TestUnknownEngineOverWire(t *testing.T) {
-	db := newDB(t, bufferdb.Options{})
-	_, addr := startServer(t, server.Config{DB: db})
-	c := dial(t, addr, client.Config{})
-	_, err := c.QueryAll(context.Background(), "SELECT COUNT(*) FROM nation", client.WithEngine("warp"))
-	if err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("got %v, want unknown engine error", err)
 	}
 }
 
@@ -625,14 +602,6 @@ func TestResultCacheReuse(t *testing.T) {
 		t.Fatal("opt-out query hit the cache")
 	}
 
-	// Different options miss: the cache key carries plan-shaping options.
-	if _, err := c.QueryAll(context.Background(), aggQuery, client.WithEngine("vec")); err != nil {
-		t.Fatal(err)
-	}
-	if hits.Value()-h0 != 1 {
-		t.Fatal("vec-engine query hit the volcano entry")
-	}
-
 	// Frame for frame: the batches the session encodes from the cursor's
 	// typed rows are what the cache stores, so a replay is byte-equal to the
 	// stream that filled it — dates, strings and floats included.
@@ -779,12 +748,11 @@ func TestServerMetrics(t *testing.T) {
 	}
 }
 
-// TestOptionConformanceOverWire asserts the satellite query options —
-// force-join, buffer size, per-query memory budget, admission wait — are
-// applied server-side with the same semantics as the embedded API: valid
-// values change execution without changing results, invalid values are
-// rejected with the server's validation errors, and budget overruns come
-// back typed.
+// TestOptionConformanceOverWire asserts the served query options —
+// timeout, per-query memory budget, result-cache opt-out — are applied
+// server-side with the same semantics as the embedded API: valid values
+// leave results unchanged, invalid values are rejected with the server's
+// validation errors, and budget overruns come back typed.
 func TestOptionConformanceOverWire(t *testing.T) {
 	db := newDB(t, bufferdb.Options{})
 	_, addr := startServer(t, server.Config{DB: db})
@@ -798,16 +766,12 @@ func TestOptionConformanceOverWire(t *testing.T) {
 	}
 	ref := resultString(want.Columns, want.Rows)
 
-	// Every join method and an explicit vector buffer size must produce
-	// the embedded engine's exact result.
 	for _, opt := range []struct {
 		name string
 		o    client.Option
 	}{
-		{"hash", client.WithForceJoin("hash")},
-		{"nestloop", client.WithForceJoin("nestloop")},
-		{"merge", client.WithForceJoin("merge")},
-		{"bufsize", client.WithBufferSize(64)},
+		{"timeout", client.WithTimeout(time.Minute)},
+		{"no result cache", client.WithoutResultCache()},
 	} {
 		res, err := c.QueryAll(context.Background(), join, opt.o)
 		if err != nil {
@@ -818,17 +782,14 @@ func TestOptionConformanceOverWire(t *testing.T) {
 		}
 	}
 
-	// Server-side validation: bogus join method and negative values are
-	// rejected before execution, as CodeQuery with the server's message.
+	// Server-side validation: negative values are rejected before
+	// execution, as CodeQuery with the server's message.
 	rejections := []struct {
 		name string
 		o    client.Option
 		msg  string
 	}{
-		{"bogus join", client.WithForceJoin("bogus"), "valid: hash, nestloop, merge"},
-		{"negative buffer", client.WithBufferSize(-1), "negative buffer size"},
 		{"negative budget", client.WithMemoryBudget(-1), "negative memory budget"},
-		{"negative wait", client.WithAdmissionWait(-time.Millisecond), "negative admission wait"},
 		{"negative timeout", client.WithTimeout(-time.Millisecond), "negative timeout"},
 	}
 	for _, rj := range rejections {
@@ -862,12 +823,12 @@ func TestOptionConformanceOverWire(t *testing.T) {
 	}
 }
 
-// TestAdmissionWaitOverWire asserts the per-query admission wait crosses
-// the wire: with the only slot held, a short wait sheds as ErrServerBusy
-// in roughly the requested time instead of queueing indefinitely.
+// TestAdmissionWaitOverWire asserts the daemon's admission wait holds over
+// the wire: with the only slot held, a query sheds as ErrServerBusy in
+// roughly the configured wait instead of queueing indefinitely.
 func TestAdmissionWaitOverWire(t *testing.T) {
 	db := newDB(t, bufferdb.Options{
-		Admission: bufferdb.AdmissionConfig{MaxConcurrent: 1, MaxQueued: 4, WaitTimeout: time.Minute},
+		Admission: bufferdb.AdmissionConfig{MaxConcurrent: 1, MaxQueued: 4, WaitTimeout: 50 * time.Millisecond},
 	})
 	_, addr := startServer(t, server.Config{DB: db, FaultHook: slowHook, BatchRows: 32})
 	holder := dial(t, addr, client.Config{})
@@ -884,8 +845,7 @@ func TestAdmissionWaitOverWire(t *testing.T) {
 	}
 
 	start := time.Now()
-	_, err = c.QueryAll(context.Background(),
-		"SELECT COUNT(*) FROM nation", client.WithAdmissionWait(50*time.Millisecond))
+	_, err = c.QueryAll(context.Background(), "SELECT COUNT(*) FROM nation")
 	if !errors.Is(err, bufferdb.ErrServerBusy) {
 		t.Fatalf("got %v, want ErrServerBusy", err)
 	}
@@ -894,13 +854,12 @@ func TestAdmissionWaitOverWire(t *testing.T) {
 		t.Fatalf("busy error not typed over wire: %v", err)
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("admission wait override ignored; waited %v", waited)
+		t.Fatalf("admission wait ignored; waited %v", waited)
 	}
 
-	// Release the slot; the same query now succeeds with the same option.
+	// Release the slot; the same query now succeeds.
 	rows.Close()
-	res, err := c.QueryAll(context.Background(),
-		"SELECT COUNT(*) FROM nation", client.WithAdmissionWait(50*time.Millisecond))
+	res, err := c.QueryAll(context.Background(), "SELECT COUNT(*) FROM nation")
 	if err != nil {
 		t.Fatalf("after release: %v", err)
 	}

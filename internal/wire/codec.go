@@ -310,59 +310,38 @@ type TableInfo struct {
 }
 
 // QueryOpts is the per-statement tuning a client may ship with TQuery and
-// TPrepare. The zero value means "server defaults".
+// TPrepare. The zero value means "server defaults". A served statement
+// always runs the server's one plan shape (Volcano, refined), so nothing
+// here changes the plan.
 type QueryOpts struct {
-	// Engine selects the execution engine ("" = server default).
-	Engine string
 	// TimeoutMS bounds the query's wall clock in milliseconds (0 = none).
 	TimeoutMS int64
-	// DisableRefinement runs the conventional (unbuffered) plan.
-	DisableRefinement bool
 	// NoResultCache opts this statement out of the server's result-reuse
 	// cache even when the server has it enabled.
 	NoResultCache bool
-	// ForceJoin selects the join algorithm ("" = planner default); the
-	// server validates the name at the protocol boundary.
-	ForceJoin string
-	// BufferSize overrides the capacity of buffers the refinement pass
-	// inserts (0 = server default).
-	BufferSize int32
 	// MemoryBudget caps the query's tracked allocations in bytes
 	// (0 = no per-query cap; the server's MemoryLimit still applies).
 	MemoryBudget int64
-	// AdmissionWaitMS overrides how long the query may queue for an
-	// execution slot before being shed (0 = server default).
-	AdmissionWaitMS int64
 	// Slice addresses one hash slice on a server hosting several replicas:
 	// 0 targets the server's default (primary) slice, k>0 targets slice
 	// index k-1. Servers reject slices they do not host.
 	Slice int32
 }
 
-// Opt flag bits.
-const (
-	optDisableRefinement byte = 1 << 0
-	optNoResultCache     byte = 1 << 1
-)
+// optNoResultCache is the one bit of the options' flags byte.
+const optNoResultCache byte = 1 << 0
 
-// Opts appends an encoded QueryOpts. Every field is always encoded — the
-// flags byte carries only booleans — so decode never depends on which
-// options the client happened to set.
+// Opts appends an encoded QueryOpts: the flags byte, the timeout, the
+// memory budget and the slice. Every field is always encoded, so decode
+// never depends on which options the client happened to set.
 func (b *Builder) Opts(o QueryOpts) {
 	var flags byte
-	if o.DisableRefinement {
-		flags |= optDisableRefinement
-	}
 	if o.NoResultCache {
 		flags |= optNoResultCache
 	}
 	b.U8(flags)
-	b.String(o.Engine)
 	b.I64(o.TimeoutMS)
-	b.String(o.ForceJoin)
-	b.U32(uint32(o.BufferSize))
 	b.I64(o.MemoryBudget)
-	b.I64(o.AdmissionWaitMS)
 	b.U32(uint32(o.Slice))
 }
 
@@ -370,27 +349,18 @@ func (b *Builder) Opts(o QueryOpts) {
 func (r *Reader) Opts() QueryOpts {
 	flags := r.U8()
 	return QueryOpts{
-		Engine:            r.String(),
-		TimeoutMS:         r.I64(),
-		ForceJoin:         r.String(),
-		BufferSize:        int32(r.U32()),
-		MemoryBudget:      r.I64(),
-		AdmissionWaitMS:   r.I64(),
-		Slice:             int32(r.U32()),
-		DisableRefinement: flags&optDisableRefinement != 0,
-		NoResultCache:     flags&optNoResultCache != 0,
+		TimeoutMS:     r.I64(),
+		MemoryBudget:  r.I64(),
+		Slice:         int32(r.U32()),
+		NoResultCache: flags&optNoResultCache != 0,
 	}
 }
 
-// CacheKey renders the option fields that shape a plan (not per-execution
-// knobs like the timeout or memory budget) alongside the SQL text, for the
-// server's statement and result caches. Slice participates because each
-// slice is a distinct catalog: the same SQL compiled against slice 0 and
-// slice 2 are different plans over different data.
+// CacheKey renders the slice alongside the SQL text, for the server's
+// statement and result caches; per-execution knobs like the timeout or
+// memory budget stay out. Slice participates because each slice is a
+// distinct catalog: the same SQL compiled against slice 0 and slice 2 are
+// different plans over different data.
 func (o QueryOpts) CacheKey(sql string) string {
-	ref := byte('r')
-	if o.DisableRefinement {
-		ref = 'c'
-	}
-	return fmt.Sprintf("%s|%c|%s|%d|%d|%s", o.Engine, ref, o.ForceJoin, o.BufferSize, o.Slice, sql)
+	return fmt.Sprintf("%d|%s", o.Slice, sql)
 }

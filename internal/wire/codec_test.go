@@ -56,6 +56,29 @@ const goldenBatch = "00000002" +
 	"00" + "0101" + "0100" + "02fffffffffffffffe" + "033ff8000000000000" + "040000000368c3a9" +
 	"050000000030e72400" + "04000000133c6261642076616c7565206b696e642039393e"
 
+// goldenOpts is one QueryOpts with every field set: the flags byte
+// (NoResultCache), the timeout, the memory budget and the slice, in that
+// order. Like goldenBatch it is a protocol pin: moving a field is a
+// protocol break (bump Version, don't edit).
+const goldenOpts = "01" + "00000000000005dc" + "0000000004000000" + "00000003"
+
+func TestGoldenOpts(t *testing.T) {
+	want, err := hex.DecodeString(goldenOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := QueryOpts{TimeoutMS: 1500, NoResultCache: true, MemoryBudget: 64 << 20, Slice: 3}
+	var b Builder
+	b.Opts(o)
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("options moved on the wire:\n got %x\nwant %x", b.Bytes(), want)
+	}
+	r := NewReader(want)
+	if got := r.Opts(); got != o || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("golden options decode to %+v (err %v, %d bytes left), want %+v", got, r.Err(), r.Remaining(), o)
+	}
+}
+
 func TestGoldenRowBatch(t *testing.T) {
 	want, err := hex.DecodeString(goldenBatch)
 	if err != nil {

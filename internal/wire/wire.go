@@ -29,8 +29,10 @@ const (
 	// Magic opens every Hello frame: "BDB1" as a big-endian uint32.
 	Magic uint32 = 0x42444231
 	// Version is the protocol revision; servers reject other versions.
-	// Version 2 dropped the parallelism field from the query options.
-	Version byte = 2
+	// Version 2 dropped the parallelism field from the query options;
+	// version 3 dropped the engine, refinement, join, buffer-size and
+	// admission-wait fields.
+	Version byte = 3
 	// MaxFrame caps a frame payload. Row batches are built well under it;
 	// a peer announcing a larger frame is treated as a protocol error
 	// rather than an allocation request.

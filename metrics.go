@@ -1,27 +1,28 @@
 package bufferdb
 
 import (
-	"fmt"
 	"io"
 
 	"bufferdb/internal/obsv"
 )
 
-// The process-wide metrics every query feeds, labeled by engine:
+// The process-wide metrics every served query feeds. They keep the engine
+// label of the scrape interface; a served query always runs Volcano, so
+// the label is always "volcano":
 //
-//	bufferdb_queries_total{engine="volcano"}   queries started
-//	bufferdb_query_errors_total{engine="..."}  queries that failed
-//	bufferdb_rows_emitted_total{engine="..."}  rows handed to consumers
-//	bufferdb_query_seconds{engine="..."}       wall-clock latency histogram
+//	bufferdb_queries_total{engine="volcano"}        queries started
+//	bufferdb_query_errors_total{engine="volcano"}   queries that failed
+//	bufferdb_rows_emitted_total{engine="volcano"}   rows handed to consumers
+//	bufferdb_query_seconds{engine="volcano"}        wall-clock latency histogram
 //
 // The resource governor adds failure-class counters and two load gauges:
 //
-//	bufferdb_queries_rejected_total{engine="..."}  shed by admission control
-//	bufferdb_queries_timeout_total{engine="..."}   deadline expiries
-//	bufferdb_queries_oom_total{engine="..."}       memory-budget overruns
-//	bufferdb_queries_panic_total{engine="..."}     contained operator panics
-//	bufferdb_admitted_queries                      queries holding a slot now
-//	bufferdb_mem_tracked_bytes                     bytes charged to MemoryLimit
+//	bufferdb_queries_rejected_total{engine="volcano"}  shed by admission control
+//	bufferdb_queries_timeout_total{engine="volcano"}   deadline expiries
+//	bufferdb_queries_oom_total{engine="volcano"}       memory-budget overruns
+//	bufferdb_queries_panic_total{engine="volcano"}     contained operator panics
+//	bufferdb_admitted_queries                          queries holding a slot now
+//	bufferdb_mem_tracked_bytes                         bytes charged to MemoryLimit
 //
 // The block operator (internal/exec.BlockAggregate) counts its input rows by
 // how their block was folded; redone/(folded+redone) is the guard-miss ratio:
@@ -32,44 +33,44 @@ import (
 // Metrics cover Query, QueryStream and prepared statements alike — they all
 // share the same execution path.
 
-// metricQueries returns the started-queries counter for an engine.
-func metricQueries(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_total{engine=%q}`, e))
+// metricQueries returns the started-queries counter.
+func metricQueries() *obsv.Counter {
+	return obsv.Default.Counter(`bufferdb_queries_total{engine="volcano"}`)
 }
 
-// metricErrors returns the failed-queries counter for an engine.
-func metricErrors(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_query_errors_total{engine=%q}`, e))
+// metricErrors returns the failed-queries counter.
+func metricErrors() *obsv.Counter {
+	return obsv.Default.Counter(`bufferdb_query_errors_total{engine="volcano"}`)
 }
 
-// metricRows returns the emitted-rows counter for an engine.
-func metricRows(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_rows_emitted_total{engine=%q}`, e))
+// metricRows returns the emitted-rows counter.
+func metricRows() *obsv.Counter {
+	return obsv.Default.Counter(`bufferdb_rows_emitted_total{engine="volcano"}`)
 }
 
-// metricLatency returns the query-latency histogram for an engine.
-func metricLatency(e Engine) *obsv.Histogram {
-	return obsv.Default.Histogram(fmt.Sprintf(`bufferdb_query_seconds{engine=%q}`, e), obsv.DefLatencyBounds)
+// metricLatency returns the query-latency histogram.
+func metricLatency() *obsv.Histogram {
+	return obsv.Default.Histogram(`bufferdb_query_seconds{engine="volcano"}`, obsv.DefLatencyBounds)
 }
 
 // metricRejected counts queries shed by admission control.
-func metricRejected(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_rejected_total{engine=%q}`, e))
+func metricRejected() *obsv.Counter {
+	return obsv.Default.Counter(`bufferdb_queries_rejected_total{engine="volcano"}`)
 }
 
 // metricTimeout counts queries that hit their deadline.
-func metricTimeout(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_timeout_total{engine=%q}`, e))
+func metricTimeout() *obsv.Counter {
+	return obsv.Default.Counter(`bufferdb_queries_timeout_total{engine="volcano"}`)
 }
 
 // metricOOM counts queries that overran a memory budget.
-func metricOOM(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_oom_total{engine=%q}`, e))
+func metricOOM() *obsv.Counter {
+	return obsv.Default.Counter(`bufferdb_queries_oom_total{engine="volcano"}`)
 }
 
 // metricPanic counts queries that failed on a contained operator panic.
-func metricPanic(e Engine) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf(`bufferdb_queries_panic_total{engine=%q}`, e))
+func metricPanic() *obsv.Counter {
+	return obsv.Default.Counter(`bufferdb_queries_panic_total{engine="volcano"}`)
 }
 
 // metricAdmitted gauges the queries currently holding an admission slot.

@@ -69,7 +69,7 @@ var pagedScanQueries = []struct {
 func TestPagedScanColumns(t *testing.T) {
 	mem, paged := pagedScanDBs(t, Options{})
 	for _, q := range pagedScanQueries {
-		want, err := mem.Query(context.Background(), q.query, WithForceJoin(q.join))
+		want, err := mem.queryWith(context.Background(), q.query, PlanOptions{ForceJoin: q.join}, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s in memory: %v", q.name, err)
 		}
@@ -77,7 +77,7 @@ func TestPagedScanColumns(t *testing.T) {
 			t.Fatalf("%s returns no rows at SF %v: the comparison would be vacuous", q.name, pagedScanSF)
 		}
 		for _, e := range chaosEngines {
-			got, err := paged.Query(context.Background(), q.query, WithForceJoin(q.join), WithEngine(e))
+			got, err := paged.queryWith(context.Background(), q.query, PlanOptions{ForceJoin: q.join, Engine: e}, QueryOptions{})
 			if err != nil {
 				t.Fatalf("%s %s: %v", q.name, e, err)
 			}
@@ -117,7 +117,7 @@ func TestPagedScanMasksSurvivePlanning(t *testing.T) {
 		return masked, scans
 	}
 
-	p, err := paged.plan(bench.TPCHQ6, QueryOptions{})
+	p, err := paged.plan(bench.TPCHQ6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPagedScanMasksSurvivePlanning(t *testing.T) {
 		t.Fatalf("prepared Q3: %d of %d scans carry a mask, want 3 of 3", masked, scans)
 	}
 
-	star, err := paged.plan(`SELECT * FROM orders WHERE o_totalprice > 300000`, QueryOptions{})
+	star, err := paged.plan(`SELECT * FROM orders WHERE o_totalprice > 300000`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +185,13 @@ func TestReuseDoesNotServePrunedBuild(t *testing.T) {
 	}
 	t.Cleanup(func() { ref.Close() })
 	for _, e := range chaosEngines {
+		po := PlanOptions{Engine: e}
 		for _, q := range []string{first, second, first, second} {
-			want, err := ref.Query(context.Background(), q, WithEngine(e))
+			want, err := ref.queryWith(context.Background(), q, po, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := paged.Query(context.Background(), q, WithEngine(e))
+			got, err := paged.queryWith(context.Background(), q, po, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,11 +234,11 @@ func TestChaosPagedChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range chaosEngines {
-		_, err := db.Query(context.Background(), bench.TPCHQ6, WithEngine(e))
+		_, err := db.queryWith(context.Background(), bench.TPCHQ6, PlanOptions{Engine: e}, QueryOptions{})
 		if !errors.Is(err, ErrCorruptData) {
 			t.Fatalf("%s over a flipped page: err = %v, want ErrCorruptData", e, err)
 		}
-		res, err := db.Query(context.Background(), `SELECT COUNT(*) FROM orders`, WithEngine(e))
+		res, err := db.queryWith(context.Background(), `SELECT COUNT(*) FROM orders`, PlanOptions{Engine: e}, QueryOptions{})
 		if err != nil || len(res.Rows) != 1 {
 			t.Fatalf("%s after the failure: %v", e, err)
 		}

@@ -128,15 +128,11 @@ func (db *DB) PagerStats() PagerStats {
 // append through the store's WAL (fsync-on-commit), and return a one-row
 // cursor carrying the inserted count. Writes bypass plan refinement and
 // admission control — they touch no operator pipeline at all.
-func (db *DB) execInsert(ctx context.Context, query string, qo QueryOptions) (*Rows, error) {
-	engine := qo.Engine
-	if err := engine.Check(); err != nil {
-		return nil, err
-	}
-	metricQueries(engine).Inc()
+func (db *DB) execInsert(ctx context.Context, query string) (*Rows, error) {
+	metricQueries().Inc()
 	fail := func(err error) (*Rows, error) {
-		classifyError(engine, err)
-		metricErrors(engine).Inc()
+		classifyError(err)
+		metricErrors().Inc()
 		return nil, err
 	}
 	stmt, err := sql.ParseInsert(query)
@@ -179,7 +175,6 @@ func (db *DB) execInsert(ctx context.Context, query string, qo QueryOptions) (*R
 		cols:    []string{"inserted"},
 		schema:  sch,
 		db:      db,
-		engine:  engine,
 		started: time.Now(),
 	}, nil
 }

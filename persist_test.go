@@ -9,9 +9,9 @@ import (
 )
 
 // queryCell runs a query expected to return exactly one cell.
-func queryCell(t *testing.T, db *bufferdb.DB, q string, opts ...bufferdb.QueryOption) any {
+func queryCell(t *testing.T, db *bufferdb.DB, q string) any {
 	t.Helper()
-	res, err := db.Query(context.Background(), q, opts...)
+	res, err := db.Query(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
@@ -62,13 +62,11 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("region count after insert = %d, want 7", got)
 	}
 
-	for _, eng := range []bufferdb.Engine{bufferdb.EngineVolcano, bufferdb.EngineVec} {
-		if got := queryCell(t, db, `SELECT COUNT(*) FROM lineitem`, bufferdb.WithEngine(eng)).(int64); got != refCount {
-			t.Fatalf("engine %v: lineitem count = %d, want %d", eng, got, refCount)
-		}
-		if got := queryCell(t, db, `SELECT SUM(l_extendedprice) FROM lineitem WHERE l_quantity > 10`, bufferdb.WithEngine(eng)).(float64); got != refSum {
-			t.Fatalf("engine %v: sum = %v, want %v", eng, got, refSum)
-		}
+	if got := queryCell(t, db, `SELECT COUNT(*) FROM lineitem`).(int64); got != refCount {
+		t.Fatalf("lineitem count = %d, want %d", got, refCount)
+	}
+	if got := queryCell(t, db, `SELECT SUM(l_extendedprice) FROM lineitem WHERE l_quantity > 10`).(float64); got != refSum {
+		t.Fatalf("sum = %v, want %v", got, refSum)
 	}
 
 	st := db.PagerStats()
@@ -102,10 +100,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if len(res.Rows) != 2 || res.Rows[0][1].(string) != "ATLANTIS" || res.Rows[1][1].(string) != "LEMURIA" {
 		t.Fatalf("inserted rows after reopen: %+v", res.Rows)
 	}
-	for _, eng := range []bufferdb.Engine{bufferdb.EngineVolcano, bufferdb.EngineVec} {
-		if got := queryCell(t, db2, `SELECT COUNT(*) FROM lineitem`, bufferdb.WithEngine(eng)).(int64); got != refCount {
-			t.Fatalf("engine %v after reopen: lineitem count = %d, want %d", eng, got, refCount)
-		}
+	if got := queryCell(t, db2, `SELECT COUNT(*) FROM lineitem`).(int64); got != refCount {
+		t.Fatalf("after reopen: lineitem count = %d, want %d", got, refCount)
 	}
 }
 

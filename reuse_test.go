@@ -49,17 +49,18 @@ func TestReuseEquivalenceAcrossEngines(t *testing.T) {
 	cached := newReuseDB(t, Options{ReuseCache: true})
 	plain := newReuseDB(t, Options{})
 
-	for _, e := range []Engine{EngineVolcano, EngineVec, EnginePush} {
+	for _, e := range chaosEngines {
+		po := PlanOptions{Engine: e}
 		for _, q := range reuseQueries {
-			want, err := plain.Query(context.Background(), q, WithEngine(e))
+			want, err := plain.queryWith(context.Background(), q, po, QueryOptions{})
 			if err != nil {
 				t.Fatalf("%s cache-off %q: %v", e, q, err)
 			}
-			cold, err := cached.Query(context.Background(), q, WithEngine(e))
+			cold, err := cached.queryWith(context.Background(), q, po, QueryOptions{})
 			if err != nil {
 				t.Fatalf("%s cold %q: %v", e, q, err)
 			}
-			warm, err := cached.Query(context.Background(), q, WithEngine(e))
+			warm, err := cached.queryWith(context.Background(), q, po, QueryOptions{})
 			if err != nil {
 				t.Fatalf("%s warm %q: %v", e, q, err)
 			}
@@ -89,8 +90,8 @@ func TestReuseCrossEngineAdoption(t *testing.T) {
 	const q = `SELECT l_returnflag, SUM(l_extendedprice) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`
 
 	var want string
-	for i, e := range []Engine{EngineVolcano, EngineVec, EnginePush} {
-		res, err := db.Query(context.Background(), q, WithEngine(e))
+	for i, e := range chaosEngines {
+		res, err := db.queryWith(context.Background(), q, PlanOptions{Engine: e}, QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
 		}
@@ -255,11 +256,11 @@ type breakerRun struct {
 
 // runBreakers plans reuseChaosQuery without buffers, wires both breakers to
 // capturing hooks — or, with adopt set, the hash build to that published
-// table, its build child left in place — and runs it through the facade's
-// governor on e.
+// table, its build child left in place — and runs it under the facade's
+// governor on e (execOn).
 func runBreakers(ctx context.Context, db *DB, e Engine, qo QueryOptions, adopt *exec.JoinTable) (breakerRun, error) {
 	var run breakerRun
-	p, err := db.plan(reuseChaosQuery, QueryOptions{DisableRefinement: true})
+	_, p, err := db.planPair(reuseChaosQuery, PlanOptions{}, false)
 	if err != nil {
 		return run, err
 	}
@@ -280,8 +281,7 @@ func runBreakers(ctx context.Context, db *DB, e Engine, qo QueryOptions, adopt *
 			}}
 		}
 	})
-	qo.Engine = e
-	rows, err := db.execPlan(ctx, p, qo)
+	rows, err := db.execOn(ctx, p, e, qo)
 	if err != nil {
 		return run, err
 	}

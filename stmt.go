@@ -24,16 +24,15 @@ type Stmt struct {
 	cached *plan.Node
 }
 
-// Prepare plans the statement with the given options and caches the refined
-// plan for repeated execution. Options fixed at Prepare time (engine,
-// buffer size, …) apply to every execution.
+// Prepare plans the statement and caches the refined plan for repeated
+// execution. Options fixed at Prepare time (timeout, memory budget, …) apply
+// to every execution.
 func (db *DB) Prepare(query string, opts ...QueryOption) (*Stmt, error) {
-	qo := applyOptions(opts)
-	p, err := db.plan(query, qo)
+	p, err := db.plan(query)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{db: db, query: query, qo: qo, cached: p}, nil
+	return &Stmt{db: db, query: query, qo: applyOptions(opts), cached: p}, nil
 }
 
 // Text returns the prepared statement's SQL.
@@ -49,22 +48,7 @@ func (s *Stmt) clonePlan() *plan.Node {
 // Query executes the prepared statement and returns the materialized
 // result.
 func (s *Stmt) Query(ctx context.Context) (*Result, error) {
-	rows, err := s.QueryStream(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	res := &Result{Columns: rows.Columns()}
-	for rows.Next() {
-		res.Rows = append(res.Rows, rows.row.Natives(nil))
-	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	if err := rows.Close(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return collect(s.QueryStream(ctx))
 }
 
 // QueryStream executes the prepared statement and returns a streaming

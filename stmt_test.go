@@ -2,10 +2,12 @@ package bufferdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 const stmtQuery = `
@@ -44,9 +46,12 @@ func TestPrepareMatchesAdHoc(t *testing.T) {
 	}
 }
 
+// TestPrepareOptions: options fixed at Prepare time apply to every
+// execution — a generous limit leaves the answer alone, a tiny budget fails
+// each run typed.
 func TestPrepareOptions(t *testing.T) {
 	ctx := context.Background()
-	stmt, err := testDB.Prepare(stmtQuery, WithEngine(EngineVec))
+	stmt, err := testDB.Prepare(stmtQuery, WithTimeout(time.Minute), WithMemoryBudget(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +64,16 @@ func TestPrepareOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
-		t.Fatalf("vec prepared result %v, volcano ad hoc %v", got.Rows, want.Rows)
+		t.Fatalf("limited prepared result %v, ad hoc %v", got.Rows, want.Rows)
 	}
-	if _, err := testDB.Prepare(stmtQuery, WithEngine(EnginePush+1)); err == nil {
-		t.Error("unknown engine not rejected at Prepare time")
+	tiny, err := testDB.Prepare(stmtQuery, WithMemoryBudget(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := tiny.Query(ctx); !errors.Is(err, ErrMemoryBudgetExceeded) {
+			t.Fatalf("run %d under a 64-byte budget: %v, want ErrMemoryBudgetExceeded", i, err)
+		}
 	}
 	if _, err := testDB.Prepare("SELEKT"); err == nil {
 		t.Error("parse error not reported at Prepare time")
