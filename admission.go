@@ -20,7 +20,7 @@ type AdmissionConfig struct {
 	MaxQueued int
 	// WaitTimeout caps how long a queued query waits for a slot before
 	// being shed with ErrServerBusy. Zero waits until the caller's context
-	// expires. WithAdmissionWait overrides it per query.
+	// expires.
 	WaitTimeout time.Duration
 }
 
@@ -48,7 +48,7 @@ func newAdmission(cfg AdmissionConfig) *admission {
 // acquire claims an execution slot, queueing when all are taken. It returns
 // a wrapped ErrServerBusy when the wait queue is full or the wait times
 // out, and the context's error when ctx expires first.
-func (a *admission) acquire(ctx context.Context, waitOverride time.Duration) error {
+func (a *admission) acquire(ctx context.Context) error {
 	if a == nil {
 		return nil
 	}
@@ -63,13 +63,9 @@ func (a *admission) acquire(ctx context.Context, waitOverride time.Duration) err
 			ErrServerBusy, cap(a.slots), n-1)
 	}
 	defer a.queued.Add(-1)
-	wait := a.wait
-	if waitOverride > 0 {
-		wait = waitOverride
-	}
 	var expired <-chan time.Time
-	if wait > 0 {
-		t := time.NewTimer(wait)
+	if a.wait > 0 {
+		t := time.NewTimer(a.wait)
 		defer t.Stop()
 		expired = t.C
 	}
@@ -77,7 +73,7 @@ func (a *admission) acquire(ctx context.Context, waitOverride time.Duration) err
 	case a.slots <- struct{}{}:
 		return nil
 	case <-expired:
-		return fmt.Errorf("bufferdb: %w: no slot freed within %v", ErrServerBusy, wait)
+		return fmt.Errorf("bufferdb: %w: no slot freed within %v", ErrServerBusy, a.wait)
 	case <-ctx.Done():
 		if err := ctx.Err(); err == context.DeadlineExceeded {
 			return fmt.Errorf("bufferdb: %w while queued for admission: %w", ErrDeadlineExceeded, err)
