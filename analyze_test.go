@@ -8,7 +8,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,7 +143,7 @@ func checkAttributionSums(t *testing.T, query string, eng Engine) {
 		t.Errorf("self L1I sum %d vs totals %d", selfL1I, a.Totals.L1IMisses)
 	}
 	// Rows at the root of the stat tree match the statement's result.
-	res, err := testDB.queryWith(context.Background(), query, PlanOptions{Engine: eng}, QueryOptions{})
+	res, err := testDB.queryWith(context.Background(), query, PlanOptions{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestStatsZeroOverheadConsistent(t *testing.T) {
 	ctx := context.Background()
 	for _, eng := range []Engine{EngineVolcano, EngineVec} {
 		t.Run(eng.String(), func(t *testing.T) {
-			plain, err := testDB.queryWith(ctx, analyzeQuery, PlanOptions{Engine: eng}, QueryOptions{})
+			plain, err := testDB.queryWith(ctx, analyzeQuery, PlanOptions{Engine: eng})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +282,7 @@ func TestQueryFunctionalOptions(t *testing.T) {
 		"buffer256": {BufferSize: 256},
 		"norefine":  {DisableRefinement: true},
 	} {
-		res, err := testDB.queryWith(ctx, q, po, QueryOptions{})
+		res, err := testDB.queryWith(ctx, q, po)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -345,7 +347,7 @@ func TestFoldedPredicates(t *testing.T) {
 		t.Errorf("EXPLAIN of x > 1/0 failed at plan time: %v", err)
 	}
 	for _, eng := range []Engine{EngineVolcano, EngineVec, EnginePush} {
-		_, err := testDB.queryWith(ctx, bad, PlanOptions{Engine: eng}, QueryOptions{})
+		_, err := testDB.queryWith(ctx, bad, PlanOptions{Engine: eng})
 		if err == nil || !strings.Contains(err.Error(), "expr: division by zero") {
 			t.Errorf("%v: x > 1/0 = %v, want division by zero at execution", eng, err)
 		}
@@ -368,5 +370,44 @@ func TestFoldedPredicates(t *testing.T) {
 		if !ok || !strings.Contains(key, want) {
 			t.Errorf("fingerprint lost %q: %q (ok=%v)", want, key, ok)
 		}
+	}
+}
+
+// TestExplainAnalyzeCancellation: cancellation is the one governor
+// behaviour every engine keeps, because ExplainAnalyze passes its context
+// to the run. A context canceled before the run and one that cancels on its
+// third poll — inside the part build on every engine — both fail with
+// context.Canceled, leave no goroutine behind, and the next ExplainAnalyze
+// reports the clean run's table.
+func TestExplainAnalyzeCancellation(t *testing.T) {
+	const q = `SELECT SUM(ps_supplycost), COUNT(*) FROM partsupp, part WHERE ps_partkey = p_partkey`
+	for _, e := range plan.Engines() {
+		t.Run(e.String(), func(t *testing.T) {
+			want, err := testDB.ExplainAnalyze(context.Background(), q, WithEngine(e))
+			if err != nil {
+				t.Fatal(err)
+			}
+			canceled, cancel := context.WithCancel(context.Background())
+			cancel()
+			var polls atomic.Int64
+			midBuild := cancelWhen{context.Background(), func() bool { return polls.Add(1) > 2 }}
+			for _, tc := range []struct {
+				name string
+				ctx  context.Context
+			}{{"before the run", canceled}, {"mid-build", midBuild}} {
+				base := runtime.NumGoroutine()
+				if _, err := testDB.ExplainAnalyze(tc.ctx, q, WithEngine(e)); !errors.Is(err, context.Canceled) {
+					t.Fatalf("canceled %s: want context.Canceled, got %v", tc.name, err)
+				}
+				waitGoroutines(t, base)
+				got, err := testDB.ExplainAnalyze(context.Background(), q, WithEngine(e))
+				if err != nil {
+					t.Fatalf("after canceled %s: %v", tc.name, err)
+				}
+				if got.Table() != want.Table() {
+					t.Fatalf("after canceled %s:\n%s\nwant\n%s", tc.name, got.Table(), want.Table())
+				}
+			}
+		})
 	}
 }

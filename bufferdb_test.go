@@ -83,7 +83,7 @@ func TestWithEngine(t *testing.T) {
 	if a.Engine != EngineVec || a.Root.Rows != uint64(len(volcano.Rows)) {
 		t.Errorf("analysis ran on %s and returned %d rows, want vec and %d", a.Engine, a.Root.Rows, len(volcano.Rows))
 	}
-	vec, err := testDB.queryWith(ctx, q, PlanOptions{Engine: EngineVec}, QueryOptions{})
+	vec, err := testDB.queryWith(ctx, q, PlanOptions{Engine: EngineVec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestRefinementTransparency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := testDB.queryWith(context.Background(), q, PlanOptions{DisableRefinement: true}, QueryOptions{})
+	raw, err := testDB.queryWith(context.Background(), q, PlanOptions{DisableRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestForcedJoinMethods(t *testing.T) {
 	const q = `SELECT COUNT(*) FROM lineitem, orders WHERE l_orderkey = o_orderkey`
 	var want any
 	for _, m := range []string{"hash", "nestloop", "merge"} {
-		res, err := testDB.queryWith(context.Background(), q, PlanOptions{ForceJoin: m}, QueryOptions{})
+		res, err := testDB.queryWith(context.Background(), q, PlanOptions{ForceJoin: m})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -259,12 +259,12 @@ func TestForcedJoinsKeepInnerFilter(t *testing.T) {
 		 WHERE l_orderkey = o_orderkey AND o_orderdate < DATE '1993-06-01' AND l_quantity > 40
 		 ORDER BY l_orderkey, l_linenumber`,
 	} {
-		hash, err := testDB.queryWith(context.Background(), q, PlanOptions{ForceJoin: "hash"}, QueryOptions{})
+		hash, err := testDB.queryWith(context.Background(), q, PlanOptions{ForceJoin: "hash"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, method := range []string{"nestloop", "merge"} {
-			res, err := testDB.queryWith(context.Background(), q, PlanOptions{ForceJoin: method}, QueryOptions{})
+			res, err := testDB.queryWith(context.Background(), q, PlanOptions{ForceJoin: method})
 			if err != nil {
 				t.Fatalf("%s: %v", method, err)
 			}

@@ -3,20 +3,18 @@ package bufferdb
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
 )
 
-// The chaos suite (go test -run Chaos) drives TPC-H queries while the
-// fault injector forces errors, panics and latency at operator boundaries,
-// and asserts the resource governor's containment contract: typed errors
-// surface, goroutines and tracked memory return to baseline, the
-// failure-class metrics move, and the very next query is correct. The
-// volcano subtests run the served path; the vec and push subtests run
-// execOn's in-process copy of it (engines_test.go), whose failures count
-// in the served engine="volcano" series.
+// The chaos suite (go test -run Chaos) drives TPC-H queries through the
+// served path while the fault injector forces errors, panics and latency at
+// operator boundaries, and asserts the resource governor's containment
+// contract: typed errors surface, goroutines and tracked memory return to
+// baseline, the failure-class metrics move, and the very next query is
+// correct. Only Volcano serves, so only a Volcano run has its fault sites
+// armed and its memory tracked; the subtests name it ("volcano/…").
 
 // chaosDB is a dedicated database with memory tracking live (so
 // TrackedBytes observes every query).
@@ -36,9 +34,6 @@ var chaosDB = func() *DB {
 const chaosQuery = `SELECT SUM(o_totalprice), COUNT(*) FROM lineitem, orders
  WHERE l_orderkey = o_orderkey AND l_shipdate <= DATE '1995-06-17'`
 
-// chaosEngines enumerates every execution engine.
-var chaosEngines = []Engine{EngineVolcano, EngineVec, EnginePush}
-
 // waitGoroutines retries until the goroutine count settles back to (or
 // below) the baseline; a torn-down plan's goroutines need a moment to exit.
 func waitGoroutines(t *testing.T, base int) {
@@ -54,30 +49,24 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutine leak: %d running, baseline %d", n, base)
 }
 
-// chaosOn runs chaosQuery on engine e under the served options qo.
-func chaosOn(e Engine, qo QueryOptions) (*Result, error) {
-	return chaosDB.queryWith(context.Background(), chaosQuery, PlanOptions{Engine: e}, qo)
-}
-
 // assertChaosClean asserts the post-failure invariants: no tracked bytes,
-// no leaked goroutines, and a correct follow-up query on the same engine.
-func assertChaosClean(t *testing.T, e Engine, base int, want string) {
+// no leaked goroutines, and a correct follow-up query.
+func assertChaosClean(t *testing.T, base int, want string) {
 	t.Helper()
 	waitGoroutines(t, base)
 	if got := chaosDB.TrackedBytes(); got != 0 {
 		t.Fatalf("tracked memory leak: %d bytes still charged", got)
 	}
-	res, err := chaosOn(e, QueryOptions{})
+	res, err := chaosDB.Query(context.Background(), chaosQuery)
 	if err != nil {
-		t.Fatalf("follow-up query on %s failed: %v", e, err)
+		t.Fatalf("follow-up query failed: %v", err)
 	}
 	if got := resultKey(res); got != want {
-		t.Fatalf("follow-up query on %s returned wrong rows:\n got %s\nwant %s", e, got, want)
+		t.Fatalf("follow-up query returned wrong rows:\n got %s\nwant %s", got, want)
 	}
 }
 
-// chaosWant materializes the correct result on the served path; every
-// engine must reproduce it.
+// chaosWant materializes the correct result of chaosQuery.
 func chaosWant(t *testing.T) string {
 	t.Helper()
 	res, err := chaosDB.Query(context.Background(), chaosQuery)
@@ -89,100 +78,86 @@ func chaosWant(t *testing.T) string {
 
 func TestChaosErrorInjection(t *testing.T) {
 	want := chaosWant(t)
-	for _, e := range chaosEngines {
-		for _, match := range []string{"Scan", "Join", ":build", "Aggregate"} {
-			t.Run(fmt.Sprintf("%s/%s", e, match), func(t *testing.T) {
-				base := runtime.NumGoroutine()
-				// After is unset: the rule fires on the site's first
-				// invocation, which every matched operator reaches even when
-				// it emits a single row (the no-GROUP-BY aggregate) or a
-				// handful of batches (vec scans).
-				fi := NewFaultInjector(1, Fault{Match: match, Kind: FaultError})
-				_, err := chaosOn(e, QueryOptions{FaultInjector: fi})
-				if !errors.Is(err, ErrInjected) {
-					t.Fatalf("want ErrInjected, got %v", err)
-				}
-				if errors.Is(err, ErrQueryPanic) {
-					t.Fatalf("plain injected error misclassified as panic: %v", err)
-				}
-				if fi.Fired() == 0 {
-					t.Fatalf("injector reports no fault fired")
-				}
-				assertChaosClean(t, e, base, want)
-			})
-		}
+	for _, match := range []string{"Scan", "Join", ":build", "Aggregate"} {
+		t.Run("volcano/"+match, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			// After is unset: the rule fires on the site's first
+			// invocation, which every matched operator reaches even when
+			// it emits a single row (the no-GROUP-BY aggregate).
+			fi := NewFaultInjector(1, Fault{Match: match, Kind: FaultError})
+			_, err := chaosDB.Query(context.Background(), chaosQuery, WithFaultInjector(fi))
+			if !errors.Is(err, ErrInjected) {
+				t.Fatalf("want ErrInjected, got %v", err)
+			}
+			if errors.Is(err, ErrQueryPanic) {
+				t.Fatalf("plain injected error misclassified as panic: %v", err)
+			}
+			if fi.Fired() == 0 {
+				t.Fatalf("injector reports no fault fired")
+			}
+			assertChaosClean(t, base, want)
+		})
 	}
 }
 
 func TestChaosPanicInjection(t *testing.T) {
 	want := chaosWant(t)
-	for _, e := range chaosEngines {
-		t.Run(e.String(), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			before := metricPanic().Value()
-			fi := NewFaultInjector(7, Fault{Match: "Scan", Kind: FaultPanic, After: 5})
-			_, err := chaosOn(e, QueryOptions{FaultInjector: fi})
-			if !errors.Is(err, ErrQueryPanic) {
-				t.Fatalf("want ErrQueryPanic, got %v", err)
-			}
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("panic error lost the injected sentinel: %v", err)
-			}
-			if after := metricPanic().Value(); after != before+1 {
-				t.Fatalf("panic counter moved %d -> %d, want +1", before, after)
-			}
-			assertChaosClean(t, e, base, want)
-		})
-	}
+	t.Run("volcano", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		before := metricPanic().Value()
+		fi := NewFaultInjector(7, Fault{Match: "Scan", Kind: FaultPanic, After: 5})
+		_, err := chaosDB.Query(context.Background(), chaosQuery, WithFaultInjector(fi))
+		if !errors.Is(err, ErrQueryPanic) {
+			t.Fatalf("want ErrQueryPanic, got %v", err)
+		}
+		if !errors.Is(err, ErrInjected) {
+			t.Fatalf("panic error lost the injected sentinel: %v", err)
+		}
+		if after := metricPanic().Value(); after != before+1 {
+			t.Fatalf("panic counter moved %d -> %d, want +1", before, after)
+		}
+		assertChaosClean(t, base, want)
+	})
 }
 
 func TestChaosMemoryBudget(t *testing.T) {
 	want := chaosWant(t)
-	for _, e := range chaosEngines {
-		t.Run(e.String(), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			before := metricOOM().Value()
-			_, err := chaosOn(e, QueryOptions{MemoryBudget: 4 << 10})
-			if !errors.Is(err, ErrMemoryBudgetExceeded) {
-				t.Fatalf("want ErrMemoryBudgetExceeded, got %v", err)
-			}
-			if after := metricOOM().Value(); after != before+1 {
-				t.Fatalf("oom counter moved %d -> %d, want +1", before, after)
-			}
-			assertChaosClean(t, e, base, want)
-		})
-	}
+	t.Run("volcano", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		before := metricOOM().Value()
+		_, err := chaosDB.Query(context.Background(), chaosQuery, WithMemoryBudget(4<<10))
+		if !errors.Is(err, ErrMemoryBudgetExceeded) {
+			t.Fatalf("want ErrMemoryBudgetExceeded, got %v", err)
+		}
+		if after := metricOOM().Value(); after != before+1 {
+			t.Fatalf("oom counter moved %d -> %d, want +1", before, after)
+		}
+		assertChaosClean(t, base, want)
+	})
 }
 
 func TestChaosDeadline(t *testing.T) {
 	want := chaosWant(t)
-	for _, e := range chaosEngines {
-		t.Run(e.String(), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			before := metricTimeout().Value()
-			// Latency injection slows the scan enough that a 30 ms budget
-			// expires mid-execution, without burning real CPU. The vec scan
-			// fires once per ~1024-row batch, not per row, so it needs a
-			// proportionally longer sleep to guarantee expiry.
-			lat := time.Millisecond
-			if e == EngineVec {
-				lat = 10 * time.Millisecond
-			}
-			fi := NewFaultInjector(3, Fault{Match: "Scan", Kind: FaultLatency,
-				Latency: lat, Every: 1})
-			_, err := chaosOn(e, QueryOptions{FaultInjector: fi, Timeout: 30 * time.Millisecond})
-			if !errors.Is(err, ErrDeadlineExceeded) {
-				t.Fatalf("want ErrDeadlineExceeded, got %v", err)
-			}
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("deadline error lost context.DeadlineExceeded: %v", err)
-			}
-			if after := metricTimeout().Value(); after != before+1 {
-				t.Fatalf("timeout counter moved %d -> %d, want +1", before, after)
-			}
-			assertChaosClean(t, e, base, want)
-		})
-	}
+	t.Run("volcano", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		before := metricTimeout().Value()
+		// Latency injection slows the scan enough that a 30 ms budget
+		// expires mid-execution, without burning real CPU.
+		fi := NewFaultInjector(3, Fault{Match: "Scan", Kind: FaultLatency,
+			Latency: time.Millisecond, Every: 1})
+		_, err := chaosDB.Query(context.Background(), chaosQuery,
+			WithFaultInjector(fi), WithTimeout(30*time.Millisecond))
+		if !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("want ErrDeadlineExceeded, got %v", err)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline error lost context.DeadlineExceeded: %v", err)
+		}
+		if after := metricTimeout().Value(); after != before+1 {
+			t.Fatalf("timeout counter moved %d -> %d, want +1", before, after)
+		}
+		assertChaosClean(t, base, want)
+	})
 }
 
 func TestChaosAdmissionControl(t *testing.T) {

@@ -68,13 +68,16 @@ import (
 	"bufferdb/internal/shard"
 )
 
+// drainBudget is how long a graceful shutdown waits for sessions to finish
+// before force-closing their connections.
+const drainBudget = 10 * time.Second
+
 // Flags outside these two sets configure the resident database and its
 // caches, so they apply to data nodes only.
 var (
 	// sharedFlags apply in both modes.
 	sharedFlags = map[string]bool{
-		"listen": true, "http": true, "memory-limit": true,
-		"write-timeout": true, "drain": true, "replication": true,
+		"listen": true, "http": true, "memory-limit": true, "replication": true,
 	}
 	// coordFlags apply to a coordinator only.
 	coordFlags = map[string]bool{
@@ -128,8 +131,6 @@ func main() {
 		resCache  = flag.Int64("result-cache", 0, "result-reuse cache budget in encoded bytes (0 disables)")
 		reuse     = flag.Bool("reuse-cache", false, "semantic reuse cache: recycle hash-join builds and aggregate tables across queries (bufferdb_reuse_* metrics)")
 		reuseMB   = flag.Int64("reuse-max-bytes", 0, "semantic reuse-cache budget in bytes (0 = default 64 MiB; needs -reuse-cache)")
-		writeTO   = flag.Duration("write-timeout", 0, "per-frame write deadline guarding against stalled clients (0 = default 30s, negative disables)")
-		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown budget before force-closing connections")
 		dataDir   = flag.String("data-dir", "", "persistent data directory: load it if populated, else generate TPC-H there; enables INSERT (empty = in-memory)")
 		poolBytes = flag.Int64("pool-bytes", 0, "buffer-pool residency cap in bytes (0 = default 4 MiB; needs -data-dir)")
 		shards    = flag.String("shards", "", "comma-separated shard addresses; non-empty switches to coordinator mode (no local data)")
@@ -171,9 +172,8 @@ func main() {
 		})
 		m.cfg.ResultCacheBytes = *resCache
 	}
-	m.cfg.WriteTimeout = *writeTO
 	m.cfg.Logf = logger.Printf
-	serve(logger, *listen, *httpAddr, *drain, m)
+	serve(logger, *listen, *httpAddr, m)
 }
 
 // dataNodeMode loads (or generates) this node's data: one database, or on
@@ -264,7 +264,7 @@ func coordinatorMode(logger *log.Logger, shards string, cfg dist.Config) mode {
 
 // serve is the one boot path: wire listener, HTTP sidecar, signal wait,
 // drain, close.
-func serve(logger *log.Logger, listen, httpAddr string, drain time.Duration, m mode) {
+func serve(logger *log.Logger, listen, httpAddr string, m mode) {
 	srv, err := server.New(m.cfg)
 	if err != nil {
 		logger.Fatalf("server: %v", err)
@@ -321,13 +321,13 @@ func serve(logger *log.Logger, listen, httpAddr string, drain time.Duration, m m
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
-		logger.Printf("received %v, draining (budget %v)", s, drain)
+		logger.Printf("received %v, draining (budget %v)", s, drainBudget)
 	case err := <-serveErr:
 		logger.Fatalf("serve: %v", err)
 	}
 
 	ready.Store(false)
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	ctx, cancel := context.WithTimeout(context.Background(), drainBudget)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Printf("shutdown: %v", err)

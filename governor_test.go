@@ -20,62 +20,59 @@ const streamQuery = `SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_qu
 // TestGoroutineLeakEarlyClose abandons a cursor after a few rows and
 // asserts no goroutine outlives it and every memory charge is returned.
 func TestGoroutineLeakEarlyClose(t *testing.T) {
-	for _, e := range chaosEngines {
-		t.Run(e.String(), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			rows, err := chaosDB.streamWith(context.Background(), streamQuery, PlanOptions{Engine: e}, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("volcano", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		rows, err := chaosDB.QueryStream(context.Background(), streamQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if !rows.Next() {
+				t.Fatalf("stream ended after %d rows: %v", i, rows.Err())
 			}
-			for i := 0; i < 3; i++ {
-				if !rows.Next() {
-					t.Fatalf("stream ended after %d rows: %v", i, rows.Err())
-				}
-			}
-			if err := rows.Close(); err != nil {
-				t.Fatalf("early Close: %v", err)
-			}
-			waitGoroutines(t, base)
-			if got := chaosDB.TrackedBytes(); got != 0 {
-				t.Fatalf("early Close leaked %d tracked bytes", got)
-			}
-		})
-	}
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("early Close: %v", err)
+		}
+		waitGoroutines(t, base)
+		if got := chaosDB.TrackedBytes(); got != 0 {
+			t.Fatalf("early Close leaked %d tracked bytes", got)
+		}
+	})
 }
 
 // TestGoroutineLeakCancellation cancels the caller's context mid-drain and
 // asserts the error surfaces through Err, goroutines exit, and memory
-// settles.
+// settles. TestExplainAnalyzeCancellation covers cancellation on every
+// engine.
 func TestGoroutineLeakCancellation(t *testing.T) {
-	for _, e := range chaosEngines {
-		t.Run(e.String(), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			rows, err := chaosDB.streamWith(ctx, streamQuery, PlanOptions{Engine: e}, QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("volcano", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rows, err := chaosDB.QueryStream(ctx, streamQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if !rows.Next() {
+				t.Fatalf("stream ended after %d rows: %v", i, rows.Err())
 			}
-			for i := 0; i < 3; i++ {
-				if !rows.Next() {
-					t.Fatalf("stream ended after %d rows: %v", i, rows.Err())
-				}
-			}
-			cancel()
-			for rows.Next() {
-			}
-			if err := rows.Err(); !errors.Is(err, context.Canceled) {
-				t.Fatalf("want context.Canceled after mid-drain cancel, got %v", err)
-			}
-			if err := rows.Close(); err != nil {
-				t.Fatalf("Close after cancellation: %v", err)
-			}
-			waitGoroutines(t, base)
-			if got := chaosDB.TrackedBytes(); got != 0 {
-				t.Fatalf("cancellation leaked %d tracked bytes", got)
-			}
-		})
-	}
+		}
+		cancel()
+		for rows.Next() {
+		}
+		if err := rows.Err(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled after mid-drain cancel, got %v", err)
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("Close after cancellation: %v", err)
+		}
+		waitGoroutines(t, base)
+		if got := chaosDB.TrackedBytes(); got != 0 {
+			t.Fatalf("cancellation leaked %d tracked bytes", got)
+		}
+	})
 }
 
 // closeErrOp is a single-row operator whose Close fails, for exercising the

@@ -145,7 +145,6 @@ func (b *Builder) Probe(inner *Builder, outerKey, innerKey expr.Expr, buildMod, 
 	b.fallbacks = append(b.fallbacks, inner.fallbacks...)
 
 	ps := &probeStage{build: bs, outerKey: outerKey}
-	bs.join = ps
 	ps.mod = probeMod
 	b.stage(ps)
 	b.sch = b.sch.Concat(inner.sch)

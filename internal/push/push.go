@@ -21,10 +21,14 @@
 // instruction-fetch replay per ~flushTuples tuples — so a fused group's
 // simulated L1-I miss count is the amortized one its single tight loop
 // would earn on real hardware. The breakers' state is the Volcano engine's
-// own (exec.JoinTable, exec.AggState), so their data-cache traffic,
-// memory-tracker charges and fault sites are shared code; the scan, filter
-// and project elements mirror their Volcano operators one-for-one. That is
-// what keeps the chaos suite's containment contract engine-independent.
+// own (exec.JoinTable, exec.AggState), so their data-cache traffic is
+// shared code; the scan, filter and project elements mirror their Volcano
+// operators one-for-one.
+//
+// Push is a reproduction engine: ExplainAnalyze, Profile and the
+// benchmarks run it, a served statement never does. So it carries
+// cancellation, stats and reuse adopt/publish, and no fault sites or
+// memory charges of its own.
 package push
 
 import (
@@ -163,7 +167,8 @@ type Pipeline struct {
 
 // Open implements exec.Operator: it registers stats handles, opens every
 // element, and resets the pipeline for a fresh run. Reopen without Close
-// releases any stale memory charges, like the Volcano breakers.
+// releases the breakers' stale memory charges (exec.JoinTable.Open,
+// exec.AggState.Open).
 func (pl *Pipeline) Open(ctx *exec.Context) error {
 	pl.stats = ctx.StatsFor(pl)
 	if pl.stats != nil {

@@ -6,33 +6,25 @@ import (
 
 	"bufferdb/internal/exec"
 	"bufferdb/internal/expr"
-	"bufferdb/internal/faultinject"
 	"bufferdb/internal/storage"
 )
 
 // collectSink materializes the final pipe's output — the root breaker.
-// Rows are charged to the memory tracker and written to a simulated arena;
-// the Pipeline reads them back per served row, like exec.Material.
+// Rows are written to a simulated arena; the Pipeline reads them back per
+// served row, like exec.Material.
 type collectSink struct {
-	rows    []storage.Row
-	addrs   []uint64
-	arena   *exec.Arena
-	memUsed int64
+	rows  []storage.Row
+	addrs []uint64
+	arena *exec.Arena
 }
 
 func (c *collectSink) open(ctx *exec.Context) error {
 	c.rows, c.addrs = nil, nil
-	ctx.ShrinkMem(c.memUsed) // reopen without Close: release stale charges
-	c.memUsed = 0
 	c.arena = exec.NewArena(ctx.CPU)
 	return nil
 }
 
 func (c *collectSink) consume(ctx *exec.Context, row storage.Row) error {
-	if err := ctx.GrowMem(int64(row.ByteSize())); err != nil {
-		return err
-	}
-	c.memUsed += int64(row.ByteSize())
 	addr := c.arena.Alloc(row.ByteSize())
 	ctx.Write(addr, row.ByteSize())
 	c.rows = append(c.rows, row)
@@ -42,17 +34,12 @@ func (c *collectSink) consume(ctx *exec.Context, row storage.Row) error {
 
 func (c *collectSink) finish(*exec.Context) error { return nil }
 
-func (c *collectSink) close(ctx *exec.Context) {
-	c.rows, c.addrs = nil, nil
-	ctx.ShrinkMem(c.memUsed)
-	c.memUsed = 0
-}
+func (c *collectSink) close(*exec.Context) { c.rows, c.addrs = nil, nil }
 
 // buildSink is the hash-join build breaker: it is pushed the build side's
 // rows and inserts them into the exec.JoinTable the probe stage reads.
 type buildSink struct {
 	innerKey expr.Expr
-	join     *probeStage // names the "<join>:build" and "<join>:publish" fault sites
 	modbuf
 
 	stats *exec.OpStats
@@ -61,7 +48,7 @@ type buildSink struct {
 
 func (b *buildSink) open(ctx *exec.Context) error {
 	b.stats = ctx.StatsFor(b)
-	b.table.Open(ctx, b.join)
+	b.table.Open(ctx, b)
 	return nil
 }
 
@@ -72,9 +59,6 @@ func (b *buildSink) consume(ctx *exec.Context, row storage.Row) error {
 		return errStop
 	}
 	if err := ctx.Canceled(); err != nil {
-		return err
-	}
-	if err := b.table.BuildFault(); err != nil {
 		return err
 	}
 	if b.stats != nil {
@@ -112,13 +96,11 @@ type aggSink struct {
 	modbuf
 
 	stats *exec.OpStats
-	fault *faultinject.Point
 	start time.Time
 }
 
 func (a *aggSink) open(ctx *exec.Context) error {
 	a.stats = ctx.StatsFor(a)
-	a.fault = ctx.FaultPoint(a, ":next")
 	a.start = time.Now()
 	a.AggState.Open(ctx, a)
 	return nil
@@ -126,9 +108,6 @@ func (a *aggSink) open(ctx *exec.Context) error {
 
 func (a *aggSink) consume(ctx *exec.Context, row storage.Row) error {
 	if err := ctx.Canceled(); err != nil {
-		return err
-	}
-	if err := a.fault.Fire(); err != nil {
 		return err
 	}
 	if a.stats != nil {

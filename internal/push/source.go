@@ -5,15 +5,14 @@ import (
 
 	"bufferdb/internal/exec"
 	"bufferdb/internal/expr"
-	"bufferdb/internal/faultinject"
 	"bufferdb/internal/storage"
 )
 
 // scanSource is the fused heap scan: one loop over the table with the
 // filter folded in, mirroring exec.SeqScan's per-row
 // behavior — data-cache read per placed tuple, cancellation poll per input
-// row, fault site "<name>:next" — with the instruction footprint amortized
-// through the module-bit batch instead of replayed per tuple.
+// row — with the instruction footprint amortized through the module-bit
+// batch instead of replayed per tuple.
 type scanSource struct {
 	table  *storage.Table
 	filter expr.Expr
@@ -21,14 +20,12 @@ type scanSource struct {
 	modbuf
 
 	stats  *exec.OpStats
-	fault  *faultinject.Point
 	place  exec.TablePlacement
 	placed bool
 }
 
 func (s *scanSource) open(ctx *exec.Context) error {
 	s.stats = ctx.StatsFor(s)
-	s.fault = ctx.FaultPoint(s, ":next")
 	s.place, s.placed = ctx.Placements[s.table]
 	return nil
 }
@@ -47,9 +44,6 @@ func (s *scanSource) run(ctx *exec.Context, emit emitFn) error {
 			return nil
 		}
 		if err := ctx.Canceled(); err != nil {
-			return err
-		}
-		if err := s.fault.Fire(); err != nil {
 			return err
 		}
 		if s.placed {

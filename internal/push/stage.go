@@ -6,7 +6,6 @@ import (
 
 	"bufferdb/internal/exec"
 	"bufferdb/internal/expr"
-	"bufferdb/internal/faultinject"
 	"bufferdb/internal/storage"
 )
 
@@ -128,21 +127,18 @@ func (l *limitStage) Name() string { return fmt.Sprintf("Limit(%d)", l.n) }
 
 // probeStage probes an upstream buildSink's exec.JoinTable with each outer
 // row, emitting outer⨝inner concatenations in build-insertion order, with
-// exec.HashJoin's NULL-key rule, arena-write modeling and "<name>:next"
-// fault site.
+// exec.HashJoin's NULL-key rule and arena-write modeling.
 type probeStage struct {
 	build    *buildSink
 	outerKey expr.Expr
 	modbuf
 
 	stats *exec.OpStats
-	fault *faultinject.Point
 	arena *exec.Arena
 }
 
 func (j *probeStage) open(ctx *exec.Context) error {
 	j.stats = ctx.StatsFor(j)
-	j.fault = ctx.FaultPoint(j, ":next")
 	j.arena = exec.NewArena(ctx.CPU)
 	return nil
 }
@@ -150,9 +146,6 @@ func (j *probeStage) open(ctx *exec.Context) error {
 func (j *probeStage) process(ctx *exec.Context, row storage.Row, next emitFn) error {
 	if j.stats != nil {
 		j.stats.Calls++
-	}
-	if err := j.fault.Fire(); err != nil {
-		return err
 	}
 	key, ok, err := exec.JoinKey(j.outerKey, row)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"bufferdb/internal/codemodel"
 	"bufferdb/internal/exec"
 	"bufferdb/internal/expr"
-	"bufferdb/internal/faultinject"
 	"bufferdb/internal/storage"
 )
 
@@ -21,7 +20,6 @@ type HashAggregate struct {
 
 	module *codemodel.Module
 	stats  *exec.OpStats
-	fault  *faultinject.Point
 
 	pos  int
 	done bool
@@ -51,7 +49,6 @@ func (a *HashAggregate) Open(ctx *exec.Context) error {
 	if err := a.Child.Open(ctx); err != nil {
 		return err
 	}
-	a.fault = ctx.FaultPoint(a, ":next")
 	a.pos, a.done = 0, false
 	a.out.open(ctx, a.size)
 	a.AggState.Open(ctx, a)
@@ -94,9 +91,6 @@ func (a *HashAggregate) NextBatch(ctx *exec.Context) (res Batch, err error) {
 	}
 	if a.stats != nil {
 		defer a.stats.EndBatch(ctx, a.stats.Begin(ctx), (*[]storage.Row)(&res))
-	}
-	if err := a.fault.Fire(); err != nil {
-		return nil, err
 	}
 	if !a.done {
 		if err := a.consume(ctx); err != nil {

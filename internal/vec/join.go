@@ -6,7 +6,6 @@ import (
 	"bufferdb/internal/codemodel"
 	"bufferdb/internal/exec"
 	"bufferdb/internal/expr"
-	"bufferdb/internal/faultinject"
 	"bufferdb/internal/storage"
 )
 
@@ -27,7 +26,6 @@ type HashJoin struct {
 	arena       *exec.Arena
 	schema      storage.Schema
 	stats       *exec.OpStats
-	fault       *faultinject.Point
 	table       exec.JoinTable
 
 	out  batchBuf
@@ -74,7 +72,6 @@ func (j *HashJoin) Open(ctx *exec.Context) error {
 	if err := j.Inner.Open(ctx); err != nil {
 		return err
 	}
-	j.fault = ctx.FaultPoint(j, ":next")
 	j.arena = exec.NewArena(ctx.CPU)
 	j.out.open(ctx, j.size)
 	j.outerBatch, j.outerRow, j.matches = nil, nil, nil
@@ -89,9 +86,6 @@ func (j *HashJoin) Open(ctx *exec.Context) error {
 		// The build is a blocking loop: poll cancellation and deadlines so
 		// a large build aborts promptly instead of outliving its query.
 		if err := ctx.CanceledNow(); err != nil {
-			return err
-		}
-		if err := j.table.BuildFault(); err != nil {
 			return err
 		}
 		in, err := j.Inner.NextBatch(ctx)
@@ -131,9 +125,6 @@ func (j *HashJoin) NextBatch(ctx *exec.Context) (res Batch, err error) {
 	}
 	if j.stats != nil {
 		defer j.stats.EndBatch(ctx, j.stats.Begin(ctx), (*[]storage.Row)(&res))
-	}
-	if err := j.fault.Fire(); err != nil {
-		return nil, err
 	}
 	j.out.reset()
 	j.bits = j.bits[:0]

@@ -6,7 +6,6 @@ import (
 	"bufferdb/internal/codemodel"
 	"bufferdb/internal/exec"
 	"bufferdb/internal/expr"
-	"bufferdb/internal/faultinject"
 	"bufferdb/internal/storage"
 )
 
@@ -23,7 +22,6 @@ type SeqScan struct {
 
 	module *codemodel.Module
 	stats  *exec.OpStats
-	fault  *faultinject.Point
 
 	out    batchBuf
 	bits   []uint64
@@ -46,7 +44,6 @@ func (s *SeqScan) Open(ctx *exec.Context) error {
 	if s.stats != nil {
 		defer s.stats.EndOpen(ctx, s.stats.Begin(ctx))
 	}
-	s.fault = ctx.FaultPoint(s, ":next")
 	s.out.open(ctx, s.size)
 	cur, err := s.Table.Scan(s.Cols)
 	if err != nil {
@@ -67,9 +64,6 @@ func (s *SeqScan) NextBatch(ctx *exec.Context) (out Batch, err error) {
 		defer s.stats.EndBatch(ctx, s.stats.Begin(ctx), (*[]storage.Row)(&out))
 	}
 	if err := ctx.CanceledNow(); err != nil {
-		return nil, err
-	}
-	if err := s.fault.Fire(); err != nil {
 		return nil, err
 	}
 	s.out.reset()

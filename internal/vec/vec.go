@@ -17,6 +17,10 @@
 // HashAggregate, HashJoin, Limit); FromVolcano/ToVolcano adapt the rest,
 // so any plan compiles (plan.Compile with EngineVec) and the SQL front end
 // needs no changes.
+//
+// Like push, vec is a reproduction engine that no served statement runs: it
+// carries cancellation, stats and reuse adopt/publish, and no fault sites
+// or memory charges of its own.
 package vec
 
 import (
@@ -97,73 +101,6 @@ func (b *batchBuf) take() Batch {
 		return nil
 	}
 	return b.rows
-}
-
-// CallOpen invokes op.Open, converting a panic into a wrapped
-// exec.ErrOperatorPanic.
-func CallOpen(ctx *exec.Context, op Operator) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = exec.PanicError(op.Name(), r)
-		}
-	}()
-	return op.Open(ctx)
-}
-
-// CallNextBatch invokes op.NextBatch, converting a panic into a wrapped
-// exec.ErrOperatorPanic.
-func CallNextBatch(ctx *exec.Context, op Operator) (batch Batch, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			batch, err = nil, exec.PanicError(op.Name(), r)
-		}
-	}()
-	return op.NextBatch(ctx)
-}
-
-// CallClose invokes op.Close, converting a panic into a wrapped
-// exec.ErrOperatorPanic — teardown must never take the process down.
-func CallClose(ctx *exec.Context, op Operator) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = exec.PanicError(op.Name(), r)
-		}
-	}()
-	return op.Close(ctx)
-}
-
-// Run drives a block-oriented plan to completion and returns all result
-// rows. It opens, drains and closes the root operator, containing panics
-// from any operator in the tree.
-func Run(ctx *exec.Context, root Operator) ([]storage.Row, error) {
-	if err := CallOpen(ctx, root); err != nil {
-		_ = CallClose(ctx, root)
-		return nil, err
-	}
-	var out []storage.Row
-	for {
-		batch, err := CallNextBatch(ctx, root)
-		if err != nil {
-			_ = CallClose(ctx, root)
-			return nil, err
-		}
-		if len(batch) == 0 {
-			break
-		}
-		out = append(out, batch...)
-	}
-	if err := CallClose(ctx, root); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Walk visits the operator tree in depth-first pre-order.
-func Walk(op Operator, visit func(Operator)) {
-	visit(op)
-	for _, c := range op.Children() {
-		Walk(c, visit)
-	}
 }
 
 // errNotOpen is the shared guard error for operators driven before Open.

@@ -47,9 +47,9 @@ func shipdateFilter(t *testing.T, sch storage.Schema) expr.Expr {
 
 func runVec(t *testing.T, op Operator) []storage.Row {
 	t.Helper()
-	rows, err := Run(&exec.Context{Catalog: testDB}, op)
+	rows, err := exec.Run(&exec.Context{Catalog: testDB}, NewToVolcano(op))
 	if err != nil {
-		t.Fatalf("vec.Run(%s): %v", op.Name(), err)
+		t.Fatalf("%s: %v", op.Name(), err)
 	}
 	return rows
 }

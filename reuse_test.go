@@ -15,7 +15,9 @@ import (
 // The reuse suite pins the semantic reuse cache's contract: bit-identical
 // results with the cache on or off across all three engines, cross-query
 // (and cross-engine) recycling of hash-join builds and aggregate tables,
-// write invalidation, and a zero memory footprint after Close.
+// write invalidation, and a zero memory footprint after Close. Vec and push
+// run in process without the governor (runOn), the way the benchmarks run
+// them; memory charges are checked on Volcano, the served engine.
 
 // reuseQueries mixes the operator shapes the cache handles: plain and
 // grouped aggregation, join+aggregate, and predicate spellings that
@@ -49,18 +51,18 @@ func TestReuseEquivalenceAcrossEngines(t *testing.T) {
 	cached := newReuseDB(t, Options{ReuseCache: true})
 	plain := newReuseDB(t, Options{})
 
-	for _, e := range chaosEngines {
+	for _, e := range plan.Engines() {
 		po := PlanOptions{Engine: e}
 		for _, q := range reuseQueries {
-			want, err := plain.queryWith(context.Background(), q, po, QueryOptions{})
+			want, err := plain.queryWith(context.Background(), q, po)
 			if err != nil {
 				t.Fatalf("%s cache-off %q: %v", e, q, err)
 			}
-			cold, err := cached.queryWith(context.Background(), q, po, QueryOptions{})
+			cold, err := cached.queryWith(context.Background(), q, po)
 			if err != nil {
 				t.Fatalf("%s cold %q: %v", e, q, err)
 			}
-			warm, err := cached.queryWith(context.Background(), q, po, QueryOptions{})
+			warm, err := cached.queryWith(context.Background(), q, po)
 			if err != nil {
 				t.Fatalf("%s warm %q: %v", e, q, err)
 			}
@@ -90,8 +92,8 @@ func TestReuseCrossEngineAdoption(t *testing.T) {
 	const q = `SELECT l_returnflag, SUM(l_extendedprice) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`
 
 	var want string
-	for i, e := range chaosEngines {
-		res, err := db.queryWith(context.Background(), q, PlanOptions{Engine: e}, QueryOptions{})
+	for i, e := range plan.Engines() {
+		res, err := db.queryWith(context.Background(), q, PlanOptions{Engine: e})
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
 		}
@@ -256,8 +258,10 @@ type breakerRun struct {
 
 // runBreakers plans reuseChaosQuery without buffers, wires both breakers to
 // capturing hooks — or, with adopt set, the hash build to that published
-// table, its build child left in place — and runs it under the facade's
-// governor on e (execOn).
+// table, its build child left in place — and runs it on e. Volcano runs
+// through execPlan, the served path, under qo, and reports the query's
+// peak tracked bytes; vec and push run ungoverned (runOn), so qo does not
+// apply and peak stays 0.
 func runBreakers(ctx context.Context, db *DB, e Engine, qo QueryOptions, adopt *exec.JoinTable) (breakerRun, error) {
 	var run breakerRun
 	_, p, err := db.planPair(reuseChaosQuery, PlanOptions{}, false)
@@ -281,7 +285,11 @@ func runBreakers(ctx context.Context, db *DB, e Engine, qo QueryOptions, adopt *
 			}}
 		}
 	})
-	rows, err := db.execOn(ctx, p, e, qo)
+	if e != EngineVolcano {
+		run.rows, err = db.runOn(ctx, p, e)
+		return run, err
+	}
+	rows, err := db.execPlan(ctx, p, qo)
 	if err != nil {
 		return run, err
 	}
@@ -291,16 +299,6 @@ func runBreakers(ctx context.Context, db *DB, e Engine, qo QueryOptions, adopt *
 	}
 	run.peak = rows.mem.Peak()
 	return run, rows.Err()
-}
-
-// rootBytes is what an engine charges for the result beyond the breakers:
-// the push engine materializes its root pipe's output, the pull engines
-// stream it.
-func (r breakerRun) rootBytes(e Engine) int64 {
-	if e == EnginePush {
-		return exec.RowsBytes(r.rows)
-	}
-	return 0
 }
 
 // probeAll reads a join table through the keys of the orders table, its
@@ -319,12 +317,12 @@ func probeAll(t *testing.T, db *DB, jt *exec.JoinTable) map[int64][]storage.Row 
 }
 
 // TestReuseBreakersIdenticalAcrossEngines: the three engines are drivers
-// over one join table and one aggregate state, so the same plan charges the
-// same peak, and publishes the same tables for the same bytes, on each.
+// over one join table and one aggregate state, so the same plan publishes
+// the same tables for the same bytes, and answers the same, on each.
 func TestReuseBreakersIdenticalAcrossEngines(t *testing.T) {
 	db := newReuseDB(t, Options{})
 	var first breakerRun
-	for i, e := range chaosEngines {
+	for i, e := range plan.Engines() {
 		run, err := runBreakers(context.Background(), db, e, QueryOptions{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
@@ -339,18 +337,15 @@ func TestReuseBreakersIdenticalAcrossEngines(t *testing.T) {
 			first = run
 			continue
 		}
-		if got, want := run.peak-run.rootBytes(e), first.peak; got != want {
-			t.Errorf("%s: breaker peak %d bytes, %s %d", e, got, chaosEngines[0], want)
-		}
 		if run.joinBytes != first.joinBytes || run.aggBytes != first.aggBytes {
 			t.Errorf("%s published join/aggregate for %d/%d bytes, %s for %d/%d",
-				e, run.joinBytes, run.aggBytes, chaosEngines[0], first.joinBytes, first.aggBytes)
+				e, run.joinBytes, run.aggBytes, EngineVolcano, first.joinBytes, first.aggBytes)
 		}
 		if run.join.Len() != first.join.Len() || !reflect.DeepEqual(probeAll(t, db, run.join), probeAll(t, db, first.join)) {
-			t.Errorf("%s published a different join table than %s", e, chaosEngines[0])
+			t.Errorf("%s published a different join table than %s", e, EngineVolcano)
 		}
 		if !reflect.DeepEqual(run.agg, first.agg) || !reflect.DeepEqual(run.rows, first.rows) {
-			t.Errorf("%s: aggregate table %v, result %v; %s: %v, %v", e, run.agg, run.rows, chaosEngines[0], first.agg, first.rows)
+			t.Errorf("%s: aggregate table %v, result %v; %s: %v, %v", e, run.agg, run.rows, EngineVolcano, first.agg, first.rows)
 		}
 	}
 }
@@ -358,7 +353,8 @@ func TestReuseBreakersIdenticalAcrossEngines(t *testing.T) {
 // TestReuseAdoptedBuildIsNeverWritten: an adopted build is read-only on
 // every engine even when the build child still yields rows (ApplyReuse
 // splices an empty source, a hand-built plan need not) — same answer, the
-// cached table untouched, none of its bytes charged to the adopting query.
+// cached table untouched, and on Volcano none of its bytes charged to the
+// adopting query.
 func TestReuseAdoptedBuildIsNeverWritten(t *testing.T) {
 	db := newReuseDB(t, Options{})
 	cold, err := runBreakers(context.Background(), db, EngineVolcano, QueryOptions{}, nil)
@@ -366,7 +362,7 @@ func TestReuseAdoptedBuildIsNeverWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := probeAll(t, db, cold.join)
-	for _, e := range chaosEngines {
+	for _, e := range plan.Engines() {
 		warm, err := runBreakers(context.Background(), db, e, QueryOptions{}, cold.join)
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
@@ -374,8 +370,8 @@ func TestReuseAdoptedBuildIsNeverWritten(t *testing.T) {
 		if !reflect.DeepEqual(warm.rows, cold.rows) {
 			t.Errorf("%s over the adopted build answered %v, want %v", e, warm.rows, cold.rows)
 		}
-		if got, want := warm.peak-warm.rootBytes(e), cold.peak-cold.joinBytes; got != want {
-			t.Errorf("%s charged %d bytes over the adopted build, want %d (no build rows)", e, got, want)
+		if want := cold.peak - cold.joinBytes; e == EngineVolcano && warm.peak != want {
+			t.Errorf("charged %d bytes over the adopted build, want %d (no build rows)", warm.peak, want)
 		}
 		if cold.join.Len() != len(before) {
 			t.Fatalf("%s grew the adopted table to %d rows, had %d", e, cold.join.Len(), len(before))
