@@ -366,12 +366,9 @@ func (db *DB) ReuseStats() ReuseStats {
 
 // TableEpoch reports a table's write epoch: it starts at zero and each
 // INSERT into the table bumps it. Server-side caches tag entries with the
-// epochs of the tables they read and revalidate on lookup, so a write
-// invalidates exactly its dependents.
+// epochs of the tables they read (Rows.ReadSet) and revalidate before
+// storing, so a write invalidates exactly its dependents.
 func (db *DB) TableEpoch(table string) uint64 { return db.epochs.Of(table) }
-
-// TableEpochs snapshots the write epochs of the given tables.
-func (db *DB) TableEpochs(tables []string) map[string]uint64 { return db.epochs.Snapshot(tables) }
 
 // TrackedBytes reports the bytes currently charged against the database's
 // memory limit by executing queries; 0 when no MemoryLimit is set. Idle

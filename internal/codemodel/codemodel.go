@@ -32,6 +32,7 @@ package codemodel
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -84,6 +85,10 @@ type Function struct {
 	HotBytes int
 	// Sites are the function's branch sites, inside the hot region.
 	Sites []BranchSite
+
+	// idx is the function's position in its catalog's layout order — its
+	// bit in every module's function set.
+	idx int
 }
 
 // Module is one executable unit of the engine — an operator implementation
@@ -103,6 +108,12 @@ type Module struct {
 	sites    []BranchSite
 	hotBytes int
 	dataIdx  []int // positions of SiteData entries within sites
+
+	// set is Funcs as a bitset over the catalog's function numbering, and
+	// cat the catalog that numbering belongs to: CombinedFootprint unions
+	// modules by OR-ing their sets.
+	set []uint64
+	cat *Catalog
 }
 
 // finalize precomputes the per-invocation fetch trace and branch-site list.
@@ -163,17 +174,34 @@ func (m *Module) StaticFootprintBytes() int {
 
 // CombinedFootprint returns the dynamic footprint of a set of modules with
 // functions shared between modules counted once — the paper's §6.1 rule for
-// estimating an execution group's footprint.
+// estimating an execution group's footprint. The union is an OR of the
+// modules' function bitsets, precomputed when each module was assembled, so
+// refinement's group-merge checks pay no per-function bookkeeping. All
+// modules must come from one catalog.
 func CombinedFootprint(mods ...*Module) int {
-	seen := make(map[*Function]struct{})
+	if len(mods) == 0 {
+		return 0
+	}
+	c := mods[0].cat
+	var scratch [4]uint64
+	union := scratch[:0]
+	if words := len(mods[0].set); words > len(scratch) {
+		union = make([]uint64, 0, words)
+	}
+	union = append(union, mods[0].set...)
+	for _, m := range mods[1:] {
+		if m.cat != c {
+			panic("codemodel: CombinedFootprint over modules of different catalogs")
+		}
+		for i, w := range m.set {
+			union[i] |= w
+		}
+	}
 	n := 0
-	for _, m := range mods {
-		for _, f := range m.Funcs {
-			if _, dup := seen[f]; dup {
-				continue
-			}
-			seen[f] = struct{}{}
-			n += f.Size
+	for i, w := range union {
+		for w != 0 {
+			n += c.funcs[i*64+bits.TrailingZeros64(w)].Size
+			w &= w - 1
 		}
 	}
 	return n
@@ -264,8 +292,8 @@ const (
 // Module lookup assembles lazily on first use, so the catalog is internally
 // synchronized: concurrent query compilations may request modules at once.
 type Catalog struct {
-	// mu guards the lazily grown state: modules, nextID and sorted. The
-	// function layout itself (libs, nextAddr) is fixed at construction.
+	// mu guards the lazily grown state: modules and nextID. The function
+	// layout itself (libs, funcs, nextAddr) is fixed at construction.
 	mu       sync.Mutex
 	libs     map[string][]*Function
 	modules  map[string]*Module
@@ -273,8 +301,9 @@ type Catalog struct {
 	nextAddr uint64
 	nextID   uint32
 	rngState uint64
-	// sorted is the lazily built address-ordered function index.
-	sorted []*Function
+	// funcs is every function in layout order, which is address order;
+	// a function's position here is its idx.
+	funcs []*Function
 }
 
 // NewCatalog lays out the standard simulated binary (scattered layout).
@@ -363,9 +392,11 @@ func (c *Catalog) buildLib(name string, totalBytes int, shared bool) {
 			Addr:     c.nextAddr,
 			Size:     size,
 			HotBytes: hot,
+			idx:      len(c.funcs),
 		}
 		f.Sites = c.makeSites(f, shared)
 		funcs = append(funcs, f)
+		c.funcs = append(c.funcs, f)
 		// Scattered layout: a 1.5–6 KB gap of unused binary between used
 		// functions. Packed layout: hot functions back to back. Either
 		// way the next function aligns to a cache line, as compilers do.
@@ -531,7 +562,7 @@ func dedupStrings(in []string) []string {
 // assemble builds a module from a spec, converts the requested number of
 // private biased sites into data sites, and registers it. Callers hold mu.
 func (c *Catalog) assemble(name string, spec moduleSpec) *Module {
-	m := &Module{Name: name, ID: c.nextID}
+	m := &Module{Name: name, ID: c.nextID, set: make([]uint64, (len(c.funcs)+63)/64), cat: c}
 	c.nextID++
 	for _, lib := range spec.libs {
 		funcs, ok := c.libs[lib]
@@ -539,6 +570,9 @@ func (c *Catalog) assemble(name string, spec moduleSpec) *Module {
 			panic("codemodel: module " + name + " references unknown library " + lib)
 		}
 		m.Funcs = append(m.Funcs, funcs...)
+		for _, f := range funcs {
+			m.set[f.idx/64] |= 1 << (f.idx % 64)
+		}
 	}
 	if spec.cold != "" {
 		m.Cold = append(m.Cold, c.libs[spec.cold]...)
@@ -598,14 +632,12 @@ func (c *Catalog) TextSegmentBytes() uint64 { return c.nextAddr }
 // addr falls into inter-function padding. It backs the dynamic call-graph
 // recorder, which maps observed instruction fetches back to functions.
 func (c *Catalog) FunctionAt(addr uint64) *Function {
-	c.mu.Lock()
-	c.ensureSorted()
-	sorted := c.sorted
-	c.mu.Unlock()
-	lo, hi := 0, len(sorted)
+	// funcs is in address order and fixed at construction, so the search
+	// needs no lock.
+	lo, hi := 0, len(c.funcs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		f := sorted[mid]
+		f := c.funcs[mid]
 		switch {
 		case addr < f.Addr:
 			hi = mid
@@ -616,16 +648,4 @@ func (c *Catalog) FunctionAt(addr uint64) *Function {
 		}
 	}
 	return nil
-}
-
-// ensureSorted builds the address-sorted function index on first use.
-// All libraries are created in NewCatalog, so the index never goes stale.
-func (c *Catalog) ensureSorted() {
-	if c.sorted != nil {
-		return
-	}
-	for _, funcs := range c.libs {
-		c.sorted = append(c.sorted, funcs...)
-	}
-	sort.Slice(c.sorted, func(i, j int) bool { return c.sorted[i].Addr < c.sorted[j].Addr })
 }

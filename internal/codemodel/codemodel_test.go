@@ -1,6 +1,8 @@
 package codemodel
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -290,5 +292,93 @@ func TestITLBPageSpread(t *testing.T) {
 	// Scattered layout: the pipeline spans at least ~50 pages.
 	if both < 50 {
 		t.Errorf("combined page working set %d too small for ITLB pressure", both)
+	}
+}
+
+// mapCombinedFootprint is the §6.1 union written the direct way — a set of
+// function pointers — kept as the reference the bitset CombinedFootprint
+// must reproduce exactly.
+func mapCombinedFootprint(mods ...*Module) int {
+	seen := make(map[*Function]struct{})
+	n := 0
+	for _, m := range mods {
+		for _, f := range m.Funcs {
+			if _, dup := seen[f]; dup {
+				continue
+			}
+			seen[f] = struct{}{}
+			n += f.Size
+		}
+	}
+	return n
+}
+
+// allModules instantiates every spec module and every aggregate set.
+func allModules(c *Catalog) []*Module {
+	names := make([]string, 0, len(specs))
+	for name := range specs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var mods []*Module
+	for _, name := range names {
+		mods = append(mods, c.MustModule(name))
+	}
+	aggs := []string{"count", "min", "max", "sum", "avg"}
+	for mask := 0; mask < 1<<len(aggs); mask++ {
+		var set []string
+		for i, a := range aggs {
+			if mask&(1<<i) != 0 {
+				set = append(set, a)
+			}
+		}
+		m, err := c.AggModule(set)
+		if err != nil {
+			panic(err)
+		}
+		mods = append(mods, m)
+	}
+	return mods
+}
+
+// TestCombinedFootprintMatchesMapUnion holds the bitset union to the map
+// reference over every module, random multisets of modules (repeats
+// included), and aggregate modules assembled after others were combined.
+func TestCombinedFootprintMatchesMapUnion(t *testing.T) {
+	for _, layout := range []Layout{LayoutScattered, LayoutPacked} {
+		c := NewCatalogWithLayout(layout)
+		// Combine a few modules first, so the aggregate modules below are
+		// assembled after the catalog has already been used.
+		early := []*Module{c.MustModule("SeqScanPred"), c.MustModule("HashProbe")}
+		if got, want := CombinedFootprint(early...), mapCombinedFootprint(early...); got != want {
+			t.Fatalf("layout %d: early union = %d, reference %d", layout, got, want)
+		}
+		mods := allModules(c)
+		if got := CombinedFootprint(); got != 0 {
+			t.Errorf("empty union = %d", got)
+		}
+		for _, m := range mods {
+			if got, want := CombinedFootprint(m), mapCombinedFootprint(m); got != want || got != m.FootprintBytes() {
+				t.Errorf("layout %d: %s alone = %d, reference %d, footprint %d", layout, m.Name, got, want, m.FootprintBytes())
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(layout) + 1))
+		for trial := 0; trial < 2000; trial++ {
+			pick := make([]*Module, 1+rng.Intn(8))
+			for i := range pick {
+				pick[i] = mods[rng.Intn(len(mods))]
+			}
+			if got, want := CombinedFootprint(pick...), mapCombinedFootprint(pick...); got != want {
+				names := make([]string, len(pick))
+				for i, m := range pick {
+					names[i] = m.Name
+				}
+				t.Fatalf("layout %d: union of %v = %d, reference %d", layout, names, got, want)
+			}
+		}
+		// The union lives in a stack scratch: a merge check allocates nothing.
+		if a := testing.AllocsPerRun(20, func() { CombinedFootprint(mods...) }); a != 0 {
+			t.Errorf("layout %d: CombinedFootprint allocated %.0f times per call", layout, a)
+		}
 	}
 }

@@ -12,7 +12,9 @@ import (
 // the returned decisions; the algorithm itself never touches executable
 // operators, which keeps it testable against hand-built trees.
 type NodeInfo struct {
-	// Name is a display name for decisions and EXPLAIN output.
+	// Name is a display name for decisions and EXPLAIN output. When it is
+	// empty, Result.String renders the Tag's Label method instead, so a
+	// planner whose refinement is never printed never formats a name.
 	Name string
 	// Modules are the instruction-footprint modules this operator executes
 	// per invocation (usually one; a hash join's probe node lists the
@@ -103,7 +105,7 @@ func (r *Result) String() string {
 	for _, g := range r.Groups {
 		names := make([]string, len(g.Members))
 		for i, m := range g.Members {
-			names[i] = m.Name
+			names[i] = m.label()
 		}
 		fmt.Fprintf(&b, "group {%s} footprint=%dB", strings.Join(names, ", "), g.FootprintBytes)
 		if g.Buffered {
@@ -114,6 +116,16 @@ func (r *Result) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// label is the node's display name: Name, or its Tag's Label.
+func (n *NodeInfo) label() string {
+	if n.Name == "" {
+		if l, ok := n.Tag.(interface{ Label() string }); ok {
+			return l.Label()
+		}
+	}
+	return n.Name
 }
 
 // Refine runs the paper's plan refinement algorithm (§6.2) over a plan:

@@ -11,6 +11,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"bufferdb/internal/core"
@@ -247,6 +248,19 @@ func Walk(n *Node, visit func(*Node)) {
 	for _, c := range n.Children {
 		Walk(c, visit)
 	}
+}
+
+// Tables returns the sorted distinct base tables the plan reads; nil when
+// it reads none.
+func Tables(root *Node) []string {
+	var tables []string
+	Walk(root, func(n *Node) {
+		if n.Table != nil && !slices.Contains(tables, n.Table.Name()) {
+			tables = append(tables, n.Table.Name())
+		}
+	})
+	slices.Sort(tables)
+	return tables
 }
 
 // CountKind returns the number of nodes of the given kind in the plan.

@@ -120,13 +120,13 @@ func clone(n *Node) *Node {
 }
 
 // toNodeInfo mirrors the plan as the refinement algorithm's NodeInfo tree.
+// It leaves Name empty: a report renders the node's Label from the Tag.
 func toNodeInfo(n *Node, cm *codemodel.Catalog) (*core.NodeInfo, error) {
 	mod, err := moduleFor(n, cm)
 	if err != nil {
 		return nil, err
 	}
 	info := &core.NodeInfo{
-		Name:     n.Label(),
 		Blocking: n.Blocking(),
 		EstRows:  n.EstRows,
 		Tag:      n,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 
 	"bufferdb"
@@ -114,10 +115,10 @@ type cachedResult struct {
 	rows    uint64
 	size    int64
 	release func()
-	// tables is the sorted base-table set the query read — the invalidation
-	// tag: a committed INSERT into one of them drops this entry, while
-	// entries over untouched tables survive. nil means the set is unknown
-	// (the SQL did not parse as a plain SELECT) and the entry conservatively
+	// tables is the sorted base-table set the query's plan read
+	// (Rows.ReadSet) — the invalidation tag: a committed INSERT into one of
+	// them drops this entry, while entries over untouched tables survive.
+	// nil means the plan read no table; the entry then conservatively
 	// depends on everything.
 	tables []string
 }
@@ -136,8 +137,10 @@ func (r *cachedResult) dependsOn(table string) bool {
 	if r.tables == nil {
 		return true
 	}
+	// Tags are catalog names; an INSERT's target is spelled as written,
+	// and table names are case-insensitive.
 	for _, t := range r.tables {
-		if t == table {
+		if strings.EqualFold(t, table) {
 			return true
 		}
 	}
@@ -159,12 +162,12 @@ type resultCache struct {
 	order   *list.List
 	total   int64
 	// epoch counts invalidations (whole-cache and per-table alike). A query
-	// whose table set is unknown snapshots it before executing and put drops
+	// whose plan reads no table snapshots it before executing and put drops
 	// results from an older epoch: a SELECT that started before a write
 	// committed but finished after the invalidation must not park its
-	// pre-write result in the cache. Queries with a known table set are
-	// validated more precisely, against the database's per-table write
-	// epochs — the same epochs the semantic reuse cache keys on.
+	// pre-write result in the cache. Queries that read tables are validated
+	// more precisely, against the database's per-table write epochs — the
+	// same epochs the semantic reuse cache keys on.
 	epoch uint64
 }
 
@@ -214,11 +217,11 @@ func (c *resultCache) writeEpoch() uint64 {
 // entries until the budget holds. Results over the per-entry cap, that the
 // memory limit refuses, or whose execution started before a write that may
 // affect them are dropped silently. Staleness is judged per table when the
-// entry's table set is known: snapshot holds the per-table write epochs (from
-// db.TableEpochs, shared with the semantic reuse cache) taken before the
-// query executed, and a mismatch against db's current epochs means a write
-// to a referenced table committed mid-flight. Entries with an unknown table
-// set fall back to the cache-wide epoch (from writeEpoch).
+// entry has a table set: snapshot holds the per-table write epochs (from
+// Rows.ReadSet, shared with the semantic reuse cache) taken when execution
+// started, and a mismatch against db's current epochs means a write to a
+// referenced table committed mid-flight. Entries without one fall back to
+// the cache-wide epoch (from writeEpoch).
 func (c *resultCache) put(key string, res *cachedResult, epoch uint64, snapshot map[string]uint64, db *bufferdb.DB) {
 	if !c.enabled() || res.size > c.maxEntry {
 		return
@@ -271,8 +274,8 @@ func (c *resultCache) put(key string, res *cachedResult, epoch uint64, snapshot 
 	}
 }
 
-// invalidateTable drops every entry that read table (plus entries whose
-// table set is unknown); entries over untouched tables survive.
+// invalidateTable drops every entry that read table (plus entries without a
+// table set); entries over untouched tables survive.
 func (c *resultCache) invalidateTable(table string) {
 	c.invalidate(func(r *cachedResult) bool { return r.dependsOn(table) })
 }
@@ -286,9 +289,9 @@ func (c *resultCache) invalidateAll() {
 }
 
 // invalidate drops the entries stale selects. The cache-wide epoch always
-// advances so in-flight unknown-table results are refused by put —
-// known-table results in flight are judged precisely against the
-// database's per-table epochs instead.
+// advances so in-flight results without a table set are refused by put —
+// results with one are judged precisely against the database's per-table
+// epochs instead.
 func (c *resultCache) invalidate(stale func(*cachedResult) bool) {
 	if !c.enabled() {
 		return

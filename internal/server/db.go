@@ -130,18 +130,9 @@ func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpt
 		if res, ok := b.results.get(key); ok {
 			return res, nil
 		}
-		fill = &fillCursor{cache: b.results, db: db, key: key, res: &cachedResult{}}
-		// Tag the result with the tables it reads and snapshot their write
-		// epochs before the query executes: if an INSERT into one of them
-		// commits while this query streams, put refuses the stale result —
-		// results over untouched tables are unaffected. An unparseable
-		// statement keeps a nil tag (depends on everything) and falls back to
-		// the cache-wide epoch.
-		if tabs, ok := sqlfe.Tables(sql); ok {
-			fill.res.tables = tabs
-			fill.snapshot = db.TableEpochs(tabs)
-		}
-		fill.epoch = b.results.writeEpoch()
+		// The cache-wide epoch is taken before the query starts: a result
+		// whose plan reads no table falls back to it in put.
+		fill = &fillCursor{cache: b.results, db: db, key: key, res: &cachedResult{}, epoch: b.results.writeEpoch()}
 	}
 
 	qopts, err := queryOptions(o, fi)
@@ -165,7 +156,12 @@ func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpt
 	if fill == nil {
 		return rows, nil
 	}
+	// Tag the result with the tables its plan reads. Their write epochs
+	// were snapshotted when execution started: if an INSERT into one of
+	// them commits while this query streams, put refuses the stale result
+	// — results over untouched tables are unaffected.
 	fill.Rows = rows
+	fill.res.tables, fill.snapshot = rows.ReadSet()
 	return fill, nil
 }
 

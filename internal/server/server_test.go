@@ -714,6 +714,34 @@ func TestResultCachePerTableInvalidation(t *testing.T) {
 	if got := hits.Value() - h1; got != 1 {
 		t.Fatalf("post-write queries recorded %d hits, want 1 (nation only)", got)
 	}
+
+	// A JOIN … ON statement reads both of its tables: an INSERT into
+	// either one drops its entry.
+	const joinCount = "SELECT COUNT(*) FROM nation JOIN region ON n_regionkey = r_regionkey"
+	for _, w := range []struct {
+		insert string
+		added  int64 // joined rows the insert adds
+	}{
+		{`INSERT INTO region VALUES (8, 'NU', 'no nations')`, 0},
+		{`INSERT INTO nation VALUES (25, 'ATLANTIS', 0, 'sunk')`, 1},
+	} {
+		before := run(joinCount)
+		h := hits.Value()
+		run(joinCount)
+		if got := hits.Value() - h; got != 1 {
+			t.Fatalf("join replay before %q recorded %d hits, want 1", w.insert, got)
+		}
+		if _, err := c.QueryAll(context.Background(), w.insert); err != nil {
+			t.Fatal(err)
+		}
+		h = hits.Value()
+		if after := run(joinCount); after != before+w.added {
+			t.Fatalf("join count after %q = %d, want %d", w.insert, after, before+w.added)
+		}
+		if got := hits.Value() - h; got != 0 {
+			t.Fatalf("join after %q was replayed from the cache", w.insert)
+		}
+	}
 }
 
 // TestServerMetrics spot-checks the serving-layer counters.

@@ -268,8 +268,10 @@ func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 		return <-watch
 	}
 
+	// The header is flushed at once: a client sees the stream has started
+	// (its query passed admission) even while the first rows are slow.
 	cols := rows.Columns()
-	if err := ss.sendColumns(cols); err != nil {
+	if err := ss.columns(ss.send, cols); err != nil {
 		settle()
 		return err
 	}
@@ -277,7 +279,10 @@ func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 	var total uint64
 	var batch wire.Builder
 	var inBatch uint32
-	flush := func() error {
+	// emit puts the pending batch on the wire: a full batch mid-stream is
+	// flushed at once so the client can consume it while the next one is
+	// produced; the final batch is only buffered, to share Done's flush.
+	emit := func(put func(wire.Type, []byte) error) error {
 		if inBatch == 0 {
 			return nil
 		}
@@ -286,7 +291,7 @@ func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 		if rec != nil {
 			rec.recordBatch(payload, inBatch)
 		}
-		err := ss.send(wire.TRowBatch, payload)
+		err := put(wire.TRowBatch, payload)
 		batch.Reset()
 		inBatch = 0
 		return err
@@ -305,7 +310,7 @@ func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 		inBatch++
 		total++
 		if int(inBatch) >= ss.srv.cfg.BatchRows || batch.Len() >= batchBytes {
-			if err := flush(); err != nil {
+			if err := emit(ss.send); err != nil {
 				settle()
 				return err
 			}
@@ -331,7 +336,7 @@ func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 		// anyway — the client stopped caring about this result.
 		return ss.sendError(wire.CodeCanceled, "query canceled")
 	}
-	if err := flush(); err != nil {
+	if err := emit(ss.write); err != nil {
 		return err
 	}
 	if err := rows.Close(); err != nil {
@@ -356,27 +361,29 @@ const (
 	watchProtocol
 )
 
-// replay streams a cached result: header, stored batches, done.
+// replay streams a cached result — header, stored batches, done — with
+// one flush: nothing is left to wait for.
 func (ss *session) replay(res *cachedResult) error {
-	if err := ss.sendColumns(res.cols); err != nil {
+	if err := ss.columns(ss.write, res.cols); err != nil {
 		return err
 	}
 	for _, batch := range res.batches {
-		if err := ss.send(wire.TRowBatch, batch); err != nil {
+		if err := ss.write(wire.TRowBatch, batch); err != nil {
 			return err
 		}
 	}
 	return ss.sendDone(res.rows)
 }
 
-// sendColumns opens a result stream with its column header.
-func (ss *session) sendColumns(cols []string) error {
+// columns opens a result stream: it encodes the column header and hands
+// it to put.
+func (ss *session) columns(put func(wire.Type, []byte) error, cols []string) error {
 	var b wire.Builder
 	b.U32(uint32(len(cols)))
 	for _, c := range cols {
 		b.String(c)
 	}
-	return ss.send(wire.TColumns, b.Bytes())
+	return put(wire.TColumns, b.Bytes())
 }
 
 // sendDone ends a result stream with its row count.
@@ -413,17 +420,24 @@ func (ss *session) tables(payload []byte) error {
 	return ss.send(wire.TTablesOK, b.Bytes())
 }
 
-// send writes one frame and flushes it. Each send arms a fresh write
-// deadline so a client that stops reading unwinds the session (freeing its
-// admission slot and tracked memory) instead of blocking it forever.
+// send writes one frame and flushes it, with whatever write buffered
+// before it.
 func (ss *session) send(t wire.Type, payload []byte) error {
+	if err := ss.write(t, payload); err != nil {
+		return err
+	}
+	return ss.bw.Flush()
+}
+
+// write buffers one frame without flushing it; a later send carries it out
+// (or the buffer does, once full). Each frame arms a fresh write deadline
+// so a client that stops reading unwinds the session (freeing its
+// admission slot and tracked memory) instead of blocking it forever.
+func (ss *session) write(t wire.Type, payload []byte) error {
 	if d := ss.srv.cfg.WriteTimeout; d > 0 {
 		_ = ss.conn.SetWriteDeadline(time.Now().Add(d))
 	}
 	if err := wire.WriteFrame(ss.bw, t, payload); err != nil {
-		return err
-	}
-	if err := ss.bw.Flush(); err != nil {
 		return err
 	}
 	metricBytesSent().Add(uint64(len(payload) + 5))

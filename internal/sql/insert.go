@@ -72,6 +72,17 @@ func ParseInsert(input string) (*InsertStmt, error) {
 	return stmt, nil
 }
 
+// InsertTarget returns the table an INSERT statement writes to. ok is false
+// when the statement does not parse as an INSERT — callers invalidating by
+// table should then invalidate everything.
+func InsertTarget(query string) (string, bool) {
+	stmt, err := ParseInsert(query)
+	if err != nil {
+		return "", false
+	}
+	return stmt.Table, true
+}
+
 func (p *parser) parseInsert() (*InsertStmt, error) {
 	if err := p.expectKeyword("INSERT"); err != nil {
 		return nil, err

@@ -55,6 +55,10 @@ type Rows struct {
 	// close() so eviction can never free a build mid-probe.
 	releases []func()
 
+	// tables and epochs are the read set ReadSet reports.
+	tables []string
+	epochs map[string]uint64
+
 	// started and emitted feed the process-wide metrics registry when the
 	// cursor finishes.
 	started     time.Time
@@ -127,6 +131,16 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 		return nil, err
 	}
 
+	// The read set: the base tables the plan reads and their write epochs,
+	// snapshotted before anything executes. Both come before reuse splices
+	// cached sources over subtrees, so a spliced intermediate's tables stay
+	// in the set and its entry cannot predate the snapshot.
+	var tables []string
+	var epochs map[string]uint64
+	if tables = plan.Tables(p); tables != nil {
+		epochs = db.epochs.Snapshot(tables)
+	}
+
 	// Semantic reuse: splice cached intermediates over matching subtrees
 	// (pinning them for the cursor's lifetime) and attach publish hooks to
 	// the rest. The plan is this execution's private copy — ad-hoc plans
@@ -169,6 +183,8 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 		adm:      adm,
 		db:       db,
 		releases: reuseReleases,
+		tables:   tables,
+		epochs:   epochs,
 		started:  time.Now(),
 	}, nil
 }
@@ -185,6 +201,15 @@ func classifyError(err error) {
 	case errors.Is(err, exec.ErrOperatorPanic):
 		metricPanic().Inc()
 	}
+}
+
+// ReadSet reports the sorted base tables the statement's plan reads and
+// each one's write epoch as of the start of execution. A layer caching the
+// result tags it with the tables and refuses it if any epoch (DB.TableEpoch)
+// has moved by the time the stream ends. Both are nil for a plan that reads
+// no table, and for an INSERT.
+func (r *Rows) ReadSet() (tables []string, epochs map[string]uint64) {
+	return r.tables, r.epochs
 }
 
 // Columns names the result attributes, in Scan order. The returned slice is
