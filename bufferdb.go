@@ -172,8 +172,8 @@ type PlanOptions struct {
 type PlanOption func(*PlanOptions)
 
 // WithEngine runs the statement on the given execution engine; a value
-// that names no engine fails ExplainAnalyze and Profile with a wrapped
-// ErrUnknownEngine (Explain runs nothing and ignores it).
+// that names no engine fails Explain, ExplainAnalyze and Profile alike with
+// a wrapped ErrUnknownEngine.
 func WithEngine(e Engine) PlanOption {
 	return func(o *PlanOptions) { o.Engine = e }
 }

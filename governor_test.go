@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"bufferdb/internal/codemodel"
 	"bufferdb/internal/cpusim"
 	"bufferdb/internal/exec"
 	"bufferdb/internal/plan"
@@ -96,8 +95,6 @@ func (o *closeErrOp) Schema() storage.Schema {
 }
 func (o *closeErrOp) Children() []exec.Operator { return nil }
 func (o *closeErrOp) Name() string              { return "closeErrOp" }
-func (o *closeErrOp) Module() *codemodel.Module { return nil }
-func (o *closeErrOp) Blocking() bool            { return false }
 
 // TestRowsCloseErrorReporting drains a cursor whose plan fails on teardown:
 // the internal end-of-stream close must defer the error to the consumer's

@@ -192,13 +192,6 @@ func (b *Buffer) Children() []exec.Operator { return []exec.Operator{b.Child} }
 // Name implements exec.Operator.
 func (b *Buffer) Name() string { return fmt.Sprintf("Buffer(size=%d)", b.Size) }
 
-// Module implements exec.Operator.
-func (b *Buffer) Module() *codemodel.Module { return b.module }
-
-// Blocking implements exec.Operator: a buffer batches but does not fully
-// materialize; it is not a pipeline breaker.
-func (b *Buffer) Blocking() bool { return false }
-
 // CopyBuffer is the ablation variant the paper rejects in §5: it copies
 // every tuple into buffer-owned memory instead of storing references. The
 // ablation benchmark quantifies the overhead that design would add.

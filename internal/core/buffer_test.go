@@ -88,9 +88,6 @@ func TestBufferSchemaAndMeta(t *testing.T) {
 	if len(b.Children()) != 1 || b.Children()[0] != exec.Operator(scan) {
 		t.Error("buffer children wrong")
 	}
-	if b.Blocking() {
-		t.Error("buffer must not be blocking")
-	}
 	if !strings.Contains(b.Name(), "Buffer(size=8)") {
 		t.Errorf("name = %q", b.Name())
 	}
@@ -175,8 +172,6 @@ func (p *tracedPuller) Next(ctx *exec.Context) (storage.Row, error) {
 func (p *tracedPuller) Schema() storage.Schema    { return p.child.Schema() }
 func (p *tracedPuller) Children() []exec.Operator { return []exec.Operator{p.child} }
 func (p *tracedPuller) Name() string              { return "Parent" }
-func (p *tracedPuller) Module() *codemodel.Module { return nil }
-func (p *tracedPuller) Blocking() bool            { return false }
 
 func TestCopyBufferTransparency(t *testing.T) {
 	li := lineitem(t)

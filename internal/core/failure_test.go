@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"bufferdb/internal/codemodel"
 	"bufferdb/internal/exec"
 	"bufferdb/internal/expr"
 	"bufferdb/internal/storage"
@@ -54,8 +53,6 @@ func (f *failingOp) Close(*exec.Context) error {
 func (f *failingOp) Schema() storage.Schema    { return f.sch }
 func (f *failingOp) Children() []exec.Operator { return nil }
 func (f *failingOp) Name() string              { return "failing" }
-func (f *failingOp) Module() *codemodel.Module { return nil }
-func (f *failingOp) Blocking() bool            { return false }
 
 func intSchema() storage.Schema {
 	return storage.Schema{{Name: "v", Type: storage.TypeInt64}}

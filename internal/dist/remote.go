@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bufferdb/internal/client"
-	"bufferdb/internal/codemodel"
 	"bufferdb/internal/exec"
 	"bufferdb/internal/storage"
 )
@@ -175,5 +174,3 @@ func (r *remoteScan) Close(ctx *exec.Context) error {
 func (r *remoteScan) Schema() storage.Schema    { return r.plan.shardSchema }
 func (r *remoteScan) Children() []exec.Operator { return nil }
 func (r *remoteScan) Name() string              { return "RemoteScan" }
-func (r *remoteScan) Module() *codemodel.Module { return nil }
-func (r *remoteScan) Blocking() bool            { return false }

@@ -148,18 +148,6 @@ func (a *Aggregate) Children() []Operator { return []Operator{a.Child} }
 // Name implements Operator.
 func (a *Aggregate) Name() string { return a.AggState.Name("Aggregate") }
 
-// Module implements Operator.
-func (a *Aggregate) Module() *codemodel.Module { return a.module }
-
-// Blocking implements Operator. Although aggregation consumes its whole
-// input before emitting, its transition code runs once per input tuple,
-// interleaved with the child — which is exactly the thrashing pattern the
-// paper buffers against. The paper accordingly treats Aggregation as a
-// regular execution-group member (its Query 2 groups Scan and Aggregation
-// together; its Query 1 buffers between them), reserving the blocking
-// exclusion for sort and hash-table building. We follow that.
-func (a *Aggregate) Blocking() bool { return false }
-
 // AggFuncNames extracts the lower-case function-name list for
 // codemodel.AggModule from a spec list.
 func AggFuncNames(specs []expr.AggSpec) []string {

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"bufferdb/internal/codemodel"
 	"bufferdb/internal/faultinject"
 	"bufferdb/internal/storage"
 )
@@ -79,10 +78,3 @@ func (c *CachedRows) Children() []Operator { return nil }
 
 // Name implements Operator.
 func (c *CachedRows) Name() string { return fmt.Sprintf("CachedSource(%d rows)", len(c.rows)) }
-
-// Module implements Operator: replaying cached rows executes almost no
-// code, which is the point.
-func (c *CachedRows) Module() *codemodel.Module { return nil }
-
-// Blocking implements Operator.
-func (c *CachedRows) Blocking() bool { return false }

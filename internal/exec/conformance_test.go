@@ -75,8 +75,7 @@ func TestOperatorConformance(t *testing.T) {
 			}
 			return a
 		},
-		"Material": func() exec.Operator { return exec.NewMaterial(exec.NewSeqScan(orders, nil, nil), nil) },
-		"Limit":    func() exec.Operator { return exec.NewLimit(exec.NewSeqScan(li, nil, nil), 10) },
+		"Limit": func() exec.Operator { return exec.NewLimit(exec.NewSeqScan(li, nil, nil), 10) },
 		"Filter": func() exec.Operator {
 			return exec.NewFilter(exec.NewSeqScan(li, nil, nil), exec.ShipdateFilter(t, liSch, "1995-06-17"), nil)
 		},

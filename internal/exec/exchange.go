@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"bufferdb/internal/codemodel"
 	"bufferdb/internal/faultinject"
 	"bufferdb/internal/storage"
 )
@@ -219,11 +218,3 @@ func (e *Exchange) Children() []Operator { return e.parts }
 
 // Name implements Operator.
 func (e *Exchange) Name() string { return fmt.Sprintf("Gather(%d)", len(e.parts)) }
-
-// Module implements Operator: the gather is coordinator plumbing, never
-// part of a simulated plan.
-func (e *Exchange) Module() *codemodel.Module { return nil }
-
-// Blocking implements Operator: the gather streams; it never materializes a
-// whole input.
-func (e *Exchange) Blocking() bool { return false }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"bufferdb/internal/codemodel"
 	"bufferdb/internal/storage"
 )
 
@@ -86,10 +85,8 @@ func (f *failingOp) Close(*Context) error { f.opened = false; return nil }
 func (f *failingOp) Schema() storage.Schema {
 	return storage.Schema{{Name: "x", Type: storage.TypeInt64}}
 }
-func (f *failingOp) Children() []Operator      { return nil }
-func (f *failingOp) Name() string              { return "failingOp" }
-func (f *failingOp) Module() *codemodel.Module { return nil }
-func (f *failingOp) Blocking() bool            { return false }
+func (f *failingOp) Children() []Operator { return nil }
+func (f *failingOp) Name() string         { return "failingOp" }
 
 // drainUntilError pulls rows until the first error, returning how many
 // rows came before it.

@@ -25,7 +25,9 @@ import (
 
 // Operator is the open-next-close iterator interface (paper §4). Next
 // returns (nil, nil) at end of stream. An operator may be reopened after
-// Close; Open must reset all state.
+// Close; Open must reset all state. Which footprint module a node has and
+// whether it blocks are facts of the plan (plan.Node), where refinement
+// reads them.
 type Operator interface {
 	Open(ctx *Context) error
 	Next(ctx *Context) (storage.Row, error)
@@ -36,14 +38,6 @@ type Operator interface {
 	Children() []Operator
 	// Name is a short display name for EXPLAIN and traces.
 	Name() string
-	// Module is the operator's instruction-footprint module; nil means the
-	// operator has no modeled code (e.g. test fixtures).
-	Module() *codemodel.Module
-	// Blocking reports whether the operator must consume its entire input
-	// before producing output (sort, hash build). Blocking operators
-	// already batch execution below them, so the plan refinement algorithm
-	// never wraps them in buffers (paper §6).
-	Blocking() bool
 }
 
 // Rescannable is implemented by inner operators of a nested-loop join: the

@@ -106,7 +106,6 @@ func TestNextBeforeOpen(t *testing.T) {
 		NewSort(NewSeqScan(li, nil, nil), nil, nil),
 		NewLimit(NewSeqScan(li, nil, nil), 1),
 		NewValues(li.Schema(), nil),
-		NewMaterial(NewSeqScan(li, nil, nil), nil),
 	}
 	for _, op := range ops {
 		if _, err := op.Next(&Context{Catalog: testDB}); err == nil {
@@ -444,16 +443,9 @@ func TestAggregateEmptyInput(t *testing.T) {
 
 func TestMaterialAndLimit(t *testing.T) {
 	li := tbl(t, "lineitem")
-	m := NewMaterial(NewSeqScan(li, nil, nil), nil)
-	rows := runPlan(t, m)
-	if len(rows) != li.NumRows() {
-		t.Errorf("material returned %d rows", len(rows))
-	}
-	l := NewLimit(NewSeqScan(li, nil, nil), 7)
 	if rows := runPlan(t, NewLimit(NewSeqScan(li, nil, nil), 7)); len(rows) != 7 {
 		t.Errorf("limit returned %d rows", len(rows))
 	}
-	_ = l
 	if rows := runPlan(t, NewLimit(NewValues(li.Schema(), nil), 7)); len(rows) != 0 {
 		t.Errorf("limit over empty input returned %d rows", len(rows))
 	}

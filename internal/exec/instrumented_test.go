@@ -129,15 +129,14 @@ func TestInstrumentedFilterProjectMaterial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMaterial(pr, cm.MustModule("Material"))
 	ctx := instrumentedCtx(t, cm)
-	rows, err := Run(ctx, m)
+	rows, err := Run(ctx, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := runPlan(t, NewSeqScan(li, shipdateFilter(t, sch, "1995-06-17"), nil))
 	if len(rows) != len(want) {
-		t.Errorf("filter+project+material = %d rows, want %d", len(rows), len(want))
+		t.Errorf("filter+project = %d rows, want %d", len(rows), len(want))
 	}
 	if len(rows[0]) != 1 {
 		t.Errorf("projection width = %d", len(rows[0]))
@@ -230,7 +229,6 @@ func TestOperatorMetadata(t *testing.T) {
 		cm.MustModule("HashBuild"), cm.MustModule("HashProbe"))
 	mj := NewMergeJoin(NewSeqScan(li, nil, nil), NewSeqScan(orders, nil, nil), liKey, oKey, cm.MustModule("MergeJoin"))
 	srt := NewSort(NewSeqScan(li, nil, nil), []SortKey{{Expr: liKey, Desc: true}}, nil)
-	mat := NewMaterial(NewSeqScan(li, nil, nil), nil)
 	fil := NewFilter(NewSeqScan(li, nil, nil), shipdateFilter(t, li.Schema(), "1995-06-17"), nil)
 	agg := mustAgg(t, NewSeqScan(li, nil, nil))
 	lim := NewLimit(NewSeqScan(li, nil, nil), 3)
@@ -244,19 +242,17 @@ func TestOperatorMetadata(t *testing.T) {
 		op           Operator
 		nameContains string
 		children     int
-		blocking     bool
 		schemaWidth  int
 	}{
-		{nl, "NestLoopJoin", 2, false, width},
-		{hj, "HashJoin", 2, false, width},
-		{mj, "MergeJoin", 2, false, width},
-		{srt, "Sort", 1, true, len(li.Schema())},
-		{mat, "Material", 1, true, len(li.Schema())},
-		{fil, "Filter", 1, false, len(li.Schema())},
-		{agg, "Aggregate", 1, false, 1},
-		{lim, "Limit(3)", 1, false, len(li.Schema())},
-		{ifs, "IndexFullScan", 0, false, len(orders.Schema())},
-		{inner, "IndexLookup", 0, false, len(orders.Schema())},
+		{nl, "NestLoopJoin", 2, width},
+		{hj, "HashJoin", 2, width},
+		{mj, "MergeJoin", 2, width},
+		{srt, "Sort", 1, len(li.Schema())},
+		{fil, "Filter", 1, len(li.Schema())},
+		{agg, "Aggregate", 1, 1},
+		{lim, "Limit(3)", 1, len(li.Schema())},
+		{ifs, "IndexFullScan", 0, len(orders.Schema())},
+		{inner, "IndexLookup", 0, len(orders.Schema())},
 	}
 	for _, c := range cases {
 		if !strings.Contains(c.op.Name(), c.nameContains) {
@@ -265,28 +261,21 @@ func TestOperatorMetadata(t *testing.T) {
 		if len(c.op.Children()) != c.children {
 			t.Errorf("%s children = %d, want %d", c.op.Name(), len(c.op.Children()), c.children)
 		}
-		if c.op.Blocking() != c.blocking {
-			t.Errorf("%s blocking = %v", c.op.Name(), c.op.Blocking())
-		}
 		if len(c.op.Schema()) != c.schemaWidth {
 			t.Errorf("%s schema width = %d, want %d", c.op.Name(), len(c.op.Schema()), c.schemaWidth)
 		}
 	}
-	if hj.Module() != cm.MustModule("HashProbe") || hj.BuildModule() != cm.MustModule("HashBuild") {
-		t.Error("hash join module accessors wrong")
+	if hj.probeModule != cm.MustModule("HashProbe") || hj.buildModule != cm.MustModule("HashBuild") {
+		t.Error("hash join modules wired wrong")
 	}
-	if mj.Module() != cm.MustModule("MergeJoin") || nl.Module() != cm.MustModule("NestLoop") {
-		t.Error("join module accessors wrong")
-	}
-	if lim.Module() != nil {
-		t.Error("limit must be module-less")
+	if mj.module != cm.MustModule("MergeJoin") || nl.module != cm.MustModule("NestLoop") {
+		t.Error("join modules wired wrong")
 	}
 	// Trace labels settable everywhere.
 	nl.SetTraceLabel('x')
 	hj.SetTraceLabel('x')
 	mj.SetTraceLabel('x')
 	srt.SetTraceLabel('x')
-	mat.SetTraceLabel('x')
 	fil.SetTraceLabel('x')
 	ifs.SetTraceLabel('x')
 	inner.SetTraceLabel('x')

@@ -150,12 +150,6 @@ func (j *NestLoopJoin) Name() string {
 	return fmt.Sprintf("NestLoopJoin(key=%s)", j.OuterKey.String())
 }
 
-// Module implements Operator.
-func (j *NestLoopJoin) Module() *codemodel.Module { return j.module }
-
-// Blocking implements Operator.
-func (j *NestLoopJoin) Blocking() bool { return false }
-
 // HashJoin is an in-memory equi-hash-join. Open drains the build (inner)
 // side into a hash table — the blocking build phase, a separate module in
 // the paper's footprint analysis — and Next streams the probe (outer) side.
@@ -326,17 +320,6 @@ func (j *HashJoin) Children() []Operator { return []Operator{j.Outer, j.Inner} }
 func (j *HashJoin) Name() string {
 	return fmt.Sprintf("HashJoin(%s = %s)", j.OuterKey.String(), j.InnerKey.String())
 }
-
-// Module implements Operator: the probe module (the pipelined phase).
-// The build module is reported through BuildModule.
-func (j *HashJoin) Module() *codemodel.Module { return j.probeModule }
-
-// BuildModule returns the blocking build phase's module.
-func (j *HashJoin) BuildModule() *codemodel.Module { return j.buildModule }
-
-// Blocking implements Operator: the probe phase pipelines (the build phase
-// inside Open is the blocking part, which the planner models separately).
-func (j *HashJoin) Blocking() bool { return false }
 
 // MergeJoin joins two inputs sorted on their keys. Duplicate right-side key
 // groups are buffered so every left row of a key joins the full group.
@@ -544,9 +527,3 @@ func (j *MergeJoin) Children() []Operator { return []Operator{j.Left, j.Right} }
 func (j *MergeJoin) Name() string {
 	return fmt.Sprintf("MergeJoin(%s = %s)", j.LeftKey.String(), j.RightKey.String())
 }
-
-// Module implements Operator.
-func (j *MergeJoin) Module() *codemodel.Module { return j.module }
-
-// Blocking implements Operator.
-func (j *MergeJoin) Blocking() bool { return false }

@@ -83,12 +83,6 @@ func (f *Filter) Children() []Operator { return []Operator{f.Child} }
 // Name implements Operator.
 func (f *Filter) Name() string { return fmt.Sprintf("Filter(%s)", f.Pred.String()) }
 
-// Module implements Operator.
-func (f *Filter) Module() *codemodel.Module { return f.module }
-
-// Blocking implements Operator.
-func (f *Filter) Blocking() bool { return false }
-
 // Project evaluates a target list over each input row.
 type Project struct {
 	Child Operator
@@ -181,9 +175,3 @@ func (p *Project) Name() string {
 	}
 	return fmt.Sprintf("Project(%s)", strings.Join(parts, ", "))
 }
-
-// Module implements Operator.
-func (p *Project) Module() *codemodel.Module { return p.module }
-
-// Blocking implements Operator.
-func (p *Project) Blocking() bool { return false }

@@ -124,12 +124,6 @@ func (s *SeqScan) Name() string {
 	return fmt.Sprintf("SeqScan(%s)", s.Table.Name())
 }
 
-// Module implements Operator.
-func (s *SeqScan) Module() *codemodel.Module { return s.module }
-
-// Blocking implements Operator.
-func (s *SeqScan) Blocking() bool { return false }
-
 // indexAccess bundles the shared machinery of the two index operators:
 // the search structure plus simulated node-region traffic.
 type indexAccess struct {
@@ -296,12 +290,6 @@ func (s *IndexLookup) Name() string {
 	return fmt.Sprintf("IndexLookup(%s.%s)", s.ia.table.Name(), s.ia.meta.Column)
 }
 
-// Module implements Operator.
-func (s *IndexLookup) Module() *codemodel.Module { return s.module }
-
-// Blocking implements Operator.
-func (s *IndexLookup) Blocking() bool { return false }
-
 // IndexFullScan returns a table's rows in index-key order — the ordered
 // input the paper's merge-join plan draws from the orders primary key.
 type IndexFullScan struct {
@@ -404,9 +392,3 @@ func (s *IndexFullScan) Children() []Operator { return nil }
 func (s *IndexFullScan) Name() string {
 	return fmt.Sprintf("IndexFullScan(%s.%s)", s.ia.table.Name(), s.ia.meta.Column)
 }
-
-// Module implements Operator.
-func (s *IndexFullScan) Module() *codemodel.Module { return s.module }
-
-// Blocking implements Operator.
-func (s *IndexFullScan) Blocking() bool { return false }

@@ -204,9 +204,3 @@ func (s *Sort) Name() string {
 	}
 	return fmt.Sprintf("Sort(%s)", strings.Join(parts, ", "))
 }
-
-// Module implements Operator.
-func (s *Sort) Module() *codemodel.Module { return s.module }
-
-// Blocking implements Operator.
-func (s *Sort) Blocking() bool { return true }

@@ -157,16 +157,6 @@ func Aggregate(child *Node, groupBy []expr.Expr, aggs []expr.AggSpec) (*Node, er
 	return n, nil
 }
 
-// Material constructs a blocking materialization.
-func Material(child *Node) *Node {
-	return &Node{
-		Kind:     KindMaterial,
-		Children: []*Node{child},
-		schema:   child.schema,
-		EstRows:  child.EstRows,
-	}
-}
-
 // Limit constructs a row-count limit.
 func Limit(child *Node, n int) *Node {
 	return &Node{

@@ -36,8 +36,6 @@ func moduleFor(n *Node, cm *codemodel.Catalog) (*codemodel.Module, error) {
 		return cm.Module("Sort")
 	case KindAggregate:
 		return cm.AggModule(exec.AggFuncNames(n.Aggs))
-	case KindMaterial:
-		return cm.Module("Material")
 	case KindBuffer:
 		return cm.Module("Buffer")
 	case KindFilter:
@@ -322,13 +320,6 @@ func BuildNode(n *Node, cm *codemodel.Catalog, child func(*Node) (exec.Operator,
 			agg.SetShared(n.SharedAgg)
 		}
 		return agg, nil
-
-	case KindMaterial:
-		c, err := child(n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewMaterial(c, mod), nil
 
 	case KindLimit:
 		c, err := child(n.Children[0])

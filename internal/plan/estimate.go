@@ -107,7 +107,7 @@ func matchesPerKey(n *Node) float64 {
 		}
 		// A base-table equi-join on a key column: assume key-foreign-key.
 		return 1
-	case KindHashBuild, KindSort, KindMaterial, KindBuffer:
+	case KindHashBuild, KindSort, KindBuffer:
 		return matchesPerKey(n.Children[0])
 	default:
 		return 1

@@ -242,10 +242,6 @@ func (c *canonicalizer) node(n *Node) (string, bool) {
 		}
 		return fmt.Sprintf("limit(%d,%s)", n.LimitN, child), true
 
-	case KindMaterial:
-		// Materialization never changes results: transparent.
-		return c.node(n.Children[0])
-
 	default:
 		// CachedSource (already spliced) and anything unknown: refuse
 		// rather than risk a wrong equality.

@@ -36,7 +36,6 @@ const (
 	KindMergeJoin
 	KindSort
 	KindAggregate
-	KindMaterial
 	KindLimit
 	KindBuffer
 	KindFilter
@@ -65,8 +64,6 @@ func (k Kind) String() string {
 		return "Sort"
 	case KindAggregate:
 		return "Aggregate"
-	case KindMaterial:
-		return "Material"
 	case KindLimit:
 		return "Limit"
 	case KindBuffer:
@@ -147,11 +144,20 @@ type Node struct {
 // Schema returns the node's output row shape.
 func (n *Node) Schema() storage.Schema { return n.schema }
 
-// Blocking reports whether the node breaks the pipeline (paper §6: sort
-// and hash-table building; Material behaves like them).
+// Blocking reports whether the node breaks the pipeline: sort and
+// hash-table building consume their whole input before producing output,
+// so they already batch execution below them and refinement never wraps
+// them in buffers (paper §6). It is the one definition of blocking.
+//
+// Aggregation is not blocking here. Although it consumes its whole input
+// before emitting, its transition code runs once per input tuple,
+// interleaved with the child — exactly the thrashing pattern the paper
+// buffers against. The paper accordingly treats Aggregation as a regular
+// execution-group member (its Query 2 groups Scan and Aggregation
+// together; its Query 1 buffers between them).
 func (n *Node) Blocking() bool {
 	switch n.Kind {
-	case KindSort, KindHashBuild, KindMaterial:
+	case KindSort, KindHashBuild:
 		return true
 	default:
 		return false

@@ -347,19 +347,30 @@ func TestBufferAndLimitNodes(t *testing.T) {
 	if l.EstRows != 5 {
 		t.Errorf("limit estimate %v", l.EstRows)
 	}
-	m := Material(SeqScan(li, nil))
-	if !m.Blocking() {
-		t.Error("material not blocking")
-	}
-	if CountKind(m, KindSeqScan) != 1 {
+	if CountKind(l, KindSeqScan) != 1 {
 		t.Error("CountKind miscounts")
 	}
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := KindSeqScan; k <= KindBuffer; k++ {
+	for k := KindSeqScan; k <= KindCachedSource; k++ {
 		if strings.HasPrefix(k.String(), "Kind(") {
 			t.Errorf("kind %d has no name", k)
+		}
+	}
+	if k := KindCachedSource + 1; !strings.HasPrefix(k.String(), "Kind(") {
+		t.Errorf("kind %d is named %q: extend the loops above to it", k, k.String())
+	}
+}
+
+// TestNodeBlocking pins the one definition of blocking, which refinement
+// reads: sort and hash build break the pipeline; every other kind,
+// Aggregate included (paper §6), does not.
+func TestNodeBlocking(t *testing.T) {
+	blocking := map[Kind]bool{KindSort: true, KindHashBuild: true}
+	for k := KindSeqScan; k <= KindCachedSource; k++ {
+		if got := (&Node{Kind: k}).Blocking(); got != blocking[k] {
+			t.Errorf("%v.Blocking() = %v, want %v", k, got, blocking[k])
 		}
 	}
 }

@@ -81,7 +81,7 @@ func prune(n *Node, need colSet) {
 	case KindHashBuild:
 		prune(n.Children[0], need.with(n.InnerKey))
 
-	case KindLimit, KindBuffer, KindMaterial:
+	case KindLimit, KindBuffer:
 		prune(n.Children[0], need)
 
 	case KindProject:

@@ -85,7 +85,7 @@ func (g *randPlanGen) pipeline(node *Node, maxOps int) *Node {
 		case 0:
 			node = Sort(node, []exec.SortKey{{Expr: col(0)}})
 		case 1:
-			node = Material(node)
+			node = Sort(node, []exec.SortKey{{Expr: col(1)}})
 		case 2:
 			node = Filter(node, expr.MustBinary(expr.OpGe,
 				col(1), expr.NewConst(storage.NewInt(int64(g.rng.Intn(500))))))

@@ -149,8 +149,7 @@ func (p *pipe) run(ctx *exec.Context) error {
 // exposed to the host engine as a single (blocking) Volcano operator: the
 // first Next runs every pipe in dependency order — upstream hash builds
 // first, the result-producing pipe last — and later Nexts stream the
-// materialized result, modeling one data-cache read per served row exactly
-// like exec.Material.
+// materialized result, modeling one data-cache read per served row.
 type Pipeline struct {
 	pipes []*pipe
 	out   *collectSink
@@ -250,11 +249,3 @@ func (pl *Pipeline) Name() string {
 	}
 	return fmt.Sprintf("Push(%d pipes)", len(pl.pipes))
 }
-
-// Module implements exec.Operator: the pipeline's instruction work is
-// attributed by its elements' batched module replays.
-func (pl *Pipeline) Module() *codemodel.Module { return nil }
-
-// Blocking implements exec.Operator: the pipeline materializes its result
-// on the first Next, so the refinement pass never buffers above it.
-func (pl *Pipeline) Blocking() bool { return true }

@@ -10,8 +10,8 @@ import (
 )
 
 // collectSink materializes the final pipe's output — the root breaker.
-// Rows are written to a simulated arena; the Pipeline reads them back per
-// served row, like exec.Material.
+// Rows are written to a simulated arena; the Pipeline reads them back, one
+// data-cache read per served row.
 type collectSink struct {
 	rows  []storage.Row
 	addrs []uint64

@@ -195,11 +195,3 @@ func (t *ToVolcano) Children() []exec.Operator { return nil }
 func (t *ToVolcano) Name() string {
 	return fmt.Sprintf("ToVolcano(%s)", t.Child.Name())
 }
-
-// Module implements exec.Operator: the adapter serve path is too small to
-// model as a module (its µops are charged directly).
-func (t *ToVolcano) Module() *codemodel.Module { return nil }
-
-// Blocking implements exec.Operator: the adapter batches but does not fully
-// materialize.
-func (t *ToVolcano) Blocking() bool { return false }
