@@ -233,6 +233,9 @@ type DB struct {
 	// otherwise). Fingerprints name tables, so both are per catalog.
 	epochs     *reuse.Epochs
 	reuseCache *reuse.Cache
+
+	// plans holds the served path's plan templates (see DB.plan).
+	plans *planCache
 }
 
 // governor is what every query of a process is charged against. mem is the
@@ -322,7 +325,7 @@ func OpenTPCHReplicas(scaleFactor float64, opts Options, slices []int) (map[int]
 // newDB builds the engine side of a database over gov without a catalog;
 // callers attach one.
 func newDB(opts Options, gov governor) *DB {
-	db := &DB{opts: opts, governor: gov, epochs: reuse.NewEpochs()}
+	db := &DB{opts: opts, governor: gov, epochs: reuse.NewEpochs(), plans: newPlanCache()}
 	if opts.ReuseCache {
 		maxBytes := opts.ReuseMaxBytes
 		if maxBytes <= 0 {
@@ -417,21 +420,57 @@ func (db *DB) RowCount(table string) (int, error) {
 
 // plan builds the served plan of a statement: the planner's join choice,
 // refined at plan.DefaultCardinalityThreshold with the paper's buffer size.
+// Texts that differ only in their bound literals (sql.Shape) share one plan
+// template: the first is planned fresh and its plan kept; each later one
+// clones the template and re-binds its own literals (plan.Bind), skipping
+// parse, analysis — the selectivity samples included — and refinement. A
+// bound plan therefore keeps the first text's estimates and buffer
+// placement. A bind that fails plans the text fresh, so a client always sees
+// the fresh path's error, and a failed plan is never kept.
 func (db *DB) plan(query string) (*plan.Node, error) {
-	_, p, err := db.planPair(query, PlanOptions{}, true)
-	return p, err
+	shape, err := sql.Lex(query)
+	if err != nil {
+		metricPlanCache("misses").Inc()
+		return nil, err
+	}
+	if t := db.plans.get(shape.Key()); t != nil {
+		if p, err := plan.Bind(t, shape.Arg); err == nil {
+			metricPlanCache("hits").Inc()
+			return p, nil
+		}
+	}
+	metricPlanCache("misses").Inc()
+	stmt, err := shape.Parse()
+	if err != nil {
+		return nil, err
+	}
+	_, p, err := db.planStmt(stmt, PlanOptions{}, true)
+	if err != nil {
+		return nil, err
+	}
+	db.plans.put(shape.Key(), p)
+	return plan.Clone(p), nil
 }
 
 // planPair plans a statement with po's join method and, when refine is set,
 // refines it at plan.DefaultCardinalityThreshold with po's buffer size;
 // without refine both results are the conventional plan. It is the one
 // refinement step Query, Explain and Profile share, and it rejects an
-// unknown po.Engine for all of them.
+// unknown po.Engine for all of them. It never consults the plan cache.
 func (db *DB) planPair(query string, po PlanOptions, refine bool) (conventional, refined *plan.Node, err error) {
 	if err := po.Engine.Check(); err != nil {
 		return nil, nil, err
 	}
-	p, err := sql.PlanQuery(query, db.cat, sql.Options{ForceJoin: sql.JoinMethod(po.ForceJoin)})
+	stmt, err := sql.Parse(query)
+	if err != nil {
+		return nil, nil, err
+	}
+	return db.planStmt(stmt, po, refine)
+}
+
+// planStmt is planPair after parsing.
+func (db *DB) planStmt(stmt *sql.SelectStmt, po PlanOptions, refine bool) (conventional, refined *plan.Node, err error) {
+	p, err := sql.Analyze(stmt, db.cat, sql.Options{ForceJoin: sql.JoinMethod(po.ForceJoin)})
 	if err != nil || !refine {
 		return p, p, err
 	}

@@ -19,6 +19,9 @@ import (
 // it settles on a few hundred to a thousand entries. We default to 1024.
 const DefaultBufferSize = 1024
 
+// bufferStartCap is the initial capacity of a buffer's pointer array.
+const bufferStartCap = 16
+
 // Buffer is the paper's buffer operator (Figure 6): a plain open-next-close
 // iterator that, when asked for a tuple, first fills an array with
 // references to tuples pulled from its child, then serves subsequent
@@ -82,7 +85,11 @@ func (b *Buffer) Open(ctx *exec.Context) error {
 	}
 	b.memUsed = int64(b.Size) * 8
 	if b.buf == nil {
-		b.buf = make([]storage.Row, 0, b.Size)
+		// The array starts small and grows by append up to Size, so a
+		// buffer over a handful of rows does not zero a Size-slot array
+		// per Open. The charge above and the simulated array below stay
+		// Size slots: the model is the paper's fixed array.
+		b.buf = make([]storage.Row, 0, min(b.Size, bufferStartCap))
 	} else {
 		b.buf = b.buf[:0]
 	}

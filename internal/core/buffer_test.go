@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -325,4 +326,54 @@ func TestBufferConformance(t *testing.T) {
 	exectest.Conformance(t, "CopyBuffer", func() exec.Operator {
 		return NewCopyBuffer(exec.NewSeqScan(li, nil, nil), 64, nil)
 	})
+}
+
+// TestBufferArraySizedToInput: a buffer over a few rows allocates a few
+// slots, not its Size-slot array (1,024 × 24 B zeroed per Open before).
+// The bound covers the Buffer value and its array over a 4-row input.
+func TestBufferArraySizedToInput(t *testing.T) {
+	sch := storage.Schema{{Name: "v", Type: storage.TypeInt64}}
+	rows := make([]storage.Row, 4)
+	for i := range rows {
+		rows[i] = storage.Row{storage.NewInt(int64(i))}
+	}
+	ctx := &exec.Context{Catalog: testDB}
+	drain := func(op exec.Operator) {
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			row, err := op.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row == nil {
+				break
+			}
+			n++
+		}
+		if err := op.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if n != len(rows) {
+			t.Fatalf("drained %d rows, want %d", n, len(rows))
+		}
+	}
+	bytesPer := func(run func()) float64 {
+		const runs = 100
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	child := bytesPer(func() { drain(exec.NewValues(sch, rows)) })
+	buffered := bytesPer(func() { drain(NewBuffer(exec.NewValues(sch, rows), DefaultBufferSize, nil)) })
+	if got := buffered - child; got >= 1024 {
+		t.Errorf("a buffer over %d rows allocated %.0f B, want under 1 KB", len(rows), got)
+	}
 }

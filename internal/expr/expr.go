@@ -58,6 +58,9 @@ func (c *ColRef) String() string { return c.Name }
 // Const is a literal value.
 type Const struct {
 	Val storage.Value
+	// Param is the 1-based statement parameter the value was read from,
+	// which Rebind replaces; 0 for a constant no parameter names.
+	Param int
 }
 
 // NewConst constructs a literal.

@@ -15,6 +15,9 @@ type Like struct {
 	E       Expr
 	Pattern string
 	Negate  bool
+	// PatternParam is the statement parameter the pattern was read from,
+	// as Const.Param; 0 when none.
+	PatternParam int
 
 	// matcher is the compiled fast-path matcher.
 	matcher func(string) bool

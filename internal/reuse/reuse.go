@@ -1,6 +1,7 @@
 package reuse
 
 import (
+	"container/heap"
 	"sync"
 	"time"
 
@@ -41,6 +42,31 @@ type entry struct {
 	pins    int     // queries currently probing this entry
 	dead    bool    // evicted/invalidated while pinned; release deferred
 	release func()  // returns the memory reservation (idempotent)
+	index   int     // position in Cache.byScore
+}
+
+// scoreHeap is the cache's entries as a min-heap on score, each entry
+// knowing its position: the next eviction victim is the root, and a
+// rescored or invalidated entry is fixed or removed in O(log n).
+type scoreHeap []*entry
+
+func (h scoreHeap) Len() int           { return len(h) }
+func (h scoreHeap) Less(i, j int) bool { return h[i].score < h[j].score }
+func (h scoreHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *scoreHeap) Push(x any) {
+	e := x.(*entry)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
+func (h *scoreHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return e
 }
 
 // gdsfScore is the entry's eviction priority: cheap-to-rebuild, rarely-hit
@@ -65,6 +91,7 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
+	byScore scoreHeap // the same entries, lowest score first
 	total   int64
 	clock   float64
 	stats   Stats
@@ -113,6 +140,7 @@ func (c *Cache) Lookup(key string) (payload any, release func(), ok bool) {
 	e.hits++
 	e.pins++
 	e.score = gdsfScore(c.clock, e.cost, e.hits, e.bytes)
+	heap.Fix(&c.byScore, e.index)
 	c.stats.Hits++
 	c.mu.Unlock()
 	metricReuse("hits").Inc()
@@ -175,6 +203,7 @@ func (c *Cache) Publish(key string, tables []string, snapshot map[string]uint64,
 	}
 	e.score = gdsfScore(c.clock, cost, 0, bytes)
 	c.entries[key] = e
+	heap.Push(&c.byScore, e)
 	c.total += bytes
 	c.settleLocked(evicted, "evictions")
 	c.mu.Unlock()
@@ -186,16 +215,8 @@ func (c *Cache) Publish(key string, tables []string, snapshot map[string]uint64,
 // Pinned victims are marked dead instead of released immediately.
 func (c *Cache) evictLocked(budget int64) []*entry {
 	var out []*entry
-	for c.total > budget {
-		var victim *entry
-		for _, e := range c.entries {
-			if victim == nil || e.score < victim.score {
-				victim = e
-			}
-		}
-		if victim == nil {
-			break
-		}
+	for c.total > budget && len(c.byScore) > 0 {
+		victim := heap.Pop(&c.byScore).(*entry)
 		// GDSF aging: the clock rises to the evicted score, so future
 		// insertions and hits outrank long-idle survivors.
 		if victim.score > c.clock {
@@ -249,6 +270,7 @@ func (c *Cache) Invalidate(table string) {
 	}
 	for _, e := range victims {
 		delete(c.entries, e.key)
+		heap.Remove(&c.byScore, e.index)
 		c.total -= e.bytes
 	}
 	c.settleLocked(victims, "invalidations")
@@ -282,6 +304,7 @@ func (c *Cache) Close() {
 		victims = append(victims, e)
 	}
 	c.entries = make(map[string]*entry)
+	c.byScore = nil
 	c.total = 0
 	c.maxBytes = 0
 	for _, e := range victims {

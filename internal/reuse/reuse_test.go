@@ -2,6 +2,8 @@ package reuse
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -193,5 +195,83 @@ func TestNilCacheIsInert(t *testing.T) {
 	c.Close()
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil cache stats %+v", s)
+	}
+}
+
+// TestEvictionVictimsHaveMinimumScore drives random publishes, lookups and
+// invalidations through a small cache and checks, at every publish, that no
+// evicted entry outscored a survivor (ties are free) and that the score
+// heap indexes exactly the live entries.
+func TestEvictionVictimsHaveMinimumScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := New(32<<10, NewEpochs(), nil)
+	tables := []string{"a", "b", "c"}
+	var keys []string
+	evicted := 0
+	for step := 0; step < 4000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 6 || len(keys) == 0:
+			key := fmt.Sprintf("k%d", step)
+			before := map[string]float64{}
+			c.mu.Lock()
+			for k, e := range c.entries {
+				before[k] = e.score
+			}
+			c.mu.Unlock()
+			c.Publish(key, []string{tables[rng.Intn(len(tables))]}, nil, &AggTable{},
+				int64(1+rng.Intn(4096)), time.Duration(1+rng.Intn(1000))*time.Microsecond)
+			keys = append(keys, key)
+
+			c.mu.Lock()
+			maxVictim, minSurvivor := math.Inf(-1), math.Inf(1)
+			for k, s := range before {
+				if _, ok := c.entries[k]; ok {
+					minSurvivor = math.Min(minSurvivor, s)
+				} else {
+					maxVictim = math.Max(maxVictim, s)
+					evicted++
+				}
+			}
+			if len(c.byScore) != len(c.entries) {
+				t.Fatalf("step %d: heap holds %d entries, map %d", step, len(c.byScore), len(c.entries))
+			}
+			for i, e := range c.byScore {
+				if e.index != i || c.entries[e.key] != e {
+					t.Fatalf("step %d: heap slot %d holds %q at index %d", step, i, e.key, e.index)
+				}
+			}
+			c.mu.Unlock()
+			if maxVictim > minSurvivor {
+				t.Fatalf("step %d: evicted an entry scored %g while one scored %g survived", step, maxVictim, minSurvivor)
+			}
+		case r < 9:
+			if _, release, ok := c.Lookup(keys[rng.Intn(len(keys))]); ok {
+				release()
+			}
+		default:
+			c.Invalidate(tables[rng.Intn(len(tables))])
+		}
+	}
+	if evicted == 0 {
+		t.Fatal("the cache never filled; the test checked no eviction")
+	}
+}
+
+// BenchmarkReusePublishFull publishes into a cache already full of 100 000
+// small entries, so every publish evicts one: the time per publish must not
+// grow with the entry count.
+func BenchmarkReusePublishFull(b *testing.B) {
+	const entries, size = 100_000, 64
+	c := New(entries*size, NewEpochs(), nil)
+	for i := 0; i < entries; i++ {
+		c.Publish(fmt.Sprintf("fill/%d", i), []string{"t"}, nil, &AggTable{}, size, time.Duration(1+i%97)*time.Microsecond)
+	}
+	keys := make([]string, b.N)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("new/%d", i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Publish(keys[i], []string{"t"}, nil, &AggTable{}, size, time.Duration(1+i%97)*time.Microsecond)
 	}
 }

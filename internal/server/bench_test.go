@@ -39,9 +39,10 @@ func BenchmarkServerThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkPreparedVsAdHoc isolates what the server-side reuse layers buy:
-// ad-hoc queries plan on every request, prepared executions reuse the plan
-// through the statement LRU, and the result cache skips execution outright.
+// BenchmarkPreparedVsAdHoc isolates what the reuse layers buy: ad-hoc
+// queries bind the database's plan template on every request, prepared
+// executions clone the statement's plan, and the result cache skips
+// execution outright.
 func BenchmarkPreparedVsAdHoc(b *testing.B) {
 	b.Run("adhoc", func(b *testing.B) {
 		addr := benchHarness(b, server.Config{})

@@ -9,102 +9,6 @@ import (
 	"bufferdb/internal/storage"
 )
 
-// stmtOverheadBytes is the flat cost charged per cached prepared statement
-// on top of its SQL text: the planned tree, schema and bookkeeping. Plans
-// here are small (tens of operator nodes); the estimate errs high so the
-// cache competes honestly with executing queries for the memory limit.
-const stmtOverheadBytes = 32 << 10
-
-// stmtCacheEntries bounds the prepared-statement LRU.
-const stmtCacheEntries = 64
-
-// stmtCache is a shared LRU of prepared statements keyed by slice and SQL
-// text (see wire.QueryOpts.CacheKey). Sessions prepare through it so N
-// clients preparing the same hot statement plan it once; bufferdb.Stmt is
-// safe for concurrent use, so one entry serves concurrent executions. Every
-// entry charges the database's MemoryLimit through ReserveMemory; when the
-// reservation is refused the statement is handed out uncached rather than
-// failing the prepare.
-type stmtCache struct {
-	db *bufferdb.DB
-
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-}
-
-type stmtEntry struct {
-	key     string
-	stmt    *bufferdb.Stmt
-	release func()
-}
-
-func newStmtCache(db *bufferdb.DB) *stmtCache {
-	return &stmtCache{db: db, entries: map[string]*list.Element{}, order: list.New()}
-}
-
-// get returns the cached statement for key, building and inserting it on a
-// miss. Concurrent misses on the same key may both build; the second insert
-// wins and the loser's plan is simply garbage (never double-charged,
-// because only the inserted entry holds a reservation).
-func (c *stmtCache) get(key string, build func() (*bufferdb.Stmt, error)) (*bufferdb.Stmt, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		st := el.Value.(*stmtEntry).stmt
-		c.mu.Unlock()
-		metricCache("stmt", "hits").Inc()
-		return st, nil
-	}
-	c.mu.Unlock()
-	metricCache("stmt", "misses").Inc()
-
-	st, err := build()
-	if err != nil {
-		return nil, err
-	}
-	release, err := c.db.ReserveMemory("statement-cache", int64(len(key))+stmtOverheadBytes)
-	if err != nil {
-		// The memory limit is saturated: serve the statement uncached.
-		return st, nil
-	}
-
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		// Lost a race with a concurrent prepare; keep the winner.
-		cached := el.Value.(*stmtEntry).stmt
-		c.mu.Unlock()
-		release()
-		return cached, nil
-	}
-	c.entries[key] = c.order.PushFront(&stmtEntry{key: key, stmt: st, release: release})
-	var evicted []*stmtEntry
-	for c.order.Len() > stmtCacheEntries {
-		back := c.order.Back()
-		e := back.Value.(*stmtEntry)
-		c.order.Remove(back)
-		delete(c.entries, e.key)
-		evicted = append(evicted, e)
-	}
-	c.mu.Unlock()
-	for _, e := range evicted {
-		e.release()
-		metricCache("stmt", "evictions").Inc()
-	}
-	return st, nil
-}
-
-// close releases every reservation; the cache is unusable afterwards.
-func (c *stmtCache) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		el.Value.(*stmtEntry).release()
-	}
-	c.entries = map[string]*list.Element{}
-	c.order.Init()
-}
-
 // cachedResult is one result cache entry: the column header plus the
 // already-encoded row-batch frames, ready to replay to any client. Batches
 // are immutable once stored, so an entry may be served concurrently with

@@ -12,15 +12,13 @@ import (
 )
 
 // dbBackend is the Backend over a resident database (plus the replica
-// slices this node hosts). The statement LRU, the result cache and the
-// fault hook live here and not in the session loop because all three lean
-// on things only a local database has: Stmt handles to share, per-table
-// write epochs to invalidate on, a MemoryLimit to charge, an operator tree
-// to inject faults into.
+// slices this node hosts). The result cache and the fault hook live here
+// and not in the session loop because both lean on things only a local
+// database has: per-table write epochs to invalidate on, a MemoryLimit to
+// charge, an operator tree to inject faults into.
 type dbBackend struct {
 	db        *bufferdb.DB
 	slices    map[int]*bufferdb.DB
-	stmts     *stmtCache
 	results   *resultCache
 	faultHook func(sql string) *bufferdb.FaultInjector
 }
@@ -32,7 +30,6 @@ func newDBBackend(cfg Config) (*dbBackend, error) {
 	return &dbBackend{
 		db:        cfg.DB,
 		slices:    cfg.Slices,
-		stmts:     newStmtCache(cfg.DB),
 		results:   newResultCache(cfg.DB, cfg.ResultCacheBytes),
 		faultHook: cfg.FaultHook,
 	}, nil
@@ -41,7 +38,6 @@ func newDBBackend(cfg Config) (*dbBackend, error) {
 // close returns the cache reservations so an idle post-shutdown process
 // charges nothing against the memory limit.
 func (b *dbBackend) close() {
-	b.stmts.close()
 	b.results.close()
 }
 
@@ -65,32 +61,19 @@ func (b *dbBackend) fault(sql string) *bufferdb.FaultInjector {
 	return b.faultHook(sql)
 }
 
-// Prepare plans a statement with the wire options applied, going through
-// the shared LRU when the options are cache-compatible. Statements carrying
-// a timeout, a memory budget or a fault injector stay private to their
-// session: limits are baked into the prepared options (they must not leak
-// to other clients), and injectors are test instruments. The cache key
-// includes the slice, so the same SQL prepared against two hosted slices
-// yields two entries.
+// Prepare plans a statement on its slice's database with the wire options
+// baked into the statement. Sessions preparing one text (or one shape)
+// share its plan through the database's plan cache.
 func (b *dbBackend) Prepare(sql string, o wire.QueryOpts) (Prepared, error) {
 	db, err := b.dbFor(o.Slice)
 	if err != nil {
 		return nil, err
 	}
-	fi := b.fault(sql)
-	build := func() (*bufferdb.Stmt, error) {
-		opts, err := queryOptions(o, fi)
-		if err != nil {
-			return nil, err
-		}
-		return db.Prepare(sql, opts...)
+	opts, err := queryOptions(o, b.fault(sql))
+	if err != nil {
+		return nil, err
 	}
-	var st *bufferdb.Stmt
-	if o.TimeoutMS != 0 || o.MemoryBudget != 0 || fi != nil {
-		st, err = build()
-	} else {
-		st, err = b.stmts.get(o.CacheKey(sql), build)
-	}
+	st, err := db.Prepare(sql, opts...)
 	if err != nil {
 		return nil, err
 	}

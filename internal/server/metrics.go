@@ -16,7 +16,6 @@ import (
 //	bufferdbd_queries_total{source="..."}  adhoc | prepared | cached
 //	bufferdbd_bytes_sent_total             result-stream payload bytes
 //	bufferdbd_query_errors_total{code=".."} terminal error frames by class
-//	bufferdbd_stmt_cache_{hits,misses,evictions}_total
 //	bufferdbd_result_cache_{hits,misses,evictions}_total
 
 func metricConnections() *obsv.Counter {

@@ -475,13 +475,13 @@ func TestGoroutineLeakServerShutdown(t *testing.T) {
 }
 
 // TestPreparedReuse asserts prepared statements execute correctly and that
-// the server-side statement LRU shares one plan across connections.
+// the database's plan cache shares one plan across connections.
 func TestPreparedReuse(t *testing.T) {
 	db := newDB(t, bufferdb.Options{})
 	_, addr := startServer(t, server.Config{DB: db})
 
-	hits := obsv.Default.Counter("bufferdbd_stmt_cache_hits_total")
-	misses := obsv.Default.Counter("bufferdbd_stmt_cache_misses_total")
+	hits := obsv.Default.Counter("bufferdb_plan_cache_hits_total")
+	misses := obsv.Default.Counter("bufferdb_plan_cache_misses_total")
 	h0, m0 := hits.Value(), misses.Value()
 
 	want, err := db.Query(context.Background(), aggQuery)
@@ -501,18 +501,25 @@ func TestPreparedReuse(t *testing.T) {
 			t.Fatalf("execute %d: wrong result", i)
 		}
 	}
-	// One wire prepare for three executions on this connection.
+	// The ad hoc query planned the text; the one wire prepare for three
+	// executions on this connection bound its template.
 	if got := misses.Value() - m0; got != 1 {
-		t.Fatalf("stmt cache misses = %d, want 1", got)
+		t.Fatalf("plan cache misses = %d, want 1", got)
+	}
+	if got := hits.Value() - h0; got != 1 {
+		t.Fatalf("plan cache hits = %d, want 1", got)
 	}
 
-	// A second client preparing the same SQL hits the shared LRU.
+	// A second client preparing the same SQL shares the plan too.
 	c2 := dial(t, addr, client.Config{MaxConns: 1})
 	if _, err := c2.Prepare(aggQuery).QueryAll(context.Background()); err != nil {
 		t.Fatalf("second client: %v", err)
 	}
-	if got := hits.Value() - h0; got != 1 {
-		t.Fatalf("stmt cache hits = %d, want 1", got)
+	if got := hits.Value() - h0; got != 2 {
+		t.Fatalf("plan cache hits = %d, want 2", got)
+	}
+	if got := misses.Value() - m0; got != 1 {
+		t.Fatalf("plan cache misses = %d, want 1", got)
 	}
 
 	// Prepare of an invalid statement fails typed at prepare time.

@@ -60,20 +60,25 @@ type Ident struct {
 	Name  string
 }
 
-// NumberLit is an integer or decimal literal.
+// NumberLit is an integer or decimal literal. Slot, here and on the other
+// literal nodes, is the literal's bound-literal slot (see Shape); 0 when it
+// is pinned or was not lexed from a statement.
 type NumberLit struct {
 	Text  string
 	IsInt bool
+	Slot  int
 }
 
 // StringLit is a quoted string literal.
 type StringLit struct {
-	Val string
+	Val  string
+	Slot int
 }
 
 // DateLit is DATE 'yyyy-mm-dd'.
 type DateLit struct {
-	Val string
+	Val  string
+	Slot int
 }
 
 // IntervalLit is INTERVAL 'n' DAY|MONTH|YEAR, normalized to days.
@@ -108,11 +113,13 @@ type BetweenExpr struct {
 	Negate bool
 }
 
-// LikeExpr is X [NOT] LIKE 'pattern'.
+// LikeExpr is X [NOT] LIKE 'pattern'. Slot is the pattern's bound-literal
+// slot.
 type LikeExpr struct {
 	E       Node
 	Pattern string
 	Negate  bool
+	Slot    int
 }
 
 // IsNullExpr is X IS [NOT] NULL.

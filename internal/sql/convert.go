@@ -24,28 +24,17 @@ func (a *analyzer) toExpr(n Node, sc *scope) (expr.Expr, error) {
 		return expr.NewColRef(c.pos, display, c.typ), nil
 
 	case *NumberLit:
+		kind := storage.TypeFloat64
 		if e.IsInt {
-			v, err := strconv.ParseInt(e.Text, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sql: bad integer literal %q", e.Text)
-			}
-			return expr.NewConst(storage.NewInt(v)), nil
+			kind = storage.TypeInt64
 		}
-		v, err := strconv.ParseFloat(e.Text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sql: bad numeric literal %q", e.Text)
-		}
-		return expr.NewConst(storage.NewFloat(v)), nil
+		return literal(e.Text, kind, e.Slot)
 
 	case *StringLit:
-		return expr.NewConst(storage.NewString(e.Val)), nil
+		return literal(e.Val, storage.TypeString, e.Slot)
 
 	case *DateLit:
-		d, err := storage.ParseDate(e.Val)
-		if err != nil {
-			return nil, err
-		}
-		return expr.NewConst(d), nil
+		return literal(e.Val, storage.TypeDate, e.Slot)
 
 	case *IntervalLit:
 		// Intervals surface as day counts; DATE ± BIGINT is native.
@@ -114,7 +103,12 @@ func (a *analyzer) toExpr(n Node, sc *scope) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return expr.NewLike(v, e.Pattern, e.Negate)
+		l, err := expr.NewLike(v, e.Pattern, e.Negate)
+		if err != nil {
+			return nil, err
+		}
+		l.PatternParam = e.Slot
+		return l, nil
 
 	case *IsNullExpr:
 		v, err := a.toExpr(e.E, sc)
@@ -187,6 +181,42 @@ func (a *analyzer) toExpr(n Node, sc *scope) (expr.Expr, error) {
 	}
 }
 
+// literal is the constant a literal's text reads as in kind, carrying the
+// literal's slot as its parameter. It is the one conversion: the analyzer
+// builds every literal constant through it, and Shape.Arg re-binds
+// parameters through it.
+func literal(text string, kind storage.Type, slot int) (expr.Expr, error) {
+	v, err := readLiteral(text, kind)
+	if err != nil {
+		return nil, err
+	}
+	return &expr.Const{Val: v, Param: slot}, nil
+}
+
+// readLiteral reads a literal's text as a value of kind.
+func readLiteral(text string, kind storage.Type) (storage.Value, error) {
+	switch kind {
+	case storage.TypeInt64:
+		i, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			return storage.Null, fmt.Errorf("sql: bad integer literal %q", text)
+		}
+		return storage.NewInt(i), nil
+	case storage.TypeFloat64:
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return storage.Null, fmt.Errorf("sql: bad numeric literal %q", text)
+		}
+		return storage.NewFloat(f), nil
+	case storage.TypeString:
+		return storage.NewString(text), nil
+	case storage.TypeDate:
+		return storage.ParseDate(text)
+	default:
+		return storage.Null, fmt.Errorf("sql: no %v literal", kind)
+	}
+}
+
 // binary builds a type-checked binary expression, coercing string literals
 // to dates when the other side is a date (so `l_shipdate <= '1998-09-02'`
 // works without the DATE keyword).
@@ -225,15 +255,16 @@ func (a *analyzer) binary(op string, l, r expr.Expr) (expr.Expr, error) {
 }
 
 // coerceDate rewrites a string constant opposite a date expression into a
-// date constant, when it parses as one.
+// date constant, when it parses as one. The date keeps the string's
+// parameter, which then re-binds as a date.
 func coerceDate(l, r expr.Expr) (expr.Expr, expr.Expr) {
 	try := func(side expr.Expr, other expr.Expr) expr.Expr {
 		c, ok := side.(*expr.Const)
 		if !ok || c.Val.Kind != storage.TypeString || other.Type() != storage.TypeDate {
 			return side
 		}
-		if d, err := storage.ParseDate(c.Val.S); err == nil {
-			return expr.NewConst(d)
+		if d, err := literal(c.Val.S, storage.TypeDate, c.Param); err == nil {
+			return d
 		}
 		return side
 	}

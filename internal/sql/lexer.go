@@ -27,27 +27,64 @@ const (
 // token is one lexical unit.
 type token struct {
 	kind tokenKind
+	// slot is the 1-based position of a bound literal among the statement's
+	// bound literals (see Shape); 0 for every other token, pinned literals
+	// included.
+	slot int32
 	text string // keywords upper-cased; symbols canonical
 	pos  int    // byte offset, for error messages
 }
 
-// keywords recognized by the lexer. Identifiers matching these (case-
-// insensitively) become tokKeyword with upper-case text.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "ASC": true, "DESC": true, "LIMIT": true, "AS": true,
-	"AND": true, "OR": true, "NOT": true, "BETWEEN": true, "LIKE": true,
-	"IS": true, "NULL": true, "JOIN": true, "ON": true, "INNER": true,
-	"DATE": true, "INTERVAL": true, "DAY": true, "MONTH": true, "YEAR": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"TRUE": true, "FALSE": true, "HAVING": true, "DISTINCT": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"IN": true, "INSERT": true, "INTO": true, "VALUES": true,
+// keywords recognized by the lexer, keyed and valued by their upper-case
+// spelling. Identifiers matching these (case-insensitively) become
+// tokKeyword carrying the value, so lexing a keyword allocates nothing.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY",
+		"ORDER", "ASC", "DESC", "LIMIT", "AS",
+		"AND", "OR", "NOT", "BETWEEN", "LIKE",
+		"IS", "NULL", "JOIN", "ON", "INNER",
+		"DATE", "INTERVAL", "DAY", "MONTH", "YEAR",
+		"COUNT", "SUM", "AVG", "MIN", "MAX",
+		"TRUE", "FALSE", "HAVING", "DISTINCT",
+		"CASE", "WHEN", "THEN", "ELSE", "END",
+		"IN", "INSERT", "INTO", "VALUES",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword.
+const maxKeywordLen = 8
+
+// keyword returns the canonical spelling of word when it is a keyword in
+// any letter case. Keywords are ASCII, so an ASCII upper-casing into a
+// stack buffer decides it; the map lookup through string(buf) does not
+// allocate.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
-// lex tokenizes the input. Errors carry byte positions.
+// lex tokenizes the input. Errors carry byte positions. Each number and
+// string literal outside the clauses Shape pins gets its bound-literal slot.
 func lex(input string) ([]token, error) {
-	var toks []token
+	// About one token per four bytes of SQL; one growth covers the rest.
+	toks := make([]token, 0, len(input)/4+2)
+	var lits literalSlots
 	i := 0
 	n := len(input)
 	for i < n {
@@ -68,9 +105,9 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{kind: tokKeyword, text: upper, pos: start})
+			if kw, ok := keyword(word); ok {
+				lits.clause(kw)
+				toks = append(toks, token{kind: tokKeyword, text: kw, pos: start})
 			} else {
 				toks = append(toks, token{kind: tokIdent, text: word, pos: start})
 			}
@@ -91,17 +128,16 @@ func lex(input string) ([]token, error) {
 				}
 				break
 			}
-			toks = append(toks, token{kind: tokNumber, text: input[start:i], pos: start})
+			toks = append(toks, token{kind: tokNumber, slot: lits.next(), text: input[start:i], pos: start})
 
 		case c == '\'':
 			start := i
 			i++
-			var sb strings.Builder
-			closed := false
+			closed, escaped := false, false
 			for i < n {
 				if input[i] == '\'' {
 					if i+1 < n && input[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
+						escaped = true
 						i += 2
 						continue
 					}
@@ -109,13 +145,16 @@ func lex(input string) ([]token, error) {
 					i++
 					break
 				}
-				sb.WriteByte(input[i])
 				i++
 			}
 			if !closed {
 				return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), pos: start})
+			text := input[start+1 : i-1]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			toks = append(toks, token{kind: tokString, slot: lits.next(), text: text, pos: start})
 
 		default:
 			start := i
@@ -134,7 +173,7 @@ func lex(input string) ([]token, error) {
 			default:
 				switch c {
 				case '(', ')', ',', '.', ';', '*', '+', '-', '/', '=', '<', '>':
-					toks = append(toks, token{kind: tokSymbol, text: string(c), pos: start})
+					toks = append(toks, token{kind: tokSymbol, text: input[i : i+1], pos: start})
 					i++
 				default:
 					return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
@@ -144,4 +183,40 @@ func lex(input string) ([]token, error) {
 	}
 	toks = append(toks, token{kind: tokEOF, text: "", pos: n})
 	return toks, nil
+}
+
+// literalSlots numbers a statement's bound literals as the lexer meets
+// them. A literal is pinned — read for more than an expression value — in
+// the select list (it may name an output column or match an aggregate or
+// group key by its rendering), in GROUP BY and ORDER BY (ordinals and
+// renderings), in LIMIT, and as an INTERVAL quantity; every other literal
+// is bound. Subqueries are unsupported, so the clause a literal sits in is
+// decided by the last clause keyword before it.
+type literalSlots struct {
+	bound    bool // inside FROM, WHERE or a JOIN … ON
+	interval bool // the next literal is an INTERVAL quantity
+	n        int32
+}
+
+// clause tracks the clause keyword kw opens.
+func (l *literalSlots) clause(kw string) {
+	switch kw {
+	case "FROM", "WHERE", "JOIN", "ON":
+		l.bound = true
+	case "SELECT", "GROUP", "ORDER", "LIMIT", "HAVING":
+		l.bound = false
+	case "INTERVAL":
+		l.interval = true
+	}
+}
+
+// next returns the slot of the literal being lexed: the next free one when
+// it is bound, 0 when it is pinned.
+func (l *literalSlots) next() int32 {
+	if !l.bound || l.interval {
+		l.interval = false
+		return 0
+	}
+	l.n++
+	return l.n
 }

@@ -11,6 +11,11 @@ func Parse(input string) (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(toks)
+}
+
+// parseTokens parses a lexed SELECT statement.
+func parseTokens(toks []token) (*SelectStmt, error) {
 	p := &parser{toks: toks}
 	stmt, err := p.parseSelect()
 	if err != nil {
@@ -315,7 +320,7 @@ func (p *parser) parsePredicate() (Node, error) {
 			return nil, p.errorf("LIKE needs a string pattern")
 		}
 		p.pos++
-		return &LikeExpr{E: l, Pattern: t.text, Negate: negate}, nil
+		return &LikeExpr{E: l, Pattern: t.text, Negate: negate, Slot: int(t.slot)}, nil
 
 	case p.acceptKeyword("IN"):
 		if err := p.expectSymbol("("); err != nil {
@@ -428,11 +433,11 @@ func (p *parser) parsePrimary() (Node, error) {
 				isInt = false
 			}
 		}
-		return &NumberLit{Text: t.text, IsInt: isInt}, nil
+		return &NumberLit{Text: t.text, IsInt: isInt, Slot: int(t.slot)}, nil
 
 	case tokString:
 		p.pos++
-		return &StringLit{Val: t.text}, nil
+		return &StringLit{Val: t.text, Slot: int(t.slot)}, nil
 
 	case tokKeyword:
 		switch t.text {
@@ -452,7 +457,7 @@ func (p *parser) parsePrimary() (Node, error) {
 				return nil, p.errorf("DATE needs a 'yyyy-mm-dd' literal")
 			}
 			p.pos++
-			return &DateLit{Val: s.text}, nil
+			return &DateLit{Val: s.text, Slot: int(s.slot)}, nil
 		case "INTERVAL":
 			p.pos++
 			s := p.cur()

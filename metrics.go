@@ -30,6 +30,12 @@ import (
 //	bufferdb_block_rows_folded_total   rows of blocks the block kernels folded
 //	bufferdb_block_rows_redone_total   rows of blocks redone by the row loop
 //
+// The served planning entry (DB.plan, behind Query, QueryStream and
+// Prepare) counts how each statement was planned:
+//
+//	bufferdb_plan_cache_hits_total     bound from a cached plan template
+//	bufferdb_plan_cache_misses_total   planned fresh
+//
 // Metrics cover Query, QueryStream and prepared statements alike — they all
 // share the same execution path.
 
@@ -82,6 +88,11 @@ func metricAdmitted() *obsv.Gauge {
 // MemoryLimit; updated as each query settles.
 func metricTrackedBytes() *obsv.Gauge {
 	return obsv.Default.Gauge(`bufferdb_mem_tracked_bytes`)
+}
+
+// metricPlanCache counts served plans by how they were built.
+func metricPlanCache(event string) *obsv.Counter {
+	return obsv.Default.Counter("bufferdb_plan_cache_" + event + "_total")
 }
 
 // WriteMetrics renders the process-wide metrics registry in the Prometheus

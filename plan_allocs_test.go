@@ -4,55 +4,95 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"bufferdb/internal/sql"
 )
 
 // adhocLookup is the benchmark of record's served_short lookup shape — a
 // nation ⋈ region point lookup — with sentinel s on both tables, so every
-// call is a statement no cache has seen.
+// call is a text no cache has seen, and every text one shape.
 func adhocLookup(s int) string {
 	return fmt.Sprintf("SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey AND n_nationkey = %d"+
 		" AND n_nationkey <> %d AND r_regionkey <> %d", s%25, -s, -s)
 }
 
-// TestAdhocPlanAllocs bounds what planning one ad hoc statement allocates:
-// parse, analyze, and refinement at the served threshold. Before the
-// footprint bitsets and on-demand refinement labels it took 233 allocations
-// and 25.9 KB; the bounds are the measurement after them plus 10 %.
+// TestAdhocPlanAllocs bounds what planning one ad hoc statement allocates.
+// fresh is parse, analyze and refinement at the served threshold: before
+// the footprint bitsets and on-demand refinement labels it took 233
+// allocations and 25.9 KB. lex is the lexer and shape key alone, which
+// every statement pays. hit is db.plan of a cached shape: lex, then clone
+// and re-bind the template. Each bound is its measurement plus 10 %.
 func TestAdhocPlanAllocs(t *testing.T) {
-	const maxAllocs, maxBytes = 198, 13_640
-	s := 1
-	plan := func() {
-		s++
-		if _, err := testDB.plan(adhocLookup(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plan() // warm the code model's module table
-	allocs := testing.AllocsPerRun(50, plan)
-	const runs = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		plan()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("db.plan of the lookup: %.0f allocs, %.0f B", allocs, bytes)
-	if allocs > maxAllocs {
-		t.Errorf("planning the lookup took %.0f allocations, want at most %d", allocs, maxAllocs)
-	}
-	if bytes > maxBytes {
-		t.Errorf("planning the lookup allocated %.0f B, want at most %d", bytes, maxBytes)
+	for _, tc := range []struct {
+		name                string
+		maxAllocs, maxBytes float64
+		plan                func(text string) error
+	}{
+		{"fresh", 173, 12_375, func(text string) error {
+			_, _, err := testDB.planPair(text, PlanOptions{}, true)
+			return err
+		}},
+		{"lex", 4, 1_745, func(text string) error {
+			_, err := sql.Lex(text)
+			return err
+		}},
+		{"hit", 29, 4_950, func(text string) error {
+			_, err := testDB.plan(text)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Texts are built outside the measured calls.
+			const runs = 50
+			texts := make([]string, 2*runs+2)
+			for i := range texts {
+				texts[i] = adhocLookup(i + 1)
+			}
+			s := 0
+			plan := func() {
+				if err := tc.plan(texts[s]); err != nil {
+					t.Fatal(err)
+				}
+				s++
+			}
+			plan() // warm the code model's module table and the plan cache
+			allocs := testing.AllocsPerRun(runs, plan)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				plan()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			t.Logf("%s plan of the lookup: %.0f allocs, %.0f B", tc.name, allocs, bytes)
+			if allocs > tc.maxAllocs {
+				t.Errorf("%s planning of the lookup took %.0f allocations, want at most %.0f", tc.name, allocs, tc.maxAllocs)
+			}
+			if bytes > tc.maxBytes {
+				t.Errorf("%s planning of the lookup allocated %.0f B, want at most %.0f", tc.name, bytes, tc.maxBytes)
+			}
+		})
 	}
 }
 
 // BenchmarkAdhocPlan times planning the served_short lookup shape with a
-// fresh sentinel per iteration.
+// fresh sentinel per iteration: fresh parses, analyzes and refines; hit is
+// the served path, which binds the cached template.
 func BenchmarkAdhocPlan(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := testDB.plan(adhocLookup(i)); err != nil {
-			b.Fatal(err)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := testDB.planPair(adhocLookup(i), PlanOptions{}, true); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := testDB.plan(adhocLookup(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

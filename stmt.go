@@ -24,9 +24,10 @@ type Stmt struct {
 	cached *plan.Node
 }
 
-// Prepare plans the statement and caches the refined plan for repeated
-// execution. Options fixed at Prepare time (timeout, memory budget, …) apply
-// to every execution.
+// Prepare plans the statement as Query does — binding the shape's plan
+// template when the plan cache holds one — and keeps the refined plan for
+// repeated execution. Options fixed at Prepare time (timeout, memory
+// budget, …) apply to every execution.
 func (db *DB) Prepare(query string, opts ...QueryOption) (*Stmt, error) {
 	p, err := db.plan(query)
 	if err != nil {
