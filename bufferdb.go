@@ -420,10 +420,11 @@ func (db *DB) RowCount(table string) (int, error) {
 
 // plan builds the served plan of a statement: the planner's join choice,
 // refined at plan.DefaultCardinalityThreshold with the paper's buffer size.
-// Texts that differ only in their bound literals (sql.Shape) share one plan
-// template: the first is planned fresh and its plan kept; each later one
-// clones the template and re-binds its own literals (plan.Bind), skipping
-// parse, analysis — the selectivity samples included — and refinement. A
+// Texts that differ only in their bound literals and output aliases
+// (sql.Shape) share one plan template: the first is planned fresh and its
+// plan kept; each later one clones the template, re-binds its own literals
+// and takes its own output column names (plan.Bind), skipping parse,
+// analysis — the selectivity samples included — and refinement. A
 // bound plan therefore keeps the first text's estimates and buffer
 // placement. A bind that fails plans the text fresh, so a client always sees
 // the fresh path's error, and a failed plan is never kept.
@@ -434,7 +435,7 @@ func (db *DB) plan(query string) (*plan.Node, error) {
 		return nil, err
 	}
 	if t := db.plans.get(shape.Key()); t != nil {
-		if p, err := plan.Bind(t, shape.Arg); err == nil {
+		if p, err := plan.Bind(t, shape.Arg, shape.Names(t.Schema())); err == nil {
 			metricPlanCache("hits").Inc()
 			return p, nil
 		}

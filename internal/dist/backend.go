@@ -12,10 +12,10 @@ import (
 // The coordinator is a server.Backend: internal/server's session loop
 // serves it with the same wire protocol bufferdbd shards speak, so the
 // standard client — and therefore the CLI — talks to a sharded deployment
-// exactly as it talks to one node. It brings no statement LRU and no
-// result cache: the plans worth keeping live in the shards' own statement
-// caches, and a cached result would need write epochs the coordinator
-// cannot see — shards accept writes directly.
+// exactly as it talks to one node. It brings no plan cache and no result
+// cache: the plans worth keeping are the shards' own, in each shard
+// database's plan cache (DESIGN.md §21), and a cached result would need
+// write epochs the coordinator cannot see — shards accept writes directly.
 var _ server.Backend = (*Coordinator)(nil)
 
 // QueryStream plans and starts one distributed statement, forwarding the
@@ -31,7 +31,7 @@ func (c *Coordinator) QueryStream(ctx context.Context, sqlText string, opts wire
 // Prepare plans now, so unparsable or non-distributable statements fail at
 // Prepare as they do on a single node, and keeps only the text: each
 // execution re-plans (the scatter plan is cheap; the expensive state lives
-// in the shards' statement caches).
+// in the shards' plan caches, DESIGN.md §21).
 func (c *Coordinator) Prepare(sqlText string, opts wire.QueryOpts) (server.Prepared, error) {
 	if _, err := c.plan(sqlText); err != nil {
 		return nil, err

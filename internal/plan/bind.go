@@ -4,17 +4,22 @@ import (
 	"fmt"
 
 	"bufferdb/internal/expr"
+	"bufferdb/internal/storage"
 )
 
 // Bind returns a private copy of template, as Clone does, with every
 // statement parameter in its expressions re-bound through arg
-// (expr.Rebind). Only expressions change: join choice, estimates, buffer
-// placement, execution groups and column masks stay the template's. A bind
-// that fails, or that would change an expression's type, returns an error
-// and the caller plans the statement fresh.
-func Bind(template *Node, arg expr.Arg) (*Node, error) {
+// (expr.Rebind) and, when names is not nil, its output columns renamed to
+// names (rename). Only expressions and output names change: join choice,
+// estimates, buffer placement, execution groups and column masks stay the
+// template's. A bind that fails, or that would change an expression's
+// type, returns an error and the caller plans the statement fresh.
+func Bind(template *Node, arg expr.Arg, names []string) (*Node, error) {
 	b := binder{arg: arg}
 	n := b.node(template)
+	if b.err == nil && names != nil {
+		b.err = rename(n, template, names)
+	}
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -90,4 +95,41 @@ func (b *binder) exprs(es []expr.Expr) []expr.Expr {
 		}
 	}
 	return out
+}
+
+// rename gives root, the bind's copy of template, the output column names
+// names: the Project the select list built, and each Sort, Limit or Buffer
+// above it, share one new schema, as a fresh plan's share the Project's,
+// and a sort key over a renamed column names it anew, as ORDER BY
+// resolution would have.
+func rename(root, template *Node, names []string) error {
+	proj := root
+	for proj.Kind != KindProject {
+		switch proj.Kind {
+		case KindSort, KindLimit, KindBuffer:
+			proj = proj.Children[0]
+		default:
+			return fmt.Errorf("plan: no output projection to rename")
+		}
+	}
+	if len(names) != len(proj.ProjNames) {
+		return fmt.Errorf("plan: %d output names for %d columns", len(names), len(proj.ProjNames))
+	}
+	schema := make(storage.Schema, len(names))
+	for i, c := range proj.schema {
+		schema[i] = storage.Column{Name: names[i], Type: c.Type}
+	}
+	for n, t := root, template; ; n, t = n.Children[0], t.Children[0] {
+		n.schema = schema
+		if n == proj {
+			n.ProjNames = names
+			return nil
+		}
+		for i, k := range n.SortKeys {
+			if c, ok := k.Expr.(*expr.ColRef); ok && c.Name != names[c.Idx] {
+				n.SortKeys = unshare(n.SortKeys, t.SortKeys)
+				n.SortKeys[i].Expr = expr.NewColRef(c.Idx, names[c.Idx], c.Typ)
+			}
+		}
+	}
 }

@@ -53,9 +53,11 @@ func (r *cachedResult) dependsOn(table string) bool {
 
 // resultCache is the opt-in bounded reuse cache for repeated identical
 // read-only queries (every statement the engine accepts is read-only). It
-// stores encoded batches keyed like the statement cache, bounded both per
-// entry and in total, with every byte charged against the database's
-// MemoryLimit.
+// stores encoded batches keyed by the exact text and slice
+// (wire.QueryOpts.CacheKey) — not by statement shape, as the database's
+// plan cache is (DESIGN.md §21), since texts of one shape answer
+// differently — bounded both per entry and in total, with every byte
+// charged against the database's MemoryLimit.
 type resultCache struct {
 	db       *bufferdb.DB
 	budget   int64 // total encoded bytes; <= 0 disables

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer output.
@@ -28,8 +29,9 @@ const (
 type token struct {
 	kind tokenKind
 	// slot is the 1-based position of a bound literal among the statement's
-	// bound literals (see Shape); 0 for every other token, pinned literals
-	// included.
+	// bound literals, or of a bound output alias's name among its bound
+	// names (see Shape); 0 for every other token, pinned literals and
+	// verbatim identifiers included.
 	slot int32
 	text string // keywords upper-cased; symbols canonical
 	pos  int    // byte offset, for error messages
@@ -80,7 +82,8 @@ func keyword(word string) (string, bool) {
 }
 
 // lex tokenizes the input. Errors carry byte positions. Each number and
-// string literal outside the clauses Shape pins gets its bound-literal slot.
+// string literal outside the clauses Shape pins gets its bound-literal slot,
+// and each occurrence of a bound output alias its name's slot (nameSlots).
 func lex(input string) ([]token, error) {
 	// About one token per four bytes of SQL; one growth covers the rest.
 	toks := make([]token, 0, len(input)/4+2)
@@ -182,7 +185,134 @@ func lex(input string) ([]token, error) {
 		}
 	}
 	toks = append(toks, token{kind: tokEOF, text: "", pos: n})
+	nameSlots(toks)
 	return toks, nil
+}
+
+// nameSlots numbers a statement's bound output aliases: names that only
+// label output columns, so a text that renames them plans exactly as the
+// old text up to those labels. A candidate is an identifier right after AS
+// in the select list. It is bound when every other identifier of its
+// case-folded text (foldName, which folds as strings.EqualFold, the folding
+// ORDER BY resolution uses) is another candidate or a whole ORDER BY item,
+// which names the output column the analyzer resolves it to; then all of
+// them take one slot, numbered in order of first appearance, so which
+// aliases coincide and which ORDER BY item names which of them stay in the
+// shape key. Any other occurrence — an unaliased select item, WHERE, GROUP
+// BY, a table or a qualifier — keeps every occurrence verbatim. Bare
+// aliases and table aliases are never candidates: they are read for more
+// than a label. Each identifier is folded and looked up a fixed number of
+// times, so the work is linear in the statement.
+func nameSlots(toks []token) {
+	// The select list ends at FROM and ORDER BY runs to the end: clauses
+	// come in a fixed order and there are no subqueries.
+	from, order, aliased := len(toks), len(toks), false
+	for i, t := range toks {
+		if t.kind != tokKeyword {
+			continue
+		}
+		switch {
+		case t.text == "AS" && from == len(toks):
+			aliased = true
+		case t.text == "FROM" && from == len(toks):
+			from = i
+		case t.text == "ORDER" && from < i:
+			order = i
+		}
+	}
+	if !aliased {
+		return
+	}
+	// group maps each candidate's folded text to its index in slots, which
+	// holds its slot: 0 until it is numbered, -1 once an occurrence
+	// elsewhere keeps it verbatim. The map is only read after the
+	// candidates are in, so a small one stays on the stack.
+	group := make(map[string]int, 8)
+	var buf [8]int32
+	slots := buf[:0]
+	for j := 1; j < from; j++ {
+		if toks[j].kind == tokIdent && isKeyword(toks[j-1], "AS") {
+			f := foldName(toks[j].text)
+			if _, ok := group[f]; !ok {
+				group[f] = len(slots)
+				slots = append(slots, 0)
+			}
+		}
+	}
+	// Mark the candidates and the whole ORDER BY items with slot -1 until
+	// they are numbered; any other identifier demotes its text.
+	depth := 0
+	for j, t := range toks {
+		if t.kind == tokSymbol && j > order {
+			switch t.text {
+			case "(":
+				depth++
+			case ")":
+				depth--
+			}
+		}
+		if t.kind != tokIdent {
+			continue
+		}
+		if j > 0 && j < from && isKeyword(toks[j-1], "AS") || j > order && depth == 0 && wholeItem(toks[j-1], toks[j+1]) {
+			toks[j].slot = -1
+		} else if g, ok := group[foldName(t.text)]; ok {
+			slots[g] = -1
+		}
+	}
+	var n int32
+	for j := range toks {
+		if toks[j].slot != -1 {
+			continue
+		}
+		toks[j].slot = 0
+		if g, ok := group[foldName(toks[j].text)]; ok && slots[g] >= 0 {
+			if slots[g] == 0 {
+				n++
+				slots[g] = n
+			}
+			toks[j].slot = slots[g]
+		}
+	}
+}
+
+// foldName is s case-folded so that two identifiers fold alike exactly when
+// strings.EqualFold holds: each rune becomes one fixed member of its
+// unicode.SimpleFold orbit, the lower-case letter for an ASCII one, and a
+// byte that is not UTF-8 becomes utf8.RuneError, as EqualFold reads it. An
+// ASCII identifier without upper-case letters is its own fold.
+func foldName(s string) string {
+	i := 0
+	for i < len(s) && s[i] < utf8.RuneSelf && (s[i] < 'A' || s[i] > 'Z') {
+		i++
+	}
+	if i == len(s) {
+		return s
+	}
+	b := append(make([]byte, 0, len(s)+4), s[:i]...)
+	for _, r := range s[i:] {
+		rep := r
+		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+			rep = min(rep, f)
+		}
+		if 'A' <= rep && rep <= 'Z' {
+			rep += 'a' - 'A'
+		}
+		b = utf8.AppendRune(b, rep)
+	}
+	return string(b)
+}
+
+// isKeyword reports whether t is the keyword kw.
+func isKeyword(t token, kw string) bool { return t.kind == tokKeyword && t.text == kw }
+
+// wholeItem reports whether an ORDER BY token between prev and next, outside
+// parentheses, is a whole item: after BY or a comma, and before a comma,
+// ASC, DESC, LIMIT, a semicolon or the end.
+func wholeItem(prev, next token) bool {
+	return (isKeyword(prev, "BY") || prev.kind == tokSymbol && prev.text == ",") &&
+		(next.kind == tokEOF || isKeyword(next, "ASC") || isKeyword(next, "DESC") || isKeyword(next, "LIMIT") ||
+			next.kind == tokSymbol && (next.text == "," || next.text == ";"))
 }
 
 // literalSlots numbers a statement's bound literals as the lexer meets

@@ -357,7 +357,7 @@ func (r *Reader) Opts() QueryOpts {
 }
 
 // CacheKey renders the slice alongside the SQL text, for the server's
-// statement and result caches; per-execution knobs like the timeout or
+// result cache; per-execution knobs like the timeout or
 // memory budget stay out. Slice participates because each slice is a
 // distinct catalog: the same SQL compiled against slice 0 and slice 2 are
 // different plans over different data.

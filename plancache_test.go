@@ -57,11 +57,26 @@ var extraShapes = []string{
 	`SELECT l_orderkey FROM lineitem WHERE l_quantity >= 49 AND l_quantity <= 50 AND -l_discount < -0.09`,
 }
 
+// aliasShapes cover the output-alias spellings the workloads do not: ORDER
+// BY an alias, one alias twice in two letter cases, an alias equal to an
+// unaliased column (which keeps it verbatim), and aliases beside a table
+// alias.
+var aliasShapes = []string{
+	`SELECT n_name AS nm, n_regionkey AS rk FROM nation WHERE n_nationkey > 3 ORDER BY rk DESC, nm`,
+	`SELECT n_name AS x, n_regionkey AS X FROM nation WHERE n_nationkey < 20 ORDER BY x`,
+	`SELECT n_regionkey AS n_name, n_name FROM nation WHERE n_nationkey < 20 ORDER BY n_name`,
+	`SELECT l_returnflag AS flag, COUNT(*) AS cnt, AVG(l_tax) AS tax FROM lineitem WHERE l_quantity < 10` +
+		` GROUP BY l_returnflag ORDER BY cnt DESC, flag`,
+	`SELECT n.n_name AS name, r.r_name AS region FROM nation n JOIN region r ON n.n_regionkey = r.r_regionkey` +
+		` WHERE n.n_nationkey > 5 ORDER BY region, name`,
+}
+
 // planCacheTexts is every SELECT text the differential test varies: the
 // served shapes, the reproduction's queries and the equivalence suites'.
 func planCacheTexts() []string {
 	texts := append([]string{}, servedShapes...)
 	texts = append(texts, extraShapes...)
+	texts = append(texts, aliasShapes...)
 	texts = append(texts, bench.Query1, bench.Query2, bench.Query3, bench.TPCHQ1, bench.TPCHQ3,
 		bench.TPCHQ5, bench.TPCHQ6, bench.TPCHQ10, bench.TPCHQ12, bench.TPCHQ14)
 	for _, q := range pagedScanQueries {
@@ -163,6 +178,158 @@ func substitute(text string, spans []literalSpan, pick []int, with []string) str
 	return b.String()
 }
 
+// word is one identifier or keyword of a text.
+type word struct {
+	start, end int
+}
+
+// words finds a text's identifiers and keywords, skipping string literals,
+// and the symbol that follows each (0 for a word or the end).
+func words(text string) (ws []word, next []byte) {
+	isWord := func(c byte) bool {
+		return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+	}
+	for i := 0; i < len(text); {
+		switch c := text[i]; {
+		case c == '\'':
+			for i++; i < len(text) && (text[i] != '\'' || i+1 < len(text) && text[i+1] == '\''); i++ {
+				if text[i] == '\'' {
+					i++
+				}
+			}
+			i++
+		case isWord(c) && !(c >= '0' && c <= '9'):
+			j := i
+			for j < len(text) && isWord(text[j]) {
+				j++
+			}
+			ws = append(ws, word{i, j})
+			i = j
+		case isWord(c):
+			for i < len(text) && isWord(text[i]) {
+				i++
+			}
+		default:
+			i++
+		}
+	}
+	for _, w := range ws {
+		k := w.end
+		for k < len(text) && (text[k] == ' ' || text[k] == '\t' || text[k] == '\n') {
+			k++
+		}
+		if k < len(text) && !isWord(text[k]) {
+			next = append(next, text[k])
+		} else {
+			next = append(next, 0)
+		}
+	}
+	return ws, next
+}
+
+// prevSymbol is the last non-blank byte of text before i.
+func prevSymbol(text string, i int) byte {
+	for i--; i >= 0; i-- {
+		if c := text[i]; c != ' ' && c != '\t' && c != '\n' {
+			return c
+		}
+	}
+	return 0
+}
+
+// renameAliases rewrites text's select-list aliases (an identifier after
+// AS before FROM) and the whole ORDER BY items naming them, each alias
+// group by case-folded text at once. The rename is one of four kinds:
+// fresh names in mixed letter case, the old names upper-cased, one alias
+// renamed to another's name (a duplicate), or one renamed to an unaliased
+// column of the select list. It returns text unchanged when it has no
+// aliases.
+func renameAliases(rng *rand.Rand, text string, kind int) string {
+	ws, next := words(text)
+	up := func(i int) string { return strings.ToUpper(text[ws[i].start:ws[i].end]) }
+	from := len(ws)
+	for i := range ws {
+		if up(i) == "FROM" {
+			from = i
+			break
+		}
+	}
+	groups := map[string][]int{} // lower-cased alias → word indexes
+	var order []string
+	var unaliased []string
+	for i := 1; i < from; i++ {
+		name := strings.ToLower(text[ws[i].start:ws[i].end])
+		switch {
+		case up(i-1) == "AS":
+			if groups[name] == nil {
+				order = append(order, name)
+			}
+			groups[name] = append(groups[name], i)
+		case (next[i] == ',' || next[i] == 0 && i+1 == from) && (up(i-1) == "SELECT" || prevSymbol(text, ws[i].start) == ','):
+			unaliased = append(unaliased, text[ws[i].start:ws[i].end])
+		}
+	}
+	if len(order) == 0 {
+		return text
+	}
+	inOrder := false
+	for i := from; i < len(ws); i++ {
+		switch up(i) {
+		case "ORDER":
+			inOrder = true
+			continue
+		case "LIMIT":
+			inOrder = false
+		}
+		name := strings.ToLower(text[ws[i].start:ws[i].end])
+		if inOrder && groups[name] != nil && next[i] != '.' && next[i] != '(' {
+			groups[name] = append(groups[name], i)
+		}
+	}
+	to := map[string]string{}
+	for _, name := range order {
+		switch kind {
+		case 0:
+			to[name] = fmt.Sprintf("al_%d", rng.Intn(1000))
+		case 1:
+			to[name] = strings.ToUpper(name)
+		default:
+			to[name] = name
+		}
+	}
+	switch g := order[rng.Intn(len(order))]; {
+	case kind == 2 && len(order) > 1:
+		to[g] = order[rng.Intn(len(order))]
+	case kind == 3 && len(unaliased) > 0:
+		to[g] = unaliased[rng.Intn(len(unaliased))]
+	}
+	with := make(map[int]string)
+	for name, idx := range groups {
+		for _, i := range idx {
+			w := []byte(to[name])
+			if kind == 0 {
+				for k := range w {
+					if rng.Intn(2) == 0 && w[k] >= 'a' && w[k] <= 'z' {
+						w[k] -= 'a' - 'A'
+					}
+				}
+			}
+			with[i] = string(w)
+		}
+	}
+	var b strings.Builder
+	last := 0
+	for i, w := range ws {
+		if r, ok := with[i]; ok {
+			b.WriteString(text[last:w.start])
+			b.WriteString(r)
+			last = w.end
+		}
+	}
+	b.WriteString(text[last:])
+	return b.String()
+}
+
 // shapeKey is a text's plan-cache key, "" when it does not lex.
 func shapeKey(t *testing.T, text string) string {
 	t.Helper()
@@ -227,10 +394,13 @@ func sameOutcome(got *Result, gotErr error, want *Result, wantErr error) string 
 
 // TestPlanCacheLiteralSubstitution is the plan cache's differential test:
 // for every text, new literals of the same class are drawn for its bound
-// literals, and db.Query — a bound template when the shape is cached — must
-// answer exactly as a fresh plan of the new text run on the served path:
-// same columns, same rows, same error. It runs with and without the
-// semantic reuse cache, whose fingerprints must see the bound constants.
+// literals and its output aliases are renamed (renameAliases), and db.Query
+// — a bound template when the shape is cached — must answer exactly as a
+// fresh plan of the new text run on the served path: same column names,
+// same rows, same error. Drawn literals must keep the text's shape key,
+// and a variant whose renamed aliases keep it too must be a hit. It runs
+// with and without the semantic reuse cache, whose fingerprints must see
+// the bound constants.
 func TestPlanCacheLiteralSubstitution(t *testing.T) {
 	ctx := context.Background()
 	dbs := []struct {
@@ -242,12 +412,16 @@ func TestPlanCacheLiteralSubstitution(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			db := d.db
 			rng := rand.New(rand.NewSource(3))
-			bound, hitsSeen := 0, 0
+			bound, hitsSeen, renamedHits := 0, 0, 0
 			for ti, text := range planCacheTexts() {
 				want, wantErr := freshResult(ctx, db, text)
 				got, gotErr := db.Query(ctx, text)
 				if diff := sameOutcome(got, gotErr, want, wantErr); diff != "" {
 					t.Fatalf("text %d as written: %s\n%s", ti, diff, text)
+				}
+				var cols []string // the text's own column names
+				if want != nil {
+					cols = want.Columns
 				}
 				spans := literalSpans(text)
 				pick := boundLiterals(t, text, spans)
@@ -257,7 +431,11 @@ func TestPlanCacheLiteralSubstitution(t *testing.T) {
 					for k, i := range pick {
 						with[k] = drawLiteral(rng, text[spans[i].start:spans[i].end], spans[i].str)
 					}
-					variant := substitute(text, spans, pick, with)
+					lit := substitute(text, spans, pick, with)
+					if shapeKey(t, lit) != shapeKey(t, text) {
+						t.Errorf("text %d variant %d: drawn bound literals changed the shape key:\n%s", ti, v, lit)
+					}
+					variant := renameAliases(rng, lit, v)
 					h0 := hits.Value()
 					got, gotErr := db.Query(ctx, variant)
 					hit := hits.Value() > h0
@@ -265,17 +443,23 @@ func TestPlanCacheLiteralSubstitution(t *testing.T) {
 					if diff := sameOutcome(got, gotErr, want, wantErr); diff != "" {
 						t.Fatalf("text %d variant %d (hit %v): %s\n%s", ti, v, hit, diff, variant)
 					}
-					if hit {
+					switch {
+					case hit:
 						hitsSeen++
-					} else if wantErr == nil && gotErr == nil {
+						if gotErr == nil && !reflect.DeepEqual(got.Columns, cols) {
+							renamedHits++
+						}
+					case wantErr == nil && shapeKey(t, variant) == shapeKey(t, text):
 						t.Errorf("text %d variant %d planned fresh although its shape is cached:\n%s", ti, v, variant)
 					}
 				}
 			}
-			if bound == 0 || hitsSeen == 0 {
-				t.Fatalf("varied %d bound literals with %d hits: the test exercised nothing", bound, hitsSeen)
+			if bound == 0 || hitsSeen == 0 || renamedHits == 0 {
+				t.Fatalf("varied %d bound literals with %d hits, %d with renamed columns: the test exercised nothing",
+					bound, hitsSeen, renamedHits)
 			}
-			t.Logf("%d texts, %d bound literals, %d hits", len(planCacheTexts()), bound, hitsSeen)
+			t.Logf("%d texts, %d bound literals, %d hits, %d with renamed columns",
+				len(planCacheTexts()), bound, hitsSeen, renamedHits)
 		})
 	}
 }
@@ -294,7 +478,7 @@ func TestPlanCacheBindIsConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := plan.Bind(p, shape.Arg)
+		b, err := plan.Bind(p, shape.Arg, shape.Names(p.Schema()))
 		if err != nil {
 			t.Fatalf("text %d: bind with its own literals: %v", ti, err)
 		}
@@ -433,4 +617,77 @@ func TestPlanCacheConcurrentHits(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// servedDashboard is served_short's dashboard (benchmark/workload.go):
+// four group columns by four ship-date years; its alias_reuse class renames
+// every output column with a new suffix per op.
+func servedDashboard(i int, suffix string) string {
+	groups := []string{"l_returnflag", "l_linestatus", "l_shipmode", "l_shipinstruct"}
+	g, y := groups[i%4], 1993+i/4
+	return fmt.Sprintf(
+		"SELECT %s AS grp%s, SUM(l_extendedprice * (1 - l_discount)) AS revenue%s, COUNT(*) AS n%s FROM lineitem"+
+			" WHERE l_shipdate >= DATE '%d-01-01' AND l_shipdate < DATE '%d-01-01' GROUP BY %s ORDER BY 1",
+		g, suffix, suffix, suffix, y, y+1, g)
+}
+
+// TestPlanCacheServedMix replays served_short's planning in process, on a
+// database with the reuse cache on as the benchmark's daemon has it: the 16
+// dashboards, then 200 rounds of each dashboard under a new alias suffix,
+// three lookups per dashboard with new sentinels, and a prepared dashboard.
+// Only the first text of each shape may plan fresh: 5 shapes, since a
+// dashboard's year is a bound literal (4 group columns) and every lookup is
+// one shape. Every renamed dashboard must carry its own column names.
+func TestPlanCacheServedMix(t *testing.T) {
+	ctx := context.Background()
+	db := newReuseDB(t, Options{ReuseCache: true})
+	hits, misses := metricPlanCache("hits"), metricPlanCache("misses")
+	h0, m0 := hits.Value(), misses.Value()
+	shapes := map[string]bool{}
+	planned := 0
+	query := func(text string) *Result {
+		t.Helper()
+		res, err := db.Query(ctx, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes[shapeKey(t, text)] = true
+		planned++
+		return res
+	}
+	const dashboards = 16
+	for i := 0; i < dashboards; i++ {
+		query(servedDashboard(i, ""))
+	}
+	sentinel := 0
+	for round := 0; round < 200; round++ {
+		for i := 0; i < dashboards; i++ {
+			suffix := fmt.Sprintf("_%d", round*dashboards+i)
+			res := query(servedDashboard(i, suffix))
+			if want := []string{"grp" + suffix, "revenue" + suffix, "n" + suffix}; !reflect.DeepEqual(res.Columns, want) {
+				t.Fatalf("dashboard %d columns %v, want %v", i, res.Columns, want)
+			}
+			for k := 0; k < 3; k++ {
+				sentinel++
+				query(adhocLookup(sentinel))
+			}
+		}
+		text := servedDashboard(round%dashboards, "")
+		st, err := db.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Query(ctx); err != nil {
+			t.Fatal(err)
+		}
+		shapes[shapeKey(t, text)] = true
+		planned++
+	}
+	if len(shapes) != 5 {
+		t.Fatalf("the mix has %d shapes, want 5", len(shapes))
+	}
+	gotMisses, gotHits := misses.Value()-m0, hits.Value()-h0
+	if gotMisses != uint64(len(shapes)) || gotHits != uint64(planned-len(shapes)) {
+		t.Errorf("%d statements planned: %d misses, %d hits; want %d misses", planned, gotMisses, gotHits, len(shapes))
+	}
 }
