@@ -197,7 +197,7 @@ func (r *Runner) pairedRun(rep *Report, query string, explicitBuffer bool) error
 // the paper's hand-placed buffer used before the refinement algorithm is
 // introduced (Figures 9 and 10).
 func explicitScanBuffer(p *plan.Node, size int) *plan.Node {
-	cloned := clonePlan(p)
+	cloned := plan.Clone(p)
 	var wrap func(n *plan.Node)
 	wrap = func(n *plan.Node) {
 		for i, c := range n.Children {
@@ -210,15 +210,6 @@ func explicitScanBuffer(p *plan.Node, size int) *plan.Node {
 	}
 	wrap(cloned)
 	return cloned
-}
-
-func clonePlan(n *plan.Node) *plan.Node {
-	cp := *n
-	cp.Children = make([]*plan.Node, len(n.Children))
-	for i, c := range n.Children {
-		cp.Children[i] = clonePlan(c)
-	}
-	return &cp
 }
 
 // ExperimentFig4 regenerates the unbuffered Query 1 breakdown.

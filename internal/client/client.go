@@ -1,7 +1,8 @@
 // Package client is the Go client for bufferdbd: a connection pool over
 // the internal/wire protocol with streaming results, per-query context
-// cancellation propagated as Cancel frames, prepared statements, and
-// retry-with-backoff when admission control sheds a query.
+// cancellation propagated as Cancel frames, prepared statements (a text
+// with its options fixed, sent as a Query), and retry-with-backoff when
+// admission control sheds a query.
 //
 // Server-side sentinel errors cross the wire as stable codes and surface
 // here wrapping the same sentinels the embedded engine returns —
@@ -110,10 +111,10 @@ func WithSlice(idx int) Option {
 }
 
 // WithQueryOpts replaces the whole option set with an already-built
-// wire.QueryOpts. It exists for forwarding tiers — the distributed
-// coordinator re-ships the exact options its own client sent — and composes
-// left to right like every other Option, so later options still override
-// individual fields.
+// wire.QueryOpts. It exists for holders of a built set — the distributed
+// coordinator re-ships the exact options its own client sent, a Stmt the
+// ones it was prepared with — and composes left to right like every other
+// Option, so later options still override individual fields.
 func WithQueryOpts(o wire.QueryOpts) Option {
 	return func(dst *wire.QueryOpts) { *dst = o }
 }
@@ -194,7 +195,7 @@ func (c *Client) dial() (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	cn := &conn{c: nc, br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 32<<10), stmts: map[string]uint64{}}
+	cn := &conn{c: nc, br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 32<<10)}
 	_ = nc.SetDeadline(time.Now().Add(dialTimeout))
 	info, err := cn.handshake()
 	_ = nc.SetDeadline(time.Time{})
@@ -271,7 +272,7 @@ func (c *Client) Query(ctx context.Context, sql string, opts ...Option) (*Rows, 
 		var b wire.Builder
 		b.Opts(o)
 		b.String(sql)
-		return c.startStream(ctx, cn, wire.TQuery, b.Bytes())
+		return c.startStream(ctx, cn, b.Bytes())
 	})
 }
 
@@ -323,17 +324,17 @@ func (c *Client) withBusyRetry(ctx context.Context, attempt func() (*Rows, error
 	}
 }
 
-// startStream writes a request frame on cn and consumes the response head:
+// startStream writes a Query frame on cn and consumes the response head:
 // either an immediate error (connection back to the pool, typed error out)
 // or a Columns frame opening a row stream. The head read honors ctx — a
 // server that accepts the request but never answers (wedged mid-execution)
 // releases the connection when the caller gives up instead of pinning it
 // and its pool slot indefinitely.
-func (c *Client) startStream(ctx context.Context, cn *conn, t wire.Type, payload []byte) (*Rows, error) {
-	if err := cn.write(t, payload); err != nil {
+func (c *Client) startStream(ctx context.Context, cn *conn, payload []byte) (*Rows, error) {
+	if err := cn.write(wire.TQuery, payload); err != nil {
 		cn.broken = true
 		c.release(cn)
-		return nil, fmt.Errorf("client: send %s: %w", t, err)
+		return nil, fmt.Errorf("client: send Query: %w", err)
 	}
 	ft, p, err := cn.readCtx(ctx)
 	if err != nil {
@@ -477,10 +478,6 @@ type conn struct {
 	bw *bufio.Writer
 
 	wmu sync.Mutex
-
-	// stmts maps plan cache keys to this connection's server-side
-	// statement ids.
-	stmts map[string]uint64
 
 	broken bool
 }

@@ -2,32 +2,29 @@ package client
 
 import (
 	"context"
-	"fmt"
 
 	"bufferdb/internal/wire"
 )
 
-// Stmt is a client-side prepared statement. Preparation is lazy and
-// per-connection: the first execution on each pooled connection sends a
-// Prepare frame and remembers the server's statement id; later executions
-// on that connection send only Execute. Server-side, sessions preparing
-// the same SQL share one plan through the daemon's statement LRU, so the
-// statement is planned once per server, not once per connection.
+// Stmt is a client-side prepared statement: a statement text with its
+// options fixed. Each execution sends it as a Query, so it takes the
+// daemon's one read path — the database's plan cache binds the shape's
+// plan template and, when the daemon runs a result cache, a repeated
+// result is replayed from it. No statement state lives on a connection or
+// in a session.
 //
 // A Stmt is safe for concurrent use.
 type Stmt struct {
 	c   *Client
 	sql string
 	o   wire.QueryOpts
-	key string
 }
 
 // Prepare builds a prepared-statement handle. No network traffic happens
 // until the first Query; a statement that cannot be planned surfaces its
 // error there.
 func (c *Client) Prepare(sql string, opts ...Option) *Stmt {
-	o := BuildOpts(opts...)
-	return &Stmt{c: c, sql: sql, o: o, key: o.CacheKey(sql)}
+	return &Stmt{c: c, sql: sql, o: BuildOpts(opts...)}
 }
 
 // Text returns the statement's SQL.
@@ -36,26 +33,7 @@ func (s *Stmt) Text() string { return s.sql }
 // Query executes the prepared statement and returns a streaming cursor,
 // with the same busy-retry behavior as Client.Query.
 func (s *Stmt) Query(ctx context.Context) (*Rows, error) {
-	return s.c.withBusyRetry(ctx, func() (*Rows, error) {
-		cn, err := s.c.acquire(ctx)
-		if err != nil {
-			return nil, err
-		}
-		id, ok := cn.stmts[s.key]
-		if !ok {
-			id, err = s.prepareOn(cn)
-			if err != nil {
-				// Prepare failures leave the connection in a clean state
-				// unless the transport itself failed (prepareOn marks it).
-				s.c.release(cn)
-				return nil, err
-			}
-			cn.stmts[s.key] = id
-		}
-		var b wire.Builder
-		b.U64(id)
-		return s.c.startStream(ctx, cn, wire.TExecute, b.Bytes())
-	})
+	return s.c.Query(ctx, s.sql, WithQueryOpts(s.o))
 }
 
 // QueryAll executes the statement and materializes the whole result.
@@ -65,68 +43,4 @@ func (s *Stmt) QueryAll(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	return collect(rows)
-}
-
-// prepareOn sends Prepare on cn and returns the server's statement id.
-func (s *Stmt) prepareOn(cn *conn) (uint64, error) {
-	var b wire.Builder
-	b.Opts(s.o)
-	b.String(s.sql)
-	if err := cn.write(wire.TPrepare, b.Bytes()); err != nil {
-		cn.broken = true
-		return 0, fmt.Errorf("client: send Prepare: %w", err)
-	}
-	ft, p, err := cn.read()
-	if err != nil {
-		cn.broken = true
-		return 0, fmt.Errorf("client: read Prepare response: %w", err)
-	}
-	switch ft {
-	case wire.TPrepared:
-		r := wire.NewReader(p)
-		id := r.U64()
-		if err := r.Err(); err != nil {
-			cn.broken = true
-			return 0, err
-		}
-		return id, nil
-	case wire.TError:
-		return 0, decodeError(p)
-	default:
-		cn.broken = true
-		return 0, fmt.Errorf("client: unexpected %s frame as Prepare response", ft)
-	}
-}
-
-// Close forgets the statement on every idle pooled connection. The idle
-// conns are taken out of the pool while their stmts maps are touched and
-// CloseStmt frames sent — a conn is only ever mutated by its owner, so a
-// concurrent acquire can never share one with an in-flight query — then
-// returned. Statements on checked-out connections are forgotten
-// server-side when those sessions end; the handle itself needs no
-// teardown.
-func (s *Stmt) Close() error {
-	s.c.mu.Lock()
-	idle := s.c.idle
-	s.c.idle = nil
-	s.c.mu.Unlock()
-	for _, cn := range idle {
-		if id, ok := cn.stmts[s.key]; ok {
-			delete(cn.stmts, s.key)
-			var b wire.Builder
-			b.U64(id)
-			if err := cn.write(wire.TCloseStmt, b.Bytes()); err != nil {
-				cn.broken = true
-			}
-		}
-		s.c.mu.Lock()
-		if cn.broken || s.c.closed {
-			s.c.mu.Unlock()
-			cn.close()
-		} else {
-			s.c.idle = append(s.c.idle, cn)
-			s.c.mu.Unlock()
-		}
-	}
-	return nil
 }

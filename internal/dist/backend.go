@@ -28,27 +28,6 @@ func (c *Coordinator) QueryStream(ctx context.Context, sqlText string, opts wire
 	return rows, nil
 }
 
-// Prepare plans now, so unparsable or non-distributable statements fail at
-// Prepare as they do on a single node, and keeps only the text: each
-// execution re-plans (the scatter plan is cheap; the expensive state lives
-// in the shards' plan caches, DESIGN.md §21).
-func (c *Coordinator) Prepare(sqlText string, opts wire.QueryOpts) (server.Prepared, error) {
-	if _, err := c.plan(sqlText); err != nil {
-		return nil, err
-	}
-	return preparedText{c, sqlText, opts}, nil
-}
-
-type preparedText struct {
-	co   *Coordinator
-	sql  string
-	opts wire.QueryOpts
-}
-
-func (p preparedText) QueryStream(ctx context.Context) (server.Cursor, error) {
-	return p.co.QueryStream(ctx, p.sql, p.opts)
-}
-
 // Tables reports the deployment-wide catalog, whatever slice was asked for
 // (slices are the shards' vocabulary, not the coordinator's): sharded
 // tables sum their row counts exactly once per slice, replicated tables

@@ -253,19 +253,19 @@ var conformanceCases = []conformanceCase{
 	protocolViolation("wrong version", false, func(c *rawConn) { c.hello(wire.Magic, wire.Version+1) }),
 	protocolViolation("old client version", false, func(c *rawConn) { c.hello(wire.Magic, wire.Version-1) }),
 	protocolViolation("truncated Query", true, func(c *rawConn) { c.send(wire.TQuery, []byte{0, 0}) }),
-	protocolViolation("truncated Prepare", true, func(c *rawConn) { c.send(wire.TPrepare, []byte{0, 0}) }),
-	protocolViolation("truncated Execute", true, func(c *rawConn) { c.send(wire.TExecute, []byte{0, 0, 1}) }),
-	protocolViolation("truncated CloseStmt", true, func(c *rawConn) { c.send(wire.TCloseStmt, []byte{0, 0, 1}) }),
-
-	{name: "Execute of an unknown id", run: func(t *testing.T, s liveServer) {
-		c := dialRaw(t, s.addr)
-		c.open()
+	// Frames 0x03, 0x04 and 0x06 were Prepare, Execute and CloseStmt until
+	// protocol version 4: whatever they carry now, they end the session.
+	protocolViolation("truncated Prepare", true, func(c *rawConn) { c.send(0x03, []byte{0, 0}) }),
+	protocolViolation("truncated Execute", true, func(c *rawConn) { c.send(0x04, []byte{0, 0, 1}) }),
+	protocolViolation("truncated CloseStmt", true, func(c *rawConn) { c.send(0x06, []byte{0, 0, 1}) }),
+	protocolViolation("retired Prepare", true, func(c *rawConn) {
 		var b wire.Builder
-		b.U64(42)
-		c.send(wire.TExecute, b.Bytes())
-		c.wantError(wire.CodeUnknownStmt)
-		c.wantUsable()
-	}},
+		b.Opts(wire.QueryOpts{})
+		b.String(smallQuery)
+		c.send(0x03, b.Bytes())
+	}),
+	protocolViolation("retired Execute", true, func(c *rawConn) { c.send(0x04, make([]byte, 8)) }),
+	protocolViolation("retired CloseStmt", true, func(c *rawConn) { c.send(0x06, make([]byte, 8)) }),
 
 	{name: "stray frame mid-stream", slow: true, run: func(t *testing.T, s liveServer) {
 		c := dialRaw(t, s.addr)
@@ -375,10 +375,6 @@ func (b failingBackend) QueryStream(_ context.Context, sql string, _ wire.QueryO
 		return nil, b[sql]
 	}
 	return failedCursor{b[sql]}, nil
-}
-
-func (b failingBackend) Prepare(string, wire.QueryOpts) (server.Prepared, error) {
-	return nil, errors.New("not prepared")
 }
 
 func (b failingBackend) Tables(context.Context, int32) ([]wire.TableInfo, error) {

@@ -387,7 +387,7 @@ func (e *ShardError) Unwrap() []error {
 	if errors.As(e.Err, &srv) {
 		switch srv.Code {
 		case wire.CodeQuery, wire.CodeBusy, wire.CodeDeadline, wire.CodeOOM,
-			wire.CodePanic, wire.CodeCanceled, wire.CodeUnknownStmt:
+			wire.CodePanic, wire.CodeCanceled:
 			// The shard is alive and reported a query-level failure: keep
 			// its own unwrap chain, don't claim unavailability.
 			return []error{e.Err}

@@ -10,8 +10,8 @@ import (
 
 // TestDistShardSQL pins the statement every leg ships for each scatter
 // shape the equivalence suite and the benchmark's fleet workload run: the
-// shards' work, their statement caches and the bytes on the wire depend
-// on this text, alias numbering included.
+// shards' work, their plan and result caches and the bytes on the wire
+// depend on this text, alias numbering included.
 func TestDistShardSQL(t *testing.T) {
 	c := &Coordinator{cat: tpch.SchemaCatalog(), smap: shard.DefaultTPCH(), shards: make([]*client.Client, 3)}
 	for _, tc := range []struct{ name, sql, want string }{

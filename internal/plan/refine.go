@@ -104,8 +104,8 @@ func Refine(root *Node, cm *codemodel.Catalog, opt RefineOptions) (*Node, *core.
 	return cloned, res, nil
 }
 
-// Clone deep-copies a plan tree. Prepared statements use it to hand each
-// execution a private tree while caching the refined original.
+// Clone deep-copies a plan tree, so a caller can keep the original (a plan
+// cache's template) while an execution mutates its private copy.
 func Clone(n *Node) *Node { return clone(n) }
 
 // clone deep-copies the node tree (expressions and tables are shared —

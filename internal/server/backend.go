@@ -9,29 +9,19 @@ import (
 
 // Backend is what a Server's sessions run statements against. The session
 // loop — listener, handshake, dispatch, cancel watcher, batched streaming,
-// error mapping, statement ids — is written once against this seam; the
+// error mapping — is written once against this seam; the
 // package's own implementation serves a resident *bufferdb.DB (db.go) and
 // *dist.Coordinator is the other. Implementations must be safe for
 // concurrent use by many sessions.
 type Backend interface {
-	// QueryStream starts an ad hoc statement under the given wire options.
-	// ctx is canceled on a Cancel frame, a disconnect or server shutdown.
+	// QueryStream starts a statement under the given wire options. ctx is
+	// canceled on a Cancel frame, a disconnect or server shutdown.
 	QueryStream(ctx context.Context, sql string, opts wire.QueryOpts) (Cursor, error)
-
-	// Prepare validates a statement now, so a bad one fails at the Prepare
-	// frame, and returns the handle the session stores under its id.
-	Prepare(sql string, opts wire.QueryOpts) (Prepared, error)
 
 	// Tables lists the catalog with row counts. slice is the selector
 	// QueryOpts.Slice uses: 0 is the default catalog, k addresses hosted
 	// slice k-1.
 	Tables(ctx context.Context, slice int32) ([]wire.TableInfo, error)
-}
-
-// Prepared is one prepared statement; every Execute frame starts a fresh
-// execution of it. Handles may be shared between sessions.
-type Prepared interface {
-	QueryStream(ctx context.Context) (Cursor, error)
 }
 
 // Cursor is a streaming result as the session drives it onto the wire —

@@ -11,8 +11,7 @@ import (
 )
 
 // benchQuery has enough plan surface (join + aggregate) that planning cost
-// is visible next to execution at benchmark scale, making the prepared-
-// reuse comparison meaningful.
+// is visible next to execution at benchmark scale.
 const benchQuery = `SELECT l_returnflag, COUNT(*), SUM(l_extendedprice) FROM lineitem, orders
  WHERE l_orderkey = o_orderkey AND l_quantity > 10 GROUP BY l_returnflag ORDER BY l_returnflag`
 
@@ -39,10 +38,10 @@ func BenchmarkServerThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkPreparedVsAdHoc isolates what the reuse layers buy: ad-hoc
-// queries bind the database's plan template on every request, prepared
-// executions clone the statement's plan, and the result cache skips
-// execution outright.
+// BenchmarkPreparedVsAdHoc isolates what the server's result cache buys:
+// without it every request (a prepared statement's executions too) binds
+// the database's plan template and executes; with it a repeated result is
+// replayed without executing.
 func BenchmarkPreparedVsAdHoc(b *testing.B) {
 	b.Run("adhoc", func(b *testing.B) {
 		addr := benchHarness(b, server.Config{})
@@ -50,17 +49,6 @@ func BenchmarkPreparedVsAdHoc(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := c.QueryAll(context.Background(), benchQuery); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("prepared", func(b *testing.B) {
-		addr := benchHarness(b, server.Config{})
-		c := dial(b, addr, client.Config{MaxConns: 1})
-		st := c.Prepare(benchQuery)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := st.QueryAll(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -61,36 +61,6 @@ func (b *dbBackend) fault(sql string) *bufferdb.FaultInjector {
 	return b.faultHook(sql)
 }
 
-// Prepare plans a statement on its slice's database with the wire options
-// baked into the statement. Sessions preparing one text (or one shape)
-// share its plan through the database's plan cache.
-func (b *dbBackend) Prepare(sql string, o wire.QueryOpts) (Prepared, error) {
-	db, err := b.dbFor(o.Slice)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := queryOptions(o, b.fault(sql))
-	if err != nil {
-		return nil, err
-	}
-	st, err := db.Prepare(sql, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return dbStmt{st}, nil
-}
-
-// dbStmt adapts *bufferdb.Stmt's concrete cursor type to Prepared.
-type dbStmt struct{ stmt *bufferdb.Stmt }
-
-func (p dbStmt) QueryStream(ctx context.Context) (Cursor, error) {
-	rows, err := p.stmt.QueryStream(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // QueryStream serves a Query frame: from the result cache when it is
 // enabled and the statement qualifies (the returned cursor is then the
 // *cachedResult itself, which the session replays), else by planning and

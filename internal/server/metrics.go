@@ -30,8 +30,8 @@ func metricInFlight() *obsv.Gauge {
 	return obsv.Default.Gauge("bufferdbd_queries_in_flight")
 }
 
-// metricQueries counts served statements by source: "adhoc" (Query frame),
-// "prepared" (Execute frame), "cached" (served from the result cache).
+// metricQueries counts served statements by source: "adhoc" (executed for
+// a Query frame) or "cached" (replayed from the result cache).
 func metricQueries(source string) *obsv.Counter {
 	return obsv.Default.Counter(fmt.Sprintf("bufferdbd_queries_total{source=%q}", source))
 }

@@ -5,11 +5,11 @@
 // statements run through the engine's existing resource governor —
 // admission control, deadlines, memory budgets, panic containment — and
 // the sentinel errors those layers produce cross the connection as stable
-// typed error codes. The DB backend adds the two reuse layers a long-lived
-// daemon makes worthwhile: a shared LRU of prepared statements keyed by
-// SQL text, and an opt-in bounded cache replaying encoded result streams
-// for repeated identical read-only queries, both charged against the
-// database's MemoryLimit.
+// typed error codes. The DB backend adds the reuse layer a long-lived
+// daemon makes worthwhile: an opt-in bounded cache replaying encoded result
+// streams for repeated identical read-only queries, charged against the
+// database's MemoryLimit. Plans are reused below it, by the database's own
+// plan cache.
 package server
 
 import (

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -475,7 +476,9 @@ func TestGoroutineLeakServerShutdown(t *testing.T) {
 }
 
 // TestPreparedReuse asserts prepared statements execute correctly and that
-// the database's plan cache shares one plan across connections.
+// the database's plan cache shares one plan across connections: a prepared
+// statement is its text, so each execution binds the template the ad hoc
+// query left.
 func TestPreparedReuse(t *testing.T) {
 	db := newDB(t, bufferdb.Options{})
 	_, addr := startServer(t, server.Config{DB: db})
@@ -501,13 +504,13 @@ func TestPreparedReuse(t *testing.T) {
 			t.Fatalf("execute %d: wrong result", i)
 		}
 	}
-	// The ad hoc query planned the text; the one wire prepare for three
-	// executions on this connection bound its template.
+	// The ad hoc query planned the text; each of the three executions
+	// bound its template.
 	if got := misses.Value() - m0; got != 1 {
 		t.Fatalf("plan cache misses = %d, want 1", got)
 	}
-	if got := hits.Value() - h0; got != 1 {
-		t.Fatalf("plan cache hits = %d, want 1", got)
+	if got := hits.Value() - h0; got != 3 {
+		t.Fatalf("plan cache hits = %d, want 3", got)
 	}
 
 	// A second client preparing the same SQL shares the plan too.
@@ -515,63 +518,66 @@ func TestPreparedReuse(t *testing.T) {
 	if _, err := c2.Prepare(aggQuery).QueryAll(context.Background()); err != nil {
 		t.Fatalf("second client: %v", err)
 	}
-	if got := hits.Value() - h0; got != 2 {
-		t.Fatalf("plan cache hits = %d, want 2", got)
+	if got := hits.Value() - h0; got != 4 {
+		t.Fatalf("plan cache hits = %d, want 4", got)
 	}
 	if got := misses.Value() - m0; got != 1 {
 		t.Fatalf("plan cache misses = %d, want 1", got)
 	}
 
-	// Prepare of an invalid statement fails typed at prepare time.
+	// An invalid statement fails typed at its first execution.
 	if _, err := c1.Prepare("SELECT * FROM ghost").QueryAll(context.Background()); err == nil {
 		t.Fatal("prepare of unknown table succeeded")
 	}
 }
 
-// TestStmtCloseConcurrentWithQueries asserts Stmt.Close is safe while
-// other goroutines run queries on the same pool: Close must only touch
-// connections it has checked out, never one an in-flight query owns
-// (regression: it used to mutate idle conns in place, racing acquire).
-func TestStmtCloseConcurrentWithQueries(t *testing.T) {
-	db := newDB(t, bufferdb.Options{})
-	_, addr := startServer(t, server.Config{DB: db})
-	c := dial(t, addr, client.Config{MaxConns: 4})
+// TestPreparedResultCache: a prepared statement takes the Query path, so
+// on a daemon with a result cache it replays the result its text left
+// there, byte for byte, and an INSERT into its table makes it execute
+// again and see the new row.
+func TestPreparedResultCache(t *testing.T) {
+	db := newDB(t, bufferdb.Options{DataDir: t.TempDir()})
+	t.Cleanup(func() { db.Close() })
+	_, addr := startServer(t, server.Config{DB: db, ResultCacheBytes: 1 << 20})
+	c := dial(t, addr, client.Config{MaxConns: 1})
 
-	const q = `SELECT COUNT(*) FROM nation`
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := c.Prepare(q)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := st.QueryAll(context.Background()); err != nil {
-					t.Errorf("prepared query: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	// One goroutine closes handles for the same SQL in a tight loop: its
-	// Close walks the pool's conns and touches the same per-conn stmts
-	// maps the query workers read while executing.
-	for i := 0; i < 200; i++ {
-		if err := c.Prepare(q).Close(); err != nil {
-			t.Fatalf("stmt close: %v", err)
-		}
-	}
-	close(stop)
-	wg.Wait()
+	cached := obsv.Default.Counter(`bufferdbd_queries_total{source="cached"}`)
+	const q = "SELECT r_regionkey, r_name FROM region ORDER BY r_regionkey"
+	st := c.Prepare(q)
 
-	// The pool stays healthy: a fresh statement still round-trips.
-	if _, err := c.Prepare(aggQuery).QueryAll(context.Background()); err != nil {
-		t.Fatalf("query after concurrent closes: %v", err)
+	adhoc, err := c.QueryAll(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0 := cached.Value()
+	res, err := st.QueryAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cached.Value() - c0; got != 1 {
+		t.Fatalf("prepared execution of a cached text: %d cached replays, want 1", got)
+	}
+	if !reflect.DeepEqual(res, adhoc) {
+		t.Fatalf("prepared replay %v differs from the ad hoc result %v", res, adhoc)
+	}
+
+	if _, err := c.QueryAll(context.Background(),
+		`INSERT INTO region VALUES (7, 'MU', 'hypothetical')`); err != nil {
+		t.Fatal(err)
+	}
+	c1 := cached.Value()
+	res, err = st.QueryAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cached.Value() - c1; got != 0 {
+		t.Fatal("prepared execution after an INSERT was replayed from the cache")
+	}
+	if len(res.Rows) != len(adhoc.Rows)+1 {
+		t.Fatalf("after INSERT: %d rows, want %d", len(res.Rows), len(adhoc.Rows)+1)
+	}
+	if last := res.Rows[len(res.Rows)-1]; last[0] != int64(7) || last[1] != "MU" {
+		t.Fatalf("after INSERT: last row %v, want [7 MU]", last)
 	}
 }
 

@@ -37,11 +37,6 @@ type session struct {
 	// frames delivers decoded client frames; the reader goroutine closes
 	// it on read error or disconnect.
 	frames chan frame
-
-	// stmts maps session-local statement ids to their prepared handles.
-	// The handles themselves may be shared through the backend's LRU.
-	stmts  map[uint64]Prepared
-	nextID uint64
 }
 
 func newSession(s *Server, conn net.Conn) *session {
@@ -50,7 +45,6 @@ func newSession(s *Server, conn net.Conn) *session {
 		conn:   conn,
 		bw:     bufio.NewWriterSize(conn, 32<<10),
 		frames: make(chan frame, 1),
-		stmts:  map[uint64]Prepared{},
 	}
 }
 
@@ -143,31 +137,15 @@ func (ss *session) handshake() error {
 // sockets).
 func (ss *session) dispatch(f frame) error {
 	switch f.t {
-	case wire.TQuery, wire.TPrepare:
+	case wire.TQuery:
 		r := wire.NewReader(f.payload)
 		opts := r.Opts()
 		sql := r.String()
 		if err := r.Err(); err != nil {
-			_ = ss.sendError(wire.CodeProtocol, "malformed "+f.t.String())
+			_ = ss.sendError(wire.CodeProtocol, "malformed Query")
 			return err
 		}
-		if f.t == wire.TPrepare {
-			return ss.prepare(sql, opts)
-		}
-		return ss.runAdhoc(sql, opts)
-
-	case wire.TExecute, wire.TCloseStmt:
-		r := wire.NewReader(f.payload)
-		id := r.U64()
-		if err := r.Err(); err != nil {
-			_ = ss.sendError(wire.CodeProtocol, "malformed "+f.t.String())
-			return err
-		}
-		if f.t == wire.TCloseStmt {
-			delete(ss.stmts, id)
-			return nil
-		}
-		return ss.execute(id)
+		return ss.query(sql, opts)
 
 	case wire.TTables:
 		return ss.tables(f.payload)
@@ -182,52 +160,22 @@ func (ss *session) dispatch(f frame) error {
 	}
 }
 
-// prepare plans a statement and hands back its session-local id.
-func (ss *session) prepare(sql string, opts wire.QueryOpts) error {
-	st, err := ss.srv.backend.Prepare(sql, opts)
-	if err != nil {
-		return ss.sendQueryError(err)
-	}
-	ss.nextID++
-	id := ss.nextID
-	ss.stmts[id] = st
-	var b wire.Builder
-	b.U64(id)
-	return ss.send(wire.TPrepared, b.Bytes())
-}
-
-// execute runs a prepared statement by id.
-func (ss *session) execute(id uint64) error {
-	ps, ok := ss.stmts[id]
-	if !ok {
-		return ss.sendError(wire.CodeUnknownStmt, fmt.Sprintf("unknown statement id %d", id))
-	}
-	return ss.serve("prepared", ps.QueryStream)
-}
-
-// runAdhoc serves a Query frame.
-func (ss *session) runAdhoc(sql string, opts wire.QueryOpts) error {
-	return ss.serve("adhoc", func(ctx context.Context) (Cursor, error) {
-		return ss.srv.backend.QueryStream(ctx, sql, opts)
-	})
-}
-
-// serve starts one statement under a cancelable query context and puts its
-// result on the wire. A backend that answers from its result cache returns
-// the entry itself, which is replayed frame for frame; every other cursor
-// is pulled and encoded by stream.
-func (ss *session) serve(source string, start func(context.Context) (Cursor, error)) error {
+// query serves a Query frame under a cancelable query context and puts
+// its result on the wire. A backend that answers from its result cache
+// returns the entry itself, which is replayed frame for frame; every other
+// cursor is pulled and encoded by stream.
+func (ss *session) query(sql string, opts wire.QueryOpts) error {
 	metricInFlight().Add(1)
 	defer metricInFlight().Add(-1)
 
 	qctx, qcancel := context.WithCancel(ss.srv.ctx)
 	defer qcancel()
-	cur, err := start(qctx)
+	cur, err := ss.srv.backend.QueryStream(qctx, sql, opts)
 	if res, ok := cur.(*cachedResult); ok {
 		metricQueries("cached").Inc()
 		return ss.replay(res)
 	}
-	metricQueries(source).Inc()
+	metricQueries("adhoc").Inc()
 	if err != nil {
 		return ss.sendQueryError(err)
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -282,10 +281,6 @@ type probeBackend struct{ cur *probeCursor }
 
 func (b probeBackend) QueryStream(context.Context, string, wire.QueryOpts) (Cursor, error) {
 	return b.cur, nil
-}
-
-func (b probeBackend) Prepare(string, wire.QueryOpts) (Prepared, error) {
-	return nil, errors.New("probe backend prepares nothing")
 }
 
 func (b probeBackend) Tables(context.Context, int32) ([]wire.TableInfo, error) { return nil, nil }

@@ -309,10 +309,10 @@ type TableInfo struct {
 	Rows uint64
 }
 
-// QueryOpts is the per-statement tuning a client may ship with TQuery and
-// TPrepare. The zero value means "server defaults". A served statement
-// always runs the server's one plan shape (Volcano, refined), so nothing
-// here changes the plan.
+// QueryOpts is the per-statement tuning a client ships with TQuery. The
+// zero value means "server defaults". A served statement always runs the
+// server's one plan shape (Volcano, refined), so nothing here changes the
+// plan.
 type QueryOpts struct {
 	// TimeoutMS bounds the query's wall clock in milliseconds (0 = none).
 	TimeoutMS int64

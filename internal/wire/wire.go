@@ -10,8 +10,8 @@
 //	[]byte             payload
 //
 // A session opens with Hello/HelloOK (magic + protocol version), then the
-// client drives request/response exchanges. Responses to a Query or Execute
-// are a Columns frame, zero or more RowBatch frames, and a terminal Done —
+// client drives request/response exchanges. The response to a Query is a
+// Columns frame, zero or more RowBatch frames, and a terminal Done —
 // or a terminal Error frame at any point, whose stable code maps the
 // engine's sentinel errors (busy, deadline, memory budget, contained panic,
 // cancellation) across the connection. The only frame a client may send
@@ -31,8 +31,10 @@ const (
 	// Version is the protocol revision; servers reject other versions.
 	// Version 2 dropped the parallelism field from the query options;
 	// version 3 dropped the engine, refinement, join, buffer-size and
-	// admission-wait fields.
-	Version byte = 3
+	// admission-wait fields; version 4 dropped the Prepare, Execute and
+	// CloseStmt frames (0x03, 0x04, 0x06), so a v3 client that would send
+	// them is refused at Hello rather than mid-session.
+	Version byte = 4
 	// MaxFrame caps a frame payload. Row batches are built well under it;
 	// a peer announcing a larger frame is treated as a protocol error
 	// rather than an allocation request.
@@ -47,17 +49,11 @@ type Type byte
 const (
 	// THello carries magic + version; must be the first frame.
 	THello Type = 0x01
-	// TQuery is an ad-hoc statement: options + SQL text.
+	// TQuery is a statement, ad hoc or prepared: options + SQL text.
 	TQuery Type = 0x02
-	// TPrepare plans a statement for repeated execution: options + SQL.
-	TPrepare Type = 0x03
-	// TExecute runs a prepared statement by id.
-	TExecute Type = 0x04
 	// TCancel aborts the response currently streaming on this connection.
-	// Legal only between TQuery/TExecute and the terminal Done/Error.
+	// Legal only between TQuery and the terminal Done/Error.
 	TCancel Type = 0x05
-	// TCloseStmt discards a prepared statement id.
-	TCloseStmt Type = 0x06
 	// TTables asks for the catalog's table names and cardinalities.
 	TTables Type = 0x07
 )
@@ -75,8 +71,6 @@ const (
 	// TError terminates a request (or the whole session, for protocol
 	// errors): stable code + message.
 	TError Type = 0x85
-	// TPrepared acknowledges TPrepare: the statement id.
-	TPrepared Type = 0x86
 	// TTablesOK answers TTables.
 	TTablesOK Type = 0x87
 )
@@ -88,14 +82,8 @@ func (t Type) String() string {
 		return "Hello"
 	case TQuery:
 		return "Query"
-	case TPrepare:
-		return "Prepare"
-	case TExecute:
-		return "Execute"
 	case TCancel:
 		return "Cancel"
-	case TCloseStmt:
-		return "CloseStmt"
 	case TTables:
 		return "Tables"
 	case THelloOK:
@@ -108,8 +96,6 @@ func (t Type) String() string {
 		return "Done"
 	case TError:
 		return "Error"
-	case TPrepared:
-		return "Prepared"
 	case TTablesOK:
 		return "TablesOK"
 	}
@@ -140,9 +126,9 @@ const (
 	// CodeProtocol reports a malformed or out-of-order frame; the server
 	// closes the connection after sending it.
 	CodeProtocol Code = 7
-	// CodeUnknownStmt reports an Execute/CloseStmt id the session never
-	// prepared.
-	CodeUnknownStmt Code = 8
+	// Code 8 reported an unknown prepared-statement id until protocol
+	// version 4; codes are never reused.
+
 	// CodeShutdown reports the server is draining; retry elsewhere/later.
 	CodeShutdown Code = 9
 	// CodeUnavailable reports a distributed query that failed because a
@@ -168,8 +154,6 @@ func (c Code) String() string {
 		return "canceled"
 	case CodeProtocol:
 		return "protocol"
-	case CodeUnknownStmt:
-		return "unknown-stmt"
 	case CodeShutdown:
 		return "shutdown"
 	case CodeUnavailable:

@@ -91,7 +91,6 @@ func (db *DB) queryStream(ctx context.Context, query string, qo QueryOptions) (*
 // execPlan compiles an already-planned statement and starts executing it
 // under the resource governor: the query passes admission control, runs
 // under its deadline and memory budget, and contains operator panics.
-// Prepared statements enter here with a cloned cached plan.
 func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Rows, error) {
 	metricQueries().Inc()
 
@@ -143,8 +142,9 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 
 	// Semantic reuse: splice cached intermediates over matching subtrees
 	// (pinning them for the cursor's lifetime) and attach publish hooks to
-	// the rest. The plan is this execution's private copy — ad-hoc plans
-	// are fresh, prepared statements clone per run — so mutation is safe.
+	// the rest. The plan is this execution's private copy — db.plan hands
+	// out a fresh plan or a bound clone of its template — so mutation is
+	// safe.
 	if db.reuseCache != nil {
 		p, reuseReleases = plan.ApplyReuse(p, db.reuseCache)
 	}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bufferdb/internal/plan"
 )
 
 const stmtQuery = `
@@ -27,8 +29,9 @@ func TestPrepareMatchesAdHoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Repeated executions of the cached plan keep producing the same
-	// result — each run clones the plan, so state never leaks between.
+	// Repeated executions keep producing the same result — each binds a
+	// private copy of the shape's plan template, so state never leaks
+	// between them.
 	for i := 0; i < 3; i++ {
 		got, err := stmt.Query(ctx)
 		if err != nil {
@@ -41,8 +44,12 @@ func TestPrepareMatchesAdHoc(t *testing.T) {
 	if stmt.Text() != stmtQuery {
 		t.Errorf("Text() = %q", stmt.Text())
 	}
-	if !strings.Contains(stmt.Explain(), "Buffer") {
-		t.Errorf("prepared plan not refined:\n%s", stmt.Explain())
+	p, err := testDB.plan(stmt.Text())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Explain(p); !strings.Contains(got, "Buffer") {
+		t.Errorf("prepared plan not refined:\n%s", got)
 	}
 }
 
@@ -111,34 +118,4 @@ func TestPrepareConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-}
-
-// BenchmarkPreparedVsAdHoc shows what plan caching buys: the prepared path
-// skips parsing, optimization and refinement on every execution.
-func BenchmarkPreparedVsAdHoc(b *testing.B) {
-	ctx := context.Background()
-	db, err := OpenTPCH(0.002, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := `SELECT COUNT(*) FROM lineitem WHERE l_quantity > 45`
-	b.Run("adhoc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := db.Query(ctx, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("prepared", func(b *testing.B) {
-		stmt, err := db.Prepare(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Query(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
