@@ -60,14 +60,6 @@ type Options struct {
 	// MemoryLimit set, pool residency is charged against it, so the page
 	// cache and executing queries compete under one budget.
 	PoolBytes int64
-	// ShardCount, when > 1, loads this database as one shard of a
-	// hash-partitioned deployment: OpenTPCH generates the full dataset
-	// (deterministically, from Seed) and keeps only the rows the default
-	// TPC-H shard map assigns to ShardIndex; replicated tables stay whole.
-	// Incompatible with DataDir. ShardIndex must be in [0, ShardCount).
-	ShardCount int
-	// ShardIndex is this node's position in [0, ShardCount).
-	ShardIndex int
 	// ReuseCache enables the semantic reuse cache: completed hash-join
 	// build sides and aggregate tables are published process-wide and
 	// spliced into later queries whose normalized subplan fingerprints
@@ -263,41 +255,29 @@ func newGovernor(opts Options) governor {
 // ErrBadScaleFactor rather than generating an empty or garbage catalog.
 func OpenTPCH(scaleFactor float64, opts Options) (*DB, error) {
 	if opts.DataDir != "" {
-		if opts.ShardCount > 1 {
-			return nil, fmt.Errorf("bufferdb: ShardCount is incompatible with DataDir (the persistent tier is single-node)")
-		}
 		return openTPCHPersistent(scaleFactor, opts)
 	}
 	cat, err := tpch.Generate(tpch.Config{ScaleFactor: scaleFactor, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
-	if opts.ShardCount > 1 {
-		cat, err = shard.Filter(cat, shard.DefaultTPCH(), opts.ShardIndex, opts.ShardCount)
-		if err != nil {
-			return nil, err
-		}
-	}
 	db := newDB(opts, newGovernor(opts))
 	db.cat = cat
 	return db, nil
 }
 
-// OpenTPCHReplicas opens one database per hosted slice for a replicated
-// shard node: the full TPC-H dataset is generated once (deterministically,
-// from opts.Seed, so every node derives identical slices) and filtered down
-// to each requested slice index. opts.ShardCount must name the fleet-wide
-// slice count; opts.ShardIndex is ignored in favor of the explicit slice
-// list. Replicated dimension tables are shared by reference across the
-// returned databases — only the sharded tables cost per-slice memory. The
-// databases share one code model, memory tracker and admission controller,
-// so opts.MemoryLimit and opts.Admission bound the node, not each slice.
-func OpenTPCHReplicas(scaleFactor float64, opts Options, slices []int) (map[int]*DB, error) {
+// OpenTPCHReplicas opens one database per hosted slice of a shard node in
+// a fleet of count hash slices: the full TPC-H dataset is generated once
+// (deterministically, from opts.Seed, so every node derives identical
+// slices) and filtered down to each requested slice index, which must lie
+// in [0, count). Replicated dimension tables are shared by reference across
+// the returned databases — only the sharded tables cost per-slice memory.
+// The databases share one code model, memory tracker and admission
+// controller, so opts.MemoryLimit and opts.Admission bound the node, not
+// each slice.
+func OpenTPCHReplicas(scaleFactor float64, opts Options, count int, slices []int) (map[int]*DB, error) {
 	if opts.DataDir != "" {
-		return nil, fmt.Errorf("bufferdb: replicated slices are incompatible with DataDir (the persistent tier is single-node)")
-	}
-	if opts.ShardCount < 1 {
-		return nil, fmt.Errorf("bufferdb: OpenTPCHReplicas requires ShardCount >= 1")
+		return nil, fmt.Errorf("bufferdb: sharded slices are incompatible with DataDir (the persistent tier is single-node)")
 	}
 	if len(slices) == 0 {
 		return nil, fmt.Errorf("bufferdb: OpenTPCHReplicas requires at least one slice")
@@ -309,13 +289,11 @@ func OpenTPCHReplicas(scaleFactor float64, opts Options, slices []int) (map[int]
 	gov := newGovernor(opts)
 	out := make(map[int]*DB, len(slices))
 	for _, idx := range slices {
-		cat, err := shard.Filter(full, shard.DefaultTPCH(), idx, opts.ShardCount)
+		cat, err := shard.Filter(full, shard.DefaultTPCH(), idx, count)
 		if err != nil {
 			return nil, err
 		}
-		sliceOpts := opts
-		sliceOpts.ShardIndex = idx
-		db := newDB(sliceOpts, gov)
+		db := newDB(opts, gov)
 		db.cat = cat
 		out[idx] = db
 	}
@@ -368,9 +346,9 @@ func (db *DB) ReuseStats() ReuseStats {
 }
 
 // TableEpoch reports a table's write epoch: it starts at zero and each
-// INSERT into the table bumps it. Server-side caches tag entries with the
-// epochs of the tables they read (Rows.ReadSet) and revalidate before
-// storing, so a write invalidates exactly its dependents.
+// INSERT into the table bumps it. Server-side caches keep the epochs of the
+// tables an entry read (Rows.ReadSet) and treat the entry as stale once one
+// has moved, so a write invalidates exactly its dependents.
 func (db *DB) TableEpoch(table string) uint64 { return db.epochs.Of(table) }
 
 // TrackedBytes reports the bytes currently charged against the database's

@@ -26,14 +26,16 @@
 // flag that has no effect in the selected mode (-data-dir on a
 // coordinator, -breaker-cooldown on a data node) is an error, not a no-op.
 //
-// -replication (default 2) replicates each hash slice across that many
-// nodes: shard daemon j additionally loads the rf-1 slices preceding its
-// own, and the coordinator routes every scatter leg to a healthy replica,
-// failing legs over mid-stream when a node dies. Per-node circuit breakers
-// (-breaker-threshold consecutive transport failures open one;
-// -breaker-cooldown later a single probe query tests recovery) keep dead
-// nodes out of the routing until they answer again. Pass the same
-// -replication to the shard daemons and the coordinator.
+// Every shard daemon hosts a slice set: its own slice (-shard-index, which
+// must lie in [0, -shard-count)) plus, at -replication rf (default 2), the
+// rf-1 slices preceding it. A shard node holds no -data-dir: the persistent
+// tier is single-node. The coordinator addresses each scatter leg to its
+// slice and routes it to a healthy replica, failing legs over mid-stream
+// when a node dies. Per-node circuit breakers (-breaker-threshold
+// consecutive transport failures open one; -breaker-cooldown later a single
+// probe query tests recovery) keep dead nodes out of the routing until they
+// answer again. Pass the same -replication to the shard daemons and the
+// coordinator.
 //
 // Sidecar endpoints:
 //
@@ -155,13 +157,11 @@ func main() {
 			BreakerCooldown:  *brkCool,
 		})
 	} else {
-		m = dataNodeMode(logger, *scale, *repl, bufferdb.Options{
+		m = dataNodeMode(logger, *scale, *shardIdx, *shardCnt, *repl, bufferdb.Options{
 			Seed:          *seed,
 			MemoryLimit:   *memLimit,
 			DataDir:       *dataDir,
 			PoolBytes:     *poolBytes,
-			ShardIndex:    *shardIdx,
-			ShardCount:    *shardCnt,
 			ReuseCache:    *reuse,
 			ReuseMaxBytes: *reuseMB,
 			Admission: bufferdb.AdmissionConfig{
@@ -177,49 +177,46 @@ func main() {
 }
 
 // dataNodeMode loads (or generates) this node's data: one database, or on
-// a replicated shard node one per hosted slice.
-func dataNodeMode(logger *log.Logger, scale float64, replication int, opts bufferdb.Options) mode {
+// a shard node (count > 1) one per hosted slice — slice index plus the
+// replication-1 preceding ones. The flags are checked before anything loads.
+func dataNodeMode(logger *log.Logger, scale float64, index, count, replication int, opts bufferdb.Options) mode {
 	start := time.Now()
-	rf := 1
-	if opts.ShardCount > 1 {
-		rf = shard.ClampRF(replication, opts.ShardCount)
-	}
 	var (
-		db      *bufferdb.DB
-		slices  map[int]*bufferdb.DB
-		hosted  []int
-		openErr error
+		db     *bufferdb.DB
+		slices map[int]*bufferdb.DB
+		err    error
 	)
-	if rf > 1 {
-		// Replicated deployment: this node hosts its primary slice plus the
-		// rf-1 preceding ones, each as its own database. The default DB is
-		// the primary, so unaddressed (legacy) requests keep their meaning.
-		hosted = shard.Slices(opts.ShardIndex, opts.ShardCount, rf)
-		slices, openErr = bufferdb.OpenTPCHReplicas(scale, opts, hosted)
-		if openErr == nil {
-			db = slices[opts.ShardIndex]
-		}
-	} else {
-		db, openErr = bufferdb.OpenTPCH(scale, opts)
-	}
-	if openErr != nil {
-		logger.Fatalf("open: %v", openErr)
-	}
 	desc := "in-memory"
-	if opts.DataDir != "" {
-		desc = "persistent at " + opts.DataDir
+	if count > 1 {
+		if opts.DataDir != "" {
+			logger.Fatalf("flags: -data-dir: the persistent tier is single-node, incompatible with -shard-count %d", count)
+		}
+		if index < 0 || index >= count {
+			logger.Fatalf("flags: -shard-index %d outside [0,%d) (-shard-count %d)", index, count, count)
+		}
+		// The default DB is the node's own slice, so unaddressed requests
+		// read it.
+		rf := shard.ClampRF(replication, count)
+		hosted := shard.Slices(index, count, rf)
+		if slices, err = bufferdb.OpenTPCHReplicas(scale, opts, count, hosted); err == nil {
+			db = slices[index]
+		}
+		desc += fmt.Sprintf(", node %d/%d hosting slices %v (rf %d)", index, count, hosted, rf)
+	} else {
+		db, err = bufferdb.OpenTPCH(scale, opts)
+		if opts.DataDir != "" {
+			desc = "persistent at " + opts.DataDir
+		}
 	}
-	if rf > 1 {
-		desc += fmt.Sprintf(", node %d/%d hosting slices %v (rf %d)", opts.ShardIndex, opts.ShardCount, hosted, rf)
-	} else if opts.ShardCount > 1 {
-		desc += fmt.Sprintf(", shard %d/%d", opts.ShardIndex, opts.ShardCount)
+	if err != nil {
+		logger.Fatalf("open: %v", err)
 	}
 	logger.Printf("TPC-H SF %g loaded in %v, %s (tables: %v)", scale, time.Since(start).Round(time.Millisecond), desc, db.Tables())
 
 	// Checkpoint and close the persistent tier (a no-op for in-memory
 	// databases) so a clean shutdown never needs WAL replay on reboot and
 	// the buffer pool's residency charge drains before the exit gauge.
-	// Closing the primary twice (it is also slices[ShardIndex]) is harmless.
+	// Closing the primary twice (it is also slices[index]) is harmless.
 	closers := []func() error{db.Close}
 	for _, sdb := range slices {
 		closers = append(closers, sdb.Close)

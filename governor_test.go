@@ -242,8 +242,7 @@ func BenchmarkGovernorOverhead(b *testing.B) {
 // hosting slice 0 at replication 2 does.
 func replicaNode(t *testing.T, opts Options) (a, b *DB) {
 	t.Helper()
-	opts.ShardCount = 3
-	dbs, err := OpenTPCHReplicas(0.001, opts, []int{0, 2})
+	dbs, err := OpenTPCHReplicas(0.001, opts, 3, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,9 +103,10 @@ func WithMemoryBudget(n int64) Option {
 	return func(o *wire.QueryOpts) { o.MemoryBudget = n }
 }
 
-// WithSlice addresses hash slice idx on a daemon hosting several replica
-// slices; without it a query runs against the node's default (primary)
-// slice. The daemon rejects slices it does not host.
+// WithSlice addresses hash slice idx on a shard daemon, which hosts a set of
+// slices (its own alone at replication 1); without it, or with idx -1, a
+// query runs against the node's default (primary) slice. The daemon
+// rejects slices it does not host.
 func WithSlice(idx int) Option {
 	return func(o *wire.QueryOpts) { o.Slice = int32(idx) + 1 }
 }

@@ -66,7 +66,7 @@ func (c *Coordinator) Tables(ctx context.Context, _ int32) ([]wire.TableInfo, er
 // the same failover loop and breakers query legs use.
 func (c *Coordinator) sliceTables(ctx context.Context, l leg) (infos []wire.TableInfo, err error) {
 	_, _, err = c.reach(ctx, l, -1, func(node int) (err error) {
-		infos, err = c.shards[node].TablesOf(ctx, c.address(l.slice))
+		infos, err = c.shards[node].TablesOf(ctx, l.slice)
 		return err
 	})
 	return infos, err

@@ -59,8 +59,8 @@ type Config struct {
 	// Replication is the replication factor the fleet was loaded with:
 	// slice s lives on nodes (s+r) mod N for r in [0,Replication), so every
 	// node hosts Replication slices and every slice survives Replication-1
-	// node losses. 0 or 1 selects the classic one-slice-per-node layout
-	// (no failover); values above len(Shards) clamp down.
+	// node losses. 0 or 1 hosts each slice on its own node alone (no
+	// failover); values above len(Shards) clamp down.
 	Replication int
 
 	// BreakerThreshold is the consecutive-transport-failure count that
@@ -81,7 +81,6 @@ type Coordinator struct {
 	cat      *storage.Catalog
 	smap     shard.Map
 	mem      *exec.MemTracker
-	rf       int           // effective replication factor
 	slices   []leg         // the scatter's legs: slice s on its replicas
 	breakers []*breaker    // one per node, indexed like shards
 	rr       atomic.Uint64 // round-robin cursor for replicated-only legs
@@ -103,8 +102,8 @@ func Open(cfg Config) (*Coordinator, error) {
 		cat:  tpch.SchemaCatalog(),
 		smap: shard.DefaultTPCH(),
 		mem:  exec.NewMemTracker("coordinator", cfg.MemoryLimit, nil),
-		rf:   shard.ClampRF(cfg.Replication, len(cfg.Shards)),
 	}
+	rf := shard.ClampRF(cfg.Replication, len(cfg.Shards))
 	for i, addr := range cfg.Shards {
 		cl, err := client.Dial(addr, client.Config{})
 		if err != nil {
@@ -113,7 +112,7 @@ func Open(cfg Config) (*Coordinator, error) {
 		}
 		c.shards = append(c.shards, cl)
 		c.breakers = append(c.breakers, newBreaker(threshold, cfg.BreakerCooldown))
-		c.slices = append(c.slices, leg{slice: i, nodes: shard.Replicas(i, len(cfg.Shards), c.rf)})
+		c.slices = append(c.slices, leg{slice: i, nodes: shard.Replicas(i, len(cfg.Shards), rf)})
 	}
 	return c, nil
 }
@@ -249,18 +248,6 @@ func (c *Coordinator) route(nodes []int, tried map[int]bool) (node int, probe, o
 		return -1, false, false
 	}
 	return closedNode, false, true
-}
-
-// address is the slice selector a request for slice sends to a node: the
-// slice itself on a replicated fleet, else -1, the node's primary
-// database. An unaddressed leg (slice -1) reads the primary everywhere,
-// and an unreplicated node registers no Slices, so it would refuse any
-// addressed slice — even its own.
-func (c *Coordinator) address(slice int) int {
-	if c.rf <= 1 {
-		return -1
-	}
-	return slice
 }
 
 // breakerSuccess records a request that proved node alive and refreshes

@@ -39,19 +39,18 @@ type shardFleet struct {
 	co      *dist.Coordinator
 }
 
-// startShard boots one shard daemon holding slice idx-of-n. hook, when
-// non-nil, attaches fault injectors to the shard's statements.
+// startShard boots one shard daemon holding slice idx-of-n alone, the
+// replication-1 slice set. hook, when non-nil, attaches fault injectors to
+// the shard's statements.
 func startShard(t testing.TB, idx, n int, sf float64, hook func(string) *bufferdb.FaultInjector) (*server.Server, string) {
 	t.Helper()
-	db, err := bufferdb.OpenTPCH(sf, bufferdb.Options{
-		ShardIndex:  idx,
-		ShardCount:  n,
+	dbs, err := bufferdb.OpenTPCHReplicas(sf, bufferdb.Options{
 		MemoryLimit: 256 << 20,
-	})
+	}, n, []int{idx})
 	if err != nil {
-		t.Fatalf("OpenTPCH shard %d/%d: %v", idx, n, err)
+		t.Fatalf("OpenTPCHReplicas shard %d/%d: %v", idx, n, err)
 	}
-	return serveBackend(t, server.Config{DB: db, FaultHook: hook})
+	return serveBackend(t, server.Config{DB: dbs[idx], Slices: dbs, FaultHook: hook})
 }
 
 // serveBackend serves cfg — a shard's database or a coordinator — on a
@@ -892,6 +891,38 @@ func (l *brokenListener) Accept() (net.Conn, error) { return nil, errBrokenAccep
 func (l *brokenListener) Close() error              { l.closed = true; return nil }
 func (l *brokenListener) Addr() net.Addr            { return &net.TCPAddr{} }
 
+// TestShardSliceSet: a replication-1 shard node hosts a set of one slice —
+// its own. A query addressed to that slice reads the same rows as an
+// unaddressed one (the node's primary), and any other slice is refused.
+func TestShardSliceSet(t *testing.T) {
+	const idx, n = 1, 3
+	_, addr := startShard(t, idx, n, testSF, nil)
+	cl, err := client.Dial(addr, client.Config{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	const q = "SELECT COUNT(*), SUM(l_quantity) FROM lineitem"
+
+	primary, err := cl.QueryAll(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := cl.QueryAll(context.Background(), q, client.WithSlice(idx))
+	if err != nil {
+		t.Fatalf("query addressed to the node's own slice %d: %v", idx, err)
+	}
+	if !reflect.DeepEqual(own.Rows, primary.Rows) {
+		t.Fatalf("slice %d answered %v, the primary %v", idx, own.Rows, primary.Rows)
+	}
+	for _, other := range []int{0, 2} {
+		_, err := cl.QueryAll(context.Background(), q, client.WithSlice(other))
+		if err == nil || !strings.Contains(err.Error(), "does not host slice") {
+			t.Fatalf("query addressed to slice %d: %v, want a does-not-host-slice error", other, err)
+		}
+	}
+}
+
 // TestDistConfigValidation covers constructor errors.
 func TestDistConfigValidation(t *testing.T) {
 	if _, err := dist.Open(dist.Config{}); err == nil {
@@ -900,9 +931,9 @@ func TestDistConfigValidation(t *testing.T) {
 	if _, err := server.New(server.Config{}); err == nil {
 		t.Fatal("server.New with neither a coordinator nor a database succeeded")
 	}
-	if _, err := bufferdb.OpenTPCH(testSF, bufferdb.Options{
-		ShardCount: 2, DataDir: t.TempDir(),
-	}); err == nil {
+	if _, err := bufferdb.OpenTPCHReplicas(testSF, bufferdb.Options{
+		DataDir: t.TempDir(),
+	}, 2, []int{0}); err == nil {
 		t.Fatal("sharded OpenTPCH with DataDir succeeded")
 	}
 }

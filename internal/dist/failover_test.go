@@ -25,9 +25,8 @@ import (
 func startReplicaNode(t testing.TB, node, n, rf int, listen string, hook func(string) *bufferdb.FaultInjector) (*server.Server, string) {
 	t.Helper()
 	dbs, err := bufferdb.OpenTPCHReplicas(testSF, bufferdb.Options{
-		ShardCount:  n,
 		MemoryLimit: 256 << 20,
-	}, shard.Slices(node, n, rf))
+	}, n, shard.Slices(node, n, rf))
 	if err != nil {
 		t.Fatalf("OpenTPCHReplicas node %d (%d/%d): %v", node, n, rf, err)
 	}

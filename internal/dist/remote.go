@@ -47,7 +47,7 @@ type remoteScan struct {
 // newRemoteScan builds one leg of p. The slice selector goes last, so it
 // survives a WithQueryOpts in the caller's set.
 func newRemoteScan(co *Coordinator, p *distPlan, l leg, opts []client.Option) *remoteScan {
-	opts = append(opts[:len(opts):len(opts)], client.WithSlice(co.address(l.slice)))
+	opts = append(opts[:len(opts):len(opts)], client.WithSlice(l.slice))
 	return &remoteScan{co: co, plan: p, leg: l, opts: opts}
 }
 

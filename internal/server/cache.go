@@ -2,7 +2,6 @@ package server
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 
 	"bufferdb"
@@ -19,12 +18,27 @@ type cachedResult struct {
 	rows    uint64
 	size    int64
 	release func()
-	// tables is the sorted base-table set the query's plan read
-	// (Rows.ReadSet) — the invalidation tag: a committed INSERT into one of
-	// them drops this entry, while entries over untouched tables survive.
-	// nil means the plan read no table; the entry then conservatively
-	// depends on everything.
-	tables []string
+	// db is the database the query ran on and reads its read set
+	// (Rows.ReadSet): every base table the plan read, with the table's
+	// write epoch as of the start of execution.
+	db    *bufferdb.DB
+	reads []tableEpoch
+}
+
+type tableEpoch struct {
+	table string
+	epoch uint64
+}
+
+// readSet copies a cursor's read set into an entry. A slice, not the map:
+// a cache of one-row results holds tens of thousands of entries, and a map
+// of one or two tables takes several times a slice's bytes.
+func readSet(epochs map[string]uint64) []tableEpoch {
+	reads := make([]tableEpoch, 0, len(epochs))
+	for t, e := range epochs {
+		reads = append(reads, tableEpoch{t, e})
+	}
+	return reads
 }
 
 // A cache hit crosses the Backend seam as the entry itself. The session
@@ -36,15 +50,12 @@ func (r *cachedResult) Values() storage.Row { return nil }
 func (r *cachedResult) Err() error          { return nil }
 func (r *cachedResult) Close() error        { return nil }
 
-// dependsOn reports whether the entry must be dropped when table is written.
-func (r *cachedResult) dependsOn(table string) bool {
-	if r.tables == nil {
-		return true
-	}
-	// Tags are catalog names; an INSERT's target is spelled as written,
-	// and table names are case-insensitive.
-	for _, t := range r.tables {
-		if strings.EqualFold(t, table) {
+// stale is the cache's one staleness rule: a write has committed to a table
+// the result read since its execution started. It holds whichever path the
+// write took — through a session or straight into the database.
+func (r *cachedResult) stale() bool {
+	for _, read := range r.reads {
+		if r.db.TableEpoch(read.table) != read.epoch {
 			return true
 		}
 	}
@@ -52,10 +63,9 @@ func (r *cachedResult) dependsOn(table string) bool {
 }
 
 // resultCache is the opt-in bounded reuse cache for repeated identical
-// read-only queries (every statement the engine accepts is read-only). It
-// stores encoded batches keyed by the exact text and slice
-// (wire.QueryOpts.CacheKey) — not by statement shape, as the database's
-// plan cache is (DESIGN.md §21), since texts of one shape answer
+// read-only queries. It stores encoded batches keyed by the exact text and
+// slice (wire.QueryOpts.CacheKey) — not by statement shape, as the
+// database's plan cache is (DESIGN.md §21), since texts of one shape answer
 // differently — bounded both per entry and in total, with every byte
 // charged against the database's MemoryLimit.
 type resultCache struct {
@@ -64,17 +74,14 @@ type resultCache struct {
 	maxEntry int64 // largest single result worth caching
 
 	mu      sync.Mutex
-	entries map[string]*list.Element
+	entries map[string]*list.Element // of *resultKeyed
 	order   *list.List
 	total   int64
-	// epoch counts invalidations (whole-cache and per-table alike). A query
-	// whose plan reads no table snapshots it before executing and put drops
-	// results from an older epoch: a SELECT that started before a write
-	// committed but finished after the invalidation must not park its
-	// pre-write result in the cache. Queries that read tables are validated
-	// more precisely, against the database's per-table write epochs — the
-	// same epochs the semantic reuse cache keys on.
-	epoch uint64
+}
+
+type resultKeyed struct {
+	key string
+	res *cachedResult
 }
 
 // newResultCache builds a cache of budget encoded bytes; one result may
@@ -89,47 +96,40 @@ func newResultCache(db *bufferdb.DB, budget int64) *resultCache {
 
 func (c *resultCache) enabled() bool { return c.budget > 0 }
 
-// get returns the entry for key, bumping its recency.
+// get returns the current entry for key, bumping its recency. A stale
+// entry is dropped and reported as a miss.
 func (c *resultCache) get(key string) (*cachedResult, bool) {
 	if !c.enabled() {
 		return nil, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	var res, dropped *cachedResult
+	if el, ok := c.entries[key]; ok {
+		if res = el.Value.(*resultKeyed).res; res.stale() {
+			res, dropped = nil, c.removeLocked(el)
+		} else {
+			c.order.MoveToFront(el)
+		}
+	}
+	c.mu.Unlock()
+	if dropped != nil {
+		dropped.release()
+		metricCache("result", "invalidations").Inc()
+	}
+	if res == nil {
 		metricCache("result", "misses").Inc()
 		return nil, false
 	}
-	c.order.MoveToFront(el)
 	metricCache("result", "hits").Inc()
-	return el.Value.(*resultKeyed).res, true
-}
-
-type resultKeyed struct {
-	key string
-	res *cachedResult
-}
-
-// writeEpoch returns the current invalidation epoch. Callers snapshot it
-// before executing a query and hand it back to put.
-func (c *resultCache) writeEpoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
+	return res, true
 }
 
 // put inserts a freshly-streamed result, evicting least-recently-used
 // entries until the budget holds. Results over the per-entry cap, that the
-// memory limit refuses, or whose execution started before a write that may
-// affect them are dropped silently. Staleness is judged per table when the
-// entry has a table set: snapshot holds the per-table write epochs (from
-// Rows.ReadSet, shared with the semantic reuse cache) taken when execution
-// started, and a mismatch against db's current epochs means a write to a
-// referenced table committed mid-flight. Entries without one fall back to
-// the cache-wide epoch (from writeEpoch).
-func (c *resultCache) put(key string, res *cachedResult, epoch uint64, snapshot map[string]uint64, db *bufferdb.DB) {
-	if !c.enabled() || res.size > c.maxEntry {
+// memory limit refuses, without a read set, or already stale (a write
+// committed while the query ran) are dropped silently.
+func (c *resultCache) put(key string, res *cachedResult) {
+	if !c.enabled() || res.size > c.maxEntry || len(res.reads) == 0 {
 		return
 	}
 	release, err := c.db.ReserveMemory("result-cache", res.size)
@@ -139,25 +139,9 @@ func (c *resultCache) put(key string, res *cachedResult, epoch uint64, snapshot 
 	res.release = release
 
 	c.mu.Lock()
-	stale := false
-	if res.tables == nil {
-		stale = epoch != c.epoch
-	} else {
-		for t, e := range snapshot {
-			if db.TableEpoch(t) != e {
-				stale = true
-				break
-			}
-		}
-	}
-	if stale {
-		// A write committed while this query ran; its result may predate it.
-		c.mu.Unlock()
-		release()
-		return
-	}
-	if _, ok := c.entries[key]; ok {
-		// A concurrent execution already cached this key.
+	if _, ok := c.entries[key]; ok || res.stale() {
+		// A concurrent execution already cached this key, or the result
+		// may predate a write.
 		c.mu.Unlock()
 		release()
 		return
@@ -166,12 +150,7 @@ func (c *resultCache) put(key string, res *cachedResult, epoch uint64, snapshot 
 	c.total += res.size
 	var evicted []*cachedResult
 	for c.total > c.budget && c.order.Len() > 1 {
-		back := c.order.Back()
-		e := back.Value.(*resultKeyed)
-		c.order.Remove(back)
-		delete(c.entries, e.key)
-		c.total -= e.res.size
-		evicted = append(evicted, e.res)
+		evicted = append(evicted, c.removeLocked(c.order.Back()))
 	}
 	c.mu.Unlock()
 	for _, r := range evicted {
@@ -180,50 +159,36 @@ func (c *resultCache) put(key string, res *cachedResult, epoch uint64, snapshot 
 	}
 }
 
-// invalidateTable drops every entry that read table (plus entries without a
-// table set); entries over untouched tables survive.
-func (c *resultCache) invalidateTable(table string) {
-	c.invalidate(func(r *cachedResult) bool { return r.dependsOn(table) })
-}
-
-// invalidateAll drops every entry — called after a write commits whose
-// target could not be determined, because any cached result may now be
-// stale. Coarse, but the fallback path; targeted writes go through
-// invalidateTable.
-func (c *resultCache) invalidateAll() {
-	c.invalidate(func(*cachedResult) bool { return true })
-}
-
-// invalidate drops the entries stale selects. The cache-wide epoch always
-// advances so in-flight results without a table set are refused by put —
-// results with one are judged precisely against the database's per-table
-// epochs instead.
-func (c *resultCache) invalidate(stale func(*cachedResult) bool) {
+// sweep drops every stale entry. The backend calls it after executing a
+// write, so the write's dependents give their bytes back at once instead
+// of at their next get.
+func (c *resultCache) sweep() {
 	if !c.enabled() {
 		return
 	}
 	c.mu.Lock()
-	c.epoch++
 	var dropped []*cachedResult
-	var next *list.Element
-	for el := c.order.Front(); el != nil; el = next {
-		next = el.Next()
-		e, ok := el.Value.(*resultKeyed)
-		if !ok || !stale(e.res) {
-			continue
+	for el := c.order.Front(); el != nil; {
+		next := el.Next()
+		if el.Value.(*resultKeyed).res.stale() {
+			dropped = append(dropped, c.removeLocked(el))
 		}
-		c.order.Remove(el)
-		delete(c.entries, e.key)
-		c.total -= e.res.size
-		dropped = append(dropped, e.res)
+		el = next
 	}
 	c.mu.Unlock()
 	for _, r := range dropped {
-		if r.release != nil {
-			r.release()
-		}
+		r.release()
 		metricCache("result", "invalidations").Inc()
 	}
+}
+
+// removeLocked unlinks one entry; the caller releases its reservation once
+// c.mu is dropped.
+func (c *resultCache) removeLocked(el *list.Element) *cachedResult {
+	e := c.order.Remove(el).(*resultKeyed)
+	delete(c.entries, e.key)
+	c.total -= e.res.size
+	return e.res
 }
 
 // close releases every reservation; the cache is unusable afterwards.
@@ -231,9 +196,7 @@ func (c *resultCache) close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		if e, ok := el.Value.(*resultKeyed); ok && e.res.release != nil {
-			e.res.release()
-		}
+		el.Value.(*resultKeyed).res.release()
 	}
 	c.entries = map[string]*list.Element{}
 	c.order.Init()

@@ -14,8 +14,8 @@ import (
 // dbBackend is the Backend over a resident database (plus the replica
 // slices this node hosts). The result cache and the fault hook live here
 // and not in the session loop because both lean on things only a local
-// database has: per-table write epochs to invalidate on, a MemoryLimit to
-// charge, an operator tree to inject faults into.
+// database has: per-table write epochs to judge staleness by, a MemoryLimit
+// to charge, an operator tree to inject faults into.
 type dbBackend struct {
 	db        *bufferdb.DB
 	slices    map[int]*bufferdb.DB
@@ -68,24 +68,20 @@ func (b *dbBackend) fault(sql string) *bufferdb.FaultInjector {
 func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpts) (Cursor, error) {
 	fi := b.fault(sql)
 
-	// A write must execute every time (replaying a cached INSERT would skip
-	// the insert) and, once committed, makes cached reads of its target
-	// table stale.
+	// A write must execute every time: replaying a cached INSERT would
+	// skip the insert.
 	isWrite := sqlfe.IsInsert(sql)
 	cacheable := b.results.enabled() && !o.NoResultCache && fi == nil && !isWrite
 	db, err := b.dbFor(o.Slice)
 	if err != nil {
 		return nil, err
 	}
-	var fill *fillCursor
+	var key string
 	if cacheable {
-		key := o.CacheKey(sql)
+		key = o.CacheKey(sql)
 		if res, ok := b.results.get(key); ok {
 			return res, nil
 		}
-		// The cache-wide epoch is taken before the query starts: a result
-		// whose plan reads no table falls back to it in put.
-		fill = &fillCursor{cache: b.results, db: db, key: key, res: &cachedResult{}, epoch: b.results.writeEpoch()}
 	}
 
 	qopts, err := queryOptions(o, fi)
@@ -97,37 +93,27 @@ func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpt
 		return nil, err
 	}
 	if isWrite {
-		// The insert committed inside QueryStream; cached reads of its
-		// target are stale. (The facade already bumped the table's write
-		// epoch and invalidated the semantic reuse cache.)
-		if target, ok := sqlfe.InsertTarget(sql); ok {
-			b.results.invalidateTable(target)
-		} else {
-			b.results.invalidateAll()
-		}
+		// The insert committed inside QueryStream and bumped its table's
+		// write epoch: the results that read the table are stale now.
+		b.results.sweep()
 	}
-	if fill == nil {
+	if !cacheable {
 		return rows, nil
 	}
-	// Tag the result with the tables its plan reads. Their write epochs
-	// were snapshotted when execution started: if an INSERT into one of
-	// them commits while this query streams, put refuses the stale result
-	// — results over untouched tables are unaffected.
-	fill.Rows = rows
-	fill.res.tables, fill.snapshot = rows.ReadSet()
-	return fill, nil
+	// The read set's epochs were taken when execution started: if a write
+	// to one of its tables commits while this query streams, put refuses
+	// the result.
+	return &fillCursor{Rows: rows, cache: b.results, key: key,
+		res: &cachedResult{db: db}}, nil
 }
 
-// fillCursor is a cacheable execution: the rows cursor plus everything put
-// needs to judge and store the encoded stream the session records into it.
+// fillCursor is a cacheable execution: the rows cursor plus the entry the
+// session records the encoded stream into.
 type fillCursor struct {
 	*bufferdb.Rows
-	cache    *resultCache
-	db       *bufferdb.DB
-	key      string
-	res      *cachedResult // nil once the stream outgrew the per-entry cap
-	epoch    uint64
-	snapshot map[string]uint64
+	cache *resultCache
+	key   string
+	res   *cachedResult // nil once the stream outgrew the per-entry cap
 }
 
 func (c *fillCursor) recordBatch(payload []byte, rows uint32) {
@@ -145,7 +131,8 @@ func (c *fillCursor) recordBatch(payload []byte, rows uint32) {
 func (c *fillCursor) recordDone() {
 	if c.res != nil {
 		c.res.cols = append([]string(nil), c.Columns()...)
-		c.cache.put(c.key, c.res, c.epoch, c.snapshot, c.db)
+		c.res.reads = readSet(c.ReadSet())
+		c.cache.put(c.key, c.res)
 	}
 }
 

@@ -33,13 +33,13 @@ type Config struct {
 	// FaultHook — must then be unset.
 	Backend Backend
 
-	// Slices maps hash-slice indices to their databases when this node
-	// hosts replicas of several slices. DB stays the default target
-	// (QueryOpts.Slice == 0); a request addressing slice k routes to
-	// Slices[k], and slices absent from the map are rejected with a query
-	// error so a coordinator/node placement mismatch fails loudly instead
-	// of silently scanning the wrong rows. Nil means this node serves only
-	// its default database.
+	// Slices maps hash-slice indices to their databases on a shard node:
+	// every slice it hosts, its own (which DB also is) included. DB stays
+	// the default target (QueryOpts.Slice == 0); a request addressing
+	// slice k routes to Slices[k], and slices absent from the map are
+	// rejected with a query error so a coordinator/node placement mismatch
+	// fails loudly instead of silently scanning the wrong rows. Nil means
+	// this node is not sharded and serves only its default database.
 	Slices map[int]*bufferdb.DB
 
 	// ResultCacheBytes enables the result-reuse cache with a total budget

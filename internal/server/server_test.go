@@ -757,6 +757,41 @@ func TestResultCachePerTableInvalidation(t *testing.T) {
 	}
 }
 
+// TestResultCacheWriteOutsideSession: a write that never passes through a
+// session — here one made in-process on the served database — still makes
+// the cached results over its table stale, because an entry is judged by
+// its read set's epochs when it is looked up.
+func TestResultCacheWriteOutsideSession(t *testing.T) {
+	db := newDB(t, bufferdb.Options{DataDir: t.TempDir()})
+	t.Cleanup(func() { db.Close() })
+	_, addr := startServer(t, server.Config{DB: db, ResultCacheBytes: 1 << 20})
+	c := dial(t, addr, client.Config{MaxConns: 1})
+
+	cached := obsv.Default.Counter(`bufferdbd_queries_total{source="cached"}`)
+	const q = "SELECT COUNT(*) FROM region"
+	count := func() int64 {
+		t.Helper()
+		res, err := c.QueryAll(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].(int64)
+	}
+
+	before := count()
+	c0 := cached.Value()
+	if again := count(); again != before || cached.Value()-c0 != 1 {
+		t.Fatalf("second run: count %d, %d cached replays; want %d and 1", again, cached.Value()-c0, before)
+	}
+	if _, err := db.Query(context.Background(),
+		`INSERT INTO region VALUES (7, 'MU', 'hypothetical')`); err != nil {
+		t.Fatal(err)
+	}
+	if after := count(); after != before+1 {
+		t.Fatalf("count after an in-process INSERT = %d, want %d (stale replay)", after, before+1)
+	}
+}
+
 // TestServerMetrics spot-checks the serving-layer counters.
 func TestServerMetrics(t *testing.T) {
 	db := newDB(t, bufferdb.Options{})

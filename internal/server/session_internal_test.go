@@ -166,29 +166,6 @@ func TestAbandonedStreamNotCached(t *testing.T) {
 	}
 }
 
-// TestResultCacheStaleEpochDropped pins the invalidation race: a query
-// that snapshots its epoch, then sees a write invalidate the cache while
-// it streams, must not park its pre-write result afterwards.
-func TestResultCacheStaleEpochDropped(t *testing.T) {
-	c := newResultCache(new(bufferdb.DB), 1024)
-	res := func() *cachedResult {
-		return &cachedResult{cols: []string{"a"}, size: 16}
-	}
-
-	epoch := c.writeEpoch()
-	c.invalidateAll() // the write commits mid-query
-	c.put("k", res(), epoch, nil, nil)
-	if len(c.entries) != 0 {
-		t.Fatal("result from before the invalidation was cached")
-	}
-
-	// A query that started after the invalidation caches normally.
-	c.put("k", res(), c.writeEpoch(), nil, nil)
-	if len(c.entries) != 1 {
-		t.Fatal("fresh result was not cached")
-	}
-}
-
 // sendQuery writes an ad hoc Query frame for sql.
 func sendQuery(t *testing.T, cli net.Conn, sql string) {
 	t.Helper()
@@ -343,31 +320,33 @@ func TestResultCacheWriteMidStream(t *testing.T) {
 	}
 }
 
-// TestResultCacheTableFreeFallsBack: a result whose plan reads no table
-// carries no table tag, so a write anywhere while it streams must refuse
-// it through the cache-wide epoch. SQL cannot express such a SELECT (FROM
-// is mandatory), so the fill wraps a cursor with an empty read set.
-func TestResultCacheTableFreeFallsBack(t *testing.T) {
+// TestResultCacheNoReadSetNotCached: an entry is current only while its read
+// set's epochs hold, so a fill whose cursor has no read set (an INSERT's, or
+// a plan that reads no table, which SQL cannot express) is never stored,
+// while the same fill over a SELECT's cursor is.
+func TestResultCacheNoReadSetNotCached(t *testing.T) {
 	db, err := bufferdb.OpenTPCH(0.002, bufferdb.Options{})
 	if err != nil {
 		t.Fatalf("OpenTPCH: %v", err)
 	}
 	c := newResultCache(db, 1<<20)
-	fill := func() *fillCursor {
-		f := &fillCursor{Rows: new(bufferdb.Rows), cache: c, db: db, key: "k", res: &cachedResult{}, epoch: c.writeEpoch()}
-		f.res.tables, f.snapshot = f.ReadSet()
+	fill := func(rows *bufferdb.Rows) {
+		f := &fillCursor{Rows: rows, cache: c, key: "k", res: &cachedResult{db: db}}
 		f.recordBatch([]byte{0, 0, 0, 0}, 0)
-		return f
+		f.recordDone()
 	}
 
-	f := fill()
-	c.invalidateTable("region") // a write commits mid-flight
-	f.recordDone()
+	fill(new(bufferdb.Rows))
 	if len(c.entries) != 0 {
-		t.Fatal("table-free result from before a write was cached")
+		t.Fatal("result without a read set was cached")
 	}
-	fill().recordDone()
+	rows, err := db.QueryStream(context.Background(), "SELECT COUNT(*) FROM region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	fill(rows)
 	if len(c.entries) != 1 {
-		t.Fatal("table-free result with no write in flight was not cached")
+		t.Fatal("result with a read set was not cached")
 	}
 }

@@ -55,8 +55,7 @@ type Rows struct {
 	// close() so eviction can never free a build mid-probe.
 	releases []func()
 
-	// tables and epochs are the read set ReadSet reports.
-	tables []string
+	// epochs is the read set ReadSet reports.
 	epochs map[string]uint64
 
 	// started and emitted feed the process-wide metrics registry when the
@@ -134,9 +133,8 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 	// snapshotted before anything executes. Both come before reuse splices
 	// cached sources over subtrees, so a spliced intermediate's tables stay
 	// in the set and its entry cannot predate the snapshot.
-	var tables []string
 	var epochs map[string]uint64
-	if tables = plan.Tables(p); tables != nil {
+	if tables := plan.Tables(p); tables != nil {
 		epochs = db.epochs.Snapshot(tables)
 	}
 
@@ -183,7 +181,6 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 		adm:      adm,
 		db:       db,
 		releases: reuseReleases,
-		tables:   tables,
 		epochs:   epochs,
 		started:  time.Now(),
 	}, nil
@@ -203,14 +200,12 @@ func classifyError(err error) {
 	}
 }
 
-// ReadSet reports the sorted base tables the statement's plan reads and
-// each one's write epoch as of the start of execution. A layer caching the
-// result tags it with the tables and refuses it if any epoch (DB.TableEpoch)
-// has moved by the time the stream ends. Both are nil for a plan that reads
-// no table, and for an INSERT.
-func (r *Rows) ReadSet() (tables []string, epochs map[string]uint64) {
-	return r.tables, r.epochs
-}
+// ReadSet reports the base tables the statement's plan reads, each with its
+// write epoch as of the start of execution. A layer caching the result
+// keeps it and treats the result as stale once any of those tables' epochs
+// (DB.TableEpoch) has moved. It is nil for an INSERT and for a plan that
+// reads no table.
+func (r *Rows) ReadSet() map[string]uint64 { return r.epochs }
 
 // Columns names the result attributes, in Scan order. The returned slice is
 // cached and shared across calls; treat it as read-only.
