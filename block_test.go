@@ -158,7 +158,7 @@ func TestBlockAggregatePublishesRowPathTable(t *testing.T) {
 		}
 		plan.Walk(p, func(n *plan.Node) {
 			if n.Kind == plan.KindAggregate {
-				n.SharedAgg = &exec.SharedAgg{Publish: func(rows []storage.Row, b int64, _ time.Duration) {
+				n.SharedAgg = &exec.SharedAgg{Publish: func(rows []storage.Row, b int64) {
 					published[i], bytes[i] = rows, b
 				}}
 			}

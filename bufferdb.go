@@ -65,12 +65,10 @@ type Options struct {
 	// spliced into later queries whose normalized subplan fingerprints
 	// match — across engines, prepared and ad-hoc statements alike.
 	// Results are bit-identical with the cache on or off; an INSERT into a
-	// referenced table invalidates exactly its dependent entries.
+	// referenced table invalidates exactly its dependent entries. The
+	// cache holds DefaultReuseMaxBytes; with a MemoryLimit set, cached
+	// intermediates are charged against it through ReserveMemory.
 	ReuseCache bool
-	// ReuseMaxBytes bounds the reuse cache's resident payload bytes
-	// (0 = 64 MiB). With a MemoryLimit set, cached intermediates are
-	// charged against it through ReserveMemory.
-	ReuseMaxBytes int64
 }
 
 // Engine names an execution model for WithEngine. It is the planner's
@@ -305,17 +303,12 @@ func OpenTPCHReplicas(scaleFactor float64, opts Options, count int, slices []int
 func newDB(opts Options, gov governor) *DB {
 	db := &DB{opts: opts, governor: gov, epochs: reuse.NewEpochs(), plans: newPlanCache()}
 	if opts.ReuseCache {
-		maxBytes := opts.ReuseMaxBytes
-		if maxBytes <= 0 {
-			maxBytes = DefaultReuseMaxBytes
-		}
-		db.reuseCache = reuse.New(maxBytes, db.epochs, db.ReserveMemory)
+		db.reuseCache = reuse.New(DefaultReuseMaxBytes, db.epochs, db.ReserveMemory)
 	}
 	return db
 }
 
-// DefaultReuseMaxBytes is the reuse cache's payload bound when
-// Options.ReuseMaxBytes is zero.
+// DefaultReuseMaxBytes bounds the reuse cache's charged bytes.
 const DefaultReuseMaxBytes int64 = 64 << 20
 
 // ReuseStats is a point-in-time snapshot of the semantic reuse cache's
@@ -346,9 +339,8 @@ func (db *DB) ReuseStats() ReuseStats {
 }
 
 // TableEpoch reports a table's write epoch: it starts at zero and each
-// INSERT into the table bumps it. Server-side caches keep the epochs of the
-// tables an entry read (Rows.ReadSet) and treat the entry as stale once one
-// has moved, so a write invalidates exactly its dependents.
+// INSERT into the table bumps it, which makes stale every read set
+// (Rows.ReadSet) over the table and no other.
 func (db *DB) TableEpoch(table string) uint64 { return db.epochs.Of(table) }
 
 // TrackedBytes reports the bytes currently charged against the database's

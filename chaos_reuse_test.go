@@ -8,10 +8,11 @@ import (
 	"testing"
 
 	"bufferdb/internal/faultinject"
+	"bufferdb/internal/reuse"
 )
 
 // Chaos coverage for the semantic reuse cache: faults during publish, OOM
-// before publish, and eviction/invalidation racing a probe over a pinned
+// before publish, and eviction/staleness racing a probe over a pinned
 // entry. The containment contract is the usual one — typed errors,
 // goroutines and tracked memory at baseline — plus the cache's own: a
 // poisoned build or table is never served to a later query.
@@ -98,7 +99,8 @@ func TestChaosReuseOOMDuringBuild(t *testing.T) {
 // TestChaosReuseOversizePublishRefused: a cache too small for any payload
 // refuses every publish without failing the queries that tried.
 func TestChaosReuseOversizePublishRefused(t *testing.T) {
-	db := newReuseDB(t, Options{ReuseCache: true, ReuseMaxBytes: 1})
+	db := newReuseDB(t, Options{ReuseCache: true})
+	db.reuseCache = reuse.New(1, db.epochs, db.ReserveMemory)
 	for i := 0; i < 3; i++ {
 		if _, err := db.Query(context.Background(), reuseChaosQuery); err != nil {
 			t.Fatalf("run %d: %v", i, err)
@@ -113,8 +115,8 @@ func TestChaosReuseOversizePublishRefused(t *testing.T) {
 	}
 }
 
-// TestChaosReuseInvalidateDuringProbe invalidates every entry while a
-// streaming query is probing an adopted build: the pin defers the memory
+// TestChaosReuseInvalidateDuringProbe makes every entry stale and sweeps it
+// while a streaming query is probing an adopted build: the pin defers the memory
 // release, the probe finishes over correct data, and closing the cursor
 // returns tracked memory to zero.
 func TestChaosReuseInvalidateDuringProbe(t *testing.T) {
@@ -147,10 +149,11 @@ func TestChaosReuseInvalidateDuringProbe(t *testing.T) {
 
 	// Drop everything mid-probe. Pinned entries are marked dead; their
 	// reservations must survive until the cursor lets go.
-	db.reuseCache.Invalidate("lineitem")
-	db.reuseCache.Invalidate("orders")
+	db.epochs.Bump("lineitem")
+	db.epochs.Bump("orders")
+	db.reuseCache.Sweep()
 	if st := db.ReuseStats(); st.Entries != 0 {
-		t.Fatalf("invalidation left %d entries", st.Entries)
+		t.Fatalf("sweep left %d entries", st.Entries)
 	}
 
 	for rows.Next() {

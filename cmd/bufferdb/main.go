@@ -65,7 +65,6 @@ func main() {
 		metrics  = flag.Bool("metrics", false, "after -q: dump the process metrics registry (Prometheus text format)")
 		connect  = flag.String("connect", "", "address of a bufferdbd daemon; queries run remotely instead of in-process")
 		reuse    = flag.Bool("reuse-cache", true, "recycle hash-join builds and aggregate tables across queries (\\cache shows stats)")
-		reuseMB  = flag.Int64("reuse-max-bytes", 0, "semantic reuse-cache budget in bytes (0 = default)")
 	)
 	flag.Parse()
 
@@ -80,10 +79,7 @@ func main() {
 			flagUse{"-engine", *engine != ""}, flagUse{"-no-refine", *noRefine})
 	}
 
-	db, err := bufferdb.OpenTPCH(*sf, bufferdb.Options{
-		ReuseCache:    *reuse,
-		ReuseMaxBytes: *reuseMB,
-	})
+	db, err := bufferdb.OpenTPCH(*sf, bufferdb.Options{ReuseCache: *reuse})
 	if err != nil {
 		fatal(err)
 	}

@@ -24,7 +24,8 @@
 // against (a resident database or a coordinator) and in what /readyz
 // reports; listener, sidecar, signal handling and drain are one path. A
 // flag that has no effect in the selected mode (-data-dir on a
-// coordinator, -breaker-cooldown on a data node) is an error, not a no-op.
+// coordinator, -breaker-cooldown on a data node, -shard-index or
+// -replication on an unsharded node) is an error, not a no-op.
 //
 // Every shard daemon hosts a slice set: its own slice (-shard-index, which
 // must lie in [0, -shard-count)) plus, at -replication rf (default 2), the
@@ -85,24 +86,31 @@ var (
 	coordFlags = map[string]bool{
 		"shards": true, "breaker-threshold": true, "breaker-cooldown": true,
 	}
+	// sliceFlags place a data node's slice set, so they need -shard-count > 1.
+	sliceFlags = map[string]bool{"shard-index": true, "replication": true}
 )
 
 // checkFlags rejects every explicitly set flag the selected mode would
 // silently ignore.
-func checkFlags(coordinator bool) error {
-	var bad []string
+func checkFlags(coordinator, sharded bool) error {
+	var bad, unsharded []string
 	flag.Visit(func(f *flag.Flag) {
-		if !sharedFlags[f.Name] && coordFlags[f.Name] != coordinator {
+		switch {
+		case !sharedFlags[f.Name] && coordFlags[f.Name] != coordinator:
 			bad = append(bad, "-"+f.Name)
+		case !coordinator && !sharded && sliceFlags[f.Name]:
+			unsharded = append(unsharded, "-"+f.Name)
 		}
 	})
-	if len(bad) == 0 {
-		return nil
-	}
-	if coordinator {
+	switch {
+	case len(bad) > 0 && coordinator:
 		return fmt.Errorf("%s: data-node only, no effect in coordinator mode (-shards)", strings.Join(bad, ", "))
+	case len(bad) > 0:
+		return fmt.Errorf("%s: coordinator only, no effect without -shards", strings.Join(bad, ", "))
+	case len(unsharded) > 0:
+		return fmt.Errorf("%s: shard node only, no effect without -shard-count > 1", strings.Join(unsharded, ", "))
 	}
-	return fmt.Errorf("%s: coordinator only, no effect without -shards", strings.Join(bad, ", "))
+	return nil
 }
 
 // mode is everything the two modes do differently; serve does the rest.
@@ -130,21 +138,20 @@ func main() {
 		maxConc   = flag.Int("max-concurrent", 0, "admission: max concurrently executing queries (0 = unlimited)")
 		maxQueued = flag.Int("max-queued", 0, "admission: max queries queued for a slot")
 		admWait   = flag.Duration("admission-wait", 0, "admission: max time a query queues before shedding (0 = caller's context)")
-		resCache  = flag.Int64("result-cache", 0, "result-reuse cache budget in encoded bytes (0 disables)")
-		reuse     = flag.Bool("reuse-cache", false, "semantic reuse cache: recycle hash-join builds and aggregate tables across queries (bufferdb_reuse_* metrics)")
-		reuseMB   = flag.Int64("reuse-max-bytes", 0, "semantic reuse-cache budget in bytes (0 = default 64 MiB; needs -reuse-cache)")
+		resCache  = flag.Int64("result-cache", 0, "result-reuse cache budget in bytes, each entry charged its encoded result, key and a fixed overhead (0 disables)")
+		reuse     = flag.Bool("reuse-cache", false, "semantic reuse cache (64 MiB): recycle hash-join builds and aggregate tables across queries (bufferdb_reuse_* metrics)")
 		dataDir   = flag.String("data-dir", "", "persistent data directory: load it if populated, else generate TPC-H there; enables INSERT (empty = in-memory)")
 		poolBytes = flag.Int64("pool-bytes", 0, "buffer-pool residency cap in bytes (0 = default 4 MiB; needs -data-dir)")
 		shards    = flag.String("shards", "", "comma-separated shard addresses; non-empty switches to coordinator mode (no local data)")
-		shardIdx  = flag.Int("shard-index", 0, "this shard's index in a hash-partitioned deployment (needs -shard-count)")
+		shardIdx  = flag.Int("shard-index", 0, "this shard's index in a hash-partitioned deployment (needs -shard-count > 1)")
 		shardCnt  = flag.Int("shard-count", 0, "total shard count; >1 loads only this node's hash slice of the sharded tables")
-		repl      = flag.Int("replication", 2, "replication factor for sharded deployments: each slice lives on this many nodes (clamped to the node count; 1 disables replication; ignored unless sharded)")
+		repl      = flag.Int("replication", 2, "replication factor for sharded deployments: each slice lives on this many nodes (clamped to the node count; 1 disables replication; needs -shard-count > 1 or -shards)")
 		brkThresh = flag.Int("breaker-threshold", 0, "coordinator: consecutive transport failures that open a node's circuit breaker (0 = default 3)")
 		brkCool   = flag.Duration("breaker-cooldown", 0, "coordinator: how long an open breaker rejects a node before probing it again (0 = default 5s)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "bufferdbd: ", log.LstdFlags)
-	if err := checkFlags(*shards != ""); err != nil {
+	if err := checkFlags(*shards != "", *shardCnt > 1); err != nil {
 		logger.Fatalf("flags: %v", err)
 	}
 
@@ -158,12 +165,11 @@ func main() {
 		})
 	} else {
 		m = dataNodeMode(logger, *scale, *shardIdx, *shardCnt, *repl, bufferdb.Options{
-			Seed:          *seed,
-			MemoryLimit:   *memLimit,
-			DataDir:       *dataDir,
-			PoolBytes:     *poolBytes,
-			ReuseCache:    *reuse,
-			ReuseMaxBytes: *reuseMB,
+			Seed:        *seed,
+			MemoryLimit: *memLimit,
+			DataDir:     *dataDir,
+			PoolBytes:   *poolBytes,
+			ReuseCache:  *reuse,
 			Admission: bufferdb.AdmissionConfig{
 				MaxConcurrent: *maxConc,
 				MaxQueued:     *maxQueued,

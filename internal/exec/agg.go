@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"time"
-
 	"bufferdb/internal/codemodel"
 	"bufferdb/internal/expr"
 	"bufferdb/internal/faultinject"
@@ -66,7 +64,6 @@ func (a *Aggregate) Open(ctx *Context) error {
 
 // consume drains the input into the group table, then sorts and publishes.
 func (a *Aggregate) consume(ctx *Context) error {
-	start := time.Now()
 	drain := a.pullRows
 	if a.drain != nil {
 		drain = a.drain
@@ -75,7 +72,7 @@ func (a *Aggregate) consume(ctx *Context) error {
 		return err
 	}
 	a.done = true
-	return a.Finish(start)
+	return a.Finish()
 }
 
 // pullRows drains the child row by row.

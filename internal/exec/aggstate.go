@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"bufferdb/internal/expr"
 	"bufferdb/internal/faultinject"
@@ -144,10 +143,9 @@ func (s *AggState) groupAddr(key string) uint64 {
 // Finish ends a complete fold: it sorts the groups into their deterministic
 // output order and, on a reuse-cache miss, materializes the complete output
 // — the rows Output will hand out; accumulator results are pure — and hands
-// it to the cache with its retained-bytes estimate and the time since start,
-// when the driver began folding. The publish fault fires first, so a
-// poisoned table can never be inserted.
-func (s *AggState) Finish(start time.Time) error {
+// it to the cache with its retained-bytes estimate. The publish fault fires
+// first, so a poisoned table can never be inserted.
+func (s *AggState) Finish() error {
 	s.table.Sort()
 	if s.shared == nil || s.shared.Publish == nil {
 		return nil
@@ -163,7 +161,7 @@ func (s *AggState) Finish(start time.Time) error {
 	for _, r := range rows {
 		bytes += int64(r.ByteSize()) + hashEntryOverhead
 	}
-	s.shared.Publish(rows, bytes, time.Since(start))
+	s.shared.Publish(rows, bytes)
 	return nil
 }
 

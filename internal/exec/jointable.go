@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"bufferdb/internal/expr"
 	"bufferdb/internal/faultinject"
@@ -78,7 +77,6 @@ type JoinTable struct {
 	region       uint64 // simulated bucket array
 	adopted      bool
 	memUsed      int64
-	start        time.Time
 }
 
 // SetShared wires the table to the semantic reuse cache; see SharedBuild.
@@ -105,7 +103,6 @@ func (t *JoinTable) Open(ctx *Context, join Named) {
 	if ctx.CPU != nil && t.region == 0 {
 		t.region = ctx.CPU.AllocData(joinBuckets * 16)
 	}
-	t.start = time.Now()
 	if t.adopted = t.shared != nil && t.shared.Table != nil; t.adopted {
 		t.joinRows = t.shared.Table.joinRows
 		return
@@ -153,8 +150,8 @@ func (t *JoinTable) Insert(ctx *Context, key int64, row storage.Row) error {
 }
 
 // Finish ends a complete, successful build drain. On a cache miss it hands
-// the layout to the cache with the bytes charged for it and the wall-clock
-// cost of building; the publish fault fires first, so a poisoned build can
+// the layout to the cache with the bytes charged for it; the publish fault
+// fires first, so a poisoned build can
 // never be inserted and later served. From here on the layout is shared
 // and read-only. Never call it after a canceled or failed drain.
 func (t *JoinTable) Finish() error {
@@ -165,7 +162,7 @@ func (t *JoinTable) Finish() error {
 		return err
 	}
 	t.readOnly = true
-	t.shared.Publish(&JoinTable{joinRows: t.joinRows}, t.memUsed, time.Since(t.start))
+	t.shared.Publish(&JoinTable{joinRows: t.joinRows}, t.memUsed)
 	return nil
 }
 

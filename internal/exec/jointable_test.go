@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"bufferdb/internal/storage"
 )
@@ -20,7 +19,7 @@ func TestJoinTableReadOnlyOnceShared(t *testing.T) {
 	row := storage.Row{storage.NewInt(7)}
 	var published *JoinTable
 	var bytes int64
-	miss := &SharedBuild{Publish: func(jt *JoinTable, b int64, _ time.Duration) { published, bytes = jt, b }}
+	miss := &SharedBuild{Publish: func(jt *JoinTable, b int64) { published, bytes = jt, b }}
 
 	var builder JoinTable
 	builder.SetShared(miss)

@@ -15,39 +15,26 @@ import (
 // comparison spelling — hash equal, while structurally different plans do
 // not. Column references render by resolved position and type (never by
 // display name), commutative operators sort their operands, conjunction
-// chains flatten, and cascaded filters collapse. Every referenced table
-// renders with its current write epoch from ep, so an INSERT into a table
-// changes the keys of exactly its dependents.
+// chains flatten, and cascaded filters collapse.
 //
-// tables is the sorted set of base tables the subtree reads. ok is false
-// when the subtree contains a node the canonicalizer does not understand
-// (already-spliced sources, …) — such subtrees are simply not cached.
-func Fingerprint(n *Node, ep *reuse.Epochs) (key string, tables []string, ok bool) {
-	c := &canonicalizer{ep: ep, tables: map[string]bool{}}
-	s, ok := c.node(n)
+// reads is the read set of the base tables the subtree reads, at their
+// current write epochs in ep: the entry published under key goes stale
+// when one of them is written. ok is false when the subtree contains a
+// node the canonicalizer does not understand (already-spliced sources, …)
+// — such subtrees are simply not cached.
+func Fingerprint(n *Node, ep *reuse.Epochs) (key string, reads reuse.ReadSet, ok bool) {
+	s, ok := (&canonicalizer{}).node(n)
 	if !ok {
-		return "", nil, false
+		return "", reuse.ReadSet{}, false
 	}
-	for t := range c.tables {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	return s, tables, true
+	return s, ep.ReadSet(Tables(n)), true
 }
 
-// canonicalizer renders plan subtrees into canonical strings, collecting
-// the base tables they read.
-type canonicalizer struct {
-	ep     *reuse.Epochs
-	tables map[string]bool
-}
+// canonicalizer renders plan subtrees into canonical strings.
+type canonicalizer struct{}
 
-// table records a base-table reference and renders its identity: name plus
-// current write epoch, the invalidation hook.
-func (c *canonicalizer) table(name string) string {
-	c.tables[name] = true
-	return fmt.Sprintf("tbl:%s@%d", name, c.ep.Of(name))
-}
+// table renders a base-table reference.
+func (c *canonicalizer) table(name string) string { return "tbl:" + name }
 
 func (c *canonicalizer) node(n *Node) (string, bool) {
 	switch n.Kind {

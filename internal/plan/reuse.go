@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"time"
-
 	"bufferdb/internal/exec"
 	"bufferdb/internal/reuse"
 	"bufferdb/internal/storage"
@@ -18,7 +16,7 @@ import (
 //
 // Returned releases unpin the adopted cache entries; the caller must run
 // every one when the cursor closes (or fails to open) — until then the
-// entries' memory reservations survive eviction and invalidation, so a
+// entries' memory reservations survive eviction and staleness, so a
 // probe never walks un-accounted memory. The returned node is the plan
 // root, which itself may have been replaced.
 func ApplyReuse(root *Node, cache *reuse.Cache) (*Node, []func()) {
@@ -60,7 +58,7 @@ func (r *reuser) visit(n *Node) *Node {
 // aliases are per-query display names the fingerprint deliberately ignores,
 // and the cached rows are positional.
 func (r *reuser) aggregate(n *Node) *Node {
-	key, tables, ok := Fingerprint(n, r.ep)
+	key, reads, ok := Fingerprint(n, r.ep)
 	if !ok {
 		return nil
 	}
@@ -71,10 +69,9 @@ func (r *reuser) aggregate(n *Node) *Node {
 		}
 		release()
 	}
-	snap := r.ep.Snapshot(tables)
 	cache := r.cache
-	n.SharedAgg = &exec.SharedAgg{Publish: func(rows []storage.Row, bytes int64, cost time.Duration) {
-		cache.Publish(key, tables, snap, &reuse.AggTable{Rows: rows}, bytes, cost)
+	n.SharedAgg = &exec.SharedAgg{Publish: func(rows []storage.Row, bytes int64) {
+		cache.Publish(key, reads, &reuse.AggTable{Rows: rows}, bytes)
 	}}
 	return nil
 }
@@ -84,7 +81,7 @@ func (r *reuser) aggregate(n *Node) *Node {
 // input — which would otherwise be drained just to rebuild it — is replaced
 // by an empty CachedSource. On a miss the build gets the publish hook.
 func (r *reuser) build(b *Node) {
-	key, tables, ok := Fingerprint(b, r.ep)
+	key, reads, ok := Fingerprint(b, r.ep)
 	if !ok {
 		return
 	}
@@ -99,10 +96,9 @@ func (r *reuser) build(b *Node) {
 		}
 		release()
 	}
-	snap := r.ep.Snapshot(tables)
 	cache := r.cache
-	b.Shared = &exec.SharedBuild{Publish: func(table *exec.JoinTable, bytes int64, cost time.Duration) {
-		cache.Publish(key, tables, snap, table, bytes, cost)
+	b.Shared = &exec.SharedBuild{Publish: func(table *exec.JoinTable, bytes int64) {
+		cache.Publish(key, reads, table, bytes)
 	}}
 }
 

@@ -2,7 +2,6 @@ package push
 
 import (
 	"fmt"
-	"time"
 
 	"bufferdb/internal/exec"
 	"bufferdb/internal/expr"
@@ -96,12 +95,10 @@ type aggSink struct {
 	modbuf
 
 	stats *exec.OpStats
-	start time.Time
 }
 
 func (a *aggSink) open(ctx *exec.Context) error {
 	a.stats = ctx.StatsFor(a)
-	a.start = time.Now()
 	a.AggState.Open(ctx, a)
 	return nil
 }
@@ -121,7 +118,7 @@ func (a *aggSink) consume(ctx *exec.Context, row storage.Row) error {
 	return nil
 }
 
-func (a *aggSink) finish(*exec.Context) error { return a.Finish(a.start) }
+func (a *aggSink) finish(*exec.Context) error { return a.Finish() }
 
 // produce implements producer.
 func (a *aggSink) produce(ctx *exec.Context, emit emitFn) error {

@@ -1,26 +1,25 @@
-// Package reuse is the semantic reuse cache: a process-wide store of
-// completed operator state — hash-join build sides and hash-aggregate
-// output tables — keyed by a normalized subplan fingerprint so
-// alpha-equivalent subtrees across different queries (and different
-// execution engines) share one build. Entries are charged against the
-// database memory limit through a reservation hook, pinned while a query
-// probes them so eviction never un-accounts memory mid-use, and evicted by
-// a GDSF-style benefit score: measured build cost × hit rate / bytes, the
-// same vocabulary the pager's eviction policy speaks.
+// Package reuse is the recycler: a byte-budgeted LRU cache of finished
+// results, charged against the database memory limit. The database keeps
+// one instance for completed operator state — hash-join build sides and
+// hash-aggregate output tables — keyed by a normalized subplan fingerprint,
+// so alpha-equivalent subtrees across different queries (and different
+// execution engines) share one build; the server keeps a second for encoded
+// result streams, keyed by statement text. Entries are pinned while a query
+// probes them, so eviction never un-accounts memory mid-use.
 //
-// Freshness rides on per-table write epochs (Epochs): a fingerprint embeds
-// the epoch of every table its subtree reads, so an INSERT into a
-// referenced table makes dependent keys unreachable — and Invalidate
-// eagerly drops them to return their bytes. The server's result cache
-// shares the same epochs, giving both caches exactly-per-table
-// invalidation.
+// Staleness has one rule. Every entry carries the ReadSet it was computed
+// from — each base table it read with that table's write epoch (Epochs) —
+// and is stale once any of those epochs has moved. Lookup drops a stale
+// entry and misses, Publish refuses a result whose read set went stale
+// while it was computed, and Sweep, run after each committed write, gives
+// the write's dependents' bytes back at once.
 package reuse
 
 import "sync"
 
 // Epochs tracks one monotonically increasing write epoch per table. The
 // zero epoch is "never written". A DB owns exactly one Epochs instance,
-// shared by its reuse cache and the server result cache.
+// which every read set it hands out refers to.
 type Epochs struct {
 	mu sync.Mutex
 	m  map[string]uint64
@@ -48,23 +47,42 @@ func (e *Epochs) Bump(table string) {
 	e.mu.Unlock()
 }
 
-// Snapshot captures the current epochs of the given tables. Callers take a
-// snapshot when a query is fingerprinted and hand it back to
-// Cache.Publish, which refuses the entry if any epoch moved while the
-// query executed — a result computed before a concurrent write must not be
-// published as if it were current.
-func (e *Epochs) Snapshot(tables []string) map[string]uint64 {
-	snap := make(map[string]uint64, len(tables))
-	if e == nil {
-		for _, t := range tables {
-			snap[t] = 0
+// ReadSet captures the current epochs of the given tables. Callers take it
+// before executing the statement whose result they may cache: a result
+// computed before a concurrent write then carries a read set that is
+// already stale, and is never published as if it were current.
+func (e *Epochs) ReadSet(tables []string) ReadSet {
+	reads := make([]tableEpoch, len(tables))
+	for i, t := range tables {
+		reads[i] = tableEpoch{t, e.Of(t)}
+	}
+	return ReadSet{e, reads}
+}
+
+// ReadSet is what a result read: each base table with its write epoch at
+// the time of the read, and the Epochs they were read from. The zero
+// ReadSet reads nothing, and a cache refuses a result that carries it.
+type ReadSet struct {
+	epochs *Epochs
+	reads  []tableEpoch
+}
+
+// tableEpoch is one read. A slice of them, not a map: a result cache of
+// one-row results holds tens of thousands of read sets, and a map of one
+// or two tables takes several times a slice's bytes.
+type tableEpoch struct {
+	table string
+	epoch uint64
+}
+
+// Stale reports whether a write has committed to a table of the set since
+// it was read. It is the recycler's one staleness rule, and it holds
+// whichever path the write took.
+func (r ReadSet) Stale() bool {
+	for _, rd := range r.reads {
+		if r.epochs.Of(rd.table) != rd.epoch {
+			return true
 		}
-		return snap
 	}
-	e.mu.Lock()
-	for _, t := range tables {
-		snap[t] = e.m[t]
-	}
-	e.mu.Unlock()
-	return snap
+	return false
 }

@@ -1,9 +1,8 @@
 package reuse
 
 import (
-	"container/heap"
+	"container/list"
 	"sync"
-	"time"
 
 	"bufferdb/internal/obsv"
 	"bufferdb/internal/storage"
@@ -16,7 +15,17 @@ type AggTable struct {
 	Rows []storage.Row
 }
 
-// Stats is a point-in-time snapshot of the cache's counters.
+// EntryOverhead is the Go heap an entry takes beyond its payload and key:
+// the entry, its list element and map slot, its read set, its memory
+// reservation and, for a result-cache entry, the replay header. Measured
+// as the live heap after a GC per entry of 10 000 one-row result-cache
+// entries (distinct texts of one COUNT(*) over region, each served over a
+// session under a memory limit), minus their payload and key bytes: 442 B
+// on linux/amd64 with go1.24, rounded up.
+const EntryOverhead = 448
+
+// Stats is a point-in-time snapshot of the cache's counters. Bytes is the
+// sum of the entries' charges.
 type Stats struct {
 	Hits          uint64
 	Misses        uint64
@@ -27,88 +36,80 @@ type Stats struct {
 	MaxBytes      int64
 }
 
-// entry is one cached intermediate: a hash-join build side, stored as the
-// *exec.JoinTable every engine's hash join builds and probes (one type is
-// what makes cross-engine reuse possible; read-only once published), or an
-// *AggTable.
+// entry is one cached result: for the reuse cache, a hash-join build side
+// stored as the *exec.JoinTable every engine's hash join builds and probes
+// (one type is what makes cross-engine reuse possible), or an *AggTable;
+// for the server's result cache, an encoded result stream. Read-only once
+// published.
 type entry struct {
 	key     string
-	tables  []string
+	reads   ReadSet
 	payload any
-	bytes   int64
-	cost    time.Duration // measured build cost, the GDSF benefit numerator
-	hits    uint64
-	score   float64 // GDSF priority at last touch
-	pins    int     // queries currently probing this entry
-	dead    bool    // evicted/invalidated while pinned; release deferred
-	release func()  // returns the memory reservation (idempotent)
-	index   int     // position in Cache.byScore
+	charge  int64
+	pins    int    // lookups whose release has not run yet
+	dead    bool   // dropped while pinned; release deferred to the last unpin
+	release func() // returns the memory reservation
 }
 
-// scoreHeap is the cache's entries as a min-heap on score, each entry
-// knowing its position: the next eviction victim is the root, and a
-// rescored or invalidated entry is fixed or removed in O(log n).
-type scoreHeap []*entry
-
-func (h scoreHeap) Len() int           { return len(h) }
-func (h scoreHeap) Less(i, j int) bool { return h[i].score < h[j].score }
-func (h scoreHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *scoreHeap) Push(x any) {
-	e := x.(*entry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *scoreHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	return e
-}
-
-// gdsfScore is the entry's eviction priority: cheap-to-rebuild, rarely-hit
-// or huge entries score low. clockBase implements the classic GDSF aging
-// clock — it rises to the score of each evicted entry, so long-idle
-// entries eventually lose to fresh ones regardless of historical benefit.
-func gdsfScore(clockBase float64, cost time.Duration, hits uint64, bytes int64) float64 {
-	if bytes <= 0 {
-		bytes = 1
+// free returns the entry's reservation, or defers that to the last unpin
+// while a lookup still pins it.
+func (e *entry) free() {
+	if e.pins > 0 {
+		e.dead = true
+	} else {
+		e.release()
 	}
-	return clockBase + float64(cost)*float64(hits+1)/float64(bytes)
 }
 
-// Cache is the semantic reuse cache. All methods are safe for concurrent
-// use. Entries hold memory reservations obtained through the reserve hook
-// (DB.ReserveMemory in production) so cached intermediates compete with
-// executing queries under the database's memory limit.
+// Cache is a byte-budgeted LRU of finished results. All methods are safe
+// for concurrent use, and a nil *Cache is an empty cache that refuses every
+// publish. An entry is charged its payload bytes plus its key plus
+// EntryOverhead, through the reserve hook (DB.ReserveMemory in production),
+// so cached results compete with executing queries under the database's
+// memory limit; one entry may take at most an eighth of the budget, so a
+// single large result cannot wash the cache.
 type Cache struct {
+	name     string
 	maxBytes int64
 	epochs   *Epochs
 	reserve  func(name string, n int64) (func(), error)
 
+	hits, misses, evictions, invalidations *obsv.Counter
+	bytes                                  *obsv.Gauge
+
 	mu      sync.Mutex
-	entries map[string]*entry
-	byScore scoreHeap // the same entries, lowest score first
+	entries map[string]*list.Element // of *entry
+	lru     *list.List               // most recently used first
 	total   int64
-	clock   float64
+	closed  bool
 	stats   Stats
 }
 
-// New builds a cache bounded to maxBytes of published payload. epochs is
-// the owning database's per-table epoch table; reserve charges entry bytes
-// against the memory limit (nil accepts everything untracked).
+// New builds the database's reuse cache, bounded to maxBytes of charges:
+// epochs is the database's per-table epoch table; reserve charges entries
+// against the memory limit (nil accepts everything untracked). It reports
+// through the bufferdb_reuse_* metrics.
 func New(maxBytes int64, epochs *Epochs, reserve func(name string, n int64) (func(), error)) *Cache {
+	return NewNamed("bufferdb_reuse_", maxBytes, epochs, reserve)
+}
+
+// NewNamed is New for a cache reporting through the metrics named prefix
+// + {hits,misses,evictions,invalidations}_total and prefix + bytes. epochs
+// may be nil for a cache whose read sets come from several databases.
+func NewNamed(prefix string, maxBytes int64, epochs *Epochs, reserve func(name string, n int64) (func(), error)) *Cache {
 	if reserve == nil {
 		reserve = func(string, int64) (func(), error) { return func() {}, nil }
 	}
+	m := obsv.Default
 	return &Cache{
-		maxBytes: maxBytes,
-		epochs:   epochs,
-		reserve:  reserve,
-		entries:  make(map[string]*entry),
+		name: prefix, maxBytes: maxBytes, epochs: epochs, reserve: reserve,
+		hits:          m.Counter(prefix + "hits_total"),
+		misses:        m.Counter(prefix + "misses_total"),
+		evictions:     m.Counter(prefix + "evictions_total"),
+		invalidations: m.Counter(prefix + "invalidations_total"),
+		bytes:         m.Gauge(prefix + "bytes"),
+		entries:       make(map[string]*list.Element),
+		lru:           list.New(),
 	}
 }
 
@@ -120,30 +121,41 @@ func (c *Cache) Epochs() *Epochs {
 	return c.epochs
 }
 
+// Fits reports whether an entry of n payload and key bytes is under the
+// per-entry cap, so a producer can stop collecting a result that would be
+// refused.
+func (c *Cache) Fits(n int64) bool {
+	return c != nil && n+EntryOverhead <= c.maxBytes/8
+}
+
 // Lookup returns the payload cached under key, pinning the entry: its
 // memory reservation cannot be released until the returned release func
-// runs, even if the entry is evicted or invalidated meanwhile — so a query
+// runs, even if the entry is evicted or goes stale meanwhile — so a query
 // probing an adopted build is never probing un-accounted memory. release
-// is idempotent. A miss returns ok=false (and counts it).
+// is idempotent. A miss, or a stale entry (dropped here), returns ok=false.
 func (c *Cache) Lookup(key string) (payload any, release func(), ok bool) {
 	if c == nil {
 		return nil, nil, false
 	}
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	el, ok := c.entries[key]
+	if ok && el.Value.(*entry).reads.Stale() {
+		c.dropLocked(el, true)
+		c.bytes.Set(float64(c.total))
+		ok = false
+	}
 	if !ok {
 		c.stats.Misses++
 		c.mu.Unlock()
-		metricReuse("misses").Inc()
+		c.misses.Inc()
 		return nil, nil, false
 	}
-	e.hits++
+	e := el.Value.(*entry)
+	c.lru.MoveToFront(el)
 	e.pins++
-	e.score = gdsfScore(c.clock, e.cost, e.hits, e.bytes)
-	heap.Fix(&c.byScore, e.index)
 	c.stats.Hits++
 	c.mu.Unlock()
-	metricReuse("hits").Inc()
+	c.hits.Inc()
 
 	var once sync.Once
 	return e.payload, func() {
@@ -163,118 +175,77 @@ func (c *Cache) unpin(e *entry) {
 	}
 }
 
-// Publish inserts a freshly built payload under key. snapshot is the
-// per-table epoch snapshot taken when the query was fingerprinted; if any
-// of those tables has been written since, the payload may predate the
-// write and is refused. Entries are refused (silently, reported by the
-// return) when the key is already present, the payload alone exceeds the
-// cache bound, or the memory reservation is rejected. Lower-scored entries
-// are evicted until the new one fits.
-func (c *Cache) Publish(key string, tables []string, snapshot map[string]uint64, payload any, bytes int64, cost time.Duration) bool {
-	if c == nil {
+// Publish inserts a freshly computed payload of the given bytes under key.
+// reads is the read set taken before the payload was computed. Publish
+// refuses (silently, reported by the return) an empty or stale read set,
+// an entry over the per-entry cap, a key already cached by a current
+// entry, and a charge the memory limit rejects; a stale entry under the
+// same key is replaced. Least recently used entries are evicted until the
+// new one fits.
+func (c *Cache) Publish(key string, reads ReadSet, payload any, bytes int64) bool {
+	if len(reads.reads) == 0 || !c.Fits(bytes+int64(len(key))) {
 		return false
 	}
-	release, err := c.reserve("reuse-cache", bytes)
+	charge := bytes + int64(len(key)) + EntryOverhead
+	release, err := c.reserve(c.name, charge)
 	if err != nil {
 		return false
 	}
 	c.mu.Lock()
-	if bytes > c.maxBytes {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if c.closed || reads.Stale() {
 		release()
 		return false
 	}
-	for t, ep := range snapshot {
-		if c.epochs.Of(t) != ep {
-			c.mu.Unlock()
+	if el, dup := c.entries[key]; dup {
+		if !el.Value.(*entry).reads.Stale() {
 			release()
 			return false
 		}
+		c.dropLocked(el, true)
 	}
-	if _, dup := c.entries[key]; dup {
-		c.mu.Unlock()
-		release()
-		return false
+	for c.total+charge > c.maxBytes {
+		c.dropLocked(c.lru.Back(), false)
 	}
-	evicted := c.evictLocked(c.maxBytes - bytes)
-	e := &entry{
-		key: key, tables: append([]string(nil), tables...),
-		payload: payload, bytes: bytes, cost: cost, release: release,
-	}
-	e.score = gdsfScore(c.clock, cost, 0, bytes)
-	c.entries[key] = e
-	heap.Push(&c.byScore, e)
-	c.total += bytes
-	c.settleLocked(evicted, "evictions")
-	c.mu.Unlock()
+	e := &entry{key: key, reads: reads, payload: payload, charge: charge, release: release}
+	c.entries[key] = c.lru.PushFront(e)
+	c.total += charge
+	c.bytes.Set(float64(c.total))
 	return true
 }
 
-// evictLocked removes lowest-scored unpinned-or-not entries until total <=
-// budget, returning the victims for the caller to settle outside the lock.
-// Pinned victims are marked dead instead of released immediately.
-func (c *Cache) evictLocked(budget int64) []*entry {
-	var out []*entry
-	for c.total > budget && len(c.byScore) > 0 {
-		victim := heap.Pop(&c.byScore).(*entry)
-		// GDSF aging: the clock rises to the evicted score, so future
-		// insertions and hits outrank long-idle survivors.
-		if victim.score > c.clock {
-			c.clock = victim.score
-		}
-		delete(c.entries, victim.key)
-		c.total -= victim.bytes
-		out = append(out, victim)
-	}
-	return out
-}
-
-// settleLocked finishes an eviction/invalidation batch: counts it and
-// releases unpinned victims. Must be called with c.mu held; releases run
-// after unlocking is the caller's concern — release funcs are cheap
-// (tracker arithmetic), so running them under the lock is fine.
-func (c *Cache) settleLocked(victims []*entry, event string) {
-	for _, e := range victims {
-		if event == "evictions" {
-			c.stats.Evictions++
-		} else {
-			c.stats.Invalidations++
-		}
-		metricReuse(event).Inc()
-		if e.pins > 0 {
-			e.dead = true
-		} else {
-			e.release()
-		}
-	}
-	metricReuseBytes().Set(float64(c.total))
-}
-
-// Invalidate drops every entry whose subtree reads table; entries over
-// untouched tables survive. Pinned dependents are marked dead and released
-// at last unpin. The caller bumps the table's write epoch (Epochs.Bump)
-// alongside — the epoch guards publishes, this guards lookups.
-func (c *Cache) Invalidate(table string) {
+// Sweep drops every stale entry. Run after a write commits, it gives the
+// write's dependents' bytes back at once instead of at their next lookup.
+func (c *Cache) Sweep() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	var victims []*entry
-	for _, e := range c.entries {
-		for _, t := range e.tables {
-			if t == table {
-				victims = append(victims, e)
-				break
-			}
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; {
+		next := el.Next()
+		if el.Value.(*entry).reads.Stale() {
+			c.dropLocked(el, true)
 		}
+		el = next
 	}
-	for _, e := range victims {
-		delete(c.entries, e.key)
-		heap.Remove(&c.byScore, e.index)
-		c.total -= e.bytes
+	c.bytes.Set(float64(c.total))
+}
+
+// dropLocked unlinks one entry and frees it, counting an invalidation if
+// it went stale and an eviction otherwise.
+func (c *Cache) dropLocked(el *list.Element, stale bool) {
+	e := c.lru.Remove(el).(*entry)
+	delete(c.entries, e.key)
+	c.total -= e.charge
+	e.free()
+	if stale {
+		c.stats.Invalidations++
+		c.invalidations.Inc()
+	} else {
+		c.stats.Evictions++
+		c.evictions.Inc()
 	}
-	c.settleLocked(victims, "invalidations")
-	c.mu.Unlock()
 }
 
 // Stats snapshots the cache counters.
@@ -293,43 +264,19 @@ func (c *Cache) Stats() Stats {
 
 // Close releases every reservation (deferring pinned ones to their unpin)
 // and empties the cache; afterwards every lookup misses and every publish
-// is refused by the zero budget.
+// is refused.
 func (c *Cache) Close() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	var victims []*entry
-	for _, e := range c.entries {
-		victims = append(victims, e)
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		el.Value.(*entry).free()
 	}
-	c.entries = make(map[string]*entry)
-	c.byScore = nil
+	c.entries = make(map[string]*list.Element)
+	c.lru.Init()
 	c.total = 0
-	c.maxBytes = 0
-	for _, e := range victims {
-		if e.pins > 0 {
-			e.dead = true
-		} else {
-			e.release()
-		}
-	}
-	metricReuseBytes().Set(0)
-	c.mu.Unlock()
-}
-
-// The process-wide reuse metrics, next to the engine's query counters:
-//
-//	bufferdb_reuse_hits_total           lookups served from the cache
-//	bufferdb_reuse_misses_total         lookups that fell through
-//	bufferdb_reuse_evictions_total      entries displaced by the GDSF policy
-//	bufferdb_reuse_invalidations_total  entries dropped by table writes
-//	bufferdb_reuse_bytes                payload bytes resident now
-
-func metricReuse(event string) *obsv.Counter {
-	return obsv.Default.Counter("bufferdb_reuse_" + event + "_total")
-}
-
-func metricReuseBytes() *obsv.Gauge {
-	return obsv.Default.Gauge("bufferdb_reuse_bytes")
+	c.closed = true
+	c.bytes.Set(0)
 }

@@ -2,10 +2,8 @@ package reuse
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // trackingReserve returns a reserve hook that records outstanding bytes.
@@ -22,11 +20,22 @@ func trackingReserve(outstanding *int64) func(string, int64) (func(), error) {
 	}
 }
 
+// charge is what an entry of bytes under key is charged.
+func charge(key string, bytes int64) int64 { return bytes + int64(len(key)) + EntryOverhead }
+
+// keys returns n keys of one length, so their entries' charges are equal.
+func keys(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("k%03d", i)
+	}
+	return out
+}
+
 func TestPublishLookupHit(t *testing.T) {
 	ep := NewEpochs()
 	c := New(1<<20, ep, nil)
-	snap := ep.Snapshot([]string{"nation"})
-	if !c.Publish("k1", []string{"nation"}, snap, &AggTable{}, 100, time.Millisecond) {
+	if !c.Publish("k1", ep.ReadSet([]string{"nation"}), &AggTable{}, 100) {
 		t.Fatal("publish refused")
 	}
 	p, release, ok := c.Lookup("k1")
@@ -39,7 +48,7 @@ func TestPublishLookupHit(t *testing.T) {
 	release()
 	release() // idempotent
 	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 0 || s.Entries != 1 || s.Bytes != 100 {
+	if s.Hits != 1 || s.Misses != 0 || s.Entries != 1 || s.Bytes != charge("k1", 100) {
 		t.Fatalf("stats %+v", s)
 	}
 	if _, _, ok := c.Lookup("absent"); ok {
@@ -52,45 +61,64 @@ func TestPublishLookupHit(t *testing.T) {
 
 func TestPublishRefusals(t *testing.T) {
 	ep := NewEpochs()
-	c := New(1000, ep, nil)
-	snap := ep.Snapshot([]string{"t"})
-	if c.Publish("big", []string{"t"}, snap, &AggTable{}, 2000, time.Second) {
-		t.Fatal("oversize entry accepted")
+	c := New(8*charge("k", 100), ep, nil)
+	reads := ep.ReadSet([]string{"t"})
+	if c.Publish("big", reads, &AggTable{}, 101) {
+		t.Fatal("entry over an eighth of the cache accepted")
 	}
-	if !c.Publish("k", []string{"t"}, snap, &AggTable{}, 10, time.Second) {
-		t.Fatal("publish refused")
+	if c.Publish("k", ReadSet{}, &AggTable{}, 10) {
+		t.Fatal("entry without a read set accepted")
 	}
-	if c.Publish("k", []string{"t"}, snap, &AggTable{}, 10, time.Second) {
+	if !c.Publish("k", reads, &AggTable{}, 100) {
+		t.Fatal("publish of an eighth of the cache refused")
+	}
+	if c.Publish("k", reads, &AggTable{}, 10) {
 		t.Fatal("duplicate key accepted")
 	}
-	// A snapshot predating a write must be refused: the payload may be stale.
+	// A read set predating a write must be refused: the payload may be stale.
 	ep.Bump("t")
-	if c.Publish("k2", []string{"t"}, snap, &AggTable{}, 10, time.Second) {
-		t.Fatal("stale-snapshot publish accepted")
+	if c.Publish("k2", reads, &AggTable{}, 10) {
+		t.Fatal("stale read set accepted")
+	}
+	// A current result replaces the stale entry under its key.
+	if !c.Publish("k", ep.ReadSet([]string{"t"}), &AggTable{}, 10) {
+		t.Fatal("current result did not replace the stale entry")
+	}
+	if s := c.Stats(); s.Entries != 1 || s.Invalidations != 1 || s.Bytes != charge("k", 10) {
+		t.Fatalf("stats after the replacement %+v", s)
 	}
 	refuse := func(string, int64) (func(), error) { return nil, fmt.Errorf("limit") }
-	c2 := New(1000, ep, refuse)
-	if c2.Publish("k", nil, nil, &AggTable{}, 10, time.Second) {
+	c2 := New(1<<20, ep, refuse)
+	if c2.Publish("k", ep.ReadSet([]string{"t"}), &AggTable{}, 10) {
 		t.Fatal("publish accepted despite refused reservation")
 	}
 }
 
-func TestGDSFEviction(t *testing.T) {
+func TestLRUEviction(t *testing.T) {
 	var outstanding int64
 	ep := NewEpochs()
-	c := New(300, ep, trackingReserve(&outstanding))
-	// Three 100-byte entries; "cheap" has the lowest cost×(hits+1)/bytes
-	// score and must be the first victim.
-	c.Publish("cheap", nil, nil, &AggTable{}, 100, 1*time.Microsecond)
-	c.Publish("mid", nil, nil, &AggTable{}, 100, 1*time.Millisecond)
-	c.Publish("dear", nil, nil, &AggTable{}, 100, 1*time.Second)
-	if !c.Publish("new", nil, nil, &AggTable{}, 100, 10*time.Millisecond) {
+	ks := keys(9)
+	per := charge(ks[0], 100)
+	c := New(8*per, ep, trackingReserve(&outstanding))
+	reads := ep.ReadSet([]string{"t"})
+	for _, k := range ks[:8] {
+		if !c.Publish(k, reads, &AggTable{}, 100) {
+			t.Fatalf("publish %s refused", k)
+		}
+	}
+	// A hit makes k000 the most recently used: k001 is the victim.
+	if _, rel, ok := c.Lookup(ks[0]); !ok {
+		t.Fatal("lookup missed")
+	} else {
+		rel()
+	}
+	if !c.Publish(ks[8], reads, &AggTable{}, 100) {
 		t.Fatal("publish refused")
 	}
-	if _, _, ok := c.Lookup("cheap"); ok {
-		t.Fatal("lowest-scored entry survived eviction")
+	if _, _, ok := c.Lookup(ks[1]); ok {
+		t.Fatal("least recently used entry survived eviction")
 	}
-	for _, k := range []string{"mid", "dear", "new"} {
+	for _, k := range append([]string{ks[0]}, ks[2:]...) {
 		if _, rel, ok := c.Lookup(k); !ok {
 			t.Fatalf("%s evicted unexpectedly", k)
 		} else {
@@ -98,53 +126,64 @@ func TestGDSFEviction(t *testing.T) {
 		}
 	}
 	s := c.Stats()
-	if s.Evictions != 1 || s.Bytes != 300 {
+	if s.Evictions != 1 || s.Entries != 8 || s.Bytes != 8*per {
 		t.Fatalf("stats %+v", s)
 	}
-	if outstanding != 300 {
-		t.Fatalf("outstanding reservation %d, want 300", outstanding)
+	if outstanding != 8*per {
+		t.Fatalf("outstanding reservation %d, want %d", outstanding, 8*per)
 	}
 }
 
 func TestPinnedEvictionDefersRelease(t *testing.T) {
 	var outstanding int64
 	ep := NewEpochs()
-	c := New(100, ep, trackingReserve(&outstanding))
-	c.Publish("pinned", nil, nil, &AggTable{}, 100, time.Millisecond)
-	_, release, ok := c.Lookup("pinned")
+	ks := keys(9)
+	per := charge(ks[0], 100)
+	c := New(8*per, ep, trackingReserve(&outstanding))
+	reads := ep.ReadSet([]string{"t"})
+	c.Publish(ks[0], reads, &AggTable{}, 100)
+	_, release, ok := c.Lookup(ks[0])
 	if !ok {
 		t.Fatal("lookup missed")
 	}
 	// Displace the pinned entry; its reservation must survive the eviction.
-	if !c.Publish("next", nil, nil, &AggTable{}, 100, time.Hour) {
-		t.Fatal("publish refused")
+	for _, k := range ks[1:] {
+		if !c.Publish(k, reads, &AggTable{}, 100) {
+			t.Fatalf("publish %s refused", k)
+		}
 	}
-	if outstanding != 200 {
-		t.Fatalf("outstanding %d while pinned, want 200", outstanding)
+	if outstanding != 9*per {
+		t.Fatalf("outstanding %d while pinned, want %d", outstanding, 9*per)
 	}
-	if _, _, ok := c.Lookup("pinned"); ok {
+	if _, _, ok := c.Lookup(ks[0]); ok {
 		t.Fatal("evicted entry still served")
 	}
 	release()
-	if outstanding != 100 {
-		t.Fatalf("outstanding %d after unpin, want 100", outstanding)
+	if outstanding != 8*per {
+		t.Fatalf("outstanding %d after unpin, want %d", outstanding, 8*per)
 	}
 }
 
-func TestInvalidatePerTable(t *testing.T) {
+// TestSweepPerTable: a write makes stale exactly the entries whose read
+// sets hold the table. Lookup drops a stale entry it meets, and Sweep drops
+// the rest; entries over untouched tables survive both.
+func TestSweepPerTable(t *testing.T) {
 	var outstanding int64
 	ep := NewEpochs()
 	c := New(1<<20, ep, trackingReserve(&outstanding))
-	c.Publish("li", []string{"lineitem"}, ep.Snapshot([]string{"lineitem"}), &AggTable{}, 10, time.Second)
-	c.Publish("ord", []string{"orders"}, ep.Snapshot([]string{"orders"}), &AggTable{}, 10, time.Second)
-	c.Publish("join", []string{"lineitem", "orders"}, ep.Snapshot([]string{"lineitem", "orders"}), &AggTable{}, 10, time.Second)
+	c.Publish("li", ep.ReadSet([]string{"lineitem"}), &AggTable{}, 10)
+	c.Publish("ord", ep.ReadSet([]string{"orders"}), &AggTable{}, 10)
+	c.Publish("join", ep.ReadSet([]string{"lineitem", "orders"}), &AggTable{}, 10)
 	ep.Bump("lineitem")
-	c.Invalidate("lineitem")
 	if _, _, ok := c.Lookup("li"); ok {
-		t.Fatal("entry over written table survived")
+		t.Fatal("stale entry served")
 	}
+	if s := c.Stats(); s.Invalidations != 1 || s.Entries != 2 {
+		t.Fatalf("stats after the stale lookup %+v", s)
+	}
+	c.Sweep()
 	if _, _, ok := c.Lookup("join"); ok {
-		t.Fatal("dependent join entry survived")
+		t.Fatal("dependent join entry survived the sweep")
 	}
 	if _, rel, ok := c.Lookup("ord"); !ok {
 		t.Fatal("entry over untouched table dropped")
@@ -152,11 +191,11 @@ func TestInvalidatePerTable(t *testing.T) {
 		rel()
 	}
 	s := c.Stats()
-	if s.Invalidations != 2 || s.Entries != 1 {
+	if s.Invalidations != 2 || s.Entries != 1 || s.Bytes != charge("ord", 10) {
 		t.Fatalf("stats %+v", s)
 	}
-	if outstanding != 10 {
-		t.Fatalf("outstanding %d, want 10", outstanding)
+	if outstanding != charge("ord", 10) {
+		t.Fatalf("outstanding %d, want %d", outstanding, charge("ord", 10))
 	}
 }
 
@@ -164,18 +203,19 @@ func TestCloseReleasesEverything(t *testing.T) {
 	var outstanding int64
 	ep := NewEpochs()
 	c := New(1<<20, ep, trackingReserve(&outstanding))
-	c.Publish("a", nil, nil, &AggTable{}, 10, time.Second)
-	c.Publish("b", nil, nil, &AggTable{}, 20, time.Second)
+	reads := ep.ReadSet([]string{"t"})
+	c.Publish("a", reads, &AggTable{}, 10)
+	c.Publish("b", reads, &AggTable{}, 20)
 	_, release, _ := c.Lookup("a")
 	c.Close()
-	if outstanding != 10 {
-		t.Fatalf("outstanding %d after close with one pin, want 10", outstanding)
+	if outstanding != charge("a", 10) {
+		t.Fatalf("outstanding %d after close with one pin, want %d", outstanding, charge("a", 10))
 	}
 	release()
 	if outstanding != 0 {
 		t.Fatalf("outstanding %d after final unpin, want 0", outstanding)
 	}
-	if c.Publish("c", nil, nil, &AggTable{}, 1, time.Second) {
+	if c.Publish("c", reads, &AggTable{}, 1) {
 		t.Fatal("publish accepted after Close")
 	}
 	if _, _, ok := c.Lookup("b"); ok {
@@ -188,72 +228,162 @@ func TestNilCacheIsInert(t *testing.T) {
 	if _, _, ok := c.Lookup("k"); ok {
 		t.Fatal("nil cache hit")
 	}
-	if c.Publish("k", nil, nil, nil, 1, 0) {
+	if c.Publish("k", NewEpochs().ReadSet([]string{"t"}), nil, 1) {
 		t.Fatal("nil cache accepted publish")
 	}
-	c.Invalidate("t")
+	if c.Fits(0) {
+		t.Fatal("nil cache fits an entry")
+	}
+	c.Sweep()
 	c.Close()
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil cache stats %+v", s)
 	}
 }
 
-// TestEvictionVictimsHaveMinimumScore drives random publishes, lookups and
-// invalidations through a small cache and checks, at every publish, that no
-// evicted entry outscored a survivor (ties are free) and that the score
-// heap indexes exactly the live entries.
-func TestEvictionVictimsHaveMinimumScore(t *testing.T) {
+// TestEntryChargeIncludesOverhead fills a cache with entries whose payloads
+// are tiny next to their Go overhead: the cache's byte count must equal the
+// reservations it holds, both must be Σ(payload + key + EntryOverhead) over
+// the resident entries, and the entry count must stay within the budget
+// divided by that charge.
+func TestEntryChargeIncludesOverhead(t *testing.T) {
+	var outstanding int64
+	ep := NewEpochs()
+	const budget, payload = 64 << 10, 8
+	c := New(budget, ep, trackingReserve(&outstanding))
+	reads := ep.ReadSet([]string{"t"})
+	ks := keys(1000)
+	per := charge(ks[0], payload)
+	for i, k := range ks {
+		if !c.Publish(k, reads, &AggTable{}, payload) {
+			t.Fatalf("publish %s refused", k)
+		}
+		s := c.Stats()
+		if s.Bytes != outstanding || s.Bytes != int64(s.Entries)*per {
+			t.Fatalf("after %d publishes: %d bytes, %d reserved, %d entries of %d", i+1, s.Bytes, outstanding, s.Entries, per)
+		}
+		if int64(s.Entries) > budget/per {
+			t.Fatalf("after %d publishes: %d entries, budget holds %d", i+1, s.Entries, budget/per)
+		}
+	}
+	if s := c.Stats(); s.Evictions == 0 {
+		t.Fatal("the cache never filled; the charge bounded nothing")
+	}
+	c.Close()
+	if outstanding != 0 {
+		t.Fatalf("outstanding %d after Close", outstanding)
+	}
+}
+
+// TestEvictionVictimsAreLeastRecentlyUsed drives random publishes, lookups,
+// writes and sweeps through a small cache and checks, after every step,
+// the cache's recency order and counters against a reference recency list.
+func TestEvictionVictimsAreLeastRecentlyUsed(t *testing.T) {
+	type ref struct {
+		key    string
+		table  string
+		epoch  uint64
+		charge int64
+	}
 	rng := rand.New(rand.NewSource(7))
-	c := New(32<<10, NewEpochs(), nil)
+	ep := NewEpochs()
+	const budget = 32 << 10
+	c := New(budget, ep, nil)
 	tables := []string{"a", "b", "c"}
-	var keys []string
-	evicted := 0
+	var (
+		model       []ref // most recently used first
+		total       int64
+		known       []string
+		evictions   uint64
+		invalidated uint64
+	)
+	remove := func(i int) {
+		total -= model[i].charge
+		model = append(model[:i], model[i+1:]...)
+	}
+	find := func(key string) int {
+		for i, r := range model {
+			if r.key == key {
+				return i
+			}
+		}
+		return -1
+	}
 	for step := 0; step < 4000; step++ {
 		switch r := rng.Intn(10); {
-		case r < 6 || len(keys) == 0:
+		case r < 6 || len(known) == 0:
 			key := fmt.Sprintf("k%d", step)
-			before := map[string]float64{}
-			c.mu.Lock()
-			for k, e := range c.entries {
-				before[k] = e.score
+			table := tables[rng.Intn(len(tables))]
+			size := int64(1 + rng.Intn(2048))
+			if !c.Publish(key, ep.ReadSet([]string{table}), &AggTable{}, size) {
+				t.Fatalf("step %d: publish refused", step)
 			}
-			c.mu.Unlock()
-			c.Publish(key, []string{tables[rng.Intn(len(tables))]}, nil, &AggTable{},
-				int64(1+rng.Intn(4096)), time.Duration(1+rng.Intn(1000))*time.Microsecond)
-			keys = append(keys, key)
-
-			c.mu.Lock()
-			maxVictim, minSurvivor := math.Inf(-1), math.Inf(1)
-			for k, s := range before {
-				if _, ok := c.entries[k]; ok {
-					minSurvivor = math.Min(minSurvivor, s)
-				} else {
-					maxVictim = math.Max(maxVictim, s)
-					evicted++
-				}
+			ch := charge(key, size)
+			for total+ch > budget {
+				remove(len(model) - 1)
+				evictions++
 			}
-			if len(c.byScore) != len(c.entries) {
-				t.Fatalf("step %d: heap holds %d entries, map %d", step, len(c.byScore), len(c.entries))
-			}
-			for i, e := range c.byScore {
-				if e.index != i || c.entries[e.key] != e {
-					t.Fatalf("step %d: heap slot %d holds %q at index %d", step, i, e.key, e.index)
-				}
-			}
-			c.mu.Unlock()
-			if maxVictim > minSurvivor {
-				t.Fatalf("step %d: evicted an entry scored %g while one scored %g survived", step, maxVictim, minSurvivor)
-			}
+			model = append([]ref{{key, table, ep.Of(table), ch}}, model...)
+			total += ch
+			known = append(known, key)
 		case r < 9:
-			if _, release, ok := c.Lookup(keys[rng.Intn(len(keys))]); ok {
+			key := known[rng.Intn(len(known))]
+			_, release, hit := c.Lookup(key)
+			want := false
+			if i := find(key); i >= 0 {
+				if e := model[i]; ep.Of(e.table) != e.epoch {
+					remove(i)
+					invalidated++
+				} else {
+					model = append([]ref{e}, append(model[:i:i], model[i+1:]...)...)
+					want = true
+				}
+			}
+			if hit != want {
+				t.Fatalf("step %d: lookup of %s hit=%v, want %v", step, key, hit, want)
+			}
+			if hit {
 				release()
 			}
 		default:
-			c.Invalidate(tables[rng.Intn(len(tables))])
+			// A write, swept at once half the time; otherwise its stale
+			// dependents stay until a lookup meets them, a later sweep
+			// drops them or they age out.
+			ep.Bump(tables[rng.Intn(len(tables))])
+			if rng.Intn(2) == 0 {
+				break
+			}
+			c.Sweep()
+			for i := 0; i < len(model); {
+				if ep.Of(model[i].table) != model[i].epoch {
+					remove(i)
+					invalidated++
+				} else {
+					i++
+				}
+			}
+		}
+
+		c.mu.Lock()
+		i := 0
+		for el := c.lru.Front(); el != nil; el = el.Next() {
+			if i >= len(model) || el.Value.(*entry).key != model[i].key {
+				c.mu.Unlock()
+				t.Fatalf("step %d: recency slot %d holds %s, reference disagrees", step, i, el.Value.(*entry).key)
+			}
+			i++
+		}
+		c.mu.Unlock()
+		s := c.Stats()
+		if i != len(model) || s.Entries != len(model) || s.Bytes != total {
+			t.Fatalf("step %d: cache holds %d entries of %d bytes, reference %d of %d", step, s.Entries, s.Bytes, len(model), total)
+		}
+		if s.Evictions != evictions || s.Invalidations != invalidated {
+			t.Fatalf("step %d: %d evictions and %d invalidations, reference %d and %d", step, s.Evictions, s.Invalidations, evictions, invalidated)
 		}
 	}
-	if evicted == 0 {
-		t.Fatal("the cache never filled; the test checked no eviction")
+	if evictions == 0 || invalidated == 0 {
+		t.Fatal("the drive never evicted or invalidated; the test checked nothing")
 	}
 }
 
@@ -262,16 +392,18 @@ func TestEvictionVictimsHaveMinimumScore(t *testing.T) {
 // grow with the entry count.
 func BenchmarkReusePublishFull(b *testing.B) {
 	const entries, size = 100_000, 64
-	c := New(entries*size, NewEpochs(), nil)
+	ep := NewEpochs()
+	reads := ep.ReadSet([]string{"t"})
+	c := New(entries*charge("fill/00000", size), ep, nil)
 	for i := 0; i < entries; i++ {
-		c.Publish(fmt.Sprintf("fill/%d", i), []string{"t"}, nil, &AggTable{}, size, time.Duration(1+i%97)*time.Microsecond)
+		c.Publish(fmt.Sprintf("fill/%05d", i), reads, &AggTable{}, size)
 	}
 	keys := make([]string, b.N)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("new/%d", i)
+		keys[i] = fmt.Sprintf("new/%07d", i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Publish(keys[i], []string{"t"}, nil, &AggTable{}, size, time.Duration(1+i%97)*time.Microsecond)
+		c.Publish(keys[i], reads, &AggTable{}, size)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bufferdb"
+	"bufferdb/internal/reuse"
 	sqlfe "bufferdb/internal/sql"
 	"bufferdb/internal/wire"
 )
@@ -14,12 +15,17 @@ import (
 // dbBackend is the Backend over a resident database (plus the replica
 // slices this node hosts). The result cache and the fault hook live here
 // and not in the session loop because both lean on things only a local
-// database has: per-table write epochs to judge staleness by, a MemoryLimit
-// to charge, an operator tree to inject faults into.
+// database has: read sets to judge staleness by, a MemoryLimit to charge,
+// an operator tree to inject faults into.
 type dbBackend struct {
-	db        *bufferdb.DB
-	slices    map[int]*bufferdb.DB
-	results   *resultCache
+	db     *bufferdb.DB
+	slices map[int]*bufferdb.DB
+	// results is the opt-in result cache for repeated identical read-only
+	// queries: a recycler of encoded streams keyed by the exact text and
+	// slice (wire.QueryOpts.CacheKey) — not by statement shape, as the
+	// database's plan cache is (DESIGN.md §21), since texts of one shape
+	// answer differently. nil when Config.ResultCacheBytes is 0.
+	results   *reuse.Cache
 	faultHook func(sql string) *bufferdb.FaultInjector
 }
 
@@ -27,18 +33,19 @@ func newDBBackend(cfg Config) (*dbBackend, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("server: Config.DB (or Config.Backend) is required")
 	}
-	return &dbBackend{
-		db:        cfg.DB,
-		slices:    cfg.Slices,
-		results:   newResultCache(cfg.DB, cfg.ResultCacheBytes),
-		faultHook: cfg.FaultHook,
-	}, nil
+	b := &dbBackend{db: cfg.DB, slices: cfg.Slices, faultHook: cfg.FaultHook}
+	if cfg.ResultCacheBytes > 0 {
+		// No epoch table of its own: each entry's read set names the
+		// database, default or slice, it was read from.
+		b.results = reuse.NewNamed("bufferdbd_result_cache_", cfg.ResultCacheBytes, nil, cfg.DB.ReserveMemory)
+	}
+	return b, nil
 }
 
 // close returns the cache reservations so an idle post-shutdown process
 // charges nothing against the memory limit.
 func (b *dbBackend) close() {
-	b.results.close()
+	b.results.Close()
 }
 
 // dbFor routes a request to its slice database: 0 is the default DB,
@@ -71,7 +78,7 @@ func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpt
 	// A write must execute every time: replaying a cached INSERT would
 	// skip the insert.
 	isWrite := sqlfe.IsInsert(sql)
-	cacheable := b.results.enabled() && !o.NoResultCache && fi == nil && !isWrite
+	cacheable := b.results != nil && !o.NoResultCache && fi == nil && !isWrite
 	db, err := b.dbFor(o.Slice)
 	if err != nil {
 		return nil, err
@@ -79,8 +86,10 @@ func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpt
 	var key string
 	if cacheable {
 		key = o.CacheKey(sql)
-		if res, ok := b.results.get(key); ok {
-			return res, nil
+		if res, release, ok := b.results.Lookup(key); ok {
+			// The frames are immutable: the replay needs no pin.
+			release()
+			return res.(*cachedResult), nil
 		}
 	}
 
@@ -95,32 +104,32 @@ func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpt
 	if isWrite {
 		// The insert committed inside QueryStream and bumped its table's
 		// write epoch: the results that read the table are stale now.
-		b.results.sweep()
+		b.results.Sweep()
 	}
 	if !cacheable {
 		return rows, nil
 	}
 	// The read set's epochs were taken when execution started: if a write
-	// to one of its tables commits while this query streams, put refuses
-	// the result.
-	return &fillCursor{Rows: rows, cache: b.results, key: key,
-		res: &cachedResult{db: db}}, nil
+	// to one of its tables commits while this query streams, Publish
+	// refuses the result.
+	return &fillCursor{Rows: rows, cache: b.results, key: key, res: &cachedResult{}}, nil
 }
 
 // fillCursor is a cacheable execution: the rows cursor plus the entry the
 // session records the encoded stream into.
 type fillCursor struct {
 	*bufferdb.Rows
-	cache *resultCache
+	cache *reuse.Cache
 	key   string
 	res   *cachedResult // nil once the stream outgrew the per-entry cap
+	size  int64         // encoded bytes recorded so far
 }
 
 func (c *fillCursor) recordBatch(payload []byte, rows uint32) {
 	if c.res == nil {
 		return
 	}
-	if c.res.size += int64(len(payload)); c.res.size > c.cache.maxEntry {
+	if c.size += int64(len(payload)); !c.cache.Fits(c.size + int64(len(c.key))) {
 		c.res = nil // too big to cache; stop collecting
 		return
 	}
@@ -131,8 +140,7 @@ func (c *fillCursor) recordBatch(payload []byte, rows uint32) {
 func (c *fillCursor) recordDone() {
 	if c.res != nil {
 		c.res.cols = append([]string(nil), c.Columns()...)
-		c.res.reads = readSet(c.ReadSet())
-		c.cache.put(c.key, c.res)
+		c.cache.Publish(c.key, c.ReadSet(), c.res, c.size)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 //	bufferdbd_bytes_sent_total             result-stream payload bytes
 //	bufferdbd_query_errors_total{code=".."} terminal error frames by class
 //	bufferdbd_result_cache_{hits,misses,evictions,invalidations}_total
+//	bufferdbd_result_cache_bytes           result-cache charges held now
 
 func metricConnections() *obsv.Counter {
 	return obsv.Default.Counter("bufferdbd_connections_total")
@@ -43,8 +44,4 @@ func metricBytesSent() *obsv.Counter {
 // metricQueryErrors counts terminal error frames by their stable code.
 func metricQueryErrors(code wire.Code) *obsv.Counter {
 	return obsv.Default.Counter(fmt.Sprintf("bufferdbd_query_errors_total{code=%q}", code.String()))
-}
-
-func metricCache(cache, event string) *obsv.Counter {
-	return obsv.Default.Counter(fmt.Sprintf("bufferdbd_%s_cache_%s_total", cache, event))
 }

@@ -43,8 +43,9 @@ type Config struct {
 	Slices map[int]*bufferdb.DB
 
 	// ResultCacheBytes enables the result-reuse cache with a total budget
-	// of encoded result bytes; 0 (the default) disables it — reuse of
-	// whole results is opt-in.
+	// of charged bytes (each entry: its encoded result, its key and
+	// reuse.EntryOverhead); 0 (the default) disables it — reuse of whole
+	// results is opt-in.
 	ResultCacheBytes int64
 
 	// BatchRows bounds the rows packed into one RowBatch frame

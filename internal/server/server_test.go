@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"reflect"
 	"runtime"
@@ -942,4 +943,114 @@ func TestAdmissionWaitOverWire(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0] != int64(25) {
 		t.Fatalf("unexpected result: %v", res.Rows)
 	}
+}
+
+// TestRecyclersFollowWrites runs one fixed-seed history of reads and
+// INSERTs against a paged database served with both recyclers — the result
+// cache and the reuse cache — and against a twin database with neither:
+// after every read the served rows must equal the twin's. Most writes go
+// through the session, a few are made in process; either way every cached
+// result or intermediate that read the written table must stop answering.
+func TestRecyclersFollowWrites(t *testing.T) {
+	db := newDB(t, bufferdb.Options{DataDir: t.TempDir(), ReuseCache: true})
+	twin := newDB(t, bufferdb.Options{DataDir: t.TempDir()})
+	defer twin.Close()
+	base := runtime.NumGoroutine()
+
+	srv, err := server.New(server.Config{DB: db, ResultCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	c, err := client.Dial(l.Addr().String(), client.Config{MaxConns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reads := []string{
+		"SELECT COUNT(*) FROM nation",
+		"SELECT COUNT(*) FROM region",
+		"SELECT n_regionkey, COUNT(*) FROM nation GROUP BY n_regionkey ORDER BY n_regionkey",
+		"SELECT n_regionkey AS rk, COUNT(*) AS cnt FROM nation GROUP BY n_regionkey ORDER BY 1",
+		"SELECT r_name, COUNT(*) FROM nation, region WHERE n_regionkey = r_regionkey GROUP BY r_name ORDER BY r_name",
+		"SELECT r_name AS region, COUNT(*) AS nations FROM nation, region WHERE r_regionkey = n_regionkey GROUP BY r_name ORDER BY 1",
+		"SELECT l_returnflag, COUNT(*), SUM(l_quantity) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag",
+		"SELECT COUNT(*), SUM(o_totalprice) FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45",
+	}
+	insert := func(table string, k int) string {
+		switch table {
+		case "nation":
+			return fmt.Sprintf("INSERT INTO nation VALUES (%d, 'NATION %d', %d, 'history')", 100+k, k, k%7)
+		case "region":
+			return fmt.Sprintf("INSERT INTO region VALUES (%d, 'REGION %d', 'history')", 100+k, k)
+		}
+		return fmt.Sprintf("INSERT INTO lineitem VALUES (%d, 1, 1, %d, %d.0, 1000.5, 0.04, 0.02, 'N', 'O',"+
+			" DATE '1995-02-01', DATE '1995-03-01', DATE '1995-03-15', 'NONE', 'RAIL', 'history')", 1+k%7, 100+k, 40+k%11)
+	}
+
+	counter := func(event string) *obsv.Counter {
+		return obsv.Default.Counter("bufferdbd_result_cache_" + event + "_total")
+	}
+	hits0, inval0 := counter("hits").Value(), counter("invalidations").Value()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(54))
+	for step := 0; step < 300; step++ {
+		if rng.Intn(5) > 0 {
+			q := reads[rng.Intn(len(reads))]
+			want, err := twin.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("step %d: twin %q: %v", step, q, err)
+			}
+			got, err := c.QueryAll(ctx, q)
+			if err != nil {
+				t.Fatalf("step %d: served %q: %v", step, q, err)
+			}
+			if g, w := resultString(got.Columns, got.Rows), resultString(want.Columns, want.Rows); g != w {
+				t.Fatalf("step %d: %q served\n%s\nthe twin answers\n%s", step, q, g, w)
+			}
+			continue
+		}
+		w := insert([]string{"nation", "region", "lineitem"}[rng.Intn(3)], step)
+		if _, err := twin.Query(ctx, w); err != nil {
+			t.Fatalf("step %d: twin %q: %v", step, w, err)
+		}
+		if rng.Intn(4) == 0 {
+			_, err = db.Query(ctx, w)
+		} else {
+			_, err = c.QueryAll(ctx, w)
+		}
+		if err != nil {
+			t.Fatalf("step %d: %q: %v", step, w, err)
+		}
+	}
+
+	if counter("hits").Value() == hits0 || counter("invalidations").Value() == inval0 {
+		t.Errorf("result cache: %d hits, %d invalidations; want at least one of each",
+			counter("hits").Value()-hits0, counter("invalidations").Value()-inval0)
+	}
+	if st := db.ReuseStats(); st.Hits == 0 || st.Invalidations == 0 {
+		t.Errorf("reuse cache: %+v; want at least one hit and one invalidation", st)
+	}
+
+	c.Close()
+	shutdown, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(shutdown); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-done; err != server.ErrServerClosed {
+		t.Fatalf("serve returned %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.TrackedBytes(); got != 0 {
+		t.Fatalf("%d tracked bytes after close", got)
+	}
+	waitGoroutines(t, base)
 }

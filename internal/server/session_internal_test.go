@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bufferdb"
+	"bufferdb/internal/reuse"
 	"bufferdb/internal/storage"
 	"bufferdb/internal/wire"
 )
@@ -329,15 +330,15 @@ func TestResultCacheNoReadSetNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenTPCH: %v", err)
 	}
-	c := newResultCache(db, 1<<20)
+	c := reuse.NewNamed("bufferdbd_result_cache_", 1<<20, nil, db.ReserveMemory)
 	fill := func(rows *bufferdb.Rows) {
-		f := &fillCursor{Rows: rows, cache: c, key: "k", res: &cachedResult{db: db}}
+		f := &fillCursor{Rows: rows, cache: c, key: "k", res: &cachedResult{}}
 		f.recordBatch([]byte{0, 0, 0, 0}, 0)
 		f.recordDone()
 	}
 
 	fill(new(bufferdb.Rows))
-	if len(c.entries) != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("result without a read set was cached")
 	}
 	rows, err := db.QueryStream(context.Background(), "SELECT COUNT(*) FROM region")
@@ -346,7 +347,7 @@ func TestResultCacheNoReadSetNotCached(t *testing.T) {
 	}
 	defer rows.Close()
 	fill(rows)
-	if len(c.entries) != 1 {
+	if c.Stats().Entries != 1 {
 		t.Fatal("result with a read set was not cached")
 	}
 }

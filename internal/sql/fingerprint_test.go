@@ -14,17 +14,17 @@ import (
 )
 
 // fpQuery plans a query and fingerprints the root of its physical plan.
-func fpQuery(t *testing.T, query string, ep *reuse.Epochs) (string, []string) {
+func fpQuery(t *testing.T, query string, ep *reuse.Epochs) (string, reuse.ReadSet) {
 	t.Helper()
 	p, err := PlanQuery(query, testDB, Options{})
 	if err != nil {
 		t.Fatalf("plan %q: %v", query, err)
 	}
-	key, tables, ok := plan.Fingerprint(p, ep)
+	key, reads, ok := plan.Fingerprint(p, ep)
 	if !ok {
 		t.Fatalf("fingerprint refused %q:\n%s", query, plan.Explain(p))
 	}
-	return key, tables
+	return key, reads
 }
 
 // canonRows renders an executed result set order-insensitively.
@@ -104,27 +104,42 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	}
 }
 
-// TestFingerprintEpochs: bumping a table's write epoch must change the keys
-// of exactly its dependents.
+// TestFingerprintEpochs: keys carry no epoch, so a write leaves every key
+// as it was; bumping a table's write epoch makes stale the read sets of
+// exactly its dependents.
 func TestFingerprintEpochs(t *testing.T) {
 	ep := reuse.NewEpochs()
 	li := "SELECT COUNT(*) FROM lineitem WHERE l_quantity < 25"
 	ord := "SELECT COUNT(*) FROM orders WHERE o_totalprice < 1000"
+	join := "SELECT COUNT(*) FROM lineitem, orders WHERE l_orderkey = o_orderkey"
 
-	liBefore, liTables := fpQuery(t, li, ep)
-	ordBefore, _ := fpQuery(t, ord, ep)
-	if len(liTables) != 1 || liTables[0] != "lineitem" {
-		t.Fatalf("table set %v, want [lineitem]", liTables)
+	liBefore, liReads := fpQuery(t, li, ep)
+	ordBefore, ordReads := fpQuery(t, ord, ep)
+	joinBefore, joinReads := fpQuery(t, join, ep)
+	for _, rs := range []reuse.ReadSet{liReads, ordReads, joinReads} {
+		if rs.Stale() {
+			t.Fatal("fresh read set is stale")
+		}
 	}
 
 	ep.Bump("lineitem")
-	liAfter, _ := fpQuery(t, li, ep)
-	ordAfter, _ := fpQuery(t, ord, ep)
-	if liAfter == liBefore {
-		t.Error("lineitem write did not change the dependent key")
+	if !liReads.Stale() || !joinReads.Stale() {
+		t.Error("lineitem write left a dependent read set current")
 	}
-	if ordAfter != ordBefore {
-		t.Error("lineitem write changed an orders-only key")
+	if ordReads.Stale() {
+		t.Error("lineitem write made an orders-only read set stale")
+	}
+	liAfter, liNow := fpQuery(t, li, ep)
+	ordAfter, _ := fpQuery(t, ord, ep)
+	joinAfter, _ := fpQuery(t, join, ep)
+	if liAfter != liBefore || ordAfter != ordBefore || joinAfter != joinBefore {
+		t.Error("a write changed a fingerprint key")
+	}
+	if liNow.Stale() {
+		t.Error("read set taken after the write is stale")
+	}
+	if strings.Contains(liAfter, "@") {
+		t.Errorf("key embeds an epoch: %s", liAfter)
 	}
 }
 

@@ -1,8 +1,6 @@
 package vec
 
 import (
-	"time"
-
 	"bufferdb/internal/codemodel"
 	"bufferdb/internal/exec"
 	"bufferdb/internal/expr"
@@ -58,7 +56,6 @@ func (a *HashAggregate) Open(ctx *exec.Context) error {
 
 // consume drains the child batch by batch, folding every row into its group.
 func (a *HashAggregate) consume(ctx *exec.Context) error {
-	start := time.Now()
 	for {
 		if err := ctx.CanceledNow(); err != nil {
 			return err
@@ -81,7 +78,7 @@ func (a *HashAggregate) consume(ctx *exec.Context) error {
 		ctx.ExecModuleBatch(a.module, a.bits)
 	}
 	a.done = true
-	return a.Finish(start)
+	return a.Finish()
 }
 
 // NextBatch implements Operator.

@@ -156,12 +156,12 @@ func (db *DB) execInsert(ctx context.Context, query string) (*Rows, error) {
 	if err := db.store.Insert(name, rows); err != nil {
 		return fail(err)
 	}
-	// The write landed: advance the table's epoch (so in-flight publishes
-	// fingerprinted before this INSERT are refused) and drop every cached
-	// intermediate that read the table. Entries over untouched tables
-	// survive. Both are nil-safe when the reuse cache is off.
+	// The write landed: advance the table's epoch, which makes every read
+	// set over the table stale (in-flight publishes that read it are
+	// refused), and drop the cached intermediates that read it. Entries over
+	// untouched tables survive; Sweep is nil-safe when the reuse cache is off.
 	db.epochs.Bump(name)
-	db.reuseCache.Invalidate(name)
+	db.reuseCache.Sweep()
 
 	sch := storage.Schema{{Name: "inserted", Type: storage.TypeInt64}}
 	op := exec.NewValues(sch, []storage.Row{{storage.NewInt(int64(len(rows)))}})

@@ -273,13 +273,13 @@ func runBreakers(ctx context.Context, db *DB, e Engine, qo QueryOptions, adopt *
 		case plan.KindHashBuild:
 			n.Shared = &exec.SharedBuild{Table: adopt}
 			if adopt == nil {
-				n.Shared.Publish = func(t *exec.JoinTable, bytes int64, _ time.Duration) {
+				n.Shared.Publish = func(t *exec.JoinTable, bytes int64) {
 					run.join, run.joinBytes = t, bytes
 					run.published++
 				}
 			}
 		case plan.KindAggregate:
-			n.SharedAgg = &exec.SharedAgg{Publish: func(rows []storage.Row, bytes int64, _ time.Duration) {
+			n.SharedAgg = &exec.SharedAgg{Publish: func(rows []storage.Row, bytes int64) {
 				run.agg, run.aggBytes = rows, bytes
 				run.published++
 			}}

@@ -8,6 +8,7 @@ import (
 
 	"bufferdb/internal/exec"
 	"bufferdb/internal/plan"
+	"bufferdb/internal/reuse"
 	"bufferdb/internal/sql"
 	"bufferdb/internal/storage"
 )
@@ -55,8 +56,8 @@ type Rows struct {
 	// close() so eviction can never free a build mid-probe.
 	releases []func()
 
-	// epochs is the read set ReadSet reports.
-	epochs map[string]uint64
+	// reads is the read set ReadSet reports.
+	reads ReadSet
 
 	// started and emitted feed the process-wide metrics registry when the
 	// cursor finishes.
@@ -133,10 +134,7 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 	// snapshotted before anything executes. Both come before reuse splices
 	// cached sources over subtrees, so a spliced intermediate's tables stay
 	// in the set and its entry cannot predate the snapshot.
-	var epochs map[string]uint64
-	if tables := plan.Tables(p); tables != nil {
-		epochs = db.epochs.Snapshot(tables)
-	}
+	reads := db.epochs.ReadSet(plan.Tables(p))
 
 	// Semantic reuse: splice cached intermediates over matching subtrees
 	// (pinning them for the cursor's lifetime) and attach publish hooks to
@@ -181,7 +179,7 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 		adm:      adm,
 		db:       db,
 		releases: reuseReleases,
-		epochs:   epochs,
+		reads:    reads,
 		started:  time.Now(),
 	}, nil
 }
@@ -200,12 +198,15 @@ func classifyError(err error) {
 	}
 }
 
+// ReadSet is what a result read: each base table with its write epoch, as a
+// cache of results keeps it (see Rows.ReadSet).
+type ReadSet = reuse.ReadSet
+
 // ReadSet reports the base tables the statement's plan reads, each with its
 // write epoch as of the start of execution. A layer caching the result
-// keeps it and treats the result as stale once any of those tables' epochs
-// (DB.TableEpoch) has moved. It is nil for an INSERT and for a plan that
-// reads no table.
-func (r *Rows) ReadSet() map[string]uint64 { return r.epochs }
+// keeps it and treats the result as stale once ReadSet.Stale says so. It
+// is empty for an INSERT and for a plan that reads no table.
+func (r *Rows) ReadSet() ReadSet { return r.reads }
 
 // Columns names the result attributes, in Scan order. The returned slice is
 // cached and shared across calls; treat it as read-only.
