@@ -318,6 +318,7 @@ type ReuseStats struct {
 	Misses        uint64
 	Evictions     uint64
 	Invalidations uint64
+	Deferred      uint64 // first misses, not admitted: nothing was published for them
 	Entries       int
 	Bytes         int64
 	MaxBytes      int64
@@ -332,6 +333,7 @@ func (db *DB) ReuseStats() ReuseStats {
 		Misses:        s.Misses,
 		Evictions:     s.Evictions,
 		Invalidations: s.Invalidations,
+		Deferred:      s.Deferred,
 		Entries:       s.Entries,
 		Bytes:         s.Bytes,
 		MaxBytes:      s.MaxBytes,

@@ -23,9 +23,12 @@ const reuseChaosQuery = `SELECT SUM(o_totalprice), COUNT(*) FROM lineitem, order
  WHERE l_orderkey = o_orderkey AND l_shipdate <= DATE '1995-06-17'`
 
 // TestChaosReusePublishFault injects an error and a panic at the ":publish"
-// fault site: the query fails typed, nothing is published (a poisoned entry
-// must never be served), and the follow-up query rebuilds, repopulates the
-// cache and returns correct rows.
+// fault site. A first sighting publishes nothing, so the site never fires
+// and the query succeeds. On the second sighting the cache admits the
+// statement and the fault fires: the query fails typed and nothing is
+// published (a poisoned entry must never be served). The follow-up query
+// rebuilds, repopulates the cache and returns correct rows, and the next
+// one is served from the cache.
 func TestChaosReusePublishFault(t *testing.T) {
 	want, err := testDB.Query(context.Background(), reuseChaosQuery)
 	if err != nil {
@@ -37,7 +40,21 @@ func TestChaosReusePublishFault(t *testing.T) {
 			base := runtime.NumGoroutine()
 
 			fi := NewFaultInjector(1, Fault{Match: ":publish", Kind: kind})
-			_, err := db.Query(context.Background(), reuseChaosQuery, WithFaultInjector(fi))
+			res, err := db.Query(context.Background(), reuseChaosQuery, WithFaultInjector(fi))
+			if err != nil {
+				t.Fatalf("first sighting: %v", err)
+			}
+			if fi.Fired() != 0 {
+				t.Fatal("publish fault fired on a first sighting, which publishes nothing")
+			}
+			if resultKey(res) != resultKey(want) {
+				t.Fatalf("first sighting rows wrong:\n got %s\nwant %s", resultKey(res), resultKey(want))
+			}
+			if st := db.ReuseStats(); st.Entries != 0 || st.Deferred == 0 {
+				t.Fatalf("first sighting published: %+v", st)
+			}
+
+			_, err = db.Query(context.Background(), reuseChaosQuery, WithFaultInjector(fi))
 			if !errors.Is(err, ErrInjected) {
 				t.Fatalf("want ErrInjected, got %v", err)
 			}
@@ -45,7 +62,7 @@ func TestChaosReusePublishFault(t *testing.T) {
 				t.Fatalf("publish panic not classified: %v", err)
 			}
 			if fi.Fired() == 0 {
-				t.Fatal("publish fault never fired")
+				t.Fatal("publish fault never fired on the admitted run")
 			}
 			if st := db.ReuseStats(); st.Entries != 0 {
 				t.Fatalf("poisoned publish left %d entries in the cache", st.Entries)
@@ -57,27 +74,33 @@ func TestChaosReusePublishFault(t *testing.T) {
 			if got := db.TrackedBytes(); got != 0 {
 				t.Fatalf("tracked memory leak after failed publish: %d bytes", got)
 			}
-			res, err := db.Query(context.Background(), reuseChaosQuery)
-			if err != nil {
-				t.Fatalf("follow-up query failed: %v", err)
-			}
-			if resultKey(res) != resultKey(want) {
-				t.Fatalf("follow-up rows wrong after publish fault:\n got %s\nwant %s",
-					resultKey(res), resultKey(want))
-			}
-			if st := db.ReuseStats(); st.Entries == 0 {
-				t.Fatal("follow-up query did not repopulate the cache")
+			for i, wantHit := range []bool{false, true} {
+				res, err := db.Query(context.Background(), reuseChaosQuery)
+				if err != nil {
+					t.Fatalf("follow-up query %d failed: %v", i+1, err)
+				}
+				if resultKey(res) != resultKey(want) {
+					t.Fatalf("follow-up rows wrong after publish fault:\n got %s\nwant %s",
+						resultKey(res), resultKey(want))
+				}
+				if st := db.ReuseStats(); st.Entries == 0 || (st.Hits > 0) != wantHit {
+					t.Fatalf("follow-up query %d: %+v, want the first to repopulate the cache and the second to hit", i+1, st)
+				}
 			}
 		})
 	}
 }
 
 // TestChaosReuseOOMDuringBuild blows the per-query memory budget while the
-// build the cache wants is under construction: the query fails typed, the
-// cache stays empty, and tracked memory returns to zero.
+// build the cache wants — a second sighting, so admitted — is under
+// construction: the query fails typed, the cache stays empty, and tracked
+// memory returns to zero.
 func TestChaosReuseOOMDuringBuild(t *testing.T) {
 	t.Run("volcano", func(t *testing.T) {
 		db := newReuseDB(t, Options{ReuseCache: true})
+		if _, err := db.Query(context.Background(), reuseChaosQuery); err != nil {
+			t.Fatal(err)
+		}
 		base := runtime.NumGoroutine()
 		_, err := db.Query(context.Background(), reuseChaosQuery, WithMemoryBudget(4<<10))
 		if !errors.Is(err, ErrMemoryBudgetExceeded) {
@@ -125,15 +148,18 @@ func TestChaosReuseInvalidateDuringProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Publish the join build and aggregate.
-	if _, err := db.Query(context.Background(), reuseChaosQuery); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.ReuseStats(); st.Entries == 0 {
-		t.Fatal("warm-up published nothing")
+	// The first sighting publishes nothing; the second publishes the join
+	// build and aggregate.
+	for i := 0; i < 2; i++ {
+		if _, err := db.Query(context.Background(), reuseChaosQuery); err != nil {
+			t.Fatal(err)
+		}
+		if st := db.ReuseStats(); (st.Entries == 0) != (i == 0) {
+			t.Fatalf("sighting %d left %d entries, want none after the first and some after the second", i+1, st.Entries)
+		}
 	}
 
-	// This run adopts cached state (pinning it) and streams.
+	// The third run adopts cached state (pinning it) and streams.
 	rows, err := db.QueryStream(context.Background(), reuseChaosQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +171,9 @@ func TestChaosReuseInvalidateDuringProbe(t *testing.T) {
 	var sum, cnt any
 	if err := rows.Scan(&sum, &cnt); err != nil {
 		t.Fatal(err)
+	}
+	if st := db.ReuseStats(); st.Hits == 0 {
+		t.Fatalf("the third run adopted nothing: %+v", st)
 	}
 
 	// Drop everything mid-probe. Pinned entries are marked dead; their

@@ -341,8 +341,8 @@ func printReuseStats(db *bufferdb.DB) {
 		return
 	}
 	fmt.Printf("reuse cache: %d entries, %d / %d bytes\n", s.Entries, s.Bytes, s.MaxBytes)
-	fmt.Printf("  hits %d  misses %d  evictions %d  invalidations %d\n",
-		s.Hits, s.Misses, s.Evictions, s.Invalidations)
+	fmt.Printf("  hits %d  misses %d  deferred %d  evictions %d  invalidations %d\n",
+		s.Hits, s.Misses, s.Deferred, s.Evictions, s.Invalidations)
 }
 
 // runAnalyze executes a statement instrumented on the simulated CPU and

@@ -1,6 +1,7 @@
 package cpusim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -230,5 +231,58 @@ func TestStreamPrefetcher(t *testing.T) {
 	p.Covered(3000)
 	if !p.Covered(1001) || !p.Covered(2001) || !p.Covered(3001) {
 		t.Error("interleaved streams lost")
+	}
+}
+
+// scanTLB is the TLB as a linear scan: the reference the indexed TLB must
+// match access for access. Its victim is the lowest index with the least
+// last use.
+type scanTLB struct {
+	pages, lastUse []uint64
+	clock          uint64
+}
+
+func (t *scanTLB) access(page uint64) bool {
+	page++
+	t.clock++
+	lru, lruUse := 0, t.lastUse[0]
+	for i, p := range t.pages {
+		if p == page {
+			t.lastUse[i] = t.clock
+			return true
+		}
+		if t.lastUse[i] < lruUse {
+			lru, lruUse = i, t.lastUse[i]
+		}
+	}
+	t.pages[lru], t.lastUse[lru] = page, t.clock
+	return false
+}
+
+// TestTLBMatchesScan drives the indexed TLB and the scan with one random
+// page stream, through a Reset, and requires the same hit or miss, and the
+// same page in every entry, after each access.
+func TestTLBMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, entries := range []int{1, 2, 7, 58} {
+		tlb := NewTLB(entries, 4096)
+		ref := &scanTLB{pages: make([]uint64, entries), lastUse: make([]uint64, entries)}
+		for step := 0; step < 20000; step++ {
+			if step == 10000 {
+				tlb.Reset()
+				ref = &scanTLB{pages: make([]uint64, entries), lastUse: make([]uint64, entries)}
+			}
+			// A working set a little larger than the TLB, so it both hits
+			// and evicts.
+			page := uint64(rng.Intn(entries + entries/4 + 2))
+			if got, want := tlb.Access(page<<12|uint64(rng.Intn(4096))), ref.access(page); got != want {
+				t.Fatalf("%d entries, step %d: page %d hit %v, scan says %v", entries, step, page, got, want)
+			}
+			for i := range ref.pages {
+				if tlb.pages[i] != ref.pages[i] {
+					t.Fatalf("%d entries, step %d: entry %d holds page %d, scan has %d", entries, step, i, tlb.pages[i], ref.pages[i])
+				}
+			}
+		}
 	}
 }

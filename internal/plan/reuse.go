@@ -10,9 +10,11 @@ import (
 // place: an Aggregate whose fingerprint matches a published aggregate table
 // is replaced by a CachedSource streaming the cached rows; a hash-join
 // build side whose fingerprint matches a published build adopts the cached
-// table (its drained input replaced by an empty CachedSource). On a miss,
-// the matching operator gets a publish hook so the state it builds anyway
-// becomes available to later queries.
+// table (its drained input replaced by an empty CachedSource). On a miss
+// the cache admits (reuse.Cache.Admit), the matching operator gets a
+// publish hook so the state it builds anyway becomes available to later
+// queries; a key's first miss gets none, so a one-off subplan skips the
+// copy a publish would make.
 //
 // Returned releases unpin the adopted cache entries; the caller must run
 // every one when the cursor closes (or fails to open) — until then the
@@ -53,10 +55,10 @@ func (r *reuser) visit(n *Node) *Node {
 }
 
 // aggregate tries to reuse a published aggregate table for n, returning the
-// replacement CachedSource on a hit. On a miss it attaches the publish hook
-// and returns nil. The replacement keeps the node's own schema: output
-// aliases are per-query display names the fingerprint deliberately ignores,
-// and the cached rows are positional.
+// replacement CachedSource on a hit. On an admitted miss it attaches the
+// publish hook; it returns nil on every miss. The replacement keeps the
+// node's own schema: output aliases are per-query display names the
+// fingerprint deliberately ignores, and the cached rows are positional.
 func (r *reuser) aggregate(n *Node) *Node {
 	key, reads, ok := Fingerprint(n, r.ep)
 	if !ok {
@@ -69,6 +71,9 @@ func (r *reuser) aggregate(n *Node) *Node {
 		}
 		release()
 	}
+	if !r.cache.Admit(key) {
+		return nil
+	}
 	cache := r.cache
 	n.SharedAgg = &exec.SharedAgg{Publish: func(rows []storage.Row, bytes int64) {
 		cache.Publish(key, reads, &reuse.AggTable{Rows: rows}, bytes)
@@ -79,7 +84,8 @@ func (r *reuser) aggregate(n *Node) *Node {
 // build tries to reuse a published hash-join build side for the HashBuild
 // node b. On a hit the executing join adopts the cached table and the build
 // input — which would otherwise be drained just to rebuild it — is replaced
-// by an empty CachedSource. On a miss the build gets the publish hook.
+// by an empty CachedSource. On an admitted miss the build gets the publish
+// hook.
 func (r *reuser) build(b *Node) {
 	key, reads, ok := Fingerprint(b, r.ep)
 	if !ok {
@@ -95,6 +101,9 @@ func (r *reuser) build(b *Node) {
 			return
 		}
 		release()
+	}
+	if !r.cache.Admit(key) {
+		return
 	}
 	cache := r.cache
 	b.Shared = &exec.SharedBuild{Publish: func(table *exec.JoinTable, bytes int64) {

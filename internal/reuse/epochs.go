@@ -13,6 +13,11 @@
 // entry and misses, Publish refuses a result whose read set went stale
 // while it was computed, and Sweep, run after each committed write, gives
 // the write's dependents' bytes back at once.
+//
+// Admission has one rule too: a key is worth publishing on its second miss
+// (Admit). A first sighting is recorded in a fixed-size doorkeeper and
+// nothing is published for it, so one-off texts and subplans never fill
+// the cache.
 package reuse
 
 import "sync"

@@ -31,6 +31,7 @@ type Stats struct {
 	Misses        uint64
 	Evictions     uint64
 	Invalidations uint64
+	Deferred      uint64 // misses Admit turned away: first sightings
 	Entries       int
 	Bytes         int64
 	MaxBytes      int64
@@ -74,8 +75,8 @@ type Cache struct {
 	epochs   *Epochs
 	reserve  func(name string, n int64) (func(), error)
 
-	hits, misses, evictions, invalidations *obsv.Counter
-	bytes                                  *obsv.Gauge
+	hits, misses, evictions, invalidations, deferred *obsv.Counter
+	bytes                                            *obsv.Gauge
 
 	mu      sync.Mutex
 	entries map[string]*list.Element // of *entry
@@ -83,6 +84,7 @@ type Cache struct {
 	total   int64
 	closed  bool
 	stats   Stats
+	door    doorkeeper
 }
 
 // New builds the database's reuse cache, bounded to maxBytes of charges:
@@ -93,9 +95,10 @@ func New(maxBytes int64, epochs *Epochs, reserve func(name string, n int64) (fun
 	return NewNamed("bufferdb_reuse_", maxBytes, epochs, reserve)
 }
 
-// NewNamed is New for a cache reporting through the metrics named prefix
-// + {hits,misses,evictions,invalidations}_total and prefix + bytes. epochs
-// may be nil for a cache whose read sets come from several databases.
+// NewNamed is New for a cache reporting through the metrics named prefix +
+// {hits,misses,evictions,invalidations,deferred}_total and prefix + bytes.
+// epochs may be nil for a cache whose read sets come from several
+// databases.
 func NewNamed(prefix string, maxBytes int64, epochs *Epochs, reserve func(name string, n int64) (func(), error)) *Cache {
 	if reserve == nil {
 		reserve = func(string, int64) (func(), error) { return func() {}, nil }
@@ -107,6 +110,7 @@ func NewNamed(prefix string, maxBytes int64, epochs *Epochs, reserve func(name s
 		misses:        m.Counter(prefix + "misses_total"),
 		evictions:     m.Counter(prefix + "evictions_total"),
 		invalidations: m.Counter(prefix + "invalidations_total"),
+		deferred:      m.Counter(prefix + "deferred_total"),
 		bytes:         m.Gauge(prefix + "bytes"),
 		entries:       make(map[string]*list.Element),
 		lru:           list.New(),
@@ -161,6 +165,28 @@ func (c *Cache) Lookup(key string) (payload any, release func(), ok bool) {
 	return e.payload, func() {
 		once.Do(func() { c.unpin(e) })
 	}, true
+}
+
+// Admit records a miss on key and reports whether the key missed before,
+// so that a result computed for it now is worth publishing. A key's first
+// miss is deferred: most keys are never seen again (a text with a unique
+// literal, a subplan of a one-off query), and a producer told to defer
+// skips the copy it would make for Publish. Call it after Lookup misses.
+// A nil or closed cache admits nothing.
+func (c *Cache) Admit(key string) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	admit := !c.closed && c.door.seen(key)
+	if !admit {
+		c.stats.Deferred++
+	}
+	c.mu.Unlock()
+	if !admit {
+		c.deferred.Inc()
+	}
+	return admit
 }
 
 // unpin drops one pin; the last unpin of a dead entry runs its deferred

@@ -3,6 +3,8 @@ package reuse
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -405,5 +407,93 @@ func BenchmarkReusePublishFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Publish(keys[i], reads, &AggTable{}, size)
+	}
+}
+
+// TestAdmitSecondMiss: a key's first miss is deferred, its second admitted,
+// and a key that was admitted stays admitted while it holds its slot.
+func TestAdmitSecondMiss(t *testing.T) {
+	c := New(1<<20, NewEpochs(), nil)
+	for i, want := range []bool{false, true, true} {
+		if got := c.Admit("k"); got != want {
+			t.Fatalf("miss %d admitted %v, want %v", i+1, got, want)
+		}
+	}
+	if got := c.Admit("other"); got {
+		t.Fatal("another key's first miss was admitted")
+	}
+	if s := c.Stats(); s.Deferred != 2 || s.Entries != 0 {
+		t.Fatalf("stats %+v, want 2 deferred and no entries", s)
+	}
+}
+
+// TestAdmitCollision: a key hashing to an occupied slot takes it, so the
+// older key must be seen twice again to be admitted.
+func TestAdmitCollision(t *testing.T) {
+	const a = "a"
+	b := ""
+	for i := 0; b == ""; i++ {
+		if k := fmt.Sprintf("b%d", i); fnv1a(k)%doorSlots == fnv1a(a)%doorSlots && fnv1a(k) != fnv1a(a) {
+			b = k
+		}
+	}
+	c := New(1<<20, NewEpochs(), nil)
+	for i, step := range []struct {
+		key  string
+		want bool
+	}{
+		{a, false}, // a takes the slot
+		{b, false}, // b evicts a
+		{a, false}, // a is a first sighting again, and evicts b
+		{a, true},
+		{b, false},
+		{b, true},
+	} {
+		if got := c.Admit(step.key); got != step.want {
+			t.Fatalf("step %d: Admit(%s) = %v, want %v", i, step.key, got, step.want)
+		}
+	}
+}
+
+// TestAdmitNilOrClosed: a nil or closed cache admits nothing, so no caller
+// does publish work for a cache that would refuse it.
+func TestAdmitNilOrClosed(t *testing.T) {
+	var nilCache *Cache
+	if nilCache.Admit("k") || nilCache.Admit("k") {
+		t.Fatal("a nil cache admitted a key")
+	}
+	c := New(1<<20, NewEpochs(), nil)
+	c.Admit("k")
+	c.Close()
+	if c.Admit("k") || c.Admit("k") {
+		t.Fatal("a closed cache admitted a key")
+	}
+}
+
+// TestAdmitConcurrent: concurrent misses on one key defer exactly one of
+// them, while other keys, none in its slot, miss beside it. Run under -race.
+func TestAdmitConcurrent(t *testing.T) {
+	const workers, each = 8, 200
+	hotSlot := fnv1a("hot") % doorSlots
+	c := New(1<<20, NewEpochs(), nil)
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if c.Admit("hot") {
+					admitted.Add(1)
+				}
+				if k := fmt.Sprintf("cold/%d/%d", w, i); fnv1a(k)%doorSlots != hotSlot {
+					c.Admit(k)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := admitted.Load(); got != workers*each-1 {
+		t.Fatalf("%d of %d misses on one key admitted, want all but the first", got, workers*each)
 	}
 }

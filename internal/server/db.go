@@ -71,7 +71,8 @@ func (b *dbBackend) fault(sql string) *bufferdb.FaultInjector {
 // QueryStream serves a Query frame: from the result cache when it is
 // enabled and the statement qualifies (the returned cursor is then the
 // *cachedResult itself, which the session replays), else by planning and
-// executing — under a fillCursor when the result may be stored afterwards.
+// executing — under a fillCursor when the cache admits the text (its
+// second miss), so a one-off text copies no frames.
 func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpts) (Cursor, error) {
 	fi := b.fault(sql)
 
@@ -91,6 +92,7 @@ func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpt
 			release()
 			return res.(*cachedResult), nil
 		}
+		cacheable = b.results.Admit(key)
 	}
 
 	qopts, err := queryOptions(o, fi)

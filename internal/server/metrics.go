@@ -17,6 +17,7 @@ import (
 //	bufferdbd_bytes_sent_total             result-stream payload bytes
 //	bufferdbd_query_errors_total{code=".."} terminal error frames by class
 //	bufferdbd_result_cache_{hits,misses,evictions,invalidations}_total
+//	bufferdbd_result_cache_deferred_total  first-sighting misses, not stored
 //	bufferdbd_result_cache_bytes           result-cache charges held now
 
 func metricConnections() *obsv.Counter {

@@ -123,6 +123,11 @@ const aggQuery = `SELECT l_returnflag, COUNT(*), SUM(l_extendedprice) FROM linei
 // or shut down mid-stream without racing query completion. (Without the
 // throttle the full result fits in kernel socket buffers and the server
 // finishes before the client reads row two.)
+// resultCacheBytes is the result cache's charged bytes. It is one gauge
+// for the process, and each test's server empties its cache when the test
+// ends, so a test reads its own cache's bytes.
+var resultCacheBytes = obsv.Default.Gauge("bufferdbd_result_cache_bytes")
+
 const slowQuery = `SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_orderkey > 0`
 
 // slowHook throttles slowQuery server-side: 2ms per scanned row.
@@ -533,8 +538,10 @@ func TestPreparedReuse(t *testing.T) {
 }
 
 // TestPreparedResultCache: a prepared statement takes the Query path, so
-// on a daemon with a result cache it replays the result its text left
-// there, byte for byte, and an INSERT into its table makes it execute
+// on a daemon with a result cache it shares the entry of its text. The ad
+// hoc run is the text's first sighting and caches nothing; the first
+// prepared execution is the second sighting and stores the result; the
+// next replays it, byte for byte. An INSERT into its table makes it execute
 // again and see the new row.
 func TestPreparedResultCache(t *testing.T) {
 	db := newDB(t, bufferdb.Options{DataDir: t.TempDir()})
@@ -546,20 +553,25 @@ func TestPreparedResultCache(t *testing.T) {
 	const q = "SELECT r_regionkey, r_name FROM region ORDER BY r_regionkey"
 	st := c.Prepare(q)
 
+	c0 := cached.Value()
 	adhoc, err := c.QueryAll(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0 := cached.Value()
-	res, err := st.QueryAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if got := resultCacheBytes.Value(); got != 0 {
+		t.Fatalf("a first sighting left %v bytes in the result cache", got)
 	}
-	if got := cached.Value() - c0; got != 1 {
-		t.Fatalf("prepared execution of a cached text: %d cached replays, want 1", got)
-	}
-	if !reflect.DeepEqual(res, adhoc) {
-		t.Fatalf("prepared replay %v differs from the ad hoc result %v", res, adhoc)
+	var res *client.Result
+	for i, wantReplays := range []uint64{0, 1} {
+		if res, err = st.QueryAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := cached.Value() - c0; got != wantReplays {
+			t.Fatalf("prepared execution %d: %d cached replays, want %d", i+1, got, wantReplays)
+		}
+		if !reflect.DeepEqual(res, adhoc) {
+			t.Fatalf("prepared execution %d: %v differs from the ad hoc result %v", i+1, res, adhoc)
+		}
 	}
 
 	if _, err := c.QueryAll(context.Background(),
@@ -593,15 +605,22 @@ func TestResultCacheReuse(t *testing.T) {
 	cached := obsv.Default.Counter(`bufferdbd_queries_total{source="cached"}`)
 	h0, c0 := hits.Value(), cached.Value()
 
-	first, err := c.QueryAll(context.Background(), aggQuery)
-	if err != nil {
-		t.Fatal(err)
+	// The first sighting is deferred, the second stored, the third replayed.
+	var runs [3]string
+	for i := range runs {
+		res, err := c.QueryAll(context.Background(), aggQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = resultString(res.Columns, res.Rows)
+		if i == 0 && resultCacheBytes.Value() != 0 {
+			t.Fatalf("a first sighting left %v bytes in the result cache", resultCacheBytes.Value())
+		}
+		if i == 1 && hits.Value() != h0 {
+			t.Fatalf("the second sighting hit the cache (%d hits)", hits.Value()-h0)
+		}
 	}
-	second, err := c.QueryAll(context.Background(), aggQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resultString(first.Columns, first.Rows) != resultString(second.Columns, second.Rows) {
+	if runs[0] != runs[1] || runs[0] != runs[2] {
 		t.Fatal("cached replay differs from the original result")
 	}
 	if hits.Value()-h0 != 1 || cached.Value()-c0 != 1 {
@@ -656,10 +675,11 @@ func TestResultCacheReuse(t *testing.T) {
 			}
 		}
 	}
+	exchange() // first sighting: deferred
 	fresh := exchange()
 	replay := exchange()
 	if hits.Value()-h0 != 2 {
-		t.Fatalf("second raw exchange was not a cache hit (hits %d)", hits.Value()-h0)
+		t.Fatalf("third raw exchange was not a cache hit (hits %d)", hits.Value()-h0)
 	}
 	if len(fresh) < 4 {
 		t.Fatalf("stream of %d frames; want several row batches", len(fresh))
@@ -697,8 +717,13 @@ func TestResultCachePerTableInvalidation(t *testing.T) {
 		return res.Rows[0][0].(int64)
 	}
 
-	// Populate both entries.
+	// First sightings cache nothing; the second populate both entries.
 	before := run(regionCount)
+	run(nationCount)
+	if got := resultCacheBytes.Value(); got != 0 {
+		t.Fatalf("first sightings left %v bytes in the result cache", got)
+	}
+	run(regionCount)
 	run(nationCount)
 
 	// Both replay from the cache.
@@ -732,6 +757,7 @@ func TestResultCachePerTableInvalidation(t *testing.T) {
 	// A JOIN … ON statement reads both of its tables: an INSERT into
 	// either one drops its entry.
 	const joinCount = "SELECT COUNT(*) FROM nation JOIN region ON n_regionkey = r_regionkey"
+	run(joinCount) // first sighting
 	for _, w := range []struct {
 		insert string
 		added  int64 // joined rows the insert adds
@@ -761,7 +787,8 @@ func TestResultCachePerTableInvalidation(t *testing.T) {
 // TestResultCacheWriteOutsideSession: a write that never passes through a
 // session — here one made in-process on the served database — still makes
 // the cached results over its table stale, because an entry is judged by
-// its read set's epochs when it is looked up.
+// its read set's epochs when it is looked up. The text is stored on its
+// second run and replayed on its third.
 func TestResultCacheWriteOutsideSession(t *testing.T) {
 	db := newDB(t, bufferdb.Options{DataDir: t.TempDir()})
 	t.Cleanup(func() { db.Close() })
@@ -779,10 +806,12 @@ func TestResultCacheWriteOutsideSession(t *testing.T) {
 		return res.Rows[0][0].(int64)
 	}
 
-	before := count()
 	c0 := cached.Value()
-	if again := count(); again != before || cached.Value()-c0 != 1 {
-		t.Fatalf("second run: count %d, %d cached replays; want %d and 1", again, cached.Value()-c0, before)
+	before := count()
+	for i, wantReplays := range []uint64{0, 1} {
+		if again := count(); again != before || cached.Value()-c0 != wantReplays {
+			t.Fatalf("run %d: count %d, %d cached replays; want %d and %d", i+2, again, cached.Value()-c0, before, wantReplays)
+		}
 	}
 	if _, err := db.Query(context.Background(),
 		`INSERT INTO region VALUES (7, 'MU', 'hypothetical')`); err != nil {
@@ -790,6 +819,71 @@ func TestResultCacheWriteOutsideSession(t *testing.T) {
 	}
 	if after := count(); after != before+1 {
 		t.Fatalf("count after an in-process INSERT = %d, want %d (stale replay)", after, before+1)
+	}
+}
+
+// TestResultCacheOneOffTexts: a served mix of one-off texts caches nothing.
+// Each of 2 000 point lookups carries its own sentinel literal, so neither
+// its text (the result cache's key) nor its join build (the reuse cache's)
+// is ever seen twice: both caches defer every one and stay empty. A
+// dashboard text run three times is stored on its second run and replayed
+// on its third.
+func TestResultCacheOneOffTexts(t *testing.T) {
+	db := newDB(t, bufferdb.Options{ReuseCache: true})
+	t.Cleanup(func() { db.Close() })
+	_, addr := startServer(t, server.Config{DB: db, ResultCacheBytes: 8 << 20})
+	c := dial(t, addr, client.Config{MaxConns: 1})
+	ctx := context.Background()
+
+	reuseBytes := obsv.Default.Gauge("bufferdb_reuse_bytes")
+	deferred := obsv.Default.Counter("bufferdbd_result_cache_deferred_total")
+	cached := obsv.Default.Counter(`bufferdbd_queries_total{source="cached"}`)
+	d0, c0 := deferred.Value(), cached.Value()
+	const lookups = 2000
+	for i := 0; i < lookups; i++ {
+		q := fmt.Sprintf("SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey"+
+			" AND n_nationkey = %d AND n_nationkey <> %d AND r_regionkey <> %d", i%25, -i-1, -i-1)
+		res, err := c.QueryAll(ctx, q)
+		if err != nil {
+			t.Fatalf("lookup %d: %v", i, err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("lookup %d: %d rows, want 1", i, len(res.Rows))
+		}
+	}
+	if got := deferred.Value() - d0; got != lookups {
+		t.Errorf("result cache deferred %d of %d one-off texts", got, lookups)
+	}
+	if st := db.ReuseStats(); st.Bytes != 0 || st.Entries != 0 || st.Deferred < lookups {
+		t.Errorf("reuse cache after %d one-off lookups: %+v, want empty with every build deferred", lookups, st)
+	}
+	if rb, cb := reuseBytes.Value(), resultCacheBytes.Value(); rb != 0 || cb != 0 {
+		t.Errorf("bufferdb_reuse_bytes %v and bufferdbd_result_cache_bytes %v after one-off texts, want 0 and 0", rb, cb)
+	}
+
+	const dashboard = "SELECT l_shipmode AS grp, SUM(l_extendedprice * (1 - l_discount)) AS revenue, COUNT(*) AS n" +
+		" FROM lineitem WHERE l_shipdate >= DATE '1995-01-01' AND l_shipdate < DATE '1996-01-01'" +
+		" GROUP BY l_shipmode ORDER BY 1"
+	var first string
+	for run, wantReplays := range []uint64{0, 0, 1} {
+		res, err := c.QueryAll(ctx, dashboard)
+		if err != nil {
+			t.Fatalf("dashboard run %d: %v", run+1, err)
+		}
+		if got := resultString(res.Columns, res.Rows); run == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("dashboard run %d differs from the first:\n%s\nwant\n%s", run+1, got, first)
+		}
+		if got := cached.Value() - c0; got != wantReplays {
+			t.Fatalf("dashboard run %d: %d replays, want %d", run+1, got, wantReplays)
+		}
+		// A result is stored after its Done frame went out, so the client
+		// can read the gauge before the second run's store; the session
+		// stores it before it reads the third run's query.
+		if stored := resultCacheBytes.Value() > 0; run != 1 && stored != (run == 2) {
+			t.Fatalf("dashboard run %d: result cache holds %v bytes", run+1, resultCacheBytes.Value())
+		}
 	}
 }
 

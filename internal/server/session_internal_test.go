@@ -198,7 +198,8 @@ func drain(t *testing.T, cli net.Conn) ([]wire.Type, uint64) {
 // TestSessionWritesPerResult pins how many socket writes a result costs:
 // the column header goes out alone (a client learns its query was admitted
 // while rows are still coming), a one-batch result's batch shares Done's
-// write, and a result-cache replay is a single write.
+// write, and a result-cache replay is a single write. The cache admits a
+// text on its second sighting, so the third is the first replay.
 func TestSessionWritesPerResult(t *testing.T) {
 	db, err := bufferdb.OpenTPCH(0.002, bufferdb.Options{MemoryLimit: 256 << 20})
 	if err != nil {
@@ -211,8 +212,9 @@ func TestSessionWritesPerResult(t *testing.T) {
 		name   string
 		writes int64
 	}{
-		{"executed", 2}, // Columns, then RowBatch+Done
-		{"replayed", 1}, // Columns+RowBatch+Done from the result cache
+		{"first sighting", 2},  // Columns, then RowBatch+Done; nothing cached
+		{"second sighting", 2}, // executed again, and now cached
+		{"replayed", 1},        // Columns+RowBatch+Done from the result cache
 	} {
 		w0 := conn.writes.Load()
 		sendQuery(t, cli, q)
@@ -288,9 +290,9 @@ func (c *probeCursor) Values() storage.Row { return c.row }
 func (c *probeCursor) Err() error          { return nil }
 func (c *probeCursor) Close() error        { return nil }
 
-// TestResultCacheWriteMidStream: an INSERT that commits after a SELECT over
-// its table started executing, but before the stream ends, keeps that
-// result out of the cache — the read set's epochs were snapshotted at
+// TestResultCacheWriteMidStream: an INSERT that commits after an admitted
+// SELECT over its table started executing, but before the stream ends,
+// keeps that result out of the cache — the read set's epochs were snapshotted at
 // execution start.
 func TestResultCacheWriteMidStream(t *testing.T) {
 	db, err := bufferdb.OpenTPCH(0.002, bufferdb.Options{MemoryLimit: 256 << 20, DataDir: t.TempDir()})
@@ -300,6 +302,11 @@ func TestResultCacheWriteMidStream(t *testing.T) {
 	t.Cleanup(func() { db.Close() })
 	cli := pipeSession(t, Config{DB: db, ResultCacheBytes: 1 << 20, BatchRows: 8})
 	const q = "SELECT n_nationkey FROM nation"
+
+	// A first sighting: the cache defers it, so the next one is admitted
+	// and would be stored.
+	sendQuery(t, cli, q)
+	drain(t, cli)
 
 	// Read the header and the first batch: the pipe parks the session on
 	// the second batch, mid-stream.
@@ -331,6 +338,7 @@ func TestResultCacheNoReadSetNotCached(t *testing.T) {
 		t.Fatalf("OpenTPCH: %v", err)
 	}
 	c := reuse.NewNamed("bufferdbd_result_cache_", 1<<20, nil, db.ReserveMemory)
+	t.Cleanup(c.Close) // zeroes the process's bufferdbd_result_cache_bytes
 	fill := func(rows *bufferdb.Rows) {
 		f := &fillCursor{Rows: rows, cache: c, key: "k", res: &cachedResult{}}
 		f.recordBatch([]byte{0, 0, 0, 0}, 0)

@@ -253,9 +253,9 @@ func FuzzFingerprintNormalization(f *testing.F) {
 }
 
 // TestFingerprintEndToEndReuse is the property test's ground truth at the
-// engine level: two alias-renamed spellings of the same aggregation, run
-// through a live reuse cache, must yield one miss then one hit with
-// identical rows.
+// engine level: three alias-renamed spellings of the same aggregation, run
+// through a live reuse cache, must yield a deferred miss, an admitted miss
+// and a hit, with identical rows.
 func TestFingerprintEndToEndReuse(t *testing.T) {
 	cache := reuse.New(1<<20, reuse.NewEpochs(), nil)
 	defer cache.Close()
@@ -281,13 +281,30 @@ func TestFingerprintEndToEndReuse(t *testing.T) {
 		return rows
 	}
 
-	a := run("SELECT l_returnflag, SUM(l_quantity) AS q FROM lineitem GROUP BY l_returnflag")
-	b := run("SELECT l_returnflag AS flag, SUM(l_quantity) AS total FROM lineitem GROUP BY l_returnflag")
-	if canonRows(a) != canonRows(b) {
-		t.Fatalf("reused aggregate changed the result:\n%s\n-- vs --\n%s", canonRows(a), canonRows(b))
+	// Three alias spellings of one aggregate share its fingerprint: the
+	// first sighting is deferred, the second publishes, the third adopts.
+	queries := []string{
+		"SELECT l_returnflag, SUM(l_quantity) AS q FROM lineitem GROUP BY l_returnflag",
+		"SELECT l_returnflag AS flag, SUM(l_quantity) AS total FROM lineitem GROUP BY l_returnflag",
+		"SELECT l_returnflag AS f, SUM(l_quantity) AS s FROM lineitem GROUP BY l_returnflag",
 	}
-	st := cache.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("stats hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
+	want := []reuse.Stats{
+		{Misses: 1, Deferred: 1},
+		{Misses: 2, Deferred: 1, Entries: 1},
+		{Hits: 1, Misses: 2, Deferred: 1, Entries: 1},
+	}
+	var first []storage.Row
+	for i, q := range queries {
+		rows := run(q)
+		if i == 0 {
+			first = rows
+		} else if canonRows(rows) != canonRows(first) {
+			t.Fatalf("reused aggregate changed the result:\n%s\n-- vs --\n%s", canonRows(first), canonRows(rows))
+		}
+		st := cache.Stats()
+		got := reuse.Stats{Hits: st.Hits, Misses: st.Misses, Deferred: st.Deferred, Entries: st.Entries}
+		if got != want[i] {
+			t.Errorf("after sighting %d: %+v, want %+v", i+1, got, want[i])
+		}
 	}
 }

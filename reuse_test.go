@@ -87,12 +87,14 @@ func TestReuseEquivalenceAcrossEngines(t *testing.T) {
 
 // TestReuseCrossEngineAdoption: a build published by one engine serves the
 // other two — the hash-table and aggregate layouts are engine-independent.
+// Push sights the statement first, which the cache defers; Volcano's second
+// sighting publishes, and vec and push adopt Volcano's table.
 func TestReuseCrossEngineAdoption(t *testing.T) {
 	db := newReuseDB(t, Options{ReuseCache: true})
 	const q = `SELECT l_returnflag, SUM(l_extendedprice) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag`
 
 	var want string
-	for i, e := range plan.Engines() {
+	for i, e := range []Engine{EnginePush, EngineVolcano, EngineVec, EnginePush} {
 		res, err := db.queryWith(context.Background(), q, PlanOptions{Engine: e})
 		if err != nil {
 			t.Fatalf("%s: %v", e, err)
@@ -100,7 +102,14 @@ func TestReuseCrossEngineAdoption(t *testing.T) {
 		if i == 0 {
 			want = resultKey(res)
 		} else if resultKey(res) != want {
-			t.Fatalf("%s result differs from the published entry:\n got %s\nwant %s", e, resultKey(res), want)
+			t.Fatalf("%s result differs from the first run:\n got %s\nwant %s", e, resultKey(res), want)
+		}
+		st := db.ReuseStats()
+		switch {
+		case i == 0 && (st.Entries != 0 || st.Deferred == 0):
+			t.Fatalf("the first sighting (%s) published: %+v", e, st)
+		case i == 1 && (st.Entries == 0 || st.Hits != 0):
+			t.Fatalf("the second sighting (%s) published nothing: %+v", e, st)
 		}
 	}
 	st := db.ReuseStats()
@@ -181,11 +190,19 @@ func TestReuseInsertInvalidation(t *testing.T) {
 		return res.Rows[0][0].(int64)
 	}
 
-	before := count(regionAgg) // publish region entry
-	count(nationAgg)           // publish nation entry
-	count(regionAgg)           // warm hit
+	before := count(regionAgg) // first sightings: deferred
+	count(nationAgg)
+	if st := db.ReuseStats(); st.Entries != 0 || st.Deferred < 2 {
+		t.Fatalf("first sightings were published: %+v", st)
+	}
+	count(regionAgg) // second sightings: published
+	count(nationAgg)
+	if st := db.ReuseStats(); st.Entries < 2 || st.Hits != 0 {
+		t.Fatalf("second sightings were not published: %+v", st)
+	}
+	count(regionAgg) // third: a hit
 	st0 := db.ReuseStats()
-	if st0.Hits == 0 || st0.Entries < 2 {
+	if st0.Hits == 0 {
 		t.Fatalf("cache not warmed as expected: %+v", st0)
 	}
 
@@ -199,8 +216,13 @@ func TestReuseInsertInvalidation(t *testing.T) {
 	}
 
 	// Dependent rebuilt with the new row; a stale cached COUNT would miss it.
+	// The key was seen before the write, so the rebuilt table is published
+	// at once.
 	if after := count(regionAgg); after != before+1 {
 		t.Fatalf("region count after INSERT = %d, want %d (served a stale cached aggregate)", after, before+1)
+	}
+	if st := db.ReuseStats(); st.Entries != st1.Entries+1 || st.Deferred != st1.Deferred {
+		t.Fatalf("the rebuilt region aggregate was not republished: %+v, after the write %+v", st, st1)
 	}
 	// The nation entry survived the region write.
 	h := db.ReuseStats().Hits
@@ -217,19 +239,26 @@ func TestReuseInsertInvalidation(t *testing.T) {
 	}
 }
 
-// TestReuseCloseReleasesMemory: published entries charge TrackedBytes while
-// resident and release everything at Close.
+// TestReuseCloseReleasesMemory: a first sighting publishes and charges
+// nothing, the second publishes and charges TrackedBytes while resident, the
+// third hits, and Close releases everything.
 func TestReuseCloseReleasesMemory(t *testing.T) {
 	db := newReuseDB(t, Options{ReuseCache: true})
-	if _, err := db.Query(context.Background(), reuseQueries[0]); err != nil {
-		t.Fatal(err)
-	}
-	st := db.ReuseStats()
-	if st.Entries == 0 || st.Bytes == 0 {
-		t.Fatalf("nothing published: %+v", st)
-	}
-	if got := db.TrackedBytes(); got != st.Bytes {
-		t.Fatalf("idle tracked bytes %d, want the cache's %d", got, st.Bytes)
+	for i := 0; i < 3; i++ {
+		if _, err := db.Query(context.Background(), reuseQueries[0]); err != nil {
+			t.Fatal(err)
+		}
+		st := db.ReuseStats()
+		switch {
+		case i == 0 && (st.Entries != 0 || st.Bytes != 0 || db.TrackedBytes() != 0):
+			t.Fatalf("the first sighting published or charged: %+v, tracked %d", st, db.TrackedBytes())
+		case i > 0 && (st.Entries == 0 || st.Bytes == 0):
+			t.Fatalf("run %d: nothing published: %+v", i+1, st)
+		case i > 0 && db.TrackedBytes() != st.Bytes:
+			t.Fatalf("run %d: idle tracked bytes %d, want the cache's %d", i+1, db.TrackedBytes(), st.Bytes)
+		case i == 2 && st.Hits == 0:
+			t.Fatalf("the third run did not hit: %+v", st)
+		}
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
