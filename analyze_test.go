@@ -164,7 +164,7 @@ func TestStatsZeroOverheadConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := testDB.plan(analyzeQuery)
+			p, err := testDB.planText(analyzeQuery)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestStatsZeroOverheadConsistent(t *testing.T) {
 	// (the scan's filter, here), so Open may render it only for a stats
 	// collector or a fault injector, never on the plain path.
 	for _, eng := range plan.Engines() {
-		p, err := testDB.plan(analyzeQuery)
+		p, err := testDB.planText(analyzeQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestFoldedPredicates(t *testing.T) {
 	if want := "filter=((lineitem.l_discount >= (0.05 - 0.01)) AND (lineitem.l_orderkey <> -7))"; !strings.Contains(orig, want) {
 		t.Errorf("EXPLAIN lost the written predicate %q:\n%s", want, orig)
 	}
-	p, err := testDB.plan(folded)
+	p, err := testDB.planText(folded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestBlockAggregatePublishesRowPathTable(t *testing.T) {
 	var published [2][]storage.Row
 	var bytes [2]int64
 	for i, cm := range []bool{false, true} {
-		p, err := db.plan(q)
+		p, err := db.planText(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -400,14 +400,9 @@ func (db *DB) RowCount(table string) (int, error) {
 // bound plan therefore keeps the first text's estimates and buffer
 // placement. A bind that fails plans the text fresh, so a client always sees
 // the fresh path's error, and a failed plan is never kept.
-func (db *DB) plan(query string) (*plan.Node, error) {
-	shape, err := sql.Lex(query)
-	if err != nil {
-		metricPlanCache("misses").Inc()
-		return nil, err
-	}
+func (db *DB) plan(shape *sql.Shape) (*plan.Node, error) {
 	if t := db.plans.get(shape.Key()); t != nil {
-		if p, err := plan.Bind(t, shape.Arg, shape.Names(t.Schema())); err == nil {
+		if p, err := plan.Bind(t.plan, shape.Arg, shape.Names(t.cols)); err == nil {
 			metricPlanCache("hits").Inc()
 			return p, nil
 		}
@@ -476,7 +471,7 @@ type Result struct {
 // The context cancels the query mid-execution. Use QueryStream to consume
 // large results incrementally.
 func (db *DB) Query(ctx context.Context, query string, opts ...QueryOption) (*Result, error) {
-	return collect(db.queryStream(ctx, query, applyOptions(opts)))
+	return collect(db.QueryStream(ctx, query, opts...))
 }
 
 // collect drains a streaming cursor into a Result.

@@ -123,6 +123,7 @@ func TestChaosReuseOOMDuringBuild(t *testing.T) {
 // refuses every publish without failing the queries that tried.
 func TestChaosReuseOversizePublishRefused(t *testing.T) {
 	db := newReuseDB(t, Options{ReuseCache: true})
+	db.reuseCache.Close()
 	db.reuseCache = reuse.New(1, db.epochs, db.ReserveMemory)
 	for i := 0; i < 3; i++ {
 		if _, err := db.Query(context.Background(), reuseChaosQuery); err != nil {

@@ -19,13 +19,12 @@
 // -shards switches the process into coordinator mode: it loads no data,
 // scatters queries to the listed shard daemons (which must share one
 // -shard-count and -seed), gathers their partial streams, and serves the
-// same wire protocol — clients and the CLI connect to either tier
-// unchanged. The two modes differ only in what the server's sessions run
-// against (a resident database or a coordinator) and in what /readyz
-// reports; listener, sidecar, signal handling and drain are one path. A
-// flag that has no effect in the selected mode (-data-dir on a
-// coordinator, -breaker-cooldown on a data node, -shard-index or
-// -replication on an unsharded node) is an error, not a no-op.
+// same wire protocol to clients. The two modes differ only in what the
+// server's sessions run against (a resident database or a coordinator) and
+// in what /readyz reports. A flag that would have no effect is an error,
+// not a no-op: -data-dir on a coordinator, -breaker-cooldown on a data
+// node, -shard-index on an unsharded node, -pool-bytes without -data-dir,
+// -max-queued or -admission-wait without -max-concurrent.
 //
 // Every shard daemon hosts a slice set: its own slice (-shard-index, which
 // must lie in [0, -shard-count)) plus, at -replication rf (default 2), the
@@ -75,31 +74,52 @@ import (
 // before force-closing their connections.
 const drainBudget = 10 * time.Second
 
-// Flags outside these two sets configure the resident database and its
-// caches, so they apply to data nodes only.
+// The flags are package variables, so a test can parse them into its own set.
 var (
-	// sharedFlags apply in both modes.
-	sharedFlags = map[string]bool{
-		"listen": true, "http": true, "memory-limit": true, "replication": true,
-	}
-	// coordFlags apply to a coordinator only.
-	coordFlags = map[string]bool{
-		"shards": true, "breaker-threshold": true, "breaker-cooldown": true,
-	}
+	listen    = flag.String("listen", ":7687", "wire-protocol listen address")
+	httpAddr  = flag.String("http", "", "sidecar HTTP listen address for /metrics, /healthz, /readyz (empty = no sidecar)")
+	scale     = flag.Float64("scale", 0.01, "TPC-H scale factor")
+	seed      = flag.Uint64("seed", 0, "TPC-H generation seed (0 = default)")
+	memLimit  = flag.Int64("memory-limit", 0, "process-wide tracked-memory cap in bytes (0 = unlimited)")
+	maxConc   = flag.Int("max-concurrent", 0, "admission: max concurrently executing queries (0 = unlimited)")
+	maxQueued = flag.Int("max-queued", 0, "admission: max queries queued for a slot")
+	admWait   = flag.Duration("admission-wait", 0, "admission: max time a query queues before shedding (0 = caller's context)")
+	resCache  = flag.Int64("result-cache", 0, "result-reuse cache budget in bytes, each entry charged its encoded result, key and a fixed overhead (0 disables)")
+	reuse     = flag.Bool("reuse-cache", false, "semantic reuse cache (64 MiB): recycle hash-join builds and aggregate tables across queries (bufferdb_reuse_* metrics)")
+	dataDir   = flag.String("data-dir", "", "persistent data directory: load it if populated, else generate TPC-H there; enables INSERT (empty = in-memory)")
+	poolBytes = flag.Int64("pool-bytes", 0, "buffer-pool residency cap in bytes (0 = default 4 MiB; needs -data-dir)")
+	shards    = flag.String("shards", "", "comma-separated shard addresses; non-empty switches to coordinator mode (no local data)")
+	shardIdx  = flag.Int("shard-index", 0, "this shard's index in a hash-partitioned deployment (needs -shard-count > 1)")
+	shardCnt  = flag.Int("shard-count", 0, "total shard count; >1 loads only this node's hash slice of the sharded tables")
+	repl      = flag.Int("replication", 2, "replication factor for sharded deployments: each slice lives on this many nodes (clamped to the node count; 1 disables replication; needs -shard-count > 1 or -shards)")
+	brkThresh = flag.Int("breaker-threshold", 0, "coordinator: consecutive transport failures that open a node's circuit breaker (0 = default 3)")
+	brkCool   = flag.Duration("breaker-cooldown", 0, "coordinator: how long an open breaker rejects a node before probing it again (0 = default 5s)")
+
+	// Flags outside these two sets configure the resident database and its
+	// caches, so they apply to data nodes only. sharedFlags apply in both
+	// modes, coordFlags to a coordinator only.
+	sharedFlags = map[string]bool{"listen": true, "http": true, "memory-limit": true, "replication": true}
+	coordFlags  = map[string]bool{"shards": true, "breaker-threshold": true, "breaker-cooldown": true}
 	// sliceFlags place a data node's slice set, so they need -shard-count > 1.
 	sliceFlags = map[string]bool{"shard-index": true, "replication": true}
+	// needs maps a flag to the flag it only acts through: the buffer pool
+	// is the persistent tier's, and the queue and its wait are admission's.
+	needs = map[string]string{"pool-bytes": "data-dir", "max-queued": "max-concurrent", "admission-wait": "max-concurrent"}
 )
 
-// checkFlags rejects every explicitly set flag the selected mode would
-// silently ignore.
-func checkFlags(coordinator, sharded bool) error {
-	var bad, unsharded []string
-	flag.Visit(func(f *flag.Flag) {
+// checkFlags rejects every flag set in fs that the selected mode, or a
+// flag it needs left at its default, would silently ignore.
+func checkFlags(fs *flag.FlagSet, coordinator, sharded bool) error {
+	var bad, unsharded, unmet []string
+	fs.Visit(func(f *flag.Flag) {
+		dep := fs.Lookup(needs[f.Name])
 		switch {
 		case !sharedFlags[f.Name] && coordFlags[f.Name] != coordinator:
 			bad = append(bad, "-"+f.Name)
 		case !coordinator && !sharded && sliceFlags[f.Name]:
 			unsharded = append(unsharded, "-"+f.Name)
+		case dep != nil && dep.Value.String() == dep.DefValue:
+			unmet = append(unmet, "-"+f.Name+" needs -"+dep.Name)
 		}
 	})
 	switch {
@@ -109,6 +129,8 @@ func checkFlags(coordinator, sharded bool) error {
 		return fmt.Errorf("%s: coordinator only, no effect without -shards", strings.Join(bad, ", "))
 	case len(unsharded) > 0:
 		return fmt.Errorf("%s: shard node only, no effect without -shard-count > 1", strings.Join(unsharded, ", "))
+	case len(unmet) > 0:
+		return fmt.Errorf("%s: no effect otherwise", strings.Join(unmet, ", "))
 	}
 	return nil
 }
@@ -121,37 +143,16 @@ type mode struct {
 	// health feeds /readyz once the listener accepts: "pass", "warn"
 	// (serving, detail says what is degraded) or "fail" (503).
 	health func() (status, detail string)
-	// tracked reports the bytes still charged at exit; a clean drain
-	// leaves 0.
+	// tracked reports the bytes still charged at exit (0 after a clean drain).
 	tracked func() int64
 	// closers run after the drain, in order.
 	closers []func() error
 }
 
 func main() {
-	var (
-		listen    = flag.String("listen", ":7687", "wire-protocol listen address")
-		httpAddr  = flag.String("http", "", "sidecar HTTP listen address for /metrics, /healthz, /readyz (empty = no sidecar)")
-		scale     = flag.Float64("scale", 0.01, "TPC-H scale factor")
-		seed      = flag.Uint64("seed", 0, "TPC-H generation seed (0 = default)")
-		memLimit  = flag.Int64("memory-limit", 0, "process-wide tracked-memory cap in bytes (0 = unlimited)")
-		maxConc   = flag.Int("max-concurrent", 0, "admission: max concurrently executing queries (0 = unlimited)")
-		maxQueued = flag.Int("max-queued", 0, "admission: max queries queued for a slot")
-		admWait   = flag.Duration("admission-wait", 0, "admission: max time a query queues before shedding (0 = caller's context)")
-		resCache  = flag.Int64("result-cache", 0, "result-reuse cache budget in bytes, each entry charged its encoded result, key and a fixed overhead (0 disables)")
-		reuse     = flag.Bool("reuse-cache", false, "semantic reuse cache (64 MiB): recycle hash-join builds and aggregate tables across queries (bufferdb_reuse_* metrics)")
-		dataDir   = flag.String("data-dir", "", "persistent data directory: load it if populated, else generate TPC-H there; enables INSERT (empty = in-memory)")
-		poolBytes = flag.Int64("pool-bytes", 0, "buffer-pool residency cap in bytes (0 = default 4 MiB; needs -data-dir)")
-		shards    = flag.String("shards", "", "comma-separated shard addresses; non-empty switches to coordinator mode (no local data)")
-		shardIdx  = flag.Int("shard-index", 0, "this shard's index in a hash-partitioned deployment (needs -shard-count > 1)")
-		shardCnt  = flag.Int("shard-count", 0, "total shard count; >1 loads only this node's hash slice of the sharded tables")
-		repl      = flag.Int("replication", 2, "replication factor for sharded deployments: each slice lives on this many nodes (clamped to the node count; 1 disables replication; needs -shard-count > 1 or -shards)")
-		brkThresh = flag.Int("breaker-threshold", 0, "coordinator: consecutive transport failures that open a node's circuit breaker (0 = default 3)")
-		brkCool   = flag.Duration("breaker-cooldown", 0, "coordinator: how long an open breaker rejects a node before probing it again (0 = default 5s)")
-	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "bufferdbd: ", log.LstdFlags)
-	if err := checkFlags(*shards != "", *shardCnt > 1); err != nil {
+	if err := checkFlags(flag.CommandLine, *shards != "", *shardCnt > 1); err != nil {
 		logger.Fatalf("flags: %v", err)
 	}
 
@@ -219,10 +220,9 @@ func dataNodeMode(logger *log.Logger, scale float64, index, count, replication i
 	}
 	logger.Printf("TPC-H SF %g loaded in %v, %s (tables: %v)", scale, time.Since(start).Round(time.Millisecond), desc, db.Tables())
 
-	// Checkpoint and close the persistent tier (a no-op for in-memory
-	// databases) so a clean shutdown never needs WAL replay on reboot and
-	// the buffer pool's residency charge drains before the exit gauge.
-	// Closing the primary twice (it is also slices[index]) is harmless.
+	// Checkpoint and close the persistent tier (a no-op in memory), so a
+	// clean shutdown needs no WAL replay on reboot and the pool's charge
+	// drains before the exit gauge. Closing the primary twice is harmless.
 	closers := []func() error{db.Close}
 	for _, sdb := range slices {
 		closers = append(closers, sdb.Close)
@@ -230,8 +230,7 @@ func dataNodeMode(logger *log.Logger, scale float64, index, count, replication i
 	return mode{
 		cfg:    server.Config{DB: db, Slices: slices, Info: fmt.Sprintf("bufferdbd sf=%g", scale)},
 		health: func() (string, string) { return "pass", "" },
-		// The hosted slices share one memory tracker, so the primary's
-		// count is the node's.
+		// The slices share one memory tracker: the primary's count is the node's.
 		tracked: db.TrackedBytes,
 		closers: closers,
 	}

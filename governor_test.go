@@ -170,7 +170,7 @@ func simulate(t *testing.T, db *DB, p *plan.Node, e plan.Engine, runs int, arm f
 // on every engine: the governor must never touch the simulation.
 func TestGovernorCountersBitIdentical(t *testing.T) {
 	db := testDB
-	p, err := db.plan(chaosQuery)
+	p, err := db.planText(chaosQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestGovernorCountersBitIdentical(t *testing.T) {
 // tuple arenas.
 func TestBreakerRegionsSurviveReopen(t *testing.T) {
 	db := testDB
-	p, err := db.plan(chaosQuery)
+	p, err := db.planText(chaosQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,10 +53,14 @@ type distPlan struct {
 // SQL, one leg per slice) plus a gather phase (a merge statement over the
 // legs' stream, planned by the same analyzer).
 func (c *Coordinator) plan(sqlText string) (*distPlan, error) {
-	if sql.IsInsert(sqlText) {
+	shape, err := sql.Lex(sqlText)
+	if err != nil {
+		return nil, err
+	}
+	if shape.IsInsert() {
 		return nil, fmt.Errorf("dist: INSERT is not supported on a sharded deployment: %w", bufferdb.ErrReadOnly)
 	}
-	stmt, err := sql.Parse(sqlText)
+	stmt, err := shape.Parse()
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +82,7 @@ func (c *Coordinator) plan(sqlText string) (*distPlan, error) {
 		}
 	}
 	if len(shardedRefs) == 0 {
-		return c.planReplicated(sqlText, !hasAgg)
+		return c.planReplicated(stmt, sqlText, !hasAgg)
 	}
 	if err := c.checkColocated(stmt, refs, shardedRefs); err != nil {
 		return nil, err
@@ -99,14 +103,15 @@ func (c *Coordinator) plan(sqlText string) (*distPlan, error) {
 
 // planReplicated plans a query over replicated tables only as one
 // unaddressed leg running the original text, merged by SELECT *: the leg
-// itself. Its candidates are every node, starting from the next one in
-// round-robin order, so such queries spread across the fleet and fail over
-// like any leg.
-func (c *Coordinator) planReplicated(sqlText string, replayable bool) (*distPlan, error) {
-	schema, err := c.validateShardSQL(sqlText)
+// itself, analyzed as a single node does, so its errors read alike. Its
+// candidates are every node, starting from the next one in round-robin
+// order, so such queries spread across the fleet and fail over like any leg.
+func (c *Coordinator) planReplicated(stmt *sql.SelectStmt, sqlText string, replayable bool) (*distPlan, error) {
+	p, err := sql.Analyze(stmt, c.cat, sql.Options{})
 	if err != nil {
 		return nil, err
 	}
+	schema := p.Schema()
 	merge, err := mergePlan(&sql.SelectStmt{Items: selectStar, Limit: -1}, schema)
 	if err != nil {
 		return nil, err

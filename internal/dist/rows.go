@@ -56,12 +56,7 @@ func (r *Rows) start() error {
 		mem.ReleaseAll()
 		return err
 	}
-	sch := root.Schema()
-	cols := make([]string, len(sch))
-	for i, col := range sch {
-		cols[i] = col.Name
-	}
-	r.ectx, r.root, r.cancel, r.mem, r.cols = ectx, root, cancel, mem, cols
+	r.ectx, r.root, r.cancel, r.mem, r.cols = ectx, root, cancel, mem, root.Schema().Names()
 	return nil
 }
 

@@ -4,7 +4,7 @@
 // hash-aggregate output tables — keyed by a normalized subplan fingerprint,
 // so alpha-equivalent subtrees across different queries (and different
 // execution engines) share one build; the server keeps a second for encoded
-// result streams, keyed by statement text. Entries are pinned while a query
+// result streams, keyed by bound statement shape. Entries are pinned while a query
 // probes them, so eviction never un-accounts memory mid-use.
 //
 // Staleness has one rule. Every entry carries the ReadSet it was computed

@@ -97,6 +97,7 @@ func New(maxBytes int64, epochs *Epochs, reserve func(name string, n int64) (fun
 
 // NewNamed is New for a cache reporting through the metrics named prefix +
 // {hits,misses,evictions,invalidations,deferred}_total and prefix + bytes.
+// Caches of one prefix move the bytes gauge by their own charges: it sums.
 // epochs may be nil for a cache whose read sets come from several
 // databases.
 func NewNamed(prefix string, maxBytes int64, epochs *Epochs, reserve func(name string, n int64) (func(), error)) *Cache {
@@ -145,7 +146,6 @@ func (c *Cache) Lookup(key string) (payload any, release func(), ok bool) {
 	el, ok := c.entries[key]
 	if ok && el.Value.(*entry).reads.Stale() {
 		c.dropLocked(el, true)
-		c.bytes.Set(float64(c.total))
 		ok = false
 	}
 	if !ok {
@@ -236,7 +236,7 @@ func (c *Cache) Publish(key string, reads ReadSet, payload any, bytes int64) boo
 	e := &entry{key: key, reads: reads, payload: payload, charge: charge, release: release}
 	c.entries[key] = c.lru.PushFront(e)
 	c.total += charge
-	c.bytes.Set(float64(c.total))
+	c.bytes.Add(float64(charge))
 	return true
 }
 
@@ -255,7 +255,6 @@ func (c *Cache) Sweep() {
 		}
 		el = next
 	}
-	c.bytes.Set(float64(c.total))
 }
 
 // dropLocked unlinks one entry and frees it, counting an invalidation if
@@ -264,6 +263,7 @@ func (c *Cache) dropLocked(el *list.Element, stale bool) {
 	e := c.lru.Remove(el).(*entry)
 	delete(c.entries, e.key)
 	c.total -= e.charge
+	c.bytes.Add(-float64(e.charge))
 	e.free()
 	if stale {
 		c.stats.Invalidations++
@@ -302,7 +302,7 @@ func (c *Cache) Close() {
 	}
 	c.entries = make(map[string]*list.Element)
 	c.lru.Init()
+	c.bytes.Add(-float64(c.total))
 	c.total = 0
 	c.closed = true
-	c.bytes.Set(0)
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"bufferdb/internal/obsv"
 )
 
 // trackingReserve returns a reserve hook that records outstanding bytes.
@@ -37,6 +39,7 @@ func keys(n int) []string {
 func TestPublishLookupHit(t *testing.T) {
 	ep := NewEpochs()
 	c := New(1<<20, ep, nil)
+	defer c.Close()
 	if !c.Publish("k1", ep.ReadSet([]string{"nation"}), &AggTable{}, 100) {
 		t.Fatal("publish refused")
 	}
@@ -64,6 +67,7 @@ func TestPublishLookupHit(t *testing.T) {
 func TestPublishRefusals(t *testing.T) {
 	ep := NewEpochs()
 	c := New(8*charge("k", 100), ep, nil)
+	defer c.Close()
 	reads := ep.ReadSet([]string{"t"})
 	if c.Publish("big", reads, &AggTable{}, 101) {
 		t.Fatal("entry over an eighth of the cache accepted")
@@ -91,6 +95,7 @@ func TestPublishRefusals(t *testing.T) {
 	}
 	refuse := func(string, int64) (func(), error) { return nil, fmt.Errorf("limit") }
 	c2 := New(1<<20, ep, refuse)
+	defer c2.Close()
 	if c2.Publish("k", ep.ReadSet([]string{"t"}), &AggTable{}, 10) {
 		t.Fatal("publish accepted despite refused reservation")
 	}
@@ -102,6 +107,7 @@ func TestLRUEviction(t *testing.T) {
 	ks := keys(9)
 	per := charge(ks[0], 100)
 	c := New(8*per, ep, trackingReserve(&outstanding))
+	defer c.Close()
 	reads := ep.ReadSet([]string{"t"})
 	for _, k := range ks[:8] {
 		if !c.Publish(k, reads, &AggTable{}, 100) {
@@ -142,6 +148,7 @@ func TestPinnedEvictionDefersRelease(t *testing.T) {
 	ks := keys(9)
 	per := charge(ks[0], 100)
 	c := New(8*per, ep, trackingReserve(&outstanding))
+	defer c.Close()
 	reads := ep.ReadSet([]string{"t"})
 	c.Publish(ks[0], reads, &AggTable{}, 100)
 	_, release, ok := c.Lookup(ks[0])
@@ -173,6 +180,7 @@ func TestSweepPerTable(t *testing.T) {
 	var outstanding int64
 	ep := NewEpochs()
 	c := New(1<<20, ep, trackingReserve(&outstanding))
+	defer c.Close()
 	c.Publish("li", ep.ReadSet([]string{"lineitem"}), &AggTable{}, 10)
 	c.Publish("ord", ep.ReadSet([]string{"orders"}), &AggTable{}, 10)
 	c.Publish("join", ep.ReadSet([]string{"lineitem", "orders"}), &AggTable{}, 10)
@@ -205,6 +213,7 @@ func TestCloseReleasesEverything(t *testing.T) {
 	var outstanding int64
 	ep := NewEpochs()
 	c := New(1<<20, ep, trackingReserve(&outstanding))
+	defer c.Close()
 	reads := ep.ReadSet([]string{"t"})
 	c.Publish("a", reads, &AggTable{}, 10)
 	c.Publish("b", reads, &AggTable{}, 20)
@@ -253,6 +262,7 @@ func TestEntryChargeIncludesOverhead(t *testing.T) {
 	ep := NewEpochs()
 	const budget, payload = 64 << 10, 8
 	c := New(budget, ep, trackingReserve(&outstanding))
+	defer c.Close()
 	reads := ep.ReadSet([]string{"t"})
 	ks := keys(1000)
 	per := charge(ks[0], payload)
@@ -291,6 +301,7 @@ func TestEvictionVictimsAreLeastRecentlyUsed(t *testing.T) {
 	ep := NewEpochs()
 	const budget = 32 << 10
 	c := New(budget, ep, nil)
+	defer c.Close()
 	tables := []string{"a", "b", "c"}
 	var (
 		model       []ref // most recently used first
@@ -397,6 +408,7 @@ func BenchmarkReusePublishFull(b *testing.B) {
 	ep := NewEpochs()
 	reads := ep.ReadSet([]string{"t"})
 	c := New(entries*charge("fill/00000", size), ep, nil)
+	defer c.Close()
 	for i := 0; i < entries; i++ {
 		c.Publish(fmt.Sprintf("fill/%05d", i), reads, &AggTable{}, size)
 	}
@@ -414,6 +426,7 @@ func BenchmarkReusePublishFull(b *testing.B) {
 // and a key that was admitted stays admitted while it holds its slot.
 func TestAdmitSecondMiss(t *testing.T) {
 	c := New(1<<20, NewEpochs(), nil)
+	defer c.Close()
 	for i, want := range []bool{false, true, true} {
 		if got := c.Admit("k"); got != want {
 			t.Fatalf("miss %d admitted %v, want %v", i+1, got, want)
@@ -438,6 +451,7 @@ func TestAdmitCollision(t *testing.T) {
 		}
 	}
 	c := New(1<<20, NewEpochs(), nil)
+	defer c.Close()
 	for i, step := range []struct {
 		key  string
 		want bool
@@ -463,6 +477,7 @@ func TestAdmitNilOrClosed(t *testing.T) {
 		t.Fatal("a nil cache admitted a key")
 	}
 	c := New(1<<20, NewEpochs(), nil)
+	defer c.Close()
 	c.Admit("k")
 	c.Close()
 	if c.Admit("k") || c.Admit("k") {
@@ -476,6 +491,7 @@ func TestAdmitConcurrent(t *testing.T) {
 	const workers, each = 8, 200
 	hotSlot := fnv1a("hot") % doorSlots
 	c := New(1<<20, NewEpochs(), nil)
+	defer c.Close()
 	var admitted atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -496,4 +512,40 @@ func TestAdmitConcurrent(t *testing.T) {
 	if got := admitted.Load(); got != workers*each-1 {
 		t.Fatalf("%d of %d misses on one key admitted, want all but the first", got, workers*each)
 	}
+}
+
+// TestBytesGaugeSumsCaches: caches sharing a metrics prefix, as a shard
+// node's per-slice reuse caches do, each move the one bytes gauge by their
+// own charges, so it reads their sum, and 0 once every one is closed.
+func TestBytesGaugeSumsCaches(t *testing.T) {
+	const prefix = "reuse_test_gauge_"
+	gauge := obsv.Default.Gauge(prefix + "bytes")
+	ep := NewEpochs()
+	a := NewNamed(prefix, 1<<20, ep, nil)
+	defer a.Close()
+	b := NewNamed(prefix, 1<<20, ep, nil)
+	defer b.Close()
+	if !a.Publish("k", ep.ReadSet([]string{"t"}), &AggTable{}, 100) ||
+		!b.Publish("k", ep.ReadSet([]string{"u"}), &AggTable{}, 200) ||
+		!b.Publish("k2", ep.ReadSet([]string{"t"}), &AggTable{}, 300) {
+		t.Fatal("publish refused")
+	}
+	check := func(when string, want int64) {
+		t.Helper()
+		if got := gauge.Value(); got != float64(want) {
+			t.Fatalf("%s: gauge %v, want %d", when, got, want)
+		}
+	}
+	check("after publishing", charge("k", 100)+charge("k", 200)+charge("k2", 300))
+	ep.Bump("t")
+	a.Sweep()
+	check("after one cache's sweep", charge("k", 200)+charge("k2", 300))
+	if _, _, ok := b.Lookup("k2"); ok {
+		t.Fatal("stale entry answered")
+	}
+	check("after a stale lookup", charge("k", 200))
+	a.Close()
+	check("after one close", charge("k", 200))
+	b.Close()
+	check("after both closed", 0)
 }

@@ -20,11 +20,11 @@ import (
 type dbBackend struct {
 	db     *bufferdb.DB
 	slices map[int]*bufferdb.DB
-	// results is the opt-in result cache for repeated identical read-only
-	// queries: a recycler of encoded streams keyed by the exact text and
-	// slice (wire.QueryOpts.CacheKey) — not by statement shape, as the
-	// database's plan cache is (DESIGN.md §21), since texts of one shape
-	// answer differently. nil when Config.ResultCacheBytes is 0.
+	// results is the opt-in result cache for repeated read-only
+	// statements: a recycler of encoded streams keyed by the slice and the
+	// bound shape (wire.QueryOpts.CacheKey of sql.Shape.Identity), so texts
+	// differing only in spacing, comments, keyword case or output aliases
+	// share an entry. nil when Config.ResultCacheBytes is 0.
 	results   *reuse.Cache
 	faultHook func(sql string) *bufferdb.FaultInjector
 }
@@ -61,36 +61,41 @@ func (b *dbBackend) dbFor(slice int32) (*bufferdb.DB, error) {
 	return nil, fmt.Errorf("server: this node does not host slice %d", idx)
 }
 
-func (b *dbBackend) fault(sql string) *bufferdb.FaultInjector {
-	if b.faultHook == nil {
-		return nil
-	}
-	return b.faultHook(sql)
-}
-
-// QueryStream serves a Query frame: from the result cache when it is
-// enabled and the statement qualifies (the returned cursor is then the
-// *cachedResult itself, which the session replays), else by planning and
-// executing — under a fillCursor when the cache admits the text (its
-// second miss), so a one-off text copies no frames.
+// QueryStream serves a Query frame from its text's one shape: from the
+// result cache when it is enabled and the statement qualifies (the
+// returned cursor is then a *cachedResult, which the session replays), else
+// by planning and executing — under a fillCursor when the cache admits the
+// key (its second miss), so a one-off statement copies no frames.
 func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpts) (Cursor, error) {
-	fi := b.fault(sql)
-
-	// A write must execute every time: replaying a cached INSERT would
-	// skip the insert.
-	isWrite := sqlfe.IsInsert(sql)
-	cacheable := b.results != nil && !o.NoResultCache && fi == nil && !isWrite
+	var fi *bufferdb.FaultInjector
+	if b.faultHook != nil {
+		fi = b.faultHook(sql)
+	}
 	db, err := b.dbFor(o.Slice)
 	if err != nil {
 		return nil, err
 	}
+	shape, err := sqlfe.Lex(sql)
+	if err != nil {
+		return nil, err
+	}
+
+	// A write must execute every time: replaying a cached INSERT would
+	// skip the insert.
+	isWrite := shape.IsInsert()
+	cacheable := b.results != nil && !o.NoResultCache && fi == nil && !isWrite
 	var key string
 	if cacheable {
-		key = o.CacheKey(sql)
+		key = o.CacheKey(shape.Identity())
 		if res, release, ok := b.results.Lookup(key); ok {
 			// The frames are immutable: the replay needs no pin.
 			release()
-			return res.(*cachedResult), nil
+			hit := res.(*cachedResult)
+			if names := shape.Names(hit.cols); names != nil {
+				// A bound alias spelled anew: this text's header, same frames.
+				hit = &cachedResult{cols: names, batches: hit.batches, rows: hit.rows}
+			}
+			return hit, nil
 		}
 		cacheable = b.results.Admit(key)
 	}
@@ -99,7 +104,7 @@ func (b *dbBackend) QueryStream(ctx context.Context, sql string, o wire.QueryOpt
 	if err != nil {
 		return nil, err
 	}
-	rows, err := db.QueryStream(ctx, sql, qopts...)
+	rows, err := db.QueryShape(ctx, shape, qopts...)
 	if err != nil {
 		return nil, err
 	}

@@ -824,7 +824,7 @@ func TestResultCacheWriteOutsideSession(t *testing.T) {
 
 // TestResultCacheOneOffTexts: a served mix of one-off texts caches nothing.
 // Each of 2 000 point lookups carries its own sentinel literal, so neither
-// its text (the result cache's key) nor its join build (the reuse cache's)
+// its bound shape (the result cache's key) nor its join build (the reuse cache's)
 // is ever seen twice: both caches defer every one and stay empty. A
 // dashboard text run three times is stored on its second run and replayed
 // on its third.
@@ -884,6 +884,87 @@ func TestResultCacheOneOffTexts(t *testing.T) {
 		if stored := resultCacheBytes.Value() > 0; run != 1 && stored != (run == 2) {
 			t.Fatalf("dashboard run %d: result cache holds %v bytes", run+1, resultCacheBytes.Value())
 		}
+	}
+}
+
+// TestResultCacheShapeIdentity: the result cache is keyed by the slice and
+// the statement's bound shape, not its text. A dashboard and a variant
+// that renames its output aliases and changes keyword case, whitespace and
+// comments share one entry, each replayed under its own header. A bound
+// literal keeps its text, so = 1 and = 01 are two entries, and one slice
+// never replays another slice's entry.
+func TestResultCacheShapeIdentity(t *testing.T) {
+	dbs, err := bufferdb.OpenTPCHReplicas(testSF, bufferdb.Options{MemoryLimit: 256 << 20}, 3, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, db := range dbs {
+			db.Close()
+		}
+	})
+	_, addr := startServer(t, server.Config{DB: dbs[0], Slices: dbs, ResultCacheBytes: 1 << 20})
+	c := dial(t, addr, client.Config{MaxConns: 1})
+	cached := obsv.Default.Counter(`bufferdbd_queries_total{source="cached"}`)
+	run := func(q string, wantReplays uint64, opts ...client.Option) *client.Result {
+		t.Helper()
+		c0 := cached.Value()
+		res, err := c.QueryAll(context.Background(), q, opts...)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if got := cached.Value() - c0; got != wantReplays {
+			t.Fatalf("%q: %d replays, want %d", q, got, wantReplays)
+		}
+		return res
+	}
+
+	const dashboard = "SELECT l_shipmode AS grp, SUM(l_extendedprice * (1 - l_discount)) AS revenue, COUNT(*) AS n" +
+		" FROM lineitem WHERE l_shipdate >= DATE '1995-01-01' AND l_shipdate < DATE '1996-01-01'" +
+		" GROUP BY l_shipmode ORDER BY 1"
+	const variant = "select l_shipmode as Mode, sum(l_extendedprice * (1 - l_discount)) as REV, count(*) as cnt" +
+		" -- the dashboard, renamed\n  from lineitem where l_shipdate >= date '1995-01-01'" +
+		"\tand l_shipdate < date '1996-01-01' group by l_shipmode order by 1"
+	first := run(dashboard, 0)
+	run(dashboard, 0) // the key's second miss: stored
+	for _, tc := range []struct {
+		text string
+		cols []string
+	}{{variant, []string{"Mode", "REV", "cnt"}}, {dashboard, []string{"grp", "revenue", "n"}}} {
+		res := run(tc.text, 1)
+		if !reflect.DeepEqual(res.Columns, tc.cols) {
+			t.Errorf("%q replayed under %q, want %q", tc.text, res.Columns, tc.cols)
+		}
+		if !reflect.DeepEqual(res.Rows, first.Rows) {
+			t.Errorf("%q replayed rows differ from the dashboard's", tc.text)
+		}
+	}
+
+	// A literal's text is part of the key: 01 and 2 miss where 1 is stored.
+	const nation = "SELECT n_name FROM nation WHERE n_nationkey = "
+	var one *client.Result
+	for _, want := range []uint64{0, 0, 1} {
+		one = run(nation+"1", want)
+	}
+	if res := run(nation+"01", 0); !reflect.DeepEqual(res.Rows, one.Rows) {
+		t.Fatalf("= 01 returned %v, = 1 %v", res.Rows, one.Rows)
+	}
+	if res := run(nation+"2", 0); reflect.DeepEqual(res.Rows, one.Rows) {
+		t.Fatalf("= 2 returned = 1's rows %v", res.Rows)
+	}
+
+	// Each slice answers from its own entries.
+	const count = "SELECT COUNT(*) FROM lineitem"
+	for _, want := range []uint64{0, 0, 1} {
+		run(count, want, client.WithSlice(0))
+	}
+	res := run(count, 0, client.WithSlice(1))
+	local, err := dbs[1].Query(context.Background(), count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Rows[0][0], local.Rows[0][0]; got != want {
+		t.Fatalf("slice 1 counted %v rows, its database %v", got, want)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 
 	"bufferdb/internal/storage"
 )
@@ -22,55 +21,18 @@ type InsertStmt struct {
 	Rows [][]Node
 }
 
-// IsInsert reports whether the statement's first token is the INSERT
-// keyword, which is how the facade routes between the SELECT pipeline and
-// the write path without parsing twice. It skips the same leading trivia
-// the lexer does — whitespace and "--" line comments — and requires a token
-// boundary after the keyword, so "-- note\nINSERT …" routes to the write
-// path while an identifier like "inserted" does not.
-func IsInsert(input string) bool {
-	i, n := 0, len(input)
-	for i < n {
-		switch c := input[i]; {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '-' && i+1 < n && input[i+1] == '-':
-			for i < n && input[i] != '\n' {
-				i++
-			}
-		default:
-			rest := input[i:]
-			if len(rest) < 6 || !strings.EqualFold(rest[:6], "INSERT") {
-				return false
-			}
-			if len(rest) > 6 {
-				if r := rune(rest[6]); unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // ParseInsert parses a single INSERT statement.
 func ParseInsert(input string) (*InsertStmt, error) {
-	toks, err := lex(input)
+	s, err := Lex(input)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	stmt, err := p.parseInsert()
-	if err != nil {
-		return nil, err
-	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, p.errorf("trailing input after statement")
-	}
-	return stmt, nil
+	return s.ParseInsert()
 }
+
+// ParseInsert parses the lexed statement as an INSERT, exactly as
+// ParseInsert parses its text.
+func (s *Shape) ParseInsert() (*InsertStmt, error) { return parseTokens(s.toks, (*parser).parseInsert) }
 
 func (p *parser) parseInsert() (*InsertStmt, error) {
 	if err := p.expectKeyword("INSERT"); err != nil {

@@ -11,13 +11,14 @@ func Parse(input string) (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseTokens(toks)
+	return parseTokens(toks, (*parser).parseSelect)
 }
 
-// parseTokens parses a lexed SELECT statement.
-func parseTokens(toks []token) (*SelectStmt, error) {
+// parseTokens parses a whole lexed statement with parse, the statement's
+// own rule: after it only a semicolon may follow.
+func parseTokens[S any](toks []token, parse func(*parser) (*S, error)) (*S, error) {
 	p := &parser{toks: toks}
-	stmt, err := p.parseSelect()
+	stmt, err := parse(p)
 	if err != nil {
 		return nil, err
 	}

@@ -2,21 +2,23 @@ package sql
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 
 	"bufferdb/internal/storage"
 )
 
-// Shape is a lexed SELECT statement and its plan-cache identity. Key is the
-// token stream with each bound literal replaced by a placeholder of its
-// lexical class (integer, decimal or string), each occurrence of a bound
-// output alias by its name's slot (see nameSlots), and every other token
-// kept as written (see literalSlots). Two texts with one Key differ at most
-// in the values of their bound literals and the spellings of their bound
-// aliases: they parse to one tree and analyze to one plan up to those values,
-// the estimates they give and the output column names, so a plan built for
-// one serves the other once its parameters are re-bound with the other's
-// Arg and its output columns renamed with the other's Names.
+// Shape is a lexed statement: the one identity the served path plans,
+// caches results and routes writes by. Key is the token stream with each
+// bound literal replaced by a placeholder of its lexical class (integer,
+// decimal or string), each occurrence of a bound output alias by its name's
+// slot (see nameSlots), and every other token kept as written (see
+// literalSlots). Two texts with one Key differ at most in the values of
+// their bound literals and the spellings of their bound aliases: they parse
+// to one tree and analyze to one plan up to those values, the estimates
+// they give and the output column names, so a plan built for one serves the
+// other once its parameters are re-bound with the other's Arg and its
+// output columns renamed with the other's Names. A Shape is read-only.
 type Shape struct {
 	toks    []token
 	key     []byte
@@ -113,8 +115,25 @@ func Lex(query string) (*Shape, error) {
 // Key is the statement's plan-cache key. It is valid while s is.
 func (s *Shape) Key() []byte { return s.key }
 
+// Identity is the statement's result identity: Key, which fixes how many
+// literals follow, then each bound literal's text, length-prefixed. Texts
+// of one Identity parse to one tree up to their bound aliases' spellings,
+// so they return the same rows, each under its own Names; 1 and 01 differ.
+func (s *Shape) Identity() string {
+	id := s.key[:len(s.key):len(s.key)] // appending copies; Key stays as it is
+	for _, a := range s.args {
+		id = binary.AppendUvarint(id, uint64(len(a)))
+		id = append(id, a...)
+	}
+	return string(id)
+}
+
+// IsInsert reports whether the statement is a write: its first token is
+// the INSERT keyword.
+func (s *Shape) IsInsert() bool { return isKeyword(s.toks[0], "INSERT") }
+
 // Parse parses the lexed statement, exactly as Parse parses its text.
-func (s *Shape) Parse() (*SelectStmt, error) { return parseTokens(s.toks) }
+func (s *Shape) Parse() (*SelectStmt, error) { return parseTokens(s.toks, (*parser).parseSelect) }
 
 // Arg reads this statement's bound literal param as a value of kind,
 // through the conversion the analyzer builds literals with. It is the
@@ -123,21 +142,18 @@ func (s *Shape) Arg(param int, kind storage.Type) (storage.Value, error) {
 	return readLiteral(s.args[param-1], kind)
 }
 
-// Names returns this statement's output column names given cols, the
-// output columns of a plan of its shape: cols' names with each bound
-// alias's column spelled as in this text. It returns nil when every
-// spelling is already cols', so a plan whose names fit needs no renaming.
-func (s *Shape) Names(cols storage.Schema) []string {
+// Names returns this statement's output column names given cols, those of
+// a plan or result of its shape: cols with each bound alias's column
+// spelled as in this text. It returns nil when every spelling is already
+// cols', so a plan or result whose names fit needs no renaming.
+func (s *Shape) Names(cols []string) []string {
 	var names []string
 	for _, a := range s.aliases {
-		if cols[a.item].Name == a.text {
+		if cols[a.item] == a.text {
 			continue
 		}
 		if names == nil {
-			names = make([]string, len(cols))
-			for i, c := range cols {
-				names[i] = c.Name
-			}
+			names = slices.Clone(cols)
 		}
 		names[a.item] = a.text
 	}

@@ -175,10 +175,10 @@ func TestShapeAliasKey(t *testing.T) {
 			continue
 		}
 		sa, sb := mustParse(t, c.a), mustParse(t, c.b)
-		if got := a.Names(outputColumns(sa)); got != nil {
+		if got := a.Names(outputNames(sa)); got != nil {
 			t.Errorf("case %d: Names of a text's own columns = %q, want nil", i, got)
 		}
-		got := b.Names(outputColumns(sa))
+		got := b.Names(outputNames(sa))
 		if got == nil {
 			got = outputNames(sa)
 		}
@@ -214,14 +214,6 @@ func outputNames(s *SelectStmt) []string {
 	return names
 }
 
-func outputColumns(s *SelectStmt) storage.Schema {
-	var cols storage.Schema
-	for _, n := range outputNames(s) {
-		cols = append(cols, storage.Column{Name: n})
-	}
-	return cols
-}
-
 // shapeSeeds are FuzzShapeKey's texts: the served texts and the alias
 // cases above.
 func shapeSeeds() []string {
@@ -244,16 +236,63 @@ func shapeSeeds() []string {
 	for _, c := range aliasKeyCases {
 		seeds = append(seeds, c.a, c.b)
 	}
+	for _, c := range identityCases {
+		seeds = append(seeds, c.a, c.b)
+	}
 	return seeds
+}
+
+// identityCases are pairs of texts and whether they share a result
+// identity: spelling that is not a token never splits one, and a bound
+// literal's text always does.
+var identityCases = []struct {
+	a, b string
+	same bool
+}{
+	{`SELECT l_returnflag AS flag, COUNT(*) AS n FROM lineitem WHERE l_quantity < 10 GROUP BY l_returnflag ORDER BY 1`,
+		"select l_returnflag as RF, count(*) as cnt -- renamed\n  from lineitem\twhere l_quantity < 10 group by l_returnflag order by 1;", false},
+	{`SELECT l_returnflag AS flag, COUNT(*) AS n FROM lineitem WHERE l_quantity < 10 GROUP BY l_returnflag ORDER BY 1`,
+		"select l_returnflag as RF, count(*) as cnt -- renamed\n  from lineitem\twhere l_quantity < 10 group by l_returnflag order by 1", true},
+	{`SELECT COUNT(*) FROM nation WHERE n_nationkey = 1`, `SELECT COUNT(*) FROM nation WHERE n_nationkey = 01`, false},
+	{`SELECT COUNT(*) FROM nation WHERE n_nationkey = 1`, `SELECT COUNT(*) FROM nation WHERE n_nationkey = 2`, false},
+	{`SELECT COUNT(*) FROM nation WHERE n_name = 'it''s'`, `SELECT  count(*)  FROM nation WHERE n_name = 'it''s'`, true},
+	{`SELECT COUNT(*) FROM nation WHERE n_name = 'ab' AND n_comment = 'c'`,
+		`SELECT COUNT(*) FROM nation WHERE n_name = 'a' AND n_comment = 'bc'`, false},
+	{`SELECT COUNT(*) FROM nation WHERE n_regionkey = 1`, `SELECT COUNT(*) FROM nation WHERE N_REGIONKEY = 1`, false},
+}
+
+// TestShapeIdentity holds Identity to its cases: texts differing only in
+// whitespace, comments, keyword case and bound alias spellings share one,
+// and any other difference — a literal's text, an identifier's case, a
+// trailing semicolon — splits it. Texts of one identity share a Key.
+func TestShapeIdentity(t *testing.T) {
+	for i, c := range identityCases {
+		a, err := Lex(c.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Lex(c.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same := a.Identity() == b.Identity(); same != c.same {
+			t.Errorf("case %d: same identity %v, want %v\n%s\n%s", i, same, c.same, c.a, c.b)
+		}
+		if c.same && string(a.Key()) != string(b.Key()) {
+			t.Errorf("case %d: one identity, two keys", i)
+		}
+	}
 }
 
 // FuzzShapeKey: two texts with one shape key parse to trees equal up to
 // the values of their bound literals and the spellings of their bound
-// aliases, and Shape.Names turns the one's output names into the other's.
-// The second text is the first with identifiers and literals swapped at
-// random for others — names and literals of the text, case changes, fresh
-// ones — so equal keys are common and the swaps that must change the key
-// are tried too.
+// aliases, and Shape.Names turns each one's output names into the other's.
+// Two texts with one Identity, the result cache's, parse to trees equal up
+// to the alias spellings alone: every literal as written. The second text
+// is the first with identifiers and literals swapped at random for others
+// — names and literals of the text, case changes, fresh ones — so equal
+// keys and identities are common and the swaps that must change them are
+// tried too.
 func FuzzShapeKey(f *testing.F) {
 	for i, s := range shapeSeeds() {
 		f.Add(s, uint64(i))
@@ -265,7 +304,14 @@ func FuzzShapeKey(f *testing.F) {
 		}
 		variant := mutateTokens(text, a.toks, rand.New(rand.NewSource(int64(seed))))
 		b, err := Lex(variant)
-		if err != nil || string(a.Key()) != string(b.Key()) {
+		if err != nil {
+			return
+		}
+		sameResult := a.Identity() == b.Identity()
+		if sameKey := string(a.Key()) == string(b.Key()); !sameKey {
+			if sameResult {
+				t.Fatalf("one identity, two keys:\n%q\n%q", text, variant)
+			}
 			return
 		}
 		sa, errA := a.Parse()
@@ -276,21 +322,29 @@ func FuzzShapeKey(f *testing.F) {
 		if errA != nil {
 			return
 		}
-		wantNames := outputNames(sb)
-		normalize(sa, a)
-		normalize(sb, b)
+		namesA, namesB := outputNames(sa), outputNames(sb)
+		normalize(sa, a, !sameResult)
+		normalize(sb, b, !sameResult)
 		if !reflect.DeepEqual(sa, sb) {
+			if sameResult {
+				t.Fatalf("one identity, different trees up to alias spellings:\n%q\n%q", text, variant)
+			}
 			t.Fatalf("one key, different trees:\n%q\n%q", text, variant)
 		}
-		if slices.Contains(wantNames, "*") {
+		if slices.Contains(namesA, "*") {
 			return
 		}
-		names := b.Names(outputColumns(mustParse(t, text)))
-		if names == nil {
-			names = outputNames(mustParse(t, text))
-		}
-		if !slices.Equal(names, wantNames) {
-			t.Fatalf("Names = %q, want %q:\n%q\n%q", names, wantNames, text, variant)
+		for _, c := range []struct {
+			s         *Shape
+			from, own []string
+		}{{b, namesA, namesB}, {a, namesB, namesA}} {
+			names := c.s.Names(c.from)
+			if names == nil {
+				names = c.from
+			}
+			if !slices.Equal(names, c.own) {
+				t.Fatalf("Names(%q) = %q, want %q:\n%q\n%q", c.from, names, c.own, text, variant)
+			}
 		}
 	})
 }
@@ -346,11 +400,12 @@ func mutateTokens(text string, toks []token, rng *rand.Rand) string {
 	return b.String()
 }
 
-// normalize blanks what shape binds in s, its parsed statement: bound
-// literal values, the bound aliases, and each ORDER BY item resolving to a
-// bound alias's column (the first item whose output name folds to its
-// name, as the analyzer resolves it), which becomes that item's index.
-func normalize(s *SelectStmt, shape *Shape) {
+// normalize blanks what shape binds in s, its parsed statement: the bound
+// aliases, each ORDER BY item resolving to a bound alias's column (the
+// first item whose output name folds to its name, as the analyzer resolves
+// it), which becomes that item's index, and, when literals is set, the
+// bound literal values.
+func normalize(s *SelectStmt, shape *Shape, literals bool) {
 	bound := map[int]bool{}
 	for _, a := range shape.aliases {
 		bound[a.item] = true
@@ -374,6 +429,9 @@ func normalize(s *SelectStmt, shape *Shape) {
 		if bound[i] {
 			s.Items[i].Alias = ""
 		}
+	}
+	if !literals {
+		return
 	}
 	var walk func(n Node)
 	walk = func(n Node) {

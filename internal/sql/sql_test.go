@@ -408,9 +408,9 @@ func TestRefinedSQLPlanRuns(t *testing.T) {
 // newTestCodeModel builds a fresh code model for refinement tests.
 func newTestCodeModel() *codemodel.Catalog { return codemodel.NewCatalog() }
 
-// TestIsInsert pins the routing predicate: it must skip the same leading
-// trivia the lexer does (whitespace, -- line comments) and match INSERT
-// only as a whole token.
+// TestIsInsert pins the routing predicate, Shape.IsInsert: leading
+// whitespace and -- line comments are not tokens, and INSERT matches only
+// as a whole token.
 func TestIsInsert(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -430,8 +430,12 @@ func TestIsInsert(t *testing.T) {
 		{"   ", false},
 	}
 	for _, c := range cases {
-		if got := IsInsert(c.in); got != c.want {
-			t.Errorf("IsInsert(%q) = %v, want %v", c.in, got, c.want)
+		shape, err := Lex(c.in)
+		if err != nil {
+			t.Fatalf("Lex(%q): %v", c.in, err)
+		}
+		if got := shape.IsInsert(); got != c.want {
+			t.Errorf("Lex(%q).IsInsert() = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

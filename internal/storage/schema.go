@@ -60,6 +60,15 @@ func (s Schema) Concat(other Schema) Schema {
 	return out
 }
 
+// Names returns the column names, in order.
+func (s Schema) Names() []string {
+	names := make([]string, len(s))
+	for i, c := range s {
+		names[i] = c.Name
+	}
+	return names
+}
+
 // String renders the schema for EXPLAIN output and error messages.
 func (s Schema) String() string {
 	parts := make([]string, len(s))

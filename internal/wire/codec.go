@@ -356,11 +356,11 @@ func (r *Reader) Opts() QueryOpts {
 	}
 }
 
-// CacheKey renders the slice alongside the SQL text, for the server's
-// result cache; per-execution knobs like the timeout or
-// memory budget stay out. Slice participates because each slice is a
-// distinct catalog: the same SQL compiled against slice 0 and slice 2 are
-// different plans over different data.
-func (o QueryOpts) CacheKey(sql string) string {
-	return fmt.Sprintf("%d|%s", o.Slice, sql)
+// CacheKey renders the slice alongside a statement's identity
+// (sql.Shape.Identity), for the server's result cache; per-execution knobs
+// like the timeout or memory budget stay out. Slice participates because
+// each slice is a distinct catalog: one statement over slice 0 and slice 2
+// reads different data.
+func (o QueryOpts) CacheKey(identity string) string {
+	return fmt.Sprintf("%d|%s", o.Slice, identity)
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	sqlfe "bufferdb/internal/sql"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -144,13 +146,17 @@ func TestOptsRoundTrip(t *testing.T) {
 }
 
 func TestCacheKeySeparatesOptions(t *testing.T) {
-	sql := "SELECT COUNT(*) FROM lineitem"
-	if (QueryOpts{Slice: 2}).CacheKey(sql) == (QueryOpts{}).CacheKey(sql) {
+	shape, err := sqlfe.Lex("SELECT COUNT(*) FROM lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	identity := shape.Identity()
+	if (QueryOpts{Slice: 2}).CacheKey(identity) == (QueryOpts{}).CacheKey(identity) {
 		t.Fatal("slices share a cache key")
 	}
 	// Execution-time knobs must NOT split the key.
 	for _, o := range []QueryOpts{{TimeoutMS: 10}, {NoResultCache: true}, {MemoryBudget: 1024}} {
-		if o.CacheKey(sql) != (QueryOpts{}).CacheKey(sql) {
+		if o.CacheKey(identity) != (QueryOpts{}).CacheKey(identity) {
 			t.Fatalf("execution-time option %+v leaked into the cache key", o)
 		}
 	}

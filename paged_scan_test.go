@@ -117,7 +117,7 @@ func TestPagedScanMasksSurvivePlanning(t *testing.T) {
 		return masked, scans
 	}
 
-	p, err := paged.plan(bench.TPCHQ6)
+	p, err := paged.planText(bench.TPCHQ6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPagedScanMasksSurvivePlanning(t *testing.T) {
 	if _, err := paged.Prepare(bench.TPCHQ3); err != nil {
 		t.Fatal(err)
 	}
-	bound, err := paged.plan(bench.TPCHQ3)
+	bound, err := paged.planText(bench.TPCHQ3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestPagedScanMasksSurvivePlanning(t *testing.T) {
 		t.Fatalf("prepared Q3: %d of %d scans carry a mask, want 3 of 3", masked, scans)
 	}
 
-	star, err := paged.plan(`SELECT * FROM orders WHERE o_totalprice > 300000`)
+	star, err := paged.planText(`SELECT * FROM orders WHERE o_totalprice > 300000`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,14 +128,14 @@ func (db *DB) PagerStats() PagerStats {
 // append through the store's WAL (fsync-on-commit), and return a one-row
 // cursor carrying the inserted count. Writes bypass plan refinement and
 // admission control — they touch no operator pipeline at all.
-func (db *DB) execInsert(ctx context.Context, query string) (*Rows, error) {
+func (db *DB) execInsert(ctx context.Context, shape *sql.Shape) (*Rows, error) {
 	metricQueries().Inc()
 	fail := func(err error) (*Rows, error) {
 		classifyError(err)
 		metricErrors().Inc()
 		return nil, err
 	}
-	stmt, err := sql.ParseInsert(query)
+	stmt, err := shape.ParseInsert()
 	if err != nil {
 		return fail(err)
 	}

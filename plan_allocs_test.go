@@ -45,11 +45,11 @@ func TestAdhocPlanAllocs(t *testing.T) {
 			return err
 		}},
 		{"hit", 29, 4_950, adhocLookup, func(text string) error {
-			_, err := testDB.plan(text)
+			_, err := testDB.planText(text)
 			return err
 		}},
 		{"alias_hit", 32, 6_285, aliasedDashboard, func(text string) error {
-			_, err := testDB.plan(text)
+			_, err := testDB.planText(text)
 			return err
 		}},
 	} {
@@ -103,7 +103,7 @@ func BenchmarkAdhocPlan(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := testDB.plan(adhocLookup(i)); err != nil {
+			if _, err := testDB.planText(adhocLookup(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -111,7 +111,7 @@ func BenchmarkAdhocPlan(b *testing.B) {
 	b.Run("alias", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := testDB.plan(aliasedDashboard(i)); err != nil {
+			if _, err := testDB.planText(aliasedDashboard(i)); err != nil {
 				b.Fatal(err)
 			}
 		}

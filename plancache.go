@@ -24,9 +24,11 @@ type planCache struct {
 	order   *list.List // front = most recently used
 }
 
+// planTemplate is a cached plan and its output names, for sql.Shape.Names.
 type planTemplate struct {
 	key  string
 	plan *plan.Node
+	cols []string
 }
 
 func newPlanCache() *planCache {
@@ -34,7 +36,7 @@ func newPlanCache() *planCache {
 }
 
 // get returns the template of key, or nil.
-func (c *planCache) get(key []byte) *plan.Node {
+func (c *planCache) get(key []byte) *planTemplate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[string(key)]
@@ -42,21 +44,22 @@ func (c *planCache) get(key []byte) *plan.Node {
 		return nil
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*planTemplate).plan
+	return el.Value.(*planTemplate)
 }
 
 // put makes p the template of key, replacing any earlier one and evicting
 // the least recently used template past the bound.
 func (c *planCache) put(key []byte, p *plan.Node) {
+	cols := p.Schema().Names()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[string(key)]; ok {
-		el.Value.(*planTemplate).plan = p
+		el.Value = &planTemplate{key: el.Value.(*planTemplate).key, plan: p, cols: cols}
 		c.order.MoveToFront(el)
 		return
 	}
 	k := string(key)
-	c.entries[k] = c.order.PushFront(&planTemplate{key: k, plan: p})
+	c.entries[k] = c.order.PushFront(&planTemplate{key: k, plan: p, cols: cols})
 	if c.order.Len() > planCacheEntries {
 		back := c.order.Back()
 		c.order.Remove(back)

@@ -330,6 +330,15 @@ func renameAliases(rng *rand.Rand, text string, kind int) string {
 	return b.String()
 }
 
+// planText lexes a text and plans its shape, as the served path does.
+func (db *DB) planText(text string) (*plan.Node, error) {
+	shape, err := sql.Lex(text)
+	if err != nil {
+		return nil, err
+	}
+	return db.plan(shape)
+}
+
 // shapeKey is a text's plan-cache key, "" when it does not lex.
 func shapeKey(t *testing.T, text string) string {
 	t.Helper()
@@ -478,7 +487,7 @@ func TestPlanCacheBindIsConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := plan.Bind(p, shape.Arg, shape.Names(p.Schema()))
+		b, err := plan.Bind(p, shape.Arg, shape.Names(p.Schema().Names()))
 		if err != nil {
 			t.Fatalf("text %d: bind with its own literals: %v", ti, err)
 		}

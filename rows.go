@@ -71,21 +71,26 @@ type Rows struct {
 // query: once ctx is done, Next stops and Err reports an error wrapping the
 // context's.
 func (db *DB) QueryStream(ctx context.Context, query string, opts ...QueryOption) (*Rows, error) {
-	return db.queryStream(ctx, query, applyOptions(opts))
-}
-
-// queryStream is the shared ad-hoc execution path: plan, then run. Writes
-// (INSERT) divert to the storage tier before planning — they have no
-// operator pipeline.
-func (db *DB) queryStream(ctx context.Context, query string, qo QueryOptions) (*Rows, error) {
-	if sql.IsInsert(query) {
-		return db.execInsert(ctx, query)
-	}
-	p, err := db.plan(query)
+	shape, err := sql.Lex(query)
 	if err != nil {
 		return nil, err
 	}
-	return db.execPlan(ctx, p, qo)
+	return db.QueryShape(ctx, shape, opts...)
+}
+
+// QueryShape is QueryStream for a statement already lexed, so a serving
+// tier lexes each text once; only this module can name its argument. It is
+// the shared ad-hoc execution path: plan, then run. Writes (INSERT) divert
+// to the storage tier before planning — they have no operator pipeline.
+func (db *DB) QueryShape(ctx context.Context, shape *sql.Shape, opts ...QueryOption) (*Rows, error) {
+	if shape.IsInsert() {
+		return db.execInsert(ctx, shape)
+	}
+	p, err := db.plan(shape)
+	if err != nil {
+		return nil, err
+	}
+	return db.execPlan(ctx, p, applyOptions(opts))
 }
 
 // execPlan compiles an already-planned statement and starts executing it
@@ -165,14 +170,10 @@ func (db *DB) execPlan(ctx context.Context, p *plan.Node, qo QueryOptions) (*Row
 		return bail(mem, err)
 	}
 	schema := p.Schema()
-	cols := make([]string, len(schema))
-	for i, c := range schema {
-		cols[i] = c.Name
-	}
 	return &Rows{
 		ectx:     ectx,
 		op:       op,
-		cols:     cols,
+		cols:     schema.Names(),
 		schema:   schema,
 		mem:      mem,
 		cancel:   cancel,

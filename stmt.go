@@ -1,8 +1,12 @@
 package bufferdb
 
-import "context"
+import (
+	"context"
 
-// Stmt is a prepared statement: a statement text with its options fixed.
+	"bufferdb/internal/sql"
+)
+
+// Stmt is a prepared statement: a lexed statement with its options fixed.
 // Prepare checks that it plans; each execution then takes the ad hoc path,
 // whose plan cache binds the shape's template (DESIGN.md §21), so a Stmt
 // holds no plan of its own.
@@ -11,7 +15,8 @@ import "context"
 type Stmt struct {
 	db    *DB
 	query string
-	qo    QueryOptions
+	shape *sql.Shape
+	opts  []QueryOption
 }
 
 // Prepare plans the statement as Query does, so one that cannot be planned
@@ -19,10 +24,14 @@ type Stmt struct {
 // executions to bind. Options fixed at Prepare time (timeout, memory
 // budget, …) apply to every execution.
 func (db *DB) Prepare(query string, opts ...QueryOption) (*Stmt, error) {
-	if _, err := db.plan(query); err != nil {
+	shape, err := sql.Lex(query)
+	if err != nil {
 		return nil, err
 	}
-	return &Stmt{db: db, query: query, qo: applyOptions(opts)}, nil
+	if _, err := db.plan(shape); err != nil {
+		return nil, err
+	}
+	return &Stmt{db: db, query: query, shape: shape, opts: append([]QueryOption(nil), opts...)}, nil
 }
 
 // Text returns the prepared statement's SQL.
@@ -37,5 +46,5 @@ func (s *Stmt) Query(ctx context.Context) (*Result, error) {
 // QueryStream executes the prepared statement and returns a streaming
 // cursor.
 func (s *Stmt) QueryStream(ctx context.Context) (*Rows, error) {
-	return s.db.queryStream(ctx, s.query, s.qo)
+	return s.db.QueryShape(ctx, s.shape, s.opts...)
 }

@@ -44,7 +44,7 @@ func TestPrepareMatchesAdHoc(t *testing.T) {
 	if stmt.Text() != stmtQuery {
 		t.Errorf("Text() = %q", stmt.Text())
 	}
-	p, err := testDB.plan(stmt.Text())
+	p, err := testDB.planText(stmt.Text())
 	if err != nil {
 		t.Fatal(err)
 	}
