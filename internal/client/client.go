@@ -370,8 +370,8 @@ func (c *Client) startStream(ctx context.Context, cn *conn, payload []byte) (*Ro
 			c.release(cn)
 			return nil, err
 		}
-		rows := &Rows{c: c, cn: cn, ctx: ctx, cols: cols, watchStop: make(chan struct{}), watchDone: make(chan struct{})}
-		go rows.watchCancel()
+		rows := &Rows{c: c, cn: cn, ctx: ctx, cols: cols}
+		rows.watchCancel()
 		return rows, nil
 	default:
 		cn.broken = true
@@ -471,7 +471,7 @@ func (c *Client) tables(ctx context.Context, payload []byte) ([]TableInfo, error
 
 // conn is one pooled protocol connection. At most one request/response
 // exchange is in flight on a conn at a time; the write mutex exists only
-// for the Cancel frame, which a watcher goroutine sends while the main
+// for the Cancel frame, which a context's AfterFunc sends while the main
 // flow is reading the stream.
 type conn struct {
 	c  net.Conn
@@ -523,28 +523,24 @@ func (cn *conn) read() (wire.Type, []byte, error) {
 }
 
 // readCtx reads one frame, aborting the blocked read if ctx is canceled
-// first: a watcher goroutine forces the connection's read deadline into the
-// past, which fails the pending Read with a timeout. The deadline is
-// cleared after the watcher is joined, so a read that won the race leaves
-// the connection clean; an aborted read leaves it mid-frame and the caller
-// must mark it broken.
+// first: an AfterFunc forces the connection's read deadline into the past,
+// which fails the pending Read with a timeout. A read that won the race
+// waits for a callback already started and clears the deadline it set, so
+// the connection is left clean; an aborted read leaves it mid-frame and the
+// caller must mark it broken.
 func (cn *conn) readCtx(ctx context.Context) (wire.Type, []byte, error) {
 	if ctx.Done() == nil {
 		return cn.read()
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		select {
-		case <-ctx.Done():
-			_ = cn.c.SetReadDeadline(time.Unix(1, 0))
-		case <-stop:
-		}
-	}()
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		_ = cn.c.SetReadDeadline(time.Unix(1, 0))
+		close(fired)
+	})
 	ft, p, err := cn.read()
-	close(stop)
-	<-done
-	_ = cn.c.SetReadDeadline(time.Time{})
+	if !stop() {
+		<-fired
+		_ = cn.c.SetReadDeadline(time.Time{})
+	}
 	return ft, p, err
 }

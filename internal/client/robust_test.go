@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bufferdb"
 	"bufferdb/internal/client"
+	"bufferdb/internal/storage"
 	"bufferdb/internal/wire"
 )
 
@@ -192,5 +194,120 @@ func TestTransportClassification(t *testing.T) {
 		if got := client.IsTransport(tc.err); got != tc.want {
 			t.Errorf("IsTransport(%s) = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// writeResult replies a whole one-column result of n integer rows.
+func writeResult(c net.Conn, n int) error {
+	var cols wire.Builder
+	cols.U32(1)
+	cols.String("i")
+	if err := wire.WriteFrame(c, wire.TColumns, cols.Bytes()); err != nil {
+		return err
+	}
+	if n > 0 {
+		var batch wire.Builder
+		batch.U32(uint32(n))
+		for i := 0; i < n; i++ {
+			batch.Val(storage.NewInt(int64(i)))
+		}
+		if err := wire.WriteFrame(c, wire.TRowBatch, batch.Bytes()); err != nil {
+			return err
+		}
+	}
+	var done wire.Builder
+	done.U64(uint64(n))
+	return wire.WriteFrame(c, wire.TDone, done.Bytes())
+}
+
+// TestOpenRowsStartNoGoroutine: a query under a context that can end starts
+// no goroutine of its own — neither to abort the response-head read nor to
+// send a Cancel while its rows are open — and canceling that context still
+// reaches the server as a Cancel frame.
+func TestOpenRowsStartNoGoroutine(t *testing.T) {
+	addr := fakeDaemon(t, func(_ int, c net.Conn) {
+		for {
+			ft, _, err := wire.ReadFrame(c)
+			if err != nil {
+				return
+			}
+			switch ft {
+			case wire.TQuery:
+				// Open a stream and leave it open.
+				var cols wire.Builder
+				cols.U32(1)
+				cols.String("i")
+				if wire.WriteFrame(c, wire.TColumns, cols.Bytes()) != nil {
+					return
+				}
+			case wire.TCancel:
+				if writeErrorFrame(c, wire.CodeCanceled, "query canceled") != nil {
+					return
+				}
+			}
+		}
+	})
+	cl, err := client.Dial(addr, client.Config{MaxConns: 1})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	base := runtime.NumGoroutine()
+	rows, err := cl.Query(ctx, `SELECT 1`)
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("an open Rows runs %d goroutines more than before its query", n-base)
+	}
+	cancel()
+	if rows.Next() {
+		t.Fatal("canceled stream yielded a row")
+	}
+	if err := rows.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled stream ended with %v, want context.Canceled", err)
+	}
+	rows.Close()
+}
+
+// TestCancelAfterSettleStaysOut: canceling a query's context after its
+// stream has ended sends nothing — no Cancel frame lands in the next
+// exchange on the pooled connection.
+func TestCancelAfterSettleStaysOut(t *testing.T) {
+	frames := make(chan []wire.Type, 1)
+	addr := fakeDaemon(t, func(_ int, c net.Conn) {
+		var seen []wire.Type
+		defer func() { frames <- seen }()
+		for {
+			ft, _, err := wire.ReadFrame(c)
+			if err != nil {
+				return
+			}
+			seen = append(seen, ft)
+			if ft == wire.TQuery && writeResult(c, 2) != nil {
+				return
+			}
+		}
+	})
+	cl, err := client.Dial(addr, client.Config{MaxConns: 1})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := cl.QueryAll(ctx, `SELECT 1`); err != nil {
+		t.Fatalf("first query: %v", err)
+	}
+	cancel()
+	res, err := cl.QueryAll(context.Background(), `SELECT 2`)
+	if err != nil || len(res.Rows) != 2 {
+		t.Fatalf("second query: %v, %v", res, err)
+	}
+	cl.Close()
+	if seen := <-frames; len(seen) != 2 || seen[0] != wire.TQuery || seen[1] != wire.TQuery {
+		t.Fatalf("server read %v, want two Query frames and nothing else", seen)
 	}
 }

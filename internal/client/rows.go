@@ -53,29 +53,32 @@ type Rows struct {
 	finished bool // terminal frame consumed, conn released
 	closed   bool
 
-	watchStop chan struct{}
-	watchDone chan struct{}
+	// stopCancel withdraws the Cancel write armed on ctx (nil: none);
+	// fired closes once a Cancel write that started has finished.
+	stopCancel func() bool
+	fired      chan struct{}
 }
 
-// watchCancel propagates context cancellation as a Cancel frame while the
-// stream is live.
+// watchCancel arms a Cancel frame for the context's end while the stream
+// is live, as an AfterFunc: no goroutine waits for it.
 func (r *Rows) watchCancel() {
-	defer close(r.watchDone)
-	select {
-	case <-r.ctx.Done():
-		_ = r.cn.write(wire.TCancel, nil)
-	case <-r.watchStop:
+	if r.ctx.Done() == nil {
+		return
 	}
+	r.fired = make(chan struct{})
+	r.stopCancel = context.AfterFunc(r.ctx, func() {
+		_ = r.cn.write(wire.TCancel, nil)
+		close(r.fired)
+	})
 }
 
-// stopWatch tears the cancel watcher down exactly once.
+// stopWatch withdraws the Cancel write or waits for one already started,
+// so it lands before the connection carries another exchange.
 func (r *Rows) stopWatch() {
-	select {
-	case <-r.watchStop:
-	default:
-		close(r.watchStop)
+	if r.stopCancel != nil && !r.stopCancel() {
+		<-r.fired
 	}
-	<-r.watchDone
+	r.stopCancel = nil
 }
 
 // Columns names the result attributes. The slice is shared; treat it as
@@ -145,7 +148,7 @@ func (r *Rows) Next() bool {
 		}
 		ft, p, err := r.cn.read()
 		if err != nil {
-			r.fail(fmt.Errorf("client: read row stream: %w", err), true)
+			r.settle(fmt.Errorf("client: read row stream: %w", err), true)
 			return false
 		}
 		switch ft {
@@ -156,20 +159,20 @@ func (r *Rows) Next() bool {
 		case wire.TDone:
 			rd := wire.NewReader(p)
 			r.total = rd.U64()
-			r.settle(nil)
+			r.settle(nil, false)
 			return false
 		case wire.TError:
 			serr := decodeError(p)
 			// If our own context died, report that; the server's Canceled
 			// code is just its echo.
 			if r.ctx.Err() != nil && serr.Code == wire.CodeCanceled {
-				r.settle(fmt.Errorf("client: query canceled: %w", r.ctx.Err()))
+				r.settle(fmt.Errorf("client: query canceled: %w", r.ctx.Err()), false)
 			} else {
-				r.settle(serr)
+				r.settle(serr, false)
 			}
 			return false
 		default:
-			r.fail(fmt.Errorf("client: unexpected %s frame in row stream", ft), true)
+			r.settle(fmt.Errorf("client: unexpected %s frame in row stream", ft), true)
 			return false
 		}
 	}
@@ -180,25 +183,17 @@ func (r *Rows) Next() bool {
 func (r *Rows) decodeBatch(p []byte) bool {
 	arena, n, err := wire.DecodeRowBatch(p, len(r.cols))
 	if err != nil {
-		r.fail(fmt.Errorf("client: malformed row batch: %w", err), true)
+		r.settle(fmt.Errorf("client: malformed row batch: %w", err), true)
 		return false
 	}
 	r.batch, r.rows, r.next = arena, n, 0
 	return true
 }
 
-// settle ends the stream cleanly: the terminal frame was consumed, so the
-// connection is in a known state and returns to the pool.
-func (r *Rows) settle(err error) {
-	r.err = err
-	r.cur = nil
-	r.finished = true
-	r.stopWatch()
-	r.c.release(r.cn)
-}
-
-// fail ends the stream on a transport error; the connection is poisoned.
-func (r *Rows) fail(err error, broken bool) {
+// settle ends the stream with err and hands the connection back: pooled
+// again once the terminal frame was consumed, closed when broken (a
+// transport error left it mid-frame).
+func (r *Rows) settle(err error, broken bool) {
 	r.err = err
 	r.cur = nil
 	r.finished = true
@@ -209,8 +204,8 @@ func (r *Rows) fail(err error, broken bool) {
 
 // Close releases the cursor. Mid-stream it cancels the query server-side
 // and drains to the terminal frame so the connection can be pooled again;
-// a drain that stalls past drainTimeout closes the connection instead.
-// Close is idempotent and does not disturb Err.
+// a drain that fails or stalls past drainTimeout closes the connection
+// instead. Close is idempotent and does not disturb Err.
 func (r *Rows) Close() error {
 	if r.closed {
 		return nil
@@ -223,31 +218,14 @@ func (r *Rows) Close() error {
 		return nil
 	}
 	r.stopWatch()
-	if err := r.cn.write(wire.TCancel, nil); err != nil {
-		r.fail2(err)
-		return nil
-	}
+	err := r.cn.write(wire.TCancel, nil)
 	_ = r.cn.c.SetReadDeadline(time.Now().Add(drainTimeout))
-	for {
-		ft, _, err := r.cn.read()
-		if err != nil {
-			r.fail2(err)
-			return nil
-		}
-		if ft == wire.TDone || ft == wire.TError {
-			break
-		}
+	for ft := wire.Type(0); err == nil && ft != wire.TDone && ft != wire.TError; {
+		ft, _, err = r.cn.read()
 	}
 	_ = r.cn.c.SetReadDeadline(time.Time{})
 	r.finished = true
+	r.cn.broken = err != nil
 	r.c.release(r.cn)
 	return nil
-}
-
-// fail2 is Close's teardown for an unusable connection: no error surfacing
-// (the consumer abandoned the stream), just poison and release.
-func (r *Rows) fail2(error) {
-	r.finished = true
-	r.cn.broken = true
-	r.c.release(r.cn)
 }

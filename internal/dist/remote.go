@@ -27,7 +27,7 @@ import (
 // blocking merge above such legs).
 //
 // Cancellation flows through the exec context's Ctx: the client cursor's
-// watcher turns it into a Cancel frame, the shard frees its admission slot
+// AfterFunc turns it into a Cancel frame, the shard frees its admission slot
 // and tracked memory, and the blocked read returns. This is what lets the
 // coordinator tear down sibling streams after one leg fails for good.
 type remoteScan struct {

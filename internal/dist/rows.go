@@ -49,8 +49,8 @@ func (r *Rows) start() error {
 	ectx := &exec.Context{Catalog: r.co.cat, Ctx: qctx, Mem: mem}
 	if err := exec.CallOpen(ectx, root); err != nil {
 		// Cancel before Close: exchange workers parked on shard reads
-		// unblock via the client's cancel watcher, so Close's drain can't
-		// deadlock on a wedged shard.
+		// unblock via the client cursor's Cancel frame, so Close's drain
+		// can't deadlock on a wedged shard.
 		cancel()
 		_ = exec.CallClose(ectx, root)
 		mem.ReleaseAll()
@@ -175,7 +175,8 @@ func (r *Rows) Close() error {
 // teardown dismantles the current pipeline incarnation without closing the
 // cursor, so a scatter restart can build the next one. Cancellation MUST
 // precede operator Close: exchange workers blocked on shard TCP reads only
-// unblock when the client cancel watcher fires, and Close joins them.
+// unblock once the client cursor's Cancel frame ends the shard stream, and
+// Close joins them.
 func (r *Rows) teardown() {
 	r.cancel()
 	_ = exec.CallClose(r.ectx, r.root)

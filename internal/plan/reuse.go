@@ -14,7 +14,8 @@ import (
 // the cache admits (reuse.Cache.Admit), the matching operator gets a
 // publish hook so the state it builds anyway becomes available to later
 // queries; a key's first miss gets none, so a one-off subplan skips the
-// copy a publish would make.
+// copy a publish would make and the read-set snapshot the publish would
+// carry.
 //
 // Returned releases unpin the adopted cache entries; the caller must run
 // every one when the cursor closes (or fails to open) — until then the
@@ -60,7 +61,7 @@ func (r *reuser) visit(n *Node) *Node {
 // node's own schema: output aliases are per-query display names the
 // fingerprint deliberately ignores, and the cached rows are positional.
 func (r *reuser) aggregate(n *Node) *Node {
-	key, reads, ok := Fingerprint(n, r.ep)
+	key, ok := (&canonicalizer{}).node(n)
 	if !ok {
 		return nil
 	}
@@ -74,7 +75,7 @@ func (r *reuser) aggregate(n *Node) *Node {
 	if !r.cache.Admit(key) {
 		return nil
 	}
-	cache := r.cache
+	cache, reads := r.cache, r.ep.ReadSet(Tables(n))
 	n.SharedAgg = &exec.SharedAgg{Publish: func(rows []storage.Row, bytes int64) {
 		cache.Publish(key, reads, &reuse.AggTable{Rows: rows}, bytes)
 	}}
@@ -87,7 +88,7 @@ func (r *reuser) aggregate(n *Node) *Node {
 // by an empty CachedSource. On an admitted miss the build gets the publish
 // hook.
 func (r *reuser) build(b *Node) {
-	key, reads, ok := Fingerprint(b, r.ep)
+	key, ok := (&canonicalizer{}).node(b)
 	if !ok {
 		return
 	}
@@ -105,7 +106,7 @@ func (r *reuser) build(b *Node) {
 	if !r.cache.Admit(key) {
 		return
 	}
-	cache := r.cache
+	cache, reads := r.cache, r.ep.ReadSet(Tables(b))
 	b.Shared = &exec.SharedBuild{Publish: func(table *exec.JoinTable, bytes int64) {
 		cache.Publish(key, reads, table, bytes)
 	}}

@@ -8,7 +8,7 @@ import (
 )
 
 // Backend is what a Server's sessions run statements against. The session
-// loop — listener, handshake, dispatch, cancel watcher, batched streaming,
+// loop — listener, handshake, dispatch, cancellation, batched streaming,
 // error mapping — is written once against this seam; the
 // package's own implementation serves a resident *bufferdb.DB (db.go) and
 // *dist.Coordinator is the other. Implementations must be safe for

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"bufferdb/internal/wire"
@@ -19,41 +21,60 @@ const batchBytes = 64 << 10
 // before its Hello arrives.
 const handshakeTimeout = 10 * time.Second
 
+// headerDelay is how long a result's Columns header waits in the buffer for
+// its first rows: well above a short statement's whole run (≈ 0.25 ms at the
+// served mix's p95), well below a wait a caller notices.
+const headerDelay = time.Millisecond
+
 // frame is one decoded incoming frame.
 type frame struct {
 	t       wire.Type
 	payload []byte
 }
 
-// session serves one connection. All writes happen on the session
-// goroutine; a dedicated reader goroutine decodes incoming frames into the
-// frames channel so the session can notice Cancel frames and disconnects
-// while a result is streaming.
+// session serves one connection. A dedicated reader goroutine decodes
+// incoming frames into the frames channel so the session can notice Cancel
+// frames and disconnects while a statement runs.
 type session struct {
 	srv  *Server
 	conn net.Conn
-	bw   *bufio.Writer
+	// wmu guards bw, so a stream's header timer may flush it.
+	wmu sync.Mutex
+	bw  *bufio.Writer
 
 	// frames delivers decoded client frames; the reader goroutine closes
 	// it on read error or disconnect.
 	frames chan frame
+	// pending counts the frames (and the read error) the reader has taken
+	// and the session has not yet received.
+	pending atomic.Int32
+	// cancel is the running statement's cancel func, nil between them.
+	cancel      atomic.Pointer[context.CancelFunc]
+	headerDelay time.Duration // headerDelay; tests hold the header longer
 }
 
 func newSession(s *Server, conn net.Conn) *session {
 	return &session{
-		srv:    s,
-		conn:   conn,
-		bw:     bufio.NewWriterSize(conn, 32<<10),
-		frames: make(chan frame, 1),
+		srv:         s,
+		conn:        conn,
+		bw:          bufio.NewWriterSize(conn, 32<<10),
+		frames:      make(chan frame, 1),
+		headerDelay: headerDelay,
 	}
 }
 
 // readLoop decodes frames off the connection until it fails, then closes
-// the frames channel — which the session observes as a disconnect.
+// the frames channel — which the session observes as a disconnect. Each
+// frame, and the error, first cancels the running statement: a client sends
+// nothing mid-statement but Cancel.
 func (ss *session) readLoop() {
 	defer close(ss.frames)
 	for {
 		t, p, err := wire.ReadFrame(ss.conn)
+		ss.pending.Add(1)
+		if c := ss.cancel.Load(); c != nil {
+			(*c)()
+		}
 		if err != nil {
 			return
 		}
@@ -86,6 +107,7 @@ func (ss *session) run() {
 			if !ok {
 				return
 			}
+			ss.pending.Add(-1)
 			if err := ss.dispatch(f); err != nil {
 				ss.srv.logf("server: %s: %v", ss.conn.RemoteAddr(), err)
 				return
@@ -104,6 +126,7 @@ func (ss *session) handshake() error {
 		if !ok {
 			return fmt.Errorf("connection closed before Hello")
 		}
+		ss.pending.Add(-1)
 	case <-ss.srv.ctx.Done():
 		return context.Cause(ss.srv.ctx)
 	}
@@ -163,13 +186,20 @@ func (ss *session) dispatch(f frame) error {
 // query serves a Query frame under a cancelable query context and puts
 // its result on the wire. A backend that answers from its result cache
 // returns the entry itself, which is replayed frame for frame; every other
-// cursor is pulled and encoded by stream.
+// cursor is pulled and encoded by stream. The reader holds the cancel func
+// before the backend plans, so a Cancel during admission or planning stops
+// the statement; a frame it took just before then cancels it here.
 func (ss *session) query(sql string, opts wire.QueryOpts) error {
 	metricInFlight().Add(1)
 	defer metricInFlight().Add(-1)
 
 	qctx, qcancel := context.WithCancel(ss.srv.ctx)
 	defer qcancel()
+	ss.cancel.Store(&qcancel)
+	defer ss.cancel.Store(nil)
+	if ss.pending.Load() > 0 {
+		qcancel()
+	}
 	cur, err := ss.srv.backend.QueryStream(qctx, sql, opts)
 	if res, ok := cur.(*cachedResult); ok {
 		metricQueries("cached").Inc()
@@ -179,57 +209,35 @@ func (ss *session) query(sql string, opts wire.QueryOpts) error {
 	if err != nil {
 		return ss.sendQueryError(err)
 	}
-	return ss.stream(qcancel, cur)
+	return ss.stream(cur)
 }
 
 // stream drives a cursor onto the wire: Columns, RowBatch*, then Done or a
-// terminal Error frame. While streaming, a watcher goroutine owns the
-// incoming frame channel so a Cancel frame — or the channel closing on
-// disconnect — cancels the query context, which frees its admission slot
-// and returns its tracked memory (on a coordinator: tears down every shard
-// stream). The returned error is session-fatal; query failures are
-// reported to the client and return nil.
-func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
+// terminal Error frame. The header waits for the first flush — a full batch,
+// or the last batch with Done — so a short result costs one socket write; a
+// timer flushes it alone if nothing has gone out after headerDelay. A frame
+// the client sends meanwhile cancels the query context (readLoop), which
+// frees its admission slot and returns its tracked memory (on a
+// coordinator: tears down every shard stream). The returned error is
+// session-fatal; query failures are reported to the client and return nil.
+func (ss *session) stream(rows Cursor) error {
 	defer rows.Close()
 	rec, _ := rows.(recorder)
 
-	// Watch for Cancel / disconnect / stray frames while we stream.
-	stop := make(chan struct{})
-	watch := make(chan watchEvent, 1)
-	go func() {
-		select {
-		case f, ok := <-ss.frames:
-			if !ok {
-				watch <- watchDisconnect
-			} else if f.t == wire.TCancel {
-				watch <- watchCancel
-			} else {
-				watch <- watchProtocol
-			}
-			qcancel()
-		case <-stop:
-			watch <- watchNone
-		}
-	}()
-	settle := func() watchEvent {
-		close(stop)
-		return <-watch
-	}
-
-	// The header is flushed at once: a client sees the stream has started
-	// (its query passed admission) even while the first rows are slow.
 	cols := rows.Columns()
-	if err := ss.columns(ss.send, cols); err != nil {
-		settle()
+	if err := ss.columns(ss.write, cols); err != nil {
 		return err
 	}
+	header := time.AfterFunc(ss.headerDelay, func() { _ = ss.flush() })
+	defer header.Stop()
 
 	var total uint64
 	var batch wire.Builder
 	var inBatch uint32
 	// emit puts the pending batch on the wire: a full batch mid-stream is
-	// flushed at once so the client can consume it while the next one is
-	// produced; the final batch is only buffered, to share Done's flush.
+	// flushed at once, with the header if it is still buffered, so the
+	// client can consume it while the next one is produced; the final batch
+	// is only buffered, to share Done's flush.
 	emit := func(put func(wire.Type, []byte) error) error {
 		if inBatch == 0 {
 			return nil
@@ -251,7 +259,6 @@ func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 		if len(row) != len(cols) {
 			// The client decodes a batch by its column count; a row of
 			// another width would shift every cell after it.
-			settle()
 			return ss.sendQueryError(fmt.Errorf("server: cursor produced a row of %d values for %d columns", len(row), len(cols)))
 		}
 		batch.Row(row)
@@ -259,27 +266,34 @@ func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 		total++
 		if int(inBatch) >= ss.srv.cfg.BatchRows || batch.Len() >= batchBytes {
 			if err := emit(ss.send); err != nil {
-				settle()
 				return err
 			}
 			batch.U32(0)
 		}
 	}
 
-	ev := settle()
-	switch ev {
-	case watchDisconnect:
-		// No one is listening; just unwind (rows.Close in the defer).
-		return fmt.Errorf("client disconnected mid-stream")
-	case watchProtocol:
-		_ = ss.sendError(wire.CodeProtocol, "frame other than Cancel during result stream")
-		return fmt.Errorf("frame other than Cancel during result stream")
+	// Withdraw the cancel func; a frame the reader took before that is
+	// pending and on its way.
+	ss.cancel.Store(nil)
+	canceled := false
+	if ss.pending.Load() > 0 {
+		f, ok := <-ss.frames
+		if !ok {
+			// No one is listening; just unwind (rows.Close in the defer).
+			return fmt.Errorf("client disconnected mid-stream")
+		}
+		ss.pending.Add(-1)
+		if f.t != wire.TCancel {
+			_ = ss.sendError(wire.CodeProtocol, "frame other than Cancel during result stream")
+			return fmt.Errorf("frame other than Cancel during result stream")
+		}
+		canceled = true
 	}
 
 	if err := rows.Err(); err != nil {
 		return ss.sendQueryError(err)
 	}
-	if ev == watchCancel {
+	if canceled {
 		// The query finished before the cancel landed; report the cancel
 		// anyway — the client stopped caring about this result.
 		return ss.sendError(wire.CodeCanceled, "query canceled")
@@ -298,16 +312,6 @@ func (ss *session) stream(qcancel context.CancelFunc, rows Cursor) error {
 	}
 	return nil
 }
-
-// watchEvent is what the stream watcher observed.
-type watchEvent int
-
-const (
-	watchNone watchEvent = iota
-	watchCancel
-	watchDisconnect
-	watchProtocol
-)
 
 // replay streams a cached result — header, stored batches, done — with
 // one flush: nothing is left to wait for.
@@ -374,6 +378,13 @@ func (ss *session) send(t wire.Type, payload []byte) error {
 	if err := ss.write(t, payload); err != nil {
 		return err
 	}
+	return ss.flush()
+}
+
+// flush puts whatever the buffer holds on the wire.
+func (ss *session) flush() error {
+	ss.wmu.Lock()
+	defer ss.wmu.Unlock()
 	return ss.bw.Flush()
 }
 
@@ -382,6 +393,8 @@ func (ss *session) send(t wire.Type, payload []byte) error {
 // so a client that stops reading unwinds the session (freeing its
 // admission slot and tracked memory) instead of blocking it forever.
 func (ss *session) write(t wire.Type, payload []byte) error {
+	ss.wmu.Lock()
+	defer ss.wmu.Unlock()
 	if d := ss.srv.cfg.WriteTimeout; d > 0 {
 		_ = ss.conn.SetWriteDeadline(time.Now().Add(d))
 	}

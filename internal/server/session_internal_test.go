@@ -19,9 +19,14 @@ import (
 // of a race against kernel socket buffers.
 func pipeSession(t *testing.T, cfg Config) net.Conn {
 	t.Helper()
-	cli, _ := countedPipeSession(t, cfg)
+	cli, _ := countedPipeSession(t, cfg, headerDelay)
 	return cli
 }
+
+// heldHeader is a header delay no test outlasts: a stream's header then
+// leaves only with its first rows, so write counts do not depend on how
+// fast the host runs the statement.
+const heldHeader = time.Hour
 
 // countingConn counts the Write calls a session makes on its connection:
 // each is one flush of the session's buffered writer. The count moves before
@@ -37,9 +42,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// countedPipeSession is pipeSession that also returns the session's
-// write-counting connection.
-func countedPipeSession(t *testing.T, cfg Config) (net.Conn, *countingConn) {
+// countedPipeSession is pipeSession with the given header delay that also
+// returns the session's write-counting connection.
+func countedPipeSession(t *testing.T, cfg Config, delay time.Duration) (net.Conn, *countingConn) {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
@@ -50,6 +55,7 @@ func countedPipeSession(t *testing.T, cfg Config) (net.Conn, *countingConn) {
 	_ = cli.SetDeadline(time.Now().Add(30 * time.Second))
 	done := make(chan struct{})
 	ss := newSession(srv, srvEnd)
+	ss.headerDelay = delay
 	go func() {
 		ss.run()
 		close(done)
@@ -196,24 +202,24 @@ func drain(t *testing.T, cli net.Conn) ([]wire.Type, uint64) {
 }
 
 // TestSessionWritesPerResult pins how many socket writes a result costs:
-// the column header goes out alone (a client learns its query was admitted
-// while rows are still coming), a one-batch result's batch shares Done's
-// write, and a result-cache replay is a single write. The cache admits a
-// text on its second sighting, so the third is the first replay.
+// one. The column header waits for the rows (a one-batch result's header,
+// batch and Done leave together), and a result-cache replay is a single
+// write as well. The cache admits a text on its second sighting, so the
+// third is the first replay.
 func TestSessionWritesPerResult(t *testing.T) {
 	db, err := bufferdb.OpenTPCH(0.002, bufferdb.Options{MemoryLimit: 256 << 20})
 	if err != nil {
 		t.Fatalf("OpenTPCH: %v", err)
 	}
-	cli, conn := countedPipeSession(t, Config{DB: db, ResultCacheBytes: 1 << 20})
+	cli, conn := countedPipeSession(t, Config{DB: db, ResultCacheBytes: 1 << 20}, heldHeader)
 	const q = "SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey AND n_nationkey = 3"
 
 	for _, tc := range []struct {
 		name   string
 		writes int64
 	}{
-		{"first sighting", 2},  // Columns, then RowBatch+Done; nothing cached
-		{"second sighting", 2}, // executed again, and now cached
+		{"first sighting", 1},  // Columns+RowBatch+Done; nothing cached
+		{"second sighting", 1}, // executed again, and now cached
 		{"replayed", 1},        // Columns+RowBatch+Done from the result cache
 	} {
 		w0 := conn.writes.Load()
@@ -229,12 +235,13 @@ func TestSessionWritesPerResult(t *testing.T) {
 }
 
 // TestSessionFlushesFullBatches: a result longer than BatchRows puts each
-// full batch on the wire before the cursor produces the next batch's first
-// row, so a client consumes a long stream while it is being produced.
+// full batch on the wire — the first with the header — before the cursor
+// produces the next batch's first row, so a client consumes a long stream
+// while it is being produced.
 func TestSessionFlushesFullBatches(t *testing.T) {
 	const batchRows, total = 4, 10
 	cur := &probeCursor{n: total}
-	cli, conn := countedPipeSession(t, Config{Backend: probeBackend{cur}, BatchRows: batchRows})
+	cli, conn := countedPipeSession(t, Config{Backend: probeBackend{cur}, BatchRows: batchRows}, heldHeader)
 	cur.conn = conn
 	w0 := conn.writes.Load()
 	cur.base = w0
@@ -244,17 +251,86 @@ func TestSessionFlushesFullBatches(t *testing.T) {
 	if got != total {
 		t.Fatalf("stream %v reported %d rows, want %d", seen, got, total)
 	}
-	// Columns, one write per full batch, then the last batch with Done.
-	if w := conn.writes.Load() - w0; w != 1+total/batchRows+1 {
-		t.Errorf("%d-row stream took %d writes, want %d", total, w, 1+total/batchRows+1)
+	// Columns with the first full batch, one write per later full batch,
+	// then the last batch with Done.
+	if w := conn.writes.Load() - w0; w != total/batchRows+1 {
+		t.Errorf("%d-row stream took %d writes, want %d", total, w, total/batchRows+1)
 	}
 	for i, w := range cur.seen {
-		// Before row i: Columns plus every batch completed by then.
-		if want := int64(1 + i/batchRows); w != want {
+		// Before row i: every batch completed by then.
+		if want := int64(i / batchRows); w != want {
 			t.Errorf("row %d was produced after %d writes, want %d", i, w, want)
 		}
 	}
 }
+
+// TestSessionSlowResultShowsHeader: a result whose first row is slow still
+// shows its header within headerDelay — the client learns its statement
+// passed admission while the statement holds its slot. The probe's first
+// row waits until the client has read Columns.
+func TestSessionSlowResultShowsHeader(t *testing.T) {
+	gate := make(chan struct{})
+	cur := &probeCursor{n: 3, gate: gate}
+	cli, conn := countedPipeSession(t, Config{Backend: probeBackend{cur}}, headerDelay)
+	cur.conn = conn
+
+	sendQuery(t, cli, "probe")
+	if ft, _ := readFrame(t, cli); ft != wire.TColumns {
+		t.Fatalf("stream opened with %s", ft)
+	}
+	close(gate)
+	seen, got := drain(t, cli)
+	if got != 3 {
+		t.Fatalf("stream %v reported %d rows, want 3", seen, got)
+	}
+	if cur.late {
+		t.Fatal("the header waited for the first row: a slow result showed no header")
+	}
+}
+
+// TestSessionCancelWhilePlanning: a Cancel frame that arrives before the
+// backend has returned the statement's cursor — while it waits for
+// admission or plans — cancels the statement's context there.
+func TestSessionCancelWhilePlanning(t *testing.T) {
+	be := &planningBackend{started: make(chan struct{}), canceled: make(chan bool, 1)}
+	cli := pipeSession(t, Config{Backend: be})
+
+	sendQuery(t, cli, "probe")
+	<-be.started
+	writeFrame(t, cli, wire.TCancel, nil)
+	ft, p := readFrame(t, cli)
+	if ft != wire.TError {
+		t.Fatalf("canceled statement answered %s", ft)
+	}
+	if code := wire.Code(wire.NewReader(p).U16()); code != wire.CodeCanceled {
+		t.Fatalf("canceled statement reported %s", code)
+	}
+	if !<-be.canceled {
+		t.Fatal("the Cancel frame did not reach the statement before its cursor was returned")
+	}
+}
+
+// planningBackend's QueryStream stands for a statement that plans for
+// long: it returns when its context ends, or after a bound, reporting
+// which on canceled.
+type planningBackend struct {
+	started  chan struct{}
+	canceled chan bool
+}
+
+func (b *planningBackend) QueryStream(ctx context.Context, _ string, _ wire.QueryOpts) (Cursor, error) {
+	close(b.started)
+	select {
+	case <-ctx.Done():
+		b.canceled <- true
+		return nil, ctx.Err()
+	case <-time.After(5 * time.Second):
+		b.canceled <- false
+		return &probeCursor{}, nil
+	}
+}
+
+func (b *planningBackend) Tables(context.Context, int32) ([]wire.TableInfo, error) { return nil, nil }
 
 // probeBackend serves every statement from one probeCursor.
 type probeBackend struct{ cur *probeCursor }
@@ -266,13 +342,16 @@ func (b probeBackend) QueryStream(context.Context, string, wire.QueryOpts) (Curs
 func (b probeBackend) Tables(context.Context, int32) ([]wire.TableInfo, error) { return nil, nil }
 
 // probeCursor yields n one-column rows and notes, as it produces each row,
-// how many writes the session has made since base.
+// how many writes the session has made since base. With a gate, its first
+// row waits for the gate to close; late says it gave up after 5 s.
 type probeCursor struct {
 	n    int
 	conn *countingConn
 	base int64
 	seen []int64
 	row  storage.Row
+	gate chan struct{}
+	late bool
 }
 
 func (c *probeCursor) Columns() []string { return []string{"i"} }
@@ -280,6 +359,13 @@ func (c *probeCursor) Columns() []string { return []string{"i"} }
 func (c *probeCursor) Next() bool {
 	if len(c.seen) == c.n {
 		return false
+	}
+	if c.gate != nil && len(c.seen) == 0 {
+		select {
+		case <-c.gate:
+		case <-time.After(5 * time.Second):
+			c.late = true
+		}
 	}
 	c.seen = append(c.seen, c.conn.writes.Load()-c.base)
 	c.row = storage.Row{storage.NewInt(int64(len(c.seen)))}

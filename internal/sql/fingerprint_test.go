@@ -308,3 +308,41 @@ func TestFingerprintEndToEndReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestDeferredMissTakesNoReadSet: a subplan whose publish the cache defers
+// costs ApplyReuse its fingerprint and nothing more; the read set a publish
+// would carry is taken only once Admit lets the key through. A closed
+// cache defers every key, so each run below is a deferred miss.
+func TestDeferredMissTakesNoReadSet(t *testing.T) {
+	p, err := PlanQuery("SELECT n_name, COUNT(*) FROM nation, region WHERE n_regionkey = r_regionkey GROUP BY n_name", testDB, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := reuse.New(1<<20, reuse.NewEpochs(), nil)
+	cache.Close()
+	var subplans []*plan.Node // what ApplyReuse fingerprints
+	var walk func(n *plan.Node)
+	walk = func(n *plan.Node) {
+		if n.Kind == plan.KindAggregate || n.Kind == plan.KindHashBuild {
+			subplans = append(subplans, n)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(p)
+	if len(subplans) < 2 {
+		t.Fatalf("plan has %d aggregates and hash builds, want 2:\n%s", len(subplans), plan.Explain(p))
+	}
+
+	withReads := testing.AllocsPerRun(20, func() {
+		for _, n := range subplans {
+			plan.Fingerprint(n, cache.Epochs())
+		}
+	})
+	apply := testing.AllocsPerRun(20, func() { plan.ApplyReuse(p, cache) })
+	t.Logf("fingerprints with read sets: %.0f allocs; deferred ApplyReuse: %.0f", withReads, apply)
+	if apply >= withReads {
+		t.Errorf("ApplyReuse of %d deferred subplans made %.0f allocations, as many as fingerprinting them with their read sets (%.0f)", len(subplans), apply, withReads)
+	}
+}
