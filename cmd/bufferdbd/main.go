@@ -24,7 +24,8 @@
 // in what /readyz reports. A flag that would have no effect is an error,
 // not a no-op: -data-dir on a coordinator, -breaker-cooldown on a data
 // node, -shard-index on an unsharded node, -pool-bytes without -data-dir,
-// -max-queued or -admission-wait without -max-concurrent.
+// -max-queued or -admission-wait without -max-concurrent, -shard-count 1 or
+// a negative -memory-limit, -max-concurrent or -result-cache.
 //
 // Every shard daemon hosts a slice set: its own slice (-shard-index, which
 // must lie in [0, -shard-count)) plus, at -replication rf (default 2), the
@@ -59,6 +60,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -105,19 +107,28 @@ var (
 	// needs maps a flag to the flag it only acts through: the buffer pool
 	// is the persistent tier's, and the queue and its wait are admission's.
 	needs = map[string]string{"pool-bytes": "data-dir", "max-queued": "max-concurrent", "admission-wait": "max-concurrent"}
+	// actsAbove maps a numeric flag to the value it acts only above: a data
+	// node is sharded above one slice, and a limit, a slot count or a cache
+	// budget exists only when positive. Any other value but the default
+	// does what the default does.
+	actsAbove = map[string]int64{"shard-count": 1, "memory-limit": 0, "max-concurrent": 0, "result-cache": 0}
 )
 
-// checkFlags rejects every flag set in fs that the selected mode, or a
-// flag it needs left at its default, would silently ignore.
+// checkFlags rejects every flag set in fs that the selected mode, its own
+// value, or a flag it needs left at its default, would silently ignore.
 func checkFlags(fs *flag.FlagSet, coordinator, sharded bool) error {
-	var bad, unsharded, unmet []string
+	var bad, unsharded, inert, unmet []string
 	fs.Visit(func(f *flag.Flag) {
 		dep := fs.Lookup(needs[f.Name])
+		floor, ranged := actsAbove[f.Name]
+		v, _ := strconv.ParseInt(f.Value.String(), 10, 64)
 		switch {
 		case !sharedFlags[f.Name] && coordFlags[f.Name] != coordinator:
 			bad = append(bad, "-"+f.Name)
 		case !coordinator && !sharded && sliceFlags[f.Name]:
 			unsharded = append(unsharded, "-"+f.Name)
+		case ranged && v <= floor && f.Value.String() != f.DefValue:
+			inert = append(inert, fmt.Sprintf("-%s %d acts only above %d", f.Name, v, floor))
 		case dep != nil && dep.Value.String() == dep.DefValue:
 			unmet = append(unmet, "-"+f.Name+" needs -"+dep.Name)
 		}
@@ -129,6 +140,8 @@ func checkFlags(fs *flag.FlagSet, coordinator, sharded bool) error {
 		return fmt.Errorf("%s: coordinator only, no effect without -shards", strings.Join(bad, ", "))
 	case len(unsharded) > 0:
 		return fmt.Errorf("%s: shard node only, no effect without -shard-count > 1", strings.Join(unsharded, ", "))
+	case len(inert) > 0:
+		return fmt.Errorf("%s: no effect otherwise", strings.Join(inert, ", "))
 	case len(unmet) > 0:
 		return fmt.Errorf("%s: no effect otherwise", strings.Join(unmet, ", "))
 	}

@@ -31,6 +31,11 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"-breaker-cooldown", "1s"}, "-breaker-cooldown"},
 		{[]string{"-shard-index", "5", "-replication", "3"}, "-shard-index"},
 		{[]string{"-replication", "3"}, "-replication"},
+		{[]string{"-shard-count", "1"}, "-shard-count"},
+		{[]string{"-shard-count", "-3"}, "-shard-count"},
+		{[]string{"-memory-limit", "-1"}, "-memory-limit"},
+		{[]string{"-max-concurrent", "-2", "-max-queued", "4"}, "-max-concurrent"},
+		{[]string{"-result-cache", "-5"}, "-result-cache"},
 	} {
 		fs := flag.NewFlagSet("bufferdbd", flag.ContinueOnError)
 		flag.VisitAll(func(f *flag.Flag) {

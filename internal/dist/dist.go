@@ -147,8 +147,8 @@ func (c *Coordinator) Query(ctx context.Context, sqlText string, opts ...client.
 	} else {
 		metricScatter().Inc()
 	}
-	r := &Rows{co: c, plan: p, opts: opts, baseCtx: ctx}
-	if err := r.start(); err != nil {
+	r := &Rows{co: c}
+	if err := r.start(ctx, p, opts); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -337,22 +337,6 @@ func (c *Coordinator) nodeErr(slice, node int, err error) error {
 	metricShardErrors(addr).Inc()
 	return &ShardError{Shard: slice, Addr: addr, Err: err}
 }
-
-// rescatterError asks the coordinator cursor to restart the whole scatter:
-// a non-replayable leg (shard-side aggregation streams groups in
-// nondeterministic order) lost its node after emitting rows, so leg-local
-// replay cannot line up with what the merge already consumed. The restart
-// is transparent exactly when nothing surfaced past the merge barrier —
-// which the blocking merge above such legs guarantees.
-type rescatterError struct {
-	cause error // the *ShardError that triggered the restart
-}
-
-func (e *rescatterError) Error() string {
-	return fmt.Sprintf("dist: scatter must restart: %v", e.cause)
-}
-
-func (e *rescatterError) Unwrap() error { return e.cause }
 
 // ShardError attributes a distributed-query failure to one shard.
 type ShardError struct {

@@ -170,14 +170,23 @@ func TestChaosFailoverReplicatedOnly(t *testing.T) {
 			After: 100, Every: 10, Latency: 2 * time.Millisecond,
 		})
 	}
+	failReplicatedLeg(t, slowPartsupp,
+		`SELECT ps_partkey, ps_suppkey, ps_availqty, ps_supplycost, ps_comment FROM partsupp`)
+}
+
+// failReplicatedLeg runs q, a replicated-only query, on a 3-node rf=2 fleet
+// whose node 0 runs under hook, kills node 0 after the caller read ten
+// rows, and asserts the leg replayed once on node 1 and the rows are the
+// single node's, in order, type and float bits.
+func failReplicatedLeg(t *testing.T, hook func(string) *bufferdb.FaultInjector, q string) {
+	t.Helper()
 	// The round-robin cursor sends the coordinator's first replicated-only
 	// query to node 0, then fails over in node order.
 	fleet := startReplicaFleet(t, 3, 2, dist.Config{
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour,
-	}, map[int]func(string) *bufferdb.FaultInjector{0: slowPartsupp})
+	}, map[int]func(string) *bufferdb.FaultInjector{0: hook})
 	ref := singleNode(t)
-	q := `SELECT ps_partkey, ps_suppkey, ps_availqty, ps_supplycost, ps_comment FROM partsupp`
 
 	want, err := ref.Query(context.Background(), q)
 	if err != nil {
@@ -200,7 +209,7 @@ func TestChaosFailoverReplicatedOnly(t *testing.T) {
 		got = append(got, append([]any(nil), rows.Row()...))
 	}
 	if err := rows.Err(); err != nil {
-		t.Fatalf("replicated-only stream did not survive its node: %v", err)
+		t.Fatalf("replicated-only stream did not survive its node after %d of %d rows: %v", len(got), len(want.Rows), err)
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -215,14 +224,12 @@ func TestChaosFailoverReplicatedOnly(t *testing.T) {
 	waitSettled(t, fleet.co, baseline)
 }
 
-// TestChaosFailoverAggRestart kills a node while its leg streams partial
-// aggregates. Group order is nondeterministic, so leg replay cannot line up
-// with what the merge consumed; the coordinator must restart the whole
-// scatter — transparently, since the blocking final aggregate surfaced
-// nothing yet — and the answer must still match single-node.
-func TestChaosFailoverAggRestart(t *testing.T) {
-	slowAgg := func(sql string) *bufferdb.FaultInjector {
-		if !strings.Contains(sql, "lineitem") {
+// slowAggregate injects 1ms of latency per group the matching statement's
+// Aggregate emits past its tenth, so a node dies while its leg is still
+// streaming groups.
+func slowAggregate(table string) func(string) *bufferdb.FaultInjector {
+	return func(sql string) *bufferdb.FaultInjector {
+		if !strings.Contains(sql, table) {
 			return nil
 		}
 		return bufferdb.NewFaultInjector(1, bufferdb.Fault{
@@ -230,8 +237,15 @@ func TestChaosFailoverAggRestart(t *testing.T) {
 			After: 10, Every: 1, Latency: time.Millisecond,
 		})
 	}
+}
+
+// TestChaosFailoverAggReplay kills a node while its leg streams partial
+// aggregates. A shard emits its groups in key order, so the leg replays on
+// the surviving replica like a scan leg, and the answer matches the single
+// node's.
+func TestChaosFailoverAggReplay(t *testing.T) {
 	fleet := startReplicaFleet(t, 3, 2, dist.Config{BreakerThreshold: 1},
-		map[int]func(string) *bufferdb.FaultInjector{1: slowAgg})
+		map[int]func(string) *bufferdb.FaultInjector{1: slowAggregate("lineitem")})
 	ref := singleNode(t)
 	q := `SELECT l_orderkey, COUNT(*), SUM(l_extendedprice) FROM lineitem GROUP BY l_orderkey`
 
@@ -239,8 +253,10 @@ func TestChaosFailoverAggRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single-node: %v", err)
 	}
+	// Node 1 serves slice 1's leg; node 2 is that slice's other replica.
+	replays := obsv.Default.Counter(`bufferdb_coord_leg_replays_total{shard="` + fleet.addrs[2] + `"}`)
+	replaysBefore := replays.Value()
 	baseline := runtime.NumGoroutine()
-	rescattersBefore := obsv.Default.Counter("bufferdb_coord_rescatters_total").Value()
 
 	rows, err := fleet.co.Query(context.Background(), q)
 	if err != nil {
@@ -254,11 +270,70 @@ func TestChaosFailoverAggRestart(t *testing.T) {
 	time.AfterFunc(450*time.Millisecond, func() { kill(fleet.servers[1]) })
 	got := drainCoord(t, rows)
 	compareRows(t, got, want.Rows, false)
-
-	if after := obsv.Default.Counter("bufferdb_coord_rescatters_total").Value(); after == rescattersBefore {
-		t.Logf("note: kill landed before the victim leg emitted; failover used leg replay, not a rescatter")
+	if d := replays.Value() - replaysBefore; d != 1 {
+		t.Fatalf("leg replays on node 2 = %d, want 1", d)
 	}
 	waitSettled(t, fleet.co, baseline)
+}
+
+// TestChaosFailoverReplicatedAggregate: an aggregate over replicated
+// tables only is one leg under a pass-through merge, so its rows reach the
+// caller while the leg streams. Killing its node after the caller read
+// some must replay the leg on the next node, not fail the query.
+func TestChaosFailoverReplicatedAggregate(t *testing.T) {
+	failReplicatedLeg(t, slowAggregate("partsupp"),
+		`SELECT ps_partkey, SUM(ps_supplycost), COUNT(*) FROM partsupp GROUP BY ps_partkey`)
+}
+
+// TestAggregateLegsReplayIdentically is the premise of aggregate-leg
+// replay: both replicas of a slice stream an aggregate shard statement's
+// groups identically, in order and to the float bit, even when one runs
+// the row path (an armed fault injector) and the other the block path.
+func TestAggregateLegsReplayIdentically(t *testing.T) {
+	armed := func(string) *bufferdb.FaultInjector {
+		return bufferdb.NewFaultInjector(1, bufferdb.Fault{
+			Match: "Aggregate", Kind: bufferdb.FaultLatency, After: 1 << 40,
+		})
+	}
+	fleet := startReplicaFleet(t, 3, 2, dist.Config{},
+		map[int]func(string) *bufferdb.FaultInjector{1: armed})
+	run := func(node int, q string) [][]any {
+		t.Helper()
+		cl, err := client.Dial(fleet.addrs[node], client.Config{})
+		if err != nil {
+			t.Fatalf("Dial node %d: %v", node, err)
+		}
+		defer cl.Close()
+		rows, err := cl.Query(context.Background(), q, client.WithSlice(1))
+		if err != nil {
+			t.Fatalf("node %d: %v", node, err)
+		}
+		defer rows.Close()
+		var out [][]any
+		for rows.Next() {
+			out = append(out, append([]any(nil), rows.Row()...))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("node %d: %v", node, err)
+		}
+		return out
+	}
+	// Slice 1 lives on nodes 1 and 2. The statements are the shard SQL the
+	// coordinator ships for a grouped scan, Q1's two-key partials and a
+	// co-located join.
+	for _, q := range []string{
+		"SELECT l_orderkey AS __g0, COUNT(*) AS __a0, SUM(l_extendedprice) AS __a1 FROM lineitem GROUP BY l_orderkey",
+		"SELECT l_returnflag AS __g0, l_linestatus AS __g1, SUM(l_quantity) AS __a0, SUM(l_extendedprice) AS __a1, SUM((l_extendedprice * (1 - l_discount))) AS __a2, SUM(((l_extendedprice * (1 - l_discount)) * (1 + l_tax))) AS __a3, SUM(l_quantity) AS __a4_s, COUNT(l_quantity) AS __a4_c, SUM(l_extendedprice) AS __a6_s, COUNT(l_extendedprice) AS __a6_c, SUM(l_discount) AS __a8_s, COUNT(l_discount) AS __a8_c, COUNT(*) AS __a10 FROM lineitem WHERE ((l_shipdate <= DATE '1998-09-02') AND (l_orderkey <> (-1))) GROUP BY l_returnflag, l_linestatus",
+		"SELECT o_orderpriority AS __g0, COUNT(*) AS __a0, SUM(l_extendedprice) AS __a1 FROM orders JOIN lineitem ON (l_orderkey = o_orderkey) WHERE (o_orderdate >= DATE '1995-01-01') GROUP BY o_orderpriority",
+	} {
+		rowPath, blockPath := run(1, q), run(2, q)
+		if len(rowPath) < 2 {
+			t.Fatalf("%s: %d groups, want several", q, len(rowPath))
+		}
+		if !reflect.DeepEqual(rowPath, blockPath) {
+			t.Errorf("%s: replicas of slice 1 disagree (%d vs %d groups)", q, len(rowPath), len(blockPath))
+		}
+	}
 }
 
 // TestChaosFailoverAllReplicasDown checks the fail-fast contract: when every

@@ -17,7 +17,6 @@ import (
 //	bufferdb_coord_breaker_state{shard=".."}        gauge: 0 closed, 1 open, 2 half-open
 //	bufferdb_coord_probes_total{shard="..",outcome=".."}  half-open probes, recovered|failed
 //	bufferdb_coord_leg_replays_total{shard=".."}    mid-stream legs replayed on a replica
-//	bufferdb_coord_rescatters_total                 full scatter restarts
 //	bufferdb_coord_shard_first_row_seconds{shard=".."}  open → first row (health)
 //	bufferdb_coord_shard_stream_seconds{shard=".."}     open → close, per scan
 //	bufferdb_coord_merge_close_seconds              scatter cursor teardown latency
@@ -67,10 +66,6 @@ func metricProbes(addr, outcome string) *obsv.Counter {
 
 func metricLegReplays(addr string) *obsv.Counter {
 	return obsv.Default.Counter(fmt.Sprintf("bufferdb_coord_leg_replays_total{shard=%q}", addr))
-}
-
-func metricRescatters() *obsv.Counter {
-	return obsv.Default.Counter("bufferdb_coord_rescatters_total")
 }
 
 // metricShardFirstRow is the per-shard health signal the sidecar exports:

@@ -39,12 +39,6 @@ type distPlan struct {
 	// the legs' gathered stream, read as one table of shardSchema. Its one
 	// SeqScan compiles to that stream (Rows.start).
 	merge *plan.Node
-	// replayable marks legs whose streams are deterministic (no aggregate),
-	// so a mid-stream failover can re-issue the leg on another node and
-	// skip the rows already merged. Aggregate legs are not replayable: the
-	// shard's group stream order is not stable across runs, so a mid-stream
-	// loss after rows flowed forces a full scatter restart instead.
-	replayable bool
 }
 
 // plan analyzes one query against the shard map. A query touching only
@@ -82,7 +76,7 @@ func (c *Coordinator) plan(sqlText string) (*distPlan, error) {
 		}
 	}
 	if len(shardedRefs) == 0 {
-		return c.planReplicated(stmt, sqlText, !hasAgg)
+		return c.planReplicated(stmt, sqlText)
 	}
 	if err := c.checkColocated(stmt, refs, shardedRefs); err != nil {
 		return nil, err
@@ -106,7 +100,7 @@ func (c *Coordinator) plan(sqlText string) (*distPlan, error) {
 // itself, analyzed as a single node does, so its errors read alike. Its
 // candidates are every node, starting from the next one in round-robin
 // order, so such queries spread across the fleet and fail over like any leg.
-func (c *Coordinator) planReplicated(stmt *sql.SelectStmt, sqlText string, replayable bool) (*distPlan, error) {
+func (c *Coordinator) planReplicated(stmt *sql.SelectStmt, sqlText string) (*distPlan, error) {
 	p, err := sql.Analyze(stmt, c.cat, sql.Options{})
 	if err != nil {
 		return nil, err
@@ -127,7 +121,6 @@ func (c *Coordinator) planReplicated(stmt *sql.SelectStmt, sqlText string, repla
 		shardSQL:    sqlText,
 		shardSchema: schema,
 		merge:       merge,
-		replayable:  replayable,
 	}, nil
 }
 
@@ -230,7 +223,7 @@ func (c *Coordinator) planScan(stmt *sql.SelectStmt) (*distPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &distPlan{shardSQL: shardSQL, shardSchema: schema, merge: merge, replayable: true}, nil
+	return &distPlan{shardSQL: shardSQL, shardSchema: schema, merge: merge}, nil
 }
 
 // --- aggregate scatter ----------------------------------------------------

@@ -18,13 +18,14 @@ import (
 //
 // Availability: Open routes the leg through the breakers to a healthy
 // node; a transport failure at stream start or mid-stream fails the leg
-// over to the next candidate with capped exponential backoff. Legs are
-// side-effect-free, so replay is always safe; replayable legs additionally
-// have deterministic streams, so a mid-stream failover re-issues the leg
-// and skips the rows already emitted. A non-replayable leg that already
-// emitted rows surfaces a rescatterError instead, and the coordinator
-// cursor restarts the whole scatter (safe while nothing surfaced past the
-// blocking merge above such legs).
+// over to the next candidate with capped exponential backoff, re-issuing
+// the leg and skipping the rows it already emitted. That replay is sound
+// for every leg because every leg's stream is deterministic: all replicas
+// of a slice are generated from one seed and shard nodes take no INSERT,
+// served joins are hash joins in FROM order, aggregates emit their groups
+// in key order, and the block and row paths fold the same rows in the
+// same order, so the skipped rows are identical to what the merge
+// consumed.
 //
 // Cancellation flows through the exec context's Ctx: the client cursor's
 // AfterFunc turns it into a Cancel frame, the shard frees its admission slot
@@ -107,7 +108,7 @@ func (r *remoteScan) Next(ctx *exec.Context) (storage.Row, error) {
 				return nil, nil
 			}
 			if client.IsTransport(err) && ctx.Ctx.Err() == nil {
-				if ferr := r.failover(ctx, err); ferr != nil {
+				if ferr := r.failover(ctx); ferr != nil {
 					return nil, ferr
 				}
 				continue
@@ -123,19 +124,14 @@ func (r *remoteScan) Next(ctx *exec.Context) (storage.Row, error) {
 	}
 }
 
-// failover moves a leg that lost its node mid-stream to another candidate.
-// Replayable legs (or legs that have emitted nothing) reconnect and skip
-// the rows already merged; a non-replayable leg with emitted rows escalates
-// to a full scatter restart via rescatterError.
-func (r *remoteScan) failover(ctx *exec.Context, cause error) error {
+// failover moves a leg that lost its node mid-stream to another candidate,
+// which replays the leg past the rows already merged.
+func (r *remoteScan) failover(ctx *exec.Context) error {
 	failed := r.node
 	r.co.breakerFailure(failed, r.probe)
 	metricFailovers(r.co.cfg.Shards[failed]).Inc()
 	_ = r.rows.Close()
 	r.rows = nil
-	if !r.plan.replayable && r.emitted > 0 {
-		return &rescatterError{cause: r.co.nodeErr(r.leg.slice, failed, cause)}
-	}
 	if err := r.connect(ctx, failed); err != nil {
 		return err
 	}
@@ -144,9 +140,8 @@ func (r *remoteScan) failover(ctx *exec.Context, cause error) error {
 }
 
 // replay advances a freshly started stream past the rows the leg already
-// emitted. Only replayable legs replay a non-empty prefix, and their
-// streams are deterministic, so the skipped rows are byte-identical to
-// what the merge consumed.
+// emitted; the leg's stream is deterministic, so the skipped rows are the
+// ones the merge consumed.
 func (r *remoteScan) replay(rows *client.Rows) error {
 	for skipped := int64(0); skipped < r.emitted; skipped++ {
 		if !rows.Next() {

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"bufferdb/internal/client"
@@ -11,24 +10,16 @@ import (
 	"bufferdb/internal/storage"
 )
 
-// maxScatterRestarts bounds how many times one query may rebuild its whole
-// scatter after a non-replayable leg loss. Each restart re-routes through
-// the breakers, so a dead node is excluded quickly; the bound exists for
-// fleets that keep dying mid-query.
-const maxScatterRestarts = 3
-
-// start builds and opens one incarnation of the plan's pipeline: the merge
-// plan compiled with its scan replaced by the gathered legs — one remote
-// scan per leg, under an Exchange when there are several — and charged to
-// a per-query tracker under the coordinator's. The cursor keeps the plan
-// so it can rebuild the pipeline if a non-replayable leg is lost
-// mid-stream before anything surfaced.
-func (r *Rows) start() error {
-	qctx, cancel := context.WithCancel(r.baseCtx)
+// start builds and opens the plan's pipeline: the merge plan compiled with
+// its scan replaced by the gathered legs — one remote scan per leg, under
+// an Exchange when there are several — and charged to a per-query tracker
+// under the coordinator's.
+func (r *Rows) start(ctx context.Context, p *distPlan, opts []client.Option) error {
+	qctx, cancel := context.WithCancel(ctx)
 	mem := exec.NewMemTracker("dist-query", 0, r.co.mem)
-	parts := make([]exec.Operator, len(r.plan.legs))
-	for i, l := range r.plan.legs {
-		parts[i] = newRemoteScan(r.co, r.plan, l, r.opts)
+	parts := make([]exec.Operator, len(p.legs))
+	for i, l := range p.legs {
+		parts[i] = newRemoteScan(r.co, p, l, opts)
 	}
 	var build func(n *plan.Node) (exec.Operator, error)
 	build = func(n *plan.Node) (exec.Operator, error) {
@@ -41,7 +32,7 @@ func (r *Rows) start() error {
 			return exec.NewExchange(parts)
 		}
 	}
-	root, err := build(r.plan.merge)
+	root, err := build(p.merge)
 	if err != nil {
 		cancel()
 		return err
@@ -63,30 +54,23 @@ func (r *Rows) start() error {
 // Rows is the coordinator's streaming cursor. It mirrors the client cursor's
 // contract — Columns/Next/Row/Scan/Err/Close — so callers swap a single
 // node for a sharded deployment without touching their drain loop. It runs
-// the local gather pipeline over the plan's legs; Close cancels the query
+// the local gather pipeline over the plan's legs, each of which replays on
+// another replica when its node dies mid-stream; Close cancels the query
 // context first, which tears down every leg's stream before the operators
 // drain.
 type Rows struct {
-	co *Coordinator
-
-	// The compiled plan, so the pipeline can be rebuilt for a scatter
-	// restart, and the running incarnation.
-	plan     *distPlan
-	opts     []client.Option
-	baseCtx  context.Context
-	ectx     *exec.Context
-	root     exec.Operator
-	cancel   context.CancelFunc
-	mem      *exec.MemTracker
-	cols     []string
-	cur      storage.Row // the merged row, borrowed from the pipeline until Next
-	native   []any       // Row's reused slice
-	boxed    bool        // native already holds cur's values
-	surfaced int64       // rows handed to the caller (restart barrier)
-	restarts int
-	err      error
-	done     bool
-	closed   bool
+	co     *Coordinator
+	ectx   *exec.Context
+	root   exec.Operator
+	cancel context.CancelFunc
+	mem    *exec.MemTracker
+	cols   []string
+	cur    storage.Row // the merged row, borrowed from the pipeline until Next
+	native []any       // Row's reused slice
+	boxed  bool        // native already holds cur's values
+	err    error
+	done   bool
+	closed bool
 }
 
 // Columns names the result attributes. The slice is shared; treat it as
@@ -99,41 +83,19 @@ func (r *Rows) Next() bool {
 	if r.closed || r.done || r.err != nil {
 		return false
 	}
-	for {
-		row, err := exec.CallNext(r.ectx, r.root)
-		if err != nil {
-			var re *rescatterError
-			if errors.As(err, &re) {
-				if r.surfaced == 0 && r.restarts < maxScatterRestarts && r.baseCtx.Err() == nil {
-					// Nothing surfaced past the merge barrier: rebuild the
-					// whole scatter transparently. The failed node's breaker
-					// took the failure, so the new incarnation routes around
-					// it.
-					r.restarts++
-					metricRescatters().Inc()
-					r.teardown()
-					if rerr := r.start(); rerr != nil {
-						r.err = rerr
-						r.closed = true
-						return false
-					}
-					continue
-				}
-				err = re.cause
-			}
-			r.err = err
-			r.shutdown()
-			return false
-		}
-		if row == nil {
-			r.done = true
-			r.shutdown()
-			return false
-		}
-		r.cur, r.boxed = row, false
-		r.surfaced++
-		return true
+	row, err := exec.CallNext(r.ectx, r.root)
+	if err != nil {
+		r.err = err
+		r.shutdown()
+		return false
 	}
+	if row == nil {
+		r.done = true
+		r.shutdown()
+		return false
+	}
+	r.cur, r.boxed = row, false
+	return true
 }
 
 // Values lends the current row in the engine's representation — what the
@@ -172,18 +134,10 @@ func (r *Rows) Close() error {
 	return nil
 }
 
-// teardown dismantles the current pipeline incarnation without closing the
-// cursor, so a scatter restart can build the next one. Cancellation MUST
-// precede operator Close: exchange workers blocked on shard TCP reads only
-// unblock once the client cursor's Cancel frame ends the shard stream, and
-// Close joins them.
-func (r *Rows) teardown() {
-	r.cancel()
-	_ = exec.CallClose(r.ectx, r.root)
-	r.mem.ReleaseAll()
-}
-
-// shutdown tears the pipeline down exactly once.
+// shutdown tears the pipeline down exactly once. Cancellation precedes
+// operator Close: exchange workers blocked on shard reads unblock only once
+// the client cursor's Cancel frame ends the shard stream, and Close joins
+// them.
 func (r *Rows) shutdown() {
 	if r.closed {
 		return
