@@ -390,8 +390,9 @@ func (db *DB) RowCount(table string) (int, error) {
 	return t.NumRows(), nil
 }
 
-// plan builds the served plan of a statement: the planner's join choice,
-// refined at plan.DefaultCardinalityThreshold with the paper's buffer size.
+// plan builds the served plan of a statement (planServed): each hash join
+// builds its smaller input, refined at plan.DefaultCardinalityThreshold with
+// the paper's buffer size.
 // Texts that differ only in their bound literals and output aliases
 // (sql.Shape) share one plan template: the first is planned fresh and its
 // plan kept; each later one clones the template, re-binds its own literals
@@ -412,7 +413,7 @@ func (db *DB) plan(shape *sql.Shape) (*plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, p, err := db.planStmt(stmt, PlanOptions{}, true)
+	p, err := db.planServed(stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -420,11 +421,22 @@ func (db *DB) plan(shape *sql.Shape) (*plan.Node, error) {
 	return plan.Clone(p), nil
 }
 
-// planPair plans a statement with po's join method and, when refine is set,
-// refines it at plan.DefaultCardinalityThreshold with po's buffer size;
-// without refine both results are the conventional plan. It is the one
-// refinement step Query, Explain and Profile share, and it rejects an
-// unknown po.Engine for all of them. It never consults the plan cache.
+// planServed plans a statement fresh, as the served path does: each hash
+// join builds whichever input has the smaller literal-free estimate
+// (sql.Options.BuildSmaller), so the choice depends only on the statement's
+// shape and the tables' row counts, and a template built from one text
+// builds what a fresh plan of any other text of its shape would.
+func (db *DB) planServed(stmt *sql.SelectStmt) (*plan.Node, error) {
+	_, p, err := db.planStmt(stmt, sql.Options{BuildSmaller: true}, 0, true)
+	return p, err
+}
+
+// planPair plans a statement with po's join method, left-deep in FROM order,
+// and, when refine is set, refines it at plan.DefaultCardinalityThreshold
+// with po's buffer size; without refine both results are the conventional
+// plan. It is the paper's path — Explain, ExplainAnalyze and Profile — and
+// it rejects an unknown po.Engine for all of them. It never consults the
+// plan cache.
 func (db *DB) planPair(query string, po PlanOptions, refine bool) (conventional, refined *plan.Node, err error) {
 	if err := po.Engine.Check(); err != nil {
 		return nil, nil, err
@@ -433,18 +445,20 @@ func (db *DB) planPair(query string, po PlanOptions, refine bool) (conventional,
 	if err != nil {
 		return nil, nil, err
 	}
-	return db.planStmt(stmt, po, refine)
+	return db.planStmt(stmt, sql.Options{ForceJoin: sql.JoinMethod(po.ForceJoin)}, po.BufferSize, refine)
 }
 
-// planStmt is planPair after parsing.
-func (db *DB) planStmt(stmt *sql.SelectStmt, po PlanOptions, refine bool) (conventional, refined *plan.Node, err error) {
-	p, err := sql.Analyze(stmt, db.cat, sql.Options{ForceJoin: sql.JoinMethod(po.ForceJoin)})
+// planStmt analyzes a parsed statement with opt and, when refine is set,
+// refines it with bufferSize: the one refinement step planPair and
+// planServed share.
+func (db *DB) planStmt(stmt *sql.SelectStmt, opt sql.Options, bufferSize int, refine bool) (conventional, refined *plan.Node, err error) {
+	p, err := sql.Analyze(stmt, db.cat, opt)
 	if err != nil || !refine {
 		return p, p, err
 	}
 	r, _, err := plan.Refine(p, db.cm, plan.RefineOptions{
 		CardinalityThreshold: plan.DefaultCardinalityThreshold,
-		BufferSize:           po.BufferSize,
+		BufferSize:           bufferSize,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -285,10 +285,12 @@ func TestChaosFailoverReplicatedAggregate(t *testing.T) {
 		`SELECT ps_partkey, SUM(ps_supplycost), COUNT(*) FROM partsupp GROUP BY ps_partkey`)
 }
 
-// TestAggregateLegsReplayIdentically is the premise of aggregate-leg
-// replay: both replicas of a slice stream an aggregate shard statement's
-// groups identically, in order and to the float bit, even when one runs
-// the row path (an armed fault injector) and the other the block path.
+// TestAggregateLegsReplayIdentically is the premise of leg replay: both
+// replicas of a slice stream an aggregate shard statement's groups
+// identically, in order and to the float bit, even when one runs the row
+// path (an armed fault injector) and the other the block path; and they
+// stream a join's rows in one order even when their plan caches were primed
+// with different literals, because the served build side reads none.
 func TestAggregateLegsReplayIdentically(t *testing.T) {
 	armed := func(string) *bufferdb.FaultInjector {
 		return bufferdb.NewFaultInjector(1, bufferdb.Fault{
@@ -318,20 +320,40 @@ func TestAggregateLegsReplayIdentically(t *testing.T) {
 		}
 		return out
 	}
-	// Slice 1 lives on nodes 1 and 2. The statements are the shard SQL the
-	// coordinator ships for a grouped scan, Q1's two-key partials and a
-	// co-located join.
+	// Slice 1 lives on nodes 1 and 2. Each primes the join streams' shapes
+	// with its own dates, chosen so that sampled estimates would build
+	// opposite sides on the two nodes: node 1 keeps almost no orders, node
+	// 2 almost no lineitems and every order. The customer ⋈ orders stream
+	// comes out in another row order when the other side is built.
+	join := func(orderDay, shipDay string) string {
+		return "SELECT o_orderkey, o_orderdate, l_linenumber, l_extendedprice FROM orders JOIN lineitem" +
+			" ON (l_orderkey = o_orderkey) WHERE (o_orderdate >= DATE '" + orderDay + "')" +
+			" AND (l_shipdate >= DATE '" + shipDay + "')"
+	}
+	custJoin := func(orderDay string) string {
+		return "SELECT c_custkey, c_name, o_orderkey, o_totalprice FROM customer JOIN orders" +
+			" ON (o_custkey = c_custkey) WHERE (c_mktsegment = 'BUILDING') AND (o_orderdate >= DATE '" + orderDay + "')"
+	}
+	run(1, join("1998-07-01", "1992-01-01"))
+	run(2, join("1992-01-01", "1998-11-01"))
+	run(1, custJoin("1998-07-01"))
+	run(2, custJoin("1992-01-01"))
+	// The statements are the shard SQL the coordinator ships for a grouped
+	// scan, Q1's two-key partials and a co-located join, then the two join
+	// streams.
 	for _, q := range []string{
 		"SELECT l_orderkey AS __g0, COUNT(*) AS __a0, SUM(l_extendedprice) AS __a1 FROM lineitem GROUP BY l_orderkey",
 		"SELECT l_returnflag AS __g0, l_linestatus AS __g1, SUM(l_quantity) AS __a0, SUM(l_extendedprice) AS __a1, SUM((l_extendedprice * (1 - l_discount))) AS __a2, SUM(((l_extendedprice * (1 - l_discount)) * (1 + l_tax))) AS __a3, SUM(l_quantity) AS __a4_s, COUNT(l_quantity) AS __a4_c, SUM(l_extendedprice) AS __a6_s, COUNT(l_extendedprice) AS __a6_c, SUM(l_discount) AS __a8_s, COUNT(l_discount) AS __a8_c, COUNT(*) AS __a10 FROM lineitem WHERE ((l_shipdate <= DATE '1998-09-02') AND (l_orderkey <> (-1))) GROUP BY l_returnflag, l_linestatus",
 		"SELECT o_orderpriority AS __g0, COUNT(*) AS __a0, SUM(l_extendedprice) AS __a1 FROM orders JOIN lineitem ON (l_orderkey = o_orderkey) WHERE (o_orderdate >= DATE '1995-01-01') GROUP BY o_orderpriority",
+		join("1995-01-01", "1995-01-01"),
+		custJoin("1995-01-01"),
 	} {
 		rowPath, blockPath := run(1, q), run(2, q)
 		if len(rowPath) < 2 {
-			t.Fatalf("%s: %d groups, want several", q, len(rowPath))
+			t.Fatalf("%s: %d rows, want several", q, len(rowPath))
 		}
 		if !reflect.DeepEqual(rowPath, blockPath) {
-			t.Errorf("%s: replicas of slice 1 disagree (%d vs %d groups)", q, len(rowPath), len(blockPath))
+			t.Errorf("%s: replicas of slice 1 disagree (%d vs %d rows)", q, len(rowPath), len(blockPath))
 		}
 	}
 }

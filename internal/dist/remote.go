@@ -21,11 +21,13 @@ import (
 // over to the next candidate with capped exponential backoff, re-issuing
 // the leg and skipping the rows it already emitted. That replay is sound
 // for every leg because every leg's stream is deterministic: all replicas
-// of a slice are generated from one seed and shard nodes take no INSERT,
-// served joins are hash joins in FROM order, aggregates emit their groups
-// in key order, and the block and row paths fold the same rows in the
-// same order, so the skipped rows are identical to what the merge
-// consumed.
+// of a slice are generated from one seed and shard nodes take no INSERT; a
+// served hash join builds the side its literal-free estimate picks — the
+// statement's shape and the slice's row counts, never a literal or a
+// sample — so replicas build the same side however their plan caches were
+// primed; aggregates emit their groups in key order; and the block and row
+// paths fold the same rows in the same order, so the skipped rows are
+// identical to what the merge consumed.
 //
 // Cancellation flows through the exec context's Ctx: the client cursor's
 // AfterFunc turns it into a Cancel frame, the shard frees its admission slot

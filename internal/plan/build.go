@@ -78,8 +78,10 @@ func NestLoopJoin(outer, inner *Node, outerKey expr.Expr, residual expr.Expr) (*
 }
 
 // HashJoin constructs a hash join: probe on outer, blocking build over
-// inner. The build appears as its own node so refinement sees the paper's
-// module structure.
+// inner, joined rows outer ++ inner. The build appears as its own node so
+// refinement sees the paper's module structure. Either input may be a join:
+// the paper's plans build the table joined last, and the served plans build
+// whichever input the analyzer estimates smaller (sql.Options.BuildSmaller).
 func HashJoin(outer, inner *Node, outerKey, innerKey expr.Expr) *Node {
 	build := &Node{
 		Kind:     KindHashBuild,

@@ -94,19 +94,13 @@ func rowsPerKey(table *storage.Table, index *storage.IndexMeta) float64 {
 }
 
 // matchesPerKey estimates how many rows of the build/right input share one
-// join key — 1 when the input is (or descends from) a unique-keyed scan,
-// otherwise a small constant. Precise join estimation is out of scope; the
-// refinement rule only needs "big or small".
+// join key: an index lookup's own estimate, and 1 for every other input —
+// every join is assumed key-foreign-key. Precise join estimation is out of
+// scope; the refinement rule only needs "big or small".
 func matchesPerKey(n *Node) float64 {
 	switch n.Kind {
 	case KindIndexLookup:
 		return n.EstRows
-	case KindSeqScan, KindIndexFullScan:
-		if n.Index != nil && n.Index.Unique {
-			return 1
-		}
-		// A base-table equi-join on a key column: assume key-foreign-key.
-		return 1
 	case KindHashBuild, KindSort, KindBuffer:
 		return matchesPerKey(n.Children[0])
 	default:

@@ -32,6 +32,11 @@ var ErrBadJoinMethod = errors.New("unknown join method")
 type Options struct {
 	// ForceJoin selects the join algorithm for every join in the query.
 	ForceJoin JoinMethod
+	// BuildSmaller lets each hash join build whichever input has the
+	// smaller literal-free estimate (estimateFactor) and stream the other.
+	// Without it, or under any ForceJoin, joins run left-deep in FROM
+	// order and each builds the table joined last: the paper's plans.
+	BuildSmaller bool
 }
 
 // validate rejects malformed options up front, before any parsing work.
@@ -224,7 +229,23 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 		return filter, nil
 	}
 
-	// Left-deep join in FROM order.
+	// Left-deep join in FROM order. Under BuildSmaller a hash join whose
+	// accumulated side has the smaller estimate builds that side and streams
+	// the new table; the scope follows the joined row (probe ++ build), and
+	// the joined estimate is its probe input's.
+	buildSmaller := a.opt.BuildSmaller && a.opt.ForceJoin == JoinDefault
+	estimate := func(bt boundTable) float64 {
+		est := float64(bt.table.NumRows())
+		for _, c := range pushdown[strings.ToLower(bt.ref.Binding())] {
+			est *= estimateFactor(c)
+		}
+		return est
+	}
+	var accEst float64
+	if buildSmaller {
+		accEst = estimate(tables[0])
+	}
+	fromOrder := true // the scope lists the tables in FROM order
 	filter, err := filterFor(tables[0], tables[0].scope)
 	if err != nil {
 		return nil, err
@@ -269,13 +290,26 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 		accKey := expr.NewColRef(accCol.pos, accCol.binding+"."+accCol.name, accCol.typ)
 		newKey := expr.NewColRef(newCol.pos, newCol.binding+"."+newCol.name, newCol.typ)
 
+		joined[b] = true
+		if buildSmaller {
+			if newEst := estimate(bt); accEst < newEst {
+				filter, err := filterFor(bt, bt.scope)
+				if err != nil {
+					return nil, err
+				}
+				cur = plan.HashJoin(plan.SeqScan(bt.table, filter), cur, newKey, accKey)
+				curScope = bt.scope.concat(curScope)
+				accEst = newEst
+				fromOrder = false
+				continue
+			}
+		}
 		joinedScope := curScope.concat(bt.scope)
 		cur, err = a.join(cur, bt, accKey, newKey, joinedScope, filterFor)
 		if err != nil {
 			return nil, err
 		}
 		curScope = joinedScope
-		joined[b] = true
 	}
 
 	// Unconsumed equi-join conditions (a table connected by more than one
@@ -322,7 +356,11 @@ func (a *analyzer) plan(stmt *SelectStmt) (*plan.Node, error) {
 	if hasAgg {
 		finalNode, err = a.planAggregate(stmt, cur, curScope)
 	} else {
-		finalNode, err = a.planProjection(stmt, cur, curScope)
+		var star []boundTable
+		if !fromOrder {
+			star = tables
+		}
+		finalNode, err = a.planProjection(stmt, cur, curScope, star)
 	}
 	if err != nil {
 		return nil, err
@@ -547,10 +585,28 @@ func (a *analyzer) toPostAggExpr(n Node, groupKey, aggKey map[string]int, nGroup
 	}
 }
 
-// planProjection builds the non-aggregate select list.
-func (a *analyzer) planProjection(stmt *SelectStmt, child *plan.Node, sc *scope) (*plan.Node, error) {
+// planProjection builds the non-aggregate select list. star is nil when sc
+// lists the tables in FROM order; otherwise it is the tables in FROM order,
+// and SELECT * projects sc's columns back into that order.
+func (a *analyzer) planProjection(stmt *SelectStmt, child *plan.Node, sc *scope, star []boundTable) (*plan.Node, error) {
 	if len(stmt.Items) == 1 && stmt.Items[0].Star {
-		return child, nil
+		if star == nil {
+			return child, nil
+		}
+		sch := child.Schema()
+		var exprs []expr.Expr
+		var names []string
+		for _, bt := range star {
+			for _, c := range bt.scope.cols {
+				col, err := sc.resolve(c.binding, c.name)
+				if err != nil {
+					return nil, err
+				}
+				exprs = append(exprs, expr.NewColRef(col.pos, sch[col.pos].Name, col.typ))
+				names = append(names, sch[col.pos].Name)
+			}
+		}
+		return plan.Project(child, exprs, names)
 	}
 	var exprs []expr.Expr
 	var names []string
@@ -696,6 +752,38 @@ func (a *analyzer) bindingOfIdent(id *Ident, tables []boundTable) (string, error
 		return "", fmt.Errorf("sql: unknown column %q", id.Name)
 	}
 	return found, nil
+}
+
+// estimateFactor is the factor by which a pushed-down conjunct scales its
+// table's row count when a served hash join picks its build side, after
+// System R (Selinger et al., SIGMOD 1979): =, LIKE and IN keep a tenth, a
+// range comparison a third, BETWEEN a quarter, and <> or anything else all.
+// It reads the operator, never a literal, so every text of one shape — and
+// every replica of one slice, however its plan cache was primed — builds
+// the same side and streams the join's rows in the same order.
+func estimateFactor(n Node) float64 {
+	switch e := n.(type) {
+	case *BinaryExpr:
+		switch e.Op {
+		case "=":
+			return 1.0 / 10
+		case "<", "<=", ">", ">=":
+			return 1.0 / 3
+		}
+	case *LikeExpr:
+		if !e.Negate {
+			return 1.0 / 10
+		}
+	case *InExpr:
+		if !e.Negate {
+			return 1.0 / 10
+		}
+	case *BetweenExpr:
+		if !e.Negate {
+			return 1.0 / 4
+		}
+	}
+	return 1
 }
 
 // asEquiJoin matches conjuncts of the form ident = ident.

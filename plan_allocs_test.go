@@ -22,7 +22,8 @@ func adhocLookup(s int) string {
 func aliasedDashboard(s int) string { return servedDashboard(5, fmt.Sprintf("_%d", s)) }
 
 // TestAdhocPlanAllocs bounds what planning one ad hoc statement allocates.
-// fresh is parse, analyze and refinement at the served threshold: before
+// fresh is the served path's fresh plan — parse, analyze with the build side
+// chosen, and refinement at the served threshold: before
 // the footprint bitsets and on-demand refinement labels it took 233
 // allocations and 25.9 KB. lex is the lexer and shape key alone, which
 // every statement pays. hit is db.plan of a cached shape: lex, then clone
@@ -37,7 +38,7 @@ func TestAdhocPlanAllocs(t *testing.T) {
 		plan                func(text string) error
 	}{
 		{"fresh", 173, 12_375, adhocLookup, func(text string) error {
-			_, _, err := testDB.planPair(text, PlanOptions{}, true)
+			_, err := testDB.freshServed(text)
 			return err
 		}},
 		{"lex", 4, 1_745, adhocLookup, func(text string) error {
@@ -95,7 +96,7 @@ func BenchmarkAdhocPlan(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := testDB.planPair(adhocLookup(i), PlanOptions{}, true); err != nil {
+			if _, err := testDB.freshServed(adhocLookup(i)); err != nil {
 				b.Fatal(err)
 			}
 		}

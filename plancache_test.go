@@ -372,10 +372,20 @@ func boundLiterals(t *testing.T, text string, spans []literalSpan) []int {
 	return bound
 }
 
+// freshServed plans text fresh as the served path does, outside the plan
+// cache.
+func (db *DB) freshServed(text string) (*plan.Node, error) {
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	return db.planServed(stmt)
+}
+
 // freshResult plans text fresh, outside the plan cache, and runs it on the
 // served path: what db.Query returned before the cache existed.
 func freshResult(ctx context.Context, db *DB, text string) (*Result, error) {
-	_, p, err := db.planPair(text, PlanOptions{}, true)
+	p, err := db.freshServed(text)
 	if err != nil {
 		return nil, err
 	}
@@ -463,6 +473,7 @@ func TestPlanCacheLiteralSubstitution(t *testing.T) {
 					}
 				}
 			}
+			templateBuildsFresh(t, db)
 			if bound == 0 || hitsSeen == 0 || renamedHits == 0 {
 				t.Fatalf("varied %d bound literals with %d hits, %d with renamed columns: the test exercised nothing",
 					bound, hitsSeen, renamedHits)
@@ -473,13 +484,60 @@ func TestPlanCacheLiteralSubstitution(t *testing.T) {
 	}
 }
 
+// templateBuildsFresh primes a join shape with a date that selects almost no
+// orders — where a sampled estimate would build orders, not customer — and
+// holds each later hit of the shape to the build sides of a fresh plan of
+// its own text: the served build side reads no literal, so the template's
+// choice is every text's.
+func templateBuildsFresh(t *testing.T, db *DB) {
+	t.Helper()
+	text := func(day string) string {
+		return `SELECT o_orderkey, o_orderdate, c_name FROM customer, orders WHERE c_custkey = o_custkey` +
+			` AND c_mktsegment = 'BUILDING' AND o_orderdate < DATE '` + day + `'`
+	}
+	prime, err := db.freshServed(text("1992-01-05"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := map[string]float64{}
+	plan.Walk(prime, func(n *plan.Node) {
+		if n.Kind == plan.KindSeqScan {
+			est[n.Table.Name()] = n.EstRows
+		}
+	})
+	if est["orders"] >= est["customer"] {
+		t.Fatalf("primed estimates %v: the sampled orders scan is not the smaller, the prime shows nothing", est)
+	}
+	if _, err := db.Query(context.Background(), text("1992-01-05")); err != nil {
+		t.Fatal(err)
+	}
+	hits := metricPlanCache("hits")
+	for _, day := range []string{"1995-03-15", "1998-08-02"} {
+		h0 := hits.Value()
+		p, err := db.planText(text(day))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits.Value() == h0 {
+			t.Fatalf("%s: the primed shape missed the plan cache", day)
+		}
+		fresh, err := db.freshServed(text(day))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := buildSides(p), buildSides(fresh); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the template builds %v, a fresh plan %v", day, got, want)
+		}
+	}
+}
+
 // TestPlanCacheBindIsConstruction: binding a fresh plan with its own
 // literals reproduces it — every node label (constants, folding and LIKE
 // patterns render there), every estimate and the reuse fingerprint — so
 // one analysis path serves the fresh plan and the template.
 func TestPlanCacheBindIsConstruction(t *testing.T) {
 	for ti, text := range planCacheTexts() {
-		_, p, err := testDB.planPair(text, PlanOptions{}, true)
+		p, err := testDB.freshServed(text)
 		if err != nil {
 			t.Fatalf("text %d: %v", ti, err)
 		}
